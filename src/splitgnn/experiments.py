@@ -163,10 +163,11 @@ class CostReport:
     sl_bytes: int
     fl_bytes: int
     secure: bool
+    psi_bytes: int = 0   # the one-off alignment (round -1), inside sl_bytes
 
     @property
     def sl_bytes_per_round(self) -> float:
-        return self.sl_bytes / self.rounds if self.rounds else 0.0
+        return (self.sl_bytes - self.psi_bytes) / self.rounds if self.rounds else 0.0
 
     @property
     def fl_bytes_per_round(self) -> float:
@@ -290,6 +291,7 @@ def run_experiment(config: ExperimentConfig):
             ))
 
     sl_bytes = comm_cost_sl(last_transcript) if last_transcript is not None else 0
+    psi_bytes = last_transcript.total_bytes("psi") if last_transcript is not None else 0
     fl_bytes = comm_cost_fl(max(config.participants, 1), max(model_params, 1),
                             max(rounds_total, 1)) if rounds_total else 0
     cost = CostReport(
@@ -303,6 +305,7 @@ def run_experiment(config: ExperimentConfig):
         sl_bytes=sl_bytes,
         fl_bytes=fl_bytes,
         secure=config.secure,
+        psi_bytes=psi_bytes,
     )
     return rows, cost, last_transcript
 
@@ -315,7 +318,7 @@ METRICS_COLUMNS = ("digest", "strategy", "model", "participants", "ratio",
                    "seed", "epoch", "train_loss", "val_f1", "test_f1",
                    "label_access")
 COST_COLUMNS = ("strategy", "model", "participants", "batch_size", "hidden",
-                "model_params", "rounds", "sl_bytes", "sl_bytes_per_round",
+                "model_params", "rounds", "sl_bytes", "psi_bytes", "sl_bytes_per_round",
                 "fl_bytes", "fl_bytes_per_round", "secure")
 
 

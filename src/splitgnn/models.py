@@ -11,6 +11,13 @@ Encoders bind to a participant view at construction and only ever touch
 that view's edges, so stacking layers is exactly multi-hop aggregation over
 private edge information.  An isolated node keeps propagating its own
 transformed features through every layer via its self-loop.
+
+"gcn" and "gat" run each layer over the batch's receptive field only: the
+layer-wise mini-batching of GraphSAGE (Hamilton et al., 2017).  The nodes
+and edges each layer needs are found top-down from the batch, so a round
+costs what its batch touches, not what the graph holds, and every output
+row is the one the whole-graph layers would give.  "hat" stays whole-graph,
+because its path attention scores each channel over all nodes.
 """
 
 from __future__ import annotations
@@ -198,7 +205,13 @@ def _build_channels(view) -> list[_Channel]:
 
 
 class HatEncoder:
-    """K stacked heterogeneous-attention layers over one participant's view."""
+    """K stacked heterogeneous-attention layers over one participant's view.
+
+    Every layer runs over the whole graph.  Path attention weighs a channel
+    by its mean score over all nodes, so even one node's embedding depends
+    on every node; restricting a layer to the batch's receptive field would
+    change the model's outputs.
+    """
 
     kind = "hat"
 
@@ -308,8 +321,68 @@ class HatEncoder:
         return T.gather_rows(tape, x, np.asarray(batch_ids, dtype=np.int64))
 
 
+def _merged_edges(g: HetGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(target, neighbor) over every relation, in relation-name order."""
+    empty = [np.zeros(0, dtype=np.int64)]
+    tgt = np.concatenate([g.relations[r].src for r in g.relation_names()] or empty)
+    nbr = np.concatenate([g.relations[r].dst for r in g.relation_names()] or empty)
+    return tgt, nbr
+
+
+class _TargetCsr:
+    """An edge list sorted by target, stably, so each target's edges keep
+    their order: the edges into any set of targets are a few index ranges,
+    and summing them goes in the same order as over the whole list."""
+
+    def __init__(self, tgt: np.ndarray, nbr: np.ndarray, num_nodes: int):
+        self.nbr = nbr[np.argsort(tgt, kind="stable")]
+        self.indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tgt, minlength=num_nodes), out=self.indptr[1:])
+
+    def edges_into(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(index into ``targets``, neighbor id) of every edge into
+        ``targets``, grouped by target in ``targets`` order."""
+        starts = self.indptr[targets]
+        counts = self.indptr[targets + 1] - starts
+        seg = np.repeat(np.arange(len(targets)), counts)
+        offsets = np.cumsum(counts) - counts
+        pos = np.arange(int(counts.sum())) + np.repeat(starts - offsets, counts)
+        return seg, self.nbr[pos]
+
+
+@dataclass
+class _Block:
+    """One layer's share of a batch's receptive field, in node ids sorted
+    ascending: the layer reads the rows ``inputs`` and writes the rows
+    ``targets``; edge e runs from ``inputs[src[e]]`` into ``targets[seg[e]]``."""
+    inputs: np.ndarray
+    targets: np.ndarray
+    seg: np.ndarray
+    src: np.ndarray
+
+
+def _receptive_blocks(csr: _TargetCsr, batch: np.ndarray, layers: int,
+                     self_entry: bool) -> list[_Block]:
+    """The blocks of a ``layers``-deep encoder for ``batch``, first layer
+    first.  They are found top-down: the last layer's targets are the batch,
+    and each layer's inputs are the sources of the edges into its targets
+    (plus the targets themselves with ``self_entry``), which are the layer
+    below's targets."""
+    targets = np.unique(batch)
+    blocks = []
+    for _ in range(layers):
+        seg, nbr = csr.edges_into(targets)
+        inputs = np.union1d(nbr, targets) if self_entry else np.unique(nbr)
+        blocks.append(_Block(inputs, targets, seg, np.searchsorted(inputs, nbr)))
+        targets = inputs
+    return blocks[::-1]
+
+
 class GcnEncoder:
-    """Mean-over-neighbors aggregation, linear map, ELU; relations merged."""
+    """Mean-over-neighbors aggregation, linear map, ELU; relations merged.
+
+    Each layer runs over the batch's receptive field, not the whole graph.
+    """
 
     kind = "gcn"
 
@@ -320,17 +393,14 @@ class GcnEncoder:
         self.seed = seed
         self.scope = scope
         g = self.graph
-        tgt = np.concatenate([g.relations[r].src for r in g.relation_names()] or
-                             [np.zeros(0, dtype=np.int64)])
-        nbr = np.concatenate([g.relations[r].dst for r in g.relation_names()] or
-                             [np.zeros(0, dtype=np.int64)])
+        tgt, nbr = _merged_edges(g)
         deg = np.bincount(tgt, minlength=g.num_nodes).astype(np.float64)
         isolated = np.flatnonzero(deg == 0)
         # isolated nodes average over themselves so features keep flowing
         tgt = np.concatenate([tgt, isolated])
         nbr = np.concatenate([nbr, isolated])
         deg[isolated] = 1.0
-        self.tgt, self.nbr = tgt, nbr
+        self.csr = _TargetCsr(tgt, nbr, g.num_nodes)
         self.inv_deg = (1.0 / deg)[:, None]
         self.params: dict[str, T.Tensor] = {}
         d = config.hidden
@@ -341,21 +411,29 @@ class GcnEncoder:
 
     def forward(self, tape, batch_ids, step: int = 0, training: bool = False):
         cfg = self.config
-        x = T.Tensor(self.graph.features)
         n = self.graph.num_nodes
-        for l in range(cfg.layers):
+        batch = np.asarray(batch_ids, dtype=np.int64)
+        blocks = _receptive_blocks(self.csr, batch, cfg.layers, self_entry=False)
+        x = T.Tensor(self.graph.features[blocks[0].inputs])
+        for l, blk in enumerate(blocks):
             x = T.dropout(tape, x, cfg.dropout,
-                          seed=(self.seed, "dropout", self.scope, l, step), training=training)
-            summed = T.segment_sum(tape, T.gather_rows(tape, x, self.nbr), self.tgt, n)
-            mean = T.mul(tape, summed, T.Tensor(self.inv_deg))
+                          seed=(self.seed, "dropout", self.scope, l, step), training=training,
+                          rows=blk.inputs, n_rows=n)
+            summed = T.segment_sum(tape, T.gather_rows(tape, x, blk.src), blk.seg,
+                                   len(blk.targets))
+            mean = T.mul(tape, summed, T.Tensor(self.inv_deg[blk.targets]))
             x = T.elu(tape, T.linear(tape, mean,
                                      self.params[f"{self.scope}/l{l}/W"],
                                      self.params[f"{self.scope}/l{l}/b"]))
-        return T.gather_rows(tape, x, np.asarray(batch_ids, dtype=np.int64))
+        return T.gather_rows(tape, x, np.searchsorted(blocks[-1].targets, batch))
 
 
 class GatEncoder:
-    """Single-relation multi-head attention without edge features."""
+    """Single-relation multi-head attention without edge features.
+
+    Each layer runs over the batch's receptive field, not the whole graph;
+    ``diagnostics["alpha"]`` keeps its segments in node ids.
+    """
 
     kind = "gat"
 
@@ -366,10 +444,7 @@ class GatEncoder:
         self.seed = seed
         self.scope = scope
         g = self.graph
-        self.tgt = np.concatenate([g.relations[r].src for r in g.relation_names()] or
-                                  [np.zeros(0, dtype=np.int64)])
-        self.nbr = np.concatenate([g.relations[r].dst for r in g.relation_names()] or
-                                  [np.zeros(0, dtype=np.int64)])
+        self.csr = _TargetCsr(*_merged_edges(g), g.num_nodes)
         self.params: dict[str, T.Tensor] = {}
         self.diagnostics: dict = {}
         d = config.hidden
@@ -382,27 +457,34 @@ class GatEncoder:
 
     def forward(self, tape, batch_ids, step: int = 0, training: bool = False):
         cfg = self.config
-        g = self.graph
-        n = g.num_nodes
-        x = T.Tensor(g.features)
+        n = self.graph.num_nodes
+        batch = np.asarray(batch_ids, dtype=np.int64)
+        blocks = _receptive_blocks(self.csr, batch, cfg.layers, self_entry=True)
+        x = T.Tensor(self.graph.features[blocks[0].inputs])
         self.diagnostics = {}
-        self_idx = np.arange(n)
-        seg = np.concatenate([self.tgt, self_idx])
-        for l in range(cfg.layers):
+        for l, blk in enumerate(blocks):
             x = T.dropout(tape, x, cfg.dropout,
-                          seed=(self.seed, "dropout", self.scope, l, step), training=training)
+                          seed=(self.seed, "dropout", self.scope, l, step), training=training,
+                          rows=blk.inputs, n_rows=n)
             h = T.linear(tape, x, self.params[f"{self.scope}/l{l}/W"],
                          self.params[f"{self.scope}/l{l}/b"])
+            k = len(blk.targets)
+            # every target's edges, in edge order, then its self entry
+            seg = np.concatenate([blk.seg, np.arange(k)])
+            own = np.searchsorted(blk.inputs, blk.targets)
+            src = np.concatenate([blk.src, own])
+            anchor = own[seg]
             head_outs = []
             for m in range(cfg.heads):
                 hp = T.matmul(tape, h, self.params[f"{self.scope}/l{l}/head{m}"])
-                vals = T.concat_rows(tape, [T.gather_rows(tape, hp, self.nbr), hp])
-                anchors = T.concat_rows(tape, [T.gather_rows(tape, hp, self.tgt), hp])
+                vals = T.gather_rows(tape, hp, src)
+                anchors = T.gather_rows(tape, hp, anchor)
                 alpha = T.segment_softmax(tape, T.rowwise_dot(tape, anchors, vals),
-                                          seg, n, cfg.lam)
-                self.diagnostics.setdefault("alpha", {})[(l, m)] = (alpha.values.copy(), seg)
+                                          seg, k, cfg.lam)
+                self.diagnostics.setdefault("alpha", {})[(l, m)] = (
+                    alpha.values.copy(), blk.targets[seg])
                 weighted = T.mul(tape, T.reshape_col(tape, alpha), vals)
-                head_outs.append(T.segment_sum(tape, weighted, seg, n))
+                head_outs.append(T.segment_sum(tape, weighted, seg, k))
             if cfg.head_mode == "concat":
                 agg = T.concat_cols(tape, head_outs)
             else:
@@ -410,7 +492,7 @@ class GatEncoder:
                 for other in head_outs[1:]:
                     agg = T.add(tape, agg, other)
             x = T.elu(tape, agg)
-        return T.gather_rows(tape, x, np.asarray(batch_ids, dtype=np.int64))
+        return T.gather_rows(tape, x, np.searchsorted(blocks[-1].targets, batch))
 
 
 ENCODERS = {"hat": HatEncoder, "gcn": GcnEncoder, "gat": GatEncoder}

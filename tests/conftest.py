@@ -45,6 +45,15 @@ def session_config(**overrides):
     return SessionConfig(**kwargs)
 
 
+def add_at_segment_sum(values, seg, n):
+    """The ``np.add.at`` scatter the segment ops were first written with:
+    the bit-level oracle for their bincount kernel."""
+    values = np.asarray(values, dtype=np.float64)
+    out = np.zeros((n,) + values.shape[1:])
+    np.add.at(out, seg, values)
+    return out
+
+
 @pytest.fixture
 def tiny_bundle():
     return make_bundle(seed=1)

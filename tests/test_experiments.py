@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +135,16 @@ class TestRunExperiment:
         assert cost.rounds > 0
         assert cost.fl_bytes == E.comm_cost_fl(2, cost.model_params, cost.rounds)
 
+    def test_cost_per_round_leaves_out_alignment(self):
+        # GCN/16 split_m, two participants, one round of 64 at desk scale
+        cfg = E.grid_configs(E.ExperimentConfig(), "cost")[0]
+        _, cost, transcript = E.run_experiment(cfg)
+        assert (cfg.model, cfg.hidden, cfg.strategy, cost.rounds) == ("gcn", 16, "split_m", 1)
+        assert cost.psi_bytes == transcript.total_bytes("psi") > 0
+        assert cost.sl_bytes == transcript.total_bytes()
+        # 2 uplinks + hidden + its gradient + 2 downlink gradients of 64 x 16 floats
+        assert cost.sl_bytes_per_round == 6 * 64 * 16 * 8 == 49_152
+
     def test_dataset_directory_input(self):
         cfg = small_config()
         payload = {**cfg.to_json(), "dataset": str(TOY), "synthetic": None,
@@ -258,3 +271,13 @@ class TestCli:
         spec_path.write_text(json.dumps({"node_counts": {"a": 5}}))
         assert cli.main(["gen-synthetic", "--spec", str(spec_path),
                          "--out", str(tmp_path / "d")]) == 1
+
+
+def test_no_scipy_import():
+    # scipy.sparse alone adds about 22 MiB of resident memory and 0.2-0.5 s
+    # of import time; the segment ops do without it
+    code = ("import sys; import splitgnn.protocol, splitgnn.experiments; "
+            "assert 'scipy' not in sys.modules")
+    src = str(Path(E.__file__).resolve().parent.parent)
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": src})

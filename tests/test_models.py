@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import add_at_segment_sum
 from splitgnn import graph as G
 from splitgnn import models as M
 from splitgnn import tensor as T
@@ -330,3 +331,171 @@ class TestEncoderGradients:
         all_params = list(enc.params.values()) + [head_w, head_b]
         err = T.finite_diff_check(forward, all_params)
         assert err < 1e-4, f"{kind}/{fusion}: max rel err {err}"
+
+
+# ---------------------------------------------------------------------------
+# receptive-field blocks against the whole-graph layers
+
+
+def merged_edges(g):
+    tgt = np.concatenate([g.relations[r].src for r in g.relation_names()])
+    nbr = np.concatenate([g.relations[r].dst for r in g.relation_names()])
+    return tgt, nbr
+
+
+def whole_graph_gcn(enc, tape, batch_ids, step=0, training=False):
+    """GCN with every layer over every node and the batch rows gathered at
+    the end: the oracle for the encoder's receptive-field blocks."""
+    cfg, g = enc.config, enc.graph
+    n = g.num_nodes
+    tgt, nbr = merged_edges(g)
+    deg = np.bincount(tgt, minlength=n).astype(np.float64)
+    isolated = np.flatnonzero(deg == 0)
+    tgt = np.concatenate([tgt, isolated])
+    nbr = np.concatenate([nbr, isolated])
+    deg[isolated] = 1.0
+    x = T.Tensor(g.features)
+    for l in range(cfg.layers):
+        x = T.dropout(tape, x, cfg.dropout,
+                      seed=(enc.seed, "dropout", enc.scope, l, step), training=training)
+        summed = T.segment_sum(tape, T.gather_rows(tape, x, nbr), tgt, n)
+        mean = T.mul(tape, summed, T.Tensor((1.0 / deg)[:, None]))
+        x = T.elu(tape, T.linear(tape, mean, enc.params[f"{enc.scope}/l{l}/W"],
+                                 enc.params[f"{enc.scope}/l{l}/b"]))
+    return T.gather_rows(tape, x, np.asarray(batch_ids, dtype=np.int64)), {}
+
+
+def whole_graph_gat(enc, tape, batch_ids, step=0, training=False):
+    """GAT with every layer over every node; also returns its attention
+    coefficients by (layer, head), with their segments in node ids."""
+    cfg, g = enc.config, enc.graph
+    n = g.num_nodes
+    tgt, nbr = merged_edges(g)
+    seg = np.concatenate([tgt, np.arange(n)])
+    x = T.Tensor(g.features)
+    alphas = {}
+    for l in range(cfg.layers):
+        x = T.dropout(tape, x, cfg.dropout,
+                      seed=(enc.seed, "dropout", enc.scope, l, step), training=training)
+        h = T.linear(tape, x, enc.params[f"{enc.scope}/l{l}/W"],
+                     enc.params[f"{enc.scope}/l{l}/b"])
+        head_outs = []
+        for m in range(cfg.heads):
+            hp = T.matmul(tape, h, enc.params[f"{enc.scope}/l{l}/head{m}"])
+            vals = T.concat_rows(tape, [T.gather_rows(tape, hp, nbr), hp])
+            anchors = T.concat_rows(tape, [T.gather_rows(tape, hp, tgt), hp])
+            alpha = T.segment_softmax(tape, T.rowwise_dot(tape, anchors, vals),
+                                      seg, n, cfg.lam)
+            alphas[(l, m)] = (alpha.values.copy(), seg)
+            weighted = T.mul(tape, T.reshape_col(tape, alpha), vals)
+            head_outs.append(T.segment_sum(tape, weighted, seg, n))
+        agg = head_outs[0]
+        for other in head_outs[1:]:
+            agg = T.add(tape, agg, other)
+        x = T.elu(tape, agg)
+    return T.gather_rows(tape, x, np.asarray(batch_ids, dtype=np.int64)), alphas
+
+
+WHOLE_GRAPH = {"gcn": whole_graph_gcn, "gat": whole_graph_gat}
+
+
+def with_isolated(g, count):
+    """``g`` plus ``count`` nodes of its first type that no edge touches."""
+    extra = stable_rng("isolated", count).standard_normal((count, g.feature_dim))
+    return G.HetGraph(
+        np.concatenate([g.node_types, np.repeat(g.node_types[:1], count)]),
+        np.concatenate([g.features, extra]), g.relations,
+        np.concatenate([g.labels, np.zeros(count, dtype=np.int64)]), g.num_classes)
+
+
+def param_grads(enc, forward):
+    """Gradients of mean(out^2) for every encoder parameter."""
+    for p in enc.params.values():
+        p.zero_grad()
+    tape = T.Tape()
+    out = forward(tape)
+    tape.backward(T.mean_all(tape, T.mul(tape, out, out)))
+    return {name: p.grad for name, p in enc.params.items()}
+
+
+class TestReceptiveBlocks:
+    @pytest.mark.parametrize("kind", ["gcn", "gat"])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_matches_whole_graph(self, kind, layers):
+        g = with_isolated(fixture_bundle(seed=12).graph, 3)
+        n = g.num_nodes
+        isolated = n - 2
+        assert not any(np.isin(isolated, r.src) or np.isin(isolated, r.dst)
+                       for r in g.relations.values())
+        # unsorted, with duplicates and an isolated node
+        batch = [17, 3, 3, isolated, 0, 17, 9]
+        cfg = small_config(kind=kind, layers=layers, hidden=4, heads=2, dropout=0.3)
+        enc = M.make_encoder(g, cfg, seed=3, scope="e")
+        oracle = WHOLE_GRAPH[kind]
+        for training in (False, True):
+            got = enc.forward(None, batch, step=2, training=training)
+            want, _ = oracle(enc, None, batch, step=2, training=training)
+            assert np.array_equal(got.values, want.values)
+
+        got = param_grads(enc, lambda tape: enc.forward(tape, batch, step=2, training=True))
+        want = param_grads(enc, lambda tape: oracle(enc, tape, batch, step=2, training=True)[0])
+        assert got.keys() == want.keys()
+        for name in got:
+            np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+    def test_gat_alpha_segments_are_node_ids(self):
+        g = fixture_bundle(seed=12).graph
+        enc = M.make_encoder(g, small_config(kind="gat", layers=2), seed=3, scope="e")
+        batch = [15, 4, 4, 11]
+        enc.forward(None, batch)
+        _, want = whole_graph_gat(enc, None, batch)
+        for key, (alpha, seg) in enc.diagnostics["alpha"].items():
+            full_alpha, full_seg = want[key]
+            present = np.unique(seg)
+            if key[0] == 1:
+                assert np.array_equal(present, np.unique(batch))
+            for v in present:
+                assert np.array_equal(alpha[seg == v], full_alpha[full_seg == v])
+
+    @pytest.mark.parametrize("kind", ["gcn", "gat"])
+    def test_work_independent_of_graph_size(self, kind, monkeypatch):
+        seen = []
+        segment_sum = T.segment_sum
+
+        def counted(tape, x, seg, n_segments):
+            seen.append((len(seg), n_segments))
+            return segment_sum(tape, x, seg, n_segments)
+
+        monkeypatch.setattr(T, "segment_sum", counted)
+        g = fixture_bundle(seed=12).graph
+        batch = [15, 4, 4, 11]
+        cfg = small_config(kind=kind, layers=2)
+        runs = []
+        for graph in (g, with_isolated(g, 10_000)):
+            seen.clear()
+            M.make_encoder(graph, cfg, seed=3, scope="e").forward(T.Tape(), batch)
+            runs.append(list(seen))
+        assert runs[0] and runs[0] == runs[1]
+
+
+def test_hat_unchanged_by_segment_kernel(monkeypatch):
+    """HAT keeps its whole-graph layers, so its forward and gradients must
+    be bit-identical to the ones computed on np.add.at sums."""
+    bundle = fixture_bundle(seed=5)
+    cfg = small_config(kind="hat", layers=2, dropout=0.2)
+    batch = [6, 1, 1, 13]
+
+    def run():
+        enc = M.HatEncoder(_single_view(bundle), cfg, seed=4, scope="e")
+        out = enc.forward(None, batch, step=1, training=True).values
+        grads = param_grads(enc, lambda tape: enc.forward(tape, batch, step=1, training=True))
+        return out, grads
+
+    out, grads = run()
+    monkeypatch.setattr(T, "_segment_add", add_at_segment_sum)
+    want_out, want_grads = run()
+    assert np.array_equal(out, want_out)
+    assert grads.keys() == want_grads.keys()
+    for name in grads:
+        assert np.array_equal(grads[name], want_grads[name]), name

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import add_at_segment_sum
 from splitgnn import tensor as T
 from splitgnn.errors import ContractError, DomainError, NumericError, ShapeError
 from splitgnn.seeding import stable_rng
@@ -212,6 +213,82 @@ class TestSegmentOps:
         s = T.scatter_rows(None, g, idx, 4)
         assert np.array_equal(s.values[2], x[2]) and np.array_equal(s.values[0], x[0])
         assert np.all(s.values[[1, 3]] == 0)
+
+
+def add_at_segment_softmax(scores, seg, n, temperature, g):
+    """Segment softmax and its backward for upstream ``g``, on add.at sums."""
+    s = scores * temperature
+    seg_max = np.full(n, -np.inf)
+    np.maximum.at(seg_max, seg, s)
+    z = np.exp(s - seg_max[seg])
+    alpha = z / add_at_segment_sum(z, seg, n)[seg]
+    t = alpha * g
+    return alpha, temperature * (t - alpha * add_at_segment_sum(t, seg, n)[seg])
+
+
+def kernel_case(name):
+    """(values, seg, n_segments) for one named shape of segment input."""
+    rng = stable_rng("segment-kernel", name)
+    if name == "repeated_2d":
+        seg = rng.integers(0, 4, 40)
+        n = 4
+    elif name == "empty_and_trailing_empty":
+        seg = rng.choice([0, 2, 5], 30)   # 1, 3, 4 and 6..8 stay empty
+        n = 9
+    elif name == "repeated_1d":
+        seg = rng.integers(0, 6, 25)
+        n = 6
+    elif name == "more_segments_than_ids":
+        seg = rng.integers(0, 3, 20)
+        n = 3 + 17
+    else:  # no rows at all
+        seg = np.zeros(0, dtype=np.int64)
+        n = 5
+    width = () if name == "repeated_1d" else (3,)
+    # mixed magnitudes, so that adding in another order would show in the bits
+    scale = 10.0 ** rng.integers(-3, 4, len(seg))
+    values = rng.standard_normal((len(seg),) + width) * scale.reshape((-1,) + (1,) * len(width))
+    return values, seg, n
+
+
+KERNEL_CASES = ["repeated_2d", "empty_and_trailing_empty", "repeated_1d",
+                "more_segments_than_ids", "no_rows"]
+
+
+class TestSegmentKernel:
+    """The bincount kernel gives exactly the bits of ``np.add.at``."""
+
+    @pytest.mark.parametrize("name", KERNEL_CASES)
+    def test_segment_sum_forward(self, name):
+        values, seg, n = kernel_case(name)
+        out = T.segment_sum(None, values, seg, n)
+        assert np.array_equal(out.values, add_at_segment_sum(values, seg, n))
+
+    @pytest.mark.parametrize("name", KERNEL_CASES)
+    def test_gather_rows_backward(self, name):
+        g, idx, n = kernel_case(name)
+        x = T.Tensor(stable_rng("gather-x", name).standard_normal((n,) + g.shape[1:]),
+                     requires_grad=True)
+        tape = T.Tape()
+        tape.backward(T.gather_rows(tape, x, idx), seed_grad=g)
+        assert np.array_equal(x.grad, add_at_segment_sum(g, idx, n))
+
+    @pytest.mark.parametrize("name", ["repeated_1d", "empty_and_trailing_empty",
+                                      "more_segments_than_ids", "no_rows"])
+    def test_segment_softmax_forward_and_backward(self, name):
+        values, seg, n = kernel_case(name)
+        scores = T.Tensor(values[:, 0] if values.ndim == 2 else values, requires_grad=True)
+        g = stable_rng("softmax-g", name).standard_normal(len(seg))
+        tape = T.Tape()
+        alpha = T.segment_softmax(tape, scores, seg, n, temperature=0.7)
+        want_alpha, want_grad = add_at_segment_softmax(scores.values, seg, n, 0.7, g)
+        assert np.array_equal(alpha.values, want_alpha)
+        tape.backward(alpha, seed_grad=g)
+        assert np.array_equal(scores.grad, want_grad)
+
+    def test_segment_id_past_the_end_rejected(self):
+        with pytest.raises(ShapeError):
+            T.segment_sum(None, np.ones((3, 2)), [0, 1, 3], 3)
 
 
 class TestFiniteDiff:
