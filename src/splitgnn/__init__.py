@@ -1,5 +1,5 @@
 """Split-learning simulator for attention GNNs on vertically partitioned graphs."""
 
-from .tensor import Tensor, Tape, finite_diff_check
+from .tensor import Tensor, Tape
 
-__all__ = ["Tensor", "Tape", "finite_diff_check"]
+__all__ = ["Tensor", "Tape"]

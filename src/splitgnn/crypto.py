@@ -13,7 +13,6 @@ explicitly out of scope.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 import secrets
 from dataclasses import dataclass
@@ -132,10 +131,6 @@ class PaillierPublicKey:
         return self.n + 1
 
     @property
-    def key_id(self) -> str:
-        return hashlib.sha256(str(self.n).encode()).hexdigest()[:12]
-
-    @property
     def wire_width(self) -> int:
         """Fixed byte width of one serialized ciphertext value."""
         return (self.n_sq.bit_length() + 7) // 8
@@ -148,14 +143,6 @@ class PaillierKeyPair:
     q: int
     lam: int
     mu: int
-
-    def to_json(self) -> dict:
-        # Test-mode convenience only; never ship private keys like this.
-        return {"bits": self.public.bits, "p": str(self.p), "q": str(self.q)}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "PaillierKeyPair":
-        return _assemble(int(payload["p"]), int(payload["q"]), int(payload["bits"]))
 
 
 def _assemble(p: int, q: int, bits: int) -> PaillierKeyPair:
@@ -383,13 +370,3 @@ def fresh_salt(seed=None) -> bytes:
     if seed is None:
         return secrets.token_bytes(16)
     return hashlib.sha256(f"psi-salt:{seed!r}".encode()).digest()[:16]
-
-
-def serialize_keypair(keypair: PaillierKeyPair, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(keypair.to_json(), fh)
-
-
-def load_keypair(path) -> PaillierKeyPair:
-    with open(path, encoding="utf-8") as fh:
-        return PaillierKeyPair.from_json(json.load(fh))

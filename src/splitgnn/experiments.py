@@ -216,7 +216,7 @@ def _grant_labels(view: ParticipantView, bundle: DatasetBundle) -> ParticipantVi
                       bundle.graph.labels.copy(), g.num_classes)
     return ParticipantView(view.participant, granted, view.metapaths,
                            view.feature_cols, True, view.train_ids,
-                           view.val_ids, view.test_ids, view.edge_indices)
+                           view.val_ids, view.test_ids)
 
 
 def run_experiment(config: ExperimentConfig):
@@ -352,12 +352,6 @@ def emit_report(rows, costs, out_dir) -> tuple[Path, Path]:
         for c in costs:
             fh.write(",".join(_fmt(getattr(c, col)) for col in COST_COLUMNS) + "\n")
     return metrics_path, cost_path
-
-
-def read_metrics(path) -> list[dict]:
-    lines = Path(path).read_text().splitlines()
-    header = lines[0].split(",")
-    return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,13 @@ the path endpoint contributes to the target node's representation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, GraphSchemaError, ParseError
+from .errors import ConfigError, GraphSchemaError, ParseError
 from .seeding import stable_rng
-
-
-class BudgetExceededError(GraphSchemaError):
-    """Neighborhood expansion exceeded the configured node budget."""
 
 
 @dataclass
@@ -67,7 +62,6 @@ class HetGraph:
             labels = np.full(n, -1, dtype=np.int64)
         self.labels = np.asarray(labels, dtype=np.int64)
         self.num_classes = int(num_classes)
-        self._adjacency: dict[str, dict[int, list[tuple[int, int]]]] = {}
         self.validate()
 
     @property
@@ -100,17 +94,6 @@ class HetGraph:
 
     def relation_names(self) -> list[str]:
         return sorted(self.relations)
-
-    def adjacency(self, relation: str) -> dict[int, list[tuple[int, int]]]:
-        """src -> [(dst, edge_index)] for one relation, built lazily."""
-        adj = self._adjacency.get(relation)
-        if adj is None:
-            rel = self.relations[relation]
-            adj = {}
-            for e, (u, v) in enumerate(zip(rel.src, rel.dst)):
-                adj.setdefault(int(u), []).append((int(v), e))
-            self._adjacency[relation] = adj
-        return adj
 
     def nodes_of_type(self, node_type: str) -> np.ndarray:
         return np.flatnonzero(self.node_types == node_type)
@@ -145,23 +128,6 @@ class Metapath:
                 prev_dst = rel.dst_type
 
 
-@dataclass
-class MetapathInstance:
-    """One concrete node walk plus the concatenation of everything on it."""
-
-    nodes: tuple[int, ...]
-    features: np.ndarray
-
-
-def instance_feature(graph: HetGraph, metapath: Metapath, nodes, edge_indices) -> np.ndarray:
-    """Concatenate node and edge features in walk order: f0, e1, f1, ..., eL, fL."""
-    parts = [graph.features[nodes[0]]]
-    for k, rname in enumerate(metapath.relations):
-        parts.append(graph.relations[rname].feat[edge_indices[k]])
-        parts.append(graph.features[nodes[k + 1]])
-    return np.concatenate(parts)
-
-
 def metapath_feature_dim(graph: HetGraph, metapath: Metapath) -> int:
     length = len(metapath.relations)
     return (length + 1) * graph.feature_dim + sum(
@@ -169,115 +135,52 @@ def metapath_feature_dim(graph: HetGraph, metapath: Metapath) -> int:
     )
 
 
-def enumerate_instances(graph: HetGraph, metapath: Metapath, target: int):
-    """All walks rooted at ``target`` following the metapath's relations."""
-    metapath.check_against(graph)
-    walks = [((target,), ())]
-    for rname in metapath.relations:
-        adj = graph.adjacency(rname)
-        nxt = []
-        for nodes, eidx in walks:
-            for v, e in adj.get(nodes[-1], ()):
-                nxt.append((nodes + (v,), eidx + (e,)))
-        walks = nxt
-        if not walks:
-            return []
-    return [
-        MetapathInstance(nodes, instance_feature(graph, metapath, nodes, eidx))
-        for nodes, eidx in walks
-    ]
+class TargetCsr:
+    """An edge list sorted by target, stably, so each target's edges keep
+    their order: the edges into any set of targets are a few index ranges,
+    and summing them goes in the same order as over the whole list."""
+
+    def __init__(self, tgt: np.ndarray, nbr: np.ndarray, num_nodes: int):
+        self.eid = np.argsort(tgt, kind="stable")
+        self.nbr = nbr[self.eid]
+        self.indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tgt, minlength=num_nodes), out=self.indptr[1:])
+
+    def edges_into(self, targets: np.ndarray):
+        """(index into ``targets``, neighbor id, edge id) of every edge into
+        ``targets``, grouped by target in ``targets`` order; ``targets`` may
+        repeat and need not be sorted."""
+        starts = self.indptr[targets]
+        counts = self.indptr[targets + 1] - starts
+        seg = np.repeat(np.arange(len(targets)), counts)
+        offsets = np.cumsum(counts) - counts
+        pos = np.arange(int(counts.sum())) + np.repeat(starts - offsets, counts)
+        return seg, self.nbr[pos], self.eid[pos]
 
 
 def metapath_edges(graph: HetGraph, metapath: Metapath):
     """Materialize a metapath as an extra relation channel.
 
     Returns (targets, endpoints, features): one entry per instance, oriented
-    so the target gathers from the walk endpoint.
+    so the target gathers from the walk endpoint.  Instances are ordered by
+    their first edge, then by each later edge, in edge-list order.
     """
     metapath.check_against(graph)
-    walks = None
-    for rname in metapath.relations:
+    first = graph.relations[metapath.relations[0]]
+    tgt, end, hops = first.src, first.dst, [np.arange(len(first))]
+    for rname in metapath.relations[1:]:
         rel = graph.relations[rname]
-        if walks is None:
-            walks = (rel.src, rel.dst, [np.arange(len(rel))])
-        else:
-            tgt, cur, hops = walks
-            adj = graph.adjacency(rname)
-            new_tgt, new_cur, new_hops = [], [], [[] for _ in range(len(hops) + 1)]
-            for i in range(len(cur)):
-                for v, e in adj.get(int(cur[i]), ()):
-                    new_tgt.append(tgt[i])
-                    new_cur.append(v)
-                    for k, h in enumerate(hops):
-                        new_hops[k].append(h[i])
-                    new_hops[-1].append(e)
-            walks = (np.asarray(new_tgt, dtype=np.int64),
-                     np.asarray(new_cur, dtype=np.int64),
-                     [np.asarray(h, dtype=np.int64) for h in new_hops])
-    tgt, end, hops = walks
+        walk, end, eid = TargetCsr(rel.src, rel.dst, graph.num_nodes).edges_into(end)
+        tgt = tgt[walk]
+        hops = [h[walk] for h in hops] + [eid]
     if len(tgt) == 0:
         return tgt, end, np.zeros((0, metapath_feature_dim(graph, metapath)))
     pieces = [graph.features[tgt]]
-    nodes = tgt
     for k, rname in enumerate(metapath.relations):
         rel = graph.relations[rname]
         pieces.append(rel.feat[hops[k]])
-        nodes = rel.dst[hops[k]]
-        pieces.append(graph.features[nodes])
+        pieces.append(graph.features[rel.dst[hops[k]]])
     return tgt, end, np.concatenate(pieces, axis=1)
-
-
-@dataclass
-class SubgraphSample:
-    """Per-target exhaustive neighborhood: K-hop reach per relation plus
-    every metapath instance rooted at the target."""
-
-    target: int
-    neighbors: dict[str, set[int]]
-    instances: dict[str, list[MetapathInstance]]
-
-
-def sample_subgraph(graph: HetGraph, targets, metapaths, hops: int,
-                    node_budget: int | None = None) -> dict[int, SubgraphSample]:
-    """Complete (non-random) K-hop expansion for each target node.
-
-    Expansion is exhaustive by design: sampled neighborhoods are not used
-    anywhere in this package.  ``node_budget`` caps the total number of
-    distinct nodes the whole batch may touch.
-    """
-    if hops < 1:
-        raise DomainError(f"hops must be >= 1, got {hops}")
-    n = graph.num_nodes
-    for t in targets:
-        if not 0 <= t < n:
-            raise DomainError(f"target {t} is not a node id")
-    out: dict[int, SubgraphSample] = {}
-    touched: set[int] = set()
-    for t in sorted(set(int(t) for t in targets)):
-        per_rel: dict[str, set[int]] = {}
-        for rname in graph.relation_names():
-            adj = graph.adjacency(rname)
-            frontier = {t}
-            seen: set[int] = set()
-            for _ in range(hops):
-                nxt = set()
-                for u in frontier:
-                    for v, _ in adj.get(u, ()):
-                        if v not in seen and v != t:
-                            nxt.add(v)
-                seen |= nxt
-                frontier = nxt
-                if not frontier:
-                    break
-            per_rel[rname] = seen
-            touched |= seen
-            if node_budget is not None and len(touched) > node_budget:
-                raise BudgetExceededError(
-                    f"expansion reached {len(touched)} nodes, budget {node_budget}"
-                )
-        inst = {mp.name: enumerate_instances(graph, mp, t) for mp in metapaths}
-        out[t] = SubgraphSample(t, per_rel, inst)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -503,23 +406,6 @@ class SyntheticSpec:
             spec.metapaths = [tuple(m) for m in mps]
         return spec
 
-    def to_json(self) -> dict:
-        out = {
-            "node_counts": dict(self.node_counts),
-            "relations": [vars(r) for r in self.relations],
-            "feature_dim": self.feature_dim,
-            "num_classes": self.num_classes,
-            "homophily": self.homophily,
-            "feature_signal": self.feature_signal,
-            "edge_signal": self.edge_signal,
-            "train_frac": self.train_frac,
-            "val_frac": self.val_frac,
-            "max_auto_metapaths": self.max_auto_metapaths,
-        }
-        if self.metapaths is not None:
-            out["metapaths"] = [list(m) for m in self.metapaths]
-        return out
-
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> DatasetBundle:
     """Block-structured heterogeneous graph with class-conditional features.
@@ -663,32 +549,6 @@ class PartitionSpec:
         shares = {name: list(ratio) for name in relation_names}
         return cls(len(ratio), cols, shares, label_holder, ratio)
 
-    def to_json(self) -> dict:
-        return {
-            "participants": self.participants,
-            "feature_cols": [list(c) for c in self.feature_cols],
-            "edge_shares": {k: list(v) for k, v in self.edge_shares.items()},
-            "label_holder": self.label_holder,
-            "ratio": list(self.ratio),
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "PartitionSpec":
-        return cls(
-            participants=payload["participants"],
-            feature_cols=[tuple(c) for c in payload["feature_cols"]],
-            edge_shares=payload["edge_shares"],
-            label_holder=payload["label_holder"],
-            ratio=payload.get("ratio", []),
-        )
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True))
-
-    @classmethod
-    def load(cls, path) -> "PartitionSpec":
-        return cls.from_json(json.loads(Path(path).read_text()))
-
 
 @dataclass
 class ParticipantView:
@@ -706,7 +566,6 @@ class ParticipantView:
     train_ids: np.ndarray
     val_ids: np.ndarray
     test_ids: np.ndarray
-    edge_indices: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def vertical_partition(bundle: DatasetBundle, spec: PartitionSpec,
@@ -750,10 +609,8 @@ def vertical_partition(bundle: DatasetBundle, spec: PartitionSpec,
     for i in range(spec.participants):
         lo, hi = spec.feature_cols[i]
         rels = {}
-        eidx = {}
         for rname, rel in g.relations.items():
             keep = assignments[rname][i]
-            eidx[rname] = keep
             rels[rname] = Relation(rname, rel.src[keep], rel.dst[keep],
                                    rel.feat[keep], rel.src_type, rel.dst_type)
         is_holder = i == spec.label_holder
@@ -769,6 +626,5 @@ def vertical_partition(bundle: DatasetBundle, spec: PartitionSpec,
             train_ids=bundle.train_ids.copy(),
             val_ids=bundle.val_ids.copy(),
             test_ids=bundle.test_ids.copy(),
-            edge_indices=eidx,
         ))
     return views

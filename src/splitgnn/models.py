@@ -7,6 +7,10 @@ message, multi-head dot-product attention within every relation channel
 attention that mixes the per-channel embeddings into one vector per node.
 "gcn" and "gat" are relation-agnostic baselines over the merged edge set.
 
+Node-level attention is one kernel, :func:`attend`, with one head merge,
+:func:`merge_heads`: "hat" calls them once per channel and head, "gat" once
+per head over the merged edges.
+
 Encoders bind to a participant view at construction and only ever touch
 that view's edges, so stacking layers is exactly multi-hop aggregation over
 private edge information.  An isolated node keeps propagating its own
@@ -14,10 +18,11 @@ transformed features through every layer via its self-loop.
 
 "gcn" and "gat" run each layer over the batch's receptive field only: the
 layer-wise mini-batching of GraphSAGE (Hamilton et al., 2017).  The nodes
-and edges each layer needs are found top-down from the batch, so a round
-costs what its batch touches, not what the graph holds, and every output
-row is the one the whole-graph layers would give.  "hat" stays whole-graph,
-because its path attention scores each channel over all nodes.
+and edges each layer needs are found top-down from the batch through the
+graph's :class:`~splitgnn.graph.TargetCsr` edge index, so a round costs what
+its batch touches, not what the graph holds, and every output row is the one
+the whole-graph layers would give.  "hat" stays whole-graph, because its
+path attention scores each channel over all nodes.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError
-from .graph import HetGraph, ParticipantView, metapath_edges
+from .graph import HetGraph, ParticipantView, TargetCsr, metapath_edges
 from .seeding import stable_rng
 
 FUSIONS = ("concat", "add", "linear")
@@ -74,7 +79,7 @@ def init_param(params: dict, name: str, shape, seed, zeros: bool = False) -> T.T
     if zeros:
         values = np.zeros(shape)
     else:
-        fan_in = shape[0] if len(shape) > 1 else shape[0]
+        fan_in = shape[0]
         fan_out = shape[1] if len(shape) > 1 else shape[0]
         bound = math.sqrt(6.0 / (fan_in + fan_out))
         values = stable_rng(seed, "init", name).uniform(-bound, bound, size=shape)
@@ -92,66 +97,28 @@ def _fuse(tape, h, r, fusion, fparams):
                              T.matmul(tape, r, fparams["Wr"])), fparams["b"])
 
 
-def transform_and_fuse(tape, node_feat, edge_feat, Wt, bt, We, be,
-                       fusion="concat", fusion_params=None):
-    """Node and edge transforms combined into one neighbor message."""
-    h = T.linear(tape, node_feat, Wt, bt)
-    r = T.linear(tape, edge_feat, We, be)
-    if fusion != "add" and not fusion_params:
-        raise ContractError(f"fusion {fusion!r} needs fusion parameters")
-    return _fuse(tape, h, r, fusion, fusion_params or {})
+def attend(tape, anchors, values, seg, n: int, lam: float):
+    """Node-level attention over segments.
 
-
-def node_attention(tape, target, neighbors, head_projs, temperature,
-                   head_mode="sum"):
-    """Attention of one target over its neighbor latents (self included).
-
-    Returns the fused embedding and the per-head attention coefficients.
-    ``neighbors`` must already contain the self entry; an empty set is a
-    contract violation.
+    Row i of ``values`` is scored by its dot product with row i of
+    ``anchors``, scaled by ``lam`` and softmaxed among the rows of its
+    segment ``seg[i]``.  Returns the coefficients α and, per segment of
+    ``n``, the α-weighted sum of its value rows.
     """
-    neighbors = neighbors if isinstance(neighbors, T.Tensor) else T.Tensor(neighbors)
-    target = target if isinstance(target, T.Tensor) else T.Tensor(target)
-    if neighbors.shape[0] < 1:
-        raise ContractError("attention needs at least the target itself")
-    outs, alphas = [], []
-    for proj in head_projs:
-        trow = T.matmul(tape, _as_row(tape, target), proj)
-        nproj = T.matmul(tape, neighbors, proj)
-        scores = T.matmul(tape, nproj, _flatten(tape, trow))
-        alpha = T.softmax(tape, scores, temperature)
-        weighted = T.mul(tape, T.reshape_col(tape, alpha), nproj)
-        outs.append(T.sum_rows(tape, weighted))
-        alphas.append(alpha.values.copy())
+    alpha = T.segment_softmax(tape, T.rowwise_dot(tape, anchors, values), seg, n, lam)
+    weighted = T.mul(tape, T.reshape_col(tape, alpha), values)
+    return alpha, T.segment_sum(tape, weighted, seg, n)
+
+
+def merge_heads(tape, head_outs, head_mode: str):
+    """Per-head outputs summed (``"sum"``) or concatenated, then ELU."""
     if head_mode == "concat":
-        z = _concat_vectors(tape, outs)
+        agg = T.concat_cols(tape, head_outs)
     else:
-        z = outs[0]
-        for other in outs[1:]:
-            z = T.add(tape, z, other)
-    return T.elu(tape, z), alphas
-
-
-def _as_row(tape, v):
-    # (d,) -> (1, d)
-    out = T.Tensor(v.values[None, :])
-    return T._emit(tape, out, (v,), lambda g: (g[0],))
-
-
-def _flatten(tape, row):
-    # (1, d) -> (d,)
-    out = T.Tensor(row.values[0])
-    return T._emit(tape, out, (row,), lambda g: (g[None, :],))
-
-
-def _concat_vectors(tape, vecs):
-    out = T.Tensor(np.concatenate([v.values for v in vecs]))
-    sizes = np.cumsum([v.shape[0] for v in vecs])[:-1]
-
-    def backfn(g):
-        return tuple(np.split(g, sizes))
-
-    return T._emit(tape, out, tuple(vecs), backfn)
+        agg = head_outs[0]
+        for other in head_outs[1:]:
+            agg = T.add(tape, agg, other)
+    return T.elu(tape, agg)
 
 
 def path_attention(tape, channel_embeddings, q, Wp, bp):
@@ -216,7 +183,6 @@ class HatEncoder:
     kind = "hat"
 
     def __init__(self, view, config: EncoderConfig, seed, scope: str):
-        self.view = view
         self.graph = _view_graph(view)
         self.config = config
         self.seed = seed
@@ -290,19 +256,11 @@ class HatEncoder:
             fp = T.matmul(tape, fused, proj)
             vals = T.concat_rows(tape, [fp, hp])
             anchors = T.concat_rows(tape, [T.gather_rows(tape, hp, ch.tgt), hp])
-            scores = T.rowwise_dot(tape, anchors, vals)
-            alpha = T.segment_softmax(tape, scores, seg, n, cfg.lam)
+            alpha, out = attend(tape, anchors, vals, seg, n, cfg.lam)
             self.diagnostics.setdefault("alpha", {})[(layer, ch.name, m)] = (
                 alpha.values.copy(), seg)
-            weighted = T.mul(tape, T.reshape_col(tape, alpha), vals)
-            head_outs.append(T.segment_sum(tape, weighted, seg, n))
-        if cfg.head_mode == "concat":
-            agg = T.concat_cols(tape, head_outs)
-        else:
-            agg = head_outs[0]
-            for other in head_outs[1:]:
-                agg = T.add(tape, agg, other)
-        return T.elu(tape, agg)
+            head_outs.append(out)
+        return merge_heads(tape, head_outs, cfg.head_mode)
 
     def forward(self, tape, batch_ids, step: int = 0, training: bool = False):
         cfg = self.config
@@ -329,27 +287,6 @@ def _merged_edges(g: HetGraph) -> tuple[np.ndarray, np.ndarray]:
     return tgt, nbr
 
 
-class _TargetCsr:
-    """An edge list sorted by target, stably, so each target's edges keep
-    their order: the edges into any set of targets are a few index ranges,
-    and summing them goes in the same order as over the whole list."""
-
-    def __init__(self, tgt: np.ndarray, nbr: np.ndarray, num_nodes: int):
-        self.nbr = nbr[np.argsort(tgt, kind="stable")]
-        self.indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(tgt, minlength=num_nodes), out=self.indptr[1:])
-
-    def edges_into(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(index into ``targets``, neighbor id) of every edge into
-        ``targets``, grouped by target in ``targets`` order."""
-        starts = self.indptr[targets]
-        counts = self.indptr[targets + 1] - starts
-        seg = np.repeat(np.arange(len(targets)), counts)
-        offsets = np.cumsum(counts) - counts
-        pos = np.arange(int(counts.sum())) + np.repeat(starts - offsets, counts)
-        return seg, self.nbr[pos]
-
-
 @dataclass
 class _Block:
     """One layer's share of a batch's receptive field, in node ids sorted
@@ -361,7 +298,7 @@ class _Block:
     src: np.ndarray
 
 
-def _receptive_blocks(csr: _TargetCsr, batch: np.ndarray, layers: int,
+def _receptive_blocks(csr: TargetCsr, batch: np.ndarray, layers: int,
                      self_entry: bool) -> list[_Block]:
     """The blocks of a ``layers``-deep encoder for ``batch``, first layer
     first.  They are found top-down: the last layer's targets are the batch,
@@ -371,7 +308,7 @@ def _receptive_blocks(csr: _TargetCsr, batch: np.ndarray, layers: int,
     targets = np.unique(batch)
     blocks = []
     for _ in range(layers):
-        seg, nbr = csr.edges_into(targets)
+        seg, nbr, _ = csr.edges_into(targets)
         inputs = np.union1d(nbr, targets) if self_entry else np.unique(nbr)
         blocks.append(_Block(inputs, targets, seg, np.searchsorted(inputs, nbr)))
         targets = inputs
@@ -387,7 +324,6 @@ class GcnEncoder:
     kind = "gcn"
 
     def __init__(self, view, config: EncoderConfig, seed, scope: str):
-        self.view = view
         self.graph = _view_graph(view)
         self.config = config
         self.seed = seed
@@ -400,7 +336,7 @@ class GcnEncoder:
         tgt = np.concatenate([tgt, isolated])
         nbr = np.concatenate([nbr, isolated])
         deg[isolated] = 1.0
-        self.csr = _TargetCsr(tgt, nbr, g.num_nodes)
+        self.csr = TargetCsr(tgt, nbr, g.num_nodes)
         self.inv_deg = (1.0 / deg)[:, None]
         self.params: dict[str, T.Tensor] = {}
         d = config.hidden
@@ -438,13 +374,12 @@ class GatEncoder:
     kind = "gat"
 
     def __init__(self, view, config: EncoderConfig, seed, scope: str):
-        self.view = view
         self.graph = _view_graph(view)
         self.config = config
         self.seed = seed
         self.scope = scope
         g = self.graph
-        self.csr = _TargetCsr(*_merged_edges(g), g.num_nodes)
+        self.csr = TargetCsr(*_merged_edges(g), g.num_nodes)
         self.params: dict[str, T.Tensor] = {}
         self.diagnostics: dict = {}
         d = config.hidden
@@ -479,19 +414,11 @@ class GatEncoder:
                 hp = T.matmul(tape, h, self.params[f"{self.scope}/l{l}/head{m}"])
                 vals = T.gather_rows(tape, hp, src)
                 anchors = T.gather_rows(tape, hp, anchor)
-                alpha = T.segment_softmax(tape, T.rowwise_dot(tape, anchors, vals),
-                                          seg, k, cfg.lam)
+                alpha, out = attend(tape, anchors, vals, seg, k, cfg.lam)
                 self.diagnostics.setdefault("alpha", {})[(l, m)] = (
                     alpha.values.copy(), blk.targets[seg])
-                weighted = T.mul(tape, T.reshape_col(tape, alpha), vals)
-                head_outs.append(T.segment_sum(tape, weighted, seg, k))
-            if cfg.head_mode == "concat":
-                agg = T.concat_cols(tape, head_outs)
-            else:
-                agg = head_outs[0]
-                for other in head_outs[1:]:
-                    agg = T.add(tape, agg, other)
-            x = T.elu(tape, agg)
+                head_outs.append(out)
+            x = merge_heads(tape, head_outs, cfg.head_mode)
         return T.gather_rows(tape, x, np.searchsorted(blocks[-1].targets, batch))
 
 

@@ -9,7 +9,10 @@ is metered in a :class:`RoundTranscript`.
 
 A :class:`CentralizedModel` composes the same encoder, server stack and
 output head on a single tape with no message passing; it is both the
-"Entire" baseline and the equivalence oracle for the routed pipeline.
+"Entire" baseline and the equivalence oracle for the routed pipeline.  Both
+train through one epoch loop, :func:`train_epochs`, which owns the batch
+schedule, the per-epoch round cut, the step counter and the per-epoch
+metrics row; they differ only in the step they hand it.
 """
 
 from __future__ import annotations
@@ -161,22 +164,16 @@ def label_forward_loss(tape, hidden, head: LabelHead, labels):
 
 
 def micro_f1(predicted, truth) -> float:
-    """Micro-averaged F1 from pooled per-class confusion counts."""
+    """Micro-averaged F1 of single-label predictions.
+
+    Pooled over classes, every wrong prediction is one false positive and
+    one false negative, so precision, recall and F1 all equal the share of
+    correct predictions.
+    """
     predicted = np.asarray(predicted)
-    truth = np.asarray(truth)
     if predicted.size == 0:
         raise DomainError("cannot score an empty split")
-    classes = np.unique(np.concatenate([predicted, truth]))
-    tp = fp = fn = 0
-    for c in classes:
-        tp += int(np.sum((predicted == c) & (truth == c)))
-        fp += int(np.sum((predicted == c) & (truth != c)))
-        fn += int(np.sum((predicted != c) & (truth == c)))
-    if tp == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2 * precision * recall / (precision + recall)
+    return int(np.sum(predicted == np.asarray(truth))) / predicted.size
 
 
 def batch_schedule(train_ids, batch_size, epoch, seed):
@@ -186,6 +183,38 @@ def batch_schedule(train_ids, batch_size, epoch, seed):
     perm = stable_rng(seed, "batch", epoch).permutation(len(ids))
     shuffled = ids[perm]
     return [shuffled[i:i + batch_size] for i in range(0, len(ids), batch_size)]
+
+
+def train_epochs(config, train_ids, train_step, evaluate, log=None) -> list[dict]:
+    """The epoch loop shared by split and centralized training.
+
+    ``train_step(batch, step)`` runs one round and returns its loss;
+    ``evaluate(split)`` scores a split.  Each epoch runs the seeded batch
+    schedule, cut to ``config.rounds_per_epoch`` rounds when that is set,
+    and yields one row of mean loss and validation and test scores, which
+    is also passed to ``log``.
+    """
+    if config.batch_size > len(train_ids):
+        raise ConfigError(f"batch size {config.batch_size} exceeds the train set "
+                          f"({len(train_ids)})")
+    rows = []
+    step = 0
+    for epoch in range(config.epochs):
+        batches = batch_schedule(train_ids, config.batch_size, epoch, config.seed)
+        losses = []
+        for batch in batches[:config.rounds_per_epoch]:
+            losses.append(train_step(batch, step))
+            step += 1
+        row = {
+            "epoch": epoch,
+            "train_loss": float(np.mean(losses)),
+            "val_f1": evaluate("val"),
+            "test_f1": evaluate("test"),
+        }
+        rows.append(row)
+        if log:
+            log(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +257,6 @@ class Participant:
     @property
     def name(self) -> str:
         return f"party_{self.index}"
-
-    @property
-    def is_label_holder(self) -> bool:
-        return self.head is not None
 
     def trainable(self) -> dict[str, T.Tensor]:
         params = dict(self.encoder.params)
@@ -386,6 +411,14 @@ class SplitSession:
             pieces.append(vals.reshape(vec.shape))
         return combine_concat(pieces)
 
+    def _combine(self, locals_):
+        """The server's plaintext combination of the participants' embeddings."""
+        if self.config.strategy == "average":
+            return combine_average(locals_)
+        if self.config.strategy == "concat":
+            return combine_concat(locals_)
+        return combine_weighted(locals_, [w.values for w in self.omegas])
+
     # -- one communication round ----------------------------------------------
 
     def train_round(self, batch, step: int) -> float:
@@ -419,12 +452,7 @@ class SplitSession:
             for p in self.participants:
                 self.transcript.add(self._round, p.name, "server", "embedding",
                                     elements=n * d, byte_size=n * d * FLOAT_BYTES)
-            if cfg.strategy == "average":
-                combined = combine_average(locals_)
-            elif cfg.strategy == "concat":
-                combined = combine_concat(locals_)
-            else:
-                combined = combine_weighted(locals_, [w.values for w in self.omegas])
+            combined = self._combine(locals_)
 
         server_tape = T.Tape()
         server_in = T.Tensor(combined, requires_grad=True, name="cut/combined")
@@ -477,13 +505,7 @@ class SplitSession:
         ids = np.asarray(ids, dtype=np.int64)
         locals_ = [p.encoder.forward(None, ids, training=False).values
                    for p in self.participants]
-        if self.config.strategy == "average":
-            combined = combine_average(locals_)
-        elif self.config.strategy == "concat":
-            combined = combine_concat(locals_)
-        else:
-            combined = combine_weighted(locals_, [w.values for w in self.omegas])
-        out = self.server.forward(None, T.Tensor(combined), training=False)
+        out = self.server.forward(None, T.Tensor(self._combine(locals_)), training=False)
         if self.config.cut == "hidden":
             logits = self.label_holder.head.logits(None, out)
         else:
@@ -500,35 +522,10 @@ class SplitSession:
     # -- full loop -----------------------------------------------------------
 
     def train(self, log=None) -> list[dict]:
-        cfg = self.config
         if self.aligned is None:
             self.align()
-        train_ids = self._split_ids("train")
-        if cfg.batch_size > len(train_ids):
-            raise ConfigError(
-                f"batch size {cfg.batch_size} exceeds aligned train set "
-                f"({len(train_ids)})"
-            )
-        rows = []
-        step = 0
-        for epoch in range(cfg.epochs):
-            batches = batch_schedule(train_ids, cfg.batch_size, epoch, cfg.seed)
-            if cfg.rounds_per_epoch is not None:
-                batches = batches[:cfg.rounds_per_epoch]
-            losses = []
-            for batch in batches:
-                losses.append(self.train_round(batch, step))
-                step += 1
-            row = {
-                "epoch": epoch,
-                "train_loss": float(np.mean(losses)),
-                "val_f1": self.evaluate("val"),
-                "test_f1": self.evaluate("test"),
-            }
-            rows.append(row)
-            if log:
-                log(row)
-        return rows
+        return train_epochs(self.config, self._split_ids("train"), self.train_round,
+                            self.evaluate, log)
 
 
 # ---------------------------------------------------------------------------
@@ -592,27 +589,5 @@ class CentralizedModel:
         return micro_f1(self.predict(ids), self.view.graph.labels[ids])
 
     def train(self, log=None) -> list[dict]:
-        cfg = self.config
-        if cfg.batch_size > len(self.view.train_ids):
-            raise ConfigError("batch size exceeds train set")
-        rows = []
-        step = 0
-        for epoch in range(cfg.epochs):
-            batches = batch_schedule(self.view.train_ids, cfg.batch_size,
-                                     epoch, cfg.seed)
-            if cfg.rounds_per_epoch is not None:
-                batches = batches[:cfg.rounds_per_epoch]
-            losses = []
-            for batch in batches:
-                losses.append(self.train_step(batch, step))
-                step += 1
-            row = {
-                "epoch": epoch,
-                "train_loss": float(np.mean(losses)),
-                "val_f1": self.evaluate("val"),
-                "test_f1": self.evaluate("test"),
-            }
-            rows.append(row)
-            if log:
-                log(row)
-        return rows
+        return train_epochs(self.config, self.view.train_ids, self.train_step,
+                            self.evaluate, log)

@@ -156,15 +156,6 @@ def add(tape, a, b) -> Tensor:
     ))
 
 
-def sub(tape, a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.values - b.values)
-    return _emit(tape, out, (a, b), lambda g: (
-        _unbroadcast(g, a.values.shape),
-        _unbroadcast(-g, b.values.shape),
-    ))
-
-
 def mul(tape, a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.values * b.values)
@@ -232,14 +223,6 @@ def concat_rows(tape, parts) -> Tensor:
         return tuple(np.ascontiguousarray(piece) for piece in np.split(g, offsets, axis=0))
 
     return _emit(tape, out, tuple(parts), backfn)
-
-
-def sum_rows(tape, x) -> Tensor:
-    x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"sum_rows expects 2-D, got {x.shape}")
-    out = Tensor(x.values.sum(axis=0))
-    return _emit(tape, out, (x,), lambda g: (np.broadcast_to(g, x.shape).copy(),))
 
 
 def stack_scalars(tape, scalars) -> Tensor:
@@ -513,43 +496,3 @@ def make_optimizer(kind: str, lr: float):
     if kind == "adam":
         return Adam(lr)
     raise DomainError(f"unknown optimizer kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# gradient oracle
-
-
-def finite_diff_check(forward_fn, params, eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``forward_fn`` must be pure and deterministic and return ``(loss, tape)``
-    freshly built on each call.  Analytic gradients come from one backward
-    pass; each parameter element is then perturbed by +/- eps and the loss
-    re-evaluated.
-    """
-    params = list(params)
-    loss_a, tape = forward_fn()
-    loss_b, _ = forward_fn()
-    if loss_a.item() != loss_b.item():
-        raise ContractError("forward_fn is not deterministic: two calls differ")
-    for p in params:
-        p.zero_grad()
-    if loss_a.requires_grad:
-        tape.backward(loss_a)
-    analytic = [np.zeros_like(p.values) if p.grad is None else p.grad.copy() for p in params]
-
-    worst = 0.0
-    for p, ga in zip(params, analytic):
-        flat = p.values.reshape(-1)
-        gflat = ga.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            up = forward_fn()[0].item()
-            flat[i] = orig - eps
-            down = forward_fn()[0].item()
-            flat[i] = orig
-            fd = (up - down) / (2.0 * eps)
-            rel = abs(gflat[i] - fd) / (abs(gflat[i]) + 1e-8)
-            worst = max(worst, rel)
-    return worst

@@ -1,9 +1,13 @@
-"""Shared fixtures: small deterministic synthetic graphs and partitions."""
+"""Shared fixtures and oracles: small deterministic synthetic graphs and
+partitions, a finite-difference gradient check and a metrics.csv reader."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from splitgnn import graph as G
+from splitgnn.errors import ContractError
 from splitgnn.models import EncoderConfig
 from splitgnn.protocol import SessionConfig
 
@@ -52,6 +56,49 @@ def add_at_segment_sum(values, seg, n):
     out = np.zeros((n,) + values.shape[1:])
     np.add.at(out, seg, values)
     return out
+
+
+def finite_diff_check(forward_fn, params, eps: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    ``forward_fn`` must be pure and deterministic and return ``(loss, tape)``
+    freshly built on each call.  Analytic gradients come from one backward
+    pass; each parameter element is then perturbed by +/- eps and the loss
+    re-evaluated.
+    """
+    params = list(params)
+    loss_a, tape = forward_fn()
+    loss_b, _ = forward_fn()
+    if loss_a.item() != loss_b.item():
+        raise ContractError("forward_fn is not deterministic: two calls differ")
+    for p in params:
+        p.zero_grad()
+    if loss_a.requires_grad:
+        tape.backward(loss_a)
+    analytic = [np.zeros_like(p.values) if p.grad is None else p.grad.copy() for p in params]
+
+    worst = 0.0
+    for p, ga in zip(params, analytic):
+        flat = p.values.reshape(-1)
+        gflat = ga.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            up = forward_fn()[0].item()
+            flat[i] = orig - eps
+            down = forward_fn()[0].item()
+            flat[i] = orig
+            fd = (up - down) / (2.0 * eps)
+            rel = abs(gflat[i] - fd) / (abs(gflat[i]) + 1e-8)
+            worst = max(worst, rel)
+    return worst
+
+
+def read_metrics(path) -> list[dict]:
+    """metrics.csv rows as dicts of raw strings, keyed by column name."""
+    lines = Path(path).read_text().splitlines()
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
 
 @pytest.fixture

@@ -122,13 +122,6 @@ class TestPaillier:
         back = C.Ciphertext.from_bytes(blob, keypair.public)
         assert back.value == c.value
 
-    def test_keypair_json_roundtrip(self, keypair, tmp_path, rng):
-        path = tmp_path / "key.json"
-        C.serialize_keypair(keypair, path)
-        back = C.load_keypair(path)
-        c = C.encrypt(back.public, 77, rng)
-        assert C.decrypt(back, c) == 77
-
 
 class TestFixedPoint:
     def test_roundtrip_error_bound(self):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import read_metrics
 from splitgnn import cli
 from splitgnn import experiments as E
 from splitgnn.errors import ConfigError
@@ -175,7 +176,7 @@ class TestEmitReport:
     def test_roundtrip_parse_recovers_values(self, tmp_path):
         rows, cost, _ = E.run_experiment(small_config(epochs=1))
         mpath, _ = E.emit_report(rows, cost, tmp_path)
-        parsed = E.read_metrics(mpath)
+        parsed = read_metrics(mpath)
         assert len(parsed) == len(rows)
         for raw, row in zip(parsed, rows):
             assert float(raw["train_loss"]) == row.train_loss
@@ -227,7 +228,7 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(out),
                          "--seeds", "5,6"]) == 0
-        rows = E.read_metrics(out / "metrics.csv")
+        rows = read_metrics(out / "metrics.csv")
         assert {r["seed"] for r in rows} == {"5", "6"}
 
     def test_missing_config_is_exit_1(self, tmp_path, capsys):

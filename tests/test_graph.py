@@ -115,52 +115,96 @@ class TestSynthetic:
 
 
 def brute_force_instances(graph, metapath, target):
-    """Exhaustive DFS over raw edge lists; the oracle for enumerate_instances."""
-    walks = [(target,)]
-    edge_walks = [()]
+    """Exhaustive DFS over raw edge lists: every walk rooted at ``target``
+    as (node ids, edge ids).  The oracle for metapath_edges's contents."""
+    walks = [((target,), ())]
     for rname in metapath.relations:
         rel = graph.relations[rname]
-        nxt, nxt_edges = [], []
-        for nodes, eidx in zip(walks, edge_walks):
+        nxt = []
+        for nodes, eidx in walks:
             for e in range(len(rel)):
                 if rel.src[e] == nodes[-1]:
-                    nxt.append(nodes + (int(rel.dst[e]),))
-                    nxt_edges.append(eidx + (e,))
-        walks, edge_walks = nxt, nxt_edges
-    return set(walks)
+                    nxt.append((nodes + (int(rel.dst[e]),), eidx + (e,)))
+        walks = nxt
+    return walks
+
+
+def walk_feature(graph, metapath, nodes, eidx):
+    """Node and edge features in walk order: f0, e1, f1, ..., eL, fL."""
+    parts = [graph.features[nodes[0]]]
+    for k, rname in enumerate(metapath.relations):
+        parts.append(graph.relations[rname].feat[eidx[k]])
+        parts.append(graph.features[nodes[k + 1]])
+    return np.concatenate(parts)
+
+
+def loop_metapath_edges(graph, metapath):
+    """metapath_edges as a per-hop Python loop over adjacency lists: the
+    oracle for the order of its instances."""
+    metapath.check_against(graph)
+    walks = None
+    for rname in metapath.relations:
+        rel = graph.relations[rname]
+        if walks is None:
+            walks = (rel.src, rel.dst, [np.arange(len(rel))])
+            continue
+        adj = {}
+        for e, (u, v) in enumerate(zip(rel.src, rel.dst)):
+            adj.setdefault(int(u), []).append((int(v), e))
+        tgt, cur, hops = walks
+        new_tgt, new_cur, new_hops = [], [], [[] for _ in range(len(hops) + 1)]
+        for i in range(len(cur)):
+            for v, e in adj.get(int(cur[i]), ()):
+                new_tgt.append(tgt[i])
+                new_cur.append(v)
+                for k, h in enumerate(hops):
+                    new_hops[k].append(h[i])
+                new_hops[-1].append(e)
+        walks = (np.asarray(new_tgt, dtype=np.int64),
+                 np.asarray(new_cur, dtype=np.int64),
+                 [np.asarray(h, dtype=np.int64) for h in new_hops])
+    tgt, end, hops = walks
+    if len(tgt) == 0:
+        return tgt, end, np.zeros((0, G.metapath_feature_dim(graph, metapath)))
+    pieces = [graph.features[tgt]]
+    for k, rname in enumerate(metapath.relations):
+        rel = graph.relations[rname]
+        pieces.append(rel.feat[hops[k]])
+        pieces.append(graph.features[rel.dst[hops[k]]])
+    return tgt, end, np.concatenate(pieces, axis=1)
+
+
+METAPATH_FIXTURES = {
+    "synthetic-auto": lambda: small_synthetic(seed=11),
+    "synthetic-long": lambda: small_synthetic(
+        seed=14, node_counts={"u": 40, "v": 25},
+        metapaths=[("uu",), ("uv", "vu"), ("vu", "uv"), ("uv", "vu", "uu"),
+                   ("uu", "uv", "vu", "uv")]),
+    "toy": lambda: G.load_dataset(TOY),
+}
 
 
 class TestSubgraph:
-    def test_isolated_node(self):
-        g = G.HetGraph(
-            ["t", "t"], np.zeros((2, 2)),
-            {"r": G.Relation("r", [1], [1], np.zeros((1, 0)), "t", "t")},
-        )
-        out = G.sample_subgraph(g, [0], [G.Metapath(("r",))], hops=2)
-        assert out[0].neighbors["r"] == set()
-        assert out[0].instances["r"] == []
-
     def test_path_graph_metapath(self):
         bundle = G.load_dataset(TOY)
-        out = G.sample_subgraph(bundle.graph, [0, 1, 2], bundle.metapaths, hops=2)
-        inst_a = out[0].instances["cites+cites"]
-        assert [i.nodes for i in inst_a] == [(0, 1, 2)]
+        tgt, end, feat = G.metapath_edges(bundle.graph, bundle.metapaths[0])
+        # a -> b -> c is the one instance; b and c root none
+        assert tgt.tolist() == [0] and end.tolist() == [2]
         # feature layout: f(a), e(a->b), f(b), e(b->c), f(c)
         np.testing.assert_array_equal(
-            inst_a[0].features,
-            [1.0, 0.5, 0.75, -0.25, 2.0, -1.5, 0.0, 1.5],
-        )
-        assert out[1].instances["cites+cites"] == []
-        assert out[0].neighbors["cites"] == {1, 2}
-        assert out[2].neighbors["cites"] == set()
+            feat, [[1.0, 0.5, 0.75, -0.25, 2.0, -1.5, 0.0, 1.5]])
 
     def test_matches_bruteforce_enumeration(self):
         bundle = small_synthetic(seed=11, node_counts={"u": 30, "v": 20})
         g = bundle.graph
         mp = bundle.metapaths[0]
+        tgt, end, feat = G.metapath_edges(g, mp)
         for t in range(0, 50, 7):
-            fast = {i.nodes for i in G.enumerate_instances(g, mp, t)}
-            assert fast == brute_force_instances(g, mp, t)
+            rows = np.flatnonzero(tgt == t)
+            got = sorted((int(end[i]), tuple(feat[i])) for i in rows)
+            want = sorted((nodes[-1], tuple(walk_feature(g, mp, nodes, eidx)))
+                          for nodes, eidx in brute_force_instances(g, mp, t))
+            assert got == want
 
     def test_metapath_channel_matches_instances(self):
         bundle = small_synthetic(seed=12)
@@ -169,31 +213,27 @@ class TestSubgraph:
         tgt, end, feat = G.metapath_edges(g, mp)
         expected = []
         for t in range(g.num_nodes):
-            expected.extend(G.enumerate_instances(g, mp, t))
+            expected.extend(brute_force_instances(g, mp, t))
         assert len(tgt) == len(expected)
         got = sorted((int(a), int(b)) for a, b in zip(tgt, end))
-        want = sorted((i.nodes[0], i.nodes[-1]) for i in expected)
+        want = sorted((nodes[0], nodes[-1]) for nodes, _ in expected)
         assert got == want
         assert feat.shape == (len(expected), G.metapath_feature_dim(g, mp))
+
+    @pytest.mark.parametrize("fixture", sorted(METAPATH_FIXTURES))
+    def test_matches_loop_oracle(self, fixture):
+        bundle = METAPATH_FIXTURES[fixture]()
+        assert bundle.metapaths
+        for mp in bundle.metapaths:
+            got = G.metapath_edges(bundle.graph, mp)
+            want = loop_metapath_edges(bundle.graph, mp)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b), mp.name
 
     def test_incompatible_metapath_rejected(self):
         bundle = small_synthetic(seed=2)
         with pytest.raises(GraphSchemaError):
-            G.sample_subgraph(bundle.graph, [0], [G.Metapath(("uv", "uv"))], hops=2)
-
-    def test_budget_guard(self):
-        bundle = small_synthetic(seed=2)
-        with pytest.raises(G.BudgetExceededError):
-            G.sample_subgraph(bundle.graph, range(20), bundle.metapaths,
-                              hops=2, node_budget=3)
-
-    def test_batch_order_independent(self):
-        bundle = small_synthetic(seed=13)
-        a = G.sample_subgraph(bundle.graph, [3, 7, 1], bundle.metapaths, hops=2)
-        b = G.sample_subgraph(bundle.graph, [1, 3, 7], bundle.metapaths, hops=2)
-        assert a.keys() == b.keys()
-        for t in a:
-            assert a[t].neighbors == b[t].neighbors
+            G.metapath_edges(bundle.graph, G.Metapath(("uv", "uv")))
 
 
 class TestPartition:
@@ -276,14 +316,6 @@ class TestPartition:
                                v3[0].graph.relations[name].src)
             for name in bundle.graph.relations
         )
-
-    def test_spec_json_roundtrip(self, tmp_path):
-        spec = G.PartitionSpec.from_ratio([3, 7], 10, ["a", "b"], label_holder=1)
-        spec.save(tmp_path / "spec.json")
-        back = G.PartitionSpec.load(tmp_path / "spec.json")
-        assert back.feature_cols == spec.feature_cols
-        assert back.edge_shares == spec.edge_shares
-        assert back.label_holder == 1
 
     def test_dimension_mismatch(self):
         bundle = small_synthetic(seed=26)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import add_at_segment_sum
+from conftest import add_at_segment_sum, finite_diff_check
 from splitgnn import graph as G
 from splitgnn import models as M
 from splitgnn import tensor as T
@@ -46,10 +46,10 @@ class TestTransformAndFuse:
     def test_add_with_zero_edge_latent(self):
         zeros_edge = np.zeros((5, 2))
         self.We.values[:] = 0.0
-        out = M.transform_and_fuse(None, self.node, zeros_edge, self.Wt, self.bt,
-                                   self.We, self.be, fusion="add")
-        expected = T.linear(None, self.node, self.Wt, self.bt)
-        np.testing.assert_allclose(out.values, expected.values)
+        h = T.linear(None, self.node, self.Wt, self.bt)
+        r = T.linear(None, zeros_edge, self.We, self.be)
+        out = M._fuse(None, h, r, "add", {})
+        np.testing.assert_allclose(out.values, h.values)
 
     def test_concat_width_before_projection(self):
         h = T.linear(None, self.node, self.Wt, self.bt)
@@ -69,11 +69,37 @@ class TestTransformAndFuse:
 
         def forward():
             tape = T.Tape()
-            out = M.transform_and_fuse(tape, node, edge, Wt, bt, We, be,
-                                       fusion="concat", fusion_params={"W": Wf, "b": bf})
+            h = T.linear(tape, node, Wt, bt)
+            r = T.linear(tape, edge, We, be)
+            out = M._fuse(tape, h, r, "concat", {"W": Wf, "b": bf})
             return T.mean_all(tape, T.mul(tape, out, out)), tape
 
-        assert T.finite_diff_check(forward, [Wt]) < 1e-4
+        assert finite_diff_check(forward, [Wt]) < 1e-4
+
+
+def node_attention(target, neighbors, head_projs, temperature, head_mode="sum"):
+    """Attention of one target over its neighbor latents (self included),
+    one node at a time: the oracle for the encoders' segment attention.
+
+    Returns the fused embedding and the per-head attention coefficients.
+    ``neighbors`` must already contain the self entry; an empty set is a
+    contract violation.
+    """
+    target = np.asarray(target, dtype=np.float64)
+    neighbors = np.asarray(neighbors, dtype=np.float64)
+    if neighbors.shape[0] < 1:
+        raise ContractError("attention needs at least the target itself")
+    outs, alphas = [], []
+    for proj in head_projs:
+        proj = proj.values if isinstance(proj, T.Tensor) else proj
+        nproj = neighbors @ proj
+        scores = temperature * (nproj @ (target @ proj))
+        weights = np.exp(scores - scores.max())
+        alpha = weights / weights.sum()
+        outs.append(alpha @ nproj)
+        alphas.append(alpha)
+    z = np.concatenate(outs) if head_mode == "concat" else sum(outs)
+    return np.where(z > 0, z, np.expm1(z)), alphas
 
 
 class TestNodeAttention:
@@ -87,7 +113,7 @@ class TestNodeAttention:
         rng = stable_rng("na-uniform")
         latent = rng.standard_normal(d)
         neighbors = np.stack([latent, latent])
-        _, alphas = M.node_attention(None, T.Tensor(latent), neighbors, projs, 0.5)
+        _, alphas = node_attention(latent, neighbors, projs, 0.5)
         for alpha in alphas:
             np.testing.assert_allclose(alpha, [0.5, 0.5], atol=1e-12)
 
@@ -97,12 +123,12 @@ class TestNodeAttention:
         rng = stable_rng("na-single")
         target = rng.standard_normal(d)
         nbr = rng.standard_normal(d)
-        z, alphas = M.node_attention(None, T.Tensor(target), nbr[None, :], projs, 1.0)
+        z, alphas = node_attention(target, nbr[None, :], projs, 1.0)
         for alpha in alphas:
             np.testing.assert_allclose(alpha, [1.0])
         expected = sum(nbr @ p.values for p in projs)
         expected = np.where(expected > 0, expected, np.expm1(expected))
-        np.testing.assert_allclose(z.values, expected, rtol=1e-12)
+        np.testing.assert_allclose(z, expected, rtol=1e-12)
 
     def test_matches_hand_loop(self):
         # Straight-line scalar recomputation of the attention equations.
@@ -111,7 +137,7 @@ class TestNodeAttention:
         rng = stable_rng("na-loop")
         target = rng.standard_normal(d)
         neighbors = rng.standard_normal((3, d))
-        z, _ = M.node_attention(None, T.Tensor(target), neighbors, projs, lam)
+        z, _ = node_attention(target, neighbors, projs, lam)
 
         P = projs[0].values
         t = target @ P
@@ -122,12 +148,11 @@ class TestNodeAttention:
         for a, h in zip(alpha, hs):
             acc += a * h
         expected = np.where(acc > 0, acc, np.expm1(acc))
-        np.testing.assert_allclose(z.values, expected, rtol=1e-10)
+        np.testing.assert_allclose(z, expected, rtol=1e-10)
 
     def test_empty_neighbors_rejected(self):
         with pytest.raises(ContractError):
-            M.node_attention(None, T.Tensor(np.ones(3)), np.zeros((0, 3)),
-                             self._projs(3, 1), 1.0)
+            node_attention(np.ones(3), np.zeros((0, 3)), self._projs(3, 1), 1.0)
 
     def test_permutation_invariance(self):
         d = 4
@@ -135,10 +160,42 @@ class TestNodeAttention:
         rng = stable_rng("na-perm")
         target = rng.standard_normal(d)
         neighbors = rng.standard_normal((5, d))
-        z1, _ = M.node_attention(None, T.Tensor(target), neighbors, projs, 0.6)
+        z1, _ = node_attention(target, neighbors, projs, 0.6)
         perm = rng.permutation(5)
-        z2, _ = M.node_attention(None, T.Tensor(target), neighbors[perm], projs, 0.6)
-        np.testing.assert_allclose(z1.values, z2.values, atol=1e-12)
+        z2, _ = node_attention(target, neighbors[perm], projs, 0.6)
+        np.testing.assert_allclose(z1, z2, atol=1e-12)
+
+    @pytest.mark.parametrize("fusion", M.FUSIONS)
+    @pytest.mark.parametrize("head_mode", M.HEAD_MODES)
+    def test_matches_hat_channels(self, fusion, head_mode):
+        # every HAT channel's output and alphas, node by node
+        bundle = fixture_bundle(seed=9)
+        cfg = small_config(fusion=fusion, head_mode=head_mode, layers=1)
+        enc = M.HatEncoder(_single_view(bundle), cfg, seed=3, scope="e")
+        h = enc._type_transform(None, T.Tensor(bundle.graph.features), 0)
+        hv = h.values
+        assert any(ch.name.startswith("path:") for ch in enc.channels)
+        for ch in enc.channels:
+            z = enc._channel_attention(None, h, 0, ch).values
+
+            def p(name):
+                return enc.params[f"e/l0/rel:{ch.name}/{name}"].values
+
+            r = ch.feat @ p("We") + p("be")
+            if fusion == "add":
+                msg = hv[ch.nbr] + r
+            elif fusion == "concat":
+                msg = np.concatenate([hv[ch.nbr], r], axis=1) @ p("fuse/W") + p("fuse/b")
+            else:
+                msg = hv[ch.nbr] @ p("fuse/Wh") + r @ p("fuse/Wr") + p("fuse/b")
+            projs = [p(f"head{m}") for m in range(cfg.heads)]
+            for i in range(bundle.graph.num_nodes):
+                neighbors = np.vstack([msg[ch.tgt == i], hv[i:i + 1]])
+                want, alphas = node_attention(hv[i], neighbors, projs, cfg.lam, head_mode)
+                np.testing.assert_allclose(z[i], want, rtol=1e-10, atol=1e-12)
+                for m, alpha in enumerate(alphas):
+                    got, seg = enc.diagnostics["alpha"][(0, ch.name, m)]
+                    np.testing.assert_allclose(got[seg == i], alpha, rtol=1e-10)
 
 
 class TestPathAttention:
@@ -329,7 +386,7 @@ class TestEncoderGradients:
             return T.cross_entropy(tape, logits, labels), tape
 
         all_params = list(enc.params.values()) + [head_w, head_b]
-        err = T.finite_diff_check(forward, all_params)
+        err = finite_diff_check(forward, all_params)
         assert err < 1e-4, f"{kind}/{fusion}: max rel err {err}"
 
 

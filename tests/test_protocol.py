@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_bundle, make_views, session_config, single_view
+from conftest import finite_diff_check, make_bundle, make_views, session_config, single_view
 from splitgnn import crypto as C
 from splitgnn import protocol as P
 from splitgnn import tensor as T
@@ -112,6 +112,15 @@ class TestMicroF1:
         expected = 2 * tp / (2 * tp + fp + fn)
         assert P.micro_f1(pred, truth) == pytest.approx(expected, rel=1e-12)
 
+    def test_exactly_correct_over_total(self):
+        # the correctly rounded k/n, which 2PR/(P+R) is not always
+        for n in range(1, 201):
+            truth = np.zeros(n, dtype=np.int64)
+            for k in range(n + 1):
+                pred = np.concatenate([np.zeros(k, dtype=np.int64),
+                                       np.ones(n - k, dtype=np.int64)])
+                assert P.micro_f1(pred, truth) == k / n, (k, n)
+
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             P.micro_f1([], [])
@@ -164,7 +173,7 @@ class TestServerAndHead:
             return loss, tape
 
         params = list(net.params.values()) + list(head.params.values())
-        assert T.finite_diff_check(forward, params) < 1e-4
+        assert finite_diff_check(forward, params) < 1e-4
 
 
 class TestSessionBasics:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import add_at_segment_sum
+from conftest import add_at_segment_sum, finite_diff_check
 from splitgnn import tensor as T
 from splitgnn.errors import ContractError, DomainError, NumericError, ShapeError
 from splitgnn.seeding import stable_rng
@@ -303,7 +303,7 @@ class TestFiniteDiff:
             out = T.linear(tape, x, w, b)
             return T.mean_all(tape, T.mul(tape, out, out)), tape
 
-        assert T.finite_diff_check(forward, [w, b]) < 1e-6
+        assert finite_diff_check(forward, [w, b]) < 1e-6
 
     def test_softmax_cross_entropy_stack(self):
         rng = stable_rng("fd-ce")
@@ -317,14 +317,14 @@ class TestFiniteDiff:
             logits = T.linear(tape, x, w, b)
             return T.cross_entropy(tape, logits, labels), tape
 
-        assert T.finite_diff_check(forward, [w, b]) < 1e-5
+        assert finite_diff_check(forward, [w, b]) < 1e-5
 
     def test_zero_parameter_function(self):
         def forward():
             tape = T.Tape()
             return T.mean_all(tape, T.Tensor([1.0, 2.0])), tape
 
-        assert T.finite_diff_check(forward, []) == 0.0
+        assert finite_diff_check(forward, []) == 0.0
 
     def test_nondeterministic_forward_detected(self):
         counter = {"n": 0}
@@ -335,7 +335,7 @@ class TestFiniteDiff:
             return T.mean_all(tape, T.Tensor([float(counter["n"])])), tape
 
         with pytest.raises(ContractError):
-            T.finite_diff_check(forward, [])
+            finite_diff_check(forward, [])
 
     def test_segment_attention_composite(self):
         # End-to-end gradient through gather/dot/segment-softmax/segment-sum.
@@ -353,7 +353,7 @@ class TestFiniteDiff:
             z = T.segment_sum(tape, T.mul(tape, T.reshape_col(tape, alpha), hn), tgt, 5)
             return T.mean_all(tape, T.mul(tape, z, z)), tape
 
-        assert T.finite_diff_check(forward, [h]) < 1e-4
+        assert finite_diff_check(forward, [h]) < 1e-4
 
 
 class TestOptimizers:
@@ -422,5 +422,5 @@ def test_analytic_matches_fd_on_random_op_stacks():
                 h = T.concat_cols(tape, [h, T.scale(tape, h, -1.0)])
             return T.mean_all(tape, T.mul(tape, h, h)), tape
 
-        worst = max(worst, T.finite_diff_check(forward, [w]))
+        worst = max(worst, finite_diff_check(forward, [w]))
     assert worst < 1e-4
