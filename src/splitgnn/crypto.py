@@ -138,18 +138,25 @@ class PaillierPublicKey:
 
 @dataclass(frozen=True)
 class PaillierKeyPair:
+    """The public key, its primes, and CRT decryption's constants: p², q²,
+    hp = L_p(g^(p-1) mod p²)^-1 mod p, hq likewise, and q^-1 mod p."""
     public: PaillierPublicKey
     p: int
     q: int
-    lam: int
-    mu: int
+    p_sq: int
+    q_sq: int
+    hp: int
+    hq: int
+    q_inv: int
 
 
 def _assemble(p: int, q: int, bits: int) -> PaillierKeyPair:
     n = p * q
-    lam = (p - 1) * (q - 1)
-    mu = _invert(lam, n)
-    return PaillierKeyPair(PaillierPublicKey(n, bits), p, q, lam, mu)
+    p_sq, q_sq = p * p, q * q
+    hp = _invert((_powmod(n + 1, p - 1, p_sq) - 1) // p, p)
+    hq = _invert((_powmod(n + 1, q - 1, q_sq) - 1) // q, q)
+    return PaillierKeyPair(PaillierPublicKey(n, bits), p, q, p_sq, q_sq, hp, hq,
+                           _invert(q, p))
 
 
 def _gen_prime(bits: int, rng: random.Random) -> int:
@@ -196,11 +203,6 @@ class Ciphertext:
         width = self.public.wire_width
         return width.to_bytes(4, "big") + self.value.to_bytes(width, "big")
 
-    @classmethod
-    def from_bytes(cls, data: bytes, public: PaillierPublicKey) -> "Ciphertext":
-        width = int.from_bytes(data[:4], "big")
-        return cls(int.from_bytes(data[4:4 + width], "big"), public)
-
 
 def encrypt(public: PaillierPublicKey, plaintext: int, rng: random.Random) -> Ciphertext:
     """Enc(m) = (1 + m*n) * r^n mod n^2, with fresh blinding r."""
@@ -211,11 +213,14 @@ def encrypt(public: PaillierPublicKey, plaintext: int, rng: random.Random) -> Ci
 
 
 def decrypt(keypair: PaillierKeyPair, cipher: Ciphertext) -> int:
-    pub = keypair.public
-    if cipher.public.n != pub.n:
+    """The plaintext mod n, found mod p and mod q with half-size exponents
+    and joined by the Chinese remainder theorem (Paillier 1999, sec. 7)."""
+    k = keypair
+    if cipher.public.n != k.public.n:
         raise CryptoError("ciphertext does not match this key pair")
-    u = _powmod(cipher.value, keypair.lam, pub.n_sq)
-    return (u - 1) // pub.n * keypair.mu % pub.n
+    mp = (_powmod(cipher.value, k.p - 1, k.p_sq) - 1) // k.p * k.hp % k.p
+    mq = (_powmod(cipher.value, k.q - 1, k.q_sq) - 1) // k.q * k.hq % k.q
+    return mq + (mp - mq) * k.q_inv % k.p * k.q
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,6 @@ import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError, RoleError
 from .graph import (DatasetBundle, ParticipantView, PartitionSpec, RelationSpec,
                     SyntheticSpec, generate_synthetic, load_dataset,

@@ -95,9 +95,6 @@ class HetGraph:
     def relation_names(self) -> list[str]:
         return sorted(self.relations)
 
-    def nodes_of_type(self, node_type: str) -> np.ndarray:
-        return np.flatnonzero(self.node_types == node_type)
-
 
 @dataclass(frozen=True)
 class Metapath:

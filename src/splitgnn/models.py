@@ -16,13 +16,18 @@ that view's edges, so stacking layers is exactly multi-hop aggregation over
 private edge information.  An isolated node keeps propagating its own
 transformed features through every layer via its self-loop.
 
-"gcn" and "gat" run each layer over the batch's receptive field only: the
+Every encoder runs each layer over the batch's receptive field only: the
 layer-wise mini-batching of GraphSAGE (Hamilton et al., 2017).  The nodes
 and edges each layer needs are found top-down from the batch through the
-graph's :class:`~splitgnn.graph.TargetCsr` edge index, so a round costs what
-its batch touches, not what the graph holds, and every output row is the one
-the whole-graph layers would give.  "hat" stays whole-graph, because its
-path attention scores each channel over all nodes.
+graph's :class:`~splitgnn.graph.TargetCsr` edge indexes (one per channel for
+"hat", one over the merged edges for "gcn" and "gat"), so a round costs what
+its batch touches, not what the graph holds.  "gcn" and "gat" compute every
+output row as the whole-graph layers would.  "hat" scores its path
+attention over each layer's target frontier, as mini-batch HAN does (Wang et
+al., 2019), so its rows are the whole-graph layers' when the batch is every
+node.  A BLAS product may round a row differently when fewer rows share the
+call, so rows of a smaller block can differ from the whole-graph ones in
+their last bits.
 """
 
 from __future__ import annotations
@@ -122,10 +127,12 @@ def merge_heads(tape, head_outs, head_mode: str):
 
 
 def path_attention(tape, channel_embeddings, q, Wp, bp):
-    """Softmax mix over relation channels, scored batch-wide.
+    """Softmax mix over relation channels, scored over the rows given.
 
-    Each channel's score is the batch mean of <q, tanh(Wp z + bp)>; the
-    resulting weights sum to one and are shared by every node in the batch.
+    Each channel's score is the mean over the rows of ``z`` of
+    <q, tanh(Wp z + bp)>; the resulting weights sum to one and are shared by
+    every row.  ``HatEncoder`` passes a layer's target frontier, so β is a
+    mean over the nodes that layer computes, not over the whole graph.
     """
     if not channel_embeddings:
         raise ContractError("path attention needs at least one channel")
@@ -174,10 +181,12 @@ def _build_channels(view) -> list[_Channel]:
 class HatEncoder:
     """K stacked heterogeneous-attention layers over one participant's view.
 
-    Every layer runs over the whole graph.  Path attention weighs a channel
-    by its mean score over all nodes, so even one node's embedding depends
-    on every node; restricting a layer to the batch's receptive field would
-    change the model's outputs.
+    Each channel keeps its edges in a :class:`~splitgnn.graph.TargetCsr`, and
+    each layer runs over the batch's receptive field, not the whole graph.
+    Path attention weighs a channel by its mean score over the layer's target
+    frontier, so an output row depends on which nodes the batch's layers
+    reach; with every node in the batch it is the whole-graph row.
+    ``diagnostics["alpha"]`` keeps its segments in node ids.
     """
 
     kind = "hat"
@@ -188,16 +197,14 @@ class HatEncoder:
         self.seed = seed
         self.scope = scope
         self.channels = _build_channels(view)
-        self.type_groups = [
-            (t, self.graph.nodes_of_type(t))
-            for t in sorted(set(self.graph.node_types.tolist()))
-        ]
+        self.csrs = [TargetCsr(ch.tgt, ch.nbr, self.graph.num_nodes) for ch in self.channels]
+        self.type_names = sorted(set(self.graph.node_types.tolist()))
         self.params: dict[str, T.Tensor] = {}
         self.diagnostics: dict = {}
         d = config.hidden
         for l in range(config.layers):
             in_dim = self.graph.feature_dim if l == 0 else d
-            for tname, _ in self.type_groups:
+            for tname in self.type_names:
                 init_param(self.params, f"{scope}/l{l}/type:{tname}/W", (in_dim, d), seed)
                 init_param(self.params, f"{scope}/l{l}/type:{tname}/b", (d,), seed, zeros=True)
             for ch in self.channels:
@@ -226,57 +233,68 @@ class HatEncoder:
                     "b": self.params[f"{base}/b"]}
         return {}
 
-    def _type_transform(self, tape, x, layer: int):
-        n = self.graph.num_nodes
+    def _type_transform(self, tape, x, rows: np.ndarray, layer: int):
+        """Each row of ``x``, the node ``rows[i]``, through its type's map."""
+        types = self.graph.node_types[rows]
         pieces = []
-        for tname, idx in self.type_groups:
+        for tname in self.type_names:
+            idx = np.flatnonzero(types == tname)
             W = self.params[f"{self.scope}/l{layer}/type:{tname}/W"]
             b = self.params[f"{self.scope}/l{layer}/type:{tname}/b"]
             h = T.linear(tape, T.gather_rows(tape, x, idx), W, b)
-            pieces.append(T.scatter_rows(tape, h, idx, n))
+            pieces.append(T.scatter_rows(tape, h, idx, len(rows)))
         out = pieces[0]
         for p in pieces[1:]:
             out = T.add(tape, out, p)
         return out
 
-    def _channel_attention(self, tape, h, layer: int, ch: _Channel):
+    def _channel_attention(self, tape, h, h_own, layer: int, ch: _Channel, blk: _Block,
+                           edges):
+        """One channel's attention for the targets of ``blk``: ``h`` holds its
+        input rows, ``h_own`` the targets' own rows, ``edges`` the channel's
+        (seg, src, eid) in the block."""
         cfg = self.config
-        n = self.graph.num_nodes
+        k = len(blk.targets)
+        edge_seg, src, eid = edges
         base = f"{self.scope}/l{layer}/rel:{ch.name}"
-        e_lat = T.linear(tape, T.Tensor(ch.feat),
+        e_lat = T.linear(tape, T.Tensor(ch.feat[eid]),
                          self.params[f"{base}/We"], self.params[f"{base}/be"])
-        fused = _fuse(tape, T.gather_rows(tape, h, ch.nbr), e_lat,
+        fused = _fuse(tape, T.gather_rows(tape, h, src), e_lat,
                       cfg.fusion, self._fusion_params(layer, ch))
-        self_idx = np.arange(n)
-        seg = np.concatenate([ch.tgt, self_idx])
+        # every target's edges, in edge order, then its self entry
+        seg = np.concatenate([edge_seg, np.arange(k)])
         head_outs = []
         for m in range(cfg.heads):
             proj = self.params[f"{base}/head{m}"]
-            hp = T.matmul(tape, h, proj)
-            fp = T.matmul(tape, fused, proj)
-            vals = T.concat_rows(tape, [fp, hp])
-            anchors = T.concat_rows(tape, [T.gather_rows(tape, hp, ch.tgt), hp])
-            alpha, out = attend(tape, anchors, vals, seg, n, cfg.lam)
+            hp = T.matmul(tape, h_own, proj)
+            vals = T.concat_rows(tape, [T.matmul(tape, fused, proj), hp])
+            alpha, out = attend(tape, T.gather_rows(tape, hp, seg), vals, seg, k, cfg.lam)
             self.diagnostics.setdefault("alpha", {})[(layer, ch.name, m)] = (
-                alpha.values.copy(), seg)
+                alpha.values.copy(), blk.targets[seg])
             head_outs.append(out)
         return merge_heads(tape, head_outs, cfg.head_mode)
 
     def forward(self, tape, batch_ids, step: int = 0, training: bool = False):
         cfg = self.config
+        n = self.graph.num_nodes
+        batch = np.asarray(batch_ids, dtype=np.int64)
+        blocks = _receptive_blocks(self.csrs, batch, cfg.layers, self_entry=True)
+        x = T.Tensor(self.graph.features[blocks[0].inputs])
         self.diagnostics = {}
-        x = T.Tensor(self.graph.features)
-        for l in range(cfg.layers):
+        for l, blk in enumerate(blocks):
             x = T.dropout(tape, x, cfg.dropout,
-                          seed=(self.seed, "dropout", self.scope, l, step), training=training)
-            h = self._type_transform(tape, x, l)
-            zs = [self._channel_attention(tape, h, l, ch) for ch in self.channels]
+                          seed=(self.seed, "dropout", self.scope, l, step), training=training,
+                          rows=blk.inputs, n_rows=n)
+            h = self._type_transform(tape, x, blk.inputs, l)
+            h_own = T.gather_rows(tape, h, np.searchsorted(blk.inputs, blk.targets))
+            zs = [self._channel_attention(tape, h, h_own, l, ch, blk, edges)
+                  for ch, edges in zip(self.channels, blk.edges)]
             q = self.params[f"{self.scope}/l{l}/path/q"]
             Wp = self.params[f"{self.scope}/l{l}/path/W"]
             bp = self.params[f"{self.scope}/l{l}/path/b"]
             x, beta = path_attention(tape, zs, q, Wp, bp)
             self.diagnostics.setdefault("beta", {})[l] = beta
-        return T.gather_rows(tape, x, np.asarray(batch_ids, dtype=np.int64))
+        return T.gather_rows(tape, x, np.searchsorted(blocks[-1].targets, batch))
 
 
 def _merged_edges(g: HetGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -291,26 +309,29 @@ def _merged_edges(g: HetGraph) -> tuple[np.ndarray, np.ndarray]:
 class _Block:
     """One layer's share of a batch's receptive field, in node ids sorted
     ascending: the layer reads the rows ``inputs`` and writes the rows
-    ``targets``; edge e runs from ``inputs[src[e]]`` into ``targets[seg[e]]``."""
+    ``targets``.  ``edges[c]`` is ``(seg, src, eid)`` for the edges of the
+    c-th edge index into the targets: edge e runs from ``inputs[src[e]]``
+    into ``targets[seg[e]]`` and is edge ``eid[e]`` of that index's list."""
     inputs: np.ndarray
     targets: np.ndarray
-    seg: np.ndarray
-    src: np.ndarray
+    edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def _receptive_blocks(csr: TargetCsr, batch: np.ndarray, layers: int,
+def _receptive_blocks(csrs: list[TargetCsr], batch: np.ndarray, layers: int,
                      self_entry: bool) -> list[_Block]:
     """The blocks of a ``layers``-deep encoder for ``batch``, first layer
     first.  They are found top-down: the last layer's targets are the batch,
-    and each layer's inputs are the sources of the edges into its targets
-    (plus the targets themselves with ``self_entry``), which are the layer
-    below's targets."""
+    and each layer's inputs are the sources of the edges into its targets in
+    every index of ``csrs`` (plus the targets themselves with
+    ``self_entry``), which are the layer below's targets."""
     targets = np.unique(batch)
     blocks = []
     for _ in range(layers):
-        seg, nbr, _ = csr.edges_into(targets)
-        inputs = np.union1d(nbr, targets) if self_entry else np.unique(nbr)
-        blocks.append(_Block(inputs, targets, seg, np.searchsorted(inputs, nbr)))
+        found = [csr.edges_into(targets) for csr in csrs]
+        sources = [nbr for _, nbr, _ in found] + ([targets] if self_entry else [])
+        inputs = np.unique(np.concatenate(sources))
+        edges = [(seg, np.searchsorted(inputs, nbr), eid) for seg, nbr, eid in found]
+        blocks.append(_Block(inputs, targets, edges))
         targets = inputs
     return blocks[::-1]
 
@@ -349,14 +370,14 @@ class GcnEncoder:
         cfg = self.config
         n = self.graph.num_nodes
         batch = np.asarray(batch_ids, dtype=np.int64)
-        blocks = _receptive_blocks(self.csr, batch, cfg.layers, self_entry=False)
+        blocks = _receptive_blocks([self.csr], batch, cfg.layers, self_entry=False)
         x = T.Tensor(self.graph.features[blocks[0].inputs])
         for l, blk in enumerate(blocks):
             x = T.dropout(tape, x, cfg.dropout,
                           seed=(self.seed, "dropout", self.scope, l, step), training=training,
                           rows=blk.inputs, n_rows=n)
-            summed = T.segment_sum(tape, T.gather_rows(tape, x, blk.src), blk.seg,
-                                   len(blk.targets))
+            seg, src, _ = blk.edges[0]
+            summed = T.segment_sum(tape, T.gather_rows(tape, x, src), seg, len(blk.targets))
             mean = T.mul(tape, summed, T.Tensor(self.inv_deg[blk.targets]))
             x = T.elu(tape, T.linear(tape, mean,
                                      self.params[f"{self.scope}/l{l}/W"],
@@ -394,7 +415,7 @@ class GatEncoder:
         cfg = self.config
         n = self.graph.num_nodes
         batch = np.asarray(batch_ids, dtype=np.int64)
-        blocks = _receptive_blocks(self.csr, batch, cfg.layers, self_entry=True)
+        blocks = _receptive_blocks([self.csr], batch, cfg.layers, self_entry=True)
         x = T.Tensor(self.graph.features[blocks[0].inputs])
         self.diagnostics = {}
         for l, blk in enumerate(blocks):
@@ -404,10 +425,11 @@ class GatEncoder:
             h = T.linear(tape, x, self.params[f"{self.scope}/l{l}/W"],
                          self.params[f"{self.scope}/l{l}/b"])
             k = len(blk.targets)
+            edge_seg, edge_src, _ = blk.edges[0]
             # every target's edges, in edge order, then its self entry
-            seg = np.concatenate([blk.seg, np.arange(k)])
+            seg = np.concatenate([edge_seg, np.arange(k)])
             own = np.searchsorted(blk.inputs, blk.targets)
-            src = np.concatenate([blk.src, own])
+            src = np.concatenate([edge_src, own])
             anchor = own[seg]
             head_outs = []
             for m in range(cfg.heads):

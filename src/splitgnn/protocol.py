@@ -492,9 +492,13 @@ class SplitSession:
                                 elements=g.size, byte_size=g.size * FLOAT_BYTES)
             tape.backward(emb, seed_grad=g)
 
-        # everyone updates locally
-        for p in self.participants:
-            p.optimizer.step(p.trainable())
+        # everyone updates locally, and nobody does unless every gradient is
+        # finite, so a failing round leaves every parameter and optimizer as it was
+        trainables = [p.trainable() for p in self.participants]
+        for params in trainables + [self.server_params]:
+            T.check_finite(params)
+        for p, params in zip(self.participants, trainables):
+            p.optimizer.step(params)
         self.server_optimizer.step(self.server_params)
         self._round += 1
         return loss.item()

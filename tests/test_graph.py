@@ -5,7 +5,6 @@ import pytest
 
 from splitgnn import graph as G
 from splitgnn.errors import ConfigError, GraphSchemaError, ParseError
-from splitgnn.seeding import stable_rng
 
 TOY = Path(__file__).parent / "fixtures" / "toy_dataset"
 

@@ -1,11 +1,16 @@
-"""Layout guard: every function, class and method in ``src/splitgnn`` is
-used by the program itself.
+"""Layout guards: every function, class and method in ``src/splitgnn`` is
+used by the program itself, and no module imports a name it never reads.
 
 A definition counts as used when its name appears somewhere in
 ``src/splitgnn`` or ``perfbench`` other than at its own ``def``: as a name
 or attribute that is read, or as a word inside a string that is not a
 docstring (``perfbench`` looks functions up by name).  Code that only tests
 call belongs in ``tests/``, where it can serve as an oracle.
+
+The first guard matches bare names, not qualified ones, so it misses a
+test-only definition that shares its name with one the program uses: a
+module function ``scale`` would pass because ``Ciphertext.scale`` is
+called, and a ``from_bytes`` classmethod because ``int.from_bytes`` is.
 """
 
 import ast
@@ -15,6 +20,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "splitgnn"
 PROGRAM = (PACKAGE, ROOT / "perfbench")
+TESTS = ROOT / "tests"
 
 # entry points called from outside the program: the console script
 ALLOWED = {"main"}
@@ -78,3 +84,27 @@ def test_every_definition_is_used():
     ]
     assert not unused, "defined in src/splitgnn but used only by tests or nowhere: " \
         + ", ".join(unused)
+
+
+def imported_names(tree):
+    """(bound name, line) of every import, except ``from __future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield (alias.asname or alias.name), node.lineno
+
+
+def test_every_import_is_read():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        if path.name == "__init__.py":  # re-exports
+            continue
+        tree = parse(path)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.relative_to(ROOT)}:{line}: {name}"
+                   for name, line in imported_names(tree) if name not in read]
+    assert not unread, "imported but never read: " + ", ".join(unread)

@@ -168,15 +168,20 @@ class TestNodeAttention:
     @pytest.mark.parametrize("fusion", M.FUSIONS)
     @pytest.mark.parametrize("head_mode", M.HEAD_MODES)
     def test_matches_hat_channels(self, fusion, head_mode):
-        # every HAT channel's output and alphas, node by node
+        # every HAT channel's output and alphas over a block's targets, node by node
         bundle = fixture_bundle(seed=9)
+        g = bundle.graph
         cfg = small_config(fusion=fusion, head_mode=head_mode, layers=1)
         enc = M.HatEncoder(_single_view(bundle), cfg, seed=3, scope="e")
-        h = enc._type_transform(None, T.Tensor(bundle.graph.features), 0)
-        hv = h.values
+        blk, = M._receptive_blocks(enc.csrs, np.arange(0, g.num_nodes, 3), 1, self_entry=True)
+        assert len(blk.targets) < len(blk.inputs) < g.num_nodes
+        h = enc._type_transform(None, T.Tensor(g.features[blk.inputs]), blk.inputs, 0)
+        h_own = T.gather_rows(None, h, np.searchsorted(blk.inputs, blk.targets))
+        hv = np.full((g.num_nodes, cfg.hidden), np.nan)  # rows by node id
+        hv[blk.inputs] = h.values
         assert any(ch.name.startswith("path:") for ch in enc.channels)
-        for ch in enc.channels:
-            z = enc._channel_attention(None, h, 0, ch).values
+        for ch, edges in zip(enc.channels, blk.edges):
+            z = enc._channel_attention(None, h, h_own, 0, ch, blk, edges).values
 
             def p(name):
                 return enc.params[f"e/l0/rel:{ch.name}/{name}"].values
@@ -189,10 +194,10 @@ class TestNodeAttention:
             else:
                 msg = hv[ch.nbr] @ p("fuse/Wh") + r @ p("fuse/Wr") + p("fuse/b")
             projs = [p(f"head{m}") for m in range(cfg.heads)]
-            for i in range(bundle.graph.num_nodes):
+            for j, i in enumerate(blk.targets):
                 neighbors = np.vstack([msg[ch.tgt == i], hv[i:i + 1]])
                 want, alphas = node_attention(hv[i], neighbors, projs, cfg.lam, head_mode)
-                np.testing.assert_allclose(z[i], want, rtol=1e-10, atol=1e-12)
+                np.testing.assert_allclose(z[j], want, rtol=1e-10, atol=1e-12)
                 for m, alpha in enumerate(alphas):
                     got, seg = enc.diagnostics["alpha"][(0, ch.name, m)]
                     np.testing.assert_allclose(got[seg == i], alpha, rtol=1e-10)
@@ -453,6 +458,69 @@ def whole_graph_gat(enc, tape, batch_ids, step=0, training=False):
     return T.gather_rows(tape, x, np.asarray(batch_ids, dtype=np.int64)), alphas
 
 
+def whole_graph_hat(enc, tape, batch_ids, step=0, training=False, beta_rows=None):
+    """HAT with every layer over every node and the batch rows gathered at
+    the end; also returns its attention coefficients by (layer, channel,
+    head), with their segments in node ids.  Layer l's path attention scores
+    its channels over the rows ``beta_rows[l]``, or over every node when
+    ``beta_rows`` is None, which is HAT as it ran before its blocks."""
+    cfg, g = enc.config, enc.graph
+    n = g.num_nodes
+
+    def prm(name):
+        return enc.params[f"{enc.scope}/{name}"]
+
+    x = T.Tensor(g.features)
+    alphas = {}
+    for l in range(cfg.layers):
+        x = T.dropout(tape, x, cfg.dropout,
+                      seed=(enc.seed, "dropout", enc.scope, l, step), training=training)
+        h = None
+        for tname in enc.type_names:
+            idx = np.flatnonzero(g.node_types == tname)
+            piece = T.linear(tape, T.gather_rows(tape, x, idx), prm(f"l{l}/type:{tname}/W"),
+                             prm(f"l{l}/type:{tname}/b"))
+            piece = T.scatter_rows(tape, piece, idx, n)
+            h = piece if h is None else T.add(tape, h, piece)
+        zs = []
+        for ch in enc.channels:
+            base = f"l{l}/rel:{ch.name}"
+            e_lat = T.linear(tape, T.Tensor(ch.feat), prm(f"{base}/We"), prm(f"{base}/be"))
+            fused = M._fuse(tape, T.gather_rows(tape, h, ch.nbr), e_lat, cfg.fusion,
+                            enc._fusion_params(l, ch))
+            seg = np.concatenate([ch.tgt, np.arange(n)])
+            head_outs = []
+            for m in range(cfg.heads):
+                proj = prm(f"{base}/head{m}")
+                hp = T.matmul(tape, h, proj)
+                vals = T.concat_rows(tape, [T.matmul(tape, fused, proj), hp])
+                anchors = T.concat_rows(tape, [T.gather_rows(tape, hp, ch.tgt), hp])
+                alpha = T.segment_softmax(tape, T.rowwise_dot(tape, anchors, vals),
+                                          seg, n, cfg.lam)
+                alphas[(l, ch.name, m)] = (alpha.values.copy(), seg)
+                weighted = T.mul(tape, T.reshape_col(tape, alpha), vals)
+                head_outs.append(T.segment_sum(tape, weighted, seg, n))
+            if cfg.head_mode == "concat":
+                agg = T.concat_cols(tape, head_outs)
+            else:
+                agg = head_outs[0]
+                for other in head_outs[1:]:
+                    agg = T.add(tape, agg, other)
+            zs.append(T.elu(tape, agg))
+        scored = zs if beta_rows is None else [T.gather_rows(tape, z, beta_rows[l]) for z in zs]
+        scores = [
+            T.mean_all(tape, T.matmul(tape, T.tanh(tape, T.linear(
+                tape, z, prm(f"l{l}/path/W"), prm(f"l{l}/path/b"))), prm(f"l{l}/path/q")))
+            for z in scored
+        ]
+        beta = T.softmax(tape, T.stack_scalars(tape, scores), temperature=1.0)
+        x = None
+        for k, z in enumerate(zs):
+            term = T.mul(tape, T.take(tape, beta, k), z)
+            x = term if x is None else T.add(tape, x, term)
+    return T.gather_rows(tape, x, np.asarray(batch_ids, dtype=np.int64)), alphas
+
+
 WHOLE_GRAPH = {"gcn": whole_graph_gcn, "gat": whole_graph_gat}
 
 
@@ -463,6 +531,15 @@ def with_isolated(g, count):
         np.concatenate([g.node_types, np.repeat(g.node_types[:1], count)]),
         np.concatenate([g.features, extra]), g.relations,
         np.concatenate([g.labels, np.zeros(count, dtype=np.int64)]), g.num_classes)
+
+
+def hat_view(seed=12, isolated=3):
+    """A single participant's view, metapath channels included, of the
+    fixture graph plus ``isolated`` nodes that no edge touches."""
+    bundle = fixture_bundle(seed=seed)
+    g = with_isolated(bundle.graph, isolated)
+    return _single_view(G.DatasetBundle(g, bundle.metapaths, bundle.train_ids,
+                                        bundle.val_ids, bundle.test_ids))
 
 
 def param_grads(enc, forward):
@@ -515,7 +592,67 @@ class TestReceptiveBlocks:
             for v in present:
                 assert np.array_equal(alpha[seg == v], full_alpha[full_seg == v])
 
-    @pytest.mark.parametrize("kind", ["gcn", "gat"])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_hat_all_nodes_matches_whole_graph(self, layers):
+        view = hat_view()
+        n = view.graph.num_nodes
+        batch = stable_rng("all-nodes").permutation(n)
+        cfg = small_config(kind="hat", layers=layers, dropout=0.3)
+        enc = M.make_encoder(view, cfg, seed=3, scope="e")
+        assert any(ch.name.startswith("path:") for ch in enc.channels)
+        for training in (False, True):
+            got = enc.forward(None, batch, step=2, training=training)
+            want, _ = whole_graph_hat(enc, None, batch, step=2, training=training)
+            assert np.array_equal(got.values, want.values)
+
+        got = param_grads(enc, lambda tape: enc.forward(tape, batch, step=2, training=True))
+        want = param_grads(
+            enc, lambda tape: whole_graph_hat(enc, tape, batch, step=2, training=True)[0])
+        assert got.keys() == want.keys()
+        for name in got:
+            np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("fusion", M.FUSIONS)
+    @pytest.mark.parametrize("head_mode", M.HEAD_MODES)
+    def test_hat_beta_over_frontiers(self, fusion, head_mode):
+        view = hat_view()
+        n = view.graph.num_nodes
+        isolated = n - 2
+        cfg = small_config(kind="hat", fusion=fusion, head_mode=head_mode, dropout=0.3)
+        enc = M.make_encoder(view, cfg, seed=3, scope="e")
+        assert not any(np.isin(isolated, [ch.tgt, ch.nbr]).any() for ch in enc.channels)
+        # unsorted, with duplicates and an isolated node
+        batch = [17, 3, 3, isolated, 0, 17, 9]
+        blocks = M._receptive_blocks(enc.csrs, np.asarray(batch), cfg.layers, self_entry=True)
+        frontiers = [blk.targets for blk in blocks]
+        assert len(frontiers[0]) < n
+        for training in (False, True):
+            got = enc.forward(None, batch, step=2, training=training).values
+            want, _ = whole_graph_hat(enc, None, batch, step=2, training=training,
+                                      beta_rows=frontiers)
+            # BLAS rounds a row of a product differently with fewer rows in the call
+            np.testing.assert_allclose(got, want.values, rtol=1e-12, atol=1e-15)
+            everywhere, _ = whole_graph_hat(enc, None, batch, step=2, training=training)
+            assert not np.allclose(got, everywhere.values)
+
+    def test_hat_alpha_segments_are_node_ids(self):
+        enc = M.make_encoder(hat_view(), small_config(kind="hat", layers=2), seed=3, scope="e")
+        batch = [15, 4, 4, 11]
+        enc.forward(None, batch)
+        blocks = M._receptive_blocks(enc.csrs, np.asarray(batch), 2, self_entry=True)
+        _, want = whole_graph_hat(enc, None, batch,
+                                  beta_rows=[blk.targets for blk in blocks])
+        assert enc.diagnostics["alpha"].keys() == want.keys()
+        for key, (alpha, seg) in enc.diagnostics["alpha"].items():
+            full_alpha, full_seg = want[key]
+            present = np.unique(seg)
+            assert np.array_equal(present, blocks[key[0]].targets)
+            for v in present:
+                np.testing.assert_allclose(alpha[seg == v], full_alpha[full_seg == v],
+                                           rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["gcn", "gat", "hat"])
     def test_work_independent_of_graph_size(self, kind, monkeypatch):
         seen = []
         segment_sum = T.segment_sum
@@ -537,8 +674,8 @@ class TestReceptiveBlocks:
 
 
 def test_hat_unchanged_by_segment_kernel(monkeypatch):
-    """HAT keeps its whole-graph layers, so its forward and gradients must
-    be bit-identical to the ones computed on np.add.at sums."""
+    """HAT's block layers sum through the bincount kernel; their forward and
+    gradients must be bit-identical to the ones computed on np.add.at sums."""
     bundle = fixture_bundle(seed=5)
     cfg = small_config(kind="hat", layers=2, dropout=0.2)
     batch = [6, 1, 1, 13]

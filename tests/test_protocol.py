@@ -5,8 +5,8 @@ from conftest import finite_diff_check, make_bundle, make_views, session_config,
 from splitgnn import crypto as C
 from splitgnn import protocol as P
 from splitgnn import tensor as T
-from splitgnn.errors import ConfigError, DomainError, ProtocolError, RoleError
-from splitgnn.models import EncoderConfig, init_param
+from splitgnn.errors import ConfigError, DomainError, NumericError, ProtocolError, RoleError
+from splitgnn.models import EncoderConfig
 from splitgnn.seeding import stable_rng
 
 
@@ -215,6 +215,59 @@ class TestSessionBasics:
                                                 learning_rate=0.1))
         rows = session.train()
         assert rows[-1]["train_loss"] < rows[0]["train_loss"]
+
+    def test_non_finite_gradient_leaves_every_party_unchanged(self, tiny_bundle,
+                                                               monkeypatch):
+        session = P.SplitSession(make_views(tiny_bundle, [5, 5]),
+                                 session_config(optimizer="adam"))
+        session.align()
+        batch = session._split_ids("train")[:8]
+        session.train_round(batch, step=0)  # so every party has Adam moments
+
+        def state():
+            params = {(p.name, k): t.values.copy()
+                      for p in session.participants for k, t in p.trainable().items()}
+            params.update({("server", k): t.values.copy()
+                           for k, t in session.server_params.items()})
+            opts = [p.optimizer for p in session.participants] + [session.server_optimizer]
+            moments = [(o._t, {k: m.copy() for k, m in o._m.items()},
+                        {k: v.copy() for k, v in o._v.items()}) for o in opts]
+            return params, moments
+
+        before = state()
+        # fault injection: the second participant's backward yields a NaN gradient
+        victim = session.participants[1]
+        poisoned = victim.encoder.params[sorted(victim.encoder.params)[-1]]
+        tapes = []
+        forward = victim.encoder.forward
+
+        def recording(tape, *args, **kwargs):
+            tapes.append(tape)
+            return forward(tape, *args, **kwargs)
+
+        backward = T.Tape.backward
+
+        def poisoning(tape, *args, **kwargs):
+            backward(tape, *args, **kwargs)
+            if any(tape is t for t in tapes):
+                poisoned.grad = np.full_like(poisoned.values, np.nan)
+
+        monkeypatch.setattr(victim.encoder, "forward", recording)
+        monkeypatch.setattr(T.Tape, "backward", poisoning)
+        with pytest.raises(NumericError, match=poisoned.name):
+            session.train_round(batch, step=1)
+        assert tapes
+
+        (params, moments), (want_params, want_moments) = state(), before
+        assert params.keys() == want_params.keys()
+        for key in params:
+            assert np.array_equal(params[key], want_params[key]), key
+        for (t, m, v), (want_t, want_m, want_v) in zip(moments, want_moments):
+            assert t == want_t
+            assert m.keys() == want_m.keys() and v.keys() == want_v.keys()
+            for name in m:
+                assert np.array_equal(m[name], want_m[name]), name
+                assert np.array_equal(v[name], want_v[name]), name
 
     def test_two_runs_identical_losses_and_transcripts(self, tiny_bundle):
         def run():
