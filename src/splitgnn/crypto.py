@@ -4,10 +4,11 @@ PSI here is a salted-hash intersection: participants share a per-session
 salt that the server never sees, so the server observes only digests and the
 intersection's membership by digest.  Aggregation uses Paillier encryption
 (g = n + 1 variant) over fixed-point-encoded values, so the decrypting role
-learns element-wise sums and nothing about any single participant's vector.
-This is a simulation-grade construction: correctness and auditability are
-the goals, not production hardening, and constant-time arithmetic is
-explicitly out of scope.
+learns element-wise (optionally weighted) sums and nothing about any single
+participant's vector.  The arithmetic is Python's built-in ``pow``.  This is
+a simulation-grade construction: correctness and auditability are the goals,
+not production hardening, and constant-time arithmetic is explicitly out of
+scope.
 """
 
 from __future__ import annotations
@@ -22,47 +23,29 @@ import numpy as np
 from .errors import ConfigError, ContractError, CryptoError, DomainError
 from .transcript import RoundTranscript
 
-try:
-    from gmpy2 import invert as _gmp_invert, is_prime as _gmp_is_prime, powmod as _gmp_powmod
-
-    def _powmod(base: int, exp: int, mod: int) -> int:
-        return int(_gmp_powmod(base, exp, mod))
-
-    def _invert(a: int, mod: int) -> int:
-        return int(_gmp_invert(a, mod))
-
-    def _is_prime(n: int) -> bool:
-        return bool(_gmp_is_prime(n))
-
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _powmod = pow
-
-    def _invert(a: int, mod: int) -> int:
-        return pow(a, -1, mod)
-
-    def _is_prime(n: int, rounds: int = 40) -> bool:
-        if n < 2:
+def _is_prime(n: int, rounds: int = 40) -> bool:
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    rng = random.Random(n)
+    for _ in range(rounds):
+        a = rng.randrange(2, n - 1)
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-            if n % p == 0:
-                return n == p
-        d, r = n - 1, 0
-        while d % 2 == 0:
-            d //= 2
-            r += 1
-        rng = random.Random(n)
-        for _ in range(rounds):
-            a = rng.randrange(2, n - 1)
-            x = pow(a, d, n)
-            if x in (1, n - 1):
-                continue
-            for _ in range(r - 1):
-                x = x * x % n
-                if x == n - 1:
-                    break
-            else:
-                return False
-        return True
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -120,15 +103,10 @@ VALID_KEY_BITS = (512, 1024, 2048)
 @dataclass(frozen=True)
 class PaillierPublicKey:
     n: int
-    bits: int
 
     @property
     def n_sq(self) -> int:
         return self.n * self.n
-
-    @property
-    def g(self) -> int:
-        return self.n + 1
 
     @property
     def wire_width(self) -> int:
@@ -150,13 +128,13 @@ class PaillierKeyPair:
     q_inv: int
 
 
-def _assemble(p: int, q: int, bits: int) -> PaillierKeyPair:
+def _assemble(p: int, q: int) -> PaillierKeyPair:
     n = p * q
     p_sq, q_sq = p * p, q * q
-    hp = _invert((_powmod(n + 1, p - 1, p_sq) - 1) // p, p)
-    hq = _invert((_powmod(n + 1, q - 1, q_sq) - 1) // q, q)
-    return PaillierKeyPair(PaillierPublicKey(n, bits), p, q, p_sq, q_sq, hp, hq,
-                           _invert(q, p))
+    hp = pow((pow(n + 1, p - 1, p_sq) - 1) // p, -1, p)
+    hq = pow((pow(n + 1, q - 1, q_sq) - 1) // q, -1, q)
+    return PaillierKeyPair(PaillierPublicKey(n), p, q, p_sq, q_sq, hp, hq,
+                           pow(q, -1, p))
 
 
 def _gen_prime(bits: int, rng: random.Random) -> int:
@@ -177,7 +155,7 @@ def keygen(bits: int = 2048, seed=None) -> PaillierKeyPair:
     q = _gen_prime(half, rng)
     while q == p:
         q = _gen_prime(half, rng)
-    return _assemble(p, q, bits)
+    return _assemble(p, q)
 
 
 class Ciphertext:
@@ -196,19 +174,15 @@ class Ciphertext:
         return Ciphertext(self.value * other.value % self.public.n_sq, self.public)
 
     def scale(self, k: int) -> "Ciphertext":
-        return Ciphertext(_powmod(self.value, k % self.public.n, self.public.n_sq),
+        return Ciphertext(pow(self.value, k % self.public.n, self.public.n_sq),
                           self.public)
-
-    def to_bytes(self) -> bytes:
-        width = self.public.wire_width
-        return width.to_bytes(4, "big") + self.value.to_bytes(width, "big")
 
 
 def encrypt(public: PaillierPublicKey, plaintext: int, rng: random.Random) -> Ciphertext:
     """Enc(m) = (1 + m*n) * r^n mod n^2, with fresh blinding r."""
     m = plaintext % public.n
     r = rng.randrange(1, public.n)
-    blind = _powmod(r, public.n, public.n_sq)
+    blind = pow(r, public.n, public.n_sq)
     return Ciphertext((1 + m * public.n) % public.n_sq * blind % public.n_sq, public)
 
 
@@ -218,8 +192,8 @@ def decrypt(keypair: PaillierKeyPair, cipher: Ciphertext) -> int:
     k = keypair
     if cipher.public.n != k.public.n:
         raise CryptoError("ciphertext does not match this key pair")
-    mp = (_powmod(cipher.value, k.p - 1, k.p_sq) - 1) // k.p * k.hp % k.p
-    mq = (_powmod(cipher.value, k.q - 1, k.q_sq) - 1) // k.q * k.hq % k.q
+    mp = (pow(cipher.value, k.p - 1, k.p_sq) - 1) // k.p * k.hp % k.p
+    mq = (pow(cipher.value, k.q - 1, k.q_sq) - 1) // k.q * k.hq % k.q
     return mq + (mp - mq) * k.q_inv % k.p * k.q
 
 
@@ -253,51 +227,69 @@ def signed_decode(value: int, n: int) -> int:
 # secure aggregation
 
 
+def encrypt_matrix(public: PaillierPublicKey, values, scale_bits: int,
+                   rng: random.Random) -> list[Ciphertext]:
+    """Fixed-point encode ``values`` and encrypt them in row-major order,
+    after checking that each would decrypt on its own without wrapping."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    _check_wrap("matrix", values, [1] * len(values), scale_bits, public.n // 2)
+    return [encrypt(public, fixed_encode(float(x), scale_bits), rng) for x in values]
+
+
+def decrypt_matrix(keypair: PaillierKeyPair, cts, shape, scale_bits: int) -> np.ndarray:
+    """Decrypt, map each residue to a signed integer and fixed-point decode."""
+    return np.array([fixed_decode(signed_decode(decrypt(keypair, c), keypair.public.n),
+                                  scale_bits) for c in cts]).reshape(shape)
+
+
+def _check_wrap(name: str, values, factors, scale_bits: int, bound: int) -> None:
+    for idx, (x, k) in enumerate(zip(values, factors)):
+        mag = abs(fixed_encode(float(x), scale_bits) * k)
+        if mag >= bound:
+            raise DomainError(f"{name} element {idx}: encoded magnitude {mag} "
+                              f"would risk modular wrap (bound {bound})")
+
+
 def secure_sum(vectors, keypair: PaillierKeyPair, rng: random.Random,
-               scale_bits: int = DEFAULT_SCALE_BITS,
+               scale_bits: int = DEFAULT_SCALE_BITS, weights=None,
                transcript: RoundTranscript | None = None,
                round_index: int = 0, party_names=None) -> np.ndarray:
     """Element-wise sum of the participants' vectors, learned only in aggregate.
 
     Each participant fixed-point encodes and encrypts its elements; the
     ciphertexts are combined before they ever reach the decrypting role, so
-    exactly one aggregated decryption happens per call.
+    exactly one aggregated decryption happens per call.  With ``weights``,
+    one row per participant broadcast over its vector, the server scales
+    each ciphertext by its fixed-point weight before combining, and the sum
+    of products is decoded at ``2 * scale_bits``.
     """
     vectors = [np.asarray(v, dtype=np.float64) for v in vectors]
     shape = vectors[0].shape
     if any(v.shape != shape for v in vectors):
         raise ContractError(f"all vectors must share shape {shape}")
-    pub = keypair.public
-    count = int(np.prod(shape)) if shape else 1
-    bound = pub.n // (2 * max(len(vectors), 1))
-    if party_names is None:
-        party_names = [f"party_{i}" for i in range(len(vectors))]
+    if weights is not None and len(weights) != len(vectors):
+        raise ContractError("one weight row per participant required")
+    pub, count = keypair.public, vectors[0].size
+    names = party_names or [f"party_{i}" for i in range(len(vectors))]
+    factors = [[1] * count] * len(vectors) if weights is None else [
+        [fixed_encode(float(k), scale_bits) for k in np.broadcast_to(w, shape).reshape(-1)]
+        for w in weights]
+    # each of the I terms must stay under n / 2I, so the sum cannot wrap mod n
+    for name, vec, ks in zip(names, vectors, factors):
+        _check_wrap(name, vec.reshape(-1), ks, scale_bits, pub.n // (2 * len(vectors)))
 
-    combined: list[Ciphertext] | None = None
-    for name, vec in zip(party_names, vectors):
-        cts = []
-        for idx, x in enumerate(vec.reshape(-1)):
-            m = fixed_encode(float(x), scale_bits)
-            if abs(m) >= bound:
-                raise DomainError(
-                    f"{name} element {idx}: encoded magnitude {abs(m)} "
-                    f"would risk modular wrap (bound {bound})"
-                )
-            cts.append(encrypt(pub, m, rng))
+    terms = []
+    for name, vec, ks in zip(names, vectors, factors):
+        cts = encrypt_matrix(pub, vec, scale_bits, rng)
         if transcript is not None:
-            transcript.add(round_index, name, "server", "ciphertext",
-                           elements=count,
-                           byte_size=sum(len(c.to_bytes()) for c in cts),
-                           encrypted=True)
-        combined = cts if combined is None else [a + b for a, b in zip(combined, cts)]
-
-    totals = np.array([
-        fixed_decode(signed_decode(decrypt(keypair, c), pub.n), scale_bits)
-        for c in combined
-    ])
+            transcript.add(round_index, name, "server", "ciphertext", elements=count,
+                           byte_size=count * (4 + pub.wire_width), encrypted=True)
+        terms.append(cts if weights is None else [c.scale(k) for c, k in zip(cts, ks)])
+    totals = decrypt_matrix(keypair, [sum(col[1:], col[0]) for col in zip(*terms)], shape,
+                            scale_bits if weights is None else 2 * scale_bits)
     if transcript is not None:
         transcript.log_decryption(round_index, count, aggregated=True)
-    return totals.reshape(shape)
+    return totals
 
 
 # ---------------------------------------------------------------------------

@@ -357,58 +357,27 @@ class SplitSession:
 
     def _secure_combined(self, locals_):
         cfg = self.config
-        pub = self.keypair.public
         names = [p.name for p in self.participants]
-        if cfg.strategy == "average":
+        if cfg.strategy != "concat":
+            # weighted: the server scales each ciphertext by its fixed-point
+            # weight before combining; only the aggregate is ever decrypted
+            weights = [w.values for w in self.omegas] if cfg.strategy == "weighted" else None
             total = C.secure_sum(locals_, self.keypair, self._enc_rng,
-                                 scale_bits=cfg.scale_bits,
+                                 scale_bits=cfg.scale_bits, weights=weights,
                                  transcript=self.transcript,
                                  round_index=self._round, party_names=names)
-            return total / len(locals_)
-        if cfg.strategy == "weighted":
-            # participants encrypt; the server scales each ciphertext by its
-            # fixed-point weight and combines, so only the weighted aggregate
-            # is ever decrypted
-            scale = cfg.scale_bits
-            combined = None
-            wire = 4 + pub.wire_width
-            for name, vec, omega in zip(names, locals_, self.omegas):
-                flat = vec.reshape(-1)
-                cts = [C.encrypt(pub, C.fixed_encode(float(x), scale), self._enc_rng)
-                       for x in flat]
-                self.transcript.add(self._round, name, "server", "ciphertext",
-                                    elements=len(cts), byte_size=len(cts) * wire,
-                                    encrypted=True)
-                w_fixed = [C.fixed_encode(float(w), scale)
-                           for w in np.repeat(omega.values[None, :], vec.shape[0], axis=0).reshape(-1)]
-                scaled = [c.scale(k) for c, k in zip(cts, w_fixed)]
-                combined = scaled if combined is None else \
-                    [a + b for a, b in zip(combined, scaled)]
-            vals = np.array([
-                C.fixed_decode(C.signed_decode(C.decrypt(self.keypair, c), pub.n),
-                               2 * scale)
-                for c in combined
-            ])
-            self.transcript.log_decryption(self._round, len(combined), aggregated=True)
-            return vals.reshape(locals_[0].shape)
+            return total / len(locals_) if weights is None else total
         # concat has no aggregate sum: fall back to per-participant encryption
         # toward the decryptor; the audit labels the weaker guarantee
+        pub = self.keypair.public
         pieces = []
-        wire = 4 + pub.wire_width
         for name, vec in zip(names, locals_):
-            flat = vec.reshape(-1)
-            cts = [C.encrypt(pub, C.fixed_encode(float(x), cfg.scale_bits), self._enc_rng)
-                   for x in flat]
+            cts = C.encrypt_matrix(pub, vec, cfg.scale_bits, self._enc_rng)
             self.transcript.add(self._round, name, "decryptor", "ciphertext",
-                                elements=len(cts), byte_size=len(cts) * wire,
+                                elements=len(cts), byte_size=len(cts) * (4 + pub.wire_width),
                                 encrypted=True)
-            vals = np.array([
-                C.fixed_decode(C.signed_decode(C.decrypt(self.keypair, c),
-                                               pub.n), cfg.scale_bits)
-                for c in cts
-            ])
+            pieces.append(C.decrypt_matrix(self.keypair, cts, vec.shape, cfg.scale_bits))
             self.transcript.log_decryption(self._round, len(cts), aggregated=False)
-            pieces.append(vals.reshape(vec.shape))
         return combine_concat(pieces)
 
     def _combine(self, locals_):

@@ -1,11 +1,14 @@
 """Shared fixtures and oracles: small deterministic synthetic graphs and
-partitions, a finite-difference gradient check and a metrics.csv reader."""
+partitions, a small-modulus Paillier key, a finite-difference gradient check
+and a metrics.csv reader."""
 
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from splitgnn import crypto as C
 from splitgnn import graph as G
 from splitgnn.errors import ContractError
 from splitgnn.models import EncoderConfig
@@ -47,6 +50,15 @@ def session_config(**overrides):
                   learning_rate=0.05, seed=0, server_dropout=0.0)
     kwargs.update(overrides)
     return SessionConfig(**kwargs)
+
+
+def small_key(seed=0) -> C.PaillierKeyPair:
+    """A key on two 30-bit primes, so 2^58 <= n < 2^60: fixed-point values
+    near 2^20 (encoded near 2^44) reach wrap bounds that real keys never do."""
+    rng = random.Random(seed)
+    p, q = C._gen_prime(30, rng), C._gen_prime(30, rng)
+    assert p != q
+    return C._assemble(p, q)
 
 
 def add_at_segment_sum(values, seg, n):

@@ -4,6 +4,7 @@ import secrets
 import numpy as np
 import pytest
 
+from conftest import small_key
 from splitgnn import crypto as C
 from splitgnn.errors import ConfigError, ContractError, DomainError
 from splitgnn.transcript import RoundTranscript
@@ -117,14 +118,21 @@ class TestPaillier:
 
     def test_wire_roundtrip(self, keypair, rng):
         c = C.encrypt(keypair.public, 123456, rng)
-        blob = c.to_bytes()
+        blob = ciphertext_to_bytes(c)
         assert len(blob) == 4 + keypair.public.wire_width
         back = ciphertext_from_bytes(blob, keypair.public)
         assert back.value == c.value
 
 
+def ciphertext_to_bytes(c: C.Ciphertext) -> bytes:
+    """The wire form that the transcript's ciphertext byte counts assume:
+    a 4-byte width, then the value in ``wire_width`` bytes."""
+    width = c.public.wire_width
+    return width.to_bytes(4, "big") + c.value.to_bytes(width, "big")
+
+
 def ciphertext_from_bytes(data: bytes, public) -> C.Ciphertext:
-    """Inverse of ``Ciphertext.to_bytes``: a 4-byte width, then the value."""
+    """Inverse of ``ciphertext_to_bytes``."""
     width = int.from_bytes(data[:4], "big")
     return C.Ciphertext(int.from_bytes(data[4:4 + width], "big"), public)
 
@@ -207,6 +215,53 @@ class TestSecureSum:
             assert rec.bytes == 5 * width
         assert len(t.decryptions) == 1
         assert t.decryptions[0].aggregated and t.decryptions[0].round == 3
+
+
+class TestWrapCheck:
+    def test_average_bound_names_participant(self, rng):
+        key = small_key()
+        bound = key.public.n // 4
+        vecs = [np.array([1.0, 2.0]), np.array([0.5, 2.0**36])]
+        state = rng.getstate()
+        with pytest.raises(DomainError) as err:
+            C.secure_sum(vecs, key, rng)
+        assert str(err.value) == (f"party_1 element 1: encoded magnitude {2**60} "
+                                  f"would risk modular wrap (bound {bound})")
+        assert rng.getstate() == state  # raised before any encryption
+
+    def test_weighted_products_checked(self, rng):
+        key = small_key()
+        vecs = [np.full((2, 3), 2.0**20), np.full((2, 3), -2.0**20)]
+        # each value alone, and their plain sum, are far inside the bound
+        np.testing.assert_array_equal(C.secure_sum(vecs, key, rng), np.zeros((2, 3)))
+        weights = [np.full(3, 0.5), np.full(3, 0.5)]
+        t = RoundTranscript()
+        state = rng.getstate()
+        with pytest.raises(DomainError, match=f"magnitude {2**67} would risk modular wrap"):
+            C.secure_sum(vecs, key, rng, weights=weights, transcript=t)
+        assert rng.getstate() == state
+        assert not t.records and not t.decryptions
+
+    def test_weighted_small_products_exact(self, rng):
+        key = small_key()
+        vecs = [np.array([[3.0, -1.5]]), np.array([[0.25, 2.0]])]
+        weights = [np.array([0.5, -0.25]), np.array([-1.0, 0.125])]
+        out = C.secure_sum(vecs, key, rng, weights=weights)
+        np.testing.assert_array_equal(out, [[1.25, 0.625]])
+
+    def test_lone_value_bound(self, rng):
+        key = small_key()
+        back = C.decrypt_matrix(key, C.encrypt_matrix(key.public, [[2.0**20, -3.5]], 24, rng),
+                                (1, 2), 24)
+        np.testing.assert_array_equal(back, [[2.0**20, -3.5]])
+        state = rng.getstate()
+        with pytest.raises(DomainError, match="element 1: .* modular wrap"):
+            C.encrypt_matrix(key.public, [1.0, 2.0**36], 24, rng)
+        assert rng.getstate() == state
+
+    def test_weight_rows_must_match_participants(self, keypair, rng):
+        with pytest.raises(ContractError):
+            C.secure_sum([np.ones(2), np.ones(2)], keypair, rng, weights=[np.ones(2)])
 
 
 class TestAudit:

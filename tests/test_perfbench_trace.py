@@ -1,0 +1,59 @@
+"""The benchmark tracer's view of the secure path, in process.
+
+``perfbench/run.py``'s ``install`` wraps ``crypto.secure_sum``,
+``crypto.encrypt`` and ``crypto.decrypt`` where the program looks them up,
+and a traced secure_avg run fails if any of them records no call.  One
+secure average round under the same tracer catches a rename or a bypass in
+about a second, without the tiny secure_avg benchmark run.
+"""
+
+import importlib.util
+import os
+import sys
+from pathlib import Path
+from unittest import mock
+
+from conftest import make_views, session_config
+from splitgnn import crypto as C
+from splitgnn import protocol as P
+from splitgnn.models import EncoderConfig
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_run_module():
+    """Import ``perfbench/run.py`` without keeping its changes to
+    ``os.environ`` (BLAS thread caps) or ``sys.path``."""
+    with mock.patch.dict(os.environ), \
+            mock.patch.object(sys, "path", [str(PERFBENCH), *sys.path]):
+        spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                      PERFBENCH / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses look it up there
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_secure_average_round_records_every_crypto_span(tiny_bundle):
+    run = load_run_module()
+    originals = (C.secure_sum, C.encrypt, C.decrypt)
+    tracer = run.Tracer()
+    run.install(tracer)
+    try:
+        session = P.SplitSession(
+            make_views(tiny_bundle, [5, 5]),
+            session_config(strategy="average", secure=True,
+                           encoder=EncoderConfig(kind="gcn", layers=1, hidden=4)))
+        session.align()
+        batch = session._split_ids("train")[:8]
+        session.train_round(batch, step=0)
+    finally:
+        tracer.unwrap_all()
+    assert (C.secure_sum, C.encrypt, C.decrypt) == originals
+
+    participants, n, d = 2, len(batch), 4
+    [root] = tracer.roots("protocol.train_round")
+    calls = {name: acc[2] for name, acc in tracer.within(root).items()}
+    assert calls["crypto.secure_sum"] == 1
+    assert calls["crypto.encrypt"] == participants * n * d
+    assert calls["crypto.decrypt"] == n * d

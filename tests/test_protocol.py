@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import finite_diff_check, make_bundle, make_views, session_config, single_view
+from conftest import (finite_diff_check, make_bundle, make_views, session_config,
+                      single_view, small_key)
 from splitgnn import crypto as C
 from splitgnn import protocol as P
 from splitgnn import tensor as T
@@ -379,6 +380,56 @@ class TestSecureRounds:
         assert all(r.receiver == "decryptor" for r in cts)
         report = C.transcript_audit(session.transcript)
         assert {f.kind for f in report.findings} == {"per_participant_decryption"}
+
+    @pytest.mark.parametrize("strategy", ["average", "weighted", "concat"])
+    def test_combine_matches_fixed_point_oracle(self, tiny_bundle, strategy):
+        session = P.SplitSession(
+            make_views(tiny_bundle, [5, 5]),
+            session_config(strategy=strategy, secure=True,
+                           encoder=EncoderConfig(kind="gcn", layers=1, hidden=4)))
+        session.align()
+        if strategy == "weighted":
+            session.omegas[0].values[:] = [0.5, 0.3, 1.25, 0.0]
+            session.omegas[1].values[:] = [-0.75, 0.7, 0.5, -0.1]
+        rng = stable_rng("secure-oracle", strategy)
+        locals_ = [3.0 * rng.standard_normal((5, 4)) for _ in range(2)]
+        got = session._secure_combined(locals_)
+
+        s = session.config.scale_bits
+        fx = [[[round(float(x) * 2**s) for x in row] for row in l] for l in locals_]
+        if strategy == "average":
+            want = np.array([[(fx[0][i][j] + fx[1][i][j]) / 2**s for j in range(4)]
+                             for i in range(5)]) / 2
+        elif strategy == "weighted":
+            wx = [[round(float(w) * 2**s) for w in om.values] for om in session.omegas]
+            want = np.array([[(fx[0][i][j] * wx[0][j] + fx[1][i][j] * wx[1][j]) / 2**(2 * s)
+                              for j in range(4)] for i in range(5)])
+        else:
+            want = np.array([[m / 2**s for l in fx for m in l[i]] for i in range(5)])
+        assert np.array_equal(got, want)
+
+        width = 4 + 2 * 512 // 8
+        receiver = "decryptor" if strategy == "concat" else "server"
+        assert [(r.sender, r.receiver, r.kind, r.elements, r.bytes, r.encrypted)
+                for r in session.transcript.records if r.round == 0] == [
+            (f"party_{i}", receiver, "ciphertext", 20, 20 * width, True) for i in range(2)]
+        events = [(e.round, e.elements, e.aggregated) for e in session.transcript.decryptions]
+        assert events == ([(0, 20, False)] * 2 if strategy == "concat" else [(0, 20, True)])
+
+    def test_weighted_wrap_raises_before_encryption(self, tiny_bundle):
+        session = P.SplitSession(
+            make_views(tiny_bundle, [5, 5]),
+            session_config(strategy="weighted", secure=True,
+                           encoder=EncoderConfig(kind="gcn", layers=1, hidden=4)))
+        session.align()
+        session.keypair = small_key()
+        locals_ = [np.full((2, 4), 2.0**20), np.full((2, 4), -2.0**20)]
+        state = session._enc_rng.getstate()
+        with pytest.raises(DomainError, match="modular wrap"):
+            session._secure_combined(locals_)
+        assert session._enc_rng.getstate() == state
+        assert not [r for r in session.transcript.records if r.round == 0]
+        assert not session.transcript.decryptions
 
     def test_ciphertext_bytes_exceed_plaintext(self, tiny_bundle):
         secure = P.SplitSession(
