@@ -56,8 +56,8 @@ def psi_digest(salt: bytes, external_id) -> str:
     return hashlib.sha256(salt + str(external_id).encode("utf-8")).hexdigest()
 
 
-def psi_align(id_sets, salt: bytes, transcript: RoundTranscript | None = None,
-              round_index: int = 0, party_names=None):
+def psi_align(id_sets, salt: bytes, transcript: RoundTranscript, round_index: int,
+              party_names):
     """Intersection of all participants' id sets via salted digests.
 
     The server sees one digest set per participant and answers with the
@@ -67,30 +67,18 @@ def psi_align(id_sets, salt: bytes, transcript: RoundTranscript | None = None,
     id_sets = [list(s) for s in id_sets]
     if len(id_sets) < 2:
         raise ContractError("PSI needs at least two participants")
-    if party_names is None:
-        party_names = [f"party_{i}" for i in range(len(id_sets))]
     tables = []
     for i, ids in enumerate(id_sets):
         if len(set(ids)) != len(ids):
             raise DomainError(f"participant {i} submitted duplicate ids")
         tables.append({psi_digest(salt, x): x for x in ids})
 
-    digest_sets = []
-    for name, table in zip(party_names, tables):
-        digests = sorted(table)
-        digest_sets.append(set(digests))
-        if transcript is not None:
-            transcript.add(round_index, name, "server", "psi",
-                           elements=len(digests), byte_size=32 * len(digests),
-                           payload=",".join(digests))
-    common = set.intersection(*digest_sets)
-    reply = sorted(common)
-    for name in party_names:
-        if transcript is not None:
-            transcript.add(round_index, "server", name, "psi",
-                           elements=len(reply), byte_size=32 * len(reply),
-                           payload=",".join(reply))
-    return sorted(tables[0][d] for d in common)
+    received = [set(transcript.send(round_index, name, "server", "psi", sorted(table)))
+                for name, table in zip(party_names, tables, strict=True)]
+    reply = sorted(set.intersection(*received))
+    replies = [transcript.send(round_index, "server", name, "psi", reply)
+               for name in party_names]
+    return sorted(tables[0][d] for d in replies[0])
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +239,8 @@ def _check_wrap(name: str, values, factors, scale_bits: int, bound: int) -> None
 
 
 def secure_sum(vectors, keypair: PaillierKeyPair, rng: random.Random,
-               scale_bits: int = DEFAULT_SCALE_BITS, weights=None,
-               transcript: RoundTranscript | None = None,
-               round_index: int = 0, party_names=None) -> np.ndarray:
+               transcript: RoundTranscript, round_index: int, party_names,
+               scale_bits: int = DEFAULT_SCALE_BITS, weights=None) -> np.ndarray:
     """Element-wise sum of the participants' vectors, learned only in aggregate.
 
     Each participant fixed-point encodes and encrypts its elements; the
@@ -270,25 +257,21 @@ def secure_sum(vectors, keypair: PaillierKeyPair, rng: random.Random,
     if weights is not None and len(weights) != len(vectors):
         raise ContractError("one weight row per participant required")
     pub, count = keypair.public, vectors[0].size
-    names = party_names or [f"party_{i}" for i in range(len(vectors))]
     factors = [[1] * count] * len(vectors) if weights is None else [
         [fixed_encode(float(k), scale_bits) for k in np.broadcast_to(w, shape).reshape(-1)]
         for w in weights]
     # each of the I terms must stay under n / 2I, so the sum cannot wrap mod n
-    for name, vec, ks in zip(names, vectors, factors):
+    for name, vec, ks in zip(party_names, vectors, factors, strict=True):
         _check_wrap(name, vec.reshape(-1), ks, scale_bits, pub.n // (2 * len(vectors)))
 
     terms = []
-    for name, vec, ks in zip(names, vectors, factors):
-        cts = encrypt_matrix(pub, vec, scale_bits, rng)
-        if transcript is not None:
-            transcript.add(round_index, name, "server", "ciphertext", elements=count,
-                           byte_size=count * (4 + pub.wire_width), encrypted=True)
+    for name, vec, ks in zip(party_names, vectors, factors):
+        cts = transcript.send(round_index, name, "server", "ciphertext",
+                              encrypt_matrix(pub, vec, scale_bits, rng))
         terms.append(cts if weights is None else [c.scale(k) for c, k in zip(cts, ks)])
     totals = decrypt_matrix(keypair, [sum(col[1:], col[0]) for col in zip(*terms)], shape,
                             scale_bits if weights is None else 2 * scale_bits)
-    if transcript is not None:
-        transcript.log_decryption(round_index, count, aggregated=True)
+    transcript.log_decryption(round_index, count, aggregated=True)
     return totals
 
 
@@ -339,7 +322,9 @@ def transcript_audit(transcript: RoundTranscript) -> AuditReport:
         for i, rec in enumerate(transcript.records):
             if rec.payload is None:
                 continue
-            leaked = [x for x in raw_ids if x in rec.payload]
+            # an id using a character the payload lacks cannot occur in it
+            chars = set(rec.payload)
+            leaked = [x for x in raw_ids if chars.issuperset(x) and x in rec.payload]
             if leaked:
                 findings.append(Finding(
                     "raw_id_leak",

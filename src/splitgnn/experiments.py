@@ -27,9 +27,7 @@ from .graph import (DatasetBundle, ParticipantView, PartitionSpec, RelationSpec,
                     vertical_partition)
 from .models import EncoderConfig
 from .protocol import CentralizedModel, SessionConfig, SplitSession
-from .transcript import RoundTranscript
-
-FLOAT_BYTES = 8
+from .transcript import FLOAT_BYTES, RoundTranscript
 
 STRATEGY_MAP = {"split_m": "average", "split_c": "concat", "split_w": "weighted"}
 
@@ -75,7 +73,6 @@ class ExperimentConfig:
     dropout: float = 0.0
     server_dropout: float = 0.3
     temperature: float | None = None
-    cut: str = "hidden"
     secure: bool = False
     key_bits: int = 512
     scale_bits: int = 24
@@ -123,7 +120,6 @@ class ExperimentConfig:
             epochs=self.epochs,
             learning_rate=self.learning_rate,
             optimizer=self.optimizer,
-            cut=self.cut,
             secure=self.secure,
             seed=seed,
             key_bits=self.key_bits,

@@ -160,19 +160,14 @@ class _Channel:
         return self.feat.shape[1]
 
 
-def _view_graph(view) -> HetGraph:
-    return view.graph if isinstance(view, ParticipantView) else view
-
-
-def _build_channels(view) -> list[_Channel]:
-    g = _view_graph(view)
+def _build_channels(view: ParticipantView) -> list[_Channel]:
+    g = view.graph
     channels = [
         _Channel(name, g.relations[name].src, g.relations[name].dst,
                  g.relations[name].feat)
         for name in g.relation_names()
     ]
-    metapaths = getattr(view, "metapaths", [])
-    for mp in metapaths:
+    for mp in view.metapaths:
         tgt, nbr, feat = metapath_edges(g, mp)
         channels.append(_Channel(f"path:{mp.name}", tgt, nbr, feat))
     return channels
@@ -191,8 +186,8 @@ class HatEncoder:
 
     kind = "hat"
 
-    def __init__(self, view, config: EncoderConfig, seed, scope: str):
-        self.graph = _view_graph(view)
+    def __init__(self, view: ParticipantView, config: EncoderConfig, seed, scope: str):
+        self.graph = view.graph
         self.config = config
         self.seed = seed
         self.scope = scope
@@ -344,8 +339,8 @@ class GcnEncoder:
 
     kind = "gcn"
 
-    def __init__(self, view, config: EncoderConfig, seed, scope: str):
-        self.graph = _view_graph(view)
+    def __init__(self, view: ParticipantView, config: EncoderConfig, seed, scope: str):
+        self.graph = view.graph
         self.config = config
         self.seed = seed
         self.scope = scope
@@ -394,8 +389,8 @@ class GatEncoder:
 
     kind = "gat"
 
-    def __init__(self, view, config: EncoderConfig, seed, scope: str):
-        self.graph = _view_graph(view)
+    def __init__(self, view: ParticipantView, config: EncoderConfig, seed, scope: str):
+        self.graph = view.graph
         self.config = config
         self.seed = seed
         self.scope = scope

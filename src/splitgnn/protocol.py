@@ -5,7 +5,8 @@ edges and sends the embeddings up (plaintext or encrypted); the server
 combines them with the configured strategy and runs its sub-network; the
 label holder turns the returned hidden state into predictions and loss, and
 gradients retrace the same path backwards across both cuts.  Every message
-is metered in a :class:`RoundTranscript`.
+moves through :meth:`RoundTranscript.send`, which meters it and hands the
+receiver the value it computes from.
 
 A :class:`CentralizedModel` composes the same encoder, server stack and
 output head on a single tape with no message passing; it is both the
@@ -31,7 +32,6 @@ from .seeding import stable_rng, stable_seed
 from .transcript import RoundTranscript
 
 STRATEGIES = ("average", "concat", "weighted")
-FLOAT_BYTES = 8
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +100,10 @@ def backward_route(grad, strategy, num_participants, omegas=None, locals_=None):
 
 
 class ServerNet:
-    """Two dense+ELU+dropout layers; with cut="logits" a third map to the
-    class dimension runs here instead of at the label holder."""
+    """Two dense+ELU+dropout layers between the participants' embeddings and
+    the label holder's output layer."""
 
-    def __init__(self, in_dim, hidden, num_classes, cut, seed, dropout=0.3,
-                 scope="server"):
-        self.cut = cut
+    def __init__(self, in_dim, hidden, seed, dropout=0.3, scope="server"):
         self.seed = seed
         self.scope = scope
         self.dropout = dropout
@@ -114,9 +112,6 @@ class ServerNet:
         init_param(self.params, f"{scope}/l0/b", (hidden,), seed, zeros=True)
         init_param(self.params, f"{scope}/l1/W", (hidden, hidden), seed)
         init_param(self.params, f"{scope}/l1/b", (hidden,), seed, zeros=True)
-        if cut == "logits":
-            init_param(self.params, f"{scope}/out/W", (hidden, num_classes), seed)
-            init_param(self.params, f"{scope}/out/b", (num_classes,), seed, zeros=True)
 
     def forward(self, tape, x, step=0, training=False):
         h = x
@@ -127,9 +122,6 @@ class ServerNet:
             h = T.dropout(tape, h, self.dropout,
                           seed=(self.seed, "dropout", self.scope, l, step),
                           training=training)
-        if self.cut == "logits":
-            h = T.linear(tape, h, self.params[f"{self.scope}/out/W"],
-                         self.params[f"{self.scope}/out/b"])
         return h
 
 
@@ -229,7 +221,6 @@ class SessionConfig:
     epochs: int = 5
     learning_rate: float = 0.05
     optimizer: str = "sgd"
-    cut: str = "hidden"          # hidden | logits
     secure: bool = False
     seed: int = 0
     key_bits: int = 512
@@ -240,8 +231,6 @@ class SessionConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}")
-        if self.cut not in ("hidden", "logits"):
-            raise ConfigError("cut must be 'hidden' or 'logits'")
         if self.batch_size < 1:
             raise ConfigError("batch size must be positive")
 
@@ -288,15 +277,12 @@ class SplitSession:
         self.participants: list[Participant] = []
         for v in views:
             enc = make_encoder(v, config.encoder, config.seed, scope=f"enc{v.participant}")
-            head = None
-            if v.has_labels and config.cut == "hidden":
-                head = LabelHead(d, self.num_classes, config.seed)
+            head = LabelHead(d, self.num_classes, config.seed) if v.has_labels else None
             opt = T.make_optimizer(config.optimizer, config.learning_rate)
             self.participants.append(Participant(v.participant, v, enc, opt, head))
         self.label_holder = next(p for p in self.participants if p.view.has_labels)
         in_dim = d * len(views) if config.strategy == "concat" else d
-        self.server = ServerNet(in_dim, d, self.num_classes, config.cut,
-                                config.seed, dropout=config.server_dropout)
+        self.server = ServerNet(in_dim, d, config.seed, dropout=config.server_dropout)
         self.server_params: dict[str, T.Tensor] = dict(self.server.params)
         self.omegas: list[T.Tensor] = []
         if config.strategy == "weighted":
@@ -336,9 +322,8 @@ class SplitSession:
         if id_subsets is None:
             id_subsets = [list(self.external_ids) for _ in self.participants]
         salt = C.fresh_salt(seed=(self.config.seed, "psi"))
-        common = C.psi_align(id_subsets, salt, transcript=self.transcript,
-                             round_index=-1,
-                             party_names=[p.name for p in self.participants])
+        common = C.psi_align(id_subsets, salt, self.transcript, -1,
+                             [p.name for p in self.participants])
         if not common:
             raise ProtocolError("PSI intersection is empty; nothing to align")
         index = {ext: i for i, ext in enumerate(self.external_ids)}
@@ -362,20 +347,17 @@ class SplitSession:
             # weighted: the server scales each ciphertext by its fixed-point
             # weight before combining; only the aggregate is ever decrypted
             weights = [w.values for w in self.omegas] if cfg.strategy == "weighted" else None
-            total = C.secure_sum(locals_, self.keypair, self._enc_rng,
-                                 scale_bits=cfg.scale_bits, weights=weights,
-                                 transcript=self.transcript,
-                                 round_index=self._round, party_names=names)
+            total = C.secure_sum(locals_, self.keypair, self._enc_rng, self.transcript,
+                                 self._round, names, scale_bits=cfg.scale_bits,
+                                 weights=weights)
             return total / len(locals_) if weights is None else total
         # concat has no aggregate sum: fall back to per-participant encryption
         # toward the decryptor; the audit labels the weaker guarantee
-        pub = self.keypair.public
         pieces = []
         for name, vec in zip(names, locals_):
-            cts = C.encrypt_matrix(pub, vec, cfg.scale_bits, self._enc_rng)
-            self.transcript.add(self._round, name, "decryptor", "ciphertext",
-                                elements=len(cts), byte_size=len(cts) * (4 + pub.wire_width),
-                                encrypted=True)
+            cts = self.transcript.send(
+                self._round, name, "decryptor", "ciphertext",
+                C.encrypt_matrix(self.keypair.public, vec, cfg.scale_bits, self._enc_rng))
             pieces.append(C.decrypt_matrix(self.keypair, cts, vec.shape, cfg.scale_bits))
             self.transcript.log_decryption(self._round, len(cts), aggregated=False)
         return combine_concat(pieces)
@@ -395,8 +377,6 @@ class SplitSession:
             raise ProtocolError("session is not aligned; call align() first")
         cfg = self.config
         batch = np.asarray(batch, dtype=np.int64)
-        d = cfg.encoder.hidden
-        n = len(batch)
 
         # fresh gradient buffers everywhere before any backward runs
         for p in self.participants:
@@ -418,10 +398,9 @@ class SplitSession:
         if cfg.secure:
             combined = self._secure_combined(locals_)
         else:
-            for p in self.participants:
-                self.transcript.add(self._round, p.name, "server", "embedding",
-                                    elements=n * d, byte_size=n * d * FLOAT_BYTES)
-            combined = self._combine(locals_)
+            combined = self._combine([
+                self.transcript.send(self._round, p.name, "server", "embedding", x)
+                for p, x in zip(self.participants, locals_)])
 
         server_tape = T.Tape()
         server_in = T.Tensor(combined, requires_grad=True, name="cut/combined")
@@ -431,23 +410,14 @@ class SplitSession:
         labels = self.label_holder.view.graph.labels[batch]
         if np.any(labels < 0):
             raise RoleError("label holder lacks labels for the batch")
-        out_elems = server_out.values.size
-        self.transcript.add(self._round, "server", self.label_holder.name, "hidden",
-                            elements=out_elems, byte_size=out_elems * FLOAT_BYTES)
-        label_tape = T.Tape()
-        if cfg.cut == "hidden":
-            loss, hidden_grad = label_forward_loss(
-                label_tape, server_out.values, self.label_holder.head, labels)
-        else:
-            logits_leaf = T.Tensor(server_out.values, requires_grad=True)
-            loss = T.cross_entropy(label_tape, logits_leaf, labels)
-            label_tape.backward(loss)
-            hidden_grad = logits_leaf.grad
-        self.transcript.add(self._round, self.label_holder.name, "server", "gradient",
-                            elements=out_elems, byte_size=out_elems * FLOAT_BYTES)
+        hidden = self.transcript.send(self._round, "server", self.label_holder.name,
+                                      "hidden", server_out.values)
+        loss, hidden_grad = label_forward_loss(T.Tape(), hidden, self.label_holder.head,
+                                               labels)
 
         # server backward and routing across the lower cut
-        server_tape.backward(server_out, seed_grad=hidden_grad)
+        server_tape.backward(server_out, seed_grad=self.transcript.send(
+            self._round, self.label_holder.name, "server", "gradient", hidden_grad))
         routed, wgrads = backward_route(
             server_in.grad, cfg.strategy, len(self.participants),
             omegas=[w.values for w in self.omegas] if self.omegas else None,
@@ -457,9 +427,8 @@ class SplitSession:
                 w.grad = g if w.grad is None else w.grad + g
 
         for p, tape, emb, g in zip(self.participants, tapes, embeds, routed):
-            self.transcript.add(self._round, "server", p.name, "gradient",
-                                elements=g.size, byte_size=g.size * FLOAT_BYTES)
-            tape.backward(emb, seed_grad=g)
+            received = self.transcript.send(self._round, "server", p.name, "gradient", g)
+            tape.backward(emb, seed_grad=received)
 
         # everyone updates locally, and nobody does unless every gradient is
         # finite, so a failing round leaves every parameter and optimizer as it was
@@ -479,11 +448,7 @@ class SplitSession:
         locals_ = [p.encoder.forward(None, ids, training=False).values
                    for p in self.participants]
         out = self.server.forward(None, T.Tensor(self._combine(locals_)), training=False)
-        if self.config.cut == "hidden":
-            logits = self.label_holder.head.logits(None, out)
-        else:
-            logits = out
-        return np.argmax(logits.values, axis=1)
+        return np.argmax(self.label_holder.head.logits(None, out).values, axis=1)
 
     def evaluate(self, split: str) -> float:
         ids = self._split_ids(split)
@@ -523,22 +488,17 @@ class CentralizedModel:
         d = config.encoder.hidden
         self.encoder = make_encoder(view, config.encoder, config.seed,
                                     scope=f"enc{view.participant}")
-        self.server = ServerNet(d, d, self.num_classes, config.cut,
-                                config.seed, dropout=config.server_dropout)
-        self.head = LabelHead(d, self.num_classes, config.seed) \
-            if config.cut == "hidden" else None
+        self.server = ServerNet(d, d, config.seed, dropout=config.server_dropout)
+        self.head = LabelHead(d, self.num_classes, config.seed)
         self.params: dict[str, T.Tensor] = dict(self.encoder.params)
         self.params.update(self.server.params)
-        if self.head is not None:
-            self.params.update(self.head.params)
+        self.params.update(self.head.params)
         self.optimizer = T.make_optimizer(config.optimizer, config.learning_rate)
 
     def _logits(self, tape, ids, step=0, training=False):
         emb = self.encoder.forward(tape, ids, step=step, training=training)
         out = self.server.forward(tape, emb, step=step, training=training)
-        if self.head is not None:
-            out = self.head.logits(tape, out)
-        return out
+        return self.head.logits(tape, out)
 
     def train_step(self, batch, step: int) -> float:
         labels = self.view.graph.labels[np.asarray(batch)]

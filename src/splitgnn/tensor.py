@@ -435,16 +435,6 @@ def cross_entropy(tape, logits, labels) -> Tensor:
 # optimizers
 
 
-def optimizer_step(params, lr: float) -> None:
-    """Plain gradient descent over tensors whose ``grad`` is set."""
-    for p in params:
-        if p.grad is None:
-            continue
-        if not np.all(np.isfinite(p.grad)):
-            raise NumericError(f"non-finite gradient for {p.name or 'parameter'}")
-        p.values -= lr * p.grad
-
-
 def check_finite(params: dict[str, Tensor]) -> None:
     """Raise ``NumericError`` for the first parameter, by name, whose
     gradient holds a NaN or an infinity."""
@@ -459,7 +449,12 @@ class Sgd:
         self.lr = lr
 
     def step(self, params: dict[str, Tensor]) -> None:
-        optimizer_step(params.values(), self.lr)
+        """Plain gradient descent over the tensors whose ``grad`` is set;
+        nothing moves unless every gradient is finite."""
+        check_finite(params)
+        for p in params.values():
+            if p.grad is not None:
+                p.values -= self.lr * p.grad
 
 
 class Adam:

@@ -4,7 +4,9 @@ A transcript plays two roles: it is the measured object for communication
 cost comparisons, and it is the adversary's view for privacy audits.  Wire
 records carry metadata (and, for PSI messages, the digest payload that
 actually crossed); ``context`` holds simulation-side ground truth that only
-the auditor sees, never the parties.
+the auditor sees, never the parties.  Every metered message moves through
+:meth:`RoundTranscript.send`, which sizes its record from the value it hands
+the receiver.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from pathlib import Path
 from .errors import ProtocolError
 
 MESSAGE_KINDS = ("embedding", "ciphertext", "hidden", "gradient", "psi")
+FLOAT_BYTES = 8
+DIGEST_BYTES = 32
 CSV_COLUMNS = ("round", "from", "to", "kind", "elements", "bytes", "encrypted")
 
 
@@ -47,9 +51,33 @@ class RoundTranscript:
         self.decryptions: list[DecryptionEvent] = []
         self.context: dict = context or {}
 
+    def send(self, round_index: int, sender: str, receiver: str, kind: str, payload):
+        """Move ``payload`` from ``sender`` to ``receiver``: meter it and
+        return what the receiver gets, the payload object itself.
+
+        The record follows from the payload: a PSI digest list is 32 bytes
+        per digest, kept ``,``-joined as the audited payload; a ciphertext
+        list is a 4-byte length plus the key's wire width per value, and the
+        only encrypted kind; any other kind is a float array, 8 bytes per
+        value.
+        """
+        encrypted, text = False, None
+        if kind == "psi":
+            elements, width, text = len(payload), DIGEST_BYTES, ",".join(payload)
+        elif kind == "ciphertext":
+            elements, encrypted = len(payload), True
+            width = 4 + payload[0].public.wire_width if payload else 0
+        else:
+            elements, width = payload.size, FLOAT_BYTES
+        self.add(round_index, sender, receiver, kind, elements, elements * width,
+                 encrypted, text)
+        return payload
+
     def add(self, round_index: int, sender: str, receiver: str, kind: str,
             elements: int, byte_size: int, encrypted: bool = False,
             payload: str | None = None) -> TranscriptRecord:
+        """Append a record as given: ``send`` derives its records from the
+        values sent, and ``load`` rebuilds them from a saved file."""
         if kind not in MESSAGE_KINDS:
             raise ProtocolError(f"unknown message kind {kind!r}")
         rec = TranscriptRecord(round_index, sender, receiver, kind,

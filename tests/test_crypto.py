@@ -20,13 +20,30 @@ def rng():
     return random.Random(1234)
 
 
+def names(count):
+    return [f"party_{i}" for i in range(count)]
+
+
+def psi(id_sets, salt, transcript=None):
+    """PSI among participants named ``party_i``."""
+    transcript = RoundTranscript() if transcript is None else transcript
+    return C.psi_align(id_sets, salt, transcript, 0, names(len(id_sets)))
+
+
+def secure_sum(vectors, keypair, rng, transcript=None, round_index=0, **kwargs):
+    """``secure_sum`` among participants named ``party_i``."""
+    transcript = RoundTranscript() if transcript is None else transcript
+    return C.secure_sum(vectors, keypair, rng, transcript, round_index,
+                        names(len(vectors)), **kwargs)
+
+
 class TestPsi:
     def test_basic_intersection(self):
-        out = C.psi_align([["a", "b", "c"], ["b", "c", "d"]], salt=b"s1")
+        out = psi([["a", "b", "c"], ["b", "c", "d"]], b"s1")
         assert out == ["b", "c"]
 
     def test_disjoint_empty(self):
-        assert C.psi_align([["a"], ["b"]], salt=b"s1") == []
+        assert psi([["a"], ["b"]], b"s1") == []
 
     def test_three_parties_matches_plain_intersection(self):
         rng = random.Random(7)
@@ -38,20 +55,20 @@ class TestPsi:
             shared = {f"id-{rng.randrange(10**9)}" for _ in range(rng.randrange(0, 30))}
             sets = [s | shared for s in sets]
             expected = sorted(sets[0] & sets[1] & sets[2])
-            assert C.psi_align(sets, salt=b"salty") == expected
+            assert psi(sets, b"salty") == expected
 
     def test_duplicates_rejected(self):
         with pytest.raises(DomainError):
-            C.psi_align([["a", "a"], ["a"]], salt=b"s")
+            psi([["a", "a"], ["a"]], b"s")
 
     def test_needs_two_parties(self):
         with pytest.raises(ContractError):
-            C.psi_align([["a"]], salt=b"s")
+            psi([["a"]], b"s")
 
     def test_transcript_has_digests_not_ids(self):
         ids = [["user-XQZW-17", "user-PLMN-93"], ["user-PLMN-93", "user-RRTT-55"]]
         t = RoundTranscript(context={"raw_ids": [x for s in ids for x in s]})
-        out = C.psi_align(ids, salt=b"fresh", transcript=t)
+        out = psi(ids, b"fresh", t)
         assert out == ["user-PLMN-93"]
         assert len(t.records) == 4  # two up, two down
         for rec in t.records:
@@ -184,29 +201,29 @@ class TestFixedPoint:
 
 class TestSecureSum:
     def test_two_values(self, keypair, rng):
-        out = C.secure_sum([np.array([0.5]), np.array([0.25])], keypair, rng)
+        out = secure_sum([np.array([0.5]), np.array([0.25])], keypair, rng)
         assert abs(out[0] - 0.75) <= 2 * 2.0**-24
 
     def test_all_zero_exact(self, keypair, rng):
-        out = C.secure_sum([np.zeros(6)] * 4, keypair, rng)
+        out = secure_sum([np.zeros(6)] * 4, keypair, rng)
         np.testing.assert_array_equal(out, np.zeros(6))
 
     def test_matches_plaintext_sum(self, keypair, rng):
         vecs = [np.random.default_rng(i).uniform(-5, 5, size=8) for i in range(4)]
-        out = C.secure_sum(vecs, keypair, rng)
+        out = secure_sum(vecs, keypair, rng)
         np.testing.assert_allclose(out, sum(vecs), atol=4 * 2.0**-24)
 
     def test_negative_values(self, keypair, rng):
-        out = C.secure_sum([np.array([-1.5, 2.0]), np.array([-2.5, -3.0])], keypair, rng)
+        out = secure_sum([np.array([-1.5, 2.0]), np.array([-2.5, -3.0])], keypair, rng)
         np.testing.assert_allclose(out, [-4.0, -1.0], atol=2 * 2.0**-24)
 
     def test_shape_mismatch(self, keypair, rng):
         with pytest.raises(ContractError):
-            C.secure_sum([np.zeros(3), np.zeros(4)], keypair, rng)
+            secure_sum([np.zeros(3), np.zeros(4)], keypair, rng)
 
     def test_transcript_records_ciphertext_sizes(self, keypair, rng):
         t = RoundTranscript()
-        C.secure_sum([np.ones(5), np.ones(5)], keypair, rng, transcript=t, round_index=3)
+        secure_sum([np.ones(5), np.ones(5)], keypair, rng, t, 3)
         assert len(t.records) == 2
         width = 4 + keypair.public.wire_width
         for rec in t.records:
@@ -224,7 +241,7 @@ class TestWrapCheck:
         vecs = [np.array([1.0, 2.0]), np.array([0.5, 2.0**36])]
         state = rng.getstate()
         with pytest.raises(DomainError) as err:
-            C.secure_sum(vecs, key, rng)
+            secure_sum(vecs, key, rng)
         assert str(err.value) == (f"party_1 element 1: encoded magnitude {2**60} "
                                   f"would risk modular wrap (bound {bound})")
         assert rng.getstate() == state  # raised before any encryption
@@ -233,12 +250,12 @@ class TestWrapCheck:
         key = small_key()
         vecs = [np.full((2, 3), 2.0**20), np.full((2, 3), -2.0**20)]
         # each value alone, and their plain sum, are far inside the bound
-        np.testing.assert_array_equal(C.secure_sum(vecs, key, rng), np.zeros((2, 3)))
+        np.testing.assert_array_equal(secure_sum(vecs, key, rng), np.zeros((2, 3)))
         weights = [np.full(3, 0.5), np.full(3, 0.5)]
         t = RoundTranscript()
         state = rng.getstate()
         with pytest.raises(DomainError, match=f"magnitude {2**67} would risk modular wrap"):
-            C.secure_sum(vecs, key, rng, weights=weights, transcript=t)
+            secure_sum(vecs, key, rng, t, weights=weights)
         assert rng.getstate() == state
         assert not t.records and not t.decryptions
 
@@ -246,7 +263,7 @@ class TestWrapCheck:
         key = small_key()
         vecs = [np.array([[3.0, -1.5]]), np.array([[0.25, 2.0]])]
         weights = [np.array([0.5, -0.25]), np.array([-1.0, 0.125])]
-        out = C.secure_sum(vecs, key, rng, weights=weights)
+        out = secure_sum(vecs, key, rng, weights=weights)
         np.testing.assert_array_equal(out, [[1.25, 0.625]])
 
     def test_lone_value_bound(self, rng):
@@ -261,7 +278,7 @@ class TestWrapCheck:
 
     def test_weight_rows_must_match_participants(self, keypair, rng):
         with pytest.raises(ContractError):
-            C.secure_sum([np.ones(2), np.ones(2)], keypair, rng, weights=[np.ones(2)])
+            secure_sum([np.ones(2), np.ones(2)], keypair, rng, weights=[np.ones(2)])
 
 
 class TestAudit:
@@ -288,6 +305,26 @@ class TestAudit:
         assert len(report.findings) == 1
         assert report.findings[0].kind == "raw_id_leak"
         assert report.findings[0].record_index == 1
+
+    def test_raw_id_scan_matches_plain_substring_scan(self):
+        digests = [C.psi_digest(b"salt", f"n{i}") for i in range(40)]
+        present = [digests[3][10:16], digests[7][:5], digests[20][-4:] + "," + digests[21][:3]]
+        absent = [x for x in ("abcdef1234", "9999999999", "0f0f0f0f0f")
+                  if not any(x in d for d in digests)]
+        raw_ids = present + absent + [f"n{i}" for i in range(40)] + ["n" + digests[3][:6]]
+        t = RoundTranscript(context={"raw_ids": raw_ids})
+        t.send(-1, "party_0", "server", "psi", digests[:25])
+        t.send(-1, "party_1", "server", "psi", digests[15:])
+        t.send(-1, "server", "party_0", "psi", digests[40:])
+        want = []
+        for i, rec in enumerate(t.records):
+            leaked = [x for x in raw_ids if x in rec.payload]
+            if leaked:
+                want.append((i, f"message {rec.sender}->{rec.receiver} carries raw id(s) "
+                                f"{leaked[:3]}"))
+        assert len(absent) == 3 and [i for i, _ in want] == [0, 1]
+        got = [(f.record_index, f.message) for f in C.transcript_audit(t).findings]
+        assert got == want
 
     def test_per_participant_decryption_labeled(self):
         t = RoundTranscript()

@@ -239,6 +239,13 @@ class TestCli:
         path.write_text(json.dumps({"strategy": "split_q"}))
         assert cli.main(["run", "--config", str(path)]) == 1
 
+    def test_cut_option_is_exit_1(self, tmp_path, capsys):
+        # the label holder always owns the output layer; there is no cut to choose
+        path = tmp_path / "cut.json"
+        path.write_text(json.dumps({**small_config().to_json(), "cut": "hidden"}))
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert "'cut'" in capsys.readouterr().err
+
     def test_audit_plaintext_run_exit_3(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path, epochs=1)
         out = tmp_path / "out"

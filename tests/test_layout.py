@@ -1,5 +1,6 @@
 """Layout guards: every function, class and method in ``src/splitgnn`` is
-used by the program itself, and no module imports a name it never reads.
+used by the program itself, no module imports a name it never reads, and
+messages between parties move only through ``RoundTranscript.send``.
 
 A definition counts as used when its name appears somewhere in
 ``src/splitgnn`` or ``perfbench`` other than at its own ``def``: as a name
@@ -108,3 +109,18 @@ def test_every_import_is_read():
         unread += [f"{path.relative_to(ROOT)}:{line}: {name}"
                    for name, line in imported_names(tree) if name not in read]
     assert not unread, "imported but never read: " + ", ".join(unread)
+
+
+def test_only_the_transcript_adds_records():
+    """Every other module moves values through ``send``, which sizes the
+    record from the value the receiver gets; a hand-built record could
+    meter one value and deliver another."""
+    adders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "transcript.py":
+            continue
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "add" and "transcript" in ast.unparse(node.func.value):
+                adders.append(f"{path.name}:{node.lineno}")
+    assert not adders, "transcript records added outside transcript.py: " + ", ".join(adders)

@@ -26,6 +26,12 @@ def fixture_bundle(seed=0, n_u=12, n_v=8, feature_dim=5):
     return G.generate_synthetic(spec, seed=seed)
 
 
+def graph_view(g):
+    """One participant's view of all of ``g``, without metapath channels."""
+    no_ids = np.array([], dtype=np.int64)
+    return G.ParticipantView(0, g, [], (0, g.feature_dim), True, no_ids, no_ids, no_ids)
+
+
 def small_config(**overrides):
     kwargs = dict(kind="hat", layers=2, hidden=4, heads=2, fusion="concat", dropout=0.0)
     kwargs.update(overrides)
@@ -248,7 +254,7 @@ class TestEncoders:
             {"r": G.Relation("r", [], [], np.zeros((0, 2)), "u", "u")},
         )
         cfg = small_config(heads=1, fusion="add")
-        enc = M.HatEncoder(g, cfg, seed=0, scope="enc")
+        enc = M.HatEncoder(graph_view(g), cfg, seed=0, scope="enc")
         out = enc.forward(None, [0, 1, 2, 3])
         x = g.features
         for l in range(cfg.layers):
@@ -305,7 +311,7 @@ class TestEncoders:
             {"r": G.Relation("r", [0, 0], [1, 2], np.zeros((2, 0)), "u", "u")},
         )
         cfg = M.EncoderConfig(kind="gcn", layers=1, hidden=1, heads=1)
-        enc = M.GcnEncoder(g, cfg, seed=0, scope="g")
+        enc = M.GcnEncoder(graph_view(g), cfg, seed=0, scope="g")
         enc.params["g/l0/W"].values[:] = 1.0
         enc.params["g/l0/b"].values[:] = 0.0
         out = enc.forward(None, [0])
@@ -315,7 +321,7 @@ class TestEncoders:
         bundle = G.load_dataset(__import__("pathlib").Path(__file__).parent / "fixtures" / "toy_dataset")
         g = bundle.graph
         cfg = M.EncoderConfig(kind="gcn", layers=2, hidden=2, heads=1)
-        enc = M.GcnEncoder(g, cfg, seed=4, scope="g")
+        enc = M.GcnEncoder(graph_view(g), cfg, seed=4, scope="g")
         out = enc.forward(None, [0, 1, 2])
 
         def elu(v):
@@ -335,7 +341,7 @@ class TestEncoders:
             {"r": G.Relation("r", [0, 0], [1, 2], np.zeros((2, 0)), "u", "u")},
         )
         cfg = M.EncoderConfig(kind="gat", layers=1, hidden=2, heads=1)
-        enc = M.GatEncoder(g, cfg, seed=1, scope="g")
+        enc = M.GatEncoder(graph_view(g), cfg, seed=1, scope="g")
         enc.forward(None, [0])
         alpha, seg = enc.diagnostics["alpha"][(0, 0)]
         np.testing.assert_allclose(alpha[seg == 0], 1.0 / 3.0, atol=1e-12)
@@ -564,7 +570,7 @@ class TestReceptiveBlocks:
         # unsorted, with duplicates and an isolated node
         batch = [17, 3, 3, isolated, 0, 17, 9]
         cfg = small_config(kind=kind, layers=layers, hidden=4, heads=2, dropout=0.3)
-        enc = M.make_encoder(g, cfg, seed=3, scope="e")
+        enc = M.make_encoder(graph_view(g), cfg, seed=3, scope="e")
         oracle = WHOLE_GRAPH[kind]
         for training in (False, True):
             got = enc.forward(None, batch, step=2, training=training)
@@ -580,7 +586,7 @@ class TestReceptiveBlocks:
 
     def test_gat_alpha_segments_are_node_ids(self):
         g = fixture_bundle(seed=12).graph
-        enc = M.make_encoder(g, small_config(kind="gat", layers=2), seed=3, scope="e")
+        enc = M.make_encoder(graph_view(g), small_config(kind="gat", layers=2), seed=3, scope="e")
         batch = [15, 4, 4, 11]
         enc.forward(None, batch)
         _, want = whole_graph_gat(enc, None, batch)
@@ -668,7 +674,7 @@ class TestReceptiveBlocks:
         runs = []
         for graph in (g, with_isolated(g, 10_000)):
             seen.clear()
-            M.make_encoder(graph, cfg, seed=3, scope="e").forward(T.Tape(), batch)
+            M.make_encoder(graph_view(graph), cfg, seed=3, scope="e").forward(T.Tape(), batch)
             runs.append(list(seen))
         assert runs[0] and runs[0] == runs[1]
 

@@ -129,7 +129,7 @@ class TestMicroF1:
 
 class TestServerAndHead:
     def test_zero_weights_constant_rows(self):
-        net = P.ServerNet(4, 4, 2, cut="hidden", seed=0, dropout=0.0)
+        net = P.ServerNet(4, 4, seed=0, dropout=0.0)
         for name, p in net.params.items():
             if name.endswith("/W"):
                 p.values[:] = 0.0
@@ -138,7 +138,7 @@ class TestServerAndHead:
         assert np.all(out.values == out.values[0])
 
     def test_dropout_off_deterministic(self):
-        net = P.ServerNet(4, 4, 2, cut="hidden", seed=0, dropout=0.3)
+        net = P.ServerNet(4, 4, seed=0, dropout=0.3)
         x = stable_rng("srv2").standard_normal((5, 4))
         a = net.forward(None, T.Tensor(x), step=3, training=True)
         b = net.forward(None, T.Tensor(x), step=3, training=True)
@@ -162,7 +162,7 @@ class TestServerAndHead:
         assert loss.item() == pytest.approx(np.log(3.0), rel=1e-12)
 
     def test_server_and_head_gradients(self):
-        net = P.ServerNet(3, 3, 2, cut="hidden", seed=1, dropout=0.0)
+        net = P.ServerNet(3, 3, seed=1, dropout=0.0)
         head = P.LabelHead(3, 2, seed=1)
         x = stable_rng("srv-fd").standard_normal((4, 3))
         labels = [0, 1, 1, 0]
@@ -544,15 +544,3 @@ class TestEvaluate:
         views = make_views(tiny_bundle, [5, 5])
         with pytest.raises(RoleError):
             P.CentralizedModel(views[1], session_config())
-
-    def test_cut_logits_mode_runs(self, tiny_bundle):
-        session = P.SplitSession(
-            make_views(tiny_bundle, [5, 5]),
-            session_config(cut="logits",
-                           encoder=EncoderConfig(kind="gcn", layers=1, hidden=4)))
-        rows = session.train()
-        assert rows
-        hidden_msgs = [r for r in session.transcript.records if r.kind == "hidden"]
-        # server emits |C|-dim logits in this mode
-        n_batch = session.config.batch_size
-        assert hidden_msgs[0].elements == n_batch * tiny_bundle.graph.num_classes

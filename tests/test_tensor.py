@@ -366,13 +366,13 @@ class TestOptimizers:
     def test_sgd_step(self):
         p = T.Tensor(1.0, requires_grad=True)
         p.grad = np.asarray(2.0)
-        T.optimizer_step([p], lr=0.1)
+        T.Sgd(0.1).step({"p": p})
         assert p.values == pytest.approx(0.8)
 
     def test_zero_grad_no_change(self):
         p = T.Tensor(1.5, requires_grad=True)
         p.grad = np.asarray(0.0)
-        T.optimizer_step([p], lr=0.1)
+        T.Sgd(0.1).step({"p": p})
         assert p.values == pytest.approx(1.5)
 
     def test_two_steps_equal_summed_displacement(self):
@@ -380,18 +380,26 @@ class TestOptimizers:
         p2 = T.Tensor(1.0, requires_grad=True)
         g = np.asarray(0.7)
         p1.grad = g
-        T.optimizer_step([p1], lr=0.1)
+        T.Sgd(0.1).step({"p1": p1})
         p1.grad = g
-        T.optimizer_step([p1], lr=0.1)
+        T.Sgd(0.1).step({"p1": p1})
         p2.grad = 2 * g
-        T.optimizer_step([p2], lr=0.1)
+        T.Sgd(0.1).step({"p2": p2})
         assert p1.values == pytest.approx(p2.values)
 
     def test_nan_grad_aborts(self):
         p = T.Tensor(1.0, requires_grad=True, name="w")
         p.grad = np.asarray(np.nan)
         with pytest.raises(NumericError):
-            T.optimizer_step([p], lr=0.1)
+            T.Sgd(0.1).step({"p": p})
+
+    def test_sgd_nan_grad_changes_nothing(self):
+        a = T.Tensor(1.0, requires_grad=True, name="a")
+        b = T.Tensor(1.0, requires_grad=True, name="b")
+        a.grad, b.grad = np.asarray(1.0), np.asarray(np.nan)
+        with pytest.raises(NumericError, match="non-finite gradient for b"):
+            T.Sgd(0.1).step({"a": a, "b": b})
+        assert a.values == 1.0 and b.values == 1.0
 
     def test_adam_deterministic(self):
         def run():

@@ -1,0 +1,56 @@
+"""``RoundTranscript.send``: the one channel between parties.  It hands the
+receiver the sender's own object and records the message's size in closed
+form from that object."""
+
+import random
+
+import numpy as np
+import pytest
+
+from conftest import small_key
+from splitgnn import crypto as C
+from splitgnn.errors import ProtocolError
+from splitgnn.transcript import RoundTranscript
+
+
+def float_payload():
+    return np.arange(12.0).reshape(4, 3)
+
+
+def digest_payload():
+    return [C.psi_digest(b"salt", f"n{i}") for i in range(5)]
+
+
+def ciphertext_payload():
+    key = small_key()
+    return C.encrypt_matrix(key.public, [[0.5, -1.0, 2.0]], 24, random.Random(0))
+
+
+@pytest.mark.parametrize("kind,make,elements,width,encrypted,joined", [
+    ("embedding", float_payload, 12, 8, False, False),
+    ("hidden", float_payload, 12, 8, False, False),
+    ("gradient", float_payload, 12, 8, False, False),
+    ("psi", digest_payload, 5, 32, False, True),
+    ("psi", list, 0, 32, False, True),
+    ("ciphertext", ciphertext_payload, 3, None, True, False),
+    ("ciphertext", list, 0, 0, True, False),
+])
+def test_send_returns_payload_and_records_closed_form(kind, make, elements, width,
+                                                      encrypted, joined):
+    payload = make()
+    if width is None:  # a length prefix plus n^2's bytes
+        width = 4 + ((payload[0].public.n ** 2).bit_length() + 7) // 8
+    t = RoundTranscript()
+    got = t.send(7, "party_1", "server", kind, payload)
+    assert got is payload
+    [rec] = t.records
+    assert (rec.round, rec.sender, rec.receiver, rec.kind) == (7, "party_1", "server", kind)
+    assert (rec.elements, rec.bytes, rec.encrypted) == (elements, elements * width, encrypted)
+    assert rec.payload == (",".join(payload) if joined else None)
+
+
+def test_unknown_kind_records_nothing():
+    t = RoundTranscript()
+    with pytest.raises(ProtocolError, match="unknown message kind 'logits'"):
+        t.send(0, "server", "party_0", "logits", float_payload())
+    assert not t.records
