@@ -4,11 +4,10 @@ PSI here is a salted-hash intersection: participants share a per-session
 salt that the server never sees, so the server observes only digests and the
 intersection's membership by digest.  Aggregation uses Paillier encryption
 (g = n + 1 variant) over fixed-point-encoded values, so the decrypting role
-learns element-wise (optionally weighted) sums and nothing about any single
-participant's vector.  The arithmetic is Python's built-in ``pow``.  This is
-a simulation-grade construction: correctness and auditability are the goals,
-not production hardening, and constant-time arithmetic is explicitly out of
-scope.
+learns element-wise sums and nothing about any single participant's vector.
+The arithmetic is Python's built-in ``pow``.  This is a simulation-grade
+construction: correctness and auditability are the goals, not production
+hardening, and constant-time arithmetic is explicitly out of scope.
 """
 
 from __future__ import annotations
@@ -148,7 +147,7 @@ def keygen(bits: int = 2048, seed=None) -> PaillierKeyPair:
 
 class Ciphertext:
     """An element of Z_{n^2}; adding ciphertexts decrypts to plaintext
-    addition, and ``scale`` multiplies the plaintext by an integer."""
+    addition."""
 
     __slots__ = ("value", "public")
 
@@ -160,10 +159,6 @@ class Ciphertext:
         if self.public.n != other.public.n:
             raise CryptoError("cannot combine ciphertexts under different keys")
         return Ciphertext(self.value * other.value % self.public.n_sq, self.public)
-
-    def scale(self, k: int) -> "Ciphertext":
-        return Ciphertext(pow(self.value, k % self.public.n, self.public.n_sq),
-                          self.public)
 
 
 def encrypt(public: PaillierPublicKey, plaintext: int, rng: random.Random) -> Ciphertext:
@@ -220,7 +215,7 @@ def encrypt_matrix(public: PaillierPublicKey, values, scale_bits: int,
     """Fixed-point encode ``values`` and encrypt them in row-major order,
     after checking that each would decrypt on its own without wrapping."""
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    _check_wrap("matrix", values, [1] * len(values), scale_bits, public.n // 2)
+    _check_wrap("matrix", values, scale_bits, public.n // 2)
     return [encrypt(public, fixed_encode(float(x), scale_bits), rng) for x in values]
 
 
@@ -230,9 +225,9 @@ def decrypt_matrix(keypair: PaillierKeyPair, cts, shape, scale_bits: int) -> np.
                                   scale_bits) for c in cts]).reshape(shape)
 
 
-def _check_wrap(name: str, values, factors, scale_bits: int, bound: int) -> None:
-    for idx, (x, k) in enumerate(zip(values, factors)):
-        mag = abs(fixed_encode(float(x), scale_bits) * k)
+def _check_wrap(name: str, values, scale_bits: int, bound: int) -> None:
+    for idx, x in enumerate(np.ravel(values)):
+        mag = abs(fixed_encode(float(x), scale_bits))
         if mag >= bound:
             raise DomainError(f"{name} element {idx}: encoded magnitude {mag} "
                               f"would risk modular wrap (bound {bound})")
@@ -240,38 +235,27 @@ def _check_wrap(name: str, values, factors, scale_bits: int, bound: int) -> None
 
 def secure_sum(vectors, keypair: PaillierKeyPair, rng: random.Random,
                transcript: RoundTranscript, round_index: int, party_names,
-               scale_bits: int = DEFAULT_SCALE_BITS, weights=None) -> np.ndarray:
+               scale_bits: int = DEFAULT_SCALE_BITS) -> np.ndarray:
     """Element-wise sum of the participants' vectors, learned only in aggregate.
 
     Each participant fixed-point encodes and encrypts its elements; the
     ciphertexts are combined before they ever reach the decrypting role, so
-    exactly one aggregated decryption happens per call.  With ``weights``,
-    one row per participant broadcast over its vector, the server scales
-    each ciphertext by its fixed-point weight before combining, and the sum
-    of products is decoded at ``2 * scale_bits``.
+    exactly one aggregated decryption happens per call.
     """
     vectors = [np.asarray(v, dtype=np.float64) for v in vectors]
     shape = vectors[0].shape
     if any(v.shape != shape for v in vectors):
         raise ContractError(f"all vectors must share shape {shape}")
-    if weights is not None and len(weights) != len(vectors):
-        raise ContractError("one weight row per participant required")
-    pub, count = keypair.public, vectors[0].size
-    factors = [[1] * count] * len(vectors) if weights is None else [
-        [fixed_encode(float(k), scale_bits) for k in np.broadcast_to(w, shape).reshape(-1)]
-        for w in weights]
     # each of the I terms must stay under n / 2I, so the sum cannot wrap mod n
-    for name, vec, ks in zip(party_names, vectors, factors, strict=True):
-        _check_wrap(name, vec.reshape(-1), ks, scale_bits, pub.n // (2 * len(vectors)))
+    for name, vec in zip(party_names, vectors, strict=True):
+        _check_wrap(name, vec, scale_bits, keypair.public.n // (2 * len(vectors)))
 
-    terms = []
-    for name, vec, ks in zip(party_names, vectors, factors):
-        cts = transcript.send(round_index, name, "server", "ciphertext",
-                              encrypt_matrix(pub, vec, scale_bits, rng))
-        terms.append(cts if weights is None else [c.scale(k) for c, k in zip(cts, ks)])
-    totals = decrypt_matrix(keypair, [sum(col[1:], col[0]) for col in zip(*terms)], shape,
-                            scale_bits if weights is None else 2 * scale_bits)
-    transcript.log_decryption(round_index, count, aggregated=True)
+    terms = [transcript.send(round_index, name, "server", "ciphertext",
+                             encrypt_matrix(keypair.public, vec, scale_bits, rng))
+             for name, vec in zip(party_names, vectors)]
+    totals = decrypt_matrix(keypair, [sum(col[1:], col[0]) for col in zip(*terms)],
+                            shape, scale_bits)
+    transcript.log_decryption(round_index, vectors[0].size, aggregated=True)
     return totals
 
 

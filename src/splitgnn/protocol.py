@@ -1,8 +1,9 @@
 """The tripartite split-training loop.
 
 Per communication round: every participant encodes a node batch over its own
-edges and sends the embeddings up (plaintext or encrypted); the server
-combines them with the configured strategy and runs its sub-network; the
+edges, scales it by its own trainable ω under the weighted strategy, and
+sends the embeddings up (plaintext or encrypted); the server sums (weighted,
+average) or concatenates them and runs its sub-network; the
 label holder turns the returned hidden state into predictions and loss, and
 gradients retrace the same path backwards across both cuts.  Every message
 moves through :meth:`RoundTranscript.send`, which meters it and hands the
@@ -38,9 +39,17 @@ STRATEGIES = ("average", "concat", "weighted")
 # combination strategies and routing
 
 
-def combine_average(locals_):
-    _check_shapes(locals_)
-    return np.mean(locals_, axis=0)
+def combine_sum(locals_):
+    """The element-wise sum of the participants' embeddings: weighted's
+    combination, since each participant scales by its own ω before sending,
+    and average's once divided by I."""
+    if not locals_:
+        raise ProtocolError("no participant embeddings")
+    shape = locals_[0].shape
+    for i, l in enumerate(locals_):
+        if l.shape != shape:
+            raise ProtocolError(f"participant {i} sent shape {l.shape}, expected {shape}")
+    return np.sum(locals_, axis=0)
 
 
 def combine_concat(locals_):
@@ -49,50 +58,19 @@ def combine_concat(locals_):
     return np.concatenate(locals_, axis=1)
 
 
-def combine_weighted(locals_, omegas):
-    _check_shapes(locals_)
-    if len(omegas) != len(locals_):
-        raise ProtocolError("one weight vector per participant required")
-    out = np.zeros_like(locals_[0])
-    for w, l in zip(omegas, locals_):
-        if w.shape != (l.shape[1],):
-            raise ProtocolError(f"weight shape {w.shape} does not match dim {l.shape[1]}")
-        out += w * l
-    return out
-
-
-def _check_shapes(locals_):
-    if not locals_:
-        raise ProtocolError("no participant embeddings")
-    shape = locals_[0].shape
-    for i, l in enumerate(locals_):
-        if l.shape != shape:
-            raise ProtocolError(
-                f"participant {i} sent shape {l.shape}, expected {shape}"
-            )
-
-
-def backward_route(grad, strategy, num_participants, omegas=None, locals_=None):
-    """Split the server-input gradient back to participants.
-
-    Returns (per-participant gradients, per-participant weight gradients).
-    Weight gradients are only produced for the weighted strategy and need
-    the forward's local embeddings.
-    """
-    if strategy == "average":
-        share = grad / num_participants
-        return [share.copy() for _ in range(num_participants)], None
+def backward_route(grad, strategy, num_participants):
+    """Split the server-input gradient back to participants: a column block
+    each for concat, the whole gradient of the sum for weighted (each
+    participant's tape derives its ω gradient from it), and 1/I of it for
+    average."""
     if strategy == "concat":
         d = grad.shape[1] // num_participants
         return [np.ascontiguousarray(grad[:, i * d:(i + 1) * d])
-                for i in range(num_participants)], None
-    if strategy == "weighted":
-        if omegas is None or locals_ is None:
-            raise ProtocolError("weighted routing needs weights and local embeddings")
-        parts = [w * grad for w in omegas]
-        wgrads = [np.sum(grad * l, axis=0) for l in locals_]
-        return parts, wgrads
-    raise ConfigError(f"unknown strategy {strategy!r}")
+                for i in range(num_participants)]
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"unknown strategy {strategy!r}")
+    share = grad / num_participants if strategy == "average" else grad
+    return [share.copy() for _ in range(num_participants)]
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +209,10 @@ class SessionConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}")
-        if self.batch_size < 1:
-            raise ConfigError("batch size must be positive")
+        for name in ("batch_size", "epochs", "rounds_per_epoch"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass
@@ -242,6 +222,7 @@ class Participant:
     encoder: object
     optimizer: object
     head: LabelHead | None = None
+    omega: T.Tensor | None = None     # the weighted strategy's ω, a d-vector
 
     @property
     def name(self) -> str:
@@ -251,7 +232,15 @@ class Participant:
         params = dict(self.encoder.params)
         if self.head is not None:
             params.update(self.head.params)
+        if self.omega is not None:
+            params[self.omega.name] = self.omega
         return params
+
+    def embed(self, tape, ids, step=0, training=False) -> T.Tensor:
+        """The embedding this participant sends: its encoder's output,
+        scaled by its own ω when it has one."""
+        emb = self.encoder.forward(tape, ids, step=step, training=training)
+        return emb if self.omega is None else T.mul(tape, self.omega, emb)
 
 
 # ---------------------------------------------------------------------------
@@ -279,18 +268,14 @@ class SplitSession:
             enc = make_encoder(v, config.encoder, config.seed, scope=f"enc{v.participant}")
             head = LabelHead(d, self.num_classes, config.seed) if v.has_labels else None
             opt = T.make_optimizer(config.optimizer, config.learning_rate)
-            self.participants.append(Participant(v.participant, v, enc, opt, head))
+            omega = (T.Tensor(np.full(d, 1.0 / len(views)), requires_grad=True,
+                              name=f"enc{v.participant}/omega")
+                     if config.strategy == "weighted" else None)
+            self.participants.append(Participant(v.participant, v, enc, opt, head, omega))
         self.label_holder = next(p for p in self.participants if p.view.has_labels)
         in_dim = d * len(views) if config.strategy == "concat" else d
         self.server = ServerNet(in_dim, d, config.seed, dropout=config.server_dropout)
         self.server_params: dict[str, T.Tensor] = dict(self.server.params)
-        self.omegas: list[T.Tensor] = []
-        if config.strategy == "weighted":
-            for p in self.participants:
-                w = T.Tensor(np.full(d, 1.0 / len(views)), requires_grad=True,
-                             name=f"server/omega{p.index}")
-                self.omegas.append(w)
-                self.server_params[w.name] = w
         self.server_optimizer = T.make_optimizer(config.optimizer, config.learning_rate)
 
         # the "n" prefix keeps raw ids out of the hex digest alphabet, so a
@@ -340,17 +325,15 @@ class SplitSession:
 
     # -- secure uplink -------------------------------------------------------
 
-    def _secure_combined(self, locals_):
+    def _secure_uplink(self, locals_):
+        """What the server learns from encrypted uplinks: the aggregate sum
+        alone, or for concat each participant's embedding."""
         cfg = self.config
         names = [p.name for p in self.participants]
         if cfg.strategy != "concat":
-            # weighted: the server scales each ciphertext by its fixed-point
-            # weight before combining; only the aggregate is ever decrypted
-            weights = [w.values for w in self.omegas] if cfg.strategy == "weighted" else None
-            total = C.secure_sum(locals_, self.keypair, self._enc_rng, self.transcript,
-                                 self._round, names, scale_bits=cfg.scale_bits,
-                                 weights=weights)
-            return total / len(locals_) if weights is None else total
+            # only the aggregate sum is ever decrypted
+            return [C.secure_sum(locals_, self.keypair, self._enc_rng, self.transcript,
+                                 self._round, names, scale_bits=cfg.scale_bits)]
         # concat has no aggregate sum: fall back to per-participant encryption
         # toward the decryptor; the audit labels the weaker guarantee
         pieces = []
@@ -360,23 +343,32 @@ class SplitSession:
                 C.encrypt_matrix(self.keypair.public, vec, cfg.scale_bits, self._enc_rng))
             pieces.append(C.decrypt_matrix(self.keypair, cts, vec.shape, cfg.scale_bits))
             self.transcript.log_decryption(self._round, len(cts), aggregated=False)
-        return combine_concat(pieces)
+        return pieces
 
-    def _combine(self, locals_):
-        """The server's plaintext combination of the participants' embeddings."""
-        if self.config.strategy == "average":
-            return combine_average(locals_)
+    def _combine(self, received):
+        """The server's combination of what it received: the concatenation,
+        or the sum, divided by I to average."""
         if self.config.strategy == "concat":
-            return combine_concat(locals_)
-        return combine_weighted(locals_, [w.values for w in self.omegas])
+            return combine_concat(received)
+        total = combine_sum(received)
+        return total / len(self.participants) if self.config.strategy == "average" else total
 
     # -- one communication round ----------------------------------------------
 
     def train_round(self, batch, step: int) -> float:
         if self.aligned is None:
             raise ProtocolError("session is not aligned; call align() first")
+        # a round that fails leaves no records or decryption events behind
+        records, decryptions = self.transcript.records, self.transcript.decryptions
+        marks = len(records), len(decryptions)
+        try:
+            return self._train_round(np.asarray(batch, dtype=np.int64), step)
+        except BaseException:
+            del records[marks[0]:], decryptions[marks[1]:]
+            raise
+
+    def _train_round(self, batch, step: int) -> float:
         cfg = self.config
-        batch = np.asarray(batch, dtype=np.int64)
 
         # fresh gradient buffers everywhere before any backward runs
         for p in self.participants:
@@ -386,21 +378,17 @@ class SplitSession:
             tensor.zero_grad()
 
         # participants: local multi-hop embeddings over private edges
-        tapes, embeds, locals_ = [], [], []
+        tapes, embeds = [], []
         for p in self.participants:
             tape = T.Tape()
-            emb = p.encoder.forward(tape, batch, step=step, training=True)
+            embeds.append(p.embed(tape, batch, step=step, training=True))
             tapes.append(tape)
-            embeds.append(emb)
-            locals_.append(emb.values)
+        locals_ = [emb.values for emb in embeds]
 
         # uplink and server-side combination
-        if cfg.secure:
-            combined = self._secure_combined(locals_)
-        else:
-            combined = self._combine([
-                self.transcript.send(self._round, p.name, "server", "embedding", x)
-                for p, x in zip(self.participants, locals_)])
+        combined = self._combine(self._secure_uplink(locals_) if cfg.secure else [
+            self.transcript.send(self._round, p.name, "server", "embedding", x)
+            for p, x in zip(self.participants, locals_)])
 
         server_tape = T.Tape()
         server_in = T.Tensor(combined, requires_grad=True, name="cut/combined")
@@ -418,14 +406,7 @@ class SplitSession:
         # server backward and routing across the lower cut
         server_tape.backward(server_out, seed_grad=self.transcript.send(
             self._round, self.label_holder.name, "server", "gradient", hidden_grad))
-        routed, wgrads = backward_route(
-            server_in.grad, cfg.strategy, len(self.participants),
-            omegas=[w.values for w in self.omegas] if self.omegas else None,
-            locals_=locals_)
-        if wgrads is not None:
-            for w, g in zip(self.omegas, wgrads):
-                w.grad = g if w.grad is None else w.grad + g
-
+        routed = backward_route(server_in.grad, cfg.strategy, len(self.participants))
         for p, tape, emb, g in zip(self.participants, tapes, embeds, routed):
             received = self.transcript.send(self._round, "server", p.name, "gradient", g)
             tape.backward(emb, seed_grad=received)
@@ -445,8 +426,7 @@ class SplitSession:
 
     def predict(self, ids) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64)
-        locals_ = [p.encoder.forward(None, ids, training=False).values
-                   for p in self.participants]
+        locals_ = [p.embed(None, ids).values for p in self.participants]
         out = self.server.forward(None, T.Tensor(self._combine(locals_)), training=False)
         return np.argmax(self.label_holder.head.logits(None, out).values, axis=1)
 

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ProtocolError
+from .errors import ParseError, ProtocolError
 
 MESSAGE_KINDS = ("embedding", "ciphertext", "hidden", "gradient", "psi")
 FLOAT_BYTES = 8
@@ -126,8 +126,16 @@ class RoundTranscript:
             if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
                 raise ProtocolError(f"{path}: unexpected transcript columns {reader.fieldnames}")
             for row in reader:
-                out.add(int(row["round"]), row["from"], row["to"], row["kind"],
-                        int(row["elements"]), int(row["bytes"]),
+                where = f"{path}:{reader.line_num}"
+                try:
+                    rnd, elements, size = (int(row[k]) for k in ("round", "elements", "bytes"))
+                except (TypeError, ValueError):
+                    raise ParseError(f"{where}: round, elements and bytes must be "
+                                     f"integers") from None
+                if row["encrypted"] not in ("true", "false"):
+                    raise ParseError(f"{where}: encrypted must be true or false, "
+                                     f"got {row['encrypted']!r}")
+                out.add(rnd, row["from"], row["to"], row["kind"], elements, size,
                         row["encrypted"] == "true")
         sidecar = path.with_suffix(".meta.json")
         if sidecar.exists():
@@ -135,5 +143,8 @@ class RoundTranscript:
             out.context = meta.get("context", {})
             out.decryptions = [DecryptionEvent(**d) for d in meta.get("decryptions", [])]
             for key, payload in meta.get("payloads", {}).items():
+                if not key.isdigit() or int(key) >= len(out.records):
+                    raise ParseError(f"{sidecar}: payload index {key!r} names no record "
+                                     f"of {path} ({len(out.records)} records)")
                 out.records[int(key)].payload = payload
         return out

@@ -262,6 +262,32 @@ class TestCli:
                          "--secure"]) == 0
         assert cli.main(["audit", "--transcript", str(out / "transcript.csv")]) == 0
 
+    @pytest.mark.parametrize("rows,payloads,message", [
+        ([("zero", "4", "32", "false"), ("0", "4", "32", "false")], {},
+         "transcript.csv:2: round, elements and bytes must be integers"),
+        ([("0", "4", "32", "false"), ("0", "4", "32.0", "false")], {},
+         "transcript.csv:3: round, elements and bytes must be integers"),
+        ([("0", "four", "32", "false")], {},
+         "transcript.csv:2: round, elements and bytes must be integers"),
+        ([("0", "4", "32", "false"), ("0", "4", "32", "yes")], {},
+         "transcript.csv:3: encrypted must be true or false, got 'yes'"),
+        ([("0", "4", "32", "false"), ("0", "4", "32", "false")], {"2": "n0"},
+         "transcript.meta.json: payload index '2' names no record"),
+        ([("0", "4", "32", "false")], {"-1": "n0"},
+         "transcript.meta.json: payload index '-1' names no record"),
+    ])
+    def test_audit_malformed_transcript_is_exit_1(self, tmp_path, capsys, rows,
+                                                  payloads, message):
+        path = tmp_path / "transcript.csv"
+        lines = ["round,from,to,kind,elements,bytes,encrypted"] + [
+            f"{rnd},party_0,server,embedding,{elements},{size},{encrypted}"
+            for rnd, elements, size, encrypted in rows]
+        path.write_text("\n".join(lines) + "\n")
+        path.with_suffix(".meta.json").write_text(json.dumps({"payloads": payloads}))
+        assert cli.main(["audit", "--transcript", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err, err
+
     def test_gen_synthetic_roundtrip(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(small_synthetic_payload()))

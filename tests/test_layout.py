@@ -10,7 +10,7 @@ call belongs in ``tests/``, where it can serve as an oracle.
 
 The first guard matches bare names, not qualified ones, so it misses a
 test-only definition that shares its name with one the program uses: a
-module function ``scale`` would pass because ``Ciphertext.scale`` is
+module function ``embed`` would pass because ``Participant.embed`` is
 called, and a ``from_bytes`` classmethod because ``int.from_bytes`` is.
 """
 

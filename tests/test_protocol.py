@@ -12,26 +12,35 @@ from splitgnn.seeding import stable_rng
 
 
 class TestCombine:
+    # average is the sum over I; weighted is the sum of terms each
+    # participant has already scaled by its own ω
+
     def test_average_basic(self):
-        out = P.combine_average([np.array([[1.0, 3.0]]), np.array([[3.0, 5.0]])])
+        out = P.combine_sum([np.array([[1.0, 3.0]]), np.array([[3.0, 5.0]])]) / 2
         np.testing.assert_array_equal(out, [[2.0, 4.0]])
 
     def test_average_single_identity(self):
         x = np.array([[1.5, -2.0]])
-        np.testing.assert_array_equal(P.combine_average([x]), x)
+        np.testing.assert_array_equal(P.combine_sum([x]), x)
 
     def test_average_matches_scalar_loop(self):
         rng = stable_rng("avg-oracle")
         mats = [rng.standard_normal((4, 3)) for _ in range(3)]
-        out = P.combine_average(mats)
+        out = P.combine_sum(mats) / 3
         for i in range(4):
             for j in range(3):
                 s = sum(m[i, j] for m in mats) / 3.0
                 assert out[i, j] == pytest.approx(s, rel=1e-14)
 
+    def test_sum_over_count_is_mean(self):
+        rng = stable_rng("sum-mean")
+        for count in range(1, 9):
+            mats = [rng.standard_normal((5, 3)) for _ in range(count)]
+            assert np.array_equal(P.combine_sum(mats) / count, np.mean(mats, axis=0))
+
     def test_average_shape_mismatch_names_participant(self):
         with pytest.raises(ProtocolError, match="participant 1"):
-            P.combine_average([np.zeros((2, 3)), np.zeros((2, 4))])
+            P.combine_sum([np.zeros((2, 3)), np.zeros((2, 4))])
 
     def test_concat_basic(self):
         out = P.combine_concat([np.array([[1.0, 2.0]]), np.array([[3.0]])])
@@ -51,45 +60,57 @@ class TestCombine:
         rng = stable_rng("w-avg")
         mats = [rng.standard_normal((3, 4)) for _ in range(2)]
         omegas = [np.full(4, 0.5), np.full(4, 0.5)]
-        np.testing.assert_allclose(P.combine_weighted(mats, omegas),
-                                   P.combine_average(mats), rtol=1e-14)
+        np.testing.assert_allclose(P.combine_sum([w * m for w, m in zip(omegas, mats)]),
+                                   P.combine_sum(mats) / 2, rtol=1e-14)
 
     def test_weighted_selects_single_participant(self):
         rng = stable_rng("w-sel")
         mats = [rng.standard_normal((3, 4)) for _ in range(3)]
         omegas = [np.ones(4), np.zeros(4), np.zeros(4)]
-        np.testing.assert_array_equal(P.combine_weighted(mats, omegas), mats[0])
+        np.testing.assert_array_equal(
+            P.combine_sum([w * m for w, m in zip(omegas, mats)]), mats[0])
 
 
 class TestBackwardRoute:
     def test_average_splits_evenly(self):
         g = np.array([[2.0, 4.0]])
-        routed, _ = P.backward_route(g, "average", 2)
+        routed = P.backward_route(g, "average", 2)
         for r in routed:
             np.testing.assert_array_equal(r, [[1.0, 2.0]])
 
     def test_concat_blocks_reassemble(self):
         rng = stable_rng("route-concat")
         g = rng.standard_normal((5, 6))
-        routed, _ = P.backward_route(g, "concat", 3)
+        routed = P.backward_route(g, "concat", 3)
         np.testing.assert_array_equal(np.concatenate(routed, axis=1), g)
 
     def test_average_conservation(self):
         rng = stable_rng("route-avg")
         g = rng.standard_normal((4, 3))
-        routed, _ = P.backward_route(g, "average", 4)
+        routed = P.backward_route(g, "average", 4)
         np.testing.assert_allclose(4 * routed[0], g, rtol=1e-14)
 
     def test_weighted_routes_and_weight_grads(self):
+        # each participant gets the whole gradient of the sum, and its own
+        # tape turns it into its ω gradient and its encoder's gradient
         rng = stable_rng("route-w")
         g = rng.standard_normal((4, 3))
-        locals_ = [rng.standard_normal((4, 3)) for _ in range(2)]
-        omegas = [rng.standard_normal(3) for _ in range(2)]
-        routed, wgrads = P.backward_route(g, "weighted", 2, omegas, locals_)
-        for r, w in zip(routed, omegas):
-            np.testing.assert_allclose(r, w * g, rtol=1e-14)
-        for wg, l in zip(wgrads, locals_):
-            np.testing.assert_allclose(wg, (g * l).sum(axis=0), rtol=1e-14)
+        routed = P.backward_route(g, "weighted", 2)
+        for r in routed:
+            np.testing.assert_array_equal(r, g)
+        assert routed[0] is not routed[1]
+        for r in routed:
+            tape = T.Tape()
+            omega = T.Tensor(rng.standard_normal(3), requires_grad=True)
+            local = T.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+            tape.backward(T.mul(tape, omega, local), seed_grad=r)
+            np.testing.assert_allclose(omega.grad, (g * local.values).sum(axis=0),
+                                       rtol=1e-14)
+            np.testing.assert_allclose(local.grad, omega.values * g, rtol=1e-14)
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ConfigError, match="unknown strategy"):
+            P.backward_route(np.ones((2, 2)), "median", 2)
 
 
 class TestMicroF1:
@@ -270,6 +291,45 @@ class TestSessionBasics:
                 assert np.array_equal(m[name], want_m[name]), name
                 assert np.array_equal(v[name], want_v[name]), name
 
+    def test_failed_round_leaves_no_transcript_trace(self, tiny_bundle, monkeypatch):
+        session = P.SplitSession(
+            make_views(tiny_bundle, [5, 5]),
+            session_config(strategy="average", secure=True,
+                           encoder=EncoderConfig(kind="gcn", layers=1, hidden=4)))
+        session.align()
+        batch = session._split_ids("train")[:8]
+        before = len(session.transcript.records)
+
+        # the round fails at the finite check, after every message was sent
+        victim = session.participants[1].encoder.params
+        poisoned = victim[sorted(victim)[-1]]
+        backward = T.Tape.backward
+
+        def poisoning(tape, *args, **kwargs):
+            backward(tape, *args, **kwargs)
+            poisoned.grad = np.full_like(poisoned.values, np.nan)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(T.Tape, "backward", poisoning)
+            with pytest.raises(NumericError):
+                session.train_round(batch, step=0)
+        assert len(session.transcript.records) == before
+        assert not session.transcript.decryptions
+
+        session.train_round(batch, step=0)
+        kinds = [r.kind for r in session.transcript.records if r.round == 0]
+        assert kinds == ["ciphertext", "ciphertext", "hidden", "gradient",
+                         "gradient", "gradient"]
+        assert [(e.round, e.aggregated) for e in session.transcript.decryptions] == [
+            (0, True)]
+        assert C.transcript_audit(session.transcript).ok
+
+    @pytest.mark.parametrize("field,value", [
+        ("rounds_per_epoch", 0), ("rounds_per_epoch", -1), ("epochs", 0), ("epochs", -2)])
+    def test_round_and_epoch_counts_must_be_positive(self, field, value):
+        with pytest.raises(ConfigError, match=f"must be at least 1, got {value}"):
+            session_config(**{field: value})
+
     def test_two_runs_identical_losses_and_transcripts(self, tiny_bundle):
         def run():
             session = P.SplitSession(make_views(tiny_bundle, [5, 5]),
@@ -388,24 +448,23 @@ class TestSecureRounds:
             session_config(strategy=strategy, secure=True,
                            encoder=EncoderConfig(kind="gcn", layers=1, hidden=4)))
         session.align()
-        if strategy == "weighted":
-            session.omegas[0].values[:] = [0.5, 0.3, 1.25, 0.0]
-            session.omegas[1].values[:] = [-0.75, 0.7, 0.5, -0.1]
         rng = stable_rng("secure-oracle", strategy)
         locals_ = [3.0 * rng.standard_normal((5, 4)) for _ in range(2)]
-        got = session._secure_combined(locals_)
+        if strategy == "weighted":
+            # each participant encrypts its own ω⊙l, a term of the sum
+            omegas = [np.array([0.5, 0.3, 1.25, 0.0]), np.array([-0.75, 0.7, 0.5, -0.1])]
+            locals_ = [w * l for w, l in zip(omegas, locals_)]
+        got = session._combine(session._secure_uplink(locals_))
 
         s = session.config.scale_bits
         fx = [[[round(float(x) * 2**s) for x in row] for row in l] for l in locals_]
-        if strategy == "average":
-            want = np.array([[(fx[0][i][j] + fx[1][i][j]) / 2**s for j in range(4)]
-                             for i in range(5)]) / 2
-        elif strategy == "weighted":
-            wx = [[round(float(w) * 2**s) for w in om.values] for om in session.omegas]
-            want = np.array([[(fx[0][i][j] * wx[0][j] + fx[1][i][j] * wx[1][j]) / 2**(2 * s)
-                              for j in range(4)] for i in range(5)])
-        else:
+        if strategy == "concat":
             want = np.array([[m / 2**s for l in fx for m in l[i]] for i in range(5)])
+        else:
+            want = np.array([[(fx[0][i][j] + fx[1][i][j]) / 2**s for j in range(4)]
+                             for i in range(5)])
+            if strategy == "average":
+                want = want / 2
         assert np.array_equal(got, want)
 
         width = 4 + 2 * 512 // 8
@@ -417,16 +476,20 @@ class TestSecureRounds:
         assert events == ([(0, 20, False)] * 2 if strategy == "concat" else [(0, 20, True)])
 
     def test_weighted_wrap_raises_before_encryption(self, tiny_bundle):
+        # a weighted term is checked like any summand: under n / 2I
         session = P.SplitSession(
             make_views(tiny_bundle, [5, 5]),
             session_config(strategy="weighted", secure=True,
                            encoder=EncoderConfig(kind="gcn", layers=1, hidden=4)))
         session.align()
         session.keypair = small_key()
-        locals_ = [np.full((2, 4), 2.0**20), np.full((2, 4), -2.0**20)]
+        bound = session.keypair.public.n // 4
+        locals_ = [np.full((2, 4), 0.5), np.full((2, 4), -2.0**34)]
         state = session._enc_rng.getstate()
-        with pytest.raises(DomainError, match="modular wrap"):
-            session._secure_combined(locals_)
+        with pytest.raises(DomainError, match=(
+                rf"party_1 element 0: encoded magnitude {2**58} would risk modular "
+                rf"wrap \(bound {bound}\)")):
+            session._combine(session._secure_uplink(locals_))
         assert session._enc_rng.getstate() == state
         assert not [r for r in session.transcript.records if r.round == 0]
         assert not session.transcript.decryptions
@@ -440,6 +503,49 @@ class TestSecureRounds:
         secure.train_round(secure._split_ids("train")[:8], step=0)
         up = secure.transcript.total_bytes("ciphertext")
         assert up > 8 * 8 * 4 * 2  # far above the plaintext equivalent
+
+
+class TestWeightedMessages:
+    def test_participants_send_omega_terms_and_receive_the_whole_gradient(
+            self, tiny_bundle, monkeypatch):
+        # the server sees only ω_i⊙l_i, and hands every participant the
+        # server-input gradient itself, from which its tape derives ω's
+        session = P.SplitSession(make_views(tiny_bundle, [5, 5]),
+                                 session_config(strategy="weighted"))
+        session.align()
+        batch = session._split_ids("train")[:8]
+        rng = stable_rng("omega-messages")
+        for p in session.participants:
+            p.omega.values[:] = rng.uniform(-1.0, 1.0, p.omega.values.shape)
+        want = {p.name: p.omega.values * p.encoder.forward(None, batch, step=0,
+                                                             training=True).values
+                for p in session.participants}
+
+        sent, routed = [], []
+        send, route = session.transcript.send, P.backward_route
+
+        def spy_send(*args):
+            sent.append(args)
+            return send(*args)
+
+        def spy_route(grad, *args):
+            routed.append(grad.copy())
+            return route(grad, *args)
+
+        monkeypatch.setattr(session.transcript, "send", spy_send)
+        monkeypatch.setattr(P, "backward_route", spy_route)
+        session.train_round(batch, step=0)
+
+        ups = [(sender, payload) for _, sender, _, kind, payload in sent
+               if kind == "embedding"]
+        assert [sender for sender, _ in ups] == ["party_0", "party_1"]
+        for sender, payload in ups:
+            assert np.array_equal(payload, want[sender]), sender
+        downs = [payload for _, sender, _, kind, payload in sent
+                 if sender == "server" and kind == "gradient"]
+        assert len(routed) == 1 and len(downs) == 2
+        for payload in downs:
+            assert np.array_equal(payload, routed[0])
 
 
 class TestSplitCentralizedEquivalence:
@@ -462,10 +568,13 @@ class TestSplitCentralizedEquivalence:
             assert split_loss == pytest.approx(central_loss, abs=1e-9), f"step {step}"
 
     def test_gradient_routing_matches_finite_differences(self):
-        # through the full split pipeline: encoders, server, head, omega
+        # the gradients of one routed round (SGD at learning rate 0 leaves
+        # every parameter as it was) against finite differences of the same
+        # math on one tape: encoders, ω, server, head
         bundle = make_bundle(seed=8, n_u=10, n_v=6, feature_dim=3)
         enc = EncoderConfig(kind="hat", layers=1, hidden=3, heads=1, fusion="add")
-        cfg = session_config(encoder=enc, strategy="weighted", batch_size=4)
+        cfg = session_config(encoder=enc, strategy="weighted", batch_size=4,
+                             optimizer="sgd", learning_rate=0.0)
         session = P.SplitSession(make_views(bundle, [5, 5]), cfg)
         session.align()
         batch = session._split_ids("train")[:4]
@@ -474,47 +583,21 @@ class TestSplitCentralizedEquivalence:
         all_params = dict(session.server_params)
         for p in session.participants:
             all_params.update(p.trainable())
+        assert sum(name.endswith("/omega") for name in all_params) == 2
+        before = {name: p.values.copy() for name, p in all_params.items()}
+        session.train_round(batch, step=0)
+        analytic = {name: p.grad.copy() for name, p in all_params.items()}
+        for name, p in all_params.items():
+            assert np.array_equal(p.values, before[name]), name
 
         def forward():
             tape = T.Tape()
-            locals_ = [p.encoder.forward(tape, batch) for p in session.participants]
-            combined = None
-            for w, emb in zip(session.omegas, locals_):
-                term = T.mul(tape, w, emb)
-                combined = term if combined is None else T.add(tape, combined, term)
+            terms = [p.embed(tape, batch) for p in session.participants]
+            combined = T.add(tape, terms[0], terms[1])
             hidden = session.server.forward(tape, combined, training=False)
             loss, _ = session.label_holder.head.forward_loss(tape, hidden, labels)
             return loss, tape
 
-        # analytic grads via the routed protocol path
-        for t in all_params.values():
-            t.zero_grad()
-        tapes, embeds, locals_ = [], [], []
-        for p in session.participants:
-            tape = T.Tape()
-            emb = p.encoder.forward(tape, batch)
-            tapes.append(tape)
-            embeds.append(emb)
-            locals_.append(emb.values)
-        combined = P.combine_weighted(locals_, [w.values for w in session.omegas])
-        server_tape = T.Tape()
-        server_in = T.Tensor(combined, requires_grad=True)
-        hidden = session.server.forward(server_tape, server_in, training=False)
-        label_tape = T.Tape()
-        loss, hidden_grad = P.label_forward_loss(
-            label_tape, hidden.values, session.label_holder.head, labels)
-        server_tape.backward(hidden, seed_grad=hidden_grad)
-        routed, wgrads = P.backward_route(server_in.grad, "weighted", 2,
-                                          [w.values for w in session.omegas], locals_)
-        for w, g in zip(session.omegas, wgrads):
-            w.grad = g
-        for tape, emb, g in zip(tapes, embeds, routed):
-            tape.backward(emb, seed_grad=g)
-
-        analytic = {name: None if p.grad is None else p.grad.copy()
-                    for name, p in all_params.items()}
-
-        # finite differences on the single-tape composition of the same math
         eps = 1e-5
         worst = 0.0
         for name, p in all_params.items():
