@@ -124,7 +124,7 @@ class RoundTranscript:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
-                raise ProtocolError(f"{path}: unexpected transcript columns {reader.fieldnames}")
+                raise ParseError(f"{path}: unexpected transcript columns {reader.fieldnames}")
             for row in reader:
                 where = f"{path}:{reader.line_num}"
                 try:
@@ -135,6 +135,8 @@ class RoundTranscript:
                 if row["encrypted"] not in ("true", "false"):
                     raise ParseError(f"{where}: encrypted must be true or false, "
                                      f"got {row['encrypted']!r}")
+                if row["kind"] not in MESSAGE_KINDS:
+                    raise ParseError(f"{where}: unknown message kind {row['kind']!r}")
                 out.add(rnd, row["from"], row["to"], row["kind"], elements, size,
                         row["encrypted"] == "true")
         sidecar = path.with_suffix(".meta.json")

@@ -58,7 +58,7 @@ def small_key(seed=0) -> C.PaillierKeyPair:
     rng = random.Random(seed)
     p, q = C._gen_prime(30, rng), C._gen_prime(30, rng)
     assert p != q
-    return C._assemble(p, q)
+    return C._assemble(p, q, rng)
 
 
 def add_at_segment_sum(values, seg, n):

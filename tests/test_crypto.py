@@ -118,7 +118,9 @@ class TestPaillier:
         k2 = C.keygen(bits=512, seed=9)
         k3 = C.keygen(bits=512, seed=10)
         assert k1.public.n == k2.public.n
+        assert k1.public.h == k2.public.h
         assert k1.public.n != k3.public.n
+        assert k1.public.h != k3.public.h
         assert k1.p != k1.q
         assert k1.p.bit_length() == k1.q.bit_length() == 256
 
@@ -132,6 +134,46 @@ class TestPaillier:
         assert len(blob) == 4 + keypair.public.wire_width
         back = ciphertext_from_bytes(blob, keypair.public)
         assert back.value == c.value
+
+
+class ZeroBits(random.Random):
+    """A generator whose every random bit is 0: ``randrange`` returns its
+    lower bound."""
+
+    def getrandbits(self, k):
+        return 0
+
+
+class TestFixedBaseBlinding:
+    @pytest.fixture(params=["512-bit", "small"])
+    def key(self, request, keypair):
+        return keypair if request.param == "512-bit" else small_key()
+
+    def test_table_power_matches_pow(self, key):
+        pub = key.public
+        rng = random.Random(11)
+        top = (1 << pub.blind_bits) - 1
+        assert pub.blind_bits == (pub.n.bit_length() + 1) // 2
+        for x in [1, top, 0xFF, 1 << (pub.blind_bits - 1)] + [
+                rng.randrange(1, top) for _ in range(50)]:
+            assert pub.blind(x) == pow(pub.h, x, pub.n_sq)
+
+    def test_base_is_nth_residue(self, key):
+        assert C.decrypt(key, C.Ciphertext(key.public.h, key.public)) == 0
+
+    def test_exponent_is_never_zero(self, key):
+        # the least exponent a draw can give is 1, so the ciphertext is still
+        # blinded by h, not the bare 1 + m*n
+        pub = key.public
+        c = C.encrypt(pub, 5, ZeroBits())
+        assert c.value == (1 + 5 * pub.n) * pub.h % pub.n_sq != 1 + 5 * pub.n
+        assert C.decrypt(key, c) == 5
+
+    def test_table_built_on_first_encryption(self):
+        key = C.keygen(bits=512, seed="lazy")
+        assert "_blind_table" not in vars(key.public)
+        C.encrypt(key.public, 1, random.Random(0))
+        assert len(vars(key.public)["_blind_table"]) == 32
 
 
 def ciphertext_to_bytes(c: C.Ciphertext) -> bytes:

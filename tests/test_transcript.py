@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import small_key
+from splitgnn import cli
 from splitgnn import crypto as C
-from splitgnn.errors import ProtocolError
+from splitgnn.errors import ParseError, ProtocolError
 from splitgnn.transcript import RoundTranscript
 
 
@@ -54,3 +55,20 @@ def test_unknown_kind_records_nothing():
     with pytest.raises(ProtocolError, match="unknown message kind 'logits'"):
         t.send(0, "server", "party_0", "logits", float_payload())
     assert not t.records
+
+
+@pytest.mark.parametrize("lines,where,message", [
+    (["round,from,to,kind,elements,bytes,encrypted",
+      "0,party_0,server,embedding,4,32,false",
+      "0,server,party_0,logits,4,32,false"], ":3", "unknown message kind 'logits'"),
+    (["round,from,to,kind", "0,party_0,server,embedding"], "",
+     "unexpected transcript columns ['round', 'from', 'to', 'kind']"),
+])
+def test_load_rejects_bad_kind_and_columns(tmp_path, capsys, lines, where, message):
+    path = tmp_path / "transcript.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        RoundTranscript.load(path)
+    assert str(err.value) == f"{path}{where}: {message}"
+    assert cli.main(["audit", "--transcript", str(path)]) == 1
+    assert capsys.readouterr().err == f"config error: {path}{where}: {message}\n"
