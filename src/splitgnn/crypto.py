@@ -17,7 +17,20 @@ indistinguishable from a random n-th residue.  The arithmetic is Python's
 built-in ``pow`` and integer products.  This is a simulation-grade
 construction: correctness and auditability are the goals, not production
 hardening, and constant-time arithmetic is explicitly out of scope.
-"""
+
+Decryption is packed, in the manner of BatchCrypt (Zhang et al., USENIX ATC
+2020), on the decrypting side only.  For I summed terms, a key fixes a
+:class:`SlotLayout`: a per-term bound B = min(2^63, n // 2I), where 2^63 is
+``fixed_encode``'s range; a field width w = bitlen(2*I*B - 1); and
+s = max(1, (bitlen(n) - 1) // w) fields below n.  Element i of a matrix is
+still one ciphertext, of (m_i + B) * 2^((i mod s) * w).  The decryptor
+multiplies each run of s consecutive ciphertexts into one and decrypts that:
+field j then holds the sum of element j's I offset terms, which lies in
+[I, 2*I*B - I], so no field borrows from or carries into its neighbour, and
+the plaintext stays below 2^(s*w) < n.  Removing the public constant I*B
+gives each element's sum.  The decryptor still learns only per-element sums;
+the offsets and shifts are public constants fixed by n and I.  The wire
+format, one ciphertext per value, is unchanged."""
 
 from __future__ import annotations
 
@@ -233,14 +246,16 @@ def decrypt(keypair: PaillierKeyPair, cipher: Ciphertext) -> int:
 
 
 DEFAULT_SCALE_BITS = 24
+# an encoded value's magnitude stays below 2^FIXED_RANGE_BITS
+FIXED_RANGE_BITS = 63
 
 
 def fixed_encode(x: float, scale_bits: int = DEFAULT_SCALE_BITS) -> int:
     if not np.isfinite(x):
         raise DomainError(f"cannot fixed-point encode non-finite value {x}")
-    if abs(x) >= 2.0 ** (63 - scale_bits):
+    if abs(x) >= 2.0 ** (FIXED_RANGE_BITS - scale_bits):
         raise DomainError(
-            f"value {x} exceeds fixed-point range +/-2^{63 - scale_bits}"
+            f"value {x} exceeds fixed-point range +/-2^{FIXED_RANGE_BITS - scale_bits}"
         )
     return round(x * (1 << scale_bits))
 
@@ -249,27 +264,75 @@ def fixed_decode(m: int, scale_bits: int = DEFAULT_SCALE_BITS) -> float:
     return m / (1 << scale_bits)
 
 
-def signed_decode(value: int, n: int) -> int:
-    """Map a mod-n residue back to a signed integer."""
-    return value - n if value > n // 2 else value
-
-
 # ---------------------------------------------------------------------------
 # secure aggregation
 
 
+@dataclass(frozen=True)
+class SlotLayout:
+    """Where a sum of ``terms`` fixed-point values sits in a packed plaintext.
+
+    Each term m, with |m| < ``bound``, is offset to m + bound in
+    [1, 2*bound); a sum of ``terms`` offset values fills one ``width``-bit
+    field, and element i of a matrix goes to field i mod ``slots``.
+    """
+    terms: int
+    bound: int
+    width: int
+    slots: int
+
+    def place(self, index: int, m: int) -> int:
+        """Element ``index``'s term m, offset and shifted into its field."""
+        return (m + self.bound) << (index % self.slots * self.width)
+
+    def fields(self, packed: int, count: int) -> list[int]:
+        """The first ``count`` fields of a decrypted sum of placed terms,
+        each less the ``terms`` offsets it holds."""
+        mask, offset = (1 << self.width) - 1, self.terms * self.bound
+        out = []
+        for _ in range(count):
+            out.append((packed & mask) - offset)
+            packed >>= self.width
+        return out
+
+
+def slot_layout(n: int, terms: int) -> SlotLayout:
+    """The packing for sums of ``terms`` values under modulus n.  A field's
+    sum is at most 2*terms*bound - terms, under n even when one field fills
+    the plaintext; otherwise as many fields as fit below 2^(bitlen(n) - 1)
+    share one."""
+    bound = min(1 << FIXED_RANGE_BITS, n // (2 * terms))
+    width = (2 * terms * bound - 1).bit_length()
+    return SlotLayout(terms, bound, width, max(1, (n.bit_length() - 1) // width))
+
+
 def encrypt_matrix(public: PaillierPublicKey, values, scale_bits: int,
                    rng: random.Random) -> list[Ciphertext]:
-    """Fixed-point encode ``values`` and encrypt them in row-major order,
-    after checking that each would decrypt on its own without wrapping."""
-    return [encrypt(public, m, rng)
-            for m in _encode_checked("matrix", values, scale_bits, public.n // 2)]
+    """Fixed-point encode ``values`` and encrypt them in row-major order, one
+    ciphertext per value placed as a lone term (a matrix decrypted on its
+    own), after checking every value against the layout's bound."""
+    layout = slot_layout(public.n, 1)
+    return _encrypt_placed(public, _encode_checked("matrix", values, scale_bits,
+                                                   layout.bound), layout, rng)
 
 
-def decrypt_matrix(keypair: PaillierKeyPair, cts, shape, scale_bits: int) -> np.ndarray:
-    """Decrypt, map each residue to a signed integer and fixed-point decode."""
-    return np.array([fixed_decode(signed_decode(decrypt(keypair, c), keypair.public.n),
-                                  scale_bits) for c in cts]).reshape(shape)
+def decrypt_matrix(keypair: PaillierKeyPair, cts, shape, scale_bits: int,
+                   terms: int = 1) -> np.ndarray:
+    """Each element's sum of ``terms`` values from ciphertexts that
+    ``encrypt_matrix`` placed: one decryption per run of ``slots``
+    consecutive ciphertexts, multiplied into one, then fixed-point decoded."""
+    layout = slot_layout(keypair.public.n, terms)
+    out = []
+    for start in range(0, len(cts), layout.slots):
+        group = cts[start:start + layout.slots]
+        packed = decrypt(keypair, sum(group[1:], group[0]))
+        out += [fixed_decode(m, scale_bits) for m in layout.fields(packed, len(group))]
+    return np.array(out).reshape(shape)
+
+
+def _encrypt_placed(public: PaillierPublicKey, encoded, layout: SlotLayout,
+                    rng: random.Random) -> list[Ciphertext]:
+    return [encrypt(public, layout.place(i, m), rng) for i, m in enumerate(encoded)]
 
 
 def _encode_checked(name: str, values, scale_bits: int, bound: int) -> list[int]:
@@ -298,18 +361,17 @@ def secure_sum(vectors, keypair: PaillierKeyPair, rng: random.Random,
     shape = vectors[0].shape
     if any(v.shape != shape for v in vectors):
         raise ContractError(f"all vectors must share shape {shape}")
-    # each of the I terms must stay under n / 2I, so the sum cannot wrap mod n;
-    # every term is checked before the first encryption draws from ``rng``,
-    # and a term under n / 2I also passes encrypt_matrix's n / 2 check
-    bound = keypair.public.n // (2 * len(vectors))
-    encoded = [_encode_checked(name, vec, scale_bits, bound)
+    # every term of every participant is checked against the layout's bound
+    # before the first encryption draws from ``rng``
+    layout = slot_layout(keypair.public.n, len(vectors))
+    encoded = [_encode_checked(name, vec, scale_bits, layout.bound)
                for name, vec in zip(party_names, vectors, strict=True)]
 
     terms = [transcript.send(round_index, name, "server", "ciphertext",
-                             [encrypt(keypair.public, m, rng) for m in enc])
+                             _encrypt_placed(keypair.public, enc, layout, rng))
              for name, enc in zip(party_names, encoded)]
     totals = decrypt_matrix(keypair, [sum(col[1:], col[0]) for col in zip(*terms)],
-                            shape, scale_bits)
+                            shape, scale_bits, len(vectors))
     transcript.log_decryption(round_index, vectors[0].size, aggregated=True)
     return totals
 

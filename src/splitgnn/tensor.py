@@ -4,7 +4,9 @@ Operations take the recording :class:`Tape` as their first argument and
 return new :class:`Tensor` objects.  Passing ``tape=None`` runs the forward
 math without recording, which is how inference-mode code avoids autograd
 overhead.  Gradients are accumulated into ``Tensor.grad`` on every leaf with
-``requires_grad`` when :meth:`Tape.backward` runs.
+``requires_grad`` when :meth:`Tape.backward` runs.  A backward function
+returns ``None`` for an input without ``requires_grad`` (a constant such as a
+feature matrix), so no gradient is computed that nothing would read.
 
 The op set is small on purpose: matrix products, broadcast arithmetic,
 segment (per-group) softmax and sums for edge-list aggregation, the usual
@@ -151,8 +153,8 @@ def add(tape, a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.values + b.values)
     return _emit(tape, out, (a, b), lambda g: (
-        _unbroadcast(g, a.values.shape),
-        _unbroadcast(g, b.values.shape),
+        _unbroadcast(g, a.values.shape) if a.requires_grad else None,
+        _unbroadcast(g, b.values.shape) if b.requires_grad else None,
     ))
 
 
@@ -160,8 +162,8 @@ def mul(tape, a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.values * b.values)
     return _emit(tape, out, (a, b), lambda g: (
-        _unbroadcast(g * b.values, a.values.shape),
-        _unbroadcast(g * a.values, b.values.shape),
+        _unbroadcast(g * b.values, a.values.shape) if a.requires_grad else None,
+        _unbroadcast(g * a.values, b.values.shape) if b.requires_grad else None,
     ))
 
 
@@ -174,9 +176,11 @@ def matmul(tape, a, b) -> Tensor:
     out = Tensor(a.values @ b.values)
 
     if b.ndim == 2:
-        backfn = lambda g: (g @ b.values.T, a.values.T @ g)
+        backfn = lambda g: (g @ b.values.T if a.requires_grad else None,
+                            a.values.T @ g if b.requires_grad else None)
     else:
-        backfn = lambda g: (np.outer(g, b.values), a.values.T @ g)
+        backfn = lambda g: (np.outer(g, b.values) if a.requires_grad else None,
+                            a.values.T @ g if b.requires_grad else None)
     return _emit(tape, out, (a, b), backfn)
 
 
@@ -203,7 +207,8 @@ def concat_cols(tape, parts) -> Tensor:
     offsets = np.cumsum([p.shape[1] for p in parts])[:-1]
 
     def backfn(g):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, offsets, axis=1))
+        return tuple(np.ascontiguousarray(piece) if p.requires_grad else None
+                     for p, piece in zip(parts, np.split(g, offsets, axis=1)))
 
     return _emit(tape, out, tuple(parts), backfn)
 
@@ -303,8 +308,8 @@ def rowwise_dot(tape, a, b) -> Tensor:
         raise ShapeError(f"rowwise_dot expects equal 2-D shapes, got {a.shape}, {b.shape}")
     out = Tensor(np.einsum("ij,ij->i", a.values, b.values))
     return _emit(tape, out, (a, b), lambda g: (
-        g[:, None] * b.values,
-        g[:, None] * a.values,
+        g[:, None] * b.values if a.requires_grad else None,
+        g[:, None] * a.values if b.requires_grad else None,
     ))
 
 

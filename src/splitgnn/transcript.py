@@ -43,6 +43,19 @@ class DecryptionEvent:
     aggregated: bool
 
 
+def _decryption_event(sidecar: Path, index: int, entry) -> DecryptionEvent:
+    """A sidecar's decryption entry, which must hold exactly an integer
+    ``round`` and ``elements`` and a boolean ``aggregated``: a string such as
+    ``"no"`` would read as true and hide a per-participant decryption."""
+    if not (isinstance(entry, dict) and entry.keys() == {"round", "elements", "aggregated"}
+            and type(entry["round"]) is int and type(entry["elements"]) is int
+            and type(entry["aggregated"]) is bool):
+        raise ParseError(f"{sidecar}: decryption entry {index} must have exactly an "
+                         f"integer round and elements and a boolean aggregated, "
+                         f"got {entry!r}")
+    return DecryptionEvent(**entry)
+
+
 class RoundTranscript:
     """Ordered record of every message a session exchanged."""
 
@@ -143,7 +156,8 @@ class RoundTranscript:
         if sidecar.exists():
             meta = json.loads(sidecar.read_text())
             out.context = meta.get("context", {})
-            out.decryptions = [DecryptionEvent(**d) for d in meta.get("decryptions", [])]
+            out.decryptions = [_decryption_event(sidecar, i, d)
+                               for i, d in enumerate(meta.get("decryptions", []))]
             for key, payload in meta.get("payloads", {}).items():
                 if not key.isdigit() or int(key) >= len(out.records):
                     raise ParseError(f"{sidecar}: payload index {key!r} names no record "

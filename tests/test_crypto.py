@@ -189,6 +189,11 @@ def ciphertext_from_bytes(data: bytes, public) -> C.Ciphertext:
     return C.Ciphertext(int.from_bytes(data[4:4 + width], "big"), public)
 
 
+def signed_decode(value: int, n: int) -> int:
+    """Map a mod-n residue back to a signed integer."""
+    return value - n if value > n // 2 else value
+
+
 def lambda_mu_decrypt(keypair, cipher: C.Ciphertext) -> int:
     """Textbook decryption, L(c^λ mod n²)·μ mod n with λ = (p-1)(q-1) and
     μ = λ⁻¹ mod n: the oracle for the CRT path."""
@@ -215,9 +220,9 @@ class TestCrtDecrypt:
         for c in cts + sums + scaled:
             assert C.decrypt(key, c) == lambda_mu_decrypt(key, c)
         for m, c in zip(plain, cts):
-            assert C.signed_decode(C.decrypt(key, c), pub.n) == m
+            assert signed_decode(C.decrypt(key, c), pub.n) == m
         for (a, b), c in zip(zip(plain, plain[1:]), sums):
-            assert C.signed_decode(C.decrypt(key, c), pub.n) == a + b
+            assert signed_decode(C.decrypt(key, c), pub.n) == a + b
 
 
 class TestFixedPoint:
@@ -301,6 +306,98 @@ class TestWrapCheck:
         with pytest.raises(DomainError, match="element 1: .* modular wrap"):
             C.encrypt_matrix(key.public, [1.0, 2.0**36], 24, rng)
         assert rng.getstate() == state
+
+
+def recording_decrypt(monkeypatch):
+    """Replace ``crypto.decrypt`` with a wrapper that keeps every plaintext
+    it returns, in call order."""
+    plain, inner = [], C.decrypt
+
+    def decrypt(keypair, cipher):
+        plain.append(inner(keypair, cipher))
+        return plain[-1]
+
+    monkeypatch.setattr(C, "decrypt", decrypt)
+    return plain
+
+
+class TestSlotPacking:
+    @pytest.mark.parametrize("bits,slots", [(512, 7), (1024, 15), (2048, 31)])
+    @pytest.mark.parametrize("terms,width", [(1, 64), (2, 65), (4, 66)])
+    def test_layout_of_real_key_sizes(self, bits, slots, terms, width):
+        # the layout depends only on the bit length once n / 2I passes 2^63
+        for n in ((1 << (bits - 1)) + 1, (1 << bits) - 1):
+            assert C.slot_layout(n, terms) == C.SlotLayout(terms, 2**63, width, slots)
+
+    def test_layout_of_small_key(self):
+        n = small_key().public.n
+        for terms in (1, 2, 4):
+            bound = n // (2 * terms)
+            assert bound < 2**63
+            assert C.slot_layout(n, terms) == C.SlotLayout(
+                terms, bound, (2 * terms * bound - 1).bit_length(), 1)
+
+    @pytest.mark.parametrize("terms", [1, 2, 4])
+    def test_extreme_fields_decode_exactly(self, keypair, terms):
+        # every field at +(B-1) or -(B-1) in each term, in sign patterns that
+        # put a full field next to an empty one: a borrow or carry between
+        # fields would show in a neighbour
+        pub = keypair.public
+        layout = C.slot_layout(pub.n, terms)
+        top, s = layout.bound - 1, layout.slots
+        patterns = [[top] * s, [-top] * s, [top if j % 2 else -top for j in range(s)],
+                    [-top if j % 2 else top for j in range(s)]]
+        rng = random.Random(3)
+        for pattern in patterns:
+            cts = [[C.encrypt(pub, layout.place(j, m), rng) for j, m in enumerate(pattern)]
+                   for _ in range(terms)]
+            columns = [sum(col[1:], col[0]) for col in zip(*cts)]
+            packed = C.decrypt(keypair, sum(columns[1:], columns[0]))
+            assert layout.fields(packed, s) == [terms * m for m in pattern]
+
+    @pytest.mark.parametrize("terms", [2, 3])
+    def test_packed_plaintext_matches_integer_oracle(self, keypair, monkeypatch, terms):
+        plain = recording_decrypt(monkeypatch)
+        gen = np.random.default_rng(terms)
+        vecs = [gen.uniform(-1e4, 1e4, size=(4, 5)) for _ in range(terms)]
+        out = secure_sum(vecs, keypair, random.Random(0))
+
+        layout = C.slot_layout(keypair.public.n, terms)
+        s, w, offset = layout.slots, layout.width, terms * 2**63
+        sums = [sum(C.fixed_encode(float(v.flat[k])) for v in vecs) for k in range(20)]
+        want = [sum(2**(j * w) * (total + offset) for j, total in enumerate(sums[g:g + s]))
+                for g in range(0, 20, s)]
+        assert plain == want
+        assert out.shape == (4, 5)
+        assert out.ravel().tolist() == [m / 2**24 for m in sums]
+
+    def test_partial_last_group(self, keypair, monkeypatch):
+        # 23 = 3 * 7 + 2 elements: four decryptions, the last of two fields
+        plain = recording_decrypt(monkeypatch)
+        vecs = [np.random.default_rng(i).uniform(-5, 5, size=23) for i in range(2)]
+        out = secure_sum(vecs, keypair, random.Random(1))
+        assert len(plain) == 4 and plain[-1] < 2**(2 * 65)
+        want = [(C.fixed_encode(float(a)) + C.fixed_encode(float(b))) / 2**24
+                for a, b in zip(*vecs)]
+        assert out.tolist() == want
+
+    def test_largest_encodable_values_sum_exactly(self, keypair):
+        # 2^39 - 2^-14 encodes to 2^63 - 2^10, the largest fixed-point value
+        top = 2.0**39 - 2.0**-14
+        vecs = [np.array([top, -top, top, -top, 0.0, top, -top, top, -top]) for _ in range(4)]
+        out = secure_sum(vecs, keypair, random.Random(2))
+        assert out.tolist() == [4 * x for x in vecs[0]]
+
+    def test_per_participant_path(self, keypair, monkeypatch):
+        # concat decrypts each participant's matrix alone: one term per field
+        plain = recording_decrypt(monkeypatch)
+        values = np.random.default_rng(9).uniform(-100, 100, size=(3, 5))
+        cts = C.encrypt_matrix(keypair.public, values, 24, random.Random(4))
+        assert len(cts) == 15
+        back = C.decrypt_matrix(keypair, cts, (3, 5), 24)
+        assert len(plain) == 3
+        want = [[C.fixed_encode(float(x)) / 2**24 for x in row] for row in values]
+        assert back.tolist() == want
 
 
 class TestAudit:

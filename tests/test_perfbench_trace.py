@@ -52,8 +52,10 @@ def test_secure_average_round_records_every_crypto_span(tiny_bundle):
     assert (C.secure_sum, C.encrypt, C.decrypt) == originals
 
     participants, n, d = 2, len(batch), 4
+    slots = C.slot_layout(session.keypair.public.n, participants).slots
     [root] = tracer.roots("protocol.train_round")
     calls = {name: acc[2] for name, acc in tracer.within(root).items()}
     assert calls["crypto.secure_sum"] == 1
     assert calls["crypto.encrypt"] == participants * n * d
-    assert calls["crypto.decrypt"] == n * d
+    # one decryption per run of ``slots`` summed ciphertexts
+    assert calls["crypto.decrypt"] == -(-n * d // slots)

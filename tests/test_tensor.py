@@ -192,6 +192,40 @@ class TestBackward:
         assert np.array_equal(gx1, gx2) and np.array_equal(gw1, gw2)
 
 
+# op, operand shapes, and the backward it had when it computed a gradient
+# for every operand, as the reference for the parameter's gradient
+CONSTANT_OPERAND_CASES = {
+    "matmul": (T.matmul, [(3, 4), (4, 2)], lambda g, a, b: (g @ b.T, a.T @ g)),
+    "matvec": (T.matmul, [(3, 4), (4,)], lambda g, a, b: (np.outer(g, b), a.T @ g)),
+    "mul": (T.mul, [(3, 4), (1, 4)], lambda g, a, b: (
+        T._unbroadcast(g * b, a.shape), T._unbroadcast(g * a, b.shape))),
+    "add": (T.add, [(3, 4), (4,)], lambda g, a, b: (
+        T._unbroadcast(g, a.shape), T._unbroadcast(g, b.shape))),
+    "rowwise_dot": (T.rowwise_dot, [(3, 4), (3, 4)], lambda g, a, b: (
+        g[:, None] * b, g[:, None] * a)),
+    "concat_cols": (lambda tape, a, b: T.concat_cols(tape, [a, b]), [(3, 2), (3, 3)],
+                    lambda g, a, b: (g[:, :2], g[:, 2:])),
+}
+
+
+@pytest.mark.parametrize("constant", [0, 1])
+@pytest.mark.parametrize("op", sorted(CONSTANT_OPERAND_CASES))
+def test_constant_operand_gets_no_gradient(op, constant):
+    fn, shapes, reference = CONSTANT_OPERAND_CASES[op]
+    rng = stable_rng("constant-operand", op)
+    values = [rng.standard_normal(shape) for shape in shapes]
+    operands = [T.Tensor(v, requires_grad=i != constant) for i, v in enumerate(values)]
+    tape = T.Tape()
+    out = fn(tape, *operands)
+    g = rng.standard_normal(out.shape)
+    grads = tape._nodes[-1].backfn(g)
+    assert grads[constant] is None
+    tape.backward(out, seed_grad=g)
+    assert operands[constant].grad is None
+    param = 1 - constant
+    assert np.array_equal(operands[param].grad, reference(g, *values)[param])
+
+
 class TestSegmentOps:
     def test_segment_sum_matches_loop(self):
         rng = stable_rng("segsum")

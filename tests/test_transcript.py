@@ -2,6 +2,7 @@
 receiver the sender's own object and records the message's size in closed
 form from that object."""
 
+import json
 import random
 
 import numpy as np
@@ -72,3 +73,28 @@ def test_load_rejects_bad_kind_and_columns(tmp_path, capsys, lines, where, messa
     assert str(err.value) == f"{path}{where}: {message}"
     assert cli.main(["audit", "--transcript", str(path)]) == 1
     assert capsys.readouterr().err == f"config error: {path}{where}: {message}\n"
+
+
+@pytest.mark.parametrize("entry", [
+    {"round": 0, "elements": 8},
+    {"round": 0, "elements": 8, "aggregated": "no"},
+    {"round": 0, "elements": 8, "aggregated": 1},
+    {"round": "0", "elements": 8, "aggregated": True},
+    {"round": 0, "elements": True, "aggregated": True},
+    {"round": 0, "elements": 8, "aggregated": True, "party": "party_0"},
+    [0, 8, True],
+])
+def test_load_rejects_bad_decryption_entry(tmp_path, capsys, entry):
+    path = tmp_path / "transcript.csv"
+    path.write_text("round,from,to,kind,elements,bytes,encrypted\n"
+                    "0,party_0,server,ciphertext,8,1056,true\n")
+    good = {"round": 0, "elements": 8, "aggregated": False}
+    sidecar = path.with_suffix(".meta.json")
+    sidecar.write_text(json.dumps({"decryptions": [good, entry]}))
+    message = (f"{sidecar}: decryption entry 1 must have exactly an integer round and "
+               f"elements and a boolean aggregated, got {entry!r}")
+    with pytest.raises(ParseError) as err:
+        RoundTranscript.load(path)
+    assert str(err.value) == message
+    assert cli.main(["audit", "--transcript", str(path)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
