@@ -46,12 +46,18 @@ import numpy as np
 from .errors import ConfigError, ContractError, CryptoError, DomainError
 from .transcript import RoundTranscript
 
+# The odd primes below 2^11 and their product: one gcd with the product
+# finds a candidate's small factor before any modular exponentiation.
+SMALL_PRIMES = tuple(p for p in range(3, 1 << 11, 2)
+                     if all(p % f for f in range(3, math.isqrt(p) + 1, 2)))
+SMALL_PRIMES_PRODUCT = math.prod(SMALL_PRIMES)
+
+
 def _is_prime(n: int, rounds: int = 40) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    if math.gcd(n, SMALL_PRIMES_PRODUCT) != 1:
+        return n in SMALL_PRIMES
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2

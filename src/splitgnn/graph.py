@@ -9,6 +9,7 @@ the path endpoint contributes to the target node's representation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -233,11 +234,121 @@ def _read_rows(path: Path, n_fields: int, min_fields: int | None = None):
             yield lineno, fields
 
 
-def load_dataset(directory) -> DatasetBundle:
-    """Parse the tab-separated dataset directory format.
+def _read_table(path: Path, ids: dict[str, int], n_ids: int, min_fields: int,
+                noun: str):
+    """A table file read row by row, ``float()`` per value: the index column
+    of each id field and the float64 matrix.  Raises the ``path:line``
+    ParseError of the first bad row."""
+    columns: list[list[int]] = [[] for _ in range(n_ids)]
+    values, width = [], None
+    for lineno, fields in _read_rows(path, n_ids + 1, min_fields):
+        for column, ext in zip(columns, fields[:n_ids]):
+            idx = ids.get(ext)
+            if idx is None:
+                raise ParseError(f"{path}:{lineno}: unknown node id {ext!r}")
+            column.append(idx)
+        row = _parse_floats(fields[n_ids], path, lineno) if len(fields) > n_ids else []
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} {noun}, got {len(row)}")
+        values.append(row)
+    table = np.array(values, dtype=np.float64).reshape(len(values), width or 0)
+    return [np.array(column, dtype=np.int64) for column in columns], table
 
-    Node ids are assigned by order of appearance in nodes.tsv; all other
-    files refer to nodes by their external id.
+
+def _stream_table(path: Path, n_ids: int, min_fields: int):
+    """A table file in one streaming pass: its id fields, flat in row order,
+    and its float64 matrix from a single ``np.loadtxt`` call.
+
+    Reads only regular files: every row has ``n_ids`` ids and a float list
+    numpy parses, or, when the first row's list is empty, no row has a
+    float.  Raises on anything else."""
+    keys: list[str] = []
+
+    def float_lists(lines):
+        for line in lines:
+            if line.isspace():
+                continue
+            fields = line.split("\t", n_ids + 1)
+            text = fields.pop()
+            if len(fields) != n_ids:
+                raise ValueError(f"a row of {len(fields) + 1} fields")
+            keys.extend(fields)
+            yield text
+
+    with open(path, encoding="utf-8") as fh:
+        first = next((line for line in fh if not line.isspace()), None)
+        if first is None:
+            return keys, np.zeros((0, 0))
+        lines = chain([first], fh)
+        head = first.split("\t")
+        if len(head) == n_ids + 1 and head[-1].strip():
+            table = np.loadtxt(float_lists(lines), delimiter=",", comments=None, ndmin=2)
+            if len(keys) != n_ids * len(table):  # loadtxt skips an empty list
+                raise ValueError("a row without floats")
+            return keys, table
+        for line in lines:  # no floats: nothing for loadtxt to read
+            if line.isspace():
+                continue
+            fields = line.rstrip("\n").split("\t")
+            if not min_fields <= len(fields) <= n_ids + 1 \
+                    or "".join(fields[n_ids:]).strip():
+                raise ValueError("a row with floats, or of the wrong width")
+            keys.extend(fields[:n_ids])
+        return keys, np.zeros((len(keys) // n_ids, 0))
+
+
+def _float_table(path: Path, ids: dict[str, int], n_ids: int, min_fields: int,
+                 noun: str):
+    """The index column of each id field and the float64 matrix of a file
+    of rows ``id <TAB> ... <TAB> float,float,...``, ``noun`` naming the
+    floats in a wrong-count error."""
+    try:
+        keys, table = _stream_table(path, n_ids, min_fields)
+        rows = len(keys) // n_ids
+        return [np.fromiter(map(ids.__getitem__, keys[k::n_ids]), np.int64, rows)
+                for k in range(n_ids)], table
+    except Exception:
+        # A missing file, a bad row, an unknown id, or a token such as 1_0
+        # that float() reads and numpy does not: the row reader raises the
+        # first bad row's error or returns the values float() gives.
+        return _read_table(path, ids, n_ids, min_fields, noun)
+
+
+def load_dataset(directory) -> DatasetBundle:
+    """Parse a dataset directory of UTF-8, tab-separated text files.
+
+    ``nodes.tsv``        ``id <TAB> type``; nodes are numbered in order of
+                         appearance, and the other files name them by id
+    ``features.tsv``     ``id <TAB> x,x,...``: a row per node, all of one
+                         length; of a node's repeated rows the last wins
+    ``edges_<r>.tsv``    ``src <TAB> dst [<TAB> e,e,...]``: relation ``r``,
+                         edge features all of one length (none: two fields
+                         or an empty third), every src of one node type and
+                         every dst of one
+    ``labels.tsv``       ``id <TAB> class``; an unlisted node is unlabeled
+    ``metapaths.txt``    a comma-separated list of relation names a line
+    ``splits.tsv``       ``id <TAB> train|val|test``
+
+    Lines end in ``\\n``, ``\\r\\n`` or ``\\r``; blank lines are skipped but
+    counted.  A feature is what Python's ``float()`` reads: an optionally
+    signed decimal or exponent form, ``inf`` or ``nan``, with whitespace
+    around it allowed, and also ``1_0`` or non-ASCII digits.
+
+    Every error is a ParseError that starts with the file's path, and, for a
+    bad row, its line: ``path:line: message``.  The files are read in the
+    order above (edge files by name) and each from its first line, so the
+    error is that of the first bad row of the first bad file.
+
+    The features and edge files, nearly all of a dataset's bytes, are
+    parsed as a stream: one ``np.loadtxt`` call per file reads the rows'
+    float lists from a generator that splits off and keeps the id fields, so
+    no whole file is held as a string and no value becomes a Python float.
+    A file that pass cannot take as it stands, because of an error or a
+    token numpy does not read such as ``1_0``, is read again row by row with
+    ``float()``, which raises the first bad row's error or gives the same
+    values.
     """
     directory = Path(directory)
     ids: dict[str, int] = {}
@@ -248,6 +359,7 @@ def load_dataset(directory) -> DatasetBundle:
             raise ParseError(f"{nodes_path}:{lineno}: duplicate node id {ext!r}")
         ids[ext] = len(types)
         types.append(ntype)
+    node_types = np.asarray(types)
 
     def resolve(ext: str, path, lineno: int) -> int:
         idx = ids.get(ext)
@@ -256,48 +368,25 @@ def load_dataset(directory) -> DatasetBundle:
         return idx
 
     feat_path = directory / "features.tsv"
-    rows: dict[int, list[float]] = {}
-    dim = None
-    for lineno, (ext, vals) in _read_rows(feat_path, 2):
-        idx = resolve(ext, feat_path, lineno)
-        v = _parse_floats(vals, feat_path, lineno)
-        if dim is None:
-            dim = len(v)
-        elif len(v) != dim:
-            raise ParseError(
-                f"{feat_path}:{lineno}: expected {dim} features, got {len(v)}"
-            )
-        rows[idx] = v
-    if len(rows) != len(types):
-        missing = sorted(set(range(len(types))) - set(rows))[0]
-        raise ParseError(f"{feat_path}: no feature row for node index {missing}")
-    features = np.array([rows[i] for i in range(len(types))])
+    (index,), table = _float_table(feat_path, ids, 1, 2, "features")
+    last = np.full(len(types), -1, dtype=np.int64)
+    np.maximum.at(last, index, np.arange(len(index)))
+    if np.any(last < 0):
+        raise ParseError(f"{feat_path}: no feature row for node index "
+                         f"{np.argmax(last < 0)}")
+    features = table[last] if types else np.array([])
 
     relations: dict[str, Relation] = {}
     for path in sorted(directory.glob("edges_*.tsv")):
         rname = path.stem[len("edges_"):]
-        src, dst, feats = [], [], []
-        edim = None
-        for lineno, fields in _read_rows(path, 3, min_fields=2):
-            u = resolve(fields[0], path, lineno)
-            v = resolve(fields[1], path, lineno)
-            ef = _parse_floats(fields[2], path, lineno) if len(fields) == 3 else []
-            if edim is None:
-                edim = len(ef)
-            elif len(ef) != edim:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {edim} edge features, got {len(ef)}"
-                )
-            src.append(u)
-            dst.append(v)
-            feats.append(ef)
-        edim = edim or 0
-        feat = np.array(feats, dtype=np.float64).reshape(len(src), edim)
-        src_t = types[src[0]] if src else None
-        dst_t = types[dst[0]] if dst else None
-        for i, (u, v) in enumerate(zip(src, dst)):
-            if types[u] != src_t or types[v] != dst_t:
-                raise ParseError(f"{path}: edge {i} mixes node types within one relation")
+        (src, dst), feat = _float_table(path, ids, 2, 2, "edge features")
+        mixed = (node_types[src] != node_types[src[:1]]) \
+            | (node_types[dst] != node_types[dst[:1]])
+        if mixed.any():
+            raise ParseError(f"{path}: edge {np.argmax(mixed)} mixes node types "
+                             f"within one relation")
+        src_t = types[src[0]] if len(src) else None
+        dst_t = types[dst[0]] if len(dst) else None
         relations[rname] = Relation(rname, src, dst, feat, src_t, dst_t)
 
     labels = np.full(len(types), -1, dtype=np.int64)
@@ -326,7 +415,7 @@ def load_dataset(directory) -> DatasetBundle:
             raise ParseError(f"{splits_path}:{lineno}: unknown split {part!r}")
         splits[part].append(resolve(ext, splits_path, lineno))
 
-    graph = HetGraph(types, features, relations, labels, num_classes)
+    graph = HetGraph(node_types, features, relations, labels, num_classes)
     return DatasetBundle(graph, metapaths, splits["train"], splits["val"], splits["test"])
 
 

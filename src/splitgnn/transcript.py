@@ -56,6 +56,17 @@ def _decryption_event(sidecar: Path, index: int, entry) -> DecryptionEvent:
     return DecryptionEvent(**entry)
 
 
+JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _sidecar_part(sidecar: Path, what: str, value, kind: type):
+    """``value`` if it is of the JSON type ``kind``; otherwise the audit
+    would die on it, so raise a ParseError naming the sidecar."""
+    if not isinstance(value, kind):
+        raise ParseError(f"{sidecar}: {what} must be {JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
 class RoundTranscript:
     """Ordered record of every message a session exchanged."""
 
@@ -154,13 +165,18 @@ class RoundTranscript:
                         row["encrypted"] == "true")
         sidecar = path.with_suffix(".meta.json")
         if sidecar.exists():
-            meta = json.loads(sidecar.read_text())
-            out.context = meta.get("context", {})
-            out.decryptions = [_decryption_event(sidecar, i, d)
-                               for i, d in enumerate(meta.get("decryptions", []))]
-            for key, payload in meta.get("payloads", {}).items():
+            meta = _sidecar_part(sidecar, "the sidecar", json.loads(sidecar.read_text()),
+                                 dict)
+            out.context = _sidecar_part(sidecar, "context", meta.get("context", {}), dict)
+            _sidecar_part(sidecar, "context raw_ids", out.context.get("raw_ids", []), list)
+            out.decryptions = [
+                _decryption_event(sidecar, i, d) for i, d in enumerate(
+                    _sidecar_part(sidecar, "decryptions", meta.get("decryptions", []), list))]
+            payloads = _sidecar_part(sidecar, "payloads", meta.get("payloads", {}), dict)
+            for key, payload in payloads.items():
                 if not key.isdigit() or int(key) >= len(out.records):
                     raise ParseError(f"{sidecar}: payload index {key!r} names no record "
                                      f"of {path} ({len(out.records)} records)")
-                out.records[int(key)].payload = payload
+                out.records[int(key)].payload = _sidecar_part(
+                    sidecar, f"payload {key}", payload, str)
         return out

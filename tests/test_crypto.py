@@ -1,3 +1,4 @@
+import hashlib
 import random
 import secrets
 
@@ -127,6 +128,33 @@ class TestPaillier:
     def test_invalid_bits(self):
         with pytest.raises(ConfigError):
             C.keygen(bits=700)
+
+    @pytest.mark.parametrize("bits,seed,digest", [
+        (512, 0, "552ad65520131b61"), (512, 1, "fea5cf610d27d61d"),
+        (512, "crt", "42b1fca150366a7e"), (1024, 0, "8dadd6bd00c4c15f"),
+        (1024, 1, "66f2823fc3d7c49f"), (1024, "crt", "445ca142cb7e3bad"),
+    ])
+    def test_seeded_keys_are_pinned(self, bits, seed, digest):
+        """The small-prime sieve rejects only composites, so a seeded key's
+        n stays the one trial division by primes up to 37 gave (SHA-256 of
+        its decimal form, first 16 hex digits)."""
+        n = C.keygen(bits, seed=seed).public.n
+        assert hashlib.sha256(str(n).encode()).hexdigest()[:16] == digest
+
+    def test_is_prime_below_sieve_and_past_it(self):
+        limit = 5000
+        sieve = [True] * limit
+        sieve[0] = sieve[1] = False
+        for i in range(2, limit):
+            if sieve[i]:
+                sieve[i * i::i] = [False] * len(sieve[i * i::i])
+        assert [n for n in range(limit) if C._is_prime(n)] == \
+            [n for n in range(limit) if sieve[n]]
+        # composites whose factors all pass the sieve: two primes just past
+        # it, and the Carmichael number 2221 * 4441 * 6661
+        assert not C._is_prime(2053 * 2063)
+        assert not C._is_prime(65700513721)
+        assert C._is_prime(2 ** 127 - 1)
 
     def test_wire_roundtrip(self, keypair, rng):
         c = C.encrypt(keypair.public, 123456, rng)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from splitgnn import graph as G
+from row_loader import load_dataset_by_rows
 from splitgnn.errors import ConfigError, GraphSchemaError, ParseError
 
 TOY = Path(__file__).parent / "fixtures" / "toy_dataset"
@@ -23,6 +24,112 @@ def small_synthetic(seed=0, **overrides):
     )
     kwargs.update(overrides)
     return G.generate_synthetic(G.SyntheticSpec(**kwargs), seed=seed)
+
+
+BAD_FLOAT = "bad float list: could not convert string to float:"
+
+# Edits to the toy dataset (file name to new text, None to delete it) and the
+# ParseError each must raise, with ``{d}`` for the dataset directory.
+LOADER_ERRORS = {
+    "missing-nodes": ({"nodes.tsv": None}, "{d}/nodes.tsv: missing file"),
+    "missing-features": ({"features.tsv": None}, "{d}/features.tsv: missing file"),
+    "missing-labels": ({"labels.tsv": None}, "{d}/labels.tsv: missing file"),
+    "missing-metapaths": ({"metapaths.txt": None}, "{d}/metapaths.txt: missing file"),
+    "missing-splits": ({"splits.tsv": None}, "{d}/splits.tsv: missing file"),
+    "nodes-field-count": (
+        {"nodes.tsv": "a\tdoc\nb\tdoc\textra\nc\tdoc\n"},
+        "{d}/nodes.tsv:2: expected 2 tab-separated fields, got 3"),
+    "features-field-count": (
+        {"features.tsv": "a\t1.0,0.5\nb\nc\t0.0,1.5\n"},
+        "{d}/features.tsv:2: expected 2 tab-separated fields, got 1"),
+    "features-trailing-tab": (
+        {"features.tsv": "a\t1.0,0.5\t\nb\t-0.25,2.0\nc\t0.0,1.5\n"},
+        "{d}/features.tsv:1: expected 2 tab-separated fields, got 3"),
+    # an extra id field on one row and none on the next: as many ids as rows
+    "features-shifted-fields": (
+        {"features.tsv": "a\t1.0\nb\tc\t2.0\n3.0\n"},
+        "{d}/features.tsv:2: expected 2 tab-separated fields, got 3"),
+    "edges-too-many-fields": (
+        {"edges_cites.tsv": "a\tb\t0.75\nb\tc\t-1.5\t1\n"},
+        "{d}/edges_cites.tsv:2: expected 3 tab-separated fields, got 4"),
+    "edges-too-few-fields": (
+        {"edges_cites.tsv": "a\tb\t0.75\nb\n"},
+        "{d}/edges_cites.tsv:2: expected 3 tab-separated fields, got 1"),
+    "duplicate-node": (
+        {"nodes.tsv": "a\tdoc\nb\tdoc\nc\tdoc\nb\tdoc\n"},
+        "{d}/nodes.tsv:4: duplicate node id 'b'"),
+    "unknown-feature-node": (
+        {"features.tsv": "a\t1.0,0.5\nb\t-0.25,2.0\nc\t0.0,1.5\nzz\t1.0,2.0\n"},
+        "{d}/features.tsv:4: unknown node id 'zz'"),
+    "unknown-edge-src": (
+        {"edges_cites.tsv": "a\tb\t0.75\nzz\tc\t-1.5\n"},
+        "{d}/edges_cites.tsv:2: unknown node id 'zz'"),
+    "unknown-edge-dst": (
+        {"edges_cites.tsv": "a\tb\t0.75\nb\tzz\t-1.5\n"},
+        "{d}/edges_cites.tsv:2: unknown node id 'zz'"),
+    "unknown-label-node": (
+        {"labels.tsv": "a\t0\nzz\t1\n"}, "{d}/labels.tsv:2: unknown node id 'zz'"),
+    "unknown-split-node": (
+        {"splits.tsv": "a\ttrain\nzz\tval\n"}, "{d}/splits.tsv:2: unknown node id 'zz'"),
+    "bad-feature-float": (
+        {"features.tsv": "a\t1.0,x\nb\t-0.25,2.0\nc\t0.0,1.5\n"},
+        "{d}/features.tsv:1: " + BAD_FLOAT + " 'x'"),
+    "empty-feature-float": (
+        {"features.tsv": "a\t1.0,0.5\nb\t-0.25,,2.0\nc\t0.0,1.5\n"},
+        "{d}/features.tsv:2: " + BAD_FLOAT + " ''"),
+    "bad-edge-float": (
+        {"edges_cites.tsv": "a\tb\t0.75\nb\tc\t-1.5.0\n"},
+        "{d}/edges_cites.tsv:2: " + BAD_FLOAT + " '-1.5.0'"),
+    "wrong-feature-count": (
+        {"features.tsv": "a\t1.0,0.5\nb\t-0.25,2.0\nc\t0.0\n"},
+        "{d}/features.tsv:3: expected 2 features, got 1"),
+    "empty-feature-list": (
+        {"features.tsv": "a\t1.0,0.5\nb\t \nc\t0.0,1.5\n"},
+        "{d}/features.tsv:2: expected 2 features, got 0"),
+    "wrong-edge-feature-count": (
+        {"edges_cites.tsv": "a\tb\t0.75\nb\tc\t-1.5,2.0\n"},
+        "{d}/edges_cites.tsv:2: expected 1 edge features, got 2"),
+    "no-edge-features-after-some": (
+        {"edges_cites.tsv": "a\tb\t0.75\nb\tc\t\n"},
+        "{d}/edges_cites.tsv:2: expected 1 edge features, got 0"),
+    "edge-features-after-none": (
+        {"edges_cites.tsv": "a\tb\nb\tc\t-1.5\n"},
+        "{d}/edges_cites.tsv:2: expected 0 edge features, got 1"),
+    "missing-feature-row": (
+        {"features.tsv": "a\t1.0,0.5\nc\t0.0,1.5\n"},
+        "{d}/features.tsv: no feature row for node index 1"),
+    "mixed-node-types": (
+        {"nodes.tsv": "a\tdoc\nb\tdoc\nc\tdoc\nd\tauthor\n",
+         "features.tsv": "a\t1.0,0.5\nb\t-0.25,2.0\nc\t0.0,1.5\nd\t1.0,1.0\n",
+         "edges_cites.tsv": "a\tb\t0.75\nb\tc\t-1.5\nd\ta\t0.5\n"},
+        "{d}/edges_cites.tsv: edge 2 mixes node types within one relation"),
+    "bad-class-index": (
+        {"labels.tsv": "a\t0\nb\tone\n"}, "{d}/labels.tsv:2: bad class index 'one'"),
+    "unknown-split": (
+        {"splits.tsv": "a\ttrain\nb\tdev\n"}, "{d}/splits.tsv:2: unknown split 'dev'"),
+    # the first bad row wins, counted in lines of the file as written
+    "first-error-wins": (
+        {"features.tsv": "a\t1.0,0.5\nb\t1.0,y\nzz\t1.0,2.0\n"},
+        "{d}/features.tsv:2: " + BAD_FLOAT + " 'y'"),
+    "blank-lines-counted": (
+        {"edges_cites.tsv": "a\tb\t0.75\n\n  \nb\tzz\t-1.5\n"},
+        "{d}/edges_cites.tsv:4: unknown node id 'zz'"),
+    "crlf-lines-counted": (
+        {"features.tsv": "a\t1.0,0.5\r\nb\t-0.25,2.0\r\nc\t0.0,1.5,1\r\n"},
+        "{d}/features.tsv:3: expected 2 features, got 3"),
+}
+
+
+def edited_toy(directory, files):
+    """The toy dataset in ``directory`` with ``files`` (name to new text,
+    None to delete the file) applied."""
+    for f in TOY.iterdir():
+        (directory / f.name).write_text(f.read_text())
+    for name, text in files.items():
+        if text is None:
+            (directory / name).unlink()
+        else:
+            (directory / name).write_bytes(text.encode())
 
 
 class TestLoader:
@@ -60,6 +167,15 @@ class TestLoader:
             assert np.array_equal(r1.dst, r2.dst)
             assert np.array_equal(r1.feat, r2.feat)
 
+    @pytest.mark.parametrize("files,message", LOADER_ERRORS.values(), ids=LOADER_ERRORS)
+    def test_error_message(self, tmp_path, files, message):
+        """The exact ParseError of each way a dataset directory can be
+        wrong: the first bad row of the first bad file, by ``path:line``."""
+        edited_toy(tmp_path, files)
+        with pytest.raises(ParseError) as err:
+            G.load_dataset(tmp_path)
+        assert str(err.value) == message.format(d=tmp_path)
+
     def test_save_load_roundtrip(self, tmp_path):
         bundle = small_synthetic(seed=3)
         G.save_dataset(bundle, tmp_path)
@@ -71,6 +187,119 @@ class TestLoader:
             loaded = back.graph.relations[name]
             np.testing.assert_array_equal(loaded.src, rel.src)
             np.testing.assert_array_equal(loaded.feat, rel.feat)
+
+
+def assert_same_array(a, b):
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_same_bundle(got, want):
+    g, w = got.graph, want.graph
+    for attr in ("node_types", "features", "labels"):
+        assert_same_array(getattr(g, attr), getattr(w, attr))
+    assert g.num_classes == w.num_classes
+    assert list(g.relations) == list(w.relations)
+    for name, rel in w.relations.items():
+        mine = g.relations[name]
+        assert (mine.name, mine.src_type, mine.dst_type) == \
+            (rel.name, rel.src_type, rel.dst_type)
+        for attr in ("src", "dst", "feat"):
+            assert_same_array(getattr(mine, attr), getattr(rel, attr))
+    assert got.metapaths == want.metapaths
+    for attr in ("train_ids", "val_ids", "test_ids"):
+        assert_same_array(getattr(got, attr), getattr(want, attr))
+
+
+FOUR_NODES = {
+    "labels.tsv": "a\t0\nb\t1\nc\t0\nd\t1\n",
+    "splits.tsv": "a\ttrain\nb\ttrain\nc\tval\nd\ttest\n",
+    "metapaths.txt": "cites,cites\n",
+    "nodes.tsv": "a\tdoc\nb\tdoc\nc\tdoc\nd\tdoc\n",
+}
+
+# Hand-written directories (file name to text) that only the streaming parse
+# reads, and those with tokens it leaves to the row reader.
+STREAMED = {
+    "numbers": {
+        **FOUR_NODES,
+        # CRLF, blank and whitespace lines, rows out of order, b repeated
+        "features.tsv": "b\t+1.5, 1.5,-0.0\r\n\r\n"
+                        "a\t4.9e-324,2.2250738585072014e-308,1e308\r\n   \r\n"
+                        "d\tinf,-Infinity,nan\r\nc\t-nan,1E-5,0\r\n"
+                        "b\t2.5,-1e-310,1.7976931348623157e308\r\n",
+        # no newline at the end
+        "edges_cites.tsv": "a\tb\t1e308,-0.0\nb\tc\t+1.5, 1.5 \nc\td\tinf,nan",
+        "edges_none.tsv": "a\tb\t\nb\tc\t  \nc\td\t\n",
+        "edges_empty.tsv": "\n\n",
+    },
+    "no-edge-features": {
+        **FOUR_NODES,
+        "features.tsv": "a\t1\nb\t2\nc\t3\nd\t4",
+        "edges_cites.tsv": "a\tb\nb\tc\t\n\nc\td\n",
+        "edges_more.tsv": "",
+    },
+    "old-mac-lines": {
+        **FOUR_NODES,
+        "features.tsv": "a\t1,2\rb\t3,4\rc\t5,6\rd\t7,8\r",
+        "edges_cites.tsv": "a\tb\t0.5\r\n\rb\tc\t-0.5\n",
+    },
+    "no-features": {
+        **FOUR_NODES,
+        "features.tsv": "a\t\nb\t \nc\t\nd\t\n",
+        "edges_cites.tsv": "a\tb\t1,2\nb\tc\t3,4\n",
+    },
+    "empty": {"nodes.tsv": "", "features.tsv": "", "labels.tsv": "",
+              "splits.tsv": "", "metapaths.txt": ""},
+}
+ROW_READ = {
+    "rare-tokens": {
+        **FOUR_NODES,
+        "features.tsv": "a\t1_0,١\nb\t2,3\nc\t٣.٥,4\nd\t5,6\n",
+        "edges_cites.tsv": "a\tb\t1_000.5\nb\tc\t2\n",
+        "edges_plain.tsv": "a\tb\t1\nb\tc\t2\n",
+    },
+}
+
+
+def write_dataset(directory, files):
+    for name, text in files.items():
+        (directory / name).write_bytes(text.encode())
+
+
+class TestLoaderParity:
+    """load_dataset against the row-by-row loader it replaced
+    (tests/row_loader.py): the same arrays, byte for byte."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7])
+    def test_synthetic(self, tmp_path, seed):
+        bundle = small_synthetic(seed=seed, relations=[
+            G.RelationSpec("uu", "u", "u", edge_dim=3, avg_degree=3.0, symmetric=True),
+            G.RelationSpec("uv", "u", "v", edge_dim=0, avg_degree=2.0),
+            G.RelationSpec("vu", "v", "u", edge_dim=1, avg_degree=2.0),
+        ])
+        G.save_dataset(bundle, tmp_path)
+        assert_same_bundle(G.load_dataset(tmp_path), load_dataset_by_rows(tmp_path))
+
+    @pytest.mark.parametrize("name", sorted(STREAMED) + sorted(ROW_READ))
+    def test_hand_written(self, tmp_path, name):
+        write_dataset(tmp_path, {**STREAMED, **ROW_READ}[name])
+        assert_same_bundle(G.load_dataset(tmp_path), load_dataset_by_rows(tmp_path))
+
+    @pytest.mark.parametrize("name", sorted(STREAMED) + ["synthetic"])
+    def test_regular_files_are_streamed(self, tmp_path, monkeypatch, name):
+        """Ordinary files never fall back to the row-by-row read."""
+        if name == "synthetic":
+            G.save_dataset(small_synthetic(seed=3), tmp_path)
+        else:
+            write_dataset(tmp_path, STREAMED[name])
+        want = load_dataset_by_rows(tmp_path)
+
+        def row_read(path, *args):
+            raise AssertionError(f"{path.name} was read row by row")
+
+        monkeypatch.setattr(G, "_read_table", row_read)
+        assert_same_bundle(G.load_dataset(tmp_path), want)
 
 
 class TestSynthetic:

@@ -2,16 +2,16 @@
 used by the program itself, no module imports a name it never reads, and
 messages between parties move only through ``RoundTranscript.send``.
 
-A definition counts as used when its name appears somewhere in
-``src/splitgnn`` or ``perfbench`` other than at its own ``def``: as a name
-or attribute that is read, or as a word inside a string that is not a
-docstring (``perfbench`` looks functions up by name).  Code that only tests
-call belongs in ``tests/``, where it can serve as an oracle.
-
-The first guard matches bare names, not qualified ones, so it misses a
-test-only definition that shares its name with one the program uses: a
-module function ``embed`` would pass because ``Participant.embed`` is
-called, and a ``from_bytes`` classmethod because ``int.from_bytes`` is.
+"Used" is judged in ``src/splitgnn`` and ``perfbench``.  A module-level
+function or class is used when it is read as a bare name in its own module,
+as ``module.name`` through an imported package module, or imported with
+``from .module import name``; a module function ``embed`` no longer passes
+because ``Participant.embed`` is called.  A method is used when its name
+appears other than at its own ``def``: as a name or attribute that is read,
+or as a word inside a string that is not a docstring (``perfbench`` wraps
+methods by name).  A method can still pass on another method's call of the
+same name.  Code that only tests call belongs in ``tests/``, where it can
+serve as an oracle.
 """
 
 import ast
@@ -71,17 +71,52 @@ def references(tree):
     return out
 
 
+def package_module(node):
+    """The ``src/splitgnn`` module an import statement names, if any:
+    ``graph`` for ``from .graph import x`` or ``from splitgnn.graph import
+    x``, and ``""`` for the package itself (``from . import graph``)."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 1:
+            return node.module or ""
+        if node.level == 0 and node.module and node.module.split(".")[0] == "splitgnn":
+            return node.module.partition(".")[2]
+    return None
+
+
+def module_references(path, tree):
+    """The (module, name) pairs of package definitions that a program file
+    reads: bare names in its own module, ``alias.name`` where the alias is
+    an imported package module, and names imported from a package module."""
+    own = path.stem if path.parent == PACKAGE else None
+    aliases, out = {}, set()
+    for node in ast.walk(tree):
+        module = package_module(node)
+        if module == "":
+            aliases.update({alias.asname or alias.name: alias.name for alias in node.names})
+        elif module is not None:
+            out.update((module, alias.name) for alias in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and own:
+            out.add((own, node.id))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
+                and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            out.add((aliases[node.value.id], node.attr))
+    return out
+
+
 def test_every_definition_is_used():
-    used = set()
+    words, qualified = set(), set()
     for directory in PROGRAM:
         for path in sorted(directory.glob("*.py")):
-            used |= references(parse(path))
+            tree = parse(path)
+            words |= references(tree)
+            qualified |= module_references(path, tree)
     unused = [
-        f"{path.name}: {qualified}"
+        f"{path.name}: {name}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for qualified, name in definitions(parse(path))
-        if name not in used and name not in ALLOWED
-        and not (name.startswith("__") and name.endswith("__"))
+        for name, bare in definitions(parse(path))
+        if (bare not in words if "." in name else (path.stem, name) not in qualified)
+        and bare not in ALLOWED and not (bare.startswith("__") and bare.endswith("__"))
     ]
     assert not unused, "defined in src/splitgnn but used only by tests or nowhere: " \
         + ", ".join(unused)

@@ -98,3 +98,41 @@ def test_load_rejects_bad_decryption_entry(tmp_path, capsys, entry):
     assert str(err.value) == message
     assert cli.main(["audit", "--transcript", str(path)]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("meta,message", [
+    ([{"context": {}}], "the sidecar must be an object, got [{'context': {}}]"),
+    ("n0", "the sidecar must be an object, got 'n0'"),
+    ({"context": ["n0", "n1"]}, "context must be an object, got ['n0', 'n1']"),
+    ({"context": {"raw_ids": 5}}, "context raw_ids must be an array, got 5"),
+    ({"decryptions": {"round": 0}}, "decryptions must be an array, got {'round': 0}"),
+    ({"payloads": ["ab12"]}, "payloads must be an object, got ['ab12']"),
+    ({"context": {"raw_ids": ["n0"]}, "payloads": {"0": 5}},
+     "payload 0 must be a string, got 5"),
+    ({"context": {"raw_ids": ["n0"]}, "payloads": {"0": ["n0"]}},
+     "payload 0 must be a string, got ['n0']"),
+])
+def test_load_rejects_bad_sidecar_shape(tmp_path, capsys, meta, message):
+    """A sidecar the audit cannot read is a config error naming the
+    sidecar, not a traceback from inside the audit."""
+    path = tmp_path / "transcript.csv"
+    path.write_text("round,from,to,kind,elements,bytes,encrypted\n"
+                    "0,party_0,party_1,psi,1,32,false\n")
+    sidecar = path.with_suffix(".meta.json")
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(ParseError) as err:
+        RoundTranscript.load(path)
+    assert str(err.value) == f"{sidecar}: {message}"
+    assert cli.main(["audit", "--transcript", str(path)]) == 1
+    assert capsys.readouterr().err == f"config error: {sidecar}: {message}\n"
+
+
+def test_load_reads_a_well_formed_sidecar(tmp_path):
+    path = tmp_path / "transcript.csv"
+    path.write_text("round,from,to,kind,elements,bytes,encrypted\n"
+                    "0,party_0,party_1,psi,1,32,false\n")
+    path.with_suffix(".meta.json").write_text(json.dumps(
+        {"context": {"raw_ids": ["n0"]}, "decryptions": [], "payloads": {"0": "n0"}}))
+    t = RoundTranscript.load(path)
+    assert t.context == {"raw_ids": ["n0"]} and t.records[0].payload == "n0"
+    assert [f.kind for f in C.transcript_audit(t).findings] == ["raw_id_leak"]
