@@ -5,8 +5,8 @@ messages between parties move only through ``RoundTranscript.send``.
 "Used" is judged in ``src/splitgnn`` and ``perfbench``.  A module-level
 function or class is used when it is read as a bare name in its own module,
 as ``module.name`` through an imported package module, or imported with
-``from .module import name``; a module function ``embed`` no longer passes
-because ``Participant.embed`` is called.  A method is used when its name
+``from .module import name``, so a module function ``embed`` does not pass
+on a call of ``Participant.embed``.  A method is used when its name
 appears other than at its own ``def``: as a name or attribute that is read,
 or as a word inside a string that is not a docstring (``perfbench`` wraps
 methods by name).  A method can still pass on another method's call of the
