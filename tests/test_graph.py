@@ -219,7 +219,8 @@ FOUR_NODES = {
 }
 
 # Hand-written directories (file name to text) that only the streaming parse
-# reads, and those with tokens it leaves to the row reader.
+# reads, and those with files it leaves to the row reader: rare tokens, or
+# rows without floats.
 STREAMED = {
     "numbers": {
         **FOUR_NODES,
@@ -230,29 +231,29 @@ STREAMED = {
                         "b\t2.5,-1e-310,1.7976931348623157e308\r\n",
         # no newline at the end
         "edges_cites.tsv": "a\tb\t1e308,-0.0\nb\tc\t+1.5, 1.5 \nc\td\tinf,nan",
-        "edges_none.tsv": "a\tb\t\nb\tc\t  \nc\td\t\n",
         "edges_empty.tsv": "\n\n",
-    },
-    "no-edge-features": {
-        **FOUR_NODES,
-        "features.tsv": "a\t1\nb\t2\nc\t3\nd\t4",
-        "edges_cites.tsv": "a\tb\nb\tc\t\n\nc\td\n",
-        "edges_more.tsv": "",
     },
     "old-mac-lines": {
         **FOUR_NODES,
         "features.tsv": "a\t1,2\rb\t3,4\rc\t5,6\rd\t7,8\r",
         "edges_cites.tsv": "a\tb\t0.5\r\n\rb\tc\t-0.5\n",
     },
+    "empty": {"nodes.tsv": "", "features.tsv": "", "labels.tsv": "",
+              "splits.tsv": "", "metapaths.txt": ""},
+}
+ROW_READ = {
+    "no-edge-features": {
+        **FOUR_NODES,
+        "features.tsv": "a\t1\nb\t2\nc\t3\nd\t4",
+        "edges_cites.tsv": "a\tb\nb\tc\t\n\nc\td\n",
+        "edges_more.tsv": "",
+        "edges_none.tsv": "a\tb\t\nb\tc\t  \nc\td\t\n",
+    },
     "no-features": {
         **FOUR_NODES,
         "features.tsv": "a\t\nb\t \nc\t\nd\t\n",
         "edges_cites.tsv": "a\tb\t1,2\nb\tc\t3,4\n",
     },
-    "empty": {"nodes.tsv": "", "features.tsv": "", "labels.tsv": "",
-              "splits.tsv": "", "metapaths.txt": ""},
-}
-ROW_READ = {
     "rare-tokens": {
         **FOUR_NODES,
         "features.tsv": "a\t1_0,١\nb\t2,3\nc\t٣.٥,4\nd\t5,6\n",
@@ -272,7 +273,7 @@ class TestLoaderParity:
     (tests/row_loader.py): the same arrays, byte for byte."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 7])
-    def test_synthetic(self, tmp_path, seed):
+    def test_synthetic(self, tmp_path, recwarn, seed):
         bundle = small_synthetic(seed=seed, relations=[
             G.RelationSpec("uu", "u", "u", edge_dim=3, avg_degree=3.0, symmetric=True),
             G.RelationSpec("uv", "u", "v", edge_dim=0, avg_degree=2.0),
@@ -280,11 +281,13 @@ class TestLoaderParity:
         ])
         G.save_dataset(bundle, tmp_path)
         assert_same_bundle(G.load_dataset(tmp_path), load_dataset_by_rows(tmp_path))
+        assert [str(w.message) for w in recwarn] == []
 
     @pytest.mark.parametrize("name", sorted(STREAMED) + sorted(ROW_READ))
-    def test_hand_written(self, tmp_path, name):
+    def test_hand_written(self, tmp_path, recwarn, name):
         write_dataset(tmp_path, {**STREAMED, **ROW_READ}[name])
         assert_same_bundle(G.load_dataset(tmp_path), load_dataset_by_rows(tmp_path))
+        assert [str(w.message) for w in recwarn] == []
 
     @pytest.mark.parametrize("name", sorted(STREAMED) + ["synthetic"])
     def test_regular_files_are_streamed(self, tmp_path, monkeypatch, name):
