@@ -311,8 +311,9 @@ def _float_table(path: Path, ids: dict[str, int], n_ids: int, min_fields: int,
 def load_dataset(directory) -> DatasetBundle:
     """Parse a dataset directory of UTF-8, tab-separated text files.
 
-    ``nodes.tsv``        ``id <TAB> type``; nodes are numbered in order of
-                         appearance, and the other files name them by id
+    ``nodes.tsv``        ``id <TAB> type``, at least one row; nodes are
+                         numbered in order of appearance, and the other
+                         files name them by id
     ``features.tsv``     ``id <TAB> x,x,...``: a row per node, all of one
                          length; of a node's repeated rows the last wins
     ``edges_<r>.tsv``    ``src <TAB> dst [<TAB> e,e,...]``: relation ``r``,
@@ -351,6 +352,8 @@ def load_dataset(directory) -> DatasetBundle:
             raise ParseError(f"{nodes_path}:{lineno}: duplicate node id {ext!r}")
         ids[ext] = len(types)
         types.append(ntype)
+    if not types:
+        raise ParseError(f"{nodes_path}: no nodes")
     node_types = np.asarray(types)
 
     def resolve(ext: str, path, lineno: int) -> int:
@@ -366,7 +369,7 @@ def load_dataset(directory) -> DatasetBundle:
     if np.any(last < 0):
         raise ParseError(f"{feat_path}: no feature row for node index "
                          f"{np.argmax(last < 0)}")
-    features = table[last] if types else np.array([])
+    features = table[last]
 
     relations: dict[str, Relation] = {}
     for path in sorted(directory.glob("edges_*.tsv")):

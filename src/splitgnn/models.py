@@ -273,7 +273,7 @@ class HatEncoder:
         cfg = self.config
         n = self.graph.num_nodes
         batch = np.asarray(batch_ids, dtype=np.int64)
-        blocks = _receptive_blocks(self.csrs, batch, cfg.layers, self_entry=True)
+        blocks = _receptive_blocks(self.csrs, batch, cfg.layers, n, self_entry=True)
         x = T.Tensor(self.graph.features[blocks[0].inputs])
         self.diagnostics = {}
         for l, blk in enumerate(blocks):
@@ -313,19 +313,27 @@ class _Block:
 
 
 def _receptive_blocks(csrs: list[TargetCsr], batch: np.ndarray, layers: int,
-                     self_entry: bool) -> list[_Block]:
+                      num_nodes: int, self_entry: bool) -> list[_Block]:
     """The blocks of a ``layers``-deep encoder for ``batch``, first layer
     first.  They are found top-down: the last layer's targets are the batch,
     and each layer's inputs are the sources of the edges into its targets in
     every index of ``csrs`` (plus the targets themselves with
-    ``self_entry``), which are the layer below's targets."""
+    ``self_entry``), which are the layer below's targets.  A layer's inputs
+    are marked over the graph's ``num_nodes`` nodes, and ``pos`` maps a
+    marked node id to its row in them."""
     targets = np.unique(batch)
+    pos = np.empty(num_nodes, dtype=np.int64)
     blocks = []
     for _ in range(layers):
         found = [csr.edges_into(targets) for csr in csrs]
-        sources = [nbr for _, nbr, _ in found] + ([targets] if self_entry else [])
-        inputs = np.unique(np.concatenate(sources))
-        edges = [(seg, np.searchsorted(inputs, nbr), eid) for seg, nbr, eid in found]
+        mark = np.zeros(num_nodes, dtype=bool)
+        for _, nbr, _ in found:
+            mark[nbr] = True
+        if self_entry:
+            mark[targets] = True
+        inputs = np.flatnonzero(mark)
+        pos[inputs] = np.arange(len(inputs))
+        edges = [(seg, pos[nbr], eid) for seg, nbr, eid in found]
         blocks.append(_Block(inputs, targets, edges))
         targets = inputs
     return blocks[::-1]
@@ -365,7 +373,7 @@ class GcnEncoder:
         cfg = self.config
         n = self.graph.num_nodes
         batch = np.asarray(batch_ids, dtype=np.int64)
-        blocks = _receptive_blocks([self.csr], batch, cfg.layers, self_entry=False)
+        blocks = _receptive_blocks([self.csr], batch, cfg.layers, n, self_entry=False)
         x = T.Tensor(self.graph.features[blocks[0].inputs])
         for l, blk in enumerate(blocks):
             x = T.dropout(tape, x, cfg.dropout,
@@ -410,7 +418,7 @@ class GatEncoder:
         cfg = self.config
         n = self.graph.num_nodes
         batch = np.asarray(batch_ids, dtype=np.int64)
-        blocks = _receptive_blocks([self.csr], batch, cfg.layers, self_entry=True)
+        blocks = _receptive_blocks([self.csr], batch, cfg.layers, n, self_entry=True)
         x = T.Tensor(self.graph.features[blocks[0].inputs])
         self.diagnostics = {}
         for l, blk in enumerate(blocks):

@@ -8,6 +8,25 @@ overhead.  Gradients are accumulated into ``Tensor.grad`` on every leaf with
 returns ``None`` for an input without ``requires_grad`` (a constant such as a
 feature matrix), so no gradient is computed that nothing would read.
 
+A tape keeps, per recorded op, only the arrays its backward formula reads.
+It holds no op's output, and no input other than a leaf that gets a
+gradient, so an intermediate tensor lives only as long as its caller holds
+it.  What each op keeps:
+
+- ``add``, ``concat_cols``, ``concat_rows``, ``stack_scalars``, ``take``,
+  ``reshape_col`` and ``mean_all``: shapes, offsets and flags;
+- ``mul``, ``matmul`` and ``rowwise_dot``: an operand's values only when
+  the other operand needs a gradient;
+- ``gather_rows``, ``scatter_rows`` and ``segment_sum``: their indices;
+- ``segment_softmax``, ``softmax``, ``tanh`` and ``elu``: their output
+  (``elu(x) > 0`` exactly where ``x > 0``, so the output gives the slope);
+- ``dropout``: its mask; ``cross_entropy``: the logits, their log-sum-exp
+  and the labels.
+
+:meth:`Tape.backward` consumes the tape: it frees each op's record as it
+reaches it, and a second call, or recording after it, raises
+:class:`~splitgnn.errors.ContractError`.
+
 The op set is small on purpose: matrix products, broadcast arithmetic,
 segment (per-group) softmax and sums for edge-list aggregation, the usual
 activations, dropout and cross-entropy.  All values are float64 throughout.
@@ -15,6 +34,7 @@ activations, dropout and cross-entropy.  All values are float64 throughout.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -24,15 +44,19 @@ from .seeding import stable_rng
 
 
 class Tensor:
-    """A dense float64 array plus an optional same-shape gradient buffer."""
+    """A dense float64 array plus an optional same-shape gradient buffer.
 
-    __slots__ = ("values", "grad", "requires_grad", "name")
+    ``origin`` is ``(tape serial, index)`` of the op that produced the
+    tensor on a tape, or ``None``."""
+
+    __slots__ = ("values", "grad", "requires_grad", "name", "origin")
 
     def __init__(self, values, requires_grad: bool = False, name: str | None = None):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.name = name
+        self.origin: tuple[int, int] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -56,6 +80,11 @@ class Tensor:
 
 
 class _Node:
+    """One recorded op: ``out`` is its output's index on the tape; each entry
+    of ``inputs`` is the index of the node that produced that input, the
+    leaf :class:`Tensor` that receives its gradient, or ``None`` when
+    nothing does."""
+
     __slots__ = ("out", "inputs", "backfn")
 
     def __init__(self, out, inputs, backfn):
@@ -64,30 +93,45 @@ class _Node:
         self.backfn = backfn
 
 
+_tape_serials = itertools.count()
+
+
 class Tape:
     """Append-only record of primitive applications, replayed in reverse.
 
     Creation order is topological by construction: an op's inputs always
     exist before its output, so walking ``_nodes`` backwards visits each
     node exactly once and yields deterministic, bit-reproducible gradients.
+    A tensor produced on another tape is a leaf here.
     """
 
     def __init__(self):
+        self._serial = next(_tape_serials)
         self._nodes: list[_Node] = []
-        self._produced: set[int] = set()
+        self._consumed = False
 
     def __len__(self) -> int:
         return len(self._nodes)
 
+    def _source(self, t: Tensor):
+        if t.origin is not None and t.origin[0] == self._serial:
+            return t.origin[1]
+        return t if t.requires_grad else None
+
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], backfn) -> None:
-        self._nodes.append(_Node(out, inputs, backfn))
-        self._produced.add(id(out))
+        if self._consumed:
+            raise ContractError("cannot record on a tape that backward has consumed")
+        out.origin = (self._serial, len(self._nodes))
+        self._nodes.append(_Node(out.origin[1], tuple(map(self._source, inputs)), backfn))
 
     def backward(self, loss: Tensor, seed_grad: np.ndarray | None = None) -> None:
         """Accumulate d(loss)/d(leaf) into ``leaf.grad`` for every leaf that
-        requires grad.  ``seed_grad`` overrides the default all-ones seed and
-        is how a downstream party's gradient is injected at a cut tensor."""
-        if id(loss) not in self._produced:
+        requires grad, consuming the tape.  ``seed_grad`` overrides the
+        default all-ones seed and is how a downstream party's gradient is
+        injected at a cut tensor."""
+        if self._consumed:
+            raise ContractError("backward already ran on this tape")
+        if loss.origin is None or loss.origin[0] != self._serial:
             raise ContractError("backward target was not produced by this tape")
         if seed_grad is None:
             if loss.values.size != 1:
@@ -101,26 +145,25 @@ class Tape:
                 raise ShapeError(
                     f"seed grad shape {seed.shape} != output shape {loss.values.shape}"
                 )
-        grads: dict[int, np.ndarray] = {id(loss): seed}
-        leaves: dict[int, Tensor] = {}
-        for node in reversed(self._nodes):
-            g = grads.pop(id(node.out), None)
+        self._consumed = True
+        grads: dict[int, np.ndarray] = {loss.origin[1]: seed}
+        leaves: dict[int, list] = {}  # id(leaf) -> [leaf, gradient summed over the tape]
+        nodes = self._nodes
+        while nodes:
+            node = nodes.pop()
+            g = grads.pop(node.out, None)
             if g is None:
                 continue
-            for tin, gin in zip(node.inputs, node.backfn(g)):
-                if gin is None or not tin.requires_grad:
+            for src, gin in zip(node.inputs, node.backfn(g)):
+                if gin is None or src is None:
                     continue
-                key = id(tin)
-                if key in grads:
-                    grads[key] = grads[key] + gin
+                if isinstance(src, int):
+                    grads[src] = grads[src] + gin if src in grads else gin
+                elif id(src) in leaves:
+                    leaves[id(src)][1] = leaves[id(src)][1] + gin
                 else:
-                    grads[key] = gin
-                if key not in self._produced:
-                    leaves[key] = tin
-        for key, leaf in leaves.items():
-            g = grads.get(key)
-            if g is None:
-                continue
+                    leaves[id(src)] = [src, gin]
+        for leaf, g in leaves.values():
             leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
@@ -145,6 +188,13 @@ def _emit(tape, out, inputs, backfn) -> Tensor:
     return out
 
 
+def _kept_operands(a: Tensor, b: Tensor):
+    """The values of a product's operands that its backward reads: each
+    operand's only when the other one needs a gradient, else ``None``."""
+    return (a.values if b.requires_grad else None,
+            b.values if a.requires_grad else None)
+
+
 # ---------------------------------------------------------------------------
 # arithmetic
 
@@ -152,18 +202,22 @@ def _emit(tape, out, inputs, backfn) -> Tensor:
 def add(tape, a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.values + b.values)
+    need_a, need_b = a.requires_grad, b.requires_grad
+    shape_a, shape_b = a.values.shape, b.values.shape
     return _emit(tape, out, (a, b), lambda g: (
-        _unbroadcast(g, a.values.shape) if a.requires_grad else None,
-        _unbroadcast(g, b.values.shape) if b.requires_grad else None,
+        _unbroadcast(g, shape_a) if need_a else None,
+        _unbroadcast(g, shape_b) if need_b else None,
     ))
 
 
 def mul(tape, a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.values * b.values)
+    av, bv = _kept_operands(a, b)
+    shape_a, shape_b = a.values.shape, b.values.shape
     return _emit(tape, out, (a, b), lambda g: (
-        _unbroadcast(g * b.values, a.values.shape) if a.requires_grad else None,
-        _unbroadcast(g * a.values, b.values.shape) if b.requires_grad else None,
+        None if bv is None else _unbroadcast(g * bv, shape_a),
+        None if av is None else _unbroadcast(g * av, shape_b),
     ))
 
 
@@ -174,13 +228,14 @@ def matmul(tape, a, b) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     out = Tensor(a.values @ b.values)
+    av, bv = _kept_operands(a, b)
 
     if b.ndim == 2:
-        backfn = lambda g: (g @ b.values.T if a.requires_grad else None,
-                            a.values.T @ g if b.requires_grad else None)
+        backfn = lambda g: (None if bv is None else g @ bv.T,
+                            None if av is None else av.T @ g)
     else:
-        backfn = lambda g: (np.outer(g, b.values) if a.requires_grad else None,
-                            a.values.T @ g if b.requires_grad else None)
+        backfn = lambda g: (None if bv is None else np.outer(g, bv),
+                            None if av is None else av.T @ g)
     return _emit(tape, out, (a, b), backfn)
 
 
@@ -205,10 +260,11 @@ def concat_cols(tape, parts) -> Tensor:
         raise ShapeError(f"concat row counts differ: {[p.shape for p in parts]}")
     out = Tensor(np.concatenate([p.values for p in parts], axis=1))
     offsets = np.cumsum([p.shape[1] for p in parts])[:-1]
+    needs = [p.requires_grad for p in parts]
 
     def backfn(g):
-        return tuple(np.ascontiguousarray(piece) if p.requires_grad else None
-                     for p, piece in zip(parts, np.split(g, offsets, axis=1)))
+        return tuple(np.ascontiguousarray(piece) if need else None
+                     for need, piece in zip(needs, np.split(g, offsets, axis=1)))
 
     return _emit(tape, out, tuple(parts), backfn)
 
@@ -227,9 +283,10 @@ def concat_rows(tape, parts) -> Tensor:
 def stack_scalars(tape, scalars) -> Tensor:
     scalars = [_as_tensor(s) for s in scalars]
     out = Tensor(np.array([s.values.reshape(()) for s in scalars]))
+    shapes = [s.values.shape for s in scalars]
 
     def backfn(g):
-        return tuple(np.asarray(g[i]).reshape(s.values.shape) for i, s in enumerate(scalars))
+        return tuple(np.asarray(g[i]).reshape(shape) for i, shape in enumerate(shapes))
 
     return _emit(tape, out, tuple(scalars), backfn)
 
@@ -237,9 +294,10 @@ def stack_scalars(tape, scalars) -> Tensor:
 def take(tape, v, i: int) -> Tensor:
     v = _as_tensor(v)
     out = Tensor(v.values[i])
+    shape = v.values.shape
 
     def backfn(g):
-        gv = np.zeros_like(v.values)
+        gv = np.zeros(shape)
         gv[i] = g
         return (gv,)
 
@@ -259,7 +317,8 @@ def gather_rows(tape, x, idx) -> Tensor:
     x = _as_tensor(x)
     idx = np.asarray(idx, dtype=np.int64)
     out = Tensor(x.values[idx])
-    return _emit(tape, out, (x,), lambda g: (_segment_add(g, idx, x.shape[0]),))
+    n = x.shape[0]
+    return _emit(tape, out, (x,), lambda g: (_segment_add(g, idx, n),))
 
 
 def scatter_rows(tape, piece, idx, n_rows: int) -> Tensor:
@@ -298,8 +357,8 @@ def _segment_add(values, seg, n: int) -> np.ndarray:
 def mean_all(tape, x) -> Tensor:
     x = _as_tensor(x)
     out = Tensor(x.values.mean())
-    n = x.values.size
-    return _emit(tape, out, (x,), lambda g: (np.full_like(x.values, float(g) / n),))
+    shape, n = x.values.shape, x.values.size
+    return _emit(tape, out, (x,), lambda g: (np.full(shape, float(g) / n),))
 
 
 def rowwise_dot(tape, a, b) -> Tensor:
@@ -307,9 +366,10 @@ def rowwise_dot(tape, a, b) -> Tensor:
     if a.shape != b.shape or a.ndim != 2:
         raise ShapeError(f"rowwise_dot expects equal 2-D shapes, got {a.shape}, {b.shape}")
     out = Tensor(np.einsum("ij,ij->i", a.values, b.values))
+    av, bv = _kept_operands(a, b)
     return _emit(tape, out, (a, b), lambda g: (
-        g[:, None] * b.values if a.requires_grad else None,
-        g[:, None] * a.values if b.requires_grad else None,
+        None if bv is None else g[:, None] * bv,
+        None if av is None else g[:, None] * av,
     ))
 
 
@@ -356,9 +416,7 @@ def elu(tape, x) -> Tensor:
     x = _as_tensor(x)
     vals = np.where(x.values > 0, x.values, np.expm1(x.values))
     out = Tensor(vals)
-    return _emit(tape, out, (x,), lambda g: (
-        g * np.where(x.values > 0, 1.0, vals + 1.0),
-    ))
+    return _emit(tape, out, (x,), lambda g: (g * np.where(vals > 0, 1.0, vals + 1.0),))
 
 
 def tanh(tape, x) -> Tensor:

@@ -55,6 +55,12 @@ LOADER_ERRORS = {
     "edges-too-few-fields": (
         {"edges_cites.tsv": "a\tb\t0.75\nb\n"},
         "{d}/edges_cites.tsv:2: expected 3 tab-separated fields, got 1"),
+    # every file empty and no edge file
+    "empty-dataset": (
+        {"nodes.tsv": "", "features.tsv": "", "labels.tsv": "", "splits.tsv": "",
+         "metapaths.txt": "", "edges_cites.tsv": None},
+        "{d}/nodes.tsv: no nodes"),
+    "blank-nodes": ({"nodes.tsv": "\n  \r\n"}, "{d}/nodes.tsv: no nodes"),
     "duplicate-node": (
         {"nodes.tsv": "a\tdoc\nb\tdoc\nc\tdoc\nb\tdoc\n"},
         "{d}/nodes.tsv:4: duplicate node id 'b'"),
@@ -238,8 +244,6 @@ STREAMED = {
         "features.tsv": "a\t1,2\rb\t3,4\rc\t5,6\rd\t7,8\r",
         "edges_cites.tsv": "a\tb\t0.5\r\n\rb\tc\t-0.5\n",
     },
-    "empty": {"nodes.tsv": "", "features.tsv": "", "labels.tsv": "",
-              "splits.tsv": "", "metapaths.txt": ""},
 }
 ROW_READ = {
     "no-edge-features": {

@@ -179,7 +179,8 @@ class TestNodeAttention:
         g = bundle.graph
         cfg = small_config(fusion=fusion, head_mode=head_mode, layers=1)
         enc = M.HatEncoder(_single_view(bundle), cfg, seed=3, scope="e")
-        blk, = M._receptive_blocks(enc.csrs, np.arange(0, g.num_nodes, 3), 1, self_entry=True)
+        blk, = M._receptive_blocks(enc.csrs, np.arange(0, g.num_nodes, 3), 1, g.num_nodes,
+                                   self_entry=True)
         assert len(blk.targets) < len(blk.inputs) < g.num_nodes
         h = enc._type_transform(None, T.Tensor(g.features[blk.inputs]), blk.inputs, 0)
         h_own = T.gather_rows(None, h, np.searchsorted(blk.inputs, blk.targets))
@@ -558,7 +559,47 @@ def param_grads(enc, forward):
     return {name: p.grad for name, p in enc.params.items()}
 
 
+def unique_receptive_blocks(csrs, batch, layers, self_entry):
+    """The receptive-field blocks found with ``np.unique`` and
+    ``np.searchsorted``: the oracle for the node-marking build."""
+    targets = np.unique(batch)
+    blocks = []
+    for _ in range(layers):
+        found = [csr.edges_into(targets) for csr in csrs]
+        sources = [nbr for _, nbr, _ in found] + ([targets] if self_entry else [])
+        inputs = np.unique(np.concatenate(sources))
+        edges = [(seg, np.searchsorted(inputs, nbr), eid) for seg, nbr, eid in found]
+        blocks.append((inputs, targets, edges))
+        targets = inputs
+    return blocks[::-1]
+
+
 class TestReceptiveBlocks:
+    @pytest.mark.parametrize("index", ["merged", "channels"])
+    @pytest.mark.parametrize("self_entry", [False, True])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("batch", [[], [5], [17, 3, 3, 21, 0, 17, 9], list(range(23))],
+                             ids=["empty", "one", "repeated", "all"])
+    def test_blocks_match_unique_oracle(self, batch, layers, self_entry, index):
+        # node 21 of the 23 is isolated; "channels" are HAT's, metapaths included
+        view = hat_view()
+        n = view.graph.num_nodes
+        if index == "merged":
+            csrs = [G.TargetCsr(*merged_edges(view.graph), n)]
+        else:
+            csrs = M.make_encoder(view, small_config(kind="hat"), seed=3, scope="e").csrs
+        batch = np.asarray(batch, dtype=np.int64)
+        got = M._receptive_blocks(csrs, batch, layers, n, self_entry=self_entry)
+        want = unique_receptive_blocks(csrs, batch, layers, self_entry)
+        assert len(got) == len(want) == layers
+        for blk, (inputs, targets, edges) in zip(got, want):
+            assert np.array_equal(blk.inputs, inputs) and blk.inputs.dtype == inputs.dtype
+            assert np.array_equal(blk.targets, targets)
+            assert len(blk.edges) == len(edges)
+            for got_edges, want_edges in zip(blk.edges, edges):
+                for a, b in zip(got_edges, want_edges):
+                    assert np.array_equal(a, b) and a.dtype == b.dtype
+
     @pytest.mark.parametrize("kind", ["gcn", "gat"])
     @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_matches_whole_graph(self, kind, layers):
@@ -630,7 +671,8 @@ class TestReceptiveBlocks:
         assert not any(np.isin(isolated, [ch.tgt, ch.nbr]).any() for ch in enc.channels)
         # unsorted, with duplicates and an isolated node
         batch = [17, 3, 3, isolated, 0, 17, 9]
-        blocks = M._receptive_blocks(enc.csrs, np.asarray(batch), cfg.layers, self_entry=True)
+        blocks = M._receptive_blocks(enc.csrs, np.asarray(batch), cfg.layers, n,
+                                     self_entry=True)
         frontiers = [blk.targets for blk in blocks]
         assert len(frontiers[0]) < n
         for training in (False, True):
@@ -643,10 +685,12 @@ class TestReceptiveBlocks:
             assert not np.allclose(got, everywhere.values)
 
     def test_hat_alpha_segments_are_node_ids(self):
-        enc = M.make_encoder(hat_view(), small_config(kind="hat", layers=2), seed=3, scope="e")
+        view = hat_view()
+        enc = M.make_encoder(view, small_config(kind="hat", layers=2), seed=3, scope="e")
         batch = [15, 4, 4, 11]
         enc.forward(None, batch)
-        blocks = M._receptive_blocks(enc.csrs, np.asarray(batch), 2, self_entry=True)
+        blocks = M._receptive_blocks(enc.csrs, np.asarray(batch), 2, view.graph.num_nodes,
+                                     self_entry=True)
         _, want = whole_graph_hat(enc, None, batch,
                                   beta_rows=[blk.targets for blk in blocks])
         assert enc.diagnostics["alpha"].keys() == want.keys()

@@ -1,4 +1,6 @@
+import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +226,135 @@ def test_constant_operand_gets_no_gradient(op, constant):
     assert operands[constant].grad is None
     param = 1 - constant
     assert np.array_equal(operands[param].grad, reference(g, *values)[param])
+
+
+# every recording op, with the operand shapes it is called on here
+RETENTION_CASES = {
+    "add": (T.add, [(3, 4), (4,)]),
+    "mul": (T.mul, [(3, 4), (1, 4)]),
+    "matmul": (T.matmul, [(3, 4), (4, 2)]),
+    "matvec": (T.matmul, [(3, 4), (4,)]),
+    "linear": (T.linear, [(3, 4), (4, 2), (2,)]),
+    "concat_cols": (lambda tape, a, b: T.concat_cols(tape, [a, b]), [(3, 2), (3, 3)]),
+    "concat_rows": (lambda tape, a, b: T.concat_rows(tape, [a, b]), [(2, 3), (1, 3)]),
+    "stack_scalars": (lambda tape, a, b: T.stack_scalars(tape, [a, b]), [(), ()]),
+    "take": (lambda tape, v: T.take(tape, v, 1), [(3,)]),
+    "reshape_col": (T.reshape_col, [(3,)]),
+    "gather_rows": (lambda tape, x: T.gather_rows(tape, x, [2, 0, 2]), [(3, 2)]),
+    "scatter_rows": (lambda tape, x: T.scatter_rows(tape, x, [3, 0], 4), [(2, 2)]),
+    "mean_all": (T.mean_all, [(3, 2)]),
+    "rowwise_dot": (T.rowwise_dot, [(3, 4), (3, 4)]),
+    "segment_sum": (lambda tape, x: T.segment_sum(tape, x, [0, 1, 0], 2), [(3, 2)]),
+    "segment_softmax": (lambda tape, s: T.segment_softmax(tape, s, [0, 1, 0], 2, 0.5),
+                        [(3,)]),
+    "elu": (T.elu, [(3, 2)]),
+    "tanh": (T.tanh, [(3, 2)]),
+    "softmax": (T.softmax, [(3,)]),
+    "dropout": (lambda tape, x: T.dropout(tape, x, 0.5, seed=1, training=True), [(4, 3)]),
+    "cross_entropy": (lambda tape, x: T.cross_entropy(tape, x, [0, 2, 1]), [(3, 3)]),
+}
+
+
+def held_tensors(obj):
+    """The Tensors ``obj`` holds, looking inside lists, tuples and dicts."""
+    if isinstance(obj, T.Tensor):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [t for item in obj for t in held_tensors(item)]
+    return []
+
+
+def test_retention_cases_cover_every_op():
+    ops = {name for name, fn in vars(T).items()
+           if inspect.isfunction(fn) and fn.__module__ == T.__name__
+           and not name.startswith("_")
+           and list(inspect.signature(fn).parameters)[:1] == ["tape"]}
+    assert set(RETENTION_CASES) - {"matvec"} == ops
+
+
+@pytest.mark.parametrize("op", sorted(RETENTION_CASES))
+def test_tape_keeps_no_tensor_but_leaves(op):
+    """No backward closure holds a Tensor, and a node's inputs are only
+    node indices, leaves that get a gradient, or None."""
+    fn, shapes = RETENTION_CASES[op]
+    for constant in [None] + list(range(len(shapes)) if len(shapes) > 1 else []):
+        rng = stable_rng("retention", op)
+        leaves = [T.Tensor(rng.standard_normal(shape), requires_grad=i != constant)
+                  for i, shape in enumerate(shapes)]
+        tape = T.Tape()
+        # operands produced on the tape, so the op's inputs are not leaves
+        operands = [T.add(tape, leaf, 0.0) if leaf.requires_grad else leaf
+                    for leaf in leaves]
+        out = fn(tape, *operands)
+        assert len(tape) >= len(shapes) + 1 - (constant is not None)
+        for node in tape._nodes:
+            cells = [c.cell_contents for c in node.backfn.__closure__ or ()]
+            assert held_tensors(cells) == [], (op, constant)
+            for src in node.inputs:
+                assert src is None or isinstance(src, int) or (
+                    any(src is leaf for leaf in leaves) and src.requires_grad)
+        seed = rng.standard_normal(out.shape)
+        tape.backward(out, seed_grad=seed)
+        for leaf in leaves:
+            assert (leaf.grad is not None) == leaf.requires_grad
+
+
+def test_linear_frees_its_pre_bias_product():
+    rng = stable_rng("linear-retention")
+    x = T.Tensor(rng.standard_normal((4000, 256)))
+    w = T.Tensor(rng.standard_normal((256, 256)) / 16, requires_grad=True)
+    b = T.Tensor(np.zeros(256), requires_grad=True)
+    tape = T.Tape()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = T.linear(tape, x, w, b)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the output is all that is new; the x @ w product went with its Tensor
+    assert out.values.nbytes <= held < 1.25 * out.values.nbytes
+    tape.backward(T.mean_all(tape, out))
+    np.testing.assert_allclose(w.grad, np.repeat(x.values.mean(axis=0)[:, None] / 256,
+                                                 256, axis=1), rtol=1e-12)
+
+
+class TestTapeConsumption:
+    def test_second_backward_raises(self):
+        tape = T.Tape()
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        loss = T.mean_all(tape, T.mul(tape, x, x))
+        tape.backward(loss)
+        assert len(tape) == 0
+        with pytest.raises(ContractError, match="already ran"):
+            tape.backward(loss)
+        with pytest.raises(ContractError, match="consumed"):
+            T.mul(tape, x, x)
+        np.testing.assert_array_equal(x.grad, [1.0, 2.0])
+
+    def test_tensor_from_another_tape_is_a_leaf(self):
+        lower, upper = T.Tape(), T.Tape()
+        x = T.Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        y = T.mul(lower, x, 2.0)
+        loss = T.mean_all(upper, T.mul(upper, y, y))
+        assert upper._nodes[0].inputs == (y, y)
+        upper.backward(loss)
+        np.testing.assert_array_equal(y.grad, 2.0 * y.values / 3)
+        assert x.grad is None
+        lower.backward(y, seed_grad=y.grad)
+        np.testing.assert_array_equal(x.grad, 2.0 * y.grad)
+
+    def test_tapes_are_told_apart_by_serial(self):
+        # a dead tape's id() can be reused; its tensors must still be foreign
+        tape = T.Tape()
+        x = T.Tensor(2.0, requires_grad=True)
+        y = T.mul(tape, x, x)
+        del tape
+        other = T.Tape()
+        with pytest.raises(ContractError, match="not produced by this tape"):
+            other.backward(y)
 
 
 class TestSegmentOps:
