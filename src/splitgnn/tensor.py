@@ -146,8 +146,10 @@ class Tape:
                     f"seed grad shape {seed.shape} != output shape {loss.values.shape}"
                 )
         self._consumed = True
-        grads: dict[int, np.ndarray] = {loss.origin[1]: seed}
-        leaves: dict[int, list] = {}  # id(leaf) -> [leaf, gradient summed over the tape]
+        # keyed by node index or by leaf (a Tensor hashes by identity); a
+        # node's entry is popped when the walk reaches it, so only the
+        # leaves' gradients, summed over the tape, are left at the end
+        grads: dict = {loss.origin[1]: seed}
         nodes = self._nodes
         while nodes:
             node = nodes.pop()
@@ -155,15 +157,9 @@ class Tape:
             if g is None:
                 continue
             for src, gin in zip(node.inputs, node.backfn(g)):
-                if gin is None or src is None:
-                    continue
-                if isinstance(src, int):
+                if gin is not None and src is not None:
                     grads[src] = grads[src] + gin if src in grads else gin
-                elif id(src) in leaves:
-                    leaves[id(src)][1] = leaves[id(src)][1] + gin
-                else:
-                    leaves[id(src)] = [src, gin]
-        for leaf, g in leaves.values():
+        for leaf, g in grads.items():
             leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
