@@ -685,11 +685,10 @@ class TestReceptiveBlocks:
             assert not np.allclose(got, everywhere.values)
 
     def test_hat_alpha_segments_are_node_ids(self):
-        view = hat_view()
-        enc = M.make_encoder(view, small_config(kind="hat", layers=2), seed=3, scope="e")
+        enc = M.make_encoder(hat_view(), small_config(kind="hat", layers=2), seed=3, scope="e")
         batch = [15, 4, 4, 11]
         enc.forward(None, batch)
-        blocks = M._receptive_blocks(enc.csrs, np.asarray(batch), 2, view.graph.num_nodes,
+        blocks = M._receptive_blocks(enc.csrs, np.asarray(batch), 2, enc.graph.num_nodes,
                                      self_entry=True)
         _, want = whole_graph_hat(enc, None, batch,
                                   beta_rows=[blk.targets for blk in blocks])
