@@ -48,6 +48,8 @@ def load_dataset_by_rows(directory) -> DatasetBundle:
             raise ParseError(f"{nodes_path}:{lineno}: duplicate node id {ext!r}")
         ids[ext] = len(types)
         types.append(ntype)
+    if not types:
+        raise ParseError(f"{nodes_path}: no nodes")
 
     def resolve(ext: str, path, lineno: int) -> int:
         idx = ids.get(ext)

@@ -244,6 +244,9 @@ STREAMED = {
         "features.tsv": "a\t1,2\rb\t3,4\rc\t5,6\rd\t7,8\r",
         "edges_cites.tsv": "a\tb\t0.5\r\n\rb\tc\t-0.5\n",
     },
+    # rejected by both loaders, before any file is read row by row
+    "empty": {"nodes.tsv": "", "features.tsv": "", "labels.tsv": "",
+              "splits.tsv": "", "metapaths.txt": ""},
 }
 ROW_READ = {
     "no-edge-features": {
@@ -272,6 +275,22 @@ def write_dataset(directory, files):
         (directory / name).write_bytes(text.encode())
 
 
+def load_outcome(load, directory):
+    """What ``load`` makes of ``directory``: its bundle, or the message of
+    the ParseError it raises."""
+    try:
+        return load(directory)
+    except ParseError as err:
+        return str(err)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_bundle(got, want)
+
+
 class TestLoaderParity:
     """load_dataset against the row-by-row loader it replaced
     (tests/row_loader.py): the same arrays, byte for byte."""
@@ -290,7 +309,8 @@ class TestLoaderParity:
     @pytest.mark.parametrize("name", sorted(STREAMED) + sorted(ROW_READ))
     def test_hand_written(self, tmp_path, recwarn, name):
         write_dataset(tmp_path, {**STREAMED, **ROW_READ}[name])
-        assert_same_bundle(G.load_dataset(tmp_path), load_dataset_by_rows(tmp_path))
+        assert_same_outcome(load_outcome(G.load_dataset, tmp_path),
+                            load_outcome(load_dataset_by_rows, tmp_path))
         assert [str(w.message) for w in recwarn] == []
 
     @pytest.mark.parametrize("name", sorted(STREAMED) + ["synthetic"])
@@ -300,13 +320,13 @@ class TestLoaderParity:
             G.save_dataset(small_synthetic(seed=3), tmp_path)
         else:
             write_dataset(tmp_path, STREAMED[name])
-        want = load_dataset_by_rows(tmp_path)
+        want = load_outcome(load_dataset_by_rows, tmp_path)
 
         def row_read(path, *args):
             raise AssertionError(f"{path.name} was read row by row")
 
         monkeypatch.setattr(G, "_read_table", row_read)
-        assert_same_bundle(G.load_dataset(tmp_path), want)
+        assert_same_outcome(load_outcome(G.load_dataset, tmp_path), want)
 
 
 class TestSynthetic:
