@@ -52,9 +52,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     config = ExperimentConfig.load(args.config)
     if args.seeds:
-        overrides = {**config.to_json(),
-                     "seeds": [int(s) for s in args.seeds.split(",")]}
-        config = ExperimentConfig.from_json(overrides)
+        try:
+            seeds = [int(s) for s in args.seeds.split(",")]
+        except ValueError:
+            raise ConfigError(f"--seeds must be comma-separated integers, "
+                              f"got {args.seeds!r}") from None
+        config = ExperimentConfig.from_json({**config.to_json(), "seeds": seeds})
     if args.secure:
         config = ExperimentConfig.from_json({**config.to_json(), "secure": True})
     if args.grid:

@@ -8,6 +8,12 @@ Strategies:
   - ``split_m/c/w``   the full split protocol with average / concatenation /
                       trainable weighted combination
 
+Every strategy trains a :class:`SplitSession`; the two baselines are
+sessions with a single participant, kept plaintext and unmetered, so they
+report no transcript and no bytes.  That a one-participant session matches
+one model on one tape is checked against the oracle in
+``tests/test_protocol.py``.
+
 The federated-learning comparator is a closed-form byte model (each
 participant uploads and downloads the full parameter vector every round);
 split-learning bytes are measured off the session transcript.
@@ -21,15 +27,22 @@ import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
-from .errors import ConfigError, RoleError
+from .errors import ConfigError
 from .graph import (DatasetBundle, ParticipantView, PartitionSpec, RelationSpec,
                     SyntheticSpec, generate_synthetic, load_dataset,
                     vertical_partition)
 from .models import EncoderConfig
-from .protocol import CentralizedModel, SessionConfig, SplitSession
+from .protocol import SessionConfig, SplitSession
+from .tensor import OPTIMIZERS
 from .transcript import FLOAT_BYTES, RoundTranscript
 
 STRATEGY_MAP = {"split_m": "average", "split_c": "concat", "split_w": "weighted"}
+
+
+def _standalone_index(strategy: str) -> int | None:
+    """i for ``standalone_i``; None for any other strategy name."""
+    prefix, _, index = strategy.partition("_")
+    return int(index) if prefix == "standalone" and index.isdecimal() else None
 
 
 def desk_scale_spec() -> SyntheticSpec:
@@ -82,11 +95,19 @@ class ExperimentConfig:
             raise ConfigError(
                 f"ratio has {len(self.ratio)} entries for {self.participants} participants"
             )
-        if self.strategy != "entire" and not self.strategy.startswith("standalone_") \
-                and self.strategy not in STRATEGY_MAP:
+        alone = _standalone_index(self.strategy)
+        if self.strategy != "entire" and alone is None and self.strategy not in STRATEGY_MAP:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
-        if not self.seeds:
-            raise ConfigError("at least one seed required")
+        if alone is not None and alone >= self.participants:
+            raise ConfigError(f"no participant {alone} to run standalone among "
+                              f"{self.participants}")
+        if not isinstance(self.seeds, list) or not self.seeds or not all(
+                type(s) is int for s in self.seeds):
+            raise ConfigError(f"seeds must be a non-empty list of integers, "
+                              f"got {self.seeds!r}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ConfigError(f"optimizer must be one of {tuple(OPTIMIZERS)}, "
+                              f"got {self.optimizer!r}")
 
     @classmethod
     def from_json(cls, payload: dict) -> "ExperimentConfig":
@@ -113,6 +134,8 @@ class ExperimentConfig:
                              temperature=self.temperature)
 
     def session_config(self, seed: int) -> SessionConfig:
+        # a baseline is a one-participant session: concat passes its
+        # embedding through unchanged, where weighted would train an ω
         return SessionConfig(
             encoder=self.encoder_config(),
             strategy=STRATEGY_MAP.get(self.strategy, "concat"),
@@ -120,7 +143,7 @@ class ExperimentConfig:
             epochs=self.epochs,
             learning_rate=self.learning_rate,
             optimizer=self.optimizer,
-            secure=self.secure,
+            secure=self.secure and self.strategy in STRATEGY_MAP,
             seed=seed,
             key_bits=self.key_bits,
             scale_bits=self.scale_bits,
@@ -176,11 +199,9 @@ def comm_cost_fl(participants: int, model_params: int, rounds: int) -> int:
     return rounds * 2 * participants * model_params * FLOAT_BYTES
 
 
-def comm_cost_sl(transcripts) -> int:
+def comm_cost_sl(transcript: RoundTranscript) -> int:
     """Measured split-learning bytes: the exact sum over transcript records."""
-    if isinstance(transcripts, RoundTranscript):
-        transcripts = [transcripts]
-    return sum(t.total_bytes() for t in transcripts)
+    return transcript.total_bytes()
 
 
 def count_params(param_dicts) -> int:
@@ -213,61 +234,53 @@ def _grant_labels(view: ParticipantView, bundle: DatasetBundle) -> ParticipantVi
                            view.val_ids, view.test_ids)
 
 
+def _strategy_views(config: ExperimentConfig, bundle: DatasetBundle):
+    """The views the strategy's session trains on, and how its label holder
+    reads labels: the whole graph as participant 0 for ``entire``,
+    participant i's view alone for ``standalone_i``, every view for a split."""
+    g = bundle.graph
+    if config.strategy == "entire":
+        spec = PartitionSpec.from_ratio([1.0], g.feature_dim, g.relation_names())
+        return vertical_partition(bundle, spec, seed=config.data_seed), "native"
+    spec = PartitionSpec.from_ratio(config.ratio, g.feature_dim, g.relation_names(),
+                                    label_holder=config.label_holder)
+    views = vertical_partition(bundle, spec, seed=config.data_seed)
+    alone = _standalone_index(config.strategy)
+    if alone is None:
+        return views, "native"
+    view = views[alone]
+    if view.has_labels:
+        return [view], "native"
+    return [_grant_labels(view, bundle)], "granted"
+
+
 def run_experiment(config: ExperimentConfig):
     """Execute the configured strategy for every seed.
 
-    Returns (metrics rows, cost report).  The cost report reflects the last
-    seed's transcript; message counts and sizes are structural, so they are
-    identical across seeds.
+    Returns (metrics rows, cost report, transcript).  The cost report
+    reflects the last seed's transcript; message counts and sizes are
+    structural, so they are identical across seeds.  The baselines are
+    unmetered: they return no transcript and report no bytes or rounds.
     """
     bundle = _load_bundle(config)
+    views, label_access = _strategy_views(config, bundle)
+    metered = config.strategy in STRATEGY_MAP
     rows: list[MetricsRow] = []
     last_transcript: RoundTranscript | None = None
     model_params = 0
     rounds_total = 0
 
     for seed in config.seeds:
-        scfg = config.session_config(seed)
         start = time.perf_counter()
-        label_access = "native"
-
-        if config.strategy == "entire":
-            spec = PartitionSpec.from_ratio([1.0], bundle.graph.feature_dim,
-                                            bundle.graph.relation_names())
-            view = vertical_partition(bundle, spec, seed=config.data_seed)[0]
-            model = CentralizedModel(view, scfg)
-            history = model.train()
-            model_params = count_params([model.params])
-            transcript = None
-        else:
-            spec = PartitionSpec.from_ratio(config.ratio, bundle.graph.feature_dim,
-                                            bundle.graph.relation_names(),
-                                            label_holder=config.label_holder)
-            views = vertical_partition(bundle, spec, seed=config.data_seed)
-            if config.strategy.startswith("standalone_"):
-                idx = int(config.strategy.split("_", 1)[1])
-                if not 0 <= idx < len(views):
-                    raise RoleError(f"no participant {idx} to run standalone")
-                view = views[idx]
-                if not view.has_labels:
-                    view = _grant_labels(view, bundle)
-                    label_access = "granted"
-                model = CentralizedModel(view, scfg)
-                history = model.train()
-                model_params = count_params([model.params])
-                transcript = None
-            else:
-                session = SplitSession(views, scfg)
-                session.align()
-                history = session.train()
-                model_params = count_params(
-                    [p.trainable() for p in session.participants] + [session.server_params])
-                transcript = session.transcript
-                rounds_total = session._round
-
+        session = SplitSession(views, config.session_config(seed))
+        session.align()
+        history = session.train()
         elapsed = time.perf_counter() - start
-        if transcript is not None:
-            last_transcript = transcript
+        model_params = count_params(
+            [p.trainable() for p in session.participants] + [session.server_params])
+        if metered:
+            last_transcript = session.transcript
+            rounds_total = session._round
         for h in history:
             rows.append(MetricsRow(
                 digest=config.digest(seed),

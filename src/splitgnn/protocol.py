@@ -9,12 +9,10 @@ gradients retrace the same path backwards across both cuts.  Every message
 moves through :meth:`RoundTranscript.send`, which meters it and hands the
 receiver the value it computes from.
 
-A :class:`CentralizedModel` composes the same encoder, server stack and
-output head on a single tape with no message passing; it is both the
-"Entire" baseline and the equivalence oracle for the routed pipeline.  Both
-train through one epoch loop, :func:`train_epochs`, which owns the batch
-schedule, the per-epoch round cut, the step counter and the per-epoch
-metrics row; they differ only in the step they hand it.
+The "Entire" and "Standalone" baselines are sessions with one participant,
+where the cut changes nothing: with concatenation or averaging they train
+exactly as one model on one tape would, and the single-tape oracle that
+checks this lives in ``tests/test_protocol.py``.
 """
 
 from __future__ import annotations
@@ -81,24 +79,25 @@ class ServerNet:
     """Two dense+ELU+dropout layers between the participants' embeddings and
     the label holder's output layer."""
 
-    def __init__(self, in_dim, hidden, seed, dropout=0.3, scope="server"):
+    SCOPE = "server"
+
+    def __init__(self, in_dim, hidden, seed, dropout=0.3):
         self.seed = seed
-        self.scope = scope
         self.dropout = dropout
         self.params: dict[str, T.Tensor] = {}
-        init_param(self.params, f"{scope}/l0/W", (in_dim, hidden), seed)
-        init_param(self.params, f"{scope}/l0/b", (hidden,), seed, zeros=True)
-        init_param(self.params, f"{scope}/l1/W", (hidden, hidden), seed)
-        init_param(self.params, f"{scope}/l1/b", (hidden,), seed, zeros=True)
+        init_param(self.params, f"{self.SCOPE}/l0/W", (in_dim, hidden), seed)
+        init_param(self.params, f"{self.SCOPE}/l0/b", (hidden,), seed, zeros=True)
+        init_param(self.params, f"{self.SCOPE}/l1/W", (hidden, hidden), seed)
+        init_param(self.params, f"{self.SCOPE}/l1/b", (hidden,), seed, zeros=True)
 
     def forward(self, tape, x, step=0, training=False):
         h = x
         for l in (0, 1):
             h = T.elu(tape, T.linear(tape, h,
-                                     self.params[f"{self.scope}/l{l}/W"],
-                                     self.params[f"{self.scope}/l{l}/b"]))
+                                     self.params[f"{self.SCOPE}/l{l}/W"],
+                                     self.params[f"{self.SCOPE}/l{l}/b"]))
             h = T.dropout(tape, h, self.dropout,
-                          seed=(self.seed, "dropout", self.scope, l, step),
+                          seed=(self.seed, "dropout", self.SCOPE, l, step),
                           training=training)
         return h
 
@@ -106,15 +105,16 @@ class ServerNet:
 class LabelHead:
     """The label holder's private output layer and loss."""
 
-    def __init__(self, hidden, num_classes, seed, scope="head"):
-        self.scope = scope
+    SCOPE = "head"
+
+    def __init__(self, hidden, num_classes, seed):
         self.params: dict[str, T.Tensor] = {}
-        init_param(self.params, f"{scope}/W", (hidden, num_classes), seed)
-        init_param(self.params, f"{scope}/b", (num_classes,), seed, zeros=True)
+        init_param(self.params, f"{self.SCOPE}/W", (hidden, num_classes), seed)
+        init_param(self.params, f"{self.SCOPE}/b", (num_classes,), seed, zeros=True)
 
     def logits(self, tape, hidden):
-        return T.linear(tape, hidden, self.params[f"{self.scope}/W"],
-                        self.params[f"{self.scope}/b"])
+        return T.linear(tape, hidden, self.params[f"{self.SCOPE}/W"],
+                        self.params[f"{self.SCOPE}/b"])
 
     def forward_loss(self, tape, hidden, labels):
         logits = self.logits(tape, hidden)
@@ -153,38 +153,6 @@ def batch_schedule(train_ids, batch_size, epoch, seed):
     perm = stable_rng(seed, "batch", epoch).permutation(len(ids))
     shuffled = ids[perm]
     return [shuffled[i:i + batch_size] for i in range(0, len(ids), batch_size)]
-
-
-def train_epochs(config, train_ids, train_step, evaluate, log=None) -> list[dict]:
-    """The epoch loop shared by split and centralized training.
-
-    ``train_step(batch, step)`` runs one round and returns its loss;
-    ``evaluate(split)`` scores a split.  Each epoch runs the seeded batch
-    schedule, cut to ``config.rounds_per_epoch`` rounds when that is set,
-    and yields one row of mean loss and validation and test scores, which
-    is also passed to ``log``.
-    """
-    if config.batch_size > len(train_ids):
-        raise ConfigError(f"batch size {config.batch_size} exceeds the train set "
-                          f"({len(train_ids)})")
-    rows = []
-    step = 0
-    for epoch in range(config.epochs):
-        batches = batch_schedule(train_ids, config.batch_size, epoch, config.seed)
-        losses = []
-        for batch in batches[:config.rounds_per_epoch]:
-            losses.append(train_step(batch, step))
-            step += 1
-        row = {
-            "epoch": epoch,
-            "train_loss": float(np.mean(losses)),
-            "val_f1": evaluate("val"),
-            "test_f1": evaluate("test"),
-        }
-        rows.append(row)
-        if log:
-            log(row)
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -439,68 +407,29 @@ class SplitSession:
 
     # -- full loop -----------------------------------------------------------
 
-    def train(self, log=None) -> list[dict]:
+    def train(self) -> list[dict]:
+        """Train for ``config.epochs`` epochs of the seeded batch schedule,
+        cut to ``config.rounds_per_epoch`` rounds when that is set.  Each
+        epoch yields one row of mean loss and validation and test scores."""
         if self.aligned is None:
             self.align()
-        return train_epochs(self.config, self._split_ids("train"), self.train_round,
-                            self.evaluate, log)
-
-
-# ---------------------------------------------------------------------------
-# centralized oracle
-
-
-class CentralizedModel:
-    """Encoder, server stack and output head on one tape.
-
-    Used as the "Entire" baseline (full graph view) and the "Standalone"
-    baseline (one participant's view with label access granted), and as the
-    reference the split pipeline must match exactly when there is a single
-    participant.
-    """
-
-    def __init__(self, view: ParticipantView, config: SessionConfig):
-        if not view.has_labels:
-            raise RoleError("centralized training needs a view holding labels")
-        self.config = config
-        self.view = view
-        self.num_classes = view.graph.num_classes
-        d = config.encoder.hidden
-        self.encoder = make_encoder(view, config.encoder, config.seed,
-                                    scope=f"enc{view.participant}")
-        self.server = ServerNet(d, d, config.seed, dropout=config.server_dropout)
-        self.head = LabelHead(d, self.num_classes, config.seed)
-        self.params: dict[str, T.Tensor] = dict(self.encoder.params)
-        self.params.update(self.server.params)
-        self.params.update(self.head.params)
-        self.optimizer = T.make_optimizer(config.optimizer, config.learning_rate)
-
-    def _logits(self, tape, ids, step=0, training=False):
-        emb = self.encoder.forward(tape, ids, step=step, training=training)
-        out = self.server.forward(tape, emb, step=step, training=training)
-        return self.head.logits(tape, out)
-
-    def train_step(self, batch, step: int) -> float:
-        labels = self.view.graph.labels[np.asarray(batch)]
-        tape = T.Tape()
-        loss = T.cross_entropy(tape, self._logits(tape, batch, step, training=True),
-                               labels)
-        for p in self.params.values():
-            p.zero_grad()
-        tape.backward(loss)
-        self.optimizer.step(self.params)
-        return loss.item()
-
-    def predict(self, ids) -> np.ndarray:
-        return np.argmax(self._logits(None, ids).values, axis=1)
-
-    def evaluate(self, split: str) -> float:
-        ids = {"train": self.view.train_ids, "val": self.view.val_ids,
-               "test": self.view.test_ids}[split]
-        if ids.size == 0:
-            raise DomainError(f"split {split!r} is empty")
-        return micro_f1(self.predict(ids), self.view.graph.labels[ids])
-
-    def train(self, log=None) -> list[dict]:
-        return train_epochs(self.config, self.view.train_ids, self.train_step,
-                            self.evaluate, log)
+        cfg = self.config
+        train_ids = self._split_ids("train")
+        if cfg.batch_size > len(train_ids):
+            raise ConfigError(f"batch size {cfg.batch_size} exceeds the train set "
+                              f"({len(train_ids)})")
+        rows = []
+        step = 0
+        for epoch in range(cfg.epochs):
+            batches = batch_schedule(train_ids, cfg.batch_size, epoch, cfg.seed)
+            losses = []
+            for batch in batches[:cfg.rounds_per_epoch]:
+                losses.append(self.train_round(batch, step))
+                step += 1
+            rows.append({
+                "epoch": epoch,
+                "train_loss": float(np.mean(losses)),
+                "val_f1": self.evaluate("val"),
+                "test_f1": self.evaluate("test"),
+            })
+        return rows

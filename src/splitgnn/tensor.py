@@ -546,9 +546,10 @@ class Adam:
             p.values -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
+OPTIMIZERS = {"sgd": Sgd, "adam": Adam}
+
+
 def make_optimizer(kind: str, lr: float):
-    if kind == "sgd":
-        return Sgd(lr)
-    if kind == "adam":
-        return Adam(lr)
-    raise DomainError(f"unknown optimizer kind {kind!r}")
+    if kind not in OPTIMIZERS:
+        raise DomainError(f"unknown optimizer kind {kind!r}")
+    return OPTIMIZERS[kind](lr)

@@ -91,12 +91,12 @@ class TestCostModel:
             E.comm_cost_fl(0, 10, 1)
 
     def test_sl_sums_transcripts(self):
-        t1, t2 = RoundTranscript(), RoundTranscript()
-        t1.add(0, "party_0", "server", "embedding", 4, 32)
-        t2.add(0, "party_1", "server", "gradient", 4, 32)
-        t2.add(1, "server", "party_1", "gradient", 2, 16)
-        assert E.comm_cost_sl([t1, t2]) == 80
-        assert E.comm_cost_sl(t1) == 32
+        t = RoundTranscript()
+        t.add(0, "party_0", "server", "embedding", 4, 32)
+        assert E.comm_cost_sl(t) == 32
+        t.add(0, "party_1", "server", "gradient", 4, 32)
+        t.add(1, "server", "party_1", "gradient", 2, 16)
+        assert E.comm_cost_sl(t) == 80
 
 
 class TestRunExperiment:
@@ -112,9 +112,21 @@ class TestRunExperiment:
         common = dict(participants=1, ratio=[1.0], epochs=2, seeds=[0])
         split_rows, _, _ = E.run_experiment(small_config(strategy="split_c", **common))
         entire_rows, _, _ = E.run_experiment(small_config(strategy="entire", **common))
-        for s, e in zip(split_rows, entire_rows):
-            assert s.train_loss == pytest.approx(e.train_loss, abs=1e-9)
-            assert s.test_f1 == pytest.approx(e.test_f1, abs=1e-12)
+        assert [(s.train_loss, s.val_f1, s.test_f1) for s in split_rows] == \
+            [(e.train_loss, e.val_f1, e.test_f1) for e in entire_rows]
+
+    @pytest.mark.parametrize("strategy", ["entire", "standalone_0", "standalone_1"])
+    def test_secure_leaves_baselines_plaintext_and_unmetered(self, strategy):
+        def run(secure):
+            rows, cost, transcript = E.run_experiment(
+                small_config(strategy=strategy, epochs=1, secure=secure))
+            return [(r.train_loss, r.val_f1, r.test_f1) for r in rows], cost, transcript
+
+        plain, _, _ = run(False)
+        rows, cost, transcript = run(True)
+        assert transcript is None
+        assert (cost.sl_bytes, cost.psi_bytes, cost.rounds, cost.secure) == (0, 0, 0, True)
+        assert rows == plain
 
     def test_two_seeds_two_groups(self):
         rows, _, _ = E.run_experiment(small_config(seeds=[0, 1]))
@@ -238,6 +250,24 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"strategy": "split_q"}))
         assert cli.main(["run", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("overrides,argv,message", [
+        ({"strategy": "standalone_x"}, [], "unknown strategy 'standalone_x'"),
+        ({"strategy": "standalone_7"}, [], "no participant 7 to run standalone among 2"),
+        ({"seeds": 3}, [], "seeds must be a non-empty list of integers, got 3"),
+        ({}, ["--seeds", "1,a"], "--seeds must be comma-separated integers, got '1,a'"),
+        ({"optimizer": "rmsprop"}, [], "optimizer must be one of ('sgd', 'adam'), "
+                                       "got 'rmsprop'"),
+    ], ids=["unknown-standalone", "absent-participant", "seeds-not-list",
+            "seeds-flag-not-int", "unknown-optimizer"])
+    def test_config_mistake_is_exit_1(self, tmp_path, capsys, overrides, argv, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**small_config().to_json(), **overrides}))
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "out"), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err, err
+        assert not (tmp_path / "out").exists()
 
     def test_cut_option_is_exit_1(self, tmp_path, capsys):
         # the label holder always owns the output layer; there is no cut to choose
