@@ -260,11 +260,15 @@ def run_experiment(config: ExperimentConfig):
     Returns (metrics rows, cost report, transcript).  The cost report
     reflects the last seed's transcript; message counts and sizes are
     structural, so they are identical across seeds.  The baselines are
-    unmetered: they return no transcript and report no bytes or rounds.
+    unmetered and plaintext: they return no transcript and report no bytes
+    or rounds, and their cost report says ``secure`` false.  ``entire``
+    reports the one participant its session has, in its metrics rows and
+    its cost report alike.
     """
     bundle = _load_bundle(config)
     views, label_access = _strategy_views(config, bundle)
     metered = config.strategy in STRATEGY_MAP
+    participants = len(views) if config.strategy == "entire" else config.participants
     rows: list[MetricsRow] = []
     last_transcript: RoundTranscript | None = None
     model_params = 0
@@ -286,7 +290,7 @@ def run_experiment(config: ExperimentConfig):
                 digest=config.digest(seed),
                 strategy=config.strategy,
                 model=config.model,
-                participants=config.participants if config.strategy != "entire" else 1,
+                participants=participants,
                 ratio=":".join(f"{r:g}" for r in config.ratio),
                 seed=seed,
                 epoch=h["epoch"],
@@ -304,14 +308,14 @@ def run_experiment(config: ExperimentConfig):
     cost = CostReport(
         strategy=config.strategy,
         model=config.model,
-        participants=config.participants,
+        participants=participants,
         batch_size=config.batch_size,
         hidden=config.hidden,
         model_params=model_params,
         rounds=rounds_total,
         sl_bytes=sl_bytes,
         fl_bytes=fl_bytes,
-        secure=config.secure,
+        secure=config.secure and metered,
         psi_bytes=psi_bytes,
     )
     return rows, cost, last_transcript

@@ -157,11 +157,15 @@ class TargetCsr:
 
 
 def metapath_edges(graph: HetGraph, metapath: Metapath):
-    """Materialize a metapath as an extra relation channel.
+    """A metapath's instances as an extra relation channel, by index.
 
-    Returns (targets, endpoints, features): one entry per instance, oriented
-    so the target gathers from the walk endpoint.  Instances are ordered by
-    their first edge, then by each later edge, in edge-list order.
+    Returns (targets, endpoints, hops): one entry per instance, oriented so
+    the target gathers from the walk endpoint, and ``hops[k]``, the id of
+    each instance's k-th edge in the metapath's k-th relation.  Instances
+    are ordered by their first edge, then by each later edge, in edge-list
+    order.  No feature row is built here: an instance's row,
+    [x_target, e_1, x_1, ..., e_L, x_L], is read from the graph through
+    its hop ids when a layer needs it.
     """
     metapath.check_against(graph)
     first = graph.relations[metapath.relations[0]]
@@ -171,14 +175,7 @@ def metapath_edges(graph: HetGraph, metapath: Metapath):
         walk, end, eid = TargetCsr(rel.src, rel.dst, graph.num_nodes).edges_into(end)
         tgt = tgt[walk]
         hops = [h[walk] for h in hops] + [eid]
-    if len(tgt) == 0:
-        return tgt, end, np.zeros((0, metapath_feature_dim(graph, metapath)))
-    pieces = [graph.features[tgt]]
-    for k, rname in enumerate(metapath.relations):
-        rel = graph.relations[rname]
-        pieces.append(rel.feat[hops[k]])
-        pieces.append(graph.features[rel.dst[hops[k]]])
-    return tgt, end, np.concatenate(pieces, axis=1)
+    return tgt, end, hops
 
 
 # ---------------------------------------------------------------------------

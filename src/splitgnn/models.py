@@ -16,6 +16,13 @@ that view's edges, so stacking layers is exactly multi-hop aggregation over
 private edge information.  An isolated node keeps propagating its own
 transformed features through every layer via its self-loop.
 
+A metapath channel keeps its instances as indexes: target, endpoint and the
+edge id of each hop.  A layer builds the feature rows,
+[x_target, e_1, x_1, ..., e_L, x_L], of its block's instances only, from
+the node and edge features the participant holds, as MAGNN encodes
+metapath instances (Fu et al., 2020).  So set-up keeps no row per instance,
+and the rows a layer reads are the ones a table built up front would give.
+
 Every encoder runs each layer over the batch's receptive field only: the
 layer-wise mini-batching of GraphSAGE (Hamilton et al., 2017).  The nodes
 and edges each layer needs are found top-down from the batch through the
@@ -39,7 +46,8 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError
-from .graph import HetGraph, ParticipantView, TargetCsr, metapath_edges
+from .graph import (HetGraph, Metapath, ParticipantView, TargetCsr, metapath_edges,
+                    metapath_feature_dim)
 from .seeding import stable_rng
 
 FUSIONS = ("concat", "add", "linear")
@@ -150,26 +158,55 @@ def path_attention(tape, channel_embeddings, q, Wp, bp):
 
 @dataclass
 class _Channel:
+    """One channel of ``graph``: its edge e runs from ``nbr[e]`` into
+    ``tgt[e]``.  A relation's channel (``metapath`` None) is that relation's
+    edge list.  A metapath's channel keeps, per instance e, ``hops[k][e]``:
+    the id of its k-th edge in the metapath's k-th relation.  An edge's
+    feature row is built from the graph when a layer reads it, so no
+    channel keeps a row per metapath instance."""
     name: str
     tgt: np.ndarray
     nbr: np.ndarray
-    feat: np.ndarray
+    graph: HetGraph
+    metapath: Metapath | None = None
+    hops: list[np.ndarray] | None = None
 
     @property
     def edge_dim(self) -> int:
-        return self.feat.shape[1]
+        if self.metapath is None:
+            return self.graph.relations[self.name].edge_dim
+        return metapath_feature_dim(self.graph, self.metapath)
+
+    def rows(self, eid: np.ndarray) -> np.ndarray:
+        """The feature rows of edges ``eid``, in order, as one C-contiguous
+        float64 matrix: a relation's edge features, or an instance's
+        [x_target, e_1, x_1, ..., e_L, x_L] (x a node's features, e_k its
+        k-th edge's)."""
+        g = self.graph
+        if self.metapath is None:
+            return g.relations[self.name].feat[eid]
+        parts = [(g.features, self.tgt[eid])]
+        for rname, hop in zip(self.metapath.relations, self.hops):
+            rel = g.relations[rname]
+            edge = hop[eid]
+            parts += [(rel.feat, edge), (g.features, rel.dst[edge])]
+        # filled part by part: a concatenate of gathered parts takes about
+        # twice as long at desk scale
+        out = np.empty((len(eid), self.edge_dim))
+        col = 0
+        for table, idx in parts:
+            out[:, col:col + table.shape[1]] = table[idx]
+            col += table.shape[1]
+        return out
 
 
 def _build_channels(view: ParticipantView) -> list[_Channel]:
     g = view.graph
-    channels = [
-        _Channel(name, g.relations[name].src, g.relations[name].dst,
-                 g.relations[name].feat)
-        for name in g.relation_names()
-    ]
+    channels = [_Channel(name, g.relations[name].src, g.relations[name].dst, g)
+                for name in g.relation_names()]
     for mp in view.metapaths:
-        tgt, nbr, feat = metapath_edges(g, mp)
-        channels.append(_Channel(f"path:{mp.name}", tgt, nbr, feat))
+        tgt, nbr, hops = metapath_edges(g, mp)
+        channels.append(_Channel(f"path:{mp.name}", tgt, nbr, g, mp, hops))
     return channels
 
 
@@ -252,7 +289,7 @@ class HatEncoder:
         k = len(blk.targets)
         edge_seg, src, eid = edges
         base = f"{self.scope}/l{layer}/rel:{ch.name}"
-        e_lat = T.linear(tape, T.Tensor(ch.feat[eid]),
+        e_lat = T.linear(tape, T.Tensor(ch.rows(eid)),
                          self.params[f"{base}/We"], self.params[f"{base}/be"])
         fused = _fuse(tape, T.gather_rows(tape, h, src), e_lat,
                       cfg.fusion, self._fusion_params(layer, ch))

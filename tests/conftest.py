@@ -1,6 +1,6 @@
 """Shared fixtures and oracles: small deterministic synthetic graphs and
-partitions, a small-modulus Paillier key, a finite-difference gradient check
-and a metrics.csv reader."""
+partitions, a small-modulus Paillier key, the metapath instance oracle, a
+finite-difference gradient check and a metrics.csv reader."""
 
 import random
 from pathlib import Path
@@ -68,6 +68,45 @@ def add_at_segment_sum(values, seg, n):
     out = np.zeros((n,) + values.shape[1:])
     np.add.at(out, seg, values)
     return out
+
+
+def loop_metapath_edges(graph, metapath):
+    """metapath_edges as a per-hop Python loop over adjacency lists, with
+    every instance's feature row [x_target, e_1, x_1, ..., e_L, x_L] built
+    up front, as HAT's metapath channels once kept them: the oracle for the
+    order of the instances and for the rows a channel builds from its hop
+    ids.  Returns (targets, endpoints, hop edge ids, rows)."""
+    metapath.check_against(graph)
+    walks = None
+    for rname in metapath.relations:
+        rel = graph.relations[rname]
+        if walks is None:
+            walks = (rel.src, rel.dst, [np.arange(len(rel))])
+            continue
+        adj = {}
+        for e, (u, v) in enumerate(zip(rel.src, rel.dst)):
+            adj.setdefault(int(u), []).append((int(v), e))
+        tgt, cur, hops = walks
+        new_tgt, new_cur, new_hops = [], [], [[] for _ in range(len(hops) + 1)]
+        for i in range(len(cur)):
+            for v, e in adj.get(int(cur[i]), ()):
+                new_tgt.append(tgt[i])
+                new_cur.append(v)
+                for k, h in enumerate(hops):
+                    new_hops[k].append(h[i])
+                new_hops[-1].append(e)
+        walks = (np.asarray(new_tgt, dtype=np.int64),
+                 np.asarray(new_cur, dtype=np.int64),
+                 [np.asarray(h, dtype=np.int64) for h in new_hops])
+    tgt, end, hops = walks
+    if len(tgt) == 0:
+        return tgt, end, hops, np.zeros((0, G.metapath_feature_dim(graph, metapath)))
+    pieces = [graph.features[tgt]]
+    for k, rname in enumerate(metapath.relations):
+        rel = graph.relations[rname]
+        pieces.append(rel.feat[hops[k]])
+        pieces.append(graph.features[rel.dst[hops[k]]])
+    return tgt, end, hops, np.concatenate(pieces, axis=1)
 
 
 def finite_diff_check(forward_fn, params, eps: float = 1e-5) -> float:

@@ -125,7 +125,8 @@ class TestRunExperiment:
         plain, _, _ = run(False)
         rows, cost, transcript = run(True)
         assert transcript is None
-        assert (cost.sl_bytes, cost.psi_bytes, cost.rounds, cost.secure) == (0, 0, 0, True)
+        assert (cost.sl_bytes, cost.psi_bytes, cost.rounds, cost.secure) == (0, 0, 0, False)
+        assert cost.participants == (1 if strategy == "entire" else 2)
         assert rows == plain
 
     def test_two_seeds_two_groups(self):
@@ -283,6 +284,23 @@ class TestCli:
         code = cli.main(["audit", "--transcript", str(out / "transcript.csv")])
         assert code == 3
         assert "plaintext_embedding" in capsys.readouterr().out
+
+    def test_secure_table1_cost_rows_describe_each_run(self, tmp_path):
+        cfg_path = self._write_config(tmp_path, epochs=1, rounds_per_epoch=1,
+                                      batch_size=4, hidden=4, layers=1)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out),
+                         "--grid", "table1", "--secure"]) == 0
+        metrics = read_metrics(out / "metrics.csv")
+        costs = read_metrics(out / "cost.csv")
+        got = [(c["strategy"], c["participants"], c["secure"]) for c in costs]
+        assert got == [("entire", "1", "false"), ("standalone_0", "2", "false"),
+                       ("standalone_1", "2", "false"), ("split_m", "2", "true"),
+                       ("split_c", "2", "true"), ("split_w", "2", "true")]
+        # each cost row gives the participant count its metrics rows give
+        for c in costs:
+            assert {m["participants"] for m in metrics
+                    if m["strategy"] == c["strategy"]} == {c["participants"]}
 
     def test_audit_secure_run_exit_0(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path, epochs=1, strategy="split_m",

@@ -3,9 +3,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splitgnn import graph as G
+from conftest import loop_metapath_edges
 from row_loader import load_dataset_by_rows
+from splitgnn import graph as G
+from splitgnn import models as M
 from splitgnn.errors import ConfigError, GraphSchemaError, ParseError
+from splitgnn.seeding import stable_rng
 
 TOY = Path(__file__).parent / "fixtures" / "toy_dataset"
 
@@ -393,42 +396,6 @@ def walk_feature(graph, metapath, nodes, eidx):
     return np.concatenate(parts)
 
 
-def loop_metapath_edges(graph, metapath):
-    """metapath_edges as a per-hop Python loop over adjacency lists: the
-    oracle for the order of its instances."""
-    metapath.check_against(graph)
-    walks = None
-    for rname in metapath.relations:
-        rel = graph.relations[rname]
-        if walks is None:
-            walks = (rel.src, rel.dst, [np.arange(len(rel))])
-            continue
-        adj = {}
-        for e, (u, v) in enumerate(zip(rel.src, rel.dst)):
-            adj.setdefault(int(u), []).append((int(v), e))
-        tgt, cur, hops = walks
-        new_tgt, new_cur, new_hops = [], [], [[] for _ in range(len(hops) + 1)]
-        for i in range(len(cur)):
-            for v, e in adj.get(int(cur[i]), ()):
-                new_tgt.append(tgt[i])
-                new_cur.append(v)
-                for k, h in enumerate(hops):
-                    new_hops[k].append(h[i])
-                new_hops[-1].append(e)
-        walks = (np.asarray(new_tgt, dtype=np.int64),
-                 np.asarray(new_cur, dtype=np.int64),
-                 [np.asarray(h, dtype=np.int64) for h in new_hops])
-    tgt, end, hops = walks
-    if len(tgt) == 0:
-        return tgt, end, np.zeros((0, G.metapath_feature_dim(graph, metapath)))
-    pieces = [graph.features[tgt]]
-    for k, rname in enumerate(metapath.relations):
-        rel = graph.relations[rname]
-        pieces.append(rel.feat[hops[k]])
-        pieces.append(graph.features[rel.dst[hops[k]]])
-    return tgt, end, np.concatenate(pieces, axis=1)
-
-
 METAPATH_FIXTURES = {
     "synthetic-auto": lambda: small_synthetic(seed=11),
     "synthetic-long": lambda: small_synthetic(
@@ -439,25 +406,36 @@ METAPATH_FIXTURES = {
 }
 
 
+def walk_nodes(graph, metapath, tgt, hops, i):
+    """Instance i's node ids in walk order, read through its hop edge ids."""
+    return (int(tgt[i]),) + tuple(int(graph.relations[r].dst[h[i]])
+                                  for r, h in zip(metapath.relations, hops))
+
+
 class TestSubgraph:
     def test_path_graph_metapath(self):
         bundle = G.load_dataset(TOY)
-        tgt, end, feat = G.metapath_edges(bundle.graph, bundle.metapaths[0])
+        g, mp = bundle.graph, bundle.metapaths[0]
+        tgt, end, hops = G.metapath_edges(g, mp)
         # a -> b -> c is the one instance; b and c root none
         assert tgt.tolist() == [0] and end.tolist() == [2]
+        assert [h.tolist() for h in hops] == [[0], [1]]
+        assert walk_nodes(g, mp, tgt, hops, 0) == (0, 1, 2)
         # feature layout: f(a), e(a->b), f(b), e(b->c), f(c)
         np.testing.assert_array_equal(
-            feat, [[1.0, 0.5, 0.75, -0.25, 2.0, -1.5, 0.0, 1.5]])
+            walk_feature(g, mp, (0, 1, 2), (0, 1)),
+            [1.0, 0.5, 0.75, -0.25, 2.0, -1.5, 0.0, 1.5])
 
     def test_matches_bruteforce_enumeration(self):
         bundle = small_synthetic(seed=11, node_counts={"u": 30, "v": 20})
         g = bundle.graph
         mp = bundle.metapaths[0]
-        tgt, end, feat = G.metapath_edges(g, mp)
+        tgt, end, hops = G.metapath_edges(g, mp)
         for t in range(0, 50, 7):
             rows = np.flatnonzero(tgt == t)
-            got = sorted((int(end[i]), tuple(feat[i])) for i in rows)
-            want = sorted((nodes[-1], tuple(walk_feature(g, mp, nodes, eidx)))
+            got = sorted((int(end[i]), walk_nodes(g, mp, tgt, hops, i),
+                          tuple(int(h[i]) for h in hops)) for i in rows)
+            want = sorted((nodes[-1], nodes, eidx)
                           for nodes, eidx in brute_force_instances(g, mp, t))
             assert got == want
 
@@ -465,7 +443,7 @@ class TestSubgraph:
         bundle = small_synthetic(seed=12)
         g = bundle.graph
         mp = bundle.metapaths[0]
-        tgt, end, feat = G.metapath_edges(g, mp)
+        tgt, end, hops = G.metapath_edges(g, mp)
         expected = []
         for t in range(g.num_nodes):
             expected.extend(brute_force_instances(g, mp, t))
@@ -473,22 +451,91 @@ class TestSubgraph:
         got = sorted((int(a), int(b)) for a, b in zip(tgt, end))
         want = sorted((nodes[0], nodes[-1]) for nodes, _ in expected)
         assert got == want
-        assert feat.shape == (len(expected), G.metapath_feature_dim(g, mp))
+        assert len(hops) == len(mp.relations)
+        assert all(h.shape == (len(expected),) for h in hops)
 
     @pytest.mark.parametrize("fixture", sorted(METAPATH_FIXTURES))
     def test_matches_loop_oracle(self, fixture):
         bundle = METAPATH_FIXTURES[fixture]()
         assert bundle.metapaths
         for mp in bundle.metapaths:
-            got = G.metapath_edges(bundle.graph, mp)
-            want = loop_metapath_edges(bundle.graph, mp)
-            for a, b in zip(got, want):
+            tgt, end, hops = G.metapath_edges(bundle.graph, mp)
+            want_tgt, want_end, want_hops, _ = loop_metapath_edges(bundle.graph, mp)
+            assert len(hops) == len(want_hops) == len(mp.relations)
+            for a, b in zip([tgt, end, *hops], [want_tgt, want_end, *want_hops]):
                 assert a.dtype == b.dtype and np.array_equal(a, b), mp.name
 
     def test_incompatible_metapath_rejected(self):
         bundle = small_synthetic(seed=2)
         with pytest.raises(GraphSchemaError):
             G.metapath_edges(bundle.graph, G.Metapath(("uv", "uv")))
+
+
+def own_view(bundle):
+    """One participant holding all of ``bundle``, metapaths included."""
+    no_ids = np.array([], dtype=np.int64)
+    g = bundle.graph
+    return G.ParticipantView(0, g, list(bundle.metapaths), (0, g.feature_dim), True,
+                             no_ids, no_ids, no_ids)
+
+
+class TestChannelRows:
+    """A HAT channel's ``rows(eid)`` against the rows the loop oracle builds
+    up front."""
+
+    @pytest.mark.parametrize("fixture", sorted(METAPATH_FIXTURES))
+    def test_rows_match_oracle_table(self, fixture):
+        bundle = METAPATH_FIXTURES[fixture]()
+        g = bundle.graph
+        channels = {ch.name: ch for ch in M._build_channels(own_view(bundle))}
+        lengths = set()
+        for mp in bundle.metapaths:
+            ch = channels[f"path:{mp.name}"]
+            table = loop_metapath_edges(g, mp)[3]
+            # the toy graph's one metapath has a single instance
+            assert len(table) > (0 if fixture == "toy" else 2), mp.name
+            lengths.add(len(mp.relations))
+            assert ch.edge_dim == table.shape[1]
+            last = len(table) - 1
+            picks = {
+                "empty": [], "single": [last], "repeated": [last, 0, last, last, 0],
+                "unsorted": stable_rng("rows", fixture, mp.name).permutation(len(table)),
+            }
+            for label, eid in picks.items():
+                eid = np.asarray(eid, dtype=np.int64)
+                got = ch.rows(eid)
+                assert got.dtype == np.float64 and got.flags.c_contiguous, label
+                assert got.shape == (len(eid), table.shape[1]), label
+                assert np.array_equal(got, table[eid]), (mp.name, label)
+        if fixture == "synthetic-long":
+            assert lengths == {1, 2, 3, 4}
+
+    def test_empty_channels_have_no_rows(self):
+        # "vu" has no edges, so no instance of "uv,vu" exists; "uv" has no
+        # edge features
+        bundle = small_synthetic(seed=16, relations=[
+            G.RelationSpec("uu", "u", "u", edge_dim=2, avg_degree=2.0),
+            G.RelationSpec("uv", "u", "v", edge_dim=0, avg_degree=2.0),
+            G.RelationSpec("vu", "v", "u", edge_dim=1, avg_degree=0.0),
+        ], metapaths=[("uv", "vu"), ("uu", "uv")])
+        g = bundle.graph
+        none, zero_width = bundle.metapaths
+        channels = {ch.name: ch for ch in M._build_channels(own_view(bundle))}
+        empty = np.zeros(0, dtype=np.int64)
+        path = channels["path:uv+vu"]
+        assert len(path.tgt) == 0
+        assert path.rows(empty).shape == (0, G.metapath_feature_dim(g, none)) \
+            == loop_metapath_edges(g, none)[3].shape
+        # a hop over a relation without edge features adds no columns
+        path = channels["path:uu+uv"]
+        table = loop_metapath_edges(g, zero_width)[3]
+        assert len(table) and table.shape[1] == 3 * g.feature_dim + 2
+        every = np.arange(len(table))[::-1]
+        assert np.array_equal(path.rows(every), table[every])
+        assert channels["uv"].edge_dim == 0
+        some = np.array([2, 0, 0], dtype=np.int64)
+        assert channels["uv"].rows(some).shape == (3, 0)
+        assert channels["uv"].rows(empty).shape == (0, 0)
 
 
 class TestPartition:

@@ -1,9 +1,11 @@
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import add_at_segment_sum, finite_diff_check
+from conftest import add_at_segment_sum, finite_diff_check, loop_metapath_edges
 from splitgnn import graph as G
 from splitgnn import models as M
 from splitgnn import tensor as T
@@ -36,6 +38,40 @@ def small_config(**overrides):
     kwargs = dict(kind="hat", layers=2, hidden=4, heads=2, fusion="concat", dropout=0.0)
     kwargs.update(overrides)
     return M.EncoderConfig(**kwargs)
+
+
+def oracle_rows(enc, ch):
+    """Every edge's feature row of the encoder's channel ``ch``, built up
+    front: a relation's edge features, or the loop oracle's table of a
+    metapath's instance rows."""
+    if not ch.name.startswith("path:"):
+        return enc.graph.relations[ch.name].feat
+    metapath = G.Metapath(tuple(ch.name[len("path:"):].split("+")))
+    return loop_metapath_edges(enc.graph, metapath)[3]
+
+
+class TableChannel:
+    """A channel that reads its rows from a table built up front, as HAT's
+    metapath channels did before they built rows from hop ids."""
+
+    def __init__(self, name, tgt, nbr, table):
+        self.name, self.tgt, self.nbr, self.table = name, tgt, nbr, table
+
+    @property
+    def edge_dim(self):
+        return self.table.shape[1]
+
+    def rows(self, eid):
+        return self.table[eid]
+
+
+def table_encoder(enc):
+    """``enc`` with every channel reading the oracle's table; the two share
+    their parameters."""
+    oracle = copy.copy(enc)
+    oracle.channels = [TableChannel(ch.name, ch.tgt, ch.nbr, oracle_rows(enc, ch))
+                       for ch in enc.channels]
+    return oracle
 
 
 class TestTransformAndFuse:
@@ -193,7 +229,7 @@ class TestNodeAttention:
             def p(name):
                 return enc.params[f"e/l0/rel:{ch.name}/{name}"].values
 
-            r = ch.feat @ p("We") + p("be")
+            r = oracle_rows(enc, ch) @ p("We") + p("be")
             if fusion == "add":
                 msg = hv[ch.nbr] + r
             elif fusion == "concat":
@@ -492,7 +528,8 @@ def whole_graph_hat(enc, tape, batch_ids, step=0, training=False, beta_rows=None
         zs = []
         for ch in enc.channels:
             base = f"l{l}/rel:{ch.name}"
-            e_lat = T.linear(tape, T.Tensor(ch.feat), prm(f"{base}/We"), prm(f"{base}/be"))
+            e_lat = T.linear(tape, T.Tensor(oracle_rows(enc, ch)), prm(f"{base}/We"),
+                             prm(f"{base}/be"))
             fused = M._fuse(tape, T.gather_rows(tape, h, ch.nbr), e_lat, cfg.fusion,
                             enc._fusion_params(l, ch))
             seg = np.concatenate([ch.tgt, np.arange(n)])
@@ -742,3 +779,75 @@ def test_hat_unchanged_by_segment_kernel(monkeypatch):
     assert grads.keys() == want_grads.keys()
     for name in grads:
         assert np.array_equal(grads[name], want_grads[name]), name
+
+
+class TestRowsOnDemand:
+    """HAT builds a block's metapath rows from hop ids; its results must be
+    the ones it got when every instance's row was built up front."""
+
+    @pytest.mark.parametrize("fusion", M.FUSIONS)
+    @pytest.mark.parametrize("head_mode", M.HEAD_MODES)
+    def test_bit_identical_to_table(self, fusion, head_mode):
+        view = hat_view()
+        n = view.graph.num_nodes
+        isolated = n - 2
+        cfg = small_config(kind="hat", fusion=fusion, head_mode=head_mode, dropout=0.3)
+        enc = M.make_encoder(view, cfg, seed=3, scope="e")
+        assert {len(ch.metapath.relations) for ch in enc.channels if ch.metapath} == {2}
+        assert not any(np.isin(isolated, [ch.tgt, ch.nbr]).any() for ch in enc.channels)
+        oracle = table_encoder(enc)
+        # unsorted, with duplicates and an isolated node
+        batch = [17, 3, 3, isolated, 0, 17, 9]
+        for training in (False, True):
+            got = enc.forward(None, batch, step=2, training=training)
+            alphas = enc.diagnostics["alpha"]
+            want = oracle.forward(None, batch, step=2, training=training)
+            assert np.array_equal(got.values, want.values)
+            assert alphas.keys() == oracle.diagnostics["alpha"].keys()
+            for key, (alpha, seg) in alphas.items():
+                want_alpha, want_seg = oracle.diagnostics["alpha"][key]
+                assert np.array_equal(alpha, want_alpha) and np.array_equal(seg, want_seg)
+
+            got = param_grads(enc, lambda tape: enc.forward(tape, batch, step=2,
+                                                            training=training))
+            want = param_grads(enc, lambda tape: oracle.forward(tape, batch, step=2,
+                                                                training=training))
+            assert got.keys() == want.keys() == enc.params.keys()
+            for name in got:
+                assert np.array_equal(got[name], want[name]), (training, name)
+
+
+def float_arrays(obj):
+    """The float arrays an object holds in its attributes, directly or in
+    lists and tuples; the graph and its relations are the participant's own
+    data and are not searched."""
+    stack = list(vars(obj).values())
+    while stack:
+        value = stack.pop()
+        if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+            yield value
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+
+
+def test_hat_keeps_no_row_per_metapath_instance():
+    """A channel holds index arrays: no float array with one row per edge or
+    instance, and building the encoder keeps far less than the metapath
+    instances' rows would take."""
+    bundle = fixture_bundle(seed=12, n_u=200, n_v=100, feature_dim=16)
+    view = _single_view(bundle)
+    cfg = small_config(kind="hat", hidden=2, heads=1, layers=1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        enc = M.make_encoder(view, cfg, seed=3, scope="e")
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    paths = [ch for ch in enc.channels if ch.name.startswith("path:")]
+    assert paths
+    for ch in enc.channels:
+        assert not [a.shape for a in float_arrays(ch) if len(a) == len(ch.tgt)], ch.name
+    table_bytes = sum(len(ch.tgt) * ch.edge_dim * 8 for ch in paths)
+    assert table_bytes > 100_000
+    assert kept < table_bytes / 2, (kept, table_bytes)

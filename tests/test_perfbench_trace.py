@@ -1,10 +1,11 @@
-"""The benchmark tracer's view of the secure path, in process.
+"""The benchmark tracer's view of the program, in process.
 
-``perfbench/run.py``'s ``install`` wraps ``crypto.secure_sum``,
-``crypto.encrypt`` and ``crypto.decrypt`` where the program looks them up,
-and a traced secure_avg run fails if any of them records no call.  One
-secure average round under the same tracer catches a rename or a bypass in
-about a second, without the tiny secure_avg benchmark run.
+``perfbench/run.py``'s ``install`` wraps functions where the program looks
+them up: ``crypto.secure_sum``, ``crypto.encrypt`` and ``crypto.decrypt``
+for the secure path, ``models.metapath_edges`` and the encoders' ``forward``
+for HAT.  A traced run fails if a span it expects records no call.  One
+round under the same tracer catches a rename or a bypass in about a second,
+without the tiny benchmark runs.
 """
 
 import importlib.util
@@ -15,6 +16,7 @@ from unittest import mock
 
 from conftest import make_views, session_config
 from splitgnn import crypto as C
+from splitgnn import models as M
 from splitgnn import protocol as P
 from splitgnn.models import EncoderConfig
 
@@ -59,3 +61,29 @@ def test_secure_average_round_records_every_crypto_span(tiny_bundle):
     assert calls["crypto.encrypt"] == participants * n * d
     # one decryption per run of ``slots`` summed ciphertexts
     assert calls["crypto.decrypt"] == -(-n * d // slots)
+
+
+def test_hat_session_records_metapath_and_encode_spans(tiny_bundle):
+    """``install`` wraps ``models.metapath_edges``, the name HAT's channels
+    are built through, and a traced hat_desk run fails if ``graph.metapath``
+    records no call."""
+    run = load_run_module()
+    original = M.metapath_edges
+    tracer = run.Tracer()
+    run.install(tracer)
+    try:
+        views = make_views(tiny_bundle, [5, 5])
+        session = P.SplitSession(views, session_config())
+        session.align()
+        batch = session._split_ids("train")[:8]
+        session.train_round(batch, step=0)
+    finally:
+        tracer.unwrap_all()
+    assert M.metapath_edges is original
+
+    assert session.config.encoder.kind == "hat" and tiny_bundle.metapaths
+    assert tracer.calls("graph.metapath") == len(views) * len(tiny_bundle.metapaths)
+    [root] = tracer.roots("protocol.train_round")
+    inside = tracer.within(root)
+    assert inside["models.encode_train"][2] == len(views)
+    assert "graph.metapath" not in inside
