@@ -22,6 +22,10 @@ edge id of each hop.  A layer builds the feature rows,
 the node and edge features the participant holds, as MAGNN encodes
 metapath instances (Fu et al., 2020).  So set-up keeps no row per instance,
 and the rows a layer reads are the ones a table built up front would give.
+A training tape keeps the block's edge ids, not its rows, and builds the
+rows again in backward for the edge transform's gradient; attention reads
+its anchors from the projected target rows by index, so the tape keeps no
+gathered copy of them either.
 
 Every encoder runs each layer over the batch's receptive field only: the
 layer-wise mini-batching of GraphSAGE (Hamilton et al., 2017).  The nodes
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -68,6 +73,11 @@ class EncoderConfig:
     def __post_init__(self):
         if self.layers < 1:
             raise ConfigError("encoder needs at least one layer")
+        if type(self.hidden) is not int or self.hidden < 1:
+            raise ConfigError(f"hidden must be an integer >= 1, got {self.hidden!r}")
+        t = self.temperature
+        if t is not None and (type(t) not in (int, float) or not (math.isfinite(t) and t > 0)):
+            raise ConfigError(f"temperature must be a finite positive number, got {t!r}")
         if self.heads < 1:
             raise ConfigError("head count must be >= 1")
         if self.fusion not in FUSIONS:
@@ -110,15 +120,17 @@ def _fuse(tape, h, r, fusion, fparams):
                              T.matmul(tape, r, fparams["Wr"])), fparams["b"])
 
 
-def attend(tape, anchors, values, seg, n: int, lam: float):
+def attend(tape, keys, anchor, values, seg, n: int, lam: float):
     """Node-level attention over segments.
 
-    Row i of ``values`` is scored by its dot product with row i of
-    ``anchors``, scaled by ``lam`` and softmaxed among the rows of its
+    Row i of ``values`` is scored by its dot product with row ``anchor[i]``
+    of ``keys``, scaled by ``lam`` and softmaxed among the rows of its
     segment ``seg[i]``.  Returns the coefficients α and, per segment of
-    ``n``, the α-weighted sum of its value rows.
+    ``n``, the α-weighted sum of its value rows.  The anchors are read from
+    ``keys`` by index, so the tape keeps no gathered copy of them.
     """
-    alpha = T.segment_softmax(tape, T.rowwise_dot(tape, anchors, values), seg, n, lam)
+    alpha = T.segment_softmax(tape, T.rowwise_dot(tape, keys, values, index=anchor),
+                              seg, n, lam)
     weighted = T.mul(tape, T.reshape_col(tape, alpha), values)
     return alpha, T.segment_sum(tape, weighted, seg, n)
 
@@ -289,8 +301,10 @@ class HatEncoder:
         k = len(blk.targets)
         edge_seg, src, eid = edges
         base = f"{self.scope}/l{layer}/rel:{ch.name}"
-        e_lat = T.linear(tape, T.Tensor(ch.rows(eid)),
-                         self.params[f"{base}/We"], self.params[f"{base}/be"])
+        # the edge rows are built again for We's gradient, not kept
+        e_lat = T.add(tape, T.rebuilt_matmul(tape, partial(ch.rows, eid),
+                                             self.params[f"{base}/We"]),
+                      self.params[f"{base}/be"])
         fused = _fuse(tape, T.gather_rows(tape, h, src), e_lat,
                       cfg.fusion, self._fusion_params(layer, ch))
         # every target's edges, in edge order, then its self entry
@@ -300,7 +314,7 @@ class HatEncoder:
             proj = self.params[f"{base}/head{m}"]
             hp = T.matmul(tape, h_own, proj)
             vals = T.concat_rows(tape, [T.matmul(tape, fused, proj), hp])
-            alpha, out = attend(tape, T.gather_rows(tape, hp, seg), vals, seg, k, cfg.lam)
+            alpha, out = attend(tape, hp, seg, vals, seg, k, cfg.lam)
             self.diagnostics.setdefault("alpha", {})[(layer, ch.name, m)] = (
                 alpha.values.copy(), blk.targets[seg])
             head_outs.append(out)
@@ -475,8 +489,7 @@ class GatEncoder:
             for m in range(cfg.heads):
                 hp = T.matmul(tape, h, self.params[f"{self.scope}/l{l}/head{m}"])
                 vals = T.gather_rows(tape, hp, src)
-                anchors = T.gather_rows(tape, hp, anchor)
-                alpha, out = attend(tape, anchors, vals, seg, k, cfg.lam)
+                alpha, out = attend(tape, hp, anchor, vals, seg, k, cfg.lam)
                 self.diagnostics.setdefault("alpha", {})[(l, m)] = (
                     alpha.values.copy(), blk.targets[seg])
                 head_outs.append(out)

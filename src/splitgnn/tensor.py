@@ -16,7 +16,10 @@ it.  What each op keeps:
 - ``add``, ``concat_cols``, ``concat_rows``, ``stack_scalars``, ``take``,
   ``reshape_col`` and ``mean_all``: shapes, offsets and flags;
 - ``mul``, ``matmul`` and ``rowwise_dot``: an operand's values only when
-  the other operand needs a gradient;
+  the other operand needs a gradient; an indexed ``rowwise_dot`` keeps its
+  table and index, not the rows it gathers from the table;
+- ``rebuilt_matmul``: the callable that builds its constant left operand,
+  not the operand, which backward builds again;
 - ``gather_rows``, ``scatter_rows`` and ``segment_sum``: their indices;
 - ``segment_softmax``, ``softmax``, ``tanh`` and ``elu``: their output
   (``elu(x) > 0`` exactly where ``x > 0``, so the output gives the slope);
@@ -357,16 +360,43 @@ def mean_all(tape, x) -> Tensor:
     return _emit(tape, out, (x,), lambda g: (np.full(shape, float(g) / n),))
 
 
-def rowwise_dot(tape, a, b) -> Tensor:
+def rowwise_dot(tape, a, b, index=None) -> Tensor:
+    """Row i of the output is row i of ``a`` dotted with row i of ``b``; with
+    ``index``, row ``index[i]`` of ``a`` is used, so ``a`` is a table that the
+    op reads by index, and the tape keeps the table, not a gathered copy.  The
+    gathered rows are built again in backward, and ``a``'s gradient is summed
+    over ``index`` as :func:`gather_rows` sums it."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape or a.ndim != 2:
-        raise ShapeError(f"rowwise_dot expects equal 2-D shapes, got {a.shape}, {b.shape}")
-    out = Tensor(np.einsum("ij,ij->i", a.values, b.values))
+    if index is not None:
+        index = np.asarray(index, dtype=np.int64)
+    rows = a.values if index is None else a.values[index]
+    if rows.shape != b.shape or a.ndim != 2:
+        raise ShapeError(f"rowwise_dot expects equal 2-D shapes, got {rows.shape}, {b.shape}")
+    out = Tensor(np.einsum("ij,ij->i", rows, b.values))
     av, bv = _kept_operands(a, b)
+    if index is None:
+        return _emit(tape, out, (a, b), lambda g: (
+            None if bv is None else g[:, None] * bv,
+            None if av is None else g[:, None] * av,
+        ))
+    n = a.shape[0]
     return _emit(tape, out, (a, b), lambda g: (
-        None if bv is None else g[:, None] * bv,
-        None if av is None else g[:, None] * av,
+        None if bv is None else _segment_add(g[:, None] * bv, index, n),
+        None if av is None else g[:, None] * av[index],
     ))
+
+
+def rebuilt_matmul(tape, build, w) -> Tensor:
+    """``build() @ w`` for a constant left operand that the zero-argument
+    callable ``build`` makes.  The tape keeps ``build``, not its matrix, and
+    calls it again for ``w``'s gradient: recomputation in place of storage,
+    as in gradient checkpointing (Chen et al., 2016)."""
+    w = _as_tensor(w)
+    x = build()
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"rebuilt_matmul shapes do not conform: {x.shape} @ {w.shape}")
+    out = Tensor(x @ w.values)
+    return _emit(tape, out, (w,), lambda g: (build().T @ g,))
 
 
 def segment_sum(tape, x, seg, n_segments: int) -> Tensor:

@@ -259,8 +259,12 @@ class TestCli:
         ({}, ["--seeds", "1,a"], "--seeds must be comma-separated integers, got '1,a'"),
         ({"optimizer": "rmsprop"}, [], "optimizer must be one of ('sgd', 'adam'), "
                                        "got 'rmsprop'"),
+        ({"hidden": 0}, [], "hidden must be an integer >= 1, got 0"),
+        ({"hidden": -4}, [], "hidden must be an integer >= 1, got -4"),
+        ({"temperature": 0.0}, [], "temperature must be a finite positive number, got 0.0"),
     ], ids=["unknown-standalone", "absent-participant", "seeds-not-list",
-            "seeds-flag-not-int", "unknown-optimizer"])
+            "seeds-flag-not-int", "unknown-optimizer", "hidden-zero", "hidden-negative",
+            "temperature-zero"])
     def test_config_mistake_is_exit_1(self, tmp_path, capsys, overrides, argv, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({**small_config().to_json(), **overrides}))

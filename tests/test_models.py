@@ -1,6 +1,7 @@
 import copy
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -851,3 +852,131 @@ def test_hat_keeps_no_row_per_metapath_instance():
     table_bytes = sum(len(ch.tgt) * ch.edge_dim * 8 for ch in paths)
     assert table_bytes > 100_000
     assert kept < table_bytes / 2, (kept, table_bytes)
+
+
+def gathered_attend(tape, keys, anchor, values, seg, n, lam):
+    """``attend`` as it was before it read anchors by index: the anchors
+    gathered into a matrix of their own and dotted with the values row by
+    row, so the tape keeps the gathered copy."""
+    anchors = T.gather_rows(tape, keys, anchor)
+    alpha = T.segment_softmax(tape, T.rowwise_dot(tape, anchors, values), seg, n, lam)
+    weighted = T.mul(tape, T.reshape_col(tape, alpha), values)
+    return alpha, T.segment_sum(tape, weighted, seg, n)
+
+
+def kept_matmul(tape, build, w):
+    """``rebuilt_matmul`` as a plain product whose left operand is built once
+    and kept on the tape for ``w``'s gradient."""
+    return T.matmul(tape, T.Tensor(build()), w)
+
+
+def keep_rebuildable_arrays(monkeypatch):
+    """Make encoders keep the gathered anchors and the edge rows on the tape,
+    as they did before they rebuilt them in backward."""
+    monkeypatch.setattr(M, "attend", gathered_attend)
+    monkeypatch.setattr(T, "rebuilt_matmul", kept_matmul)
+
+
+ENCODER_MODES = ([("hat", f, h) for f in M.FUSIONS for h in M.HEAD_MODES]
+                 + [("gat", "concat", h) for h in M.HEAD_MODES])
+
+
+@pytest.mark.parametrize("kind,fusion,head_mode", ENCODER_MODES)
+def test_rebuilt_in_backward_is_bit_identical(kind, fusion, head_mode, monkeypatch):
+    """Reading anchors by index and building edge rows again in backward
+    change what the tape keeps, not a bit of the forward, α or any gradient."""
+    view = hat_view()
+    isolated = view.graph.num_nodes - 2
+    cfg = small_config(kind=kind, fusion=fusion, head_mode=head_mode, dropout=0.3)
+    enc = M.make_encoder(view, cfg, seed=3, scope="e")
+    # unsorted, with duplicates and an isolated node
+    batch = [17, 3, 3, isolated, 0, 17, 9]
+
+    def run():
+        runs = []
+        for training in (False, True):
+            out = enc.forward(None, batch, step=2, training=training).values
+            alphas = enc.diagnostics["alpha"]
+            grads = param_grads(enc, lambda tape: enc.forward(tape, batch, step=2,
+                                                              training=training))
+            runs.append((out, alphas, grads))
+        return runs
+
+    got = run()
+    keep_rebuildable_arrays(monkeypatch)
+    want = run()
+    for (out, alphas, grads), (want_out, want_alphas, want_grads) in zip(got, want):
+        assert np.array_equal(out, want_out)
+        assert alphas.keys() == want_alphas.keys()
+        for key, (alpha, seg) in alphas.items():
+            assert np.array_equal(alpha, want_alphas[key][0])
+            assert np.array_equal(seg, want_alphas[key][1])
+        assert grads.keys() == want_grads.keys() == enc.params.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], want_grads[name]), name
+
+
+def closure_arrays(fn):
+    """The float arrays a function's closure holds, looking into lists,
+    tuples, ``functools.partial`` arguments and nested functions' closures,
+    but not into other objects."""
+    stack = [fn]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, np.ndarray):
+            if value.dtype.kind == "f":
+                yield value
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+        elif isinstance(value, partial):
+            stack.extend(value.args)
+        elif callable(value) and getattr(value, "__closure__", None):
+            stack.extend(c.cell_contents for c in value.__closure__)
+
+
+def rebuildable_arrays(enc, batch, tape):
+    """The arrays on ``tape``, after ``enc``'s forward for ``batch``, that an
+    encoder can rebuild from indexes: a float array shaped (block edges,
+    edge_dim) for some channel, or an anchor copy, whose every row is its
+    segment's self row, as the gathered anchors ``keys[anchor]`` are."""
+    cfg = enc.config
+    csrs = enc.csrs if enc.kind == "hat" else [enc.csr]
+    channels = enc.channels if enc.kind == "hat" else [None]
+    blocks = M._receptive_blocks(csrs, np.asarray(batch), cfg.layers, enc.graph.num_nodes,
+                                 self_entry=True)
+    held = [a for node in tape._nodes for a in closure_arrays(node.backfn)]
+    assert held
+    found = []
+    for blk in blocks:
+        k = len(blk.targets)
+        for ch, (edge_seg, _, eid) in zip(channels, blk.edges):
+            e = len(eid)
+            if e == 0:
+                continue
+            self_row = e + np.concatenate([edge_seg, np.arange(k)])
+            for a in held:
+                if ch is not None and a.shape == (e, ch.edge_dim):
+                    found.append(("edge rows", ch.name, a.shape))
+                elif a.ndim and len(a) == e + k and np.array_equal(a, a[self_row]):
+                    found.append(("anchors", getattr(ch, "name", "merged"), a.shape))
+    return found
+
+
+@pytest.mark.parametrize("kind,fusion", [("hat", f) for f in M.FUSIONS] + [("gat", "concat")])
+def test_tape_keeps_no_rebuildable_edge_array(kind, fusion, monkeypatch):
+    view = hat_view()
+    cfg = small_config(kind=kind, fusion=fusion, hidden=4, heads=2, dropout=0.3)
+    enc = M.make_encoder(view, cfg, seed=3, scope="e")
+    if kind == "hat":
+        assert any(ch.metapath for ch in enc.channels)
+        assert cfg.hidden not in {ch.edge_dim for ch in enc.channels}
+    batch = [17, 3, 0, 9]
+    tape = T.Tape()
+    enc.forward(tape, batch, step=1, training=True)
+    assert rebuildable_arrays(enc, batch, tape) == []
+    # the check finds what the tape kept before
+    keep_rebuildable_arrays(monkeypatch)
+    tape = T.Tape()
+    enc.forward(tape, batch, step=1, training=True)
+    kinds = {what for what, _, _ in rebuildable_arrays(enc, batch, tape)}
+    assert kinds == ({"edge rows", "anchors"} if kind == "hat" else {"anchors"})

@@ -205,6 +205,11 @@ CONSTANT_OPERAND_CASES = {
         T._unbroadcast(g, a.shape), T._unbroadcast(g, b.shape))),
     "rowwise_dot": (T.rowwise_dot, [(3, 4), (3, 4)], lambda g, a, b: (
         g[:, None] * b, g[:, None] * a)),
+    "rowwise_dot_index": (
+        lambda tape, a, b: T.rowwise_dot(tape, a, b, index=[2, 0, 2, 1]),
+        [(3, 4), (4, 4)], lambda g, a, b: (
+            T._segment_add(g[:, None] * b, np.array([2, 0, 2, 1]), 3),
+            g[:, None] * a[[2, 0, 2, 1]])),
     "concat_cols": (lambda tape, a, b: T.concat_cols(tape, [a, b]), [(3, 2), (3, 3)],
                     lambda g, a, b: (g[:, :2], g[:, 2:])),
 }
@@ -244,6 +249,10 @@ RETENTION_CASES = {
     "scatter_rows": (lambda tape, x: T.scatter_rows(tape, x, [3, 0], 4), [(2, 2)]),
     "mean_all": (T.mean_all, [(3, 2)]),
     "rowwise_dot": (T.rowwise_dot, [(3, 4), (3, 4)]),
+    "rowwise_dot_index": (lambda tape, a, b: T.rowwise_dot(tape, a, b, index=[2, 0, 2, 1]),
+                          [(3, 4), (4, 4)]),
+    "rebuilt_matmul": (lambda tape, w: T.rebuilt_matmul(
+        tape, lambda: np.arange(12.0).reshape(3, 4), w), [(4, 2)]),
     "segment_sum": (lambda tape, x: T.segment_sum(tape, x, [0, 1, 0], 2), [(3, 2)]),
     "segment_softmax": (lambda tape, s: T.segment_softmax(tape, s, [0, 1, 0], 2, 0.5),
                         [(3,)]),
@@ -271,7 +280,7 @@ def test_retention_cases_cover_every_op():
            if inspect.isfunction(fn) and fn.__module__ == T.__name__
            and not name.startswith("_")
            and list(inspect.signature(fn).parameters)[:1] == ["tape"]}
-    assert set(RETENTION_CASES) - {"matvec"} == ops
+    assert set(RETENTION_CASES) - {"matvec", "rowwise_dot_index"} == ops
 
 
 @pytest.mark.parametrize("op", sorted(RETENTION_CASES))
@@ -319,6 +328,66 @@ def test_linear_frees_its_pre_bias_product():
     tape.backward(T.mean_all(tape, out))
     np.testing.assert_allclose(w.grad, np.repeat(x.values.mean(axis=0)[:, None] / 256,
                                                  256, axis=1), rtol=1e-12)
+
+
+class TestRebuiltOperands:
+    """Ops that rebuild an operand in backward in place of keeping it must
+    give the values and gradients of the composition that keeps it."""
+
+    def test_indexed_dot_matches_gathered_dot(self):
+        rng = stable_rng("indexed-dot")
+        keys0 = rng.standard_normal((4, 3))
+        vals0 = rng.standard_normal((7, 3))
+        index = np.array([3, 0, 3, 1, 1, 2, 3])
+        seed = rng.standard_normal(7)
+
+        def run(indexed):
+            keys = T.Tensor(keys0, requires_grad=True)
+            vals = T.Tensor(vals0, requires_grad=True)
+            tape = T.Tape()
+            k, v = T.add(tape, keys, 0.0), T.add(tape, vals, 0.0)
+            # keys also reach the output another way, as HAT's self rows do
+            v = T.concat_rows(tape, [T.gather_rows(tape, v, np.arange(3)), k])
+            if indexed:
+                out = T.rowwise_dot(tape, k, v, index=index)
+            else:
+                out = T.rowwise_dot(tape, T.gather_rows(tape, k, index), v)
+            tape.backward(out, seed_grad=seed)
+            return out.values, keys.grad, vals.grad
+
+        for got, want in zip(run(True), run(False)):
+            assert np.array_equal(got, want)
+
+    def test_indexed_dot_shape_mismatch(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(3, 3\)"):
+            T.rowwise_dot(None, np.zeros((4, 3)), np.zeros((3, 3)), index=[0, 1])
+
+    def test_rebuilt_matmul_matches_kept_matmul(self):
+        rng = stable_rng("rebuilt-matmul")
+        x = rng.standard_normal((6, 4))
+        w0 = rng.standard_normal((4, 3))
+        seed = rng.standard_normal((6, 3))
+        builds = []
+
+        def build():
+            builds.append(1)
+            return x.copy()
+
+        w, kept_w = T.Tensor(w0, requires_grad=True), T.Tensor(w0, requires_grad=True)
+        tape, kept_tape = T.Tape(), T.Tape()
+        out = T.rebuilt_matmul(tape, build, w)
+        kept = T.matmul(kept_tape, T.Tensor(x), kept_w)
+        assert np.array_equal(out.values, kept.values)
+        assert len(builds) == 1
+        tape.backward(out, seed_grad=seed)
+        kept_tape.backward(kept, seed_grad=seed)
+        # built once for the forward and once for w's gradient
+        assert len(builds) == 2
+        assert np.array_equal(w.grad, kept_w.grad)
+
+    def test_rebuilt_matmul_shape_mismatch(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3\) @ \(4, 2\)"):
+            T.rebuilt_matmul(None, lambda: np.zeros((2, 3)), np.zeros((4, 2)))
 
 
 class TestTapeConsumption:
