@@ -22,10 +22,14 @@ edge id of each hop.  A layer builds the feature rows,
 the node and edge features the participant holds, as MAGNN encodes
 metapath instances (Fu et al., 2020).  So set-up keeps no row per instance,
 and the rows a layer reads are the ones a table built up front would give.
-A training tape keeps the block's edge ids, not its rows, and builds the
-rows again in backward for the edge transform's gradient; attention reads
-its anchors from the projected target rows by index, so the tape keeps no
-gathered copy of them either.
+Each fusion of a node row with an edge latent is affine in both, so
+:func:`_fuse` projects the node rows once per node and the edge transform
+and fusion weights once per channel:
+``(h @ A)[src] + rows @ (We @ B) + (be @ B + c)``.  A training tape keeps
+the block's edge ids, not its rows, and builds the rows again in backward
+for the gradient of ``We @ B``; attention reads its anchors from the
+projected target rows by index.  So the tape keeps no edge latent, no
+concatenated edge row and no gathered copy of the anchors.
 
 Every encoder runs each layer over the batch's receptive field only: the
 layer-wise mini-batching of GraphSAGE (Hamilton et al., 2017).  The nodes
@@ -111,13 +115,33 @@ def init_param(params: dict, name: str, shape, seed, zeros: bool = False) -> T.T
     return p
 
 
-def _fuse(tape, h, r, fusion, fparams):
+def _fuse(tape, h, src, rows, We, be, fusion, fparams):
+    """Each edge's message: its source row ``h[src]`` fused with its edge
+    latent ``rows() @ We + be``, where ``rows`` builds the edges' feature
+    rows.  Every fusion is affine in both, so it is computed as
+
+        (h @ A)[src] + rows() @ (We @ B) + (be @ B + c)
+
+    "concat", [h_src, latent] @ W + b, has A and B the row blocks of W and
+    c = b; "linear", h_src @ Wh + latent @ Wr + b, has A = Wh, B = Wr, c = b;
+    "add", h_src + latent, has A = B = I and c = 0.  The node part is
+    projected once per node, not per edge, and no edge latent or
+    concatenated edge row is built.  The rows are built again in backward
+    for the gradient of We @ B, so the tape keeps none of them.
+    """
     if fusion == "add":
-        return T.add(tape, h, r)
-    if fusion == "concat":
-        return T.linear(tape, T.concat_cols(tape, [h, r]), fparams["W"], fparams["b"])
-    return T.add(tape, T.add(tape, T.matmul(tape, h, fparams["Wh"]),
-                             T.matmul(tape, r, fparams["Wr"])), fparams["b"])
+        node, edge_w, bias = T.gather_rows(tape, h, src), We, be
+    else:
+        if fusion == "concat":
+            d = h.shape[1]
+            A = T.gather_rows(tape, fparams["W"], np.arange(d))
+            B = T.gather_rows(tape, fparams["W"], np.arange(d, 2 * d))
+        else:
+            A, B = fparams["Wh"], fparams["Wr"]
+        node = T.gather_rows(tape, T.matmul(tape, h, A), src)
+        edge_w = T.matmul(tape, We, B)
+        bias = T.add(tape, T.matmul(tape, be, B), fparams["b"])
+    return T.add(tape, node, T.add(tape, T.rebuilt_matmul(tape, rows, edge_w), bias))
 
 
 def attend(tape, keys, anchor, values, seg, n: int, lam: float):
@@ -301,12 +325,8 @@ class HatEncoder:
         k = len(blk.targets)
         edge_seg, src, eid = edges
         base = f"{self.scope}/l{layer}/rel:{ch.name}"
-        # the edge rows are built again for We's gradient, not kept
-        e_lat = T.add(tape, T.rebuilt_matmul(tape, partial(ch.rows, eid),
-                                             self.params[f"{base}/We"]),
-                      self.params[f"{base}/be"])
-        fused = _fuse(tape, T.gather_rows(tape, h, src), e_lat,
-                      cfg.fusion, self._fusion_params(layer, ch))
+        fused = _fuse(tape, h, src, partial(ch.rows, eid), self.params[f"{base}/We"],
+                      self.params[f"{base}/be"], cfg.fusion, self._fusion_params(layer, ch))
         # every target's edges, in edge order, then its self entry
         seg = np.concatenate([edge_seg, np.arange(k)])
         head_outs = []

@@ -222,14 +222,17 @@ def mul(tape, a, b) -> Tensor:
 
 def matmul(tape, a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim not in (1, 2):
-        raise ShapeError(f"matmul expects 2-D @ 1/2-D, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if not (a.ndim == 2 and b.ndim in (1, 2) or a.ndim == 1 and b.ndim == 2):
+        raise ShapeError(f"matmul expects 2-D @ 1/2-D or 1-D @ 2-D, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     out = Tensor(a.values @ b.values)
     av, bv = _kept_operands(a, b)
 
-    if b.ndim == 2:
+    if a.ndim == 1:
+        backfn = lambda g: (None if bv is None else bv @ g,
+                            None if av is None else np.outer(av, g))
+    elif b.ndim == 2:
         backfn = lambda g: (None if bv is None else g @ bv.T,
                             None if av is None else av.T @ g)
     else:

@@ -75,49 +75,106 @@ def table_encoder(enc):
     return oracle
 
 
+def edge_fuse(tape, h, src, rows, We, be, fusion, fparams):
+    """The fusion as HAT computed it per edge before it projected node rows
+    per node: the edge latent ``rows() @ We + be`` fused with ``h[src]``,
+    through a concatenation for "concat"."""
+    hs = T.gather_rows(tape, h, src)
+    r = T.linear(tape, T.Tensor(rows()), We, be)
+    if fusion == "add":
+        return T.add(tape, hs, r)
+    if fusion == "concat":
+        return T.linear(tape, T.concat_cols(tape, [hs, r]), fparams["W"], fparams["b"])
+    return T.add(tape, T.add(tape, T.matmul(tape, hs, fparams["Wh"]),
+                             T.matmul(tape, r, fparams["Wr"])), fparams["b"])
+
+
 class TestTransformAndFuse:
     def setup_method(self):
         rng = stable_rng("taf")
-        self.params = {}
-        self.Wt = M.init_param(self.params, "Wt", (3, 4), 0)
-        self.bt = M.init_param(self.params, "bt", (4,), 0, zeros=True)
-        self.We = M.init_param(self.params, "We", (2, 4), 0)
-        self.be = M.init_param(self.params, "be", (4,), 0, zeros=True)
         self.node = rng.standard_normal((5, 3))
-        self.edge = rng.standard_normal((5, 2))
+        self.edge = rng.standard_normal((7, 2))
+        self.src = np.array([4, 0, 0, 2, 1, 4, 3])
+
+    def fuse_params(self, fusion, seed, zero_bias=True):
+        """Node transform, edge transform and fusion weights, d = 4; the
+        biases are drawn like the weights unless ``zero_bias``."""
+        params = {}
+        for name, shape in [("Wt", (3, 4)), ("bt", (4,)), ("We", (2, 4)), ("be", (4,)),
+                            ("fuse/W", (8, 4)), ("fuse/Wh", (4, 4)), ("fuse/Wr", (4, 4)),
+                            ("fuse/b", (4,))]:
+            M.init_param(params, name, shape, seed,
+                         zeros=zero_bias and len(shape) == 1)
+            if len(shape) == 1 and not zero_bias:
+                params[name].values[:] = stable_rng(seed, name).standard_normal(shape)
+        fparams = {"concat": {"W": params["fuse/W"], "b": params["fuse/b"]},
+                   "linear": {"Wh": params["fuse/Wh"], "Wr": params["fuse/Wr"],
+                              "b": params["fuse/b"]},
+                   "add": {}}[fusion]
+        return params, fparams
 
     def test_add_with_zero_edge_latent(self):
-        zeros_edge = np.zeros((5, 2))
-        self.We.values[:] = 0.0
-        h = T.linear(None, self.node, self.Wt, self.bt)
-        r = T.linear(None, zeros_edge, self.We, self.be)
-        out = M._fuse(None, h, r, "add", {})
-        np.testing.assert_allclose(out.values, h.values)
+        params, _ = self.fuse_params("add", 0)
+        params["We"].values[:] = 0.0
+        h = T.linear(None, self.node, params["Wt"], params["bt"])
+        out = M._fuse(None, h, self.src, lambda: self.edge, params["We"], params["be"],
+                      "add", {})
+        np.testing.assert_array_equal(out.values, h.values[self.src])
 
     def test_concat_width_before_projection(self):
-        h = T.linear(None, self.node, self.Wt, self.bt)
-        r = T.linear(None, self.edge, self.We, self.be)
-        cat = T.concat_cols(None, [h, r])
-        assert cat.shape == (5, 8)  # 2d wide before the learned projection
+        """Concat projects the 2d-wide row [h_src, latent]: the first d rows
+        of W act on h, the last d on the edge latent."""
+        params, fparams = self.fuse_params("concat", 3, zero_bias=False)
+        W, b = params["fuse/W"].values.copy(), params["fuse/b"].values
+        assert W.shape == (8, 4)
+        h = T.linear(None, self.node, params["Wt"], params["bt"]).values
+        latent = self.edge @ params["We"].values + params["be"].values
+        for zero, want in [(slice(4, 8), h[self.src] @ W[:4] + b),
+                           (slice(0, 4), latent @ W[4:] + b)]:
+            fparams["W"].values[zero] = 0.0
+            out = M._fuse(None, T.Tensor(h), self.src, lambda: self.edge, params["We"],
+                          params["be"], "concat", fparams)
+            np.testing.assert_allclose(out.values, want, rtol=1e-12)
+            fparams["W"].values[:] = W
+
+    @pytest.mark.parametrize("fusion", M.FUSIONS)
+    def test_matches_per_edge_formula(self, fusion):
+        """Projecting per node reassociates the sums of the per-edge
+        formula, so values and every gradient agree to rounding."""
+        params, fparams = self.fuse_params(fusion, 2, zero_bias=False)
+        seed = stable_rng("taf-seed").standard_normal((7, 4))
+        results = []
+        for fuse in (M._fuse, edge_fuse):
+            for p in params.values():
+                p.zero_grad()
+            tape = T.Tape()
+            h = T.linear(tape, self.node, params["Wt"], params["bt"])
+            out = fuse(tape, h, self.src, lambda: self.edge, params["We"], params["be"],
+                       fusion, fparams)
+            tape.backward(out, seed_grad=seed)
+            results.append((out.values, {name: p.grad for name, p in params.items()}))
+        (got, got_grads), (want, want_grads) = results
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        for name, grad in want_grads.items():
+            if grad is None:
+                assert got_grads[name] is None, name
+            else:
+                np.testing.assert_allclose(got_grads[name], grad, rtol=1e-12, err_msg=name)
+        if fusion == "add":
+            # the same ops in the same order: nothing to reassociate
+            assert np.array_equal(got, want)
 
     def test_gradient_wrt_node_weight(self):
-        params = {}
-        Wt = M.init_param(params, "g/Wt", (3, 4), 1)
-        bt = M.init_param(params, "g/bt", (4,), 1, zeros=True)
-        We = M.init_param(params, "g/We", (2, 4), 1)
-        be = M.init_param(params, "g/be", (4,), 1, zeros=True)
-        Wf = M.init_param(params, "g/Wf", (8, 4), 1)
-        bf = M.init_param(params, "g/bf", (4,), 1, zeros=True)
-        node, edge = self.node, self.edge
+        params, fparams = self.fuse_params("concat", 1, zero_bias=False)
 
         def forward():
             tape = T.Tape()
-            h = T.linear(tape, node, Wt, bt)
-            r = T.linear(tape, edge, We, be)
-            out = M._fuse(tape, h, r, "concat", {"W": Wf, "b": bf})
+            h = T.linear(tape, self.node, params["Wt"], params["bt"])
+            out = M._fuse(tape, h, self.src, lambda: self.edge, params["We"], params["be"],
+                          "concat", fparams)
             return T.mean_all(tape, T.mul(tape, out, out)), tape
 
-        assert finite_diff_check(forward, [Wt]) < 1e-4
+        assert finite_diff_check(forward, [params["Wt"]]) < 1e-4
 
 
 def node_attention(target, neighbors, head_projs, temperature, head_mode="sum"):
@@ -529,10 +586,8 @@ def whole_graph_hat(enc, tape, batch_ids, step=0, training=False, beta_rows=None
         zs = []
         for ch in enc.channels:
             base = f"l{l}/rel:{ch.name}"
-            e_lat = T.linear(tape, T.Tensor(oracle_rows(enc, ch)), prm(f"{base}/We"),
-                             prm(f"{base}/be"))
-            fused = M._fuse(tape, T.gather_rows(tape, h, ch.nbr), e_lat, cfg.fusion,
-                            enc._fusion_params(l, ch))
+            fused = M._fuse(tape, h, ch.nbr, partial(oracle_rows, enc, ch), prm(f"{base}/We"),
+                            prm(f"{base}/be"), cfg.fusion, enc._fusion_params(l, ch))
             seg = np.concatenate([ch.tgt, np.arange(n)])
             head_outs = []
             for m in range(cfg.heads):
@@ -936,8 +991,10 @@ def closure_arrays(fn):
 
 def rebuildable_arrays(enc, batch, tape):
     """The arrays on ``tape``, after ``enc``'s forward for ``batch``, that an
-    encoder can rebuild from indexes: a float array shaped (block edges,
-    edge_dim) for some channel, or an anchor copy, whose every row is its
+    encoder can rebuild from indexes, by the kind found: a channel's edge
+    rows, a float array shaped (block edges, edge_dim); for HAT, an edge
+    latent, equal to its rows @ We + be, or a concatenated edge row, shaped
+    (block edges, 2 * hidden); and an anchor copy, whose every row is its
     segment's self row, as the gathered anchors ``keys[anchor]`` are."""
     cfg = enc.config
     csrs = enc.csrs if enc.kind == "hat" else [enc.csr]
@@ -946,19 +1003,27 @@ def rebuildable_arrays(enc, batch, tape):
                                  self_entry=True)
     held = [a for node in tape._nodes for a in closure_arrays(node.backfn)]
     assert held
-    found = []
-    for blk in blocks:
+    found = set()
+    for l, blk in enumerate(blocks):
         k = len(blk.targets)
         for ch, (edge_seg, _, eid) in zip(channels, blk.edges):
             e = len(eid)
             if e == 0:
                 continue
             self_row = e + np.concatenate([edge_seg, np.arange(k)])
+            if ch is not None:
+                base = f"{enc.scope}/l{l}/rel:{ch.name}"
+                latent = (ch.rows(eid) @ enc.params[f"{base}/We"].values
+                          + enc.params[f"{base}/be"].values)
             for a in held:
                 if ch is not None and a.shape == (e, ch.edge_dim):
-                    found.append(("edge rows", ch.name, a.shape))
+                    found.add("edge rows")
+                elif ch is not None and a.shape == (e, 2 * cfg.hidden):
+                    found.add("concatenation")
+                elif ch is not None and a.shape == latent.shape and np.allclose(a, latent):
+                    found.add("edge latent")
                 elif a.ndim and len(a) == e + k and np.array_equal(a, a[self_row]):
-                    found.append(("anchors", getattr(ch, "name", "merged"), a.shape))
+                    found.add("anchors")
     return found
 
 
@@ -969,14 +1034,18 @@ def test_tape_keeps_no_rebuildable_edge_array(kind, fusion, monkeypatch):
     enc = M.make_encoder(view, cfg, seed=3, scope="e")
     if kind == "hat":
         assert any(ch.metapath for ch in enc.channels)
-        assert cfg.hidden not in {ch.edge_dim for ch in enc.channels}
+        assert {cfg.hidden, 2 * cfg.hidden}.isdisjoint(ch.edge_dim for ch in enc.channels)
     batch = [17, 3, 0, 9]
     tape = T.Tape()
     enc.forward(tape, batch, step=1, training=True)
-    assert rebuildable_arrays(enc, batch, tape) == []
+    assert rebuildable_arrays(enc, batch, tape) == set()
     # the check finds what the tape kept before
     keep_rebuildable_arrays(monkeypatch)
+    monkeypatch.setattr(M, "_fuse", edge_fuse)
     tape = T.Tape()
     enc.forward(tape, batch, step=1, training=True)
-    kinds = {what for what, _, _ in rebuildable_arrays(enc, batch, tape)}
-    assert kinds == ({"edge rows", "anchors"} if kind == "hat" else {"anchors"})
+    want = {"anchors"}
+    if kind == "hat":
+        want |= {"edge rows"} | {"concat": {"concatenation"},
+                                 "linear": {"edge latent"}}.get(fusion, set())
+    assert rebuildable_arrays(enc, batch, tape) == want

@@ -54,6 +54,16 @@ class TestLinear:
             T.linear(None, np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2))
 
 
+def test_vector_matrix_product_matches_bruteforce():
+    rng = stable_rng("vecmat")
+    a, b = rng.standard_normal(3), rng.standard_normal((3, 2))
+    out = T.matmul(None, a, b)
+    assert out.shape == (2,)
+    np.testing.assert_allclose(out.values, brute_matmul(a[None, :], b)[0], rtol=1e-13)
+    with pytest.raises(ShapeError, match=r"\(3,\) @ \(3,\)"):
+        T.matmul(None, a, a)
+
+
 class TestSoftmax:
     def test_symmetry(self):
         out = T.softmax(None, [0.0, 0.0])
@@ -199,6 +209,7 @@ class TestBackward:
 CONSTANT_OPERAND_CASES = {
     "matmul": (T.matmul, [(3, 4), (4, 2)], lambda g, a, b: (g @ b.T, a.T @ g)),
     "matvec": (T.matmul, [(3, 4), (4,)], lambda g, a, b: (np.outer(g, b), a.T @ g)),
+    "vecmat": (T.matmul, [(3,), (3, 4)], lambda g, a, b: (b @ g, np.outer(a, g))),
     "mul": (T.mul, [(3, 4), (1, 4)], lambda g, a, b: (
         T._unbroadcast(g * b, a.shape), T._unbroadcast(g * a, b.shape))),
     "add": (T.add, [(3, 4), (4,)], lambda g, a, b: (
@@ -239,6 +250,7 @@ RETENTION_CASES = {
     "mul": (T.mul, [(3, 4), (1, 4)]),
     "matmul": (T.matmul, [(3, 4), (4, 2)]),
     "matvec": (T.matmul, [(3, 4), (4,)]),
+    "vecmat": (T.matmul, [(3,), (3, 4)]),
     "linear": (T.linear, [(3, 4), (4, 2), (2,)]),
     "concat_cols": (lambda tape, a, b: T.concat_cols(tape, [a, b]), [(3, 2), (3, 3)]),
     "concat_rows": (lambda tape, a, b: T.concat_rows(tape, [a, b]), [(2, 3), (1, 3)]),
@@ -280,7 +292,7 @@ def test_retention_cases_cover_every_op():
            if inspect.isfunction(fn) and fn.__module__ == T.__name__
            and not name.startswith("_")
            and list(inspect.signature(fn).parameters)[:1] == ["tape"]}
-    assert set(RETENTION_CASES) - {"matvec", "rowwise_dot_index"} == ops
+    assert set(RETENTION_CASES) - {"matvec", "vecmat", "rowwise_dot_index"} == ops
 
 
 @pytest.mark.parametrize("op", sorted(RETENTION_CASES))
