@@ -1,7 +1,9 @@
 """Command-line entry points: run experiments, audit transcripts, generate data.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error, 3 audit
-findings present.
+findings present.  A config or synthetic spec is checked field by field as
+it loads, so a mistake in one exits 1 with ``config error: <field>: ...``
+before any data is generated or read.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .crypto import transcript_audit
@@ -50,16 +53,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    config = ExperimentConfig.load(args.config)
+    config = ExperimentConfig.from_json(json.loads(Path(args.config).read_text()))
     if args.seeds:
         try:
             seeds = [int(s) for s in args.seeds.split(",")]
         except ValueError:
             raise ConfigError(f"--seeds must be comma-separated integers, "
                               f"got {args.seeds!r}") from None
-        config = ExperimentConfig.from_json({**config.to_json(), "seeds": seeds})
+        config = replace(config, seeds=seeds)
     if args.secure:
-        config = ExperimentConfig.from_json({**config.to_json(), "secure": True})
+        config = replace(config, secure=True)
     if args.grid:
         rows, costs, transcript = run_grid(config, args.grid)
     else:
@@ -80,11 +83,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    payload = json.loads(Path(args.spec).read_text())
-    try:
-        spec = SyntheticSpec.from_json(payload)
-    except TypeError as exc:
-        raise ConfigError(f"{args.spec}: {exc}") from None
+    spec = SyntheticSpec.from_json(json.loads(Path(args.spec).read_text()))
     bundle = generate_synthetic(spec, seed=args.seed)
     save_dataset(bundle, args.out)
     g = bundle.graph

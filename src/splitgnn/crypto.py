@@ -251,23 +251,24 @@ def decrypt(keypair: PaillierKeyPair, cipher: Ciphertext) -> int:
 # fixed-point encoding
 
 
-DEFAULT_SCALE_BITS = 24
+# fixed-point fraction bits: a value x is encoded as round(x * 2^SCALE_BITS)
+SCALE_BITS = 24
 # an encoded value's magnitude stays below 2^FIXED_RANGE_BITS
 FIXED_RANGE_BITS = 63
 
 
-def fixed_encode(x: float, scale_bits: int = DEFAULT_SCALE_BITS) -> int:
+def fixed_encode(x: float) -> int:
     if not np.isfinite(x):
         raise DomainError(f"cannot fixed-point encode non-finite value {x}")
-    if abs(x) >= 2.0 ** (FIXED_RANGE_BITS - scale_bits):
+    if abs(x) >= 2.0 ** (FIXED_RANGE_BITS - SCALE_BITS):
         raise DomainError(
-            f"value {x} exceeds fixed-point range +/-2^{FIXED_RANGE_BITS - scale_bits}"
+            f"value {x} exceeds fixed-point range +/-2^{FIXED_RANGE_BITS - SCALE_BITS}"
         )
-    return round(x * (1 << scale_bits))
+    return round(x * (1 << SCALE_BITS))
 
 
-def fixed_decode(m: int, scale_bits: int = DEFAULT_SCALE_BITS) -> float:
-    return m / (1 << scale_bits)
+def fixed_decode(m: int) -> float:
+    return m / (1 << SCALE_BITS)
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +313,17 @@ def slot_layout(n: int, terms: int) -> SlotLayout:
     return SlotLayout(terms, bound, width, max(1, (n.bit_length() - 1) // width))
 
 
-def encrypt_matrix(public: PaillierPublicKey, values, scale_bits: int,
+def encrypt_matrix(public: PaillierPublicKey, values,
                    rng: random.Random) -> list[Ciphertext]:
     """Fixed-point encode ``values`` and encrypt them in row-major order, one
     ciphertext per value placed as a lone term (a matrix decrypted on its
     own), after checking every value against the layout's bound."""
     layout = slot_layout(public.n, 1)
-    return _encrypt_placed(public, _encode_checked("matrix", values, scale_bits,
-                                                   layout.bound), layout, rng)
+    return _encrypt_placed(public, _encode_checked("matrix", values, layout.bound),
+                           layout, rng)
 
 
-def decrypt_matrix(keypair: PaillierKeyPair, cts, shape, scale_bits: int,
-                   terms: int = 1) -> np.ndarray:
+def decrypt_matrix(keypair: PaillierKeyPair, cts, shape, terms: int = 1) -> np.ndarray:
     """Each element's sum of ``terms`` values from ciphertexts that
     ``encrypt_matrix`` placed: one decryption per run of ``slots``
     consecutive ciphertexts, multiplied into one, then fixed-point decoded."""
@@ -332,7 +332,7 @@ def decrypt_matrix(keypair: PaillierKeyPair, cts, shape, scale_bits: int,
     for start in range(0, len(cts), layout.slots):
         group = cts[start:start + layout.slots]
         packed = decrypt(keypair, sum(group[1:], group[0]))
-        out += [fixed_decode(m, scale_bits) for m in layout.fields(packed, len(group))]
+        out += [fixed_decode(m) for m in layout.fields(packed, len(group))]
     return np.array(out).reshape(shape)
 
 
@@ -341,12 +341,12 @@ def _encrypt_placed(public: PaillierPublicKey, encoded, layout: SlotLayout,
     return [encrypt(public, layout.place(i, m), rng) for i, m in enumerate(encoded)]
 
 
-def _encode_checked(name: str, values, scale_bits: int, bound: int) -> list[int]:
+def _encode_checked(name: str, values, bound: int) -> list[int]:
     """Fixed-point encode ``values`` in row-major order, raising at the first
     element whose encoded magnitude reaches ``bound``."""
     encoded = []
     for idx, x in enumerate(np.ravel(np.asarray(values, dtype=np.float64))):
-        m = fixed_encode(float(x), scale_bits)
+        m = fixed_encode(float(x))
         if abs(m) >= bound:
             raise DomainError(f"{name} element {idx}: encoded magnitude {abs(m)} "
                               f"would risk modular wrap (bound {bound})")
@@ -355,8 +355,7 @@ def _encode_checked(name: str, values, scale_bits: int, bound: int) -> list[int]
 
 
 def secure_sum(vectors, keypair: PaillierKeyPair, rng: random.Random,
-               transcript: RoundTranscript, round_index: int, party_names,
-               scale_bits: int = DEFAULT_SCALE_BITS) -> np.ndarray:
+               transcript: RoundTranscript, round_index: int, party_names) -> np.ndarray:
     """Element-wise sum of the participants' vectors, learned only in aggregate.
 
     Each participant fixed-point encodes and encrypts its elements; the
@@ -370,14 +369,14 @@ def secure_sum(vectors, keypair: PaillierKeyPair, rng: random.Random,
     # every term of every participant is checked against the layout's bound
     # before the first encryption draws from ``rng``
     layout = slot_layout(keypair.public.n, len(vectors))
-    encoded = [_encode_checked(name, vec, scale_bits, layout.bound)
+    encoded = [_encode_checked(name, vec, layout.bound)
                for name, vec in zip(party_names, vectors, strict=True)]
 
     terms = [transcript.send(round_index, name, "server", "ciphertext",
                              _encrypt_placed(keypair.public, enc, layout, rng))
              for name, enc in zip(party_names, encoded)]
     totals = decrypt_matrix(keypair, [sum(col[1:], col[0]) for col in zip(*terms)],
-                            shape, scale_bits, len(vectors))
+                            shape, len(vectors))
     transcript.log_decryption(round_index, vectors[0].size, aggregated=True)
     return totals
 

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config checker: each
+field of a :class:`Schema` dataclass declares its rule next to it."""
+
+import math
+import operator
+from dataclasses import MISSING, field, fields
+from functools import partial
+from typing import Callable, NamedTuple
 
 
 class SplitGnnError(Exception):
@@ -43,3 +50,83 @@ class NumericError(SplitGnnError):
 
 class CryptoError(SplitGnnError):
     """Key generation or ciphertext handling failed."""
+
+
+# ---------------------------------------------------------------------------
+# config schemas: each dataclass field declares its rule next to it
+
+
+class Rule(NamedTuple):
+    """What a field's value must be: ``want`` words it for the error and ``ok``
+    tests it; the ``ok`` of a nested spec raises that spec's own ConfigError."""
+
+    want: str
+    ok: Callable[[object], bool]
+
+
+def checked(rule: Rule, default=MISSING, *, factory=MISSING):
+    """A field of a :class:`Schema` dataclass, held to ``rule``."""
+    return field(default=default, default_factory=factory, metadata={"rule": rule})
+
+
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
+
+def _bounded(kind: str, is_kind, *bounds: str) -> Rule:
+    """``is_kind`` values within every bound, such as ``">= 0"`` and ``"< 1"``."""
+    tests = [(_COMPARE[op], float(limit)) for op, limit in map(str.split, bounds)]
+    return Rule(" ".join([kind, " and ".join(bounds)]).rstrip(),
+                lambda x: is_kind(x) and all(op(x, limit) for op, limit in tests))
+
+
+integer = partial(_bounded, "an integer", lambda x: type(x) is int)
+number = partial(_bounded, "a finite number",
+                 lambda x: type(x) is int or type(x) is float and math.isfinite(x))
+
+
+def choice(options) -> Rule:
+    options = tuple(options)   # of one type: 512.0 is no key size
+    return Rule(f"one of {options}", lambda x: type(x) is type(options[0]) and x in options)
+
+
+def optional(rule: Rule) -> Rule:
+    return Rule(f"null or {rule.want}", lambda x: x is None or rule.ok(x))
+
+
+def list_of(rule: Rule) -> Rule:
+    return Rule(f"a non-empty list, each {rule.want}",
+                lambda x: type(x) is list and len(x) > 0 and all(map(rule.ok, x)))
+
+
+BOOL = Rule("true or false", lambda x: type(x) is bool)
+TEXT = Rule("a non-empty string", lambda x: type(x) is str and x != "")
+
+
+class Schema:
+    """Base of a dataclass whose fields declare their rules with
+    :func:`checked`: it holds every field to its rule as it is built."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            rule, value = f.metadata["rule"], getattr(self, f.name)
+            try:
+                ok = rule.ok(value)
+            except ConfigError as exc:
+                raise ConfigError(f"{f.name}: {exc}") from None
+            if not ok:
+                raise ConfigError(f"{f.name}: must be {rule.want}, got {value!r}")
+
+    @classmethod
+    def from_json(cls, payload):
+        """The instance a JSON object describes: it names only fields, and
+        every field without a default."""
+        if type(payload) is not dict:
+            raise ConfigError(f"must be a JSON object, got {payload!r}")
+        for f in fields(cls):
+            if f.name not in payload and f.default is f.default_factory is MISSING:
+                raise ConfigError(f"{f.name}: required")
+        names = {f.name for f in fields(cls)}
+        for key in payload:
+            if key not in names:
+                raise ConfigError(f"{key}: no such field")
+        return cls(**payload)

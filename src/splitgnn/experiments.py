@@ -14,6 +14,10 @@ report no transcript and no bytes.  That a one-participant session matches
 one model on one tape is checked against the oracle in
 ``tests/test_protocol.py``.
 
+:class:`ExperimentConfig` is a run's one schema: each field declares its
+rule next to it, and a config that breaks one, or a rule joining fields, is
+refused as it is built.  The encoder and session configs are views of it.
+
 The federated-learning comparator is a closed-form byte model (each
 participant uploads and downloads the full parameter vector every round);
 split-learning bytes are measured off the session transcript.
@@ -24,14 +28,17 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
-from .errors import ConfigError
+from .crypto import SCALE_BITS, VALID_KEY_BITS
+from .errors import (BOOL, TEXT, ConfigError, Rule, Schema, checked, choice, integer,
+                     list_of, number, optional)
 from .graph import (DatasetBundle, ParticipantView, PartitionSpec, RelationSpec,
                     SyntheticSpec, generate_synthetic, load_dataset,
                     vertical_partition)
-from .models import EncoderConfig
+from .models import ENCODERS, FUSIONS, HEAD_MODES, EncoderConfig
 from .protocol import SessionConfig, SplitSession
 from .tensor import OPTIMIZERS
 from .transcript import FLOAT_BYTES, RoundTranscript
@@ -63,62 +70,57 @@ def desk_scale_spec() -> SyntheticSpec:
 
 
 @dataclass
-class ExperimentConfig:
-    dataset: str | None = None
-    synthetic: dict | None = None
-    data_seed: int = 0
-    participants: int = 2
-    ratio: list[float] = field(default_factory=lambda: [5.0, 5.0])
-    label_holder: int = 0
-    model: str = "hat"
-    strategy: str = "split_c"
-    seeds: list[int] = field(default_factory=lambda: [0])
-    batch_size: int = 64
-    epochs: int = 5
-    rounds_per_epoch: int | None = None
-    learning_rate: float = 0.1
-    optimizer: str = "sgd"
-    hidden: int = 32
-    layers: int = 2
-    heads: int = 2
-    fusion: str = "concat"
-    head_mode: str = "sum"
-    dropout: float = 0.0
-    server_dropout: float = 0.3
-    temperature: float | None = None
-    secure: bool = False
-    key_bits: int = 512
-    scale_bits: int = 24
+class ExperimentConfig(Schema):
+    dataset: str | None = checked(optional(TEXT), None)
+    synthetic: dict | None = checked(Rule(
+        "null or a synthetic spec", lambda x: x is None or bool(SyntheticSpec.from_json(x))),
+        None)
+    data_seed: int = checked(integer(), 0)
+    participants: int = checked(integer(">= 1"), 2)
+    ratio: list[float] = checked(list_of(number("> 0")), factory=lambda: [5.0, 5.0])
+    label_holder: int = checked(integer(">= 0"), 0)
+    model: str = checked(choice(ENCODERS), "hat")
+    strategy: str = checked(Rule(
+        f"one of {('entire', 'standalone_<i>', *STRATEGY_MAP)}", lambda x: type(x) is str and (
+            x == "entire" or x in STRATEGY_MAP or _standalone_index(x) is not None)), "split_c")
+    seeds: list[int] = checked(list_of(integer()), factory=lambda: [0])
+    batch_size: int = checked(integer(">= 1"), 64)
+    epochs: int = checked(integer(">= 1"), 5)
+    rounds_per_epoch: int | None = checked(optional(integer(">= 1")), None)
+    learning_rate: float = checked(number("> 0"), 0.1)
+    optimizer: str = checked(choice(OPTIMIZERS), "sgd")
+    hidden: int = checked(integer(">= 1"), 32)
+    layers: int = checked(integer(">= 1"), 2)
+    heads: int = checked(integer(">= 1"), 2)
+    fusion: str = checked(choice(FUSIONS), "concat")
+    head_mode: str = checked(choice(HEAD_MODES), "sum")
+    dropout: float = checked(number(">= 0", "< 1"), 0.0)
+    server_dropout: float = checked(number(">= 0", "< 1"), 0.3)
+    temperature: float | None = checked(optional(number("> 0")), None)  # None: 1/sqrt(d)
+    secure: bool = checked(BOOL, False)
+    key_bits: int = checked(choice(VALID_KEY_BITS), 512)
 
     def __post_init__(self):
+        super().__post_init__()
         if len(self.ratio) != self.participants:
-            raise ConfigError(
-                f"ratio has {len(self.ratio)} entries for {self.participants} participants"
-            )
+            raise ConfigError(f"ratio: has {len(self.ratio)} entries for "
+                              f"{self.participants} participants")
+        if self.label_holder >= self.participants:
+            raise ConfigError(f"label_holder: no participant {self.label_holder} "
+                              f"among {self.participants}")
         alone = _standalone_index(self.strategy)
-        if self.strategy != "entire" and alone is None and self.strategy not in STRATEGY_MAP:
-            raise ConfigError(f"unknown strategy {self.strategy!r}")
         if alone is not None and alone >= self.participants:
-            raise ConfigError(f"no participant {alone} to run standalone among "
+            raise ConfigError(f"strategy: no participant {alone} to run standalone among "
                               f"{self.participants}")
-        if not isinstance(self.seeds, list) or not self.seeds or not all(
-                type(s) is int for s in self.seeds):
-            raise ConfigError(f"seeds must be a non-empty list of integers, "
-                              f"got {self.seeds!r}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {tuple(OPTIMIZERS)}, "
-                              f"got {self.optimizer!r}")
+        if self.head_mode == "concat" and self.hidden % self.heads:
+            raise ConfigError(f"hidden: head_mode concat needs hidden divisible by "
+                              f"heads ({self.heads}), got {self.hidden}")
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "ExperimentConfig":
-        return cls(**payload)
-
-    @classmethod
-    def load(cls, path) -> "ExperimentConfig":
-        try:
-            return cls.from_json(json.loads(Path(path).read_text()))
-        except (TypeError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+    @property
+    def scale_bits(self) -> int:
+        """Fixed-point fraction bits, fixed at ``crypto.SCALE_BITS``; read by
+        ``perfbench/run.py``'s secure-vs-plaintext loss tolerance."""
+        return SCALE_BITS
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -146,7 +148,6 @@ class ExperimentConfig:
             secure=self.secure and self.strategy in STRATEGY_MAP,
             seed=seed,
             key_bits=self.key_bits,
-            scale_bits=self.scale_bits,
             server_dropout=self.server_dropout,
             rounds_per_epoch=self.rounds_per_epoch,
         )
@@ -218,7 +219,7 @@ def count_params(param_dicts) -> int:
 def _load_bundle(config: ExperimentConfig) -> DatasetBundle:
     if config.dataset:
         return load_dataset(config.dataset)
-    spec = SyntheticSpec.from_json(dict(config.synthetic)) if config.synthetic \
+    spec = SyntheticSpec.from_json(config.synthetic) if config.synthetic is not None \
         else desk_scale_spec()
     return generate_synthetic(spec, seed=config.data_seed)
 
@@ -303,8 +304,8 @@ def run_experiment(config: ExperimentConfig):
 
     sl_bytes = comm_cost_sl(last_transcript) if last_transcript is not None else 0
     psi_bytes = last_transcript.total_bytes("psi") if last_transcript is not None else 0
-    fl_bytes = comm_cost_fl(max(config.participants, 1), max(model_params, 1),
-                            max(rounds_total, 1)) if rounds_total else 0
+    fl_bytes = comm_cost_fl(config.participants, model_params, rounds_total) \
+        if rounds_total else 0
     cost = CostReport(
         strategy=config.strategy,
         model=config.model,
@@ -372,12 +373,7 @@ def emit_report(rows, costs, out_dir) -> tuple[Path, Path]:
 def grid_configs(base: ExperimentConfig, grid: str) -> list[ExperimentConfig]:
     """The experiment grids: strategy comparison, participant scaling,
     distribution skew, and the communication-cost sweep."""
-    payload = base.to_json()
-
-    def variant(**overrides) -> ExperimentConfig:
-        merged = {**payload, **overrides}
-        return ExperimentConfig.from_json(merged)
-
+    variant = partial(replace, base)   # the base with overrides, checked again
     if grid == "table1":
         strategies = ["entire", "standalone_0", "standalone_1",
                       "split_m", "split_c", "split_w"]

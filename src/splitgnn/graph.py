@@ -8,13 +8,14 @@ the path endpoint contributes to the target node's representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, GraphSchemaError, ParseError
+from .errors import (BOOL, TEXT, ConfigError, GraphSchemaError, ParseError, Rule,
+                     Schema, checked, integer, list_of, number, optional)
 from .seeding import stable_rng
 
 
@@ -446,43 +447,55 @@ def save_dataset(bundle: DatasetBundle, directory) -> None:
 
 
 @dataclass
-class RelationSpec:
-    name: str
-    src_type: str
-    dst_type: str
-    edge_dim: int = 0
-    avg_degree: float = 4.0
-    symmetric: bool = False
+class RelationSpec(Schema):
+    name: str = checked(TEXT)
+    src_type: str = checked(TEXT)
+    dst_type: str = checked(TEXT)
+    edge_dim: int = checked(integer(">= 0"), 0)
+    avg_degree: float = checked(number(">= 0"), 4.0)
+    symmetric: bool = checked(BOOL, False)
 
 
 @dataclass
-class SyntheticSpec:
+class SyntheticSpec(Schema):
     """Parameters for the block-structured synthetic benchmark generator."""
 
-    node_counts: dict[str, int]
-    relations: list[RelationSpec]
-    feature_dim: int = 32
-    num_classes: int = 3
-    homophily: float = 0.8
-    feature_signal: float = 0.4
-    edge_signal: float = 0.5
-    train_frac: float = 0.6
-    val_frac: float = 0.2
-    metapaths: list[tuple[str, ...]] | None = None
-    max_auto_metapaths: int = 2
+    node_counts: dict[str, int] = checked(Rule("an object of integers >= 0", lambda x: (
+        type(x) is dict and all(type(t) is str and type(c) is int and c >= 0
+                                for t, c in x.items()))))
+    relations: list[RelationSpec] = checked(
+        list_of(Rule("a relation spec", lambda r: type(r) is RelationSpec)))
+    feature_dim: int = checked(integer(">= 1"), 32)
+    num_classes: int = checked(integer(">= 1"), 3)
+    homophily: float = checked(number(">= 0", "<= 1"), 0.8)
+    feature_signal: float = checked(number(">= 0"), 0.4)
+    edge_signal: float = checked(number(), 0.5)
+    train_frac: float = checked(number(">= 0", "<= 1"), 0.6)
+    val_frac: float = checked(number(">= 0", "<= 1"), 0.2)
+    metapaths: list[tuple[str, ...]] | None = checked(optional(Rule(
+        "a list of non-empty lists of relation names", lambda x: type(x) is list and all(
+            type(m) in (list, tuple) and len(m) > 0 and all(map(TEXT.ok, m)) for m in x))),
+        None)
+    max_auto_metapaths: int = checked(integer(">= 0"), 2)
+
+    def __post_init__(self):
+        super().__post_init__()
+        for rel in self.relations:
+            for t in (rel.src_type, rel.dst_type):
+                if self.node_counts.get(t, 0) <= 0:
+                    raise ConfigError(f"relations: relation {rel.name} references "
+                                      f"type {t!r} with no nodes")
 
     @classmethod
-    def from_json(cls, payload: dict) -> "SyntheticSpec":
-        payload = dict(payload)
-        try:
-            rels = [RelationSpec(**r) for r in payload.pop("relations")]
-            mps = payload.pop("metapaths", None)
-            spec = cls(relations=rels, **payload)
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"invalid synthetic spec: {exc}") from None
-        if mps is not None:
-            spec.metapaths = [tuple(m) for m in mps]
-        return spec
+    def from_json(cls, payload) -> "SyntheticSpec":
+        """The spec a JSON object describes, its relations given as objects."""
+        rels = payload.get("relations") if type(payload) is dict else None
+        if type(rels) is list:
+            try:
+                payload = {**payload, "relations": [RelationSpec.from_json(r) for r in rels]}
+            except ConfigError as exc:
+                raise ConfigError(f"relations: {exc}") from None
+        return super().from_json(payload)
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> DatasetBundle:
@@ -491,17 +504,6 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> DatasetBundle:
     Same-class endpoints connect with probability ``homophily``; otherwise
     endpoints are drawn uniformly.  Everything is deterministic under seed.
     """
-    if not 0.0 <= spec.homophily <= 1.0:
-        raise ConfigError(f"homophily must be in [0, 1], got {spec.homophily}")
-    if not spec.relations:
-        raise ConfigError("at least one relation is required")
-    for rel in spec.relations:
-        for t in (rel.src_type, rel.dst_type):
-            if spec.node_counts.get(t, 0) <= 0:
-                raise ConfigError(
-                    f"relation {rel.name} references type {t!r} with no nodes"
-                )
-
     rng = stable_rng(seed, "synthetic")
     types: list[str] = []
     for tname in sorted(spec.node_counts):
@@ -578,7 +580,8 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> DatasetBundle:
 
 @dataclass
 class PartitionSpec:
-    """How columns, edges and the label are divided among participants.
+    """How columns, edges and the label are divided among participants, as
+    :meth:`from_ratio` builds it.
 
     ``feature_cols[i]`` is participant i's half-open column range and the
     ranges tile [0, feature_dim) in participant order.  ``edge_shares`` maps
@@ -589,25 +592,6 @@ class PartitionSpec:
     feature_cols: list[tuple[int, int]]
     edge_shares: dict[str, list[float]]
     label_holder: int
-    ratio: list[float] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.participants < 1:
-            raise ConfigError("need at least one participant")
-        if len(self.feature_cols) != self.participants:
-            raise ConfigError("one feature-column range per participant required")
-        expect = 0
-        for lo, hi in self.feature_cols:
-            if lo != expect or hi < lo:
-                raise ConfigError(
-                    f"feature columns must tile [0, D) contiguously, got {self.feature_cols}"
-                )
-            expect = hi
-        for rname, shares in self.edge_shares.items():
-            if len(shares) != self.participants or any(s < 0 for s in shares):
-                raise ConfigError(f"bad edge shares for relation {rname!r}")
-        if not 0 <= self.label_holder < self.participants:
-            raise ConfigError(f"label holder {self.label_holder} out of range")
 
     @classmethod
     def from_ratio(cls, ratio, feature_dim: int, relation_names,
@@ -615,8 +599,10 @@ class PartitionSpec:
         """Ratio governs both feature-column counts and per-relation edge
         counts; earlier participants round down, the last takes the rest."""
         ratio = [float(r) for r in ratio]
-        if any(r <= 0 for r in ratio):
+        if not ratio or any(r <= 0 for r in ratio):
             raise ConfigError(f"ratio entries must be positive, got {ratio}")
+        if not 0 <= label_holder < len(ratio):
+            raise ConfigError(f"label holder {label_holder} out of range")
         total = sum(ratio)
         cols, start = [], 0
         for i, r in enumerate(ratio):
@@ -625,7 +611,7 @@ class PartitionSpec:
             cols.append((start, start + count))
             start += count
         shares = {name: list(ratio) for name in relation_names}
-        return cls(len(ratio), cols, shares, label_holder, ratio)
+        return cls(len(ratio), cols, shares, label_holder)
 
 
 @dataclass

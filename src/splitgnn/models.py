@@ -54,7 +54,7 @@ from functools import partial
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError
+from .errors import ContractError
 from .graph import (HetGraph, Metapath, ParticipantView, TargetCsr, metapath_edges,
                     metapath_feature_dim)
 from .seeding import stable_rng
@@ -65,31 +65,17 @@ HEAD_MODES = ("sum", "concat")
 
 @dataclass
 class EncoderConfig:
-    kind: str = "hat"            # hat | gcn | gat
-    layers: int = 2              # hop count K
-    hidden: int = 64             # embedding dim d
-    heads: int = 2
-    fusion: str = "concat"
-    dropout: float = 0.0
-    head_mode: str = "sum"       # sum heads inside the activation, or concat
-    temperature: float | None = None   # None -> 1/sqrt(hidden)
+    """The encoder fields that ``ExperimentConfig.encoder_config`` derives
+    from a checked config; the view itself checks nothing."""
 
-    def __post_init__(self):
-        if self.layers < 1:
-            raise ConfigError("encoder needs at least one layer")
-        if type(self.hidden) is not int or self.hidden < 1:
-            raise ConfigError(f"hidden must be an integer >= 1, got {self.hidden!r}")
-        t = self.temperature
-        if t is not None and (type(t) not in (int, float) or not (math.isfinite(t) and t > 0)):
-            raise ConfigError(f"temperature must be a finite positive number, got {t!r}")
-        if self.heads < 1:
-            raise ConfigError("head count must be >= 1")
-        if self.fusion not in FUSIONS:
-            raise ConfigError(f"fusion must be one of {FUSIONS}")
-        if self.head_mode not in HEAD_MODES:
-            raise ConfigError(f"head_mode must be one of {HEAD_MODES}")
-        if self.head_mode == "concat" and self.hidden % self.heads:
-            raise ConfigError("concat head mode needs hidden divisible by heads")
+    kind: str                    # a key of ENCODERS
+    layers: int                  # hop count K
+    hidden: int                  # embedding dim d
+    heads: int
+    fusion: str
+    dropout: float
+    head_mode: str               # sum heads inside the activation, or concat
+    temperature: float | None    # None -> 1/sqrt(hidden)
 
     @property
     def lam(self) -> float:
@@ -521,7 +507,4 @@ ENCODERS = {"hat": HatEncoder, "gcn": GcnEncoder, "gat": GatEncoder}
 
 
 def make_encoder(view, config: EncoderConfig, seed, scope: str):
-    cls = ENCODERS.get(config.kind)
-    if cls is None:
-        raise ConfigError(f"unknown encoder kind {config.kind!r}")
-    return cls(view, config, seed, scope)
+    return ENCODERS[config.kind](view, config, seed, scope)

@@ -18,7 +18,7 @@ checks this lives in ``tests/test_protocol.py``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,7 +81,7 @@ class ServerNet:
 
     SCOPE = "server"
 
-    def __init__(self, in_dim, hidden, seed, dropout=0.3):
+    def __init__(self, in_dim, hidden, seed, dropout):
         self.seed = seed
         self.dropout = dropout
         self.params: dict[str, T.Tensor] = {}
@@ -161,26 +161,20 @@ def batch_schedule(train_ids, batch_size, epoch, seed):
 
 @dataclass
 class SessionConfig:
-    encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    strategy: str = "concat"
-    batch_size: int = 64
-    epochs: int = 5
-    learning_rate: float = 0.05
-    optimizer: str = "sgd"
-    secure: bool = False
-    seed: int = 0
-    key_bits: int = 512
-    scale_bits: int = 24
-    server_dropout: float = 0.3
-    rounds_per_epoch: int | None = None   # None -> ceil(|train| / B)
+    """One seed's run, as ``ExperimentConfig.session_config`` derives it
+    from a checked config; the view itself checks nothing."""
 
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"strategy must be one of {STRATEGIES}")
-        for name in ("batch_size", "epochs", "rounds_per_epoch"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"{name} must be at least 1, got {value}")
+    encoder: EncoderConfig
+    strategy: str                   # one of STRATEGIES
+    batch_size: int
+    epochs: int
+    learning_rate: float
+    optimizer: str
+    secure: bool
+    seed: int
+    key_bits: int
+    server_dropout: float
+    rounds_per_epoch: int | None    # None -> ceil(|train| / B)
 
 
 @dataclass
@@ -235,7 +229,7 @@ class SplitSession:
         for v in views:
             enc = make_encoder(v, config.encoder, config.seed, scope=f"enc{v.participant}")
             head = LabelHead(d, self.num_classes, config.seed) if v.has_labels else None
-            opt = T.make_optimizer(config.optimizer, config.learning_rate)
+            opt = T.OPTIMIZERS[config.optimizer](config.learning_rate)
             omega = (T.Tensor(np.full(d, 1.0 / len(views)), requires_grad=True,
                               name=f"enc{v.participant}/omega")
                      if config.strategy == "weighted" else None)
@@ -244,7 +238,7 @@ class SplitSession:
         in_dim = d * len(views) if config.strategy == "concat" else d
         self.server = ServerNet(in_dim, d, config.seed, dropout=config.server_dropout)
         self.server_params: dict[str, T.Tensor] = dict(self.server.params)
-        self.server_optimizer = T.make_optimizer(config.optimizer, config.learning_rate)
+        self.server_optimizer = T.OPTIMIZERS[config.optimizer](config.learning_rate)
 
         # the "n" prefix keeps raw ids out of the hex digest alphabet, so a
         # digest can never contain an id by accident
@@ -301,15 +295,15 @@ class SplitSession:
         if cfg.strategy != "concat":
             # only the aggregate sum is ever decrypted
             return [C.secure_sum(locals_, self.keypair, self._enc_rng, self.transcript,
-                                 self._round, names, scale_bits=cfg.scale_bits)]
+                                 self._round, names)]
         # concat has no aggregate sum: fall back to per-participant encryption
         # toward the decryptor; the audit labels the weaker guarantee
         pieces = []
         for name, vec in zip(names, locals_):
             cts = self.transcript.send(
                 self._round, name, "decryptor", "ciphertext",
-                C.encrypt_matrix(self.keypair.public, vec, cfg.scale_bits, self._enc_rng))
-            pieces.append(C.decrypt_matrix(self.keypair, cts, vec.shape, cfg.scale_bits))
+                C.encrypt_matrix(self.keypair.public, vec, self._enc_rng))
+            pieces.append(C.decrypt_matrix(self.keypair, cts, vec.shape))
             self.transcript.log_decryption(self._round, len(cts), aggregated=False)
         return pieces
 

@@ -580,9 +580,3 @@ class Adam:
 
 
 OPTIMIZERS = {"sgd": Sgd, "adam": Adam}
-
-
-def make_optimizer(kind: str, lr: float):
-    if kind not in OPTIMIZERS:
-        raise DomainError(f"unknown optimizer kind {kind!r}")
-    return OPTIMIZERS[kind](lr)

@@ -1,9 +1,15 @@
 """Shared fixtures and oracles: small deterministic synthetic graphs and
-partitions, a small-modulus Paillier key, the metapath instance oracle, a
-finite-difference gradient check and a metrics.csv reader."""
+partitions, every field of the derived encoder and session configs, a
+small-modulus Paillier key, the metapath instance oracle, a
+finite-difference gradient check, a metrics.csv reader and an in-process
+import of ``perfbench/run.py``."""
 
+import importlib.util
+import os
 import random
+import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,11 +49,20 @@ def single_view(bundle, seed=0):
     return make_views(bundle, [1.0], seed=seed)[0]
 
 
+def encoder_config(**overrides):
+    """Every field of an EncoderConfig, which has no defaults: a two-layer,
+    two-head HAT of width 4 unless overridden."""
+    kwargs = dict(kind="hat", layers=2, hidden=4, heads=2, fusion="concat",
+                  dropout=0.0, head_mode="sum", temperature=None)
+    kwargs.update(overrides)
+    return EncoderConfig(**kwargs)
+
+
 def session_config(**overrides):
-    enc = overrides.pop("encoder", None) or EncoderConfig(
-        kind="hat", layers=2, hidden=4, heads=2, fusion="concat", dropout=0.0)
-    kwargs = dict(encoder=enc, strategy="concat", batch_size=8, epochs=2,
-                  learning_rate=0.05, seed=0, server_dropout=0.0)
+    """Every field of a SessionConfig, which has no defaults."""
+    kwargs = dict(encoder=encoder_config(), strategy="concat", batch_size=8, epochs=2,
+                  learning_rate=0.05, optimizer="sgd", secure=False, seed=0,
+                  key_bits=512, server_dropout=0.0, rounds_per_epoch=None)
     kwargs.update(overrides)
     return SessionConfig(**kwargs)
 
@@ -155,3 +170,19 @@ def read_metrics(path) -> list[dict]:
 @pytest.fixture
 def tiny_bundle():
     return make_bundle(seed=1)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_run_module():
+    """Import ``perfbench/run.py`` without keeping its changes to
+    ``os.environ`` (BLAS thread caps) or ``sys.path``."""
+    with mock.patch.dict(os.environ), \
+            mock.patch.object(sys, "path", [str(PERFBENCH), *sys.path]):
+        spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                      PERFBENCH / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses look it up there
+        spec.loader.exec_module(module)
+    return module

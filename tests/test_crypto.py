@@ -327,12 +327,12 @@ class TestWrapCheck:
 
     def test_lone_value_bound(self, rng):
         key = small_key()
-        back = C.decrypt_matrix(key, C.encrypt_matrix(key.public, [[2.0**20, -3.5]], 24, rng),
-                                (1, 2), 24)
+        back = C.decrypt_matrix(key, C.encrypt_matrix(key.public, [[2.0**20, -3.5]], rng),
+                                (1, 2))
         np.testing.assert_array_equal(back, [[2.0**20, -3.5]])
         state = rng.getstate()
         with pytest.raises(DomainError, match="element 1: .* modular wrap"):
-            C.encrypt_matrix(key.public, [1.0, 2.0**36], 24, rng)
+            C.encrypt_matrix(key.public, [1.0, 2.0**36], rng)
         assert rng.getstate() == state
 
 
@@ -420,9 +420,9 @@ class TestSlotPacking:
         # concat decrypts each participant's matrix alone: one term per field
         plain = recording_decrypt(monkeypatch)
         values = np.random.default_rng(9).uniform(-100, 100, size=(3, 5))
-        cts = C.encrypt_matrix(keypair.public, values, 24, random.Random(4))
+        cts = C.encrypt_matrix(keypair.public, values, random.Random(4))
         assert len(cts) == 15
-        back = C.decrypt_matrix(keypair, cts, (3, 5), 24)
+        back = C.decrypt_matrix(keypair, cts, (3, 5))
         assert len(plain) == 3
         want = [[C.fixed_encode(float(x)) / 2**24 for x in row] for row in values]
         assert back.tolist() == want

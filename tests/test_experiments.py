@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,11 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import read_metrics
+from conftest import load_run_module, read_metrics
 from splitgnn import cli
+from splitgnn import crypto as C
 from splitgnn import experiments as E
 from splitgnn.errors import ConfigError
+from splitgnn.graph import RelationSpec, SyntheticSpec
 from splitgnn.transcript import RoundTranscript
 
 TOY = Path(__file__).parent / "fixtures" / "toy_dataset"
@@ -56,6 +61,120 @@ def small_config(**overrides):
     return E.ExperimentConfig.from_json(base)
 
 
+def _not_called(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} called for a config that should fail at load")
+    return fail
+
+
+def _spec_case(**overrides):
+    return {"synthetic": small_synthetic_payload(**overrides)}
+
+
+STRATEGY_NAMES = ("entire", "standalone_<i>", "split_m", "split_c", "split_w")
+# (test id, config overrides, extra CLI arguments, stderr after "config error: "):
+# a wrong type and, where a field has one, an out-of-range value for every
+# ExperimentConfig field, and a breach of each rule that joins fields
+CONFIG_MISTAKES = [
+    ("dataset-not-text", {"dataset": 3}, [],
+     "dataset: must be null or a non-empty string, got 3"),
+    ("dataset-empty", {"dataset": ""}, [],
+     "dataset: must be null or a non-empty string, got ''"),
+    ("synthetic-not-object", {"synthetic": "abc"}, [],
+     "synthetic: must be a JSON object, got 'abc'"),
+    ("synthetic-bad-homophily", _spec_case(homophily="x"), [],
+     "synthetic: homophily: must be a finite number >= 0 and <= 1, got 'x'"),
+    ("synthetic-unknown-key", _spec_case(colour="red"), [],
+     "synthetic: colour: no such field"),
+    ("data-seed-not-int", {"data_seed": 1.5}, [], "data_seed: must be an integer, got 1.5"),
+    ("participants-not-int", {"participants": "2"}, [],
+     "participants: must be an integer >= 1, got '2'"),
+    ("participants-zero", {"participants": 0}, [],
+     "participants: must be an integer >= 1, got 0"),
+    ("ratio-not-list", {"ratio": "5:5"}, [],
+     "ratio: must be a non-empty list, each a finite number > 0, got '5:5'"),
+    ("ratio-zero-share", {"ratio": [5.0, 0.0]}, [],
+     "ratio: must be a non-empty list, each a finite number > 0, got [5.0, 0.0]"),
+    ("ratio-length", {"ratio": [1.0, 1.0, 1.0]}, [], "ratio: has 3 entries for 2 participants"),
+    ("label-holder-bool", {"label_holder": True}, [],
+     "label_holder: must be an integer >= 0, got True"),
+    ("label-holder-negative", {"label_holder": -1}, [],
+     "label_holder: must be an integer >= 0, got -1"),
+    ("label-holder-absent", {"label_holder": 2}, [], "label_holder: no participant 2 among 2"),
+    ("model-not-text", {"model": 1}, [], "model: must be one of ('hat', 'gcn', 'gat'), got 1"),
+    ("model-unknown", {"model": "transformer"}, [],
+     "model: must be one of ('hat', 'gcn', 'gat'), got 'transformer'"),
+    ("strategy-not-text", {"strategy": None}, [],
+     f"strategy: must be one of {STRATEGY_NAMES}, got None"),
+    ("unknown-standalone", {"strategy": "standalone_x"}, [],
+     f"strategy: must be one of {STRATEGY_NAMES}, got 'standalone_x'"),
+    ("absent-participant", {"strategy": "standalone_7"}, [],
+     "strategy: no participant 7 to run standalone among 2"),
+    ("seeds-not-list", {"seeds": 3}, [],
+     "seeds: must be a non-empty list, each an integer, got 3"),
+    ("seeds-empty", {"seeds": []}, [], "seeds: must be a non-empty list, each an integer, got []"),
+    ("seeds-flag-not-int", {}, ["--seeds", "1,a"],
+     "--seeds must be comma-separated integers, got '1,a'"),
+    ("batch-size-not-int", {"batch_size": "64"}, [],
+     "batch_size: must be an integer >= 1, got '64'"),
+    ("batch-size-zero", {"batch_size": 0}, [], "batch_size: must be an integer >= 1, got 0"),
+    ("epochs-not-int", {"epochs": 2.0}, [], "epochs: must be an integer >= 1, got 2.0"),
+    ("epochs-zero", {"epochs": 0}, [], "epochs: must be an integer >= 1, got 0"),
+    ("epochs-negative", {"epochs": -2}, [], "epochs: must be an integer >= 1, got -2"),
+    ("rounds-not-int", {"rounds_per_epoch": "1"}, [],
+     "rounds_per_epoch: must be null or an integer >= 1, got '1'"),
+    ("rounds-zero", {"rounds_per_epoch": 0}, [],
+     "rounds_per_epoch: must be null or an integer >= 1, got 0"),
+    ("rounds-negative", {"rounds_per_epoch": -1}, [],
+     "rounds_per_epoch: must be null or an integer >= 1, got -1"),
+    ("learning-rate-not-number", {"learning_rate": "0.1"}, [],
+     "learning_rate: must be a finite number > 0, got '0.1'"),
+    ("learning-rate-negative", {"learning_rate": -1.0}, [],
+     "learning_rate: must be a finite number > 0, got -1.0"),
+    ("learning-rate-infinite", {"learning_rate": float("inf")}, [],
+     "learning_rate: must be a finite number > 0, got inf"),
+    ("optimizer-not-text", {"optimizer": ["sgd"]}, [],
+     "optimizer: must be one of ('sgd', 'adam'), got ['sgd']"),
+    ("unknown-optimizer", {"optimizer": "rmsprop"}, [],
+     "optimizer: must be one of ('sgd', 'adam'), got 'rmsprop'"),
+    ("hidden-not-int", {"hidden": 8.0}, [], "hidden: must be an integer >= 1, got 8.0"),
+    ("hidden-zero", {"hidden": 0}, [], "hidden: must be an integer >= 1, got 0"),
+    ("hidden-negative", {"hidden": -4}, [], "hidden: must be an integer >= 1, got -4"),
+    ("hidden-not-divisible-by-heads", {"head_mode": "concat", "hidden": 5, "heads": 2}, [],
+     "hidden: head_mode concat needs hidden divisible by heads (2), got 5"),
+    ("layers-not-int", {"layers": 1.5}, [], "layers: must be an integer >= 1, got 1.5"),
+    ("layers-zero", {"layers": 0}, [], "layers: must be an integer >= 1, got 0"),
+    ("heads-not-int", {"heads": "2"}, [], "heads: must be an integer >= 1, got '2'"),
+    ("heads-zero", {"heads": 0}, [], "heads: must be an integer >= 1, got 0"),
+    ("fusion-not-text", {"fusion": None}, [],
+     "fusion: must be one of ('concat', 'add', 'linear'), got None"),
+    ("fusion-unknown", {"fusion": "mean"}, [],
+     "fusion: must be one of ('concat', 'add', 'linear'), got 'mean'"),
+    ("head-mode-not-text", {"head_mode": 0}, [],
+     "head_mode: must be one of ('sum', 'concat'), got 0"),
+    ("head-mode-unknown", {"head_mode": "max"}, [],
+     "head_mode: must be one of ('sum', 'concat'), got 'max'"),
+    ("dropout-not-number", {"dropout": "0.1"}, [],
+     "dropout: must be a finite number >= 0 and < 1, got '0.1'"),
+    ("dropout-above-1", {"dropout": 1.5}, [],
+     "dropout: must be a finite number >= 0 and < 1, got 1.5"),
+    ("server-dropout-bool", {"server_dropout": False}, [],
+     "server_dropout: must be a finite number >= 0 and < 1, got False"),
+    ("server-dropout-1", {"server_dropout": 1.0}, [],
+     "server_dropout: must be a finite number >= 0 and < 1, got 1.0"),
+    ("temperature-not-number", {"temperature": "1"}, [],
+     "temperature: must be null or a finite number > 0, got '1'"),
+    ("temperature-zero", {"temperature": 0.0}, [],
+     "temperature: must be null or a finite number > 0, got 0.0"),
+    ("secure-string", {"secure": "false"}, [], "secure: must be true or false, got 'false'"),
+    ("secure-int", {"secure": 1}, [], "secure: must be true or false, got 1"),
+    ("key-bits-not-int", {"key_bits": "512"}, [],
+     "key_bits: must be one of (512, 1024, 2048), got '512'"),
+    ("key-bits-unknown", {"key_bits": 768}, [],
+     "key_bits: must be one of (512, 1024, 2048), got 768"),
+]
+
+
 class TestConfig:
     def test_ratio_length_checked(self):
         with pytest.raises(ConfigError):
@@ -74,6 +193,57 @@ class TestConfig:
         cfg = small_config(seeds=[0, 1])
         assert cfg.digest(0) != cfg.digest(1)
         assert cfg.digest(0) == small_config(seeds=[0, 1]).digest(0)
+
+    def test_schema_covers_every_field_once(self):
+        fields = dataclasses.fields(E.ExperimentConfig)
+        names = [f.name for f in fields]
+        assert len(set(names)) == len(names) == 24
+        assert [f.name for f in fields if "rule" in f.metadata] == names
+        # CONFIG_MISTAKES gives every field at least one bad value
+        assert set(names) <= {message.split(":")[0] for *_, message in CONFIG_MISTAKES}
+
+    @pytest.mark.parametrize("grid", ["table1", "table2", "table3", "cost"])
+    def test_grid_variants_pass_the_schema(self, grid):
+        for base in (E.ExperimentConfig(), small_config()):
+            assert E.grid_configs(base, grid)
+
+    def test_benchmark_workloads_pass_the_schema(self):
+        run = load_run_module()
+        for wl in run.WORKLOADS.values():
+            for seed in (0, 1, 2):
+                cfg = run.experiment_config(wl, seed)
+                assert E.ExperimentConfig.from_json(cfg.to_json()) == cfg
+                # run.py sets its secure-vs-plaintext loss tolerance from this
+                assert cfg.scale_bits == C.SCALE_BITS
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+# floats include nan and +-inf; ints are unbounded
+JSON_VALUES = (JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3)
+               | st.dictionaries(st.text(max_size=6), JSON_SCALARS, max_size=3))
+# where a fuzzed value goes in a valid run config: the whole payload, any
+# field, any synthetic spec field, or any field of its first relation
+FUZZ_PATHS = [(), *((f.name,) for f in dataclasses.fields(E.ExperimentConfig)),
+              *(("synthetic", f.name) for f in dataclasses.fields(SyntheticSpec)),
+              *(("synthetic", "relations", 0, f.name)
+                for f in dataclasses.fields(RelationSpec))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(path=st.sampled_from(FUZZ_PATHS), value=JSON_VALUES)
+def test_loader_builds_or_raises_config_error(path, value):
+    payload = small_config().to_json()
+    if path:
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    else:
+        payload = value
+    try:
+        E.ExperimentConfig.from_json(payload)
+    except ConfigError:
+        pass
 
 
 class TestCostModel:
@@ -253,25 +423,19 @@ class TestCli:
         assert cli.main(["run", "--config", str(path)]) == 1
 
     @pytest.mark.parametrize("overrides,argv,message", [
-        ({"strategy": "standalone_x"}, [], "unknown strategy 'standalone_x'"),
-        ({"strategy": "standalone_7"}, [], "no participant 7 to run standalone among 2"),
-        ({"seeds": 3}, [], "seeds must be a non-empty list of integers, got 3"),
-        ({}, ["--seeds", "1,a"], "--seeds must be comma-separated integers, got '1,a'"),
-        ({"optimizer": "rmsprop"}, [], "optimizer must be one of ('sgd', 'adam'), "
-                                       "got 'rmsprop'"),
-        ({"hidden": 0}, [], "hidden must be an integer >= 1, got 0"),
-        ({"hidden": -4}, [], "hidden must be an integer >= 1, got -4"),
-        ({"temperature": 0.0}, [], "temperature must be a finite positive number, got 0.0"),
-    ], ids=["unknown-standalone", "absent-participant", "seeds-not-list",
-            "seeds-flag-not-int", "unknown-optimizer", "hidden-zero", "hidden-negative",
-            "temperature-zero"])
-    def test_config_mistake_is_exit_1(self, tmp_path, capsys, overrides, argv, message):
+        pytest.param(overrides, argv, message, id=case)
+        for case, overrides, argv, message in CONFIG_MISTAKES])
+    def test_config_mistake_is_exit_1(self, tmp_path, capsys, monkeypatch, overrides,
+                                      argv, message):
+        # a config mistake is refused at load, before any data is built
+        for name in ("generate_synthetic", "load_dataset"):
+            monkeypatch.setattr(E, name, _not_called(name))
         path = tmp_path / "config.json"
         path.write_text(json.dumps({**small_config().to_json(), **overrides}))
         assert cli.main(["run", "--config", str(path),
                          "--out", str(tmp_path / "out"), *argv]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and message in err, err
+        assert err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_cut_option_is_exit_1(self, tmp_path, capsys):
@@ -279,7 +443,18 @@ class TestCli:
         path = tmp_path / "cut.json"
         path.write_text(json.dumps({**small_config().to_json(), "cut": "hidden"}))
         assert cli.main(["run", "--config", str(path)]) == 1
-        assert "'cut'" in capsys.readouterr().err
+        assert "config error: cut: no such field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [24, 0, 80])
+    def test_scale_bits_option_is_exit_1(self, tmp_path, capsys, value):
+        # fixed-point precision is the constant crypto.SCALE_BITS, not a knob
+        path = tmp_path / "scale.json"
+        path.write_text(json.dumps({**small_config(secure=True).to_json(),
+                                    "scale_bits": value}))
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "config error: scale_bits: no such field\n"
+        assert not (tmp_path / "out").exists()
 
     def test_audit_plaintext_run_exit_3(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path, epochs=1)
@@ -357,6 +532,35 @@ class TestCli:
         spec_path.write_text(json.dumps({"node_counts": {"a": 5}}))
         assert cli.main(["gen-synthetic", "--spec", str(spec_path),
                          "--out", str(tmp_path / "d")]) == 1
+
+    @pytest.mark.parametrize("payload,message", [
+        (small_synthetic_payload(homophily="x"),
+         "homophily: must be a finite number >= 0 and <= 1, got 'x'"),
+        (small_synthetic_payload(homophily=1.5),
+         "homophily: must be a finite number >= 0 and <= 1, got 1.5"),
+        (small_synthetic_payload(num_classes=0), "num_classes: must be an integer >= 1, got 0"),
+        (small_synthetic_payload(feature_dim=-1),
+         "feature_dim: must be an integer >= 1, got -1"),
+        (small_synthetic_payload(relations=[{"name": "aa", "src_type": "a",
+                                             "dst_type": "a", "edge_dim": -2}]),
+         "relations: edge_dim: must be an integer >= 0, got -2"),
+        (small_synthetic_payload(relations=[]),
+         "relations: must be a non-empty list, each a relation spec, got []"),
+        (small_synthetic_payload(node_counts={"a": 60, "b": 0}),
+         "relations: relation ab references type 'b' with no nodes"),
+        ("abc", "must be a JSON object, got 'abc'"),
+    ], ids=["homophily-not-number", "homophily-above-1", "no-classes",
+            "negative-feature-dim", "negative-edge-dim", "no-relations",
+            "type-without-nodes", "spec-not-object"])
+    def test_gen_synthetic_spec_mistake_is_exit_1(self, tmp_path, capsys, monkeypatch,
+                                                  payload, message):
+        monkeypatch.setattr(cli, "generate_synthetic", _not_called("generate_synthetic"))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(payload))
+        assert cli.main(["gen-synthetic", "--spec", str(spec_path),
+                         "--out", str(tmp_path / "d")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "d").exists()
 
 
 def test_no_scipy_import():

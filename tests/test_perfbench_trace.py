@@ -8,32 +8,10 @@ round under the same tracer catches a rename or a bypass in about a second,
 without the tiny benchmark runs.
 """
 
-import importlib.util
-import os
-import sys
-from pathlib import Path
-from unittest import mock
-
-from conftest import make_views, session_config
+from conftest import encoder_config, load_run_module, make_views, session_config
 from splitgnn import crypto as C
 from splitgnn import models as M
 from splitgnn import protocol as P
-from splitgnn.models import EncoderConfig
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def load_run_module():
-    """Import ``perfbench/run.py`` without keeping its changes to
-    ``os.environ`` (BLAS thread caps) or ``sys.path``."""
-    with mock.patch.dict(os.environ), \
-            mock.patch.object(sys, "path", [str(PERFBENCH), *sys.path]):
-        spec = importlib.util.spec_from_file_location("perfbench_run",
-                                                      PERFBENCH / "run.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = module  # its dataclasses look it up there
-        spec.loader.exec_module(module)
-    return module
 
 
 def test_secure_average_round_records_every_crypto_span(tiny_bundle):
@@ -45,7 +23,7 @@ def test_secure_average_round_records_every_crypto_span(tiny_bundle):
         session = P.SplitSession(
             make_views(tiny_bundle, [5, 5]),
             session_config(strategy="average", secure=True,
-                           encoder=EncoderConfig(kind="gcn", layers=1, hidden=4)))
+                           encoder=encoder_config(kind="gcn", layers=1)))
         session.align()
         batch = session._split_ids("train")[:8]
         session.train_round(batch, step=0)

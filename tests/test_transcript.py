@@ -25,7 +25,7 @@ def digest_payload():
 
 def ciphertext_payload():
     key = small_key()
-    return C.encrypt_matrix(key.public, [[0.5, -1.0, 2.0]], 24, random.Random(0))
+    return C.encrypt_matrix(key.public, [[0.5, -1.0, 2.0]], random.Random(0))
 
 
 @pytest.mark.parametrize("kind,make,elements,width,encrypted,joined", [
