@@ -485,6 +485,14 @@ class SyntheticSpec(Schema):
                 if self.node_counts.get(t, 0) <= 0:
                     raise ConfigError(f"relations: relation {rel.name} references "
                                       f"type {t!r} with no nodes")
+        # the splits generate_synthetic cuts: each must hold a node
+        n = sum(self.node_counts.values())
+        n_train, n_val = int(self.train_frac * n), int(self.val_frac * n)
+        for split, size in (("train", n_train), ("val", n_val), ("test", n - n_train - n_val)):
+            if size < 1:
+                raise ConfigError(f"train_frac, val_frac: {self.train_frac!r} and "
+                                  f"{self.val_frac!r} of {n} nodes leave the {split} "
+                                  "split empty")
 
     @classmethod
     def from_json(cls, payload) -> "SyntheticSpec":

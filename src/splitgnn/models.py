@@ -23,13 +23,19 @@ the node and edge features the participant holds, as MAGNN encodes
 metapath instances (Fu et al., 2020).  So set-up keeps no row per instance,
 and the rows a layer reads are the ones a table built up front would give.
 Each fusion of a node row with an edge latent is affine in both, so
-:func:`_fuse` projects the node rows once per node and the edge transform
+:func:`_fusion` projects the node rows once per node and the edge transform
 and fusion weights once per channel:
-``(h @ A)[src] + rows @ (We @ B) + (be @ B + c)``.  A training tape keeps
-the block's edge ids, not its rows, and builds the rows again in backward
-for the gradient of ``We @ B``; attention reads its anchors from the
-projected target rows by index.  So the tape keeps no edge latent, no
-concatenated edge row and no gathered copy of the anchors.
+``(h @ A)[src] + rows @ (We @ B) + (be @ B + c)``.
+
+What a training tape keeps of a layer's edges is what builds them again.  A
+HAT tape keeps the block's edge ids, not its rows, and builds the rows again
+in backward for the gradient of ``We @ B``.  It keeps each channel's fused
+messages, each head's projection and the targets' projected rows, and
+:func:`attend` builds the head's value rows from them again in backward.
+A GAT tape keeps the projected rows and the edge sources, from which the
+value rows are gathered again.  Attention reads its anchors from a table by
+index.  So no tape keeps an edge latent, a concatenated edge row, a
+gathered copy of the anchors or a head's value rows.
 
 Every encoder runs each layer over the batch's receptive field only: the
 layer-wise mini-batching of GraphSAGE (Hamilton et al., 2017).  The nodes
@@ -43,6 +49,18 @@ al., 2019), so its rows are the whole-graph layers' when the batch is every
 node.  A BLAS product may round a row differently when fewer rows share the
 call, so rows of a smaller block can differ from the whole-graph ones in
 their last bits.
+
+Without a tape (``predict``, ``evaluate``), a layer's edge work runs in
+consecutive target ranges of at most ``EDGE_BUDGET`` edges each, or one
+target that has more (:func:`_target_ranges`): per channel for "hat", over
+the merged edges for "gcn" and "gat".  A range keeps its targets' rows and
+drops its edge arrays before the next, so an evaluation's edge-sized memory
+is one range's, not the whole split's.  Each target's rows are computed
+from the same edges in the same order, and "hat" scores its path attention
+over the whole frontier after the ranges, so β is exact.  Only a "hat"
+range of one edge may differ in the last bits, as numpy computes a one-row
+product with a matrix-vector kernel.  A recording tape gets one range, so
+training is the same loop.
 """
 
 from __future__ import annotations
@@ -61,6 +79,8 @@ from .seeding import stable_rng
 
 FUSIONS = ("concat", "add", "linear")
 HEAD_MODES = ("sum", "concat")
+# the most edges an inference range of a layer works on at once
+EDGE_BUDGET = 4096
 
 
 @dataclass
@@ -101,22 +121,24 @@ def init_param(params: dict, name: str, shape, seed, zeros: bool = False) -> T.T
     return p
 
 
-def _fuse(tape, h, src, rows, We, be, fusion, fparams):
-    """Each edge's message: its source row ``h[src]`` fused with its edge
-    latent ``rows() @ We + be``, where ``rows`` builds the edges' feature
-    rows.  Every fusion is affine in both, so it is computed as
+def _fusion(tape, h, We, be, fusion, fparams):
+    """The message function ``fuse(src, rows)`` of a channel whose layer
+    reads the rows ``h``: each edge's source row ``h[src]`` fused with its
+    edge latent ``rows() @ We + be``, where ``rows`` builds the edges'
+    feature rows.  Every fusion is affine in both, so it is computed as
 
         (h @ A)[src] + rows() @ (We @ B) + (be @ B + c)
 
     "concat", [h_src, latent] @ W + b, has A and B the row blocks of W and
     c = b; "linear", h_src @ Wh + latent @ Wr + b, has A = Wh, B = Wr, c = b;
     "add", h_src + latent, has A = B = I and c = 0.  The node part is
-    projected once per node, not per edge, and no edge latent or
-    concatenated edge row is built.  The rows are built again in backward
-    for the gradient of We @ B, so the tape keeps none of them.
+    projected once per node and the weights once per channel, not per edge
+    or per range of edges, and no edge latent or concatenated edge row is
+    built.  The rows are built again in backward for the gradient of
+    We @ B, so the tape keeps none of them.
     """
     if fusion == "add":
-        node, edge_w, bias = T.gather_rows(tape, h, src), We, be
+        node, edge_w, bias = h, We, be
     else:
         if fusion == "concat":
             d = h.shape[1]
@@ -124,25 +146,87 @@ def _fuse(tape, h, src, rows, We, be, fusion, fparams):
             B = T.gather_rows(tape, fparams["W"], np.arange(d, 2 * d))
         else:
             A, B = fparams["Wh"], fparams["Wr"]
-        node = T.gather_rows(tape, T.matmul(tape, h, A), src)
+        node = T.matmul(tape, h, A)
         edge_w = T.matmul(tape, We, B)
         bias = T.add(tape, T.matmul(tape, be, B), fparams["b"])
-    return T.add(tape, node, T.add(tape, T.rebuilt_matmul(tape, rows, edge_w), bias))
+
+    def fuse(src, rows):
+        return T.add(tape, T.gather_rows(tape, node, src),
+                     T.add(tape, T.rebuilt_matmul(tape, rows, edge_w), bias))
+
+    return fuse
 
 
-def attend(tape, keys, anchor, values, seg, n: int, lam: float):
+def _head_values(tape, fused, proj, hp):
+    """A HAT head's value rows: its channel's fused messages through the
+    head projection, then the targets' own projected rows."""
+    return T.concat_rows(tape, [T.matmul(tape, fused, proj), hp])
+
+
+def attend(tape, keys, anchor, values, inputs, seg, n: int, lam: float):
     """Node-level attention over segments.
 
-    Row i of ``values`` is scored by its dot product with row ``anchor[i]``
-    of ``keys``, scaled by ``lam`` and softmaxed among the rows of its
-    segment ``seg[i]``.  Returns the coefficients α and, per segment of
-    ``n``, the α-weighted sum of its value rows.  The anchors are read from
-    ``keys`` by index, so the tape keeps no gathered copy of them.
+    ``values(tape, *inputs)`` builds the value rows.  Row i of them is
+    scored by its dot product with row ``anchor[i]`` of ``keys``, scaled by
+    ``lam`` and softmaxed among the rows of its segment ``seg[i]``.  Returns
+    the coefficients α and, per segment of ``n``, the α-weighted sum of its
+    value rows.  The tape keeps the arrays of ``inputs``, not the value
+    rows, and ``values`` builds the rows from them again in backward; the
+    anchors are read from ``keys`` by index, so no gathered copy of them is
+    kept either.
     """
-    alpha = T.segment_softmax(tape, T.rowwise_dot(tape, keys, values, index=anchor),
-                              seg, n, lam)
-    weighted = T.mul(tape, T.reshape_col(tape, alpha), values)
-    return alpha, T.segment_sum(tape, weighted, seg, n)
+    arrays = [x.values if isinstance(x, T.Tensor) else x for x in inputs]
+    return T.segment_attention(tape, keys, anchor, values(tape, *inputs),
+                               lambda: values(None, *arrays).values, seg, n, lam)
+
+
+def _target_ranges(seg, k: int, tape):
+    """The consecutive ranges ``(t0, t1, e0, e1)`` in which a layer's edge
+    work runs: targets ``t0 .. t1-1`` and their edges ``e0 .. e1-1``, where
+    ``seg``, ascending, is each edge's target among ``k``.  A recording tape
+    gets one range.  Without one, a range holds at most ``EDGE_BUDGET``
+    edges, or a single target that has more, so inference keeps one range's
+    edge arrays at a time, as GraphSAGE's layer-wise inference does
+    (Hamilton et al., 2017)."""
+    if tape is not None or len(seg) <= EDGE_BUDGET:
+        return [(0, k, 0, len(seg))]
+    ends = np.cumsum(np.bincount(seg, minlength=k))
+    ranges, t0, e0 = [], 0, 0
+    while t0 < k:
+        t1 = max(int(np.searchsorted(ends, e0 + EDGE_BUDGET, side="right")), t0 + 1)
+        ranges.append((t0, t1, e0, int(ends[t1 - 1])))
+        t0, e0 = t1, ranges[-1][3]
+    return ranges
+
+
+def _row_range(tape, x, t0: int, t1: int):
+    """Rows ``t0 .. t1-1`` of ``x``: ``x`` itself when they are all of it."""
+    return x if t1 - t0 == x.shape[0] else T.gather_rows(tape, x, np.arange(t0, t1))
+
+
+def _stacked(tape, parts):
+    """The rows of ``parts``, in order: the part itself when there is one."""
+    return parts[0] if len(parts) == 1 else T.concat_rows(tape, parts)
+
+
+def _attention_layer(tape, edge_seg, targets, config: EncoderConfig, heads):
+    """Multi-head attention of ``targets`` over their edges, whose targets
+    are ``edge_seg``, range by range (:func:`_target_ranges`).  In a range,
+    each target attends over its edges, in edge order, then its self entry;
+    ``heads(t0, t1, e0, e1, seg)`` gives each head's ``(keys, anchor,
+    values, inputs)`` for :func:`attend`, with ``seg`` the range's segment
+    ids.  Returns the targets' merged rows and, per head, α and the node id
+    of each α's segment."""
+    rows, alphas = [], [[] for _ in range(config.heads)]
+    for t0, t1, e0, e1 in _target_ranges(edge_seg, len(targets), tape):
+        seg = np.concatenate([edge_seg[e0:e1] - t0, np.arange(t1 - t0)])
+        head_outs = []
+        for m, (keys, anchor, values, inputs) in enumerate(heads(t0, t1, e0, e1, seg)):
+            alpha, out = attend(tape, keys, anchor, values, inputs, seg, t1 - t0, config.lam)
+            alphas[m].append((alpha, targets[t0 + seg]))
+            head_outs.append(out)
+        rows.append(merge_heads(tape, head_outs, config.head_mode))
+    return _stacked(tape, rows), [tuple(map(np.concatenate, zip(*a))) for a in alphas]
 
 
 def merge_heads(tape, head_outs, head_mode: str):
@@ -308,23 +392,23 @@ class HatEncoder:
         input rows, ``h_own`` the targets' own rows, ``edges`` the channel's
         (seg, src, eid) in the block."""
         cfg = self.config
-        k = len(blk.targets)
         edge_seg, src, eid = edges
         base = f"{self.scope}/l{layer}/rel:{ch.name}"
-        fused = _fuse(tape, h, src, partial(ch.rows, eid), self.params[f"{base}/We"],
-                      self.params[f"{base}/be"], cfg.fusion, self._fusion_params(layer, ch))
-        # every target's edges, in edge order, then its self entry
-        seg = np.concatenate([edge_seg, np.arange(k)])
-        head_outs = []
-        for m in range(cfg.heads):
-            proj = self.params[f"{base}/head{m}"]
-            hp = T.matmul(tape, h_own, proj)
-            vals = T.concat_rows(tape, [T.matmul(tape, fused, proj), hp])
-            alpha, out = attend(tape, hp, seg, vals, seg, k, cfg.lam)
-            self.diagnostics.setdefault("alpha", {})[(layer, ch.name, m)] = (
-                alpha.values.copy(), blk.targets[seg])
-            head_outs.append(out)
-        return merge_heads(tape, head_outs, cfg.head_mode)
+        fuse = _fusion(tape, h, self.params[f"{base}/We"], self.params[f"{base}/be"],
+                       cfg.fusion, self._fusion_params(layer, ch))
+        projs = [self.params[f"{base}/head{m}"] for m in range(cfg.heads)]
+        hps = [T.matmul(tape, h_own, proj) for proj in projs]
+
+        def heads(t0, t1, e0, e1, seg):
+            fused = fuse(src[e0:e1], partial(ch.rows, eid[e0:e1]))
+            for proj, hp in zip(projs, hps):
+                hp = _row_range(tape, hp, t0, t1)
+                yield hp, seg, _head_values, (fused, proj, hp)
+
+        z, alphas = _attention_layer(tape, edge_seg, blk.targets, cfg, heads)
+        for m, alpha in enumerate(alphas):
+            self.diagnostics.setdefault("alpha", {})[(layer, ch.name, m)] = alpha
+        return z
 
     def forward(self, tape, batch_ids, step: int = 0, training: bool = False):
         cfg = self.config
@@ -437,7 +521,9 @@ class GcnEncoder:
                           seed=(self.seed, "dropout", self.scope, l, step), training=training,
                           rows=blk.inputs, n_rows=n)
             seg, src, _ = blk.edges[0]
-            summed = T.segment_sum(tape, T.gather_rows(tape, x, src), seg, len(blk.targets))
+            summed = _stacked(tape, [
+                T.segment_sum(tape, T.gather_rows(tape, x, src[e0:e1]), seg[e0:e1] - t0, t1 - t0)
+                for t0, t1, e0, e1 in _target_ranges(seg, len(blk.targets), tape)])
             mean = T.mul(tape, summed, T.Tensor(self.inv_deg[blk.targets]))
             x = T.elu(tape, T.linear(tape, mean,
                                      self.params[f"{self.scope}/l{l}/W"],
@@ -484,22 +570,18 @@ class GatEncoder:
                           rows=blk.inputs, n_rows=n)
             h = T.linear(tape, x, self.params[f"{self.scope}/l{l}/W"],
                          self.params[f"{self.scope}/l{l}/b"])
-            k = len(blk.targets)
+            hps = [T.matmul(tape, h, self.params[f"{self.scope}/l{l}/head{m}"])
+                   for m in range(cfg.heads)]
             edge_seg, edge_src, _ = blk.edges[0]
-            # every target's edges, in edge order, then its self entry
-            seg = np.concatenate([edge_seg, np.arange(k)])
             own = np.searchsorted(blk.inputs, blk.targets)
-            src = np.concatenate([edge_src, own])
-            anchor = own[seg]
-            head_outs = []
-            for m in range(cfg.heads):
-                hp = T.matmul(tape, h, self.params[f"{self.scope}/l{l}/head{m}"])
-                vals = T.gather_rows(tape, hp, src)
-                alpha, out = attend(tape, hp, anchor, vals, seg, k, cfg.lam)
-                self.diagnostics.setdefault("alpha", {})[(l, m)] = (
-                    alpha.values.copy(), blk.targets[seg])
-                head_outs.append(out)
-            x = merge_heads(tape, head_outs, cfg.head_mode)
+
+            def heads(t0, t1, e0, e1, seg):
+                src = np.concatenate([edge_src[e0:e1], own[t0:t1]])
+                return [(hp, own[t0 + seg], T.gather_rows, (hp, src)) for hp in hps]
+
+            x, alphas = _attention_layer(tape, edge_seg, blk.targets, cfg, heads)
+            for m, alpha in enumerate(alphas):
+                self.diagnostics.setdefault("alpha", {})[(l, m)] = alpha
         return T.gather_rows(tape, x, np.searchsorted(blocks[-1].targets, batch))
 
 

@@ -13,13 +13,16 @@ It holds no op's output, and no input other than a leaf that gets a
 gradient, so an intermediate tensor lives only as long as its caller holds
 it.  What each op keeps:
 
-- ``add``, ``concat_cols``, ``concat_rows``, ``stack_scalars``, ``take``,
-  ``reshape_col`` and ``mean_all``: shapes, offsets and flags;
+- ``add``, ``concat_cols``, ``concat_rows``, ``stack_scalars``, ``take``
+  and ``mean_all``: shapes, offsets and flags;
 - ``mul``, ``matmul`` and ``rowwise_dot``: an operand's values only when
   the other operand needs a gradient; an indexed ``rowwise_dot`` keeps its
   table and index, not the rows it gathers from the table;
 - ``rebuilt_matmul``: the callable that builds its constant left operand,
   not the operand, which backward builds again;
+- ``segment_attention``: α, its anchor and segment indexes, the keys table
+  when the values need a gradient, and the callable that builds the value
+  rows again in backward, not the value rows;
 - ``gather_rows``, ``scatter_rows`` and ``segment_sum``: their indices;
 - ``segment_softmax``, ``softmax``, ``tanh`` and ``elu``: their output
   (``elu(x) > 0`` exactly where ``x > 0``, so the output gives the slope);
@@ -31,8 +34,9 @@ reaches it, and a second call, or recording after it, raises
 :class:`~splitgnn.errors.ContractError`.
 
 The op set is small on purpose: matrix products, broadcast arithmetic,
-segment (per-group) softmax and sums for edge-list aggregation, the usual
-activations, dropout and cross-entropy.  All values are float64 throughout.
+segment (per-group) softmax, sums and attention for edge-list aggregation,
+the usual activations, dropout and cross-entropy.  All values are float64
+throughout.
 """
 
 from __future__ import annotations
@@ -306,15 +310,6 @@ def take(tape, v, i: int) -> Tensor:
     return _emit(tape, out, (v,), backfn)
 
 
-def reshape_col(tape, v) -> Tensor:
-    """Lift a 1-D tensor (n,) to a column (n, 1) for row-wise scaling."""
-    v = _as_tensor(v)
-    if v.ndim != 1:
-        raise ShapeError(f"reshape_col expects 1-D, got {v.shape}")
-    out = Tensor(v.values[:, None])
-    return _emit(tape, out, (v,), lambda g: (g[:, 0],))
-
-
 def gather_rows(tape, x, idx) -> Tensor:
     x = _as_tensor(x)
     idx = np.asarray(idx, dtype=np.int64)
@@ -435,6 +430,45 @@ def segment_softmax(tape, scores, seg, n_segments: int, temperature: float = 1.0
         return (temperature * (t - alpha * tot[seg]),)
 
     return _emit(tape, out, (scores,), backfn)
+
+
+def segment_attention(tape, keys, anchor, values, rebuild, seg, n_segments: int,
+                      temperature: float):
+    """Attention of ``values`` rows over segments, as one op.
+
+    Row i of ``values`` is scored by its dot product with row ``anchor[i]``
+    of ``keys``, softmaxed at ``temperature`` among the rows of its segment
+    ``seg[i]``, and summed, α-weighted, into its segment's row of the
+    output.  Returns α as an array and the ``(n_segments, width)`` output.
+    The forward runs through :func:`rowwise_dot`, :func:`segment_softmax`
+    and :func:`segment_sum`, and the backward is theirs, term by term, so
+    values and gradients are bit-identical to that composition.  The tape
+    keeps α, the indexes and the keys table, not the value rows: the
+    zero-argument callable ``rebuild`` builds them again in backward, as
+    :func:`rebuilt_matmul` builds its operand.
+    """
+    keys, values = _as_tensor(keys), _as_tensor(values)
+    anchor = np.asarray(anchor, dtype=np.int64)
+    seg = np.asarray(seg, dtype=np.int64)
+    scores = rowwise_dot(None, keys, values, index=anchor)
+    alpha = segment_softmax(None, scores, seg, n_segments, temperature).values
+    out = segment_sum(None, alpha[:, None] * values.values, seg, n_segments)
+    kept_keys = keys.values if values.requires_grad else None
+    need_keys = keys.requires_grad
+    n_keys = keys.shape[0]
+
+    def backfn(g):
+        v = rebuild()
+        g_weighted = g[seg]
+        t = alpha * _unbroadcast(g_weighted * v, (len(alpha), 1))[:, 0]
+        g_scores = temperature * (t - alpha * _segment_add(t, seg, n_segments)[seg])
+        return (
+            _segment_add(g_scores[:, None] * v, anchor, n_keys) if need_keys else None,
+            None if kept_keys is None
+            else g_weighted * alpha[:, None] + g_scores[:, None] * kept_keys[anchor],
+        )
+
+    return alpha, _emit(tape, out, (keys, values), backfn)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Shared fixtures and oracles: small deterministic synthetic graphs and
 partitions, every field of the derived encoder and session configs, a
-small-modulus Paillier key, the metapath instance oracle, a
-finite-difference gradient check, a metrics.csv reader and an in-process
-import of ``perfbench/run.py``."""
+small-modulus Paillier key, the metapath instance oracle, the column
+reshape of the attention oracles, a finite-difference gradient check, a
+metrics.csv reader and an in-process import of ``perfbench/run.py``."""
 
 import importlib.util
 import os
@@ -16,6 +16,7 @@ import pytest
 
 from splitgnn import crypto as C
 from splitgnn import graph as G
+from splitgnn import tensor as T
 from splitgnn.errors import ContractError
 from splitgnn.models import EncoderConfig
 from splitgnn.protocol import SessionConfig
@@ -83,6 +84,14 @@ def add_at_segment_sum(values, seg, n):
     out = np.zeros((n,) + values.shape[1:])
     np.add.at(out, seg, values)
     return out
+
+
+def reshape_col(tape, v):
+    """A 1-D tensor (n,) lifted to a column (n, 1), recorded on the tape:
+    the op the attention oracles scale their value rows by α with, as the
+    encoders did before ``T.segment_attention``."""
+    v = T._as_tensor(v)
+    return T._emit(tape, T.Tensor(v.values[:, None]), (v,), lambda g: (g[:, 0],))
 
 
 def loop_metapath_edges(graph, metapath):

@@ -86,6 +86,8 @@ CONFIG_MISTAKES = [
      "synthetic: homophily: must be a finite number >= 0 and <= 1, got 'x'"),
     ("synthetic-unknown-key", _spec_case(colour="red"), [],
      "synthetic: colour: no such field"),
+    ("synthetic-empty-test-split", _spec_case(train_frac=0.9, val_frac=0.2), [],
+     "synthetic: train_frac, val_frac: 0.9 and 0.2 of 100 nodes leave the test split empty"),
     ("data-seed-not-int", {"data_seed": 1.5}, [], "data_seed: must be an integer, got 1.5"),
     ("participants-not-int", {"participants": "2"}, [],
      "participants: must be an integer >= 1, got '2'"),
@@ -205,7 +207,15 @@ class TestConfig:
     @pytest.mark.parametrize("grid", ["table1", "table2", "table3", "cost"])
     def test_grid_variants_pass_the_schema(self, grid):
         for base in (E.ExperimentConfig(), small_config()):
-            assert E.grid_configs(base, grid)
+            variants = E.grid_configs(base, grid)
+            assert variants
+            for cfg in variants:
+                # each loads again, spec included: the desk spec when it names none
+                assert E.ExperimentConfig.from_json(cfg.to_json()) == cfg
+                spec = E.desk_scale_spec() if cfg.synthetic is None \
+                    else SyntheticSpec.from_json(cfg.synthetic)
+                n = sum(spec.node_counts.values())
+                assert int(spec.train_frac * n) + int(spec.val_frac * n) < n
 
     def test_benchmark_workloads_pass_the_schema(self):
         run = load_run_module()
@@ -548,10 +558,17 @@ class TestCli:
          "relations: must be a non-empty list, each a relation spec, got []"),
         (small_synthetic_payload(node_counts={"a": 60, "b": 0}),
          "relations: relation ab references type 'b' with no nodes"),
+        (small_synthetic_payload(train_frac=0.0),
+         "train_frac, val_frac: 0.0 and 0.2 of 100 nodes leave the train split empty"),
+        (small_synthetic_payload(val_frac=0.005),
+         "train_frac, val_frac: 0.6 and 0.005 of 100 nodes leave the val split empty"),
+        (small_synthetic_payload(train_frac=0.5, val_frac=0.5),
+         "train_frac, val_frac: 0.5 and 0.5 of 100 nodes leave the test split empty"),
         ("abc", "must be a JSON object, got 'abc'"),
     ], ids=["homophily-not-number", "homophily-above-1", "no-classes",
             "negative-feature-dim", "negative-edge-dim", "no-relations",
-            "type-without-nodes", "spec-not-object"])
+            "type-without-nodes", "empty-train-split", "empty-val-split",
+            "empty-test-split", "spec-not-object"])
     def test_gen_synthetic_spec_mistake_is_exit_1(self, tmp_path, capsys, monkeypatch,
                                                   payload, message):
         monkeypatch.setattr(cli, "generate_synthetic", _not_called("generate_synthetic"))

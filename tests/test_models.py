@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (add_at_segment_sum, encoder_config, finite_diff_check,
-                      loop_metapath_edges)
+                      loop_metapath_edges, reshape_col)
 from splitgnn import graph as G
 from splitgnn import models as M
 from splitgnn import tensor as T
@@ -70,18 +70,21 @@ def table_encoder(enc):
     return oracle
 
 
-def edge_fuse(tape, h, src, rows, We, be, fusion, fparams):
+def edge_fusion(tape, h, We, be, fusion, fparams):
     """The fusion as HAT computed it per edge before it projected node rows
-    per node: the edge latent ``rows() @ We + be`` fused with ``h[src]``,
-    through a concatenation for "concat"."""
-    hs = T.gather_rows(tape, h, src)
-    r = T.linear(tape, T.Tensor(rows()), We, be)
-    if fusion == "add":
-        return T.add(tape, hs, r)
-    if fusion == "concat":
-        return T.linear(tape, T.concat_cols(tape, [hs, r]), fparams["W"], fparams["b"])
-    return T.add(tape, T.add(tape, T.matmul(tape, hs, fparams["Wh"]),
-                             T.matmul(tape, r, fparams["Wr"])), fparams["b"])
+    per node: ``fuse(src, rows)`` fuses the edge latent ``rows() @ We + be``
+    with ``h[src]``, through a concatenation for "concat"."""
+    def fuse(src, rows):
+        hs = T.gather_rows(tape, h, src)
+        r = T.linear(tape, T.Tensor(rows()), We, be)
+        if fusion == "add":
+            return T.add(tape, hs, r)
+        if fusion == "concat":
+            return T.linear(tape, T.concat_cols(tape, [hs, r]), fparams["W"], fparams["b"])
+        return T.add(tape, T.add(tape, T.matmul(tape, hs, fparams["Wh"]),
+                                 T.matmul(tape, r, fparams["Wr"])), fparams["b"])
+
+    return fuse
 
 
 class TestTransformAndFuse:
@@ -112,8 +115,8 @@ class TestTransformAndFuse:
         params, _ = self.fuse_params("add", 0)
         params["We"].values[:] = 0.0
         h = T.linear(None, self.node, params["Wt"], params["bt"])
-        out = M._fuse(None, h, self.src, lambda: self.edge, params["We"], params["be"],
-                      "add", {})
+        out = M._fusion(None, h, params["We"], params["be"], "add", {})(
+            self.src, lambda: self.edge)
         np.testing.assert_array_equal(out.values, h.values[self.src])
 
     def test_concat_width_before_projection(self):
@@ -127,8 +130,8 @@ class TestTransformAndFuse:
         for zero, want in [(slice(4, 8), h[self.src] @ W[:4] + b),
                            (slice(0, 4), latent @ W[4:] + b)]:
             fparams["W"].values[zero] = 0.0
-            out = M._fuse(None, T.Tensor(h), self.src, lambda: self.edge, params["We"],
-                          params["be"], "concat", fparams)
+            out = M._fusion(None, T.Tensor(h), params["We"], params["be"], "concat",
+                            fparams)(self.src, lambda: self.edge)
             np.testing.assert_allclose(out.values, want, rtol=1e-12)
             fparams["W"].values[:] = W
 
@@ -139,13 +142,13 @@ class TestTransformAndFuse:
         params, fparams = self.fuse_params(fusion, 2, zero_bias=False)
         seed = stable_rng("taf-seed").standard_normal((7, 4))
         results = []
-        for fuse in (M._fuse, edge_fuse):
+        for fusion_of in (M._fusion, edge_fusion):
             for p in params.values():
                 p.zero_grad()
             tape = T.Tape()
             h = T.linear(tape, self.node, params["Wt"], params["bt"])
-            out = fuse(tape, h, self.src, lambda: self.edge, params["We"], params["be"],
-                       fusion, fparams)
+            out = fusion_of(tape, h, params["We"], params["be"], fusion, fparams)(
+                self.src, lambda: self.edge)
             tape.backward(out, seed_grad=seed)
             results.append((out.values, {name: p.grad for name, p in params.items()}))
         (got, got_grads), (want, want_grads) = results
@@ -165,8 +168,8 @@ class TestTransformAndFuse:
         def forward():
             tape = T.Tape()
             h = T.linear(tape, self.node, params["Wt"], params["bt"])
-            out = M._fuse(tape, h, self.src, lambda: self.edge, params["We"], params["be"],
-                          "concat", fparams)
+            out = M._fusion(tape, h, params["We"], params["be"], "concat", fparams)(
+                self.src, lambda: self.edge)
             return T.mean_all(tape, T.mul(tape, out, out)), tape
 
         assert finite_diff_check(forward, [params["Wt"]]) < 1e-4
@@ -539,7 +542,7 @@ def whole_graph_gat(enc, tape, batch_ids, step=0, training=False):
             alpha = T.segment_softmax(tape, T.rowwise_dot(tape, anchors, vals),
                                       seg, n, cfg.lam)
             alphas[(l, m)] = (alpha.values.copy(), seg)
-            weighted = T.mul(tape, T.reshape_col(tape, alpha), vals)
+            weighted = T.mul(tape, reshape_col(tape, alpha), vals)
             head_outs.append(T.segment_sum(tape, weighted, seg, n))
         agg = head_outs[0]
         for other in head_outs[1:]:
@@ -575,8 +578,8 @@ def whole_graph_hat(enc, tape, batch_ids, step=0, training=False, beta_rows=None
         zs = []
         for ch in enc.channels:
             base = f"l{l}/rel:{ch.name}"
-            fused = M._fuse(tape, h, ch.nbr, partial(oracle_rows, enc, ch), prm(f"{base}/We"),
-                            prm(f"{base}/be"), cfg.fusion, enc._fusion_params(l, ch))
+            fused = M._fusion(tape, h, prm(f"{base}/We"), prm(f"{base}/be"), cfg.fusion,
+                              enc._fusion_params(l, ch))(ch.nbr, partial(oracle_rows, enc, ch))
             seg = np.concatenate([ch.tgt, np.arange(n)])
             head_outs = []
             for m in range(cfg.heads):
@@ -587,7 +590,7 @@ def whole_graph_hat(enc, tape, batch_ids, step=0, training=False, beta_rows=None
                 alpha = T.segment_softmax(tape, T.rowwise_dot(tape, anchors, vals),
                                           seg, n, cfg.lam)
                 alphas[(l, ch.name, m)] = (alpha.values.copy(), seg)
-                weighted = T.mul(tape, T.reshape_col(tape, alpha), vals)
+                weighted = T.mul(tape, reshape_col(tape, alpha), vals)
                 head_outs.append(T.segment_sum(tape, weighted, seg, n))
             if cfg.head_mode == "concat":
                 agg = T.concat_cols(tape, head_outs)
@@ -898,14 +901,16 @@ def test_hat_keeps_no_row_per_metapath_instance():
     assert kept < table_bytes / 2, (kept, table_bytes)
 
 
-def gathered_attend(tape, keys, anchor, values, seg, n, lam):
-    """``attend`` as it was before it read anchors by index: the anchors
-    gathered into a matrix of their own and dotted with the values row by
-    row, so the tape keeps the gathered copy."""
+def kept_attend(tape, keys, anchor, values, inputs, seg, n, lam):
+    """``attend`` as the composition of recorded ops it was before it read
+    anchors by index and built its value rows again in backward: the value
+    rows built once, the anchors gathered into a matrix of their own, and
+    both kept on the tape."""
+    values = values(tape, *inputs)
     anchors = T.gather_rows(tape, keys, anchor)
     alpha = T.segment_softmax(tape, T.rowwise_dot(tape, anchors, values), seg, n, lam)
-    weighted = T.mul(tape, T.reshape_col(tape, alpha), values)
-    return alpha, T.segment_sum(tape, weighted, seg, n)
+    weighted = T.mul(tape, reshape_col(tape, alpha), values)
+    return alpha.values, T.segment_sum(tape, weighted, seg, n)
 
 
 def kept_matmul(tape, build, w):
@@ -915,9 +920,9 @@ def kept_matmul(tape, build, w):
 
 
 def keep_rebuildable_arrays(monkeypatch):
-    """Make encoders keep the gathered anchors and the edge rows on the tape,
-    as they did before they rebuilt them in backward."""
-    monkeypatch.setattr(M, "attend", gathered_attend)
+    """Make encoders keep the gathered anchors, the value rows and the edge
+    rows on the tape, as they did before they rebuilt them in backward."""
+    monkeypatch.setattr(M, "attend", kept_attend)
     monkeypatch.setattr(T, "rebuilt_matmul", kept_matmul)
 
 
@@ -978,13 +983,30 @@ def closure_arrays(fn):
             stack.extend(c.cell_contents for c in value.__closure__)
 
 
-def rebuildable_arrays(enc, batch, tape):
+def record_value_rows(monkeypatch):
+    """The value rows of every ``attend`` call that follows, each built from
+    the call's inputs: HAT's fused messages @ head projection, then the
+    targets' projected rows; GAT's projected rows gathered by source."""
+    seen = []
+    attend = M.attend
+
+    def recorded(tape, keys, anchor, values, inputs, seg, n, lam):
+        seen.append(values(None, *inputs).values)
+        return attend(tape, keys, anchor, values, inputs, seg, n, lam)
+
+    monkeypatch.setattr(M, "attend", recorded)
+    return seen
+
+
+def rebuildable_arrays(enc, batch, tape, value_rows):
     """The arrays on ``tape``, after ``enc``'s forward for ``batch``, that an
     encoder can rebuild from indexes, by the kind found: a channel's edge
     rows, a float array shaped (block edges, edge_dim); for HAT, an edge
     latent, equal to its rows @ We + be, or a concatenated edge row, shaped
-    (block edges, 2 * hidden); and an anchor copy, whose every row is its
-    segment's self row, as the gathered anchors ``keys[anchor]`` are."""
+    (block edges, 2 * hidden); an anchor copy, whose every row is its
+    segment's self row, as the gathered anchors ``keys[anchor]`` are; and
+    value rows, shaped (block edges + targets, head width), whose edge rows
+    are those of one of ``value_rows``."""
     cfg = enc.config
     csrs = enc.csrs if enc.kind == "hat" else [enc.csr]
     channels = enc.channels if enc.kind == "hat" else [None]
@@ -1004,6 +1026,8 @@ def rebuildable_arrays(enc, batch, tape):
                 base = f"{enc.scope}/l{l}/rel:{ch.name}"
                 latent = (ch.rows(eid) @ enc.params[f"{base}/We"].values
                           + enc.params[f"{base}/be"].values)
+            values = [v for v in value_rows if v.shape == (e + k, cfg.head_dim)]
+            assert values, (l, ch)
             for a in held:
                 if ch is not None and a.shape == (e, ch.edge_dim):
                     found.add("edge rows")
@@ -1013,6 +1037,8 @@ def rebuildable_arrays(enc, batch, tape):
                     found.add("edge latent")
                 elif a.ndim and len(a) == e + k and np.array_equal(a, a[self_row]):
                     found.add("anchors")
+                elif any(a.shape == v.shape and np.array_equal(a[:e], v[:e]) for v in values):
+                    found.add("value rows")
     return found
 
 
@@ -1025,16 +1051,96 @@ def test_tape_keeps_no_rebuildable_edge_array(kind, fusion, monkeypatch):
         assert any(ch.metapath for ch in enc.channels)
         assert {cfg.hidden, 2 * cfg.hidden}.isdisjoint(ch.edge_dim for ch in enc.channels)
     batch = [17, 3, 0, 9]
-    tape = T.Tape()
-    enc.forward(tape, batch, step=1, training=True)
-    assert rebuildable_arrays(enc, batch, tape) == set()
+    with monkeypatch.context() as patched:
+        value_rows = record_value_rows(patched)
+        tape = T.Tape()
+        enc.forward(tape, batch, step=1, training=True)
+    assert rebuildable_arrays(enc, batch, tape, value_rows) == set()
     # the check finds what the tape kept before
     keep_rebuildable_arrays(monkeypatch)
-    monkeypatch.setattr(M, "_fuse", edge_fuse)
+    monkeypatch.setattr(M, "_fusion", edge_fusion)
+    value_rows = record_value_rows(monkeypatch)
     tape = T.Tape()
     enc.forward(tape, batch, step=1, training=True)
-    want = {"anchors"}
+    want = {"anchors", "value rows"}
     if kind == "hat":
         want |= {"edge rows"} | {"concat": {"concatenation"},
                                  "linear": {"edge latent"}}.get(fusion, set())
-    assert rebuildable_arrays(enc, batch, tape) == want
+    assert rebuildable_arrays(enc, batch, tape, value_rows) == want
+
+
+CHUNK_MODES = ([("hat", f, h) for f in M.FUSIONS for h in M.HEAD_MODES]
+               + [("gat", "concat", h) for h in M.HEAD_MODES] + [("gcn", "concat", "sum")])
+
+
+@pytest.mark.parametrize("budget", [3, 7])
+@pytest.mark.parametrize("kind,fusion,head_mode", CHUNK_MODES)
+def test_chunked_inference_equals_one_range(kind, fusion, head_mode, budget, monkeypatch):
+    """Inference in many small target ranges gives the logits, predictions,
+    α and β of one range over the whole layer: bit for bit, except that
+    numpy sends a one-row product to a matrix-vector kernel that may round
+    it differently, so HAT, whose edge rows go through products, is held to
+    rtol 1e-12 and equal predictions when some range has one edge."""
+    view = hat_view()
+    n = view.graph.num_nodes
+    cfg = encoder_config(kind=kind, fusion=fusion, head_mode=head_mode, layers=2)
+    enc = M.make_encoder(view, cfg, seed=3, scope="e")
+    head = M.init_param({}, "head/W", (cfg.hidden, 3), 3)
+    # every node, unsorted and with a repeat; nodes n - 3 .. n - 1 have no edge
+    batch = np.concatenate([stable_rng("chunks").permutation(n), [4]])
+
+    def infer():
+        emb = enc.forward(None, batch).values
+        diagnostics = getattr(enc, "diagnostics", {})
+        alphas = {key: {v: alpha[seg == v] for v in np.unique(seg)}
+                  for key, (alpha, seg) in diagnostics.get("alpha", {}).items()}
+        return emb @ head.values, alphas, diagnostics.get("beta", {})
+
+    ranges = []
+    target_ranges = M._target_ranges
+
+    def recorded(seg, k, tape):
+        out = target_ranges(seg, k, tape)
+        ranges.append((seg, k, out))
+        return out
+
+    monkeypatch.setattr(M, "_target_ranges", recorded)
+    want_logits, want_alphas, want_betas = infer()
+    assert all(len(out) == 1 for _, _, out in ranges)
+    ranges.clear()
+    monkeypatch.setattr(M, "EDGE_BUDGET", budget)
+    logits, alphas, betas = infer()
+
+    counts = [e1 - e0 for _, _, out in ranges for _, _, e0, e1 in out]
+    if kind == "hat" and 1 in counts:
+        def same(a, b):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+            return True
+    else:
+        same = np.array_equal
+    assert same(logits, want_logits)
+    assert np.array_equal(logits.argmax(axis=1), want_logits.argmax(axis=1))
+    assert alphas.keys() == want_alphas.keys()
+    for key, by_node in alphas.items():
+        assert by_node.keys() == want_alphas[key].keys()
+        for v, alpha in by_node.items():
+            assert same(alpha, want_alphas[key][v]), (key, v)
+    assert betas.keys() == want_betas.keys()
+    for l, beta in betas.items():
+        assert same(beta, want_betas[l])
+
+    assert len(counts) > 2 * len(ranges)
+    for seg, k, out in ranges:
+        # consecutive ranges that cover every target and edge once
+        assert [r[0] for r in out[1:]] == [r[1] for r in out[:-1]]
+        assert [r[2] for r in out[1:]] == [r[3] for r in out[:-1]]
+        assert out[0][:3:2] == (0, 0) and (out[-1][1], out[-1][3]) == (k, len(seg))
+        per_target = np.bincount(seg, minlength=k)
+        for t0, t1, e0, e1 in out:
+            assert np.array_equal(seg[e0:e1], np.repeat(np.arange(t0, t1), per_target[t0:t1]))
+            assert e1 - e0 <= budget or t1 - t0 == 1
+    # a target with more edges than the budget had a range of its own, and
+    # a target with no edge was in some range (GCN gives it a self edge)
+    assert max(counts) > budget
+    assert kind == "gcn" or any((np.bincount(seg, minlength=k) == 0).any()
+                                for seg, k, _ in ranges)

@@ -1,11 +1,12 @@
 import inspect
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
-from conftest import add_at_segment_sum, finite_diff_check
+from conftest import add_at_segment_sum, finite_diff_check, reshape_col
 from splitgnn import tensor as T
 from splitgnn.errors import ContractError, DomainError, NumericError, ShapeError
 from splitgnn.seeding import stable_rng
@@ -256,7 +257,6 @@ RETENTION_CASES = {
     "concat_rows": (lambda tape, a, b: T.concat_rows(tape, [a, b]), [(2, 3), (1, 3)]),
     "stack_scalars": (lambda tape, a, b: T.stack_scalars(tape, [a, b]), [(), ()]),
     "take": (lambda tape, v: T.take(tape, v, 1), [(3,)]),
-    "reshape_col": (T.reshape_col, [(3,)]),
     "gather_rows": (lambda tape, x: T.gather_rows(tape, x, [2, 0, 2]), [(3, 2)]),
     "scatter_rows": (lambda tape, x: T.scatter_rows(tape, x, [3, 0], 4), [(2, 2)]),
     "mean_all": (T.mean_all, [(3, 2)]),
@@ -268,6 +268,9 @@ RETENTION_CASES = {
     "segment_sum": (lambda tape, x: T.segment_sum(tape, x, [0, 1, 0], 2), [(3, 2)]),
     "segment_softmax": (lambda tape, s: T.segment_softmax(tape, s, [0, 1, 0], 2, 0.5),
                         [(3,)]),
+    "segment_attention": (lambda tape, k, v: T.segment_attention(
+        tape, k, [1, 0, 1, 0], v, partial(np.copy, v.values), [0, 1, 0, 1], 2, 0.5)[1],
+        [(2, 3), (4, 3)]),
     "elu": (T.elu, [(3, 2)]),
     "tanh": (T.tanh, [(3, 2)]),
     "softmax": (T.softmax, [(3,)]),
@@ -396,6 +399,54 @@ class TestRebuiltOperands:
         # built once for the forward and once for w's gradient
         assert len(builds) == 2
         assert np.array_equal(w.grad, kept_w.grad)
+
+    @pytest.mark.parametrize("keys_grad,values_grad", [(True, True), (True, False),
+                                                        (False, True)])
+    def test_segment_attention_matches_composition(self, keys_grad, values_grad):
+        """One op in place of the indexed dot, segment softmax, α scaling
+        and segment sum that kept the value rows: the same forward and
+        gradients, bit for bit, with the value rows built once in forward
+        and once in backward."""
+        rng = stable_rng("segment-attention")
+        keys0 = rng.standard_normal((4, 3))
+        vals0 = rng.standard_normal((3, 3))
+        # three edges into segments 0 and 2, then each segment's self row
+        seg = np.array([0, 0, 2, 0, 1, 2, 3])
+        anchor = seg.copy()
+        seed = rng.standard_normal((4, 3))
+        builds = []
+
+        def run(fused):
+            keys = T.Tensor(keys0, requires_grad=keys_grad)
+            vals = T.Tensor(vals0, requires_grad=values_grad)
+            tape = T.Tape()
+            k, v = T.add(tape, keys, 0.0), T.add(tape, vals, 0.0)
+
+            def build(tape, v, k):
+                builds.append(1)
+                # keys also reach the values, as HAT's self rows do
+                return T.concat_rows(tape, [T.mul(tape, v, 2.0), k])
+
+            values = build(tape, v, k)
+            if fused:
+                alpha, out = T.segment_attention(
+                    tape, k, anchor, values, lambda: build(None, v.values, k.values).values,
+                    seg, 4, 0.7)
+            else:
+                a = T.segment_softmax(tape, T.rowwise_dot(tape, k, values, index=anchor),
+                                      seg, 4, 0.7)
+                alpha = a.values
+                out = T.segment_sum(tape, T.mul(tape, reshape_col(tape, a), values), seg, 4)
+            tape.backward(out, seed_grad=seed)
+            return alpha, out.values, keys.grad, vals.grad
+
+        want = run(False)
+        builds.clear()
+        got = run(True)
+        assert len(builds) == 2
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            assert a is None or np.array_equal(a, b)
 
     def test_rebuilt_matmul_shape_mismatch(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\) @ \(4, 2\)"):
@@ -590,7 +641,7 @@ class TestFiniteDiff:
             finite_diff_check(forward, [])
 
     def test_segment_attention_composite(self):
-        # End-to-end gradient through gather/dot/segment-softmax/segment-sum.
+        # End-to-end gradient through gathered values and one attention op.
         rng = stable_rng("fd-seg")
         h = T.Tensor(rng.standard_normal((5, 3)) * 0.7, requires_grad=True, name="h")
         tgt = np.array([0, 0, 1, 2, 2, 2])
@@ -598,11 +649,9 @@ class TestFiniteDiff:
 
         def forward():
             tape = T.Tape()
-            ht = T.gather_rows(tape, h, tgt)
             hn = T.gather_rows(tape, h, nbr)
-            scores = T.rowwise_dot(tape, ht, hn)
-            alpha = T.segment_softmax(tape, scores, tgt, 5, temperature=0.7)
-            z = T.segment_sum(tape, T.mul(tape, T.reshape_col(tape, alpha), hn), tgt, 5)
+            _, z = T.segment_attention(tape, h, tgt, hn, lambda: h.values[nbr], tgt, 5,
+                                       temperature=0.7)
             return T.mean_all(tape, T.mul(tape, z, z)), tape
 
         assert finite_diff_check(forward, [h]) < 1e-4
