@@ -458,15 +458,24 @@ def segment_attention(tape, keys, anchor, values, rebuild, seg, n_segments: int,
     n_keys = keys.shape[0]
 
     def backfn(g):
+        # products are formed in place where an operand is not read again;
+        # each is the same elementwise product, so the bits do not change
         v = rebuild()
-        g_weighted = g[seg]
-        t = alpha * _unbroadcast(g_weighted * v, (len(alpha), 1))[:, 0]
+        g_values = g[seg]
+        prod = g_values * v
+        t = alpha * _unbroadcast(prod, (len(alpha), 1))[:, 0]
         g_scores = temperature * (t - alpha * _segment_add(t, seg, n_segments)[seg])
-        return (
-            _segment_add(g_scores[:, None] * v, anchor, n_keys) if need_keys else None,
-            None if kept_keys is None
-            else g_weighted * alpha[:, None] + g_scores[:, None] * kept_keys[anchor],
-        )
+        g_keys = None
+        if need_keys:
+            g_keys = _segment_add(np.multiply(g_scores[:, None], v, out=prod), anchor, n_keys)
+        del prod, v
+        if kept_keys is None:
+            return g_keys, None
+        g_values *= alpha[:, None]
+        rows = kept_keys[anchor]
+        rows *= g_scores[:, None]
+        g_values += rows
+        return g_keys, g_values
 
     return alpha, _emit(tape, out, (keys, values), backfn)
 
