@@ -1073,14 +1073,15 @@ CHUNK_MODES = ([("hat", f, h) for f in M.FUSIONS for h in M.HEAD_MODES]
                + [("gat", "concat", h) for h in M.HEAD_MODES] + [("gcn", "concat", "sum")])
 
 
-@pytest.mark.parametrize("budget", [3, 7])
+@pytest.mark.parametrize("budget", [3, 4])
 @pytest.mark.parametrize("kind,fusion,head_mode", CHUNK_MODES)
 def test_chunked_inference_equals_one_range(kind, fusion, head_mode, budget, monkeypatch):
     """Inference in many small target ranges gives the logits, predictions,
     α and β of one range over the whole layer: bit for bit, except that
     numpy sends a one-row product to a matrix-vector kernel that may round
     it differently, so HAT, whose edge rows go through products, is held to
-    rtol 1e-12 and equal predictions when some range has one edge."""
+    rtol 1e-12 and equal predictions when some range has one edge, as at
+    budget 3.  At budget 4 no range of the fixture has one edge."""
     view = hat_view()
     n = view.graph.num_nodes
     cfg = encoder_config(kind=kind, fusion=fusion, head_mode=head_mode, layers=2)
