@@ -220,10 +220,11 @@ def _attention_layer(tape, edge_seg, targets, config: EncoderConfig, heads):
     rows, alphas = [], [[] for _ in range(config.heads)]
     for t0, t1, e0, e1 in _target_ranges(edge_seg, len(targets), tape):
         seg = np.concatenate([edge_seg[e0:e1] - t0, np.arange(t1 - t0)])
+        ids = targets[t0 + seg]
         head_outs = []
         for m, (keys, anchor, values, inputs) in enumerate(heads(t0, t1, e0, e1, seg)):
             alpha, out = attend(tape, keys, anchor, values, inputs, seg, t1 - t0, config.lam)
-            alphas[m].append((alpha, targets[t0 + seg]))
+            alphas[m].append((alpha, ids))
             head_outs.append(out)
         rows.append(merge_heads(tape, head_outs, config.head_mode))
     return _stacked(tape, rows), [tuple(map(np.concatenate, zip(*a))) for a in alphas]
