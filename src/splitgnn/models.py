@@ -6,6 +6,9 @@ message, multi-head dot-product attention within every relation channel
 (original relations and metapath channels alike), and a learned path
 attention that mixes the per-channel embeddings into one vector per node.
 "gcn" and "gat" are relation-agnostic baselines over the merged edge set.
+The three share one skeleton, :class:`_Encoder`: its ``forward`` finds the
+batch's receptive field, applies each layer's dropout and gathers the
+batch's rows, and each encoder adds only its parameters and its layer.
 
 Node-level attention is one kernel, :func:`attend`, with one head merge,
 :func:`merge_heads`: "hat" calls them once per channel and head, "gat" once
@@ -25,7 +28,9 @@ and the rows a layer reads are the ones a table built up front would give.
 Each fusion of a node row with an edge latent is affine in both, so
 :func:`_fusion` projects the node rows once per node and the edge transform
 and fusion weights once per channel:
-``(h @ A)[src] + rows @ (We @ B) + (be @ B + c)``.
+``(h @ A)[src] + rows @ (We @ B) + (be @ B + c)``.  One learned fusion,
+"concat", is enough: any map affine in the node row and the edge latent
+separately is ``[h_src, latent] @ W + b`` for some ``W``.
 
 What a training tape keeps of a layer's edges is what builds them again.  A
 HAT tape keeps the block's edge ids, not its rows, and builds the rows again
@@ -51,16 +56,17 @@ call, so rows of a smaller block can differ from the whole-graph ones in
 their last bits.
 
 Without a tape (``predict``, ``evaluate``), a layer's edge work runs in
-consecutive target ranges of at most ``EDGE_BUDGET`` edges each, or one
-target that has more (:func:`_target_ranges`): per channel for "hat", over
+consecutive target ranges of at most ``EDGE_BUDGET`` edges each, two more
+where a range of one edge joins one, or a target that has more
+(:func:`_target_ranges`): per channel for "hat", over
 the merged edges for "gcn" and "gat".  A range keeps its targets' rows and
 drops its edge arrays before the next, so an evaluation's edge-sized memory
 is one range's, not the whole split's.  Each target's rows are computed
 from the same edges in the same order, and "hat" scores its path attention
-over the whole frontier after the ranges, so β is exact.  Only a "hat"
-range of one edge may differ in the last bits, as numpy computes a one-row
-product with a matrix-vector kernel.  A recording tape gets one range, so
-training is the same loop.
+over the whole frontier after the ranges, so β is exact.  numpy computes a
+one-row product with a matrix-vector kernel that rounds differently, so no
+range holds exactly one edge unless its layer does.  A recording tape gets
+one range, so training is the same loop.
 """
 
 from __future__ import annotations
@@ -77,7 +83,7 @@ from .graph import (HetGraph, Metapath, ParticipantView, TargetCsr, metapath_edg
                     metapath_feature_dim)
 from .seeding import stable_rng
 
-FUSIONS = ("concat", "add", "linear")
+FUSIONS = ("concat", "add")
 HEAD_MODES = ("sum", "concat")
 # the most edges an inference range of a layer works on at once
 EDGE_BUDGET = 4096
@@ -130,8 +136,7 @@ def _fusion(tape, h, We, be, fusion, fparams):
         (h @ A)[src] + rows() @ (We @ B) + (be @ B + c)
 
     "concat", [h_src, latent] @ W + b, has A and B the row blocks of W and
-    c = b; "linear", h_src @ Wh + latent @ Wr + b, has A = Wh, B = Wr, c = b;
-    "add", h_src + latent, has A = B = I and c = 0.  The node part is
+    c = b; "add", h_src + latent, has A = B = I and c = 0.  The node part is
     projected once per node and the weights once per channel, not per edge
     or per range of edges, and no edge latent or concatenated edge row is
     built.  The rows are built again in backward for the gradient of
@@ -140,12 +145,9 @@ def _fusion(tape, h, We, be, fusion, fparams):
     if fusion == "add":
         node, edge_w, bias = h, We, be
     else:
-        if fusion == "concat":
-            d = h.shape[1]
-            A = T.gather_rows(tape, fparams["W"], np.arange(d))
-            B = T.gather_rows(tape, fparams["W"], np.arange(d, 2 * d))
-        else:
-            A, B = fparams["Wh"], fparams["Wr"]
+        d = h.shape[1]
+        A = T.gather_rows(tape, fparams["W"], np.arange(d))
+        B = T.gather_rows(tape, fparams["W"], np.arange(d, 2 * d))
         node = T.matmul(tape, h, A)
         edge_w = T.matmul(tape, We, B)
         bias = T.add(tape, T.matmul(tape, be, B), fparams["b"])
@@ -187,15 +189,21 @@ def _target_ranges(seg, k: int, tape):
     gets one range.  Without one, a range holds at most ``EDGE_BUDGET``
     edges, or a single target that has more, so inference keeps one range's
     edge arrays at a time, as GraphSAGE's layer-wise inference does
-    (Hamilton et al., 2017)."""
+    (Hamilton et al., 2017).  A range of one edge would send its products
+    to numpy's matrix-vector kernel, which rounds differently, so it joins
+    the range before it (the first range, the one after it), and a range
+    within the budget may grow by two edges."""
     if tape is not None or len(seg) <= EDGE_BUDGET:
         return [(0, k, 0, len(seg))]
     ends = np.cumsum(np.bincount(seg, minlength=k))
     ranges, t0, e0 = [], 0, 0
     while t0 < k:
         t1 = max(int(np.searchsorted(ends, e0 + EDGE_BUDGET, side="right")), t0 + 1)
-        ranges.append((t0, t1, e0, int(ends[t1 - 1])))
-        t0, e0 = t1, ranges[-1][3]
+        e1 = int(ends[t1 - 1])
+        if ranges and 1 in (e1 - e0, ranges[-1][3] - ranges[-1][2]):
+            t0, _, e0, _ = ranges.pop()
+        ranges.append((t0, t1, e0, e1))
+        t0, e0 = t1, e1
     return ranges
 
 
@@ -317,75 +325,102 @@ def _build_channels(view: ParticipantView) -> list[_Channel]:
     return channels
 
 
-class HatEncoder:
-    """K stacked heterogeneous-attention layers over one participant's view.
+class _Encoder:
+    """The skeleton of every encoder, bound to one participant's view.
 
-    Each channel keeps its edges in a :class:`~splitgnn.graph.TargetCsr`, and
-    each layer runs over the batch's receptive field, not the whole graph.
-    Path attention weighs a channel by its mean score over the layer's target
-    frontier, so an output row depends on which nodes the batch's layers
-    reach; with every node in the batch it is the whole-graph row.
-    ``diagnostics["alpha"]`` keeps its segments in node ids.
+    ``forward`` finds the batch's receptive-field blocks through the edge
+    indexes ``csrs``, then, layer by layer, applies dropout to the block's
+    input rows and runs the encoder's ``_layer(tape, x, l, blk)``, which
+    maps them to the block's target rows.  It returns the batch's rows in
+    batch order.  With ``self_entry`` a layer's inputs include its targets,
+    as an attention layer's self entry reads them.  ``diagnostics`` holds
+    what the last forward recorded, with α's segments in node ids.
     """
 
-    kind = "hat"
+    self_entry = True
+    csrs: list[TargetCsr]
 
     def __init__(self, view: ParticipantView, config: EncoderConfig, seed, scope: str):
         self.graph = view.graph
         self.config = config
         self.seed = seed
         self.scope = scope
+        self.params: dict[str, T.Tensor] = {}
+        self.diagnostics: dict = {}
+
+    def _new_param(self, layer: int, name: str, shape, zeros: bool = False) -> None:
+        init_param(self.params, f"{self.scope}/l{layer}/{name}", shape, self.seed, zeros)
+
+    def _param(self, layer: int, name: str) -> T.Tensor:
+        return self.params[f"{self.scope}/l{layer}/{name}"]
+
+    def forward(self, tape, batch_ids, step: int = 0, training: bool = False):
+        cfg = self.config
+        n = self.graph.num_nodes
+        batch = np.asarray(batch_ids, dtype=np.int64)
+        blocks = _receptive_blocks(self.csrs, batch, cfg.layers, n, self.self_entry)
+        x = T.Tensor(self.graph.features[blocks[0].inputs])
+        self.diagnostics = {}
+        for l, blk in enumerate(blocks):
+            x = T.dropout(tape, x, cfg.dropout,
+                          seed=(self.seed, "dropout", self.scope, l, step), training=training,
+                          rows=blk.inputs, n_rows=n)
+            x = self._layer(tape, x, l, blk)
+        return T.gather_rows(tape, x, np.searchsorted(blocks[-1].targets, batch))
+
+
+class HatEncoder(_Encoder):
+    """K stacked heterogeneous-attention layers over one participant's view.
+
+    Each channel keeps its edges in a :class:`~splitgnn.graph.TargetCsr`.
+    Path attention weighs a channel by its mean score over the layer's target
+    frontier, so an output row depends on which nodes the batch's layers
+    reach; with every node in the batch it is the whole-graph row.
+    """
+
+    kind = "hat"
+
+    def __init__(self, view: ParticipantView, config: EncoderConfig, seed, scope: str):
+        super().__init__(view, config, seed, scope)
         self.channels = _build_channels(view)
         self.csrs = [TargetCsr(ch.tgt, ch.nbr, self.graph.num_nodes) for ch in self.channels]
         self.type_names = sorted(set(self.graph.node_types.tolist()))
-        self.params: dict[str, T.Tensor] = {}
-        self.diagnostics: dict = {}
         d = config.hidden
         for l in range(config.layers):
             in_dim = self.graph.feature_dim if l == 0 else d
             for tname in self.type_names:
-                init_param(self.params, f"{scope}/l{l}/type:{tname}/W", (in_dim, d), seed)
-                init_param(self.params, f"{scope}/l{l}/type:{tname}/b", (d,), seed, zeros=True)
+                self._new_param(l, f"type:{tname}/W", (in_dim, d))
+                self._new_param(l, f"type:{tname}/b", (d,), zeros=True)
             for ch in self.channels:
-                base = f"{scope}/l{l}/rel:{ch.name}"
-                init_param(self.params, f"{base}/We", (ch.edge_dim, d), seed)
-                init_param(self.params, f"{base}/be", (d,), seed, zeros=True)
+                base = f"rel:{ch.name}"
+                self._new_param(l, f"{base}/We", (ch.edge_dim, d))
+                self._new_param(l, f"{base}/be", (d,), zeros=True)
                 if config.fusion == "concat":
-                    init_param(self.params, f"{base}/fuse/W", (2 * d, d), seed)
-                    init_param(self.params, f"{base}/fuse/b", (d,), seed, zeros=True)
-                elif config.fusion == "linear":
-                    init_param(self.params, f"{base}/fuse/Wh", (d, d), seed)
-                    init_param(self.params, f"{base}/fuse/Wr", (d, d), seed)
-                    init_param(self.params, f"{base}/fuse/b", (d,), seed, zeros=True)
+                    self._new_param(l, f"{base}/fuse/W", (2 * d, d))
+                    self._new_param(l, f"{base}/fuse/b", (d,), zeros=True)
                 for m in range(config.heads):
-                    init_param(self.params, f"{base}/head{m}", (d, config.head_dim), seed)
-            init_param(self.params, f"{scope}/l{l}/path/q", (d,), seed)
-            init_param(self.params, f"{scope}/l{l}/path/W", (d, d), seed)
-            init_param(self.params, f"{scope}/l{l}/path/b", (d,), seed, zeros=True)
+                    self._new_param(l, f"{base}/head{m}", (d, config.head_dim))
+            self._new_param(l, "path/q", (d,))
+            self._new_param(l, "path/W", (d, d))
+            self._new_param(l, "path/b", (d,), zeros=True)
 
     def _fusion_params(self, layer: int, channel: _Channel) -> dict:
-        base = f"{self.scope}/l{layer}/rel:{channel.name}/fuse"
-        if self.config.fusion == "concat":
-            return {"W": self.params[f"{base}/W"], "b": self.params[f"{base}/b"]}
-        if self.config.fusion == "linear":
-            return {"Wh": self.params[f"{base}/Wh"], "Wr": self.params[f"{base}/Wr"],
-                    "b": self.params[f"{base}/b"]}
-        return {}
+        if self.config.fusion == "add":
+            return {}
+        base = f"rel:{channel.name}/fuse"
+        return {"W": self._param(layer, f"{base}/W"), "b": self._param(layer, f"{base}/b")}
 
     def _type_transform(self, tape, x, rows: np.ndarray, layer: int):
-        """Each row of ``x``, the node ``rows[i]``, through its type's map."""
+        """Each row of ``x``, the node ``rows[i]``, through its type's map:
+        the rows of a type are mapped together, and one gather puts the
+        stacked results back in the order of ``rows``."""
         types = self.graph.node_types[rows]
-        pieces = []
-        for tname in self.type_names:
-            idx = np.flatnonzero(types == tname)
-            W = self.params[f"{self.scope}/l{layer}/type:{tname}/W"]
-            b = self.params[f"{self.scope}/l{layer}/type:{tname}/b"]
-            h = T.linear(tape, T.gather_rows(tape, x, idx), W, b)
-            pieces.append(T.scatter_rows(tape, h, idx, len(rows)))
-        out = pieces[0]
-        for p in pieces[1:]:
-            out = T.add(tape, out, p)
-        return out
+        groups = [np.flatnonzero(types == tname) for tname in self.type_names]
+        pieces = [T.linear(tape, T.gather_rows(tape, x, idx),
+                           self._param(layer, f"type:{tname}/W"),
+                           self._param(layer, f"type:{tname}/b"))
+                  for tname, idx in zip(self.type_names, groups)]
+        return T.gather_rows(tape, _stacked(tape, pieces), np.argsort(np.concatenate(groups)))
 
     def _channel_attention(self, tape, h, h_own, layer: int, ch: _Channel, blk: _Block,
                            edges):
@@ -394,10 +429,11 @@ class HatEncoder:
         (seg, src, eid) in the block."""
         cfg = self.config
         edge_seg, src, eid = edges
-        base = f"{self.scope}/l{layer}/rel:{ch.name}"
-        fuse = _fusion(tape, h, self.params[f"{base}/We"], self.params[f"{base}/be"],
-                       cfg.fusion, self._fusion_params(layer, ch))
-        projs = [self.params[f"{base}/head{m}"] for m in range(cfg.heads)]
+        base = f"rel:{ch.name}"
+        fuse = _fusion(tape, h, self._param(layer, f"{base}/We"),
+                       self._param(layer, f"{base}/be"), cfg.fusion,
+                       self._fusion_params(layer, ch))
+        projs = [self._param(layer, f"{base}/head{m}") for m in range(cfg.heads)]
         hps = [T.matmul(tape, h_own, proj) for proj in projs]
 
         def heads(t0, t1, e0, e1, seg):
@@ -411,27 +447,15 @@ class HatEncoder:
             self.diagnostics.setdefault("alpha", {})[(layer, ch.name, m)] = alpha
         return z
 
-    def forward(self, tape, batch_ids, step: int = 0, training: bool = False):
-        cfg = self.config
-        n = self.graph.num_nodes
-        batch = np.asarray(batch_ids, dtype=np.int64)
-        blocks = _receptive_blocks(self.csrs, batch, cfg.layers, n, self_entry=True)
-        x = T.Tensor(self.graph.features[blocks[0].inputs])
-        self.diagnostics = {}
-        for l, blk in enumerate(blocks):
-            x = T.dropout(tape, x, cfg.dropout,
-                          seed=(self.seed, "dropout", self.scope, l, step), training=training,
-                          rows=blk.inputs, n_rows=n)
-            h = self._type_transform(tape, x, blk.inputs, l)
-            h_own = T.gather_rows(tape, h, np.searchsorted(blk.inputs, blk.targets))
-            zs = [self._channel_attention(tape, h, h_own, l, ch, blk, edges)
-                  for ch, edges in zip(self.channels, blk.edges)]
-            q = self.params[f"{self.scope}/l{l}/path/q"]
-            Wp = self.params[f"{self.scope}/l{l}/path/W"]
-            bp = self.params[f"{self.scope}/l{l}/path/b"]
-            x, beta = path_attention(tape, zs, q, Wp, bp)
-            self.diagnostics.setdefault("beta", {})[l] = beta
-        return T.gather_rows(tape, x, np.searchsorted(blocks[-1].targets, batch))
+    def _layer(self, tape, x, l: int, blk: _Block):
+        h = self._type_transform(tape, x, blk.inputs, l)
+        h_own = T.gather_rows(tape, h, np.searchsorted(blk.inputs, blk.targets))
+        zs = [self._channel_attention(tape, h, h_own, l, ch, blk, edges)
+              for ch, edges in zip(self.channels, blk.edges)]
+        x, beta = path_attention(tape, zs, self._param(l, "path/q"), self._param(l, "path/W"),
+                                 self._param(l, "path/b"))
+        self.diagnostics.setdefault("beta", {})[l] = beta
+        return x
 
 
 def _merged_edges(g: HetGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -481,19 +505,14 @@ def _receptive_blocks(csrs: list[TargetCsr], batch: np.ndarray, layers: int,
     return blocks[::-1]
 
 
-class GcnEncoder:
-    """Mean-over-neighbors aggregation, linear map, ELU; relations merged.
-
-    Each layer runs over the batch's receptive field, not the whole graph.
-    """
+class GcnEncoder(_Encoder):
+    """Mean-over-neighbors aggregation, linear map, ELU; relations merged."""
 
     kind = "gcn"
+    self_entry = False
 
     def __init__(self, view: ParticipantView, config: EncoderConfig, seed, scope: str):
-        self.graph = view.graph
-        self.config = config
-        self.seed = seed
-        self.scope = scope
+        super().__init__(view, config, seed, scope)
         g = self.graph
         tgt, nbr = _merged_edges(g)
         deg = np.bincount(tgt, minlength=g.num_nodes).astype(np.float64)
@@ -502,88 +521,52 @@ class GcnEncoder:
         tgt = np.concatenate([tgt, isolated])
         nbr = np.concatenate([nbr, isolated])
         deg[isolated] = 1.0
-        self.csr = TargetCsr(tgt, nbr, g.num_nodes)
+        self.csrs = [TargetCsr(tgt, nbr, g.num_nodes)]
         self.inv_deg = (1.0 / deg)[:, None]
-        self.params: dict[str, T.Tensor] = {}
         d = config.hidden
         for l in range(config.layers):
-            in_dim = g.feature_dim if l == 0 else d
-            init_param(self.params, f"{scope}/l{l}/W", (in_dim, d), seed)
-            init_param(self.params, f"{scope}/l{l}/b", (d,), seed, zeros=True)
+            self._new_param(l, "W", (g.feature_dim if l == 0 else d, d))
+            self._new_param(l, "b", (d,), zeros=True)
 
-    def forward(self, tape, batch_ids, step: int = 0, training: bool = False):
-        cfg = self.config
-        n = self.graph.num_nodes
-        batch = np.asarray(batch_ids, dtype=np.int64)
-        blocks = _receptive_blocks([self.csr], batch, cfg.layers, n, self_entry=False)
-        x = T.Tensor(self.graph.features[blocks[0].inputs])
-        for l, blk in enumerate(blocks):
-            x = T.dropout(tape, x, cfg.dropout,
-                          seed=(self.seed, "dropout", self.scope, l, step), training=training,
-                          rows=blk.inputs, n_rows=n)
-            seg, src, _ = blk.edges[0]
-            summed = _stacked(tape, [
-                T.segment_sum(tape, T.gather_rows(tape, x, src[e0:e1]), seg[e0:e1] - t0, t1 - t0)
-                for t0, t1, e0, e1 in _target_ranges(seg, len(blk.targets), tape)])
-            mean = T.mul(tape, summed, T.Tensor(self.inv_deg[blk.targets]))
-            x = T.elu(tape, T.linear(tape, mean,
-                                     self.params[f"{self.scope}/l{l}/W"],
-                                     self.params[f"{self.scope}/l{l}/b"]))
-        return T.gather_rows(tape, x, np.searchsorted(blocks[-1].targets, batch))
+    def _layer(self, tape, x, l: int, blk: _Block):
+        seg, src, _ = blk.edges[0]
+        summed = _stacked(tape, [
+            T.segment_sum(tape, T.gather_rows(tape, x, src[e0:e1]), seg[e0:e1] - t0, t1 - t0)
+            for t0, t1, e0, e1 in _target_ranges(seg, len(blk.targets), tape)])
+        mean = T.mul(tape, summed, T.Tensor(self.inv_deg[blk.targets]))
+        return T.elu(tape, T.linear(tape, mean, self._param(l, "W"), self._param(l, "b")))
 
 
-class GatEncoder:
-    """Single-relation multi-head attention without edge features.
-
-    Each layer runs over the batch's receptive field, not the whole graph;
-    ``diagnostics["alpha"]`` keeps its segments in node ids.
-    """
+class GatEncoder(_Encoder):
+    """Single-relation multi-head attention without edge features."""
 
     kind = "gat"
 
     def __init__(self, view: ParticipantView, config: EncoderConfig, seed, scope: str):
-        self.graph = view.graph
-        self.config = config
-        self.seed = seed
-        self.scope = scope
+        super().__init__(view, config, seed, scope)
         g = self.graph
-        self.csr = TargetCsr(*_merged_edges(g), g.num_nodes)
-        self.params: dict[str, T.Tensor] = {}
-        self.diagnostics: dict = {}
+        self.csrs = [TargetCsr(*_merged_edges(g), g.num_nodes)]
         d = config.hidden
         for l in range(config.layers):
-            in_dim = g.feature_dim if l == 0 else d
-            init_param(self.params, f"{scope}/l{l}/W", (in_dim, d), seed)
-            init_param(self.params, f"{scope}/l{l}/b", (d,), seed, zeros=True)
+            self._new_param(l, "W", (g.feature_dim if l == 0 else d, d))
+            self._new_param(l, "b", (d,), zeros=True)
             for m in range(config.heads):
-                init_param(self.params, f"{scope}/l{l}/head{m}", (d, config.head_dim), seed)
+                self._new_param(l, f"head{m}", (d, config.head_dim))
 
-    def forward(self, tape, batch_ids, step: int = 0, training: bool = False):
-        cfg = self.config
-        n = self.graph.num_nodes
-        batch = np.asarray(batch_ids, dtype=np.int64)
-        blocks = _receptive_blocks([self.csr], batch, cfg.layers, n, self_entry=True)
-        x = T.Tensor(self.graph.features[blocks[0].inputs])
-        self.diagnostics = {}
-        for l, blk in enumerate(blocks):
-            x = T.dropout(tape, x, cfg.dropout,
-                          seed=(self.seed, "dropout", self.scope, l, step), training=training,
-                          rows=blk.inputs, n_rows=n)
-            h = T.linear(tape, x, self.params[f"{self.scope}/l{l}/W"],
-                         self.params[f"{self.scope}/l{l}/b"])
-            hps = [T.matmul(tape, h, self.params[f"{self.scope}/l{l}/head{m}"])
-                   for m in range(cfg.heads)]
-            edge_seg, edge_src, _ = blk.edges[0]
-            own = np.searchsorted(blk.inputs, blk.targets)
+    def _layer(self, tape, x, l: int, blk: _Block):
+        h = T.linear(tape, x, self._param(l, "W"), self._param(l, "b"))
+        hps = [T.matmul(tape, h, self._param(l, f"head{m}")) for m in range(self.config.heads)]
+        edge_seg, edge_src, _ = blk.edges[0]
+        own = np.searchsorted(blk.inputs, blk.targets)
 
-            def heads(t0, t1, e0, e1, seg):
-                src = np.concatenate([edge_src[e0:e1], own[t0:t1]])
-                return [(hp, own[t0 + seg], T.gather_rows, (hp, src)) for hp in hps]
+        def heads(t0, t1, e0, e1, seg):
+            src = np.concatenate([edge_src[e0:e1], own[t0:t1]])
+            return [(hp, own[t0 + seg], T.gather_rows, (hp, src)) for hp in hps]
 
-            x, alphas = _attention_layer(tape, edge_seg, blk.targets, cfg, heads)
-            for m, alpha in enumerate(alphas):
-                self.diagnostics.setdefault("alpha", {})[(l, m)] = alpha
-        return T.gather_rows(tape, x, np.searchsorted(blocks[-1].targets, batch))
+        x, alphas = _attention_layer(tape, edge_seg, blk.targets, self.config, heads)
+        for m, alpha in enumerate(alphas):
+            self.diagnostics.setdefault("alpha", {})[(l, m)] = alpha
+        return x
 
 
 ENCODERS = {"hat": HatEncoder, "gcn": GcnEncoder, "gat": GatEncoder}

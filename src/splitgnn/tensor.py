@@ -23,7 +23,7 @@ it.  What each op keeps:
 - ``segment_attention``: α, its anchor and segment indexes, the keys table
   when the values need a gradient, and the callable that builds the value
   rows again in backward, not the value rows;
-- ``gather_rows``, ``scatter_rows`` and ``segment_sum``: their indices;
+- ``gather_rows`` and ``segment_sum``: their indices;
 - ``segment_softmax``, ``softmax``, ``tanh`` and ``elu``: their output
   (``elu(x) > 0`` exactly where ``x > 0``, so the output gives the slope);
 - ``dropout``: its mask; ``cross_entropy``: the logits, their log-sum-exp
@@ -316,17 +316,6 @@ def gather_rows(tape, x, idx) -> Tensor:
     out = Tensor(x.values[idx])
     n = x.shape[0]
     return _emit(tape, out, (x,), lambda g: (_segment_add(g, idx, n),))
-
-
-def scatter_rows(tape, piece, idx, n_rows: int) -> Tensor:
-    """Rows of ``piece`` placed at positions ``idx`` of an n_rows output;
-    remaining rows are zero.  ``idx`` entries must be distinct."""
-    piece = _as_tensor(piece)
-    idx = np.asarray(idx, dtype=np.int64)
-    vals = np.zeros((n_rows,) + piece.shape[1:], dtype=np.float64)
-    vals[idx] = piece.values
-    out = Tensor(vals)
-    return _emit(tape, out, (piece,), lambda g: (g[idx],))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Shared fixtures and oracles: small deterministic synthetic graphs and
 partitions, every field of the derived encoder and session configs, a
 small-modulus Paillier key, the metapath instance oracle, the column
-reshape of the attention oracles, a finite-difference gradient check, a
+reshape of the attention oracles, the row scatter of the whole-graph HAT
+oracle, a finite-difference gradient check, a
 metrics.csv reader and an in-process import of ``perfbench/run.py``."""
 
 import importlib.util
@@ -92,6 +93,19 @@ def reshape_col(tape, v):
     encoders did before ``T.segment_attention``."""
     v = T._as_tensor(v)
     return T._emit(tape, T.Tensor(v.values[:, None]), (v,), lambda g: (g[:, 0],))
+
+
+def scatter_rows(tape, piece, idx, n_rows):
+    """Rows of ``piece`` placed at positions ``idx`` of an ``n_rows`` output,
+    the other rows zero, recorded on the tape: the op the whole-graph HAT
+    oracle assembles its type transform with, one zero-filled block per node
+    type summed, as the encoder did before it gathered the stacked rows.
+    ``idx`` entries must be distinct."""
+    piece = T._as_tensor(piece)
+    idx = np.asarray(idx, dtype=np.int64)
+    vals = np.zeros((n_rows,) + piece.shape[1:])
+    vals[idx] = piece.values
+    return T._emit(tape, T.Tensor(vals), (piece,), lambda g: (g[idx],))
 
 
 def loop_metapath_edges(graph, metapath):

