@@ -191,8 +191,8 @@ def _target_ranges(seg, k: int, tape):
     edge arrays at a time, as GraphSAGE's layer-wise inference does
     (Hamilton et al., 2017).  A range of one edge would send its products
     to numpy's matrix-vector kernel, which rounds differently, so it joins
-    the range before it (the first range, the one after it), and a range
-    within the budget may grow by two edges."""
+    the range before it (the first range joins the one after it), and a
+    range within the budget may grow by two edges."""
     if tape is not None or len(seg) <= EDGE_BUDGET:
         return [(0, k, 0, len(seg))]
     ends = np.cumsum(np.bincount(seg, minlength=k))
