@@ -38,7 +38,7 @@ from .errors import (BOOL, TEXT, ConfigError, Rule, Schema, checked, choice, int
 from .graph import (DatasetBundle, ParticipantView, PartitionSpec, RelationSpec,
                     SyntheticSpec, generate_synthetic, load_dataset,
                     vertical_partition)
-from .models import ENCODERS, FUSIONS, HEAD_MODES, EncoderConfig
+from .models import ENCODERS, EncoderConfig
 from .protocol import SessionConfig, SplitSession
 from .tensor import OPTIMIZERS
 from .transcript import FLOAT_BYTES, RoundTranscript
@@ -92,11 +92,8 @@ class ExperimentConfig(Schema):
     hidden: int = checked(integer(">= 1"), 32)
     layers: int = checked(integer(">= 1"), 2)
     heads: int = checked(integer(">= 1"), 2)
-    fusion: str = checked(choice(FUSIONS), "concat")
-    head_mode: str = checked(choice(HEAD_MODES), "sum")
     dropout: float = checked(number(">= 0", "< 1"), 0.0)
     server_dropout: float = checked(number(">= 0", "< 1"), 0.3)
-    temperature: float | None = checked(optional(number("> 0")), None)  # None: 1/sqrt(d)
     secure: bool = checked(BOOL, False)
     key_bits: int = checked(choice(VALID_KEY_BITS), 512)
 
@@ -112,9 +109,6 @@ class ExperimentConfig(Schema):
         if alone is not None and alone >= self.participants:
             raise ConfigError(f"strategy: no participant {alone} to run standalone among "
                               f"{self.participants}")
-        if self.head_mode == "concat" and self.hidden % self.heads:
-            raise ConfigError(f"hidden: head_mode concat needs hidden divisible by "
-                              f"heads ({self.heads}), got {self.hidden}")
 
     @property
     def scale_bits(self) -> int:
@@ -131,9 +125,7 @@ class ExperimentConfig(Schema):
 
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(kind=self.model, layers=self.layers, hidden=self.hidden,
-                             heads=self.heads, fusion=self.fusion,
-                             dropout=self.dropout, head_mode=self.head_mode,
-                             temperature=self.temperature)
+                             heads=self.heads, dropout=self.dropout)
 
     def session_config(self, seed: int) -> SessionConfig:
         # a baseline is a one-participant session: concat passes its

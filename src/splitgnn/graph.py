@@ -113,18 +113,26 @@ class Metapath:
         return "+".join(self.relations)
 
     def check_against(self, graph: HetGraph) -> None:
+        self.check_chain({name: (rel.src_type, rel.dst_type)
+                          for name, rel in graph.relations.items()})
+
+    def check_chain(self, ends: dict) -> None:
+        """Raise GraphSchemaError unless every relation is a key of ``ends``,
+        which maps a relation name to its (source type, destination type),
+        and each starts at the type the one before it ends at.  A type is
+        None where no edge tells it, and then matches any."""
         prev_dst = None
         for rname in self.relations:
-            rel = graph.relations.get(rname)
-            if rel is None:
+            if rname not in ends:
                 raise GraphSchemaError(f"metapath uses unknown relation {rname!r}")
-            if prev_dst is not None and rel.src_type is not None and prev_dst != rel.src_type:
+            src_type, dst_type = ends[rname]
+            if prev_dst is not None and src_type is not None and prev_dst != src_type:
                 raise GraphSchemaError(
-                    f"metapath {self.name}: {rname} starts at {rel.src_type}, "
+                    f"metapath {self.name}: {rname} starts at {src_type}, "
                     f"previous relation ends at {prev_dst}"
                 )
-            if rel.dst_type is not None:
-                prev_dst = rel.dst_type
+            if dst_type is not None:
+                prev_dst = dst_type
 
 
 def metapath_feature_dim(graph: HetGraph, metapath: Metapath) -> int:
@@ -319,7 +327,9 @@ def load_dataset(directory) -> DatasetBundle:
                          or an empty third), every src of one node type and
                          every dst of one
     ``labels.tsv``       ``id <TAB> class``; an unlisted node is unlabeled
-    ``metapaths.txt``    a comma-separated list of relation names a line
+    ``metapaths.txt``    a comma-separated list of relation names a line,
+                         each an edge file's, and each starting at the
+                         node type the one before it ends at
     ``splits.tsv``       ``id <TAB> train|val|test``
 
     Lines end in ``\\n``, ``\\r\\n`` or ``\\r``; blank lines are skipped but
@@ -395,11 +405,17 @@ def load_dataset(directory) -> DatasetBundle:
     mp_path = directory / "metapaths.txt"
     if not mp_path.exists():
         raise ParseError(f"{mp_path}: missing file")
+    ends = {name: (rel.src_type, rel.dst_type) for name, rel in relations.items()}
     with open(mp_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                metapaths.append(Metapath(tuple(tok.strip() for tok in line.split(","))))
+                mp = Metapath(tuple(tok.strip() for tok in line.split(",")))
+                try:
+                    mp.check_chain(ends)
+                except GraphSchemaError as exc:
+                    raise ParseError(f"{mp_path}:{lineno}: {exc}") from None
+                metapaths.append(mp)
 
     splits: dict[str, list[int]] = {"train": [], "val": [], "test": []}
     splits_path = directory / "splits.tsv"
@@ -480,11 +496,20 @@ class SyntheticSpec(Schema):
 
     def __post_init__(self):
         super().__post_init__()
+        ends = {}
         for rel in self.relations:
+            if rel.name in ends:
+                raise ConfigError(f"relations: duplicate relation name {rel.name!r}")
+            ends[rel.name] = (rel.src_type, rel.dst_type)
             for t in (rel.src_type, rel.dst_type):
                 if self.node_counts.get(t, 0) <= 0:
                     raise ConfigError(f"relations: relation {rel.name} references "
                                       f"type {t!r} with no nodes")
+        for m in self.metapaths or ():
+            try:
+                Metapath(tuple(m)).check_chain(ends)
+            except GraphSchemaError as exc:
+                raise ConfigError(f"metapaths: {exc}") from None
         # the splits generate_synthetic cuts: each must hold a node
         n = sum(self.node_counts.values())
         n_train, n_val = int(self.train_frac * n), int(self.val_frac * n)

@@ -10,9 +10,10 @@ The three share one skeleton, :class:`_Encoder`: its ``forward`` finds the
 batch's receptive field, applies each layer's dropout and gathers the
 batch's rows, and each encoder adds only its parameters and its layer.
 
-Node-level attention is one kernel, :func:`attend`, with one head merge,
-:func:`merge_heads`: "hat" calls them once per channel and head, "gat" once
-per head over the merged edges.
+Node-level attention is one kernel, :func:`attend`, scored at the fixed
+scale 1/sqrt(hidden), and every head projects to the full hidden width:
+:func:`merge_heads` sums the heads and applies ELU.  "hat" calls them once
+per channel and head, "gat" once per head over the merged edges.
 
 Encoders bind to a participant view at construction and only ever touch
 that view's edges, so stacking layers is exactly multi-hop aggregation over
@@ -25,12 +26,12 @@ edge id of each hop.  A layer builds the feature rows,
 the node and edge features the participant holds, as MAGNN encodes
 metapath instances (Fu et al., 2020).  So set-up keeps no row per instance,
 and the rows a layer reads are the ones a table built up front would give.
-Each fusion of a node row with an edge latent is affine in both, so
-:func:`_fusion` projects the node rows once per node and the edge transform
-and fusion weights once per channel:
-``(h @ A)[src] + rows @ (We @ B) + (be @ B + c)``.  One learned fusion,
-"concat", is enough: any map affine in the node row and the edge latent
-separately is ``[h_src, latent] @ W + b`` for some ``W``.
+HAT fuses each edge's source row with its edge latent one way,
+``[h_src, latent] @ W + b``: any map affine in the node row and the edge
+latent separately has that form for some ``W``.  With ``A`` and ``B`` the
+row blocks of ``W``, :func:`_fusion` projects the node rows once per node
+and the edge transform and fusion weights once per channel:
+``(h @ A)[src] + rows @ (We @ B) + (be @ B + b)``.
 
 What a training tape keeps of a layer's edges is what builds them again.  A
 HAT tape keeps the block's edge ids, not its rows, and builds the rows again
@@ -83,8 +84,6 @@ from .graph import (HetGraph, Metapath, ParticipantView, TargetCsr, metapath_edg
                     metapath_feature_dim)
 from .seeding import stable_rng
 
-FUSIONS = ("concat", "add")
-HEAD_MODES = ("sum", "concat")
 # the most edges an inference range of a layer works on at once
 EDGE_BUDGET = 4096
 
@@ -92,24 +91,19 @@ EDGE_BUDGET = 4096
 @dataclass
 class EncoderConfig:
     """The encoder fields that ``ExperimentConfig.encoder_config`` derives
-    from a checked config; the view itself checks nothing."""
+    from a checked config; the view itself checks nothing.  Every head
+    projects to ``hidden`` columns and the heads are summed, and attention
+    scores are scaled by ``lam``, 1/sqrt(hidden)."""
 
     kind: str                    # a key of ENCODERS
     layers: int                  # hop count K
     hidden: int                  # embedding dim d
     heads: int
-    fusion: str
     dropout: float
-    head_mode: str               # sum heads inside the activation, or concat
-    temperature: float | None    # None -> 1/sqrt(hidden)
 
     @property
     def lam(self) -> float:
-        return self.temperature if self.temperature is not None else 1.0 / math.sqrt(self.hidden)
-
-    @property
-    def head_dim(self) -> int:
-        return self.hidden // self.heads if self.head_mode == "concat" else self.hidden
+        return 1.0 / math.sqrt(self.hidden)
 
 
 def init_param(params: dict, name: str, shape, seed, zeros: bool = False) -> T.Tensor:
@@ -127,30 +121,27 @@ def init_param(params: dict, name: str, shape, seed, zeros: bool = False) -> T.T
     return p
 
 
-def _fusion(tape, h, We, be, fusion, fparams):
+def _fusion(tape, h, We, be, W, b):
     """The message function ``fuse(src, rows)`` of a channel whose layer
     reads the rows ``h``: each edge's source row ``h[src]`` fused with its
     edge latent ``rows() @ We + be``, where ``rows`` builds the edges'
-    feature rows.  Every fusion is affine in both, so it is computed as
+    feature rows, as ``[h_src, latent] @ W + b``.  That is affine in both,
+    so it is computed as
 
-        (h @ A)[src] + rows() @ (We @ B) + (be @ B + c)
+        (h @ A)[src] + rows() @ (We @ B) + (be @ B + b)
 
-    "concat", [h_src, latent] @ W + b, has A and B the row blocks of W and
-    c = b; "add", h_src + latent, has A = B = I and c = 0.  The node part is
-    projected once per node and the weights once per channel, not per edge
-    or per range of edges, and no edge latent or concatenated edge row is
-    built.  The rows are built again in backward for the gradient of
-    We @ B, so the tape keeps none of them.
+    with A and B the row blocks of W.  The node part is projected once per
+    node and the weights once per channel, not per edge or per range of
+    edges, and no edge latent or concatenated edge row is built.  The rows
+    are built again in backward for the gradient of We @ B, so the tape
+    keeps none of them.
     """
-    if fusion == "add":
-        node, edge_w, bias = h, We, be
-    else:
-        d = h.shape[1]
-        A = T.gather_rows(tape, fparams["W"], np.arange(d))
-        B = T.gather_rows(tape, fparams["W"], np.arange(d, 2 * d))
-        node = T.matmul(tape, h, A)
-        edge_w = T.matmul(tape, We, B)
-        bias = T.add(tape, T.matmul(tape, be, B), fparams["b"])
+    d = h.shape[1]
+    A = T.gather_rows(tape, W, np.arange(d))
+    B = T.gather_rows(tape, W, np.arange(d, 2 * d))
+    node = T.matmul(tape, h, A)
+    edge_w = T.matmul(tape, We, B)
+    bias = T.add(tape, T.matmul(tape, be, B), b)
 
     def fuse(src, rows):
         return T.add(tape, T.gather_rows(tape, node, src),
@@ -234,18 +225,15 @@ def _attention_layer(tape, edge_seg, targets, config: EncoderConfig, heads):
             alpha, out = attend(tape, keys, anchor, values, inputs, seg, t1 - t0, config.lam)
             alphas[m].append((alpha, ids))
             head_outs.append(out)
-        rows.append(merge_heads(tape, head_outs, config.head_mode))
+        rows.append(merge_heads(tape, head_outs))
     return _stacked(tape, rows), [tuple(map(np.concatenate, zip(*a))) for a in alphas]
 
 
-def merge_heads(tape, head_outs, head_mode: str):
-    """Per-head outputs summed (``"sum"``) or concatenated, then ELU."""
-    if head_mode == "concat":
-        agg = T.concat_cols(tape, head_outs)
-    else:
-        agg = head_outs[0]
-        for other in head_outs[1:]:
-            agg = T.add(tape, agg, other)
+def merge_heads(tape, head_outs):
+    """The per-head outputs summed, then ELU."""
+    agg = head_outs[0]
+    for other in head_outs[1:]:
+        agg = T.add(tape, agg, other)
     return T.elu(tape, agg)
 
 
@@ -263,7 +251,7 @@ def path_attention(tape, channel_embeddings, q, Wp, bp):
     for z in channel_embeddings:
         t = T.tanh(tape, T.linear(tape, z, Wp, bp))
         scores.append(T.mean_all(tape, T.matmul(tape, t, q)))
-    beta = T.softmax(tape, T.stack_scalars(tape, scores), temperature=1.0)
+    beta = T.softmax(tape, T.stack_scalars(tape, scores))
     out = None
     for k, z in enumerate(channel_embeddings):
         term = T.mul(tape, T.take(tape, beta, k), z)
@@ -395,20 +383,13 @@ class HatEncoder(_Encoder):
                 base = f"rel:{ch.name}"
                 self._new_param(l, f"{base}/We", (ch.edge_dim, d))
                 self._new_param(l, f"{base}/be", (d,), zeros=True)
-                if config.fusion == "concat":
-                    self._new_param(l, f"{base}/fuse/W", (2 * d, d))
-                    self._new_param(l, f"{base}/fuse/b", (d,), zeros=True)
+                self._new_param(l, f"{base}/fuse/W", (2 * d, d))
+                self._new_param(l, f"{base}/fuse/b", (d,), zeros=True)
                 for m in range(config.heads):
-                    self._new_param(l, f"{base}/head{m}", (d, config.head_dim))
+                    self._new_param(l, f"{base}/head{m}", (d, d))
             self._new_param(l, "path/q", (d,))
             self._new_param(l, "path/W", (d, d))
             self._new_param(l, "path/b", (d,), zeros=True)
-
-    def _fusion_params(self, layer: int, channel: _Channel) -> dict:
-        if self.config.fusion == "add":
-            return {}
-        base = f"rel:{channel.name}/fuse"
-        return {"W": self._param(layer, f"{base}/W"), "b": self._param(layer, f"{base}/b")}
 
     def _type_transform(self, tape, x, rows: np.ndarray, layer: int):
         """Each row of ``x``, the node ``rows[i]``, through its type's map:
@@ -430,9 +411,8 @@ class HatEncoder(_Encoder):
         cfg = self.config
         edge_seg, src, eid = edges
         base = f"rel:{ch.name}"
-        fuse = _fusion(tape, h, self._param(layer, f"{base}/We"),
-                       self._param(layer, f"{base}/be"), cfg.fusion,
-                       self._fusion_params(layer, ch))
+        fuse = _fusion(tape, h, *(self._param(layer, f"{base}/{name}")
+                                  for name in ("We", "be", "fuse/W", "fuse/b")))
         projs = [self._param(layer, f"{base}/head{m}") for m in range(cfg.heads)]
         hps = [T.matmul(tape, h_own, proj) for proj in projs]
 
@@ -551,7 +531,7 @@ class GatEncoder(_Encoder):
             self._new_param(l, "W", (g.feature_dim if l == 0 else d, d))
             self._new_param(l, "b", (d,), zeros=True)
             for m in range(config.heads):
-                self._new_param(l, f"head{m}", (d, config.head_dim))
+                self._new_param(l, f"head{m}", (d, d))
 
     def _layer(self, tape, x, l: int, blk: _Block):
         h = T.linear(tape, x, self._param(l, "W"), self._param(l, "b"))

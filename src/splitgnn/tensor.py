@@ -13,8 +13,8 @@ It holds no op's output, and no input other than a leaf that gets a
 gradient, so an intermediate tensor lives only as long as its caller holds
 it.  What each op keeps:
 
-- ``add``, ``concat_cols``, ``concat_rows``, ``stack_scalars``, ``take``
-  and ``mean_all``: shapes, offsets and flags;
+- ``add``, ``concat_rows``, ``stack_scalars``, ``take`` and ``mean_all``:
+  shapes, offsets and flags;
 - ``mul``, ``matmul`` and ``rowwise_dot``: an operand's values only when
   the other operand needs a gradient; an indexed ``rowwise_dot`` keeps its
   table and index, not the rows it gathers from the table;
@@ -259,22 +259,6 @@ def linear(tape, x, w, b) -> Tensor:
 # shape manipulation
 
 
-def concat_cols(tape, parts) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    rows = {p.shape[0] for p in parts}
-    if len(rows) != 1:
-        raise ShapeError(f"concat row counts differ: {[p.shape for p in parts]}")
-    out = Tensor(np.concatenate([p.values for p in parts], axis=1))
-    offsets = np.cumsum([p.shape[1] for p in parts])[:-1]
-    needs = [p.requires_grad for p in parts]
-
-    def backfn(g):
-        return tuple(np.ascontiguousarray(piece) if need else None
-                     for need, piece in zip(needs, np.split(g, offsets, axis=1)))
-
-    return _emit(tape, out, tuple(parts), backfn)
-
-
 def concat_rows(tape, parts) -> Tensor:
     parts = [_as_tensor(p) for p in parts]
     out = Tensor(np.concatenate([p.values for p in parts], axis=0))
@@ -475,7 +459,9 @@ def segment_attention(tape, keys, anchor, values, rebuild, seg, n_segments: int,
 
 def elu(tape, x) -> Tensor:
     x = _as_tensor(x)
-    vals = np.where(x.values > 0, x.values, np.expm1(x.values))
+    pos = x.values > 0
+    # expm1 of the non-positive inputs only, so a large input cannot overflow
+    vals = np.where(pos, x.values, np.expm1(np.where(pos, 0.0, x.values)))
     out = Tensor(vals)
     return _emit(tape, out, (x,), lambda g: (g * np.where(vals > 0, 1.0, vals + 1.0),))
 
@@ -487,20 +473,18 @@ def tanh(tape, x) -> Tensor:
     return _emit(tape, out, (x,), lambda g: (g * (1.0 - vals * vals),))
 
 
-def softmax(tape, logits, temperature: float = 1.0) -> Tensor:
-    """Stable softmax of a 1-D logit vector at the given temperature."""
+def softmax(tape, logits) -> Tensor:
+    """Stable softmax of a 1-D logit vector."""
     logits = _as_tensor(logits)
     if logits.ndim != 1 or logits.values.size == 0:
         raise DomainError(f"softmax expects a non-empty 1-D input, got shape {logits.shape}")
-    if temperature <= 0:
-        raise DomainError(f"temperature must be positive, got {temperature}")
-    s = logits.values * temperature
+    s = logits.values
     z = np.exp(s - s.max())
     p = z / z.sum()
     out = Tensor(p)
 
     def backfn(g):
-        return (temperature * p * (g - np.dot(g, p)),)
+        return (p * (g - np.dot(g, p)),)
 
     return _emit(tape, out, (logits,), backfn)
 

@@ -1,9 +1,11 @@
 """Shared fixtures and oracles: small deterministic synthetic graphs and
-partitions, every field of the derived encoder and session configs, a
+partitions, every field of the derived encoder and session configs (HAT
+has one fusion and sums its heads, so an encoder config names neither), a
 small-modulus Paillier key, the metapath instance oracle, the column
-reshape of the attention oracles, the row scatter of the whole-graph HAT
-oracle, a finite-difference gradient check, a
-metrics.csv reader and an in-process import of ``perfbench/run.py``."""
+reshape of the attention oracles, the column concatenation of the per-edge
+fusion oracle, the row scatter of the whole-graph HAT oracle, a
+finite-difference gradient check, a metrics.csv reader and an in-process
+import of ``perfbench/run.py``."""
 
 import importlib.util
 import os
@@ -54,8 +56,7 @@ def single_view(bundle, seed=0):
 def encoder_config(**overrides):
     """Every field of an EncoderConfig, which has no defaults: a two-layer,
     two-head HAT of width 4 unless overridden."""
-    kwargs = dict(kind="hat", layers=2, hidden=4, heads=2, fusion="concat",
-                  dropout=0.0, head_mode="sum", temperature=None)
+    kwargs = dict(kind="hat", layers=2, hidden=4, heads=2, dropout=0.0)
     kwargs.update(overrides)
     return EncoderConfig(**kwargs)
 
@@ -93,6 +94,23 @@ def reshape_col(tape, v):
     encoders did before ``T.segment_attention``."""
     v = T._as_tensor(v)
     return T._emit(tape, T.Tensor(v.values[:, None]), (v,), lambda g: (g[:, 0],))
+
+
+def concat_cols(tape, parts):
+    """The columns of ``parts`` side by side, recorded on the tape: the op
+    the per-edge fusion oracle builds each edge's ``[h_src, latent]`` row
+    with, as HAT did before it projected node rows per node.  A part that
+    needs no gradient gets none."""
+    parts = [T._as_tensor(p) for p in parts]
+    out = T.Tensor(np.concatenate([p.values for p in parts], axis=1))
+    offsets = np.cumsum([p.shape[1] for p in parts])[:-1]
+    needs = [p.requires_grad for p in parts]
+
+    def backfn(g):
+        return tuple(np.ascontiguousarray(piece) if need else None
+                     for need, piece in zip(needs, np.split(g, offsets, axis=1)))
+
+    return T._emit(tape, out, tuple(parts), backfn)
 
 
 def scatter_rows(tape, piece, idx, n_rows):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from splitgnn.errors import ParseError
+from splitgnn.errors import GraphSchemaError, ParseError
 from splitgnn.graph import DatasetBundle, HetGraph, Metapath, Relation
 
 
@@ -115,11 +115,17 @@ def load_dataset_by_rows(directory) -> DatasetBundle:
     mp_path = directory / "metapaths.txt"
     if not mp_path.exists():
         raise ParseError(f"{mp_path}: missing file")
+    ends = {name: (rel.src_type, rel.dst_type) for name, rel in relations.items()}
     with open(mp_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                metapaths.append(Metapath(tuple(tok.strip() for tok in line.split(","))))
+                mp = Metapath(tuple(tok.strip() for tok in line.split(",")))
+                try:
+                    mp.check_chain(ends)
+                except GraphSchemaError as exc:
+                    raise ParseError(f"{mp_path}:{lineno}: {exc}") from None
+                metapaths.append(mp)
 
     splits: dict[str, list[int]] = {"train": [], "val": [], "test": []}
     splits_path = directory / "splits.tsv"

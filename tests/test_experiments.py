@@ -71,6 +71,9 @@ def _spec_case(**overrides):
     return {"synthetic": small_synthetic_payload(**overrides)}
 
 
+# the relations of small_synthetic_payload with "ba" renamed to "ab"
+DUPLICATE_RELATIONS = [*small_synthetic_payload()["relations"][:2],
+                       {**small_synthetic_payload()["relations"][2], "name": "ab"}]
 STRATEGY_NAMES = ("entire", "standalone_<i>", "split_m", "split_c", "split_w")
 # (test id, config overrides, extra CLI arguments, stderr after "config error: "):
 # a wrong type and, where a field has one, an out-of-range value for every
@@ -88,6 +91,12 @@ CONFIG_MISTAKES = [
      "synthetic: colour: no such field"),
     ("synthetic-empty-test-split", _spec_case(train_frac=0.9, val_frac=0.2), [],
      "synthetic: train_frac, val_frac: 0.9 and 0.2 of 100 nodes leave the test split empty"),
+    ("synthetic-duplicate-relation", _spec_case(relations=DUPLICATE_RELATIONS), [],
+     "synthetic: relations: duplicate relation name 'ab'"),
+    ("synthetic-metapath-unknown-relation", _spec_case(metapaths=[["ab", "zz"]]), [],
+     "synthetic: metapaths: metapath uses unknown relation 'zz'"),
+    ("synthetic-metapath-types-do-not-meet", _spec_case(metapaths=[["ab", "ab"]]), [],
+     "synthetic: metapaths: metapath ab+ab: ab starts at a, previous relation ends at b"),
     ("data-seed-not-int", {"data_seed": 1.5}, [], "data_seed: must be an integer, got 1.5"),
     ("participants-not-int", {"participants": "2"}, [],
      "participants: must be an integer >= 1, got '2'"),
@@ -142,22 +151,15 @@ CONFIG_MISTAKES = [
     ("hidden-not-int", {"hidden": 8.0}, [], "hidden: must be an integer >= 1, got 8.0"),
     ("hidden-zero", {"hidden": 0}, [], "hidden: must be an integer >= 1, got 0"),
     ("hidden-negative", {"hidden": -4}, [], "hidden: must be an integer >= 1, got -4"),
-    ("hidden-not-divisible-by-heads", {"head_mode": "concat", "hidden": 5, "heads": 2}, [],
-     "hidden: head_mode concat needs hidden divisible by heads (2), got 5"),
     ("layers-not-int", {"layers": 1.5}, [], "layers: must be an integer >= 1, got 1.5"),
     ("layers-zero", {"layers": 0}, [], "layers: must be an integer >= 1, got 0"),
     ("heads-not-int", {"heads": "2"}, [], "heads: must be an integer >= 1, got '2'"),
     ("heads-zero", {"heads": 0}, [], "heads: must be an integer >= 1, got 0"),
-    ("fusion-not-text", {"fusion": None}, [],
-     "fusion: must be one of ('concat', 'add'), got None"),
-    ("fusion-unknown", {"fusion": "mean"}, [],
-     "fusion: must be one of ('concat', 'add'), got 'mean'"),
-    ("fusion-linear", {"fusion": "linear"}, [],
-     "fusion: must be one of ('concat', 'add'), got 'linear'"),
-    ("head-mode-not-text", {"head_mode": 0}, [],
-     "head_mode: must be one of ('sum', 'concat'), got 0"),
-    ("head-mode-unknown", {"head_mode": "max"}, [],
-     "head_mode: must be one of ('sum', 'concat'), got 'max'"),
+    # HAT has one fusion, sums its heads and scales scores by 1/sqrt(hidden):
+    # a saved config that names a removed field is refused, whatever its value
+    ("fusion-removed", {"fusion": "concat"}, [], "fusion: no such field"),
+    ("head-mode-removed", {"head_mode": "sum"}, [], "head_mode: no such field"),
+    ("temperature-removed", {"temperature": None}, [], "temperature: no such field"),
     ("dropout-not-number", {"dropout": "0.1"}, [],
      "dropout: must be a finite number >= 0 and < 1, got '0.1'"),
     ("dropout-above-1", {"dropout": 1.5}, [],
@@ -166,10 +168,6 @@ CONFIG_MISTAKES = [
      "server_dropout: must be a finite number >= 0 and < 1, got False"),
     ("server-dropout-1", {"server_dropout": 1.0}, [],
      "server_dropout: must be a finite number >= 0 and < 1, got 1.0"),
-    ("temperature-not-number", {"temperature": "1"}, [],
-     "temperature: must be null or a finite number > 0, got '1'"),
-    ("temperature-zero", {"temperature": 0.0}, [],
-     "temperature: must be null or a finite number > 0, got 0.0"),
     ("secure-string", {"secure": "false"}, [], "secure: must be true or false, got 'false'"),
     ("secure-int", {"secure": 1}, [], "secure: must be true or false, got 1"),
     ("key-bits-not-int", {"key_bits": "512"}, [],
@@ -201,7 +199,7 @@ class TestConfig:
     def test_schema_covers_every_field_once(self):
         fields = dataclasses.fields(E.ExperimentConfig)
         names = [f.name for f in fields]
-        assert len(set(names)) == len(names) == 24
+        assert len(set(names)) == len(names) == 21
         assert [f.name for f in fields if "rule" in f.metadata] == names
         # CONFIG_MISTAKES gives every field at least one bad value
         assert set(names) <= {message.split(":")[0] for *_, message in CONFIG_MISTAKES}
@@ -567,10 +565,17 @@ class TestCli:
         (small_synthetic_payload(train_frac=0.5, val_frac=0.5),
          "train_frac, val_frac: 0.5 and 0.5 of 100 nodes leave the test split empty"),
         ("abc", "must be a JSON object, got 'abc'"),
+        (small_synthetic_payload(relations=DUPLICATE_RELATIONS),
+         "relations: duplicate relation name 'ab'"),
+        (small_synthetic_payload(metapaths=[["ab", "zz"]]),
+         "metapaths: metapath uses unknown relation 'zz'"),
+        (small_synthetic_payload(metapaths=[["aa"], ["ab", "ab"]]),
+         "metapaths: metapath ab+ab: ab starts at a, previous relation ends at b"),
     ], ids=["homophily-not-number", "homophily-above-1", "no-classes",
             "negative-feature-dim", "negative-edge-dim", "no-relations",
             "type-without-nodes", "empty-train-split", "empty-val-split",
-            "empty-test-split", "spec-not-object"])
+            "empty-test-split", "spec-not-object", "duplicate-relation",
+            "metapath-unknown-relation", "metapath-types-do-not-meet"])
     def test_gen_synthetic_spec_mistake_is_exit_1(self, tmp_path, capsys, monkeypatch,
                                                   payload, message):
         monkeypatch.setattr(cli, "generate_synthetic", _not_called("generate_synthetic"))

@@ -116,6 +116,18 @@ LOADER_ERRORS = {
         {"labels.tsv": "a\t0\nb\tone\n"}, "{d}/labels.tsv:2: bad class index 'one'"),
     "unknown-split": (
         {"splits.tsv": "a\ttrain\nb\tdev\n"}, "{d}/splits.tsv:2: unknown split 'dev'"),
+    "metapath-unknown-relation": (
+        {"metapaths.txt": "cites,cites\n\ncites,zz\n"},
+        "{d}/metapaths.txt:3: metapath uses unknown relation 'zz'"),
+    "metapath-empty-relation": (
+        {"metapaths.txt": "cites,,cites\n"},
+        "{d}/metapaths.txt:1: metapath uses unknown relation ''"),
+    "metapath-types-do-not-meet": (
+        {"nodes.tsv": "a\tdoc\nb\tdoc\nc\tdoc\nd\tauthor\n",
+         "features.tsv": "a\t1.0,0.5\nb\t-0.25,2.0\nc\t0.0,1.5\nd\t1.0,1.0\n",
+         "edges_writes.tsv": "d\ta\t0.5\n", "metapaths.txt": "writes,cites\ncites,writes\n"},
+        "{d}/metapaths.txt:2: metapath cites+writes: writes starts at author, "
+        "previous relation ends at doc"),
     # the first bad row wins, counted in lines of the file as written
     "first-error-wins": (
         {"features.tsv": "a\t1.0,0.5\nb\t1.0,y\nzz\t1.0,2.0\n"},

@@ -610,7 +610,7 @@ class TestSplitCentralizedEquivalence:
         # every parameter as it was) against finite differences of the same
         # math on one tape: encoders, ω, server, head
         bundle = make_bundle(seed=8, n_u=10, n_v=6, feature_dim=3)
-        enc = encoder_config(layers=1, hidden=3, heads=1, fusion="add")
+        enc = encoder_config(layers=1, hidden=3, heads=1)
         cfg = session_config(encoder=enc, strategy="weighted", batch_size=4,
                              optimizer="sgd", learning_rate=0.0)
         session = P.SplitSession(make_views(bundle, [5, 5]), cfg)
