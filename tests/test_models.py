@@ -431,8 +431,15 @@ def _single_view(bundle):
     return G.vertical_partition(bundle, spec, seed=0)[0]
 
 
+def layout_ids(*layout):
+    """Case ids naming an encoder kind with its layout: ``layout_ids("concat",
+    "sum")`` gives "hat-concat-sum", the concatenation HAT fuses an edge's
+    source row and latent with and the sum its heads merge by."""
+    return lambda kind: "-".join([kind, *layout])
+
+
 class TestEncoderGradients:
-    @pytest.mark.parametrize("kind", ["hat", "gcn", "gat"])
+    @pytest.mark.parametrize("kind", ["hat", "gcn", "gat"], ids=layout_ids("concat"))
     def test_finite_differences(self, kind):
         bundle = fixture_bundle(seed=8, n_u=8, n_v=5, feature_dim=3)
         cfg = encoder_config(kind=kind, hidden=3, heads=2, layers=2)
@@ -886,7 +893,7 @@ def keep_rebuildable_arrays(monkeypatch):
     monkeypatch.setattr(T, "rebuilt_matmul", kept_matmul)
 
 
-@pytest.mark.parametrize("kind", ["hat", "gat"])
+@pytest.mark.parametrize("kind", ["hat", "gat"], ids=layout_ids("concat", "sum"))
 def test_rebuilt_in_backward_is_bit_identical(kind, monkeypatch):
     """Reading anchors by index and building edge rows again in backward
     change what the tape keeps, not a bit of the forward, α or any gradient."""
@@ -997,7 +1004,7 @@ def rebuildable_arrays(enc, batch, tape, value_rows):
     return found
 
 
-@pytest.mark.parametrize("kind", ["hat", "gat"])
+@pytest.mark.parametrize("kind", ["hat", "gat"], ids=layout_ids("concat"))
 def test_tape_keeps_no_rebuildable_edge_array(kind, monkeypatch):
     view = hat_view()
     cfg = encoder_config(kind=kind, hidden=4, heads=2, dropout=0.3)
@@ -1024,7 +1031,7 @@ def test_tape_keeps_no_rebuildable_edge_array(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("budget", [2, 3, 4, 7])
-@pytest.mark.parametrize("kind", ["hat", "gat", "gcn"])
+@pytest.mark.parametrize("kind", ["hat", "gat", "gcn"], ids=layout_ids("concat", "sum"))
 def test_chunked_inference_equals_one_range(kind, budget, monkeypatch):
     """Inference in many small target ranges gives the logits, α and β of
     one range over the whole layer, bit for bit.  A range of one edge would

@@ -266,6 +266,7 @@ RETENTION_CASES = {
     "matvec": (T.matmul, [(3, 4), (4,)]),
     "vecmat": (T.matmul, [(3,), (3, 4)]),
     "linear": (T.linear, [(3, 4), (4, 2), (2,)]),
+    "concat_cols": (lambda tape, a, b: concat_cols(tape, [a, b]), [(3, 2), (3, 3)]),
     "concat_rows": (lambda tape, a, b: T.concat_rows(tape, [a, b]), [(2, 3), (1, 3)]),
     "stack_scalars": (lambda tape, a, b: T.stack_scalars(tape, [a, b]), [(), ()]),
     "take": (lambda tape, v: T.take(tape, v, 1), [(3,)]),
@@ -306,7 +307,9 @@ def test_retention_cases_cover_every_op():
            if inspect.isfunction(fn) and fn.__module__ == T.__name__
            and not name.startswith("_")
            and list(inspect.signature(fn).parameters)[:1] == ["tape"]}
-    assert set(RETENTION_CASES) - {"matvec", "vecmat", "rowwise_dot_index"} == ops
+    # concat_cols is the tests' own op, the per-edge fusion oracle's
+    assert set(RETENTION_CASES) - {"matvec", "vecmat", "rowwise_dot_index",
+                                   "concat_cols"} == ops
 
 
 @pytest.mark.parametrize("op", sorted(RETENTION_CASES))
