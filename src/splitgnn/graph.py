@@ -326,7 +326,8 @@ def load_dataset(directory) -> DatasetBundle:
                          edge features all of one length (none: two fields
                          or an empty third), every src of one node type and
                          every dst of one
-    ``labels.tsv``       ``id <TAB> class``; an unlisted node is unlabeled
+    ``labels.tsv``       ``id <TAB> class``, a class index >= 0; an unlisted
+                         node is unlabeled
     ``metapaths.txt``    a comma-separated list of relation names a line,
                          each an edge file's, and each starting at the
                          node type the one before it ends at
@@ -396,9 +397,12 @@ def load_dataset(directory) -> DatasetBundle:
     labels_path = directory / "labels.tsv"
     for lineno, (ext, lab) in _read_rows(labels_path, 2):
         try:
-            labels[resolve(ext, labels_path, lineno)] = int(lab)
+            label = int(lab)
         except ValueError:
-            raise ParseError(f"{labels_path}:{lineno}: bad class index {lab!r}") from None
+            label = -1
+        if label < 0:
+            raise ParseError(f"{labels_path}:{lineno}: bad class index {lab!r}")
+        labels[resolve(ext, labels_path, lineno)] = label
     num_classes = int(labels.max()) + 1 if np.any(labels >= 0) else 0
 
     metapaths = []
@@ -462,9 +466,15 @@ def save_dataset(bundle: DatasetBundle, directory) -> None:
 # synthetic generation
 
 
+# a relation's name is part of its edge file's name and an entry of a
+# metapaths.txt line, which is split on commas and stripped
+RELATION_NAME = Rule("a non-empty string without ',', '/', NUL or whitespace",
+                     lambda x: TEXT.ok(x) and not any(c in ",/\0" or c.isspace() for c in x))
+
+
 @dataclass
 class RelationSpec(Schema):
-    name: str = checked(TEXT)
+    name: str = checked(RELATION_NAME)
     src_type: str = checked(TEXT)
     dst_type: str = checked(TEXT)
     edge_dim: int = checked(integer(">= 0"), 0)

@@ -13,7 +13,9 @@ batch's rows, and each encoder adds only its parameters and its layer.
 Node-level attention is one kernel, :func:`attend`, scored at the fixed
 scale 1/sqrt(hidden), and every head projects to the full hidden width:
 :func:`merge_heads` sums the heads and applies ELU.  "hat" calls them once
-per channel and head, "gat" once per head over the merged edges.
+per channel and head, "gat" once per head over the merged edges.  Attention
+returns its output only and no encoder keeps α or β, so an evaluation holds
+no per-edge coefficients.
 
 Encoders bind to a participant view at construction and only ever touch
 that view's edges, so stacking layers is exactly multi-hop aggregation over
@@ -162,11 +164,10 @@ def attend(tape, keys, anchor, values, inputs, seg, n: int, lam: float):
     ``values(tape, *inputs)`` builds the value rows.  Row i of them is
     scored by its dot product with row ``anchor[i]`` of ``keys``, scaled by
     ``lam`` and softmaxed among the rows of its segment ``seg[i]``.  Returns
-    the coefficients α and, per segment of ``n``, the α-weighted sum of its
-    value rows.  The tape keeps the arrays of ``inputs``, not the value
-    rows, and ``values`` builds the rows from them again in backward; the
-    anchors are read from ``keys`` by index, so no gathered copy of them is
-    kept either.
+    only, per segment of ``n``, the α-weighted sum of its value rows.  The
+    tape keeps the arrays of ``inputs``, not the value rows, and ``values``
+    builds the rows from them again in backward; the anchors are read from
+    ``keys`` by index, so no gathered copy of them is kept either.
     """
     arrays = [x.values if isinstance(x, T.Tensor) else x for x in inputs]
     return T.segment_attention(tape, keys, anchor, values(tape, *inputs),
@@ -208,25 +209,19 @@ def _stacked(tape, parts):
     return parts[0] if len(parts) == 1 else T.concat_rows(tape, parts)
 
 
-def _attention_layer(tape, edge_seg, targets, config: EncoderConfig, heads):
-    """Multi-head attention of ``targets`` over their edges, whose targets
+def _attention_layer(tape, edge_seg, k: int, lam: float, heads):
+    """Multi-head attention of ``k`` targets over their edges, whose targets
     are ``edge_seg``, range by range (:func:`_target_ranges`).  In a range,
     each target attends over its edges, in edge order, then its self entry;
     ``heads(t0, t1, e0, e1, seg)`` gives each head's ``(keys, anchor,
     values, inputs)`` for :func:`attend`, with ``seg`` the range's segment
-    ids.  Returns the targets' merged rows and, per head, α and the node id
-    of each α's segment."""
-    rows, alphas = [], [[] for _ in range(config.heads)]
-    for t0, t1, e0, e1 in _target_ranges(edge_seg, len(targets), tape):
+    ids, and ``lam`` scales the scores.  Returns the targets' merged rows."""
+    rows = []
+    for t0, t1, e0, e1 in _target_ranges(edge_seg, k, tape):
         seg = np.concatenate([edge_seg[e0:e1] - t0, np.arange(t1 - t0)])
-        ids = targets[t0 + seg]
-        head_outs = []
-        for m, (keys, anchor, values, inputs) in enumerate(heads(t0, t1, e0, e1, seg)):
-            alpha, out = attend(tape, keys, anchor, values, inputs, seg, t1 - t0, config.lam)
-            alphas[m].append((alpha, ids))
-            head_outs.append(out)
-        rows.append(merge_heads(tape, head_outs))
-    return _stacked(tape, rows), [tuple(map(np.concatenate, zip(*a))) for a in alphas]
+        rows.append(merge_heads(tape, [attend(tape, *head, seg, t1 - t0, lam)
+                                       for head in heads(t0, t1, e0, e1, seg)]))
+    return _stacked(tape, rows)
 
 
 def merge_heads(tape, head_outs):
@@ -244,6 +239,7 @@ def path_attention(tape, channel_embeddings, q, Wp, bp):
     <q, tanh(Wp z + bp)>; the resulting weights sum to one and are shared by
     every row.  ``HatEncoder`` passes a layer's target frontier, so β is a
     mean over the nodes that layer computes, not over the whole graph.
+    Returns the mixed rows only.
     """
     if not channel_embeddings:
         raise ContractError("path attention needs at least one channel")
@@ -256,7 +252,7 @@ def path_attention(tape, channel_embeddings, q, Wp, bp):
     for k, z in enumerate(channel_embeddings):
         term = T.mul(tape, T.take(tape, beta, k), z)
         out = term if out is None else T.add(tape, out, term)
-    return out, beta.values.copy()
+    return out
 
 
 @dataclass
@@ -321,8 +317,8 @@ class _Encoder:
     input rows and runs the encoder's ``_layer(tape, x, l, blk)``, which
     maps them to the block's target rows.  It returns the batch's rows in
     batch order.  With ``self_entry`` a layer's inputs include its targets,
-    as an attention layer's self entry reads them.  ``diagnostics`` holds
-    what the last forward recorded, with α's segments in node ids.
+    as an attention layer's self entry reads them.  An encoder keeps
+    nothing of a forward, so no α or β outlives the ops that use them.
     """
 
     self_entry = True
@@ -334,7 +330,6 @@ class _Encoder:
         self.seed = seed
         self.scope = scope
         self.params: dict[str, T.Tensor] = {}
-        self.diagnostics: dict = {}
 
     def _new_param(self, layer: int, name: str, shape, zeros: bool = False) -> None:
         init_param(self.params, f"{self.scope}/l{layer}/{name}", shape, self.seed, zeros)
@@ -348,7 +343,6 @@ class _Encoder:
         batch = np.asarray(batch_ids, dtype=np.int64)
         blocks = _receptive_blocks(self.csrs, batch, cfg.layers, n, self.self_entry)
         x = T.Tensor(self.graph.features[blocks[0].inputs])
-        self.diagnostics = {}
         for l, blk in enumerate(blocks):
             x = T.dropout(tape, x, cfg.dropout,
                           seed=(self.seed, "dropout", self.scope, l, step), training=training,
@@ -422,20 +416,15 @@ class HatEncoder(_Encoder):
                 hp = _row_range(tape, hp, t0, t1)
                 yield hp, seg, _head_values, (fused, proj, hp)
 
-        z, alphas = _attention_layer(tape, edge_seg, blk.targets, cfg, heads)
-        for m, alpha in enumerate(alphas):
-            self.diagnostics.setdefault("alpha", {})[(layer, ch.name, m)] = alpha
-        return z
+        return _attention_layer(tape, edge_seg, len(blk.targets), cfg.lam, heads)
 
     def _layer(self, tape, x, l: int, blk: _Block):
         h = self._type_transform(tape, x, blk.inputs, l)
         h_own = T.gather_rows(tape, h, np.searchsorted(blk.inputs, blk.targets))
         zs = [self._channel_attention(tape, h, h_own, l, ch, blk, edges)
               for ch, edges in zip(self.channels, blk.edges)]
-        x, beta = path_attention(tape, zs, self._param(l, "path/q"), self._param(l, "path/W"),
-                                 self._param(l, "path/b"))
-        self.diagnostics.setdefault("beta", {})[l] = beta
-        return x
+        return path_attention(tape, zs, self._param(l, "path/q"), self._param(l, "path/W"),
+                              self._param(l, "path/b"))
 
 
 def _merged_edges(g: HetGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -543,10 +532,7 @@ class GatEncoder(_Encoder):
             src = np.concatenate([edge_src[e0:e1], own[t0:t1]])
             return [(hp, own[t0 + seg], T.gather_rows, (hp, src)) for hp in hps]
 
-        x, alphas = _attention_layer(tape, edge_seg, blk.targets, self.config, heads)
-        for m, alpha in enumerate(alphas):
-            self.diagnostics.setdefault("alpha", {})[(l, m)] = alpha
-        return x
+        return _attention_layer(tape, edge_seg, len(blk.targets), self.config.lam, heads)
 
 
 ENCODERS = {"hat": HatEncoder, "gcn": GcnEncoder, "gat": GatEncoder}

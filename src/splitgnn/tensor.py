@@ -15,9 +15,8 @@ it.  What each op keeps:
 
 - ``add``, ``concat_rows``, ``stack_scalars``, ``take`` and ``mean_all``:
   shapes, offsets and flags;
-- ``mul``, ``matmul`` and ``rowwise_dot``: an operand's values only when
-  the other operand needs a gradient; an indexed ``rowwise_dot`` keeps its
-  table and index, not the rows it gathers from the table;
+- ``mul`` and ``matmul``: an operand's values only when the other operand
+  needs a gradient;
 - ``rebuilt_matmul``: the callable that builds its constant left operand,
   not the operand, which backward builds again;
 - ``segment_attention``: α, its anchor and segment indexes, the keys table
@@ -331,32 +330,6 @@ def mean_all(tape, x) -> Tensor:
     return _emit(tape, out, (x,), lambda g: (np.full(shape, float(g) / n),))
 
 
-def rowwise_dot(tape, a, b, index=None) -> Tensor:
-    """Row i of the output is row i of ``a`` dotted with row i of ``b``; with
-    ``index``, row ``index[i]`` of ``a`` is used, so ``a`` is a table that the
-    op reads by index, and the tape keeps the table, not a gathered copy.  The
-    gathered rows are built again in backward, and ``a``'s gradient is summed
-    over ``index`` as :func:`gather_rows` sums it."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if index is not None:
-        index = np.asarray(index, dtype=np.int64)
-    rows = a.values if index is None else a.values[index]
-    if rows.shape != b.shape or a.ndim != 2:
-        raise ShapeError(f"rowwise_dot expects equal 2-D shapes, got {rows.shape}, {b.shape}")
-    out = Tensor(np.einsum("ij,ij->i", rows, b.values))
-    av, bv = _kept_operands(a, b)
-    if index is None:
-        return _emit(tape, out, (a, b), lambda g: (
-            None if bv is None else g[:, None] * bv,
-            None if av is None else g[:, None] * av,
-        ))
-    n = a.shape[0]
-    return _emit(tape, out, (a, b), lambda g: (
-        None if bv is None else _segment_add(g[:, None] * bv, index, n),
-        None if av is None else g[:, None] * av[index],
-    ))
-
-
 def rebuilt_matmul(tape, build, w) -> Tensor:
     """``build() @ w`` for a constant left operand that the zero-argument
     callable ``build`` makes.  The tape keeps ``build``, not its matrix, and
@@ -412,18 +385,18 @@ def segment_attention(tape, keys, anchor, values, rebuild, seg, n_segments: int,
     Row i of ``values`` is scored by its dot product with row ``anchor[i]``
     of ``keys``, softmaxed at ``temperature`` among the rows of its segment
     ``seg[i]``, and summed, α-weighted, into its segment's row of the
-    output.  Returns α as an array and the ``(n_segments, width)`` output.
-    The forward runs through :func:`rowwise_dot`, :func:`segment_softmax`
-    and :func:`segment_sum`, and the backward is theirs, term by term, so
-    values and gradients are bit-identical to that composition.  The tape
-    keeps α, the indexes and the keys table, not the value rows: the
-    zero-argument callable ``rebuild`` builds them again in backward, as
-    :func:`rebuilt_matmul` builds its operand.
+    output.  Returns that ``(n_segments, width)`` output only.  The forward
+    scores the rows with one indexed row-wise dot product and runs through
+    :func:`segment_softmax` and :func:`segment_sum`, and the backward is
+    that composition's, term by term, so values and gradients are
+    bit-identical to it.  The tape keeps α, the indexes and the keys table,
+    not the value rows: the zero-argument callable ``rebuild`` builds them
+    again in backward, as :func:`rebuilt_matmul` builds its operand.
     """
     keys, values = _as_tensor(keys), _as_tensor(values)
     anchor = np.asarray(anchor, dtype=np.int64)
     seg = np.asarray(seg, dtype=np.int64)
-    scores = rowwise_dot(None, keys, values, index=anchor)
+    scores = np.einsum("ij,ij->i", keys.values[anchor], values.values)
     alpha = segment_softmax(None, scores, seg, n_segments, temperature).values
     out = segment_sum(None, alpha[:, None] * values.values, seg, n_segments)
     kept_keys = keys.values if values.requires_grad else None
@@ -450,7 +423,7 @@ def segment_attention(tape, keys, anchor, values, rebuild, seg, n_segments: int,
         g_values += rows
         return g_keys, g_values
 
-    return alpha, _emit(tape, out, (keys, values), backfn)
+    return _emit(tape, out, (keys, values), backfn)
 
 
 # ---------------------------------------------------------------------------

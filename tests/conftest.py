@@ -1,11 +1,12 @@
 """Shared fixtures and oracles: small deterministic synthetic graphs and
 partitions, every field of the derived encoder and session configs (HAT
 has one fusion and sums its heads, so an encoder config names neither), a
-small-modulus Paillier key, the metapath instance oracle, the column
-reshape of the attention oracles, the column concatenation of the per-edge
-fusion oracle, the row scatter of the whole-graph HAT oracle, a
-finite-difference gradient check, a metrics.csv reader and an in-process
-import of ``perfbench/run.py``."""
+small-modulus Paillier key, the metapath instance oracle, the row-wise dot
+product and the column reshape of the attention oracles, the column
+concatenation of the per-edge fusion oracle, the row scatter of the
+whole-graph HAT oracle, a recorder of the attention coefficients α and β
+that encoders compute but do not keep, a finite-difference gradient check,
+a metrics.csv reader and an in-process import of ``perfbench/run.py``."""
 
 import importlib.util
 import os
@@ -19,9 +20,9 @@ import pytest
 
 from splitgnn import crypto as C
 from splitgnn import graph as G
+from splitgnn import models as M
 from splitgnn import tensor as T
-from splitgnn.errors import ContractError
-from splitgnn.models import EncoderConfig
+from splitgnn.errors import ContractError, ShapeError
 from splitgnn.protocol import SessionConfig
 
 
@@ -58,7 +59,7 @@ def encoder_config(**overrides):
     two-head HAT of width 4 unless overridden."""
     kwargs = dict(kind="hat", layers=2, hidden=4, heads=2, dropout=0.0)
     kwargs.update(overrides)
-    return EncoderConfig(**kwargs)
+    return M.EncoderConfig(**kwargs)
 
 
 def session_config(**overrides):
@@ -86,6 +87,34 @@ def add_at_segment_sum(values, seg, n):
     out = np.zeros((n,) + values.shape[1:])
     np.add.at(out, seg, values)
     return out
+
+
+def rowwise_dot(tape, a, b, index=None):
+    """Row i of the output is row i of ``a`` dotted with row i of ``b``; with
+    ``index``, row ``index[i]`` of ``a`` is used, so ``a`` is a table that the
+    op reads by index, and the tape keeps the table, not a gathered copy.  The
+    gathered rows are built again in backward, and ``a``'s gradient is summed
+    over ``index`` as ``T.gather_rows`` sums it.  Recorded on the tape: the
+    op the attention oracles score their value rows with, whose scores
+    ``T.segment_attention`` computes in its own forward."""
+    a, b = T._as_tensor(a), T._as_tensor(b)
+    if index is not None:
+        index = np.asarray(index, dtype=np.int64)
+    rows = a.values if index is None else a.values[index]
+    if rows.shape != b.shape or a.ndim != 2:
+        raise ShapeError(f"rowwise_dot expects equal 2-D shapes, got {rows.shape}, {b.shape}")
+    out = T.Tensor(np.einsum("ij,ij->i", rows, b.values))
+    av, bv = T._kept_operands(a, b)
+    if index is None:
+        return T._emit(tape, out, (a, b), lambda g: (
+            None if bv is None else g[:, None] * bv,
+            None if av is None else g[:, None] * av,
+        ))
+    n = a.shape[0]
+    return T._emit(tape, out, (a, b), lambda g: (
+        None if bv is None else T._segment_add(g[:, None] * bv, index, n),
+        None if av is None else g[:, None] * av[index],
+    ))
 
 
 def reshape_col(tape, v):
@@ -124,6 +153,84 @@ def scatter_rows(tape, piece, idx, n_rows):
     vals = np.zeros((n_rows,) + piece.shape[1:])
     vals[idx] = piece.values
     return T._emit(tape, T.Tensor(vals), (piece,), lambda g: (g[idx],))
+
+
+class AttentionRecorder:
+    """α and β of the encoder forwards that run while it is installed, read
+    from the ops that compute them, since an encoder keeps neither.
+
+    ``alpha[(layer, channel, head)]`` is ``(α, node ids)`` of the last
+    forward: one head's coefficients over one ``models._attention_layer``
+    call, and the node id of each coefficient's segment.  ``channel``
+    indexes the encoder's edge indexes, so it is HAT's channel and GAT's 0.
+    A layer's calls run its channels in order, and a call runs its target
+    ranges in order and each range's heads in turn, so the i-th
+    ``T.segment_softmax`` of a call with H heads is head i % H of range
+    i // H.  Its segment s is the target at the running range offset plus
+    s, and ``models._receptive_blocks`` gives the layer's targets.
+
+    ``beta[l]`` is layer l's β: ``T.softmax``, whose one program caller is
+    ``path_attention``, lists its outputs since the last forward began.
+    ``segment_softmaxes`` lists every ``T.segment_softmax`` output since
+    then, with its segment ids and count.
+
+    Each forward's ``_receptive_blocks`` call starts new ``alpha``, ``beta``
+    and ``segment_softmaxes`` objects, so ones read after a forward keep its
+    values."""
+
+    def __init__(self, monkeypatch):
+        self.alpha, self.beta, self.segment_softmaxes = {}, [], []
+        self._blocks, self._layer_calls = [], 0
+        receptive_blocks, attention_layer = M._receptive_blocks, M._attention_layer
+        segment_softmax, softmax = T.segment_softmax, T.softmax
+
+        def blocks(*args, **kwargs):
+            self._blocks = receptive_blocks(*args, **kwargs)
+            self.alpha, self.beta, self.segment_softmaxes = {}, [], []
+            self._layer_calls = 0
+            return self._blocks
+
+        def layer(tape, edge_seg, k, *rest):
+            first = len(self.segment_softmaxes)
+            out = attention_layer(tape, edge_seg, k, *rest)
+            self._group(self.segment_softmaxes[first:], k)
+            return out
+
+        def segment(tape, scores, seg, n_segments, *rest):
+            out = segment_softmax(tape, scores, seg, n_segments, *rest)
+            self.segment_softmaxes.append((out.values, np.asarray(seg), n_segments))
+            return out
+
+        def path(tape, logits):
+            out = softmax(tape, logits)
+            self.beta.append(out.values)
+            return out
+
+        monkeypatch.setattr(M, "_receptive_blocks", blocks)
+        monkeypatch.setattr(M, "_attention_layer", layer)
+        monkeypatch.setattr(T, "segment_softmax", segment)
+        monkeypatch.setattr(T, "softmax", path)
+
+    def _group(self, softmaxes, k):
+        channels = len(self._blocks[0].edges)
+        layer, channel = divmod(self._layer_calls, channels)
+        self._layer_calls += 1
+        targets = self._blocks[layer].targets
+        assert len(targets) == k
+        heads = sum(n for *_, n in softmaxes) // k if k else len(softmaxes)
+        parts = [[] for _ in range(heads)]
+        offset = 0
+        for i, (alpha, seg, n) in enumerate(softmaxes):
+            parts[i % heads].append((alpha, targets[offset + seg]))
+            if i % heads == heads - 1:
+                offset += n
+        for m, part in enumerate(parts):
+            self.alpha[(layer, channel, m)] = tuple(map(np.concatenate, zip(*part)))
+
+
+@pytest.fixture
+def attention(monkeypatch):
+    return AttentionRecorder(monkeypatch)
 
 
 def loop_metapath_edges(graph, metapath):

@@ -106,9 +106,12 @@ def load_dataset_by_rows(directory) -> DatasetBundle:
     labels_path = directory / "labels.tsv"
     for lineno, (ext, lab) in _read_rows(labels_path, 2):
         try:
-            labels[resolve(ext, labels_path, lineno)] = int(lab)
+            label = int(lab)
         except ValueError:
-            raise ParseError(f"{labels_path}:{lineno}: bad class index {lab!r}") from None
+            label = -1
+        if label < 0:
+            raise ParseError(f"{labels_path}:{lineno}: bad class index {lab!r}")
+        labels[resolve(ext, labels_path, lineno)] = label
     num_classes = int(labels.max()) + 1 if np.any(labels >= 0) else 0
 
     metapaths = []

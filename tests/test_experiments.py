@@ -71,9 +71,14 @@ def _spec_case(**overrides):
     return {"synthetic": small_synthetic_payload(**overrides)}
 
 
-# the relations of small_synthetic_payload with "ba" renamed to "ab"
-DUPLICATE_RELATIONS = [*small_synthetic_payload()["relations"][:2],
-                       {**small_synthetic_payload()["relations"][2], "name": "ab"}]
+def renamed_relations(name):
+    """The relations of small_synthetic_payload with "ba" renamed to ``name``."""
+    relations = small_synthetic_payload()["relations"]
+    return [*relations[:2], {**relations[2], "name": name}]
+
+
+DUPLICATE_RELATIONS = renamed_relations("ab")
+BAD_RELATION_NAME = "name: must be a non-empty string without ',', '/', NUL or whitespace, got "
 STRATEGY_NAMES = ("entire", "standalone_<i>", "split_m", "split_c", "split_w")
 # (test id, config overrides, extra CLI arguments, stderr after "config error: "):
 # a wrong type and, where a field has one, an out-of-range value for every
@@ -93,6 +98,10 @@ CONFIG_MISTAKES = [
      "synthetic: train_frac, val_frac: 0.9 and 0.2 of 100 nodes leave the test split empty"),
     ("synthetic-duplicate-relation", _spec_case(relations=DUPLICATE_RELATIONS), [],
      "synthetic: relations: duplicate relation name 'ab'"),
+    ("synthetic-relation-name-comma", _spec_case(relations=renamed_relations("a,b")), [],
+     "synthetic: relations: " + BAD_RELATION_NAME + "'a,b'"),
+    ("synthetic-relation-name-slash", _spec_case(relations=renamed_relations("x/y")), [],
+     "synthetic: relations: " + BAD_RELATION_NAME + "'x/y'"),
     ("synthetic-metapath-unknown-relation", _spec_case(metapaths=[["ab", "zz"]]), [],
      "synthetic: metapaths: metapath uses unknown relation 'zz'"),
     ("synthetic-metapath-types-do-not-meet", _spec_case(metapaths=[["ab", "ab"]]), [],
@@ -569,13 +578,22 @@ class TestCli:
          "relations: duplicate relation name 'ab'"),
         (small_synthetic_payload(metapaths=[["ab", "zz"]]),
          "metapaths: metapath uses unknown relation 'zz'"),
+        (small_synthetic_payload(relations=renamed_relations("a,b")),
+         "relations: " + BAD_RELATION_NAME + "'a,b'"),
+        (small_synthetic_payload(relations=renamed_relations("x/y")),
+         "relations: " + BAD_RELATION_NAME + "'x/y'"),
+        (small_synthetic_payload(relations=renamed_relations("b\x00a")),
+         "relations: " + BAD_RELATION_NAME + "'b\\x00a'"),
+        (small_synthetic_payload(relations=renamed_relations("b a")),
+         "relations: " + BAD_RELATION_NAME + "'b a'"),
         (small_synthetic_payload(metapaths=[["aa"], ["ab", "ab"]]),
          "metapaths: metapath ab+ab: ab starts at a, previous relation ends at b"),
     ], ids=["homophily-not-number", "homophily-above-1", "no-classes",
             "negative-feature-dim", "negative-edge-dim", "no-relations",
             "type-without-nodes", "empty-train-split", "empty-val-split",
             "empty-test-split", "spec-not-object", "duplicate-relation",
-            "metapath-unknown-relation", "metapath-types-do-not-meet"])
+            "metapath-unknown-relation", "relation-name-comma", "relation-name-slash",
+            "relation-name-nul", "relation-name-space", "metapath-types-do-not-meet"])
     def test_gen_synthetic_spec_mistake_is_exit_1(self, tmp_path, capsys, monkeypatch,
                                                   payload, message):
         monkeypatch.setattr(cli, "generate_synthetic", _not_called("generate_synthetic"))

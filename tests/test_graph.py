@@ -114,6 +114,8 @@ LOADER_ERRORS = {
         "{d}/edges_cites.tsv: edge 2 mixes node types within one relation"),
     "bad-class-index": (
         {"labels.tsv": "a\t0\nb\tone\n"}, "{d}/labels.tsv:2: bad class index 'one'"),
+    "negative-class-index": (
+        {"labels.tsv": "a\t-1\nb\t1\n"}, "{d}/labels.tsv:1: bad class index '-1'"),
     "unknown-split": (
         {"splits.tsv": "a\ttrain\nb\tdev\n"}, "{d}/splits.tsv:2: unknown split 'dev'"),
     "metapath-unknown-relation": (

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (add_at_segment_sum, concat_cols, encoder_config, finite_diff_check,
-                      loop_metapath_edges, reshape_col, scatter_rows)
+                      loop_metapath_edges, reshape_col, rowwise_dot, scatter_rows)
 from splitgnn import graph as G
 from splitgnn import models as M
 from splitgnn import tensor as T
@@ -246,7 +246,7 @@ class TestNodeAttention:
         z2, _ = node_attention(target, neighbors[perm], projs, 0.6)
         np.testing.assert_allclose(z1, z2, atol=1e-12)
 
-    def test_matches_hat_channels(self):
+    def test_matches_hat_channels(self, attention):
         # every HAT channel's output and alphas over a block's targets, node by node
         bundle = fixture_bundle(seed=9)
         g = bundle.graph
@@ -260,7 +260,7 @@ class TestNodeAttention:
         hv = np.full((g.num_nodes, cfg.hidden), np.nan)  # rows by node id
         hv[blk.inputs] = h.values
         assert any(ch.name.startswith("path:") for ch in enc.channels)
-        for ch, edges in zip(enc.channels, blk.edges):
+        for c, (ch, edges) in enumerate(zip(enc.channels, blk.edges)):
             z = enc._channel_attention(None, h, h_own, 0, ch, blk, edges).values
 
             def p(name):
@@ -274,7 +274,7 @@ class TestNodeAttention:
                 want, alphas = node_attention(hv[i], neighbors, projs, cfg.lam)
                 np.testing.assert_allclose(z[j], want, rtol=1e-10, atol=1e-12)
                 for m, alpha in enumerate(alphas):
-                    got, seg = enc.diagnostics["alpha"][(0, ch.name, m)]
+                    got, seg = attention.alpha[(0, c, m)]
                     np.testing.assert_allclose(got[seg == i], alpha, rtol=1e-10)
 
 
@@ -286,25 +286,28 @@ class TestPathAttention:
         bp = M.init_param(params, "pa/b", (d,), seed, zeros=True)
         return q, Wp, bp
 
-    def test_single_channel_identity(self):
+    def test_single_channel_identity(self, attention):
         q, Wp, bp = self._params(3)
         z = stable_rng("pa-one").standard_normal((6, 3))
-        out, beta = M.path_attention(None, [T.Tensor(z)], q, Wp, bp)
+        out = M.path_attention(None, [T.Tensor(z)], q, Wp, bp)
+        beta, = attention.beta
         np.testing.assert_allclose(beta, [1.0])
         np.testing.assert_allclose(out.values, z)
 
-    def test_identical_channels_half_half(self):
+    def test_identical_channels_half_half(self, attention):
         q, Wp, bp = self._params(3)
         z = stable_rng("pa-two").standard_normal((6, 3))
-        out, beta = M.path_attention(None, [T.Tensor(z), T.Tensor(z.copy())], q, Wp, bp)
+        out = M.path_attention(None, [T.Tensor(z), T.Tensor(z.copy())], q, Wp, bp)
+        beta, = attention.beta
         np.testing.assert_allclose(beta, [0.5, 0.5], atol=1e-12)
         np.testing.assert_allclose(out.values, z, atol=1e-12)
 
-    def test_three_channels_convex_combination(self):
+    def test_three_channels_convex_combination(self, attention):
         q, Wp, bp = self._params(4)
         rng = stable_rng("pa-three")
         zs = [rng.standard_normal((5, 4)) for _ in range(3)]
-        out, beta = M.path_attention(None, [T.Tensor(z) for z in zs], q, Wp, bp)
+        out = M.path_attention(None, [T.Tensor(z) for z in zs], q, Wp, bp)
+        beta, = attention.beta
         assert abs(beta.sum() - 1.0) <= 1e-12
         assert np.all(beta > 0)
         recomputed = sum(b * z for b, z in zip(beta, zs))
@@ -337,19 +340,20 @@ class TestEncoders:
             x = z  # single channel: path attention returns it unchanged
         np.testing.assert_allclose(out.values, x, rtol=1e-10)
 
-    def test_alpha_and_beta_normalized(self):
+    def test_alpha_and_beta_normalized(self, attention):
         bundle = fixture_bundle()
         enc = M.HatEncoder(
             _single_view(bundle), encoder_config(), seed=1, scope="enc")
         enc.forward(None, [0, 1, 2])
-        assert enc.diagnostics["alpha"]
-        for (layer, name, head), (alpha, seg) in enc.diagnostics["alpha"].items():
+        assert attention.alpha
+        for (layer, channel, head), (alpha, seg) in attention.alpha.items():
             sums = np.zeros(bundle.graph.num_nodes)
             np.add.at(sums, seg, alpha)
             present = np.unique(seg)
             np.testing.assert_allclose(sums[present], 1.0, atol=1e-12)
             assert np.all(alpha >= 0)
-        for layer, beta in enc.diagnostics["beta"].items():
+        assert len(attention.beta) == enc.config.layers
+        for beta in attention.beta:
             assert abs(beta.sum() - 1.0) <= 1e-12
 
     def test_neighbor_permutation_leaves_embeddings(self):
@@ -404,7 +408,7 @@ class TestEncoders:
             x = elu(agg @ W + b)
         np.testing.assert_allclose(out.values, x, rtol=1e-12)
 
-    def test_gat_equal_latents_uniform_attention(self):
+    def test_gat_equal_latents_uniform_attention(self, attention):
         g = G.HetGraph(
             ["u"] * 3, np.ones((3, 2)),
             {"r": G.Relation("r", [0, 0], [1, 2], np.zeros((2, 0)), "u", "u")},
@@ -412,7 +416,7 @@ class TestEncoders:
         cfg = encoder_config(kind="gat", layers=1, hidden=2, heads=1)
         enc = M.GatEncoder(graph_view(g), cfg, seed=1, scope="g")
         enc.forward(None, [0])
-        alpha, seg = enc.diagnostics["alpha"][(0, 0)]
+        alpha, seg = attention.alpha[(0, 0, 0)]
         np.testing.assert_allclose(alpha[seg == 0], 1.0 / 3.0, atol=1e-12)
 
     def test_full_graph_forward_deterministic(self):
@@ -512,7 +516,7 @@ def whole_graph_gat(enc, tape, batch_ids, step=0, training=False):
             hp = T.matmul(tape, h, enc.params[f"{enc.scope}/l{l}/head{m}"])
             vals = T.concat_rows(tape, [T.gather_rows(tape, hp, nbr), hp])
             anchors = T.concat_rows(tape, [T.gather_rows(tape, hp, tgt), hp])
-            alpha = T.segment_softmax(tape, T.rowwise_dot(tape, anchors, vals),
+            alpha = T.segment_softmax(tape, rowwise_dot(tape, anchors, vals),
                                       seg, n, cfg.lam)
             alphas[(l, m)] = (alpha.values.copy(), seg)
             weighted = T.mul(tape, reshape_col(tape, alpha), vals)
@@ -561,7 +565,7 @@ def whole_graph_hat(enc, tape, batch_ids, step=0, training=False, beta_rows=None
                 hp = T.matmul(tape, h, proj)
                 vals = T.concat_rows(tape, [T.matmul(tape, fused, proj), hp])
                 anchors = T.concat_rows(tape, [T.gather_rows(tape, hp, ch.tgt), hp])
-                alpha = T.segment_softmax(tape, T.rowwise_dot(tape, anchors, vals),
+                alpha = T.segment_softmax(tape, rowwise_dot(tape, anchors, vals),
                                           seg, n, cfg.lam)
                 alphas[(l, ch.name, m)] = (alpha.values.copy(), seg)
                 weighted = T.mul(tape, reshape_col(tape, alpha), vals)
@@ -681,17 +685,17 @@ class TestReceptiveBlocks:
             np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12,
                                        err_msg=name)
 
-    def test_gat_alpha_segments_are_node_ids(self):
+    def test_gat_alpha_segments_are_node_ids(self, attention):
         g = fixture_bundle(seed=12).graph
         enc = M.make_encoder(graph_view(g), encoder_config(kind="gat", layers=2), seed=3, scope="e")
         batch = [15, 4, 4, 11]
         enc.forward(None, batch)
+        alphas = attention.alpha
         _, want = whole_graph_gat(enc, None, batch)
-        for key, (alpha, seg) in enc.diagnostics["alpha"].items():
-            full_alpha, full_seg = want[key]
+        assert {(layer, head) for layer, _, head in alphas} == want.keys()
+        for (layer, _, head), (alpha, seg) in alphas.items():
+            full_alpha, full_seg = want[(layer, head)]
             present = np.unique(seg)
-            if key[0] == 1:
-                assert np.array_equal(present, np.unique(batch))
             for v in present:
                 assert np.array_equal(alpha[seg == v], full_alpha[full_seg == v])
 
@@ -738,19 +742,20 @@ class TestReceptiveBlocks:
             everywhere, _ = whole_graph_hat(enc, None, batch, step=2, training=training)
             assert not np.allclose(got, everywhere.values)
 
-    def test_hat_alpha_segments_are_node_ids(self):
+    def test_hat_alpha_segments_are_node_ids(self, attention):
         enc = M.make_encoder(hat_view(), encoder_config(kind="hat", layers=2), seed=3, scope="e")
         batch = [15, 4, 4, 11]
         enc.forward(None, batch)
+        alphas = {(layer, enc.channels[c].name, head): alpha
+                  for (layer, c, head), alpha in attention.alpha.items()}
         blocks = M._receptive_blocks(enc.csrs, np.asarray(batch), 2, enc.graph.num_nodes,
                                      self_entry=True)
         _, want = whole_graph_hat(enc, None, batch,
                                   beta_rows=[blk.targets for blk in blocks])
-        assert enc.diagnostics["alpha"].keys() == want.keys()
-        for key, (alpha, seg) in enc.diagnostics["alpha"].items():
+        assert alphas.keys() == want.keys()
+        for key, (alpha, seg) in alphas.items():
             full_alpha, full_seg = want[key]
             present = np.unique(seg)
-            assert np.array_equal(present, blocks[key[0]].targets)
             for v in present:
                 np.testing.assert_allclose(alpha[seg == v], full_alpha[full_seg == v],
                                            rtol=1e-12)
@@ -802,7 +807,7 @@ class TestRowsOnDemand:
     """HAT builds a block's metapath rows from hop ids; its results must be
     the ones it got when every instance's row was built up front."""
 
-    def test_bit_identical_to_table(self):
+    def test_bit_identical_to_table(self, attention):
         view = hat_view()
         n = view.graph.num_nodes
         isolated = n - 2
@@ -815,12 +820,13 @@ class TestRowsOnDemand:
         batch = [17, 3, 3, isolated, 0, 17, 9]
         for training in (False, True):
             got = enc.forward(None, batch, step=2, training=training)
-            alphas = enc.diagnostics["alpha"]
+            alphas = attention.alpha
             want = oracle.forward(None, batch, step=2, training=training)
+            want_alphas = attention.alpha
             assert np.array_equal(got.values, want.values)
-            assert alphas.keys() == oracle.diagnostics["alpha"].keys()
+            assert alphas.keys() == want_alphas.keys()
             for key, (alpha, seg) in alphas.items():
-                want_alpha, want_seg = oracle.diagnostics["alpha"][key]
+                want_alpha, want_seg = want_alphas[key]
                 assert np.array_equal(alpha, want_alpha) and np.array_equal(seg, want_seg)
 
             got = param_grads(enc, lambda tape: enc.forward(tape, batch, step=2,
@@ -834,8 +840,8 @@ class TestRowsOnDemand:
 
 def float_arrays(obj):
     """The float arrays an object holds in its attributes, directly or in
-    lists and tuples; the graph and its relations are the participant's own
-    data and are not searched."""
+    lists, tuples and dicts; the graph and its relations are the
+    participant's own data and are not searched."""
     stack = list(vars(obj).values())
     while stack:
         value = stack.pop()
@@ -843,6 +849,8 @@ def float_arrays(obj):
             yield value
         elif isinstance(value, (list, tuple)):
             stack.extend(value)
+        elif isinstance(value, dict):
+            stack.extend(value.values())
 
 
 def test_hat_keeps_no_row_per_metapath_instance():
@@ -868,6 +876,23 @@ def test_hat_keeps_no_row_per_metapath_instance():
     assert kept < table_bytes / 2, (kept, table_bytes)
 
 
+@pytest.mark.parametrize("kind", ["hat", "gat"])
+def test_forward_keeps_no_edge_sized_array(kind):
+    """An encoder keeps nothing of a forward: after one over every node, no
+    float array it holds has one entry per edge of a block, or per edge
+    and target of a block, as a channel's α does."""
+    view = hat_view()
+    n = view.graph.num_nodes
+    enc = M.make_encoder(view, encoder_config(kind=kind), seed=3, scope="e")
+    enc.forward(None, np.arange(n))
+    blocks = M._receptive_blocks(enc.csrs, np.arange(n), enc.config.layers, n,
+                                 self_entry=True)
+    sizes = {len(eid) + extra for blk in blocks for _, _, eid in blk.edges if len(eid)
+             for extra in (0, len(blk.targets))}
+    assert sizes
+    assert not [a.shape for a in float_arrays(enc) if a.ndim and len(a) in sizes]
+
+
 def kept_attend(tape, keys, anchor, values, inputs, seg, n, lam):
     """``attend`` as the composition of recorded ops it was before it read
     anchors by index and built its value rows again in backward: the value
@@ -875,9 +900,9 @@ def kept_attend(tape, keys, anchor, values, inputs, seg, n, lam):
     both kept on the tape."""
     values = values(tape, *inputs)
     anchors = T.gather_rows(tape, keys, anchor)
-    alpha = T.segment_softmax(tape, T.rowwise_dot(tape, anchors, values), seg, n, lam)
+    alpha = T.segment_softmax(tape, rowwise_dot(tape, anchors, values), seg, n, lam)
     weighted = T.mul(tape, reshape_col(tape, alpha), values)
-    return alpha.values, T.segment_sum(tape, weighted, seg, n)
+    return T.segment_sum(tape, weighted, seg, n)
 
 
 def kept_matmul(tape, build, w):
@@ -894,7 +919,7 @@ def keep_rebuildable_arrays(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["hat", "gat"], ids=layout_ids("concat", "sum"))
-def test_rebuilt_in_backward_is_bit_identical(kind, monkeypatch):
+def test_rebuilt_in_backward_is_bit_identical(kind, monkeypatch, attention):
     """Reading anchors by index and building edge rows again in backward
     change what the tape keeps, not a bit of the forward, α or any gradient."""
     view = hat_view()
@@ -908,7 +933,7 @@ def test_rebuilt_in_backward_is_bit_identical(kind, monkeypatch):
         runs = []
         for training in (False, True):
             out = enc.forward(None, batch, step=2, training=training).values
-            alphas = enc.diagnostics["alpha"]
+            alphas = attention.alpha
             grads = param_grads(enc, lambda tape: enc.forward(tape, batch, step=2,
                                                               training=training))
             runs.append((out, alphas, grads))
@@ -1032,7 +1057,7 @@ def test_tape_keeps_no_rebuildable_edge_array(kind, monkeypatch):
 
 @pytest.mark.parametrize("budget", [2, 3, 4, 7])
 @pytest.mark.parametrize("kind", ["hat", "gat", "gcn"], ids=layout_ids("concat", "sum"))
-def test_chunked_inference_equals_one_range(kind, budget, monkeypatch):
+def test_chunked_inference_equals_one_range(kind, budget, monkeypatch, attention):
     """Inference in many small target ranges gives the logits, α and β of
     one range over the whole layer, bit for bit.  A range of one edge would
     send its products to numpy's matrix-vector kernel, which rounds
@@ -1048,8 +1073,8 @@ def test_chunked_inference_equals_one_range(kind, budget, monkeypatch):
     def infer():
         emb = enc.forward(None, batch).values
         alphas = {key: {v: alpha[seg == v] for v in np.unique(seg)}
-                  for key, (alpha, seg) in enc.diagnostics.get("alpha", {}).items()}
-        return emb @ head.values, alphas, enc.diagnostics.get("beta", {})
+                  for key, (alpha, seg) in attention.alpha.items()}
+        return emb @ head.values, alphas, attention.beta
 
     ranges = []
     target_ranges = M._target_ranges
@@ -1072,9 +1097,9 @@ def test_chunked_inference_equals_one_range(kind, budget, monkeypatch):
         assert by_node.keys() == want_alphas[key].keys()
         for v, alpha in by_node.items():
             assert np.array_equal(alpha, want_alphas[key][v]), (key, v)
-    assert betas.keys() == want_betas.keys()
-    for l, beta in betas.items():
-        assert np.array_equal(beta, want_betas[l])
+    assert len(betas) == len(want_betas)
+    for beta, want_beta in zip(betas, want_betas):
+        assert np.array_equal(beta, want_beta)
 
     counts = [e1 - e0 for _, _, out in ranges for _, _, e0, e1 in out]
     assert len(counts) > 2 * len(ranges)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (add_at_segment_sum, concat_cols, finite_diff_check, reshape_col,
-                      scatter_rows)
+                      rowwise_dot, scatter_rows)
 from splitgnn import tensor as T
 from splitgnn.errors import ContractError, DomainError, NumericError, ShapeError
 from splitgnn.seeding import stable_rng
@@ -228,10 +228,10 @@ CONSTANT_OPERAND_CASES = {
         T._unbroadcast(g * b, a.shape), T._unbroadcast(g * a, b.shape))),
     "add": (T.add, [(3, 4), (4,)], lambda g, a, b: (
         T._unbroadcast(g, a.shape), T._unbroadcast(g, b.shape))),
-    "rowwise_dot": (T.rowwise_dot, [(3, 4), (3, 4)], lambda g, a, b: (
+    "rowwise_dot": (rowwise_dot, [(3, 4), (3, 4)], lambda g, a, b: (
         g[:, None] * b, g[:, None] * a)),
     "rowwise_dot_index": (
-        lambda tape, a, b: T.rowwise_dot(tape, a, b, index=[2, 0, 2, 1]),
+        lambda tape, a, b: rowwise_dot(tape, a, b, index=[2, 0, 2, 1]),
         [(3, 4), (4, 4)], lambda g, a, b: (
             T._segment_add(g[:, None] * b, np.array([2, 0, 2, 1]), 3),
             g[:, None] * a[[2, 0, 2, 1]])),
@@ -272,8 +272,8 @@ RETENTION_CASES = {
     "take": (lambda tape, v: T.take(tape, v, 1), [(3,)]),
     "gather_rows": (lambda tape, x: T.gather_rows(tape, x, [2, 0, 2]), [(3, 2)]),
     "mean_all": (T.mean_all, [(3, 2)]),
-    "rowwise_dot": (T.rowwise_dot, [(3, 4), (3, 4)]),
-    "rowwise_dot_index": (lambda tape, a, b: T.rowwise_dot(tape, a, b, index=[2, 0, 2, 1]),
+    "rowwise_dot": (rowwise_dot, [(3, 4), (3, 4)]),
+    "rowwise_dot_index": (lambda tape, a, b: rowwise_dot(tape, a, b, index=[2, 0, 2, 1]),
                           [(3, 4), (4, 4)]),
     "rebuilt_matmul": (lambda tape, w: T.rebuilt_matmul(
         tape, lambda: np.arange(12.0).reshape(3, 4), w), [(4, 2)]),
@@ -281,7 +281,7 @@ RETENTION_CASES = {
     "segment_softmax": (lambda tape, s: T.segment_softmax(tape, s, [0, 1, 0], 2, 0.5),
                         [(3,)]),
     "segment_attention": (lambda tape, k, v: T.segment_attention(
-        tape, k, [1, 0, 1, 0], v, partial(np.copy, v.values), [0, 1, 0, 1], 2, 0.5)[1],
+        tape, k, [1, 0, 1, 0], v, partial(np.copy, v.values), [0, 1, 0, 1], 2, 0.5),
         [(2, 3), (4, 3)]),
     "elu": (T.elu, [(3, 2)]),
     "tanh": (T.tanh, [(3, 2)]),
@@ -307,8 +307,9 @@ def test_retention_cases_cover_every_op():
            if inspect.isfunction(fn) and fn.__module__ == T.__name__
            and not name.startswith("_")
            and list(inspect.signature(fn).parameters)[:1] == ["tape"]}
-    # concat_cols is the tests' own op, the per-edge fusion oracle's
-    assert set(RETENTION_CASES) - {"matvec", "vecmat", "rowwise_dot_index",
+    # concat_cols and rowwise_dot are the tests' own ops, the per-edge
+    # fusion oracle's and the attention oracles'
+    assert set(RETENTION_CASES) - {"matvec", "vecmat", "rowwise_dot", "rowwise_dot_index",
                                    "concat_cols"} == ops
 
 
@@ -378,9 +379,9 @@ class TestRebuiltOperands:
             # keys also reach the output another way, as HAT's self rows do
             v = T.concat_rows(tape, [T.gather_rows(tape, v, np.arange(3)), k])
             if indexed:
-                out = T.rowwise_dot(tape, k, v, index=index)
+                out = rowwise_dot(tape, k, v, index=index)
             else:
-                out = T.rowwise_dot(tape, T.gather_rows(tape, k, index), v)
+                out = rowwise_dot(tape, T.gather_rows(tape, k, index), v)
             tape.backward(out, seed_grad=seed)
             return out.values, keys.grad, vals.grad
 
@@ -389,7 +390,7 @@ class TestRebuiltOperands:
 
     def test_indexed_dot_shape_mismatch(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(3, 3\)"):
-            T.rowwise_dot(None, np.zeros((4, 3)), np.zeros((3, 3)), index=[0, 1])
+            rowwise_dot(None, np.zeros((4, 3)), np.zeros((3, 3)), index=[0, 1])
 
     def test_rebuilt_matmul_matches_kept_matmul(self):
         rng = stable_rng("rebuilt-matmul")
@@ -416,7 +417,7 @@ class TestRebuiltOperands:
 
     @pytest.mark.parametrize("keys_grad,values_grad", [(True, True), (True, False),
                                                         (False, True)])
-    def test_segment_attention_matches_composition(self, keys_grad, values_grad):
+    def test_segment_attention_matches_composition(self, keys_grad, values_grad, attention):
         """One op in place of the indexed dot, segment softmax, α scaling
         and segment sum that kept the value rows: the same forward and
         gradients, bit for bit, with the value rows built once in forward
@@ -443,14 +444,14 @@ class TestRebuiltOperands:
 
             values = build(tape, v, k)
             if fused:
-                alpha, out = T.segment_attention(
+                out = T.segment_attention(
                     tape, k, anchor, values, lambda: build(None, v.values, k.values).values,
                     seg, 4, 0.7)
             else:
-                a = T.segment_softmax(tape, T.rowwise_dot(tape, k, values, index=anchor),
+                a = T.segment_softmax(tape, rowwise_dot(tape, k, values, index=anchor),
                                       seg, 4, 0.7)
-                alpha = a.values
                 out = T.segment_sum(tape, T.mul(tape, reshape_col(tape, a), values), seg, 4)
+            alpha, _, _ = attention.segment_softmaxes.pop()
             tape.backward(out, seed_grad=seed)
             return alpha, out.values, keys.grad, vals.grad
 
@@ -664,8 +665,8 @@ class TestFiniteDiff:
         def forward():
             tape = T.Tape()
             hn = T.gather_rows(tape, h, nbr)
-            _, z = T.segment_attention(tape, h, tgt, hn, lambda: h.values[nbr], tgt, 5,
-                                       temperature=0.7)
+            z = T.segment_attention(tape, h, tgt, hn, lambda: h.values[nbr], tgt, 5,
+                                    temperature=0.7)
             return T.mean_all(tape, T.mul(tape, z, z)), tape
 
         assert finite_diff_check(forward, [h]) < 1e-4
