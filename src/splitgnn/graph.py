@@ -383,6 +383,8 @@ def load_dataset(directory) -> DatasetBundle:
     relations: dict[str, Relation] = {}
     for path in sorted(directory.glob("edges_*.tsv")):
         rname = path.stem[len("edges_"):]
+        if not RELATION_NAME.ok(rname):
+            raise ParseError(f"{path}: relation name {rname!r} is not {RELATION_NAME.want}")
         (src, dst), feat = _float_table(path, ids, 2, 2, "edge features")
         mixed = (node_types[src] != node_types[src[:1]]) \
             | (node_types[dst] != node_types[dst[:1]])

@@ -10,12 +10,16 @@ The three share one skeleton, :class:`_Encoder`: its ``forward`` finds the
 batch's receptive field, applies each layer's dropout and gathers the
 batch's rows, and each encoder adds only its parameters and its layer.
 
-Node-level attention is one kernel, :func:`attend`, scored at the fixed
-scale 1/sqrt(hidden), and every head projects to the full hidden width:
-:func:`merge_heads` sums the heads and applies ELU.  "hat" calls them once
-per channel and head, "gat" once per head over the merged edges.  Attention
-returns its output only and no encoder keeps α or β, so an evaluation holds
-no per-edge coefficients.
+Node-level attention is one kernel, :func:`_attention_layer`, scored at
+the fixed scale 1/sqrt(hidden); every head projects to the full hidden
+width, and the heads are summed before ELU.  "hat" calls it once per
+channel, "gat" once over the merged edges.  Attention is linear in its
+values, so the heads share their message rows: head m keys a target's own
+row h by h P_m P_mᵀ, scores and sums the unprojected messages with
+:func:`~splitgnn.tensor.segment_attention`, and projects the sum by P_m once
+per target, not every message once per head.  Attention returns its output
+only and no encoder keeps α or β, so an evaluation holds no per-edge
+coefficients.
 
 Encoders bind to a participant view at construction and only ever touch
 that view's edges, so stacking layers is exactly multi-hop aggregation over
@@ -28,6 +32,9 @@ edge id of each hop.  A layer builds the feature rows,
 the node and edge features the participant holds, as MAGNN encodes
 metapath instances (Fu et al., 2020).  So set-up keeps no row per instance,
 and the rows a layer reads are the ones a table built up front would give.
+A row's two ends are its target's and its endpoint's features, so
+:func:`_fusion` projects them once per node, and a layer builds only the
+middle [e_1, x_1, ..., e_L] per instance.
 HAT fuses each edge's source row with its edge latent one way,
 ``[h_src, latent] @ W + b``: any map affine in the node row and the edge
 latent separately has that form for some ``W``.  With ``A`` and ``B`` the
@@ -37,13 +44,12 @@ and the edge transform and fusion weights once per channel:
 
 What a training tape keeps of a layer's edges is what builds them again.  A
 HAT tape keeps the block's edge ids, not its rows, and builds the rows again
-in backward for the gradient of ``We @ B``.  It keeps each channel's fused
-messages, each head's projection and the targets' projected rows, and
-:func:`attend` builds the head's value rows from them again in backward.
-A GAT tape keeps the projected rows and the edge sources, from which the
-value rows are gathered again.  Attention reads its anchors from a table by
-index.  So no tape keeps an edge latent, a concatenated edge row, a
-gathered copy of the anchors or a head's value rows.
+in backward for the gradient of ``We @ B``; it builds a metapath's gathered
+end features again too.  Attention keeps each channel's unprojected
+messages, HAT's fused ones or GAT's gathered rows, once for all heads, and
+forms the heads' keys again in backward.  So no tape keeps an edge latent,
+a concatenated edge row, a gathered feature row, a key per edge or a head's
+projected value rows.
 
 Every encoder runs each layer over the batch's receptive field only: the
 layer-wise mini-batching of GraphSAGE (Hamilton et al., 2017).  The nodes
@@ -68,8 +74,10 @@ is one range's, not the whole split's.  Each target's rows are computed
 from the same edges in the same order, and "hat" scores its path attention
 over the whole frontier after the ranges, so β is exact.  numpy computes a
 one-row product with a matrix-vector kernel that rounds differently, so no
-range holds exactly one edge unless its layer does.  A recording tape gets
-one range, so training is the same loop.
+range holds exactly one edge unless its layer does, the keys of a
+one-target range are formed as in a product of many rows, and the heads'
+sums are projected after the ranges.  A recording tape gets one range, so
+training is the same loop.
 """
 
 from __future__ import annotations
@@ -123,20 +131,29 @@ def init_param(params: dict, name: str, shape, seed, zeros: bool = False) -> T.T
     return p
 
 
-def _fusion(tape, h, We, be, W, b):
-    """The message function ``fuse(src, rows)`` of a channel whose layer
-    reads the rows ``h``: each edge's source row ``h[src]`` fused with its
-    edge latent ``rows() @ We + be``, where ``rows`` builds the edges'
-    feature rows, as ``[h_src, latent] @ W + b``.  That is affine in both,
-    so it is computed as
+def _fusion(tape, h, We, be, W, b, ends=None):
+    """The message function ``fuse(src, seg, rows)`` of a channel whose
+    layer reads the rows ``h``: each edge's source row ``h[src]`` fused with
+    its edge latent ``r @ We + be``, where ``r`` is the edge's feature row,
+    as ``[h_src, latent] @ W + b``.  That is affine in both, so it is
+    computed as
 
-        (h @ A)[src] + rows() @ (We @ B) + (be @ B + b)
+        (h @ A)[src] + r @ (We @ B) + (be @ B + b)
 
     with A and B the row blocks of W.  The node part is projected once per
     node and the weights once per channel, not per edge or per range of
-    edges, and no edge latent or concatenated edge row is built.  The rows
-    are built again in backward for the gradient of We @ B, so the tape
-    keeps none of them.
+    edges, and no edge latent or concatenated edge row is built.
+
+    For a relation, ``rows()`` builds the edges' feature rows.  For a
+    metapath, ``ends`` is ``(X, targets, inputs)``: the graph's node
+    features and the node ids of the layer's targets and inputs.  An
+    instance's row [x_target, e_1, x_1, ..., e_L, x_L] ends in its target's
+    and its endpoint's features, so those two blocks of ``We @ B`` are
+    projected once per node, ``X[targets]`` and ``X[inputs]``, gathered by
+    ``seg`` (each edge's target) and added to the node part, and ``rows()``
+    builds the middle [e_1, x_1, ..., e_L] only.  Every feature product is a
+    :func:`~splitgnn.tensor.rebuilt_matmul`, so the tape keeps no edge rows
+    and no gathered feature rows.
     """
     d = h.shape[1]
     A = T.gather_rows(tape, W, np.arange(d))
@@ -144,34 +161,22 @@ def _fusion(tape, h, We, be, W, b):
     node = T.matmul(tape, h, A)
     edge_w = T.matmul(tape, We, B)
     bias = T.add(tape, T.matmul(tape, be, B), b)
+    own = None
+    if ends is not None:
+        X, targets, inputs = ends
+        f, width = X.shape[1], edge_w.shape[0]
+        block = partial(T.gather_rows, tape, edge_w)
+        node = T.add(tape, node, T.rebuilt_matmul(tape, lambda: X[inputs],
+                                                  block(np.arange(width - f, width))))
+        own = T.rebuilt_matmul(tape, lambda: X[targets], block(np.arange(f)))
+        edge_w = block(np.arange(f, width - f))
 
-    def fuse(src, rows):
-        return T.add(tape, T.gather_rows(tape, node, src),
-                     T.add(tape, T.rebuilt_matmul(tape, rows, edge_w), bias))
+    def fuse(src, seg, rows):
+        msg = T.add(tape, T.gather_rows(tape, node, src),
+                    T.add(tape, T.rebuilt_matmul(tape, rows, edge_w), bias))
+        return msg if own is None else T.add(tape, msg, T.gather_rows(tape, own, seg))
 
     return fuse
-
-
-def _head_values(tape, fused, proj, hp):
-    """A HAT head's value rows: its channel's fused messages through the
-    head projection, then the targets' own projected rows."""
-    return T.concat_rows(tape, [T.matmul(tape, fused, proj), hp])
-
-
-def attend(tape, keys, anchor, values, inputs, seg, n: int, lam: float):
-    """Node-level attention over segments.
-
-    ``values(tape, *inputs)`` builds the value rows.  Row i of them is
-    scored by its dot product with row ``anchor[i]`` of ``keys``, scaled by
-    ``lam`` and softmaxed among the rows of its segment ``seg[i]``.  Returns
-    only, per segment of ``n``, the α-weighted sum of its value rows.  The
-    tape keeps the arrays of ``inputs``, not the value rows, and ``values``
-    builds the rows from them again in backward; the anchors are read from
-    ``keys`` by index, so no gathered copy of them is kept either.
-    """
-    arrays = [x.values if isinstance(x, T.Tensor) else x for x in inputs]
-    return T.segment_attention(tape, keys, anchor, values(tape, *inputs),
-                               lambda: values(None, *arrays).values, seg, n, lam)
 
 
 def _target_ranges(seg, k: int, tape):
@@ -209,27 +214,21 @@ def _stacked(tape, parts):
     return parts[0] if len(parts) == 1 else T.concat_rows(tape, parts)
 
 
-def _attention_layer(tape, edge_seg, k: int, lam: float, heads):
-    """Multi-head attention of ``k`` targets over their edges, whose targets
-    are ``edge_seg``, range by range (:func:`_target_ranges`).  In a range,
-    each target attends over its edges, in edge order, then its self entry;
-    ``heads(t0, t1, e0, e1, seg)`` gives each head's ``(keys, anchor,
-    values, inputs)`` for :func:`attend`, with ``seg`` the range's segment
-    ids, and ``lam`` scales the scores.  Returns the targets' merged rows."""
-    rows = []
-    for t0, t1, e0, e1 in _target_ranges(edge_seg, k, tape):
-        seg = np.concatenate([edge_seg[e0:e1] - t0, np.arange(t1 - t0)])
-        rows.append(merge_heads(tape, [attend(tape, *head, seg, t1 - t0, lam)
-                                       for head in heads(t0, t1, e0, e1, seg)]))
-    return _stacked(tape, rows)
-
-
-def merge_heads(tape, head_outs):
-    """The per-head outputs summed, then ELU."""
-    agg = head_outs[0]
-    for other in head_outs[1:]:
-        agg = T.add(tape, agg, other)
-    return T.elu(tape, agg)
+def _attention_layer(tape, edge_seg, own, projs, lam: float, messages):
+    """Multi-head attention of the targets whose own rows are ``own`` over
+    their edges, whose targets are ``edge_seg``, range by range
+    (:func:`_target_ranges`).  ``messages(e0, e1)`` builds the unprojected
+    message rows of edges ``e0 .. e1-1``.  In a range each target attends
+    over its edges, in edge order, then its self entry, for each head
+    projection of ``projs``, with scores scaled by ``lam``
+    (:func:`~splitgnn.tensor.segment_attention`).  Returns
+    ``elu(S @ [P_0; …; P_{H−1}])``: the sum of the heads' outputs, each
+    head's weighted sum projected once per target."""
+    qk = T.grams(tape, projs)
+    sums = [T.segment_attention(tape, _row_range(tape, own, t0, t1), qk, messages(e0, e1),
+                                edge_seg[e0:e1] - t0, lam)
+            for t0, t1, e0, e1 in _target_ranges(edge_seg, own.shape[0], tape)]
+    return T.elu(tape, T.matmul(tape, _stacked(tape, sums), _stacked(tape, projs)))
 
 
 def path_attention(tape, channel_embeddings, q, Wp, bp):
@@ -277,21 +276,24 @@ class _Channel:
         return metapath_feature_dim(self.graph, self.metapath)
 
     def rows(self, eid: np.ndarray) -> np.ndarray:
-        """The feature rows of edges ``eid``, in order, as one C-contiguous
-        float64 matrix: a relation's edge features, or an instance's
-        [x_target, e_1, x_1, ..., e_L, x_L] (x a node's features, e_k its
-        k-th edge's)."""
+        """The per-edge part of the feature rows of edges ``eid``, in order,
+        as one C-contiguous float64 matrix: a relation's edge features, or
+        the middle [e_1, x_1, ..., e_L] of an instance's row [x_target, e_1,
+        x_1, ..., e_L, x_L] (x a node's features, e_k its k-th edge's), whose
+        two ends :func:`_fusion` projects per node."""
         g = self.graph
         if self.metapath is None:
             return g.relations[self.name].feat[eid]
-        parts = [(g.features, self.tgt[eid])]
-        for rname, hop in zip(self.metapath.relations, self.hops):
+        parts = []
+        for k, (rname, hop) in enumerate(zip(self.metapath.relations, self.hops)):
             rel = g.relations[rname]
             edge = hop[eid]
-            parts += [(rel.feat, edge), (g.features, rel.dst[edge])]
+            parts.append((rel.feat, edge))
+            if k + 1 < len(self.hops):
+                parts.append((g.features, rel.dst[edge]))
         # filled part by part: a concatenate of gathered parts takes about
         # twice as long at desk scale
-        out = np.empty((len(eid), self.edge_dim))
+        out = np.empty((len(eid), self.edge_dim - 2 * g.feature_dim))
         col = 0
         for table, idx in parts:
             out[:, col:col + table.shape[1]] = table[idx]
@@ -402,21 +404,15 @@ class HatEncoder(_Encoder):
         """One channel's attention for the targets of ``blk``: ``h`` holds its
         input rows, ``h_own`` the targets' own rows, ``edges`` the channel's
         (seg, src, eid) in the block."""
-        cfg = self.config
         edge_seg, src, eid = edges
         base = f"rel:{ch.name}"
+        ends = None if ch.metapath is None else (self.graph.features, blk.targets, blk.inputs)
         fuse = _fusion(tape, h, *(self._param(layer, f"{base}/{name}")
-                                  for name in ("We", "be", "fuse/W", "fuse/b")))
-        projs = [self._param(layer, f"{base}/head{m}") for m in range(cfg.heads)]
-        hps = [T.matmul(tape, h_own, proj) for proj in projs]
-
-        def heads(t0, t1, e0, e1, seg):
-            fused = fuse(src[e0:e1], partial(ch.rows, eid[e0:e1]))
-            for proj, hp in zip(projs, hps):
-                hp = _row_range(tape, hp, t0, t1)
-                yield hp, seg, _head_values, (fused, proj, hp)
-
-        return _attention_layer(tape, edge_seg, len(blk.targets), cfg.lam, heads)
+                                  for name in ("We", "be", "fuse/W", "fuse/b")), ends)
+        projs = [self._param(layer, f"{base}/head{m}") for m in range(self.config.heads)]
+        return _attention_layer(
+            tape, edge_seg, h_own, projs, self.config.lam,
+            lambda e0, e1: fuse(src[e0:e1], edge_seg[e0:e1], partial(ch.rows, eid[e0:e1])))
 
     def _layer(self, tape, x, l: int, blk: _Block):
         h = self._type_transform(tape, x, blk.inputs, l)
@@ -524,15 +520,11 @@ class GatEncoder(_Encoder):
 
     def _layer(self, tape, x, l: int, blk: _Block):
         h = T.linear(tape, x, self._param(l, "W"), self._param(l, "b"))
-        hps = [T.matmul(tape, h, self._param(l, f"head{m}")) for m in range(self.config.heads)]
+        projs = [self._param(l, f"head{m}") for m in range(self.config.heads)]
         edge_seg, edge_src, _ = blk.edges[0]
-        own = np.searchsorted(blk.inputs, blk.targets)
-
-        def heads(t0, t1, e0, e1, seg):
-            src = np.concatenate([edge_src[e0:e1], own[t0:t1]])
-            return [(hp, own[t0 + seg], T.gather_rows, (hp, src)) for hp in hps]
-
-        return _attention_layer(tape, edge_seg, len(blk.targets), self.config.lam, heads)
+        own = T.gather_rows(tape, h, np.searchsorted(blk.inputs, blk.targets))
+        return _attention_layer(tape, edge_seg, own, projs, self.config.lam,
+                                lambda e0, e1: T.gather_rows(tape, h, edge_src[e0:e1]))
 
 
 ENCODERS = {"hat": HatEncoder, "gcn": GcnEncoder, "gat": GatEncoder}

@@ -317,14 +317,28 @@ class SplitSession:
 
     # -- one communication round ----------------------------------------------
 
+    def _node_ids(self, ids) -> np.ndarray:
+        """``ids`` as an int64 vector, refused with ``DomainError`` before
+        any party computes unless it names at least one node and only nodes
+        of the graph."""
+        ids = np.asarray(ids, dtype=np.int64)
+        n = self.views[0].graph.num_nodes
+        if ids.size == 0:
+            raise DomainError("a batch needs at least one node id")
+        bad = ids[(ids < 0) | (ids >= n)]
+        if bad.size:
+            raise DomainError(f"node id {bad[0]} is outside [0, {n})")
+        return ids
+
     def train_round(self, batch, step: int) -> float:
         if self.aligned is None:
             raise ProtocolError("session is not aligned; call align() first")
+        batch = self._node_ids(batch)
         # a round that fails leaves no records or decryption events behind
         records, decryptions = self.transcript.records, self.transcript.decryptions
         marks = len(records), len(decryptions)
         try:
-            return self._train_round(np.asarray(batch, dtype=np.int64), step)
+            return self._train_round(batch, step)
         except BaseException:
             del records[marks[0]:], decryptions[marks[1]:]
             raise
@@ -387,7 +401,7 @@ class SplitSession:
     # -- inference -----------------------------------------------------------
 
     def predict(self, ids) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = self._node_ids(ids)
         locals_ = [p.embed(None, ids).values for p in self.participants]
         out = self.server.forward(None, T.Tensor(self._combine(locals_)), training=False)
         return np.argmax(self.label_holder.head.logits(None, out).values, axis=1)

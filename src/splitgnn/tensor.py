@@ -19,9 +19,10 @@ it.  What each op keeps:
   needs a gradient;
 - ``rebuilt_matmul``: the callable that builds its constant left operand,
   not the operand, which backward builds again;
-- ``segment_attention``: α, its anchor and segment indexes, the keys table
-  when the values need a gradient, and the callable that builds the value
-  rows again in backward, not the value rows;
+- ``segment_attention``: each head's α, the segment ids and its three
+  operands, the targets' own rows, the heads' ``P Pᵀ`` and the unprojected
+  message rows, not the keys, which backward forms again;
+- ``grams``: its matrices;
 - ``gather_rows`` and ``segment_sum``: their indices;
 - ``segment_softmax``, ``softmax``, ``tanh`` and ``elu``: their output
   (``elu(x) > 0`` exactly where ``x > 0``, so the output gives the slope);
@@ -33,8 +34,8 @@ reaches it, and a second call, or recording after it, raises
 :class:`~splitgnn.errors.ContractError`.
 
 The op set is small on purpose: matrix products, broadcast arithmetic,
-segment (per-group) softmax, sums and attention for edge-list aggregation,
-the usual activations, dropout and cross-entropy.  All values are float64
+segment (per-group) softmax, sums and multi-head attention for edge-list
+aggregation, the usual activations, dropout and cross-entropy.  All values are float64
 throughout.
 """
 
@@ -378,52 +379,96 @@ def segment_softmax(tape, scores, seg, n_segments: int, temperature: float = 1.0
     return _emit(tape, out, (scores,), backfn)
 
 
-def segment_attention(tape, keys, anchor, values, rebuild, seg, n_segments: int,
-                      temperature: float):
-    """Attention of ``values`` rows over segments, as one op.
+def _rows_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, each row rounded as in a product of many rows: numpy sends
+    a one-row product to its matrix-vector kernel, which rounds
+    differently, so a row's result would depend on how many rows share the
+    call."""
+    if a.shape[0] != 1:
+        return a @ b
+    return (np.concatenate([a, a]) @ b)[:1]
 
-    Row i of ``values`` is scored by its dot product with row ``anchor[i]``
-    of ``keys``, softmaxed at ``temperature`` among the rows of its segment
-    ``seg[i]``, and summed, α-weighted, into its segment's row of the
-    output.  Returns that ``(n_segments, width)`` output only.  The forward
-    scores the rows with one indexed row-wise dot product and runs through
-    :func:`segment_softmax` and :func:`segment_sum`, and the backward is
-    that composition's, term by term, so values and gradients are
-    bit-identical to it.  The tape keeps α, the indexes and the keys table,
-    not the value rows: the zero-argument callable ``rebuild`` builds them
-    again in backward, as :func:`rebuilt_matmul` builds its operand.
-    """
-    keys, values = _as_tensor(keys), _as_tensor(values)
-    anchor = np.asarray(anchor, dtype=np.int64)
-    seg = np.asarray(seg, dtype=np.int64)
-    scores = np.einsum("ij,ij->i", keys.values[anchor], values.values)
-    alpha = segment_softmax(None, scores, seg, n_segments, temperature).values
-    out = segment_sum(None, alpha[:, None] * values.values, seg, n_segments)
-    kept_keys = keys.values if values.requires_grad else None
-    need_keys = keys.requires_grad
-    n_keys = keys.shape[0]
+
+def grams(tape, mats) -> Tensor:
+    """The Gram matrices ``M Mᵀ`` of the square matrices ``mats``, side by
+    side: ``[M_0 M_0ᵀ | … | M_{H−1} M_{H−1}ᵀ]``."""
+    mats = [_as_tensor(m) for m in mats]
+    kept = [m.values for m in mats]
+    out = Tensor(np.concatenate([m @ m.T for m in kept], axis=1))
+    d = out.shape[0]
 
     def backfn(g):
-        # products are formed in place where an operand is not read again;
-        # each is the same elementwise product, so the bits do not change
-        v = rebuild()
-        g_values = g[seg]
-        prod = g_values * v
-        t = alpha * _unbroadcast(prod, (len(alpha), 1))[:, 0]
-        g_scores = temperature * (t - alpha * _segment_add(t, seg, n_segments)[seg])
-        g_keys = None
-        if need_keys:
-            g_keys = _segment_add(np.multiply(g_scores[:, None], v, out=prod), anchor, n_keys)
-        del prod, v
-        if kept_keys is None:
-            return g_keys, None
-        g_values *= alpha[:, None]
-        rows = kept_keys[anchor]
-        rows *= g_scores[:, None]
-        g_values += rows
-        return g_keys, g_values
+        return tuple((g[:, i * d:(i + 1) * d] + g[:, i * d:(i + 1) * d].T) @ m
+                     for i, m in enumerate(kept))
 
-    return _emit(tape, out, (keys, values), backfn)
+    return _emit(tape, out, tuple(mats), backfn)
+
+
+def segment_attention(tape, own, qk, msgs, seg, lam: float) -> Tensor:
+    """Multi-head attention of k targets over their message rows, as one op.
+
+    ``own`` holds the targets' own rows (k × d), ``msgs`` the message rows
+    (E × d), and ``seg[i]`` is message i's target.  ``qk`` is
+    ``[P_0 P_0ᵀ | … | P_{H−1} P_{H−1}ᵀ]`` (d × H·d).  Head m keys target t
+    by ``own[t] @ P_m P_mᵀ`` and scores each of t's messages, then t's own
+    row (its self entry), by its dot product with the key, scaled by
+    ``lam`` and softmaxed among them through :func:`segment_softmax`, over
+    the messages and then the self entries.  Returns the H α-weighted sums
+    of the unprojected rows side by side (k × H·d).  Since attention is
+    linear in its values, ⟨h P, x P⟩ = ⟨h P Pᵀ, x⟩ and Σ α x P = (Σ α x) P,
+    head m's sum times ``P_m`` is its attention over the projected rows
+    ``x P_m`` keyed by ``own P_m``: each projection runs once per target,
+    not once per message.
+
+    Every temporary is one head's, (E × d).  The tape keeps α, ``seg`` and
+    the three operands' values, and forms the keys again in backward.
+    """
+    own, qk, msgs = _as_tensor(own), _as_tensor(qk), _as_tensor(msgs)
+    seg = np.asarray(seg, dtype=np.int64)
+    o, q_k, x = own.values, qk.values, msgs.values
+    (k, d), e = o.shape, len(seg)
+    if x.shape != (e, d) or q_k.shape[0] != d or q_k.shape[1] % d:
+        raise ShapeError(f"segment_attention shapes do not conform: own {o.shape}, "
+                         f"qk {q_k.shape}, msgs {x.shape}, {e} segment ids")
+    heads = [slice(m * d, (m + 1) * d) for m in range(q_k.shape[1] // d)]
+    full = np.concatenate([seg, np.arange(k)])
+    keys = _rows_product(o, q_k)
+    alphas = []
+    out = np.empty((k, q_k.shape[1]))
+    for cols in heads:
+        q = keys[:, cols]
+        scores = np.concatenate([np.einsum("ij,ij->i", q[seg], x),
+                                 np.einsum("ij,ij->i", q, o)])
+        a = segment_softmax(None, scores, full, k, lam).values
+        alphas.append(a)
+        out[:, cols] = segment_sum(None, a[:e, None] * x, seg, k).values + a[e:, None] * o
+    need_own, need_qk, need_msgs = own.requires_grad, qk.requires_grad, msgs.requires_grad
+
+    def backfn(g):
+        keys = _rows_product(o, q_k)
+        g_keys = np.empty_like(keys)
+        g_own = np.zeros_like(o) if need_own else None
+        g_msgs = np.zeros_like(x) if need_msgs else None
+        for cols, a in zip(heads, alphas):
+            g_out = g[:, cols]
+            g_rows = g_out[seg]
+            t = a * np.concatenate([np.einsum("ij,ij->i", g_rows, x),
+                                    np.einsum("ij,ij->i", g_out, o)])
+            g_scores = lam * (t - a * _segment_add(t, full, k)[full])
+            g_edge, g_self = g_scores[:e, None], g_scores[e:, None]
+            g_keys[:, cols] = _segment_add(g_edge * x, seg, k) + g_self * o
+            q = keys[:, cols]
+            if need_msgs:
+                g_rows *= a[:e, None]
+                g_rows += g_edge * q[seg]
+                g_msgs += g_rows
+            if need_own:
+                g_own += a[e:, None] * g_out + g_self * q
+        if need_own:
+            g_own += g_keys @ q_k.T
+        return g_own, o.T @ g_keys if need_qk else None, g_msgs
+
+    return _emit(tape, Tensor(out), (own, qk, msgs), backfn)
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +477,21 @@ def segment_attention(tape, keys, anchor, values, rebuild, seg, n_segments: int,
 
 def elu(tape, x) -> Tensor:
     x = _as_tensor(x)
-    pos = x.values > 0
-    # expm1 of the non-positive inputs only, so a large input cannot overflow
-    vals = np.where(pos, x.values, np.expm1(np.where(pos, 0.0, x.values)))
-    out = Tensor(vals)
-    return _emit(tape, out, (x,), lambda g: (g * np.where(vals > 0, 1.0, vals + 1.0),))
+    # copysign(expm1(min(x, 0)) + max(x, 0), x), in place: branchless, expm1
+    # of the non-positive part only, so a large input cannot overflow, and
+    # copysign keeps the sign of -0.0 and of a NaN
+    vals = np.minimum(x.values, 0.0, out=np.empty(x.values.shape))
+    np.expm1(vals, out=vals)
+    vals += np.maximum(x.values, 0.0)
+    np.copysign(vals, x.values, out=vals)
+
+    def backfn(g):
+        slope = np.minimum(vals, 0.0)
+        slope += 1.0
+        slope *= g
+        return (slope,)
+
+    return _emit(tape, Tensor(vals), (x,), backfn)
 
 
 def tanh(tape, x) -> Tensor:
@@ -516,13 +571,24 @@ def cross_entropy(tape, logits, labels) -> Tensor:
 # optimizers
 
 
+def _flat_grad(params: dict[str, Tensor]) -> tuple[list[str], np.ndarray]:
+    """The names, sorted, of the parameters whose gradient is set, and their
+    gradients in that order as one vector.  Raises ``NumericError`` for the
+    first of them, by name, whose gradient holds a NaN or an infinity; the
+    check runs once over the vector, and the name is looked for only when
+    it fails."""
+    names = [name for name in sorted(params) if params[name].grad is not None]
+    flat = np.concatenate([params[n].grad.reshape(-1) for n in names] or [np.zeros(0)])
+    if not np.isfinite(flat).all():
+        bad = next(n for n in names if not np.isfinite(params[n].grad).all())
+        raise NumericError(f"non-finite gradient for {bad}")
+    return names, flat
+
+
 def check_finite(params: dict[str, Tensor]) -> None:
     """Raise ``NumericError`` for the first parameter, by name, whose
     gradient holds a NaN or an infinity."""
-    for name in sorted(params):
-        grad = params[name].grad
-        if grad is not None and not np.all(np.isfinite(grad)):
-            raise NumericError(f"non-finite gradient for {name}")
+    _flat_grad(params)
 
 
 class Sgd:
@@ -539,33 +605,52 @@ class Sgd:
 
 
 class Adam:
-    """Adaptive-moment variant, selectable via config; deterministic."""
+    """Adaptive-moment variant, selectable via config; deterministic.
+
+    The moments of every parameter live in two flat vectors, each
+    parameter's at its own offsets, so a step is a few vector operations
+    over one concatenated gradient, not a dozen per parameter.  Every
+    operation is elementwise, so the values are the per-parameter ones bit
+    for bit.  A parameter without a gradient is skipped, moments included;
+    nothing moves unless every gradient is finite."""
 
     def __init__(self, lr: float = 0.01, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._offsets: dict[str, int] = {}
+        self._m = np.zeros(0)
+        self._v = np.zeros(0)
         self._t = 0
 
     def step(self, params: dict[str, Tensor]) -> None:
-        check_finite(params)
+        names, g = _flat_grad(params)
+        sizes = [params[name].values.size for name in names]
+        for name, size in zip(names, sizes):
+            if name not in self._offsets:
+                self._offsets[name] = len(self._m)
+                self._m = np.concatenate([self._m, np.zeros(size)])
+                self._v = np.concatenate([self._v, np.zeros(size)])
+        # the parameters with a gradient are mostly all of them, in layout order
+        sel = slice(None) if names == list(self._offsets) else np.concatenate(
+            [np.arange(self._offsets[n], self._offsets[n] + size)
+             for n, size in zip(names, sizes)] + [np.zeros(0, dtype=np.int64)])
         self._t += 1
-        for name in sorted(params):
+        m, v = self._m[sel], self._v[sel]
+        m *= self.beta1
+        m += (1 - self.beta1) * g
+        v *= self.beta2
+        v += (1 - self.beta2) * g**2
+        self._m[sel], self._v[sel] = m, v
+        mhat = m / (1 - self.beta1**self._t)
+        vhat = v / (1 - self.beta2**self._t)
+        update = self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        at = 0
+        for name, size in zip(names, sizes):
             p = params[name]
-            if p.grad is None:
-                continue
-            m = self._m.setdefault(name, np.zeros_like(p.values))
-            v = self._v.setdefault(name, np.zeros_like(p.values))
-            m *= self.beta1
-            m += (1 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1 - self.beta2) * p.grad**2
-            mhat = m / (1 - self.beta1**self._t)
-            vhat = v / (1 - self.beta2**self._t)
-            p.values -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.values -= update[at:at + size].reshape(p.values.shape)
+            at += size
 
 
 OPTIMIZERS = {"sgd": Sgd, "adam": Adam}

@@ -5,8 +5,9 @@ small-modulus Paillier key, the metapath instance oracle, the row-wise dot
 product and the column reshape of the attention oracles, the column
 concatenation of the per-edge fusion oracle, the row scatter of the
 whole-graph HAT oracle, a recorder of the attention coefficients α and β
-that encoders compute but do not keep, a finite-difference gradient check,
-a metrics.csv reader and an in-process import of ``perfbench/run.py``."""
+that encoders compute but do not keep, the per-head attention oracle, a
+finite-difference gradient check, a metrics.csv reader and an in-process
+import of ``perfbench/run.py``."""
 
 import importlib.util
 import os
@@ -95,8 +96,7 @@ def rowwise_dot(tape, a, b, index=None):
     op reads by index, and the tape keeps the table, not a gathered copy.  The
     gathered rows are built again in backward, and ``a``'s gradient is summed
     over ``index`` as ``T.gather_rows`` sums it.  Recorded on the tape: the
-    op the attention oracles score their value rows with, whose scores
-    ``T.segment_attention`` computes in its own forward."""
+    op the attention oracles score their projected value rows with."""
     a, b = T._as_tensor(a), T._as_tensor(b)
     if index is not None:
         index = np.asarray(index, dtype=np.int64)
@@ -190,10 +190,10 @@ class AttentionRecorder:
             self._layer_calls = 0
             return self._blocks
 
-        def layer(tape, edge_seg, k, *rest):
+        def layer(tape, edge_seg, own, *rest):
             first = len(self.segment_softmaxes)
-            out = attention_layer(tape, edge_seg, k, *rest)
-            self._group(self.segment_softmaxes[first:], k)
+            out = attention_layer(tape, edge_seg, own, *rest)
+            self._group(self.segment_softmaxes[first:], own.shape[0])
             return out
 
         def segment(tape, scores, seg, n_segments, *rest):
@@ -231,6 +231,34 @@ class AttentionRecorder:
 @pytest.fixture
 def attention(monkeypatch):
     return AttentionRecorder(monkeypatch)
+
+
+def per_head_attention_layer(tape, edge_seg, own, projs, lam, messages, gathered=False):
+    """``models._attention_layer`` as the composition of recorded ops that
+    HAT and GAT ran before their heads shared the message rows: the oracle
+    for :func:`splitgnn.tensor.segment_attention`.  Per range and head m,
+    the value rows are the messages and then the targets' own rows, each
+    through ``P_m``; the keys are the own rows through ``P_m``, read by
+    index (gathered into a matrix of their own with ``gathered``); each
+    head's α-weighted sums are taken over the projected rows, and the
+    heads are summed before ELU."""
+    rows = []
+    for t0, t1, e0, e1 in M._target_ranges(edge_seg, own.shape[0], tape):
+        k = t1 - t0
+        seg = np.concatenate([edge_seg[e0:e1] - t0, np.arange(k)])
+        own_rows = M._row_range(tape, own, t0, t1)
+        msgs = messages(e0, e1)
+        agg = None
+        for proj in projs:
+            keys = T.matmul(tape, own_rows, proj)
+            values = T.concat_rows(tape, [T.matmul(tape, msgs, proj), keys])
+            scores = (rowwise_dot(tape, T.gather_rows(tape, keys, seg), values) if gathered
+                      else rowwise_dot(tape, keys, values, index=seg))
+            alpha = T.segment_softmax(tape, scores, seg, k, lam)
+            out = T.segment_sum(tape, T.mul(tape, reshape_col(tape, alpha), values), seg, k)
+            agg = out if agg is None else T.add(tape, agg, out)
+        rows.append(T.elu(tape, agg))
+    return M._stacked(tape, rows)
 
 
 def loop_metapath_edges(graph, metapath):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from splitgnn.errors import GraphSchemaError, ParseError
-from splitgnn.graph import DatasetBundle, HetGraph, Metapath, Relation
+from splitgnn.graph import RELATION_NAME, DatasetBundle, HetGraph, Metapath, Relation
 
 
 def _parse_floats(text: str, path, lineno: int) -> list[float]:
@@ -78,6 +78,8 @@ def load_dataset_by_rows(directory) -> DatasetBundle:
     relations: dict[str, Relation] = {}
     for path in sorted(directory.glob("edges_*.tsv")):
         rname = path.stem[len("edges_"):]
+        if not RELATION_NAME.ok(rname):
+            raise ParseError(f"{path}: relation name {rname!r} is not {RELATION_NAME.want}")
         src, dst, feats = [], [], []
         edim = None
         for lineno, fields in _read_rows(path, 3, min_fields=2):

@@ -118,6 +118,13 @@ LOADER_ERRORS = {
         {"labels.tsv": "a\t-1\nb\t1\n"}, "{d}/labels.tsv:1: bad class index '-1'"),
     "unknown-split": (
         {"splits.tsv": "a\ttrain\nb\tdev\n"}, "{d}/splits.tsv:2: unknown split 'dev'"),
+    # a relation's name comes from its edge file's name and must be one a
+    # metapaths.txt line can name
+    "relation-name-from-file": (
+        {"edges_cites.tsv": None, "edges_a,b.tsv": "a\tb\t0.75\nb\tc\t-1.5\n",
+         "metapaths.txt": "a,b\n"},
+        "{d}/edges_a,b.tsv: relation name 'a,b' is not a non-empty string without "
+        "',', '/', NUL or whitespace"),
     "metapath-unknown-relation": (
         {"metapaths.txt": "cites,cites\n\ncites,zz\n"},
         "{d}/metapaths.txt:3: metapath uses unknown relation 'zz'"),
@@ -193,11 +200,13 @@ class TestLoader:
     @pytest.mark.parametrize("files,message", LOADER_ERRORS.values(), ids=LOADER_ERRORS)
     def test_error_message(self, tmp_path, files, message):
         """The exact ParseError of each way a dataset directory can be
-        wrong: the first bad row of the first bad file, by ``path:line``."""
+        wrong: the first bad row of the first bad file, by ``path:line``;
+        the row-by-row loader raises the same."""
         edited_toy(tmp_path, files)
         with pytest.raises(ParseError) as err:
             G.load_dataset(tmp_path)
         assert str(err.value) == message.format(d=tmp_path)
+        assert load_outcome(load_dataset_by_rows, tmp_path) == str(err.value)
 
     def test_save_load_roundtrip(self, tmp_path):
         bundle = small_synthetic(seed=3)
@@ -493,9 +502,18 @@ def own_view(bundle):
                              no_ids, no_ids, no_ids)
 
 
+def middle(g, table):
+    """The middle [e_1, x_1, ..., e_L] of metapath instance rows
+    [x_target, e_1, x_1, ..., e_L, x_L]: the columns a metapath channel's
+    ``rows`` builds, since HAT projects the two ends per node."""
+    f = g.feature_dim
+    return table[:, f:table.shape[1] - f]
+
+
 class TestChannelRows:
     """A HAT channel's ``rows(eid)`` against the rows the loop oracle builds
-    up front."""
+    up front: a metapath channel builds their middle columns, and its
+    targets' and endpoints' features are their two ends."""
 
     @pytest.mark.parametrize("fixture", sorted(METAPATH_FIXTURES))
     def test_rows_match_oracle_table(self, fixture):
@@ -519,8 +537,13 @@ class TestChannelRows:
                 eid = np.asarray(eid, dtype=np.int64)
                 got = ch.rows(eid)
                 assert got.dtype == np.float64 and got.flags.c_contiguous, label
-                assert got.shape == (len(eid), table.shape[1]), label
-                assert np.array_equal(got, table[eid]), (mp.name, label)
+                want = table[eid]
+                assert got.shape == (len(eid), table.shape[1] - 2 * g.feature_dim), label
+                assert np.array_equal(got, middle(g, want)), (mp.name, label)
+                ends = np.concatenate([g.features[ch.tgt[eid]], g.features[ch.nbr[eid]]],
+                                      axis=1)
+                assert np.array_equal(ends, np.delete(want, np.arange(
+                    g.feature_dim, table.shape[1] - g.feature_dim), axis=1)), (mp.name, label)
         if fixture == "synthetic-long":
             assert lengths == {1, 2, 3, 4}
 
@@ -538,14 +561,15 @@ class TestChannelRows:
         empty = np.zeros(0, dtype=np.int64)
         path = channels["path:uv+vu"]
         assert len(path.tgt) == 0
-        assert path.rows(empty).shape == (0, G.metapath_feature_dim(g, none)) \
-            == loop_metapath_edges(g, none)[3].shape
+        assert path.rows(empty).shape == (0, G.metapath_feature_dim(g, none)
+                                          - 2 * g.feature_dim)
+        assert path.edge_dim == loop_metapath_edges(g, none)[3].shape[1]
         # a hop over a relation without edge features adds no columns
         path = channels["path:uu+uv"]
         table = loop_metapath_edges(g, zero_width)[3]
         assert len(table) and table.shape[1] == 3 * g.feature_dim + 2
         every = np.arange(len(table))[::-1]
-        assert np.array_equal(path.rows(every), table[every])
+        assert np.array_equal(path.rows(every), middle(g, table[every]))
         assert channels["uv"].edge_dim == 0
         some = np.array([2, 0, 0], dtype=np.int64)
         assert channels["uv"].rows(some).shape == (3, 0)

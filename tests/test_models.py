@@ -6,8 +6,9 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import (add_at_segment_sum, concat_cols, encoder_config, finite_diff_check,
-                      loop_metapath_edges, reshape_col, rowwise_dot, scatter_rows)
+from conftest import (AttentionRecorder, add_at_segment_sum, concat_cols, encoder_config,
+                      finite_diff_check, loop_metapath_edges, per_head_attention_layer,
+                      scatter_rows)
 from splitgnn import graph as G
 from splitgnn import models as M
 from splitgnn import tensor as T
@@ -46,12 +47,34 @@ def oracle_rows(enc, ch):
     return loop_metapath_edges(enc.graph, metapath)[3]
 
 
+def channel_part(enc, ch, table):
+    """The columns of whole edge rows ``table`` that ``ch.rows`` builds: all
+    of them for a relation, the middle [e_1, x_1, ..., e_L] for a metapath,
+    whose target and endpoint features HAT projects per node."""
+    if ch.metapath is None:
+        return table
+    f = enc.graph.feature_dim
+    return table[:, f:table.shape[1] - f]
+
+
+def whole_rows(enc, ch, eid):
+    """The whole feature rows of edges ``eid`` of ``ch``: a metapath
+    channel's ``rows`` with the target's and the endpoint's features put
+    back at its ends."""
+    rows = ch.rows(eid)
+    if ch.metapath is None:
+        return rows
+    X = enc.graph.features
+    return np.concatenate([X[ch.tgt[eid]], rows, X[ch.nbr[eid]]], axis=1)
+
+
 class TableChannel:
     """A channel that reads its rows from a table built up front, as HAT's
     metapath channels did before they built rows from hop ids."""
 
-    def __init__(self, name, tgt, nbr, table):
-        self.name, self.tgt, self.nbr, self.table = name, tgt, nbr, table
+    def __init__(self, name, tgt, nbr, metapath, table):
+        self.name, self.tgt, self.nbr, self.metapath, self.table = \
+            name, tgt, nbr, metapath, table
 
     @property
     def edge_dim(self):
@@ -62,22 +85,29 @@ class TableChannel:
 
 
 def table_encoder(enc):
-    """``enc`` with every channel reading the oracle's table; the two share
-    their parameters."""
+    """``enc`` with every channel reading the oracle's table, cut to the
+    columns the channel builds; the two share their parameters."""
     oracle = copy.copy(enc)
-    oracle.channels = [TableChannel(ch.name, ch.tgt, ch.nbr, oracle_rows(enc, ch))
+    oracle.channels = [TableChannel(ch.name, ch.tgt, ch.nbr, ch.metapath,
+                                    channel_part(enc, ch, oracle_rows(enc, ch)))
                        for ch in enc.channels]
     return oracle
 
 
-def edge_fusion(tape, h, We, be, W, b):
+def edge_fusion(tape, h, We, be, W, b, ends=None):
     """The fusion as HAT computed it per edge before it projected node rows
-    per node: ``fuse(src, rows)`` concatenates ``h[src]`` with the edge
-    latent ``rows() @ We + be`` and maps the row through ``W`` and ``b``."""
-    def fuse(src, rows):
+    per node: ``fuse(src, seg, rows)`` concatenates ``h[src]`` with the edge
+    latent ``r @ We + be`` and maps the row through ``W`` and ``b``.  ``r``
+    is ``rows()``, or with a metapath's ``ends``, ``(X, targets, inputs)``,
+    the whole row [X[targets[seg]], rows(), X[inputs[src]]]."""
+    def fuse(src, seg, rows):
+        r = rows()
+        if ends is not None:
+            X, targets, inputs = ends
+            r = np.concatenate([X[targets[seg]], r, X[inputs[src]]], axis=1)
         hs = T.gather_rows(tape, h, src)
-        r = T.linear(tape, T.Tensor(rows()), We, be)
-        return T.linear(tape, concat_cols(tape, [hs, r]), W, b)
+        latent = T.linear(tape, T.Tensor(r), We, be)
+        return T.linear(tape, concat_cols(tape, [hs, latent]), W, b)
 
     return fuse
 
@@ -88,6 +118,7 @@ class TestTransformAndFuse:
         self.node = rng.standard_normal((5, 3))
         self.edge = rng.standard_normal((7, 2))
         self.src = np.array([4, 0, 0, 2, 1, 4, 3])
+        self.seg = np.zeros(7, dtype=np.int64)  # a relation's fusion does not read it
 
     def fuse_params(self, seed, zero_bias=True):
         """Node transform, edge transform and fusion weights, d = 4; the
@@ -117,7 +148,7 @@ class TestTransformAndFuse:
                            (slice(0, 4), latent @ W[4:] + b)]:
             params["fuse/W"].values[zero] = 0.0
             out = M._fusion(None, T.Tensor(h), *self.fusion_weights(params))(
-                self.src, lambda: self.edge)
+                self.src, self.seg, lambda: self.edge)
             np.testing.assert_allclose(out.values, want, rtol=1e-12)
             params["fuse/W"].values[:] = W
 
@@ -133,7 +164,7 @@ class TestTransformAndFuse:
             tape = T.Tape()
             h = T.linear(tape, self.node, params["Wt"], params["bt"])
             out = fusion_of(tape, h, *self.fusion_weights(params))(
-                self.src, lambda: self.edge)
+                self.src, self.seg, lambda: self.edge)
             tape.backward(out, seed_grad=seed)
             results.append((out.values, {name: p.grad for name, p in params.items()}))
         (got, got_grads), (want, want_grads) = results
@@ -151,10 +182,49 @@ class TestTransformAndFuse:
             tape = T.Tape()
             h = T.linear(tape, self.node, params["Wt"], params["bt"])
             out = M._fusion(tape, h, *self.fusion_weights(params))(
-                self.src, lambda: self.edge)
+                self.src, self.seg, lambda: self.edge)
             return T.mean_all(tape, T.mul(tape, out, out)), tape
 
         assert finite_diff_check(forward, [params["Wt"]]) < 1e-4
+
+    def test_metapath_ends_projected_per_node(self):
+        """A metapath's target and endpoint features are projected once per
+        node and gathered: the values and every gradient of the fusion of
+        whole rows [x_target, middle, x_end], to rounding, with a tape that
+        keeps neither the middle rows nor a gathered feature row."""
+        rng = stable_rng("taf-ends")
+        X = rng.standard_normal((6, 2))
+        targets, inputs = np.array([1, 4]), np.array([0, 2, 3, 4, 5])
+        seg = np.array([0, 1, 1, 0, 1, 0, 0])
+        params = self.fuse_params(4, zero_bias=False)
+        M.init_param(params, "We", (2 + 2 + 2, 4), 4)
+        seed = rng.standard_normal((7, 4))
+        builds = []
+
+        def middle():
+            builds.append(1)
+            return self.edge.copy()
+
+        results = []
+        for fusion_of in (M._fusion, edge_fusion):
+            for p in params.values():
+                p.zero_grad()
+            tape = T.Tape()
+            h = T.linear(tape, self.node, params["Wt"], params["bt"])
+            out = fusion_of(tape, h, *self.fusion_weights(params), (X, targets, inputs))(
+                self.src, seg, middle)
+            held = [a for node in tape._nodes for a in closure_arrays(node.backfn)]
+            tape.backward(out, seed_grad=seed)
+            results.append((out.values, {name: p.grad for name, p in params.items()}, held))
+        (got, got_grads, held), (want, want_grads, _) = results
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        assert got_grads.keys() == want_grads.keys()
+        for name, grad in want_grads.items():
+            np.testing.assert_allclose(got_grads[name], grad, rtol=1e-12, err_msg=name)
+        # built in forward and again in backward, by the per-node fusion, and
+        # once by the per-edge one
+        assert len(builds) == 3
+        assert not [a.shape for a in held if a.shape in {self.edge.shape, (2, 2), (5, 2)}]
 
 
 def node_attention(target, neighbors, head_projs, temperature):
@@ -497,6 +567,27 @@ def whole_graph_gcn(enc, tape, batch_ids, step=0, training=False):
     return T.gather_rows(tape, x, np.asarray(batch_ids, dtype=np.int64)), {}
 
 
+def whole_graph_attention(tape, seg, own, projs, lam, msgs):
+    """Every target's attention over every edge in one call of the
+    encoders' kernel, ``T.segment_attention``, then the heads' projection
+    and ELU as ``models._attention_layer`` applies them.  Also returns each
+    head's α, over the messages and then the self entries."""
+    alphas = []
+    segment_softmax = T.segment_softmax
+
+    def recorded(*args):
+        out = segment_softmax(*args)
+        alphas.append(out.values)
+        return out
+
+    T.segment_softmax = recorded
+    try:
+        sums = T.segment_attention(tape, own, T.grams(tape, projs), msgs, seg, lam)
+    finally:
+        T.segment_softmax = segment_softmax
+    return T.elu(tape, T.matmul(tape, sums, T.concat_rows(tape, projs))), alphas
+
+
 def whole_graph_gat(enc, tape, batch_ids, step=0, training=False):
     """GAT with every layer over every node; also returns its attention
     coefficients by (layer, head), with their segments in node ids."""
@@ -511,20 +602,10 @@ def whole_graph_gat(enc, tape, batch_ids, step=0, training=False):
                       seed=(enc.seed, "dropout", enc.scope, l, step), training=training)
         h = T.linear(tape, x, enc.params[f"{enc.scope}/l{l}/W"],
                      enc.params[f"{enc.scope}/l{l}/b"])
-        head_outs = []
-        for m in range(cfg.heads):
-            hp = T.matmul(tape, h, enc.params[f"{enc.scope}/l{l}/head{m}"])
-            vals = T.concat_rows(tape, [T.gather_rows(tape, hp, nbr), hp])
-            anchors = T.concat_rows(tape, [T.gather_rows(tape, hp, tgt), hp])
-            alpha = T.segment_softmax(tape, rowwise_dot(tape, anchors, vals),
-                                      seg, n, cfg.lam)
-            alphas[(l, m)] = (alpha.values.copy(), seg)
-            weighted = T.mul(tape, reshape_col(tape, alpha), vals)
-            head_outs.append(T.segment_sum(tape, weighted, seg, n))
-        agg = head_outs[0]
-        for other in head_outs[1:]:
-            agg = T.add(tape, agg, other)
-        x = T.elu(tape, agg)
+        projs = [enc.params[f"{enc.scope}/l{l}/head{m}"] for m in range(cfg.heads)]
+        x, head_alphas = whole_graph_attention(tape, tgt, h, projs, cfg.lam,
+                                               T.gather_rows(tape, h, nbr))
+        alphas.update({(l, m): (alpha, seg) for m, alpha in enumerate(head_alphas)})
     return T.gather_rows(tape, x, np.asarray(batch_ids, dtype=np.int64)), alphas
 
 
@@ -553,27 +634,18 @@ def whole_graph_hat(enc, tape, batch_ids, step=0, training=False, beta_rows=None
             piece = scatter_rows(tape, piece, idx, n)
             h = piece if h is None else T.add(tape, h, piece)
         zs = []
+        everyone = np.arange(n)
         for ch in enc.channels:
             base = f"l{l}/rel:{ch.name}"
+            ends = None if ch.metapath is None else (g.features, everyone, everyone)
             fused = M._fusion(tape, h, prm(f"{base}/We"), prm(f"{base}/be"),
-                              prm(f"{base}/fuse/W"), prm(f"{base}/fuse/b"))(
-                ch.nbr, partial(oracle_rows, enc, ch))
-            seg = np.concatenate([ch.tgt, np.arange(n)])
-            head_outs = []
-            for m in range(cfg.heads):
-                proj = prm(f"{base}/head{m}")
-                hp = T.matmul(tape, h, proj)
-                vals = T.concat_rows(tape, [T.matmul(tape, fused, proj), hp])
-                anchors = T.concat_rows(tape, [T.gather_rows(tape, hp, ch.tgt), hp])
-                alpha = T.segment_softmax(tape, rowwise_dot(tape, anchors, vals),
-                                          seg, n, cfg.lam)
-                alphas[(l, ch.name, m)] = (alpha.values.copy(), seg)
-                weighted = T.mul(tape, reshape_col(tape, alpha), vals)
-                head_outs.append(T.segment_sum(tape, weighted, seg, n))
-            agg = head_outs[0]
-            for other in head_outs[1:]:
-                agg = T.add(tape, agg, other)
-            zs.append(T.elu(tape, agg))
+                              prm(f"{base}/fuse/W"), prm(f"{base}/fuse/b"), ends)(
+                ch.nbr, ch.tgt, lambda ch=ch: channel_part(enc, ch, oracle_rows(enc, ch)))
+            seg = np.concatenate([ch.tgt, everyone])
+            projs = [prm(f"{base}/head{m}") for m in range(cfg.heads)]
+            z, head_alphas = whole_graph_attention(tape, ch.tgt, h, projs, cfg.lam, fused)
+            alphas.update({(l, ch.name, m): (alpha, seg) for m, alpha in enumerate(head_alphas)})
+            zs.append(z)
         scored = zs if beta_rows is None else [T.gather_rows(tape, z, beta_rows[l]) for z in zs]
         scores = [
             T.mean_all(tape, T.matmul(tape, T.tanh(tape, T.linear(
@@ -893,18 +965,6 @@ def test_forward_keeps_no_edge_sized_array(kind):
     assert not [a.shape for a in float_arrays(enc) if a.ndim and len(a) in sizes]
 
 
-def kept_attend(tape, keys, anchor, values, inputs, seg, n, lam):
-    """``attend`` as the composition of recorded ops it was before it read
-    anchors by index and built its value rows again in backward: the value
-    rows built once, the anchors gathered into a matrix of their own, and
-    both kept on the tape."""
-    values = values(tape, *inputs)
-    anchors = T.gather_rows(tape, keys, anchor)
-    alpha = T.segment_softmax(tape, rowwise_dot(tape, anchors, values), seg, n, lam)
-    weighted = T.mul(tape, reshape_col(tape, alpha), values)
-    return T.segment_sum(tape, weighted, seg, n)
-
-
 def kept_matmul(tape, build, w):
     """``rebuilt_matmul`` as a plain product whose left operand is built once
     and kept on the tape for ``w``'s gradient."""
@@ -912,16 +972,17 @@ def kept_matmul(tape, build, w):
 
 
 def keep_rebuildable_arrays(monkeypatch):
-    """Make encoders keep the gathered anchors, the value rows and the edge
-    rows on the tape, as they did before they rebuilt them in backward."""
-    monkeypatch.setattr(M, "attend", kept_attend)
+    """Make encoders keep the edge rows and the gathered feature rows of a
+    metapath's ends on the tape, as they would without rebuilding them in
+    backward."""
     monkeypatch.setattr(T, "rebuilt_matmul", kept_matmul)
 
 
 @pytest.mark.parametrize("kind", ["hat", "gat"], ids=layout_ids("concat", "sum"))
 def test_rebuilt_in_backward_is_bit_identical(kind, monkeypatch, attention):
-    """Reading anchors by index and building edge rows again in backward
-    change what the tape keeps, not a bit of the forward, α or any gradient."""
+    """Building edge rows and a metapath's end features again in backward
+    changes what the tape keeps, not a bit of the forward, α or any
+    gradient."""
     view = hat_view()
     isolated = view.graph.num_nodes - 2
     cfg = encoder_config(kind=kind, dropout=0.3)
@@ -972,29 +1033,36 @@ def closure_arrays(fn):
 
 
 def record_value_rows(monkeypatch):
-    """The value rows of every ``attend`` call that follows, each built from
-    the call's inputs: HAT's fused messages @ head projection, then the
-    targets' projected rows; GAT's projected rows gathered by source."""
+    """The per-head value rows of every ``models._attention_layer`` range
+    that follows, each from the range's messages as the layer builds them:
+    the messages @ head projection, then the targets' own rows @ it."""
     seen = []
-    attend = M.attend
+    layer = M._attention_layer
 
-    def recorded(tape, keys, anchor, values, inputs, seg, n, lam):
-        seen.append(values(None, *inputs).values)
-        return attend(tape, keys, anchor, values, inputs, seg, n, lam)
+    def recorded(tape, edge_seg, own, projs, lam, messages):
+        def built(e0, e1):
+            msgs = messages(e0, e1)
+            seen.extend(np.concatenate([msgs.values @ p.values, own.values @ p.values])
+                        for p in projs)
+            return msgs
 
-    monkeypatch.setattr(M, "attend", recorded)
+        return layer(tape, edge_seg, own, projs, lam, built)
+
+    monkeypatch.setattr(M, "_attention_layer", recorded)
     return seen
 
 
 def rebuildable_arrays(enc, batch, tape, value_rows):
     """The arrays on ``tape``, after ``enc``'s forward for ``batch``, that an
     encoder can rebuild from indexes, by the kind found: a channel's edge
-    rows, a float array shaped (block edges, edge_dim); for HAT, an edge
-    latent, equal to its rows @ We + be, or a concatenated edge row, shaped
-    (block edges, 2 * hidden); an anchor copy, whose every row is its
-    segment's self row, as the gathered anchors ``keys[anchor]`` are; and
-    value rows, shaped (block edges + targets, hidden), whose edge rows
-    are those of one of ``value_rows``."""
+    rows, a float array shaped (block edges, edge_dim) or (block edges, the
+    width ``rows`` builds); for HAT, an edge latent, equal to its rows @ We
+    + be, a concatenated edge row, shaped (block edges, 2 * hidden), or a
+    metapath's gathered end features, the features of the block's targets
+    or inputs; an anchor copy, whose every row is its segment's self row,
+    as the gathered keys ``keys[anchor]`` are; and value rows, shaped
+    (block edges + targets, hidden), whose edge rows are those of one of
+    ``value_rows``."""
     cfg = enc.config
     channels = enc.channels if enc.kind == "hat" else [None]
     blocks = M._receptive_blocks(enc.csrs, np.asarray(batch), cfg.layers, enc.graph.num_nodes,
@@ -1011,17 +1079,22 @@ def rebuildable_arrays(enc, batch, tape, value_rows):
             self_row = e + np.concatenate([edge_seg, np.arange(k)])
             if ch is not None:
                 base = f"{enc.scope}/l{l}/rel:{ch.name}"
-                latent = (ch.rows(eid) @ enc.params[f"{base}/We"].values
+                latent = (whole_rows(enc, ch, eid) @ enc.params[f"{base}/We"].values
                           + enc.params[f"{base}/be"].values)
+                widths = {ch.edge_dim, ch.rows(eid[:0]).shape[1]}
+                features = [enc.graph.features[ids] for ids in (blk.targets, blk.inputs)]
             values = [v for v in value_rows if v.shape == (e + k, cfg.hidden)]
             assert values, (l, ch)
             for a in held:
-                if ch is not None and a.shape == (e, ch.edge_dim):
+                if ch is not None and a.ndim == 2 and a.shape[0] == e and a.shape[1] in widths:
                     found.add("edge rows")
                 elif ch is not None and a.shape == (e, 2 * cfg.hidden):
                     found.add("concatenation")
                 elif ch is not None and a.shape == latent.shape and np.allclose(a, latent):
                     found.add("edge latent")
+                elif ch is not None and ch.metapath is not None and any(
+                        a.shape == x.shape and np.array_equal(a, x) for x in features):
+                    found.add("end features")
                 elif a.ndim and len(a) == e + k and np.array_equal(a, a[self_row]):
                     found.add("anchors")
                 elif any(a.shape == v.shape and np.array_equal(a[:e], v[:e]) for v in values):
@@ -1032,27 +1105,40 @@ def rebuildable_arrays(enc, batch, tape, value_rows):
 @pytest.mark.parametrize("kind", ["hat", "gat"], ids=layout_ids("concat"))
 def test_tape_keeps_no_rebuildable_edge_array(kind, monkeypatch):
     view = hat_view()
-    cfg = encoder_config(kind=kind, hidden=4, heads=2, dropout=0.3)
+    # a width of 4 would be a metapath's middle row's and 2 * hidden
+    cfg = encoder_config(kind=kind, hidden=3, heads=2, dropout=0.3)
     enc = M.make_encoder(view, cfg, seed=3, scope="e")
     if kind == "hat":
         assert any(ch.metapath for ch in enc.channels)
-        assert {cfg.hidden, 2 * cfg.hidden}.isdisjoint(ch.edge_dim for ch in enc.channels)
+        widths = {w for ch in enc.channels for w in (ch.edge_dim, ch.rows([]).shape[1])}
+        assert {cfg.hidden, 2 * cfg.hidden}.isdisjoint(widths)
     batch = [17, 3, 0, 9]
     with monkeypatch.context() as patched:
         value_rows = record_value_rows(patched)
         tape = T.Tape()
         enc.forward(tape, batch, step=1, training=True)
     assert rebuildable_arrays(enc, batch, tape, value_rows) == set()
-    # the check finds what the tape kept before
+    # the check finds what the tape kept before: the per-head composition
+    # with gathered keys, kept products and, for the metapath ends, kept
+    # feature rows; then the per-edge fusion as well
     keep_rebuildable_arrays(monkeypatch)
-    monkeypatch.setattr(M, "_fusion", edge_fusion)
+    monkeypatch.setattr(M, "_attention_layer", partial(per_head_attention_layer,
+                                                       gathered=True))
     value_rows = record_value_rows(monkeypatch)
     tape = T.Tape()
     enc.forward(tape, batch, step=1, training=True)
     want = {"anchors", "value rows"}
     if kind == "hat":
-        want |= {"edge rows", "concatenation"}
+        want |= {"edge rows", "end features"}
     assert rebuildable_arrays(enc, batch, tape, value_rows) == want
+    if kind == "hat":
+        monkeypatch.setattr(M, "_fusion", edge_fusion)
+        value_rows.clear()
+        tape = T.Tape()
+        enc.forward(tape, batch, step=1, training=True)
+        # it builds whole rows, ends included, per edge
+        assert rebuildable_arrays(enc, batch, tape, value_rows) == \
+            want - {"end features"} | {"concatenation"}
 
 
 @pytest.mark.parametrize("budget", [2, 3, 4, 7])
@@ -1130,3 +1216,51 @@ def test_one_edge_range_joins_a_neighbour(monkeypatch):
     seg = np.repeat(np.arange(7), [1, 2, 1, 2, 0, 3, 1])
     assert M._target_ranges(seg, 7, None) == [(0, 3, 0, 4), (3, 5, 4, 6), (5, 7, 6, 10)]
     assert M._target_ranges(seg, 7, T.Tape()) == [(0, 7, 0, 10)]
+
+
+@pytest.mark.parametrize("mode", ["tape", "chunked"])
+@pytest.mark.parametrize("heads", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["hat", "gat"])
+def test_shared_message_rows_match_per_head_composition(kind, heads, mode, monkeypatch):
+    """Heads that score and sum the unprojected message rows, each
+    projection applied once per target, give the forward rows, α, β and
+    every parameter gradient of the per-head composition, in which every
+    head projects every message row, to rounding: on a tape, and in
+    inference over many small target ranges."""
+    view = hat_view()
+    n = view.graph.num_nodes
+    enc = M.make_encoder(view, encoder_config(kind=kind, heads=heads, dropout=0.3),
+                         seed=3, scope="e")
+    if mode == "chunked":
+        monkeypatch.setattr(M, "EDGE_BUDGET", 3)
+        # every node, unsorted and with a repeat; nodes n - 3 .. n - 1 have no edge
+        batch = np.concatenate([stable_rng("chunks").permutation(n), [4]])
+    else:
+        batch = np.array([17, 3, 3, n - 2, 0, 17, 9])
+
+    def run():
+        recorder = AttentionRecorder(monkeypatch)
+        if mode == "chunked":
+            out, grads = enc.forward(None, batch).values, {}
+        else:
+            tape = T.Tape()
+            emb = enc.forward(tape, batch, step=2, training=True)
+            out, grads = emb.values, param_grads(enc, lambda tape: enc.forward(
+                tape, batch, step=2, training=True))
+        return out, recorder.alpha, recorder.beta, grads
+
+    got_out, got_alpha, got_beta, got_grads = run()
+    monkeypatch.setattr(M, "_attention_layer", per_head_attention_layer)
+    out, alpha, beta, grads = run()
+    np.testing.assert_allclose(got_out, out, rtol=1e-12)
+    assert got_alpha.keys() == alpha.keys()
+    assert {head for *_, head in alpha} == set(range(heads))
+    for key, (a, seg) in alpha.items():
+        assert np.array_equal(got_alpha[key][1], seg)
+        np.testing.assert_allclose(got_alpha[key][0], a, rtol=1e-12, err_msg=str(key))
+    assert len(got_beta) == len(beta) == (enc.config.layers if kind == "hat" else 0)
+    for got, want in zip(got_beta, beta):
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+    assert got_grads.keys() == grads.keys()
+    for name, grad in grads.items():
+        np.testing.assert_allclose(got_grads[name], grad, rtol=1e-12, err_msg=name)

@@ -252,8 +252,7 @@ class TestSessionBasics:
             params.update({("server", k): t.values.copy()
                            for k, t in session.server_params.items()})
             opts = [p.optimizer for p in session.participants] + [session.server_optimizer]
-            moments = [(o._t, {k: m.copy() for k, m in o._m.items()},
-                        {k: v.copy() for k, v in o._v.items()}) for o in opts]
+            moments = [(o._t, dict(o._offsets), o._m.copy(), o._v.copy()) for o in opts]
             return params, moments
 
         before = state()
@@ -284,12 +283,10 @@ class TestSessionBasics:
         assert params.keys() == want_params.keys()
         for key in params:
             assert np.array_equal(params[key], want_params[key]), key
-        for (t, m, v), (want_t, want_m, want_v) in zip(moments, want_moments):
-            assert t == want_t
-            assert m.keys() == want_m.keys() and v.keys() == want_v.keys()
-            for name in m:
-                assert np.array_equal(m[name], want_m[name]), name
-                assert np.array_equal(v[name], want_v[name]), name
+        for got, want in zip(moments, want_moments):
+            (t, offsets, m, v), (want_t, want_offsets, want_m, want_v) = got, want
+            assert t == want_t and offsets == want_offsets
+            assert np.array_equal(m, want_m) and np.array_equal(v, want_v)
 
     def test_failed_round_leaves_no_transcript_trace(self, tiny_bundle, monkeypatch):
         session = P.SplitSession(
@@ -323,6 +320,40 @@ class TestSessionBasics:
         assert [(e.round, e.aggregated) for e in session.transcript.decryptions] == [
             (0, True)]
         assert C.transcript_audit(session.transcript).ok
+
+    @pytest.mark.parametrize("kind", ["gcn", "hat"])
+    @pytest.mark.parametrize("batch,message", [
+        ([], "a batch needs at least one node id"),
+        ([-1, 5, 7], r"node id -1 is outside \[0, 40\)"),
+        ([3, 10**6], r"node id 1000000 is outside \[0, 40\)"),
+    ], ids=["empty", "negative", "past-the-end"])
+    def test_bad_batch_refused_before_any_party_computes(self, tiny_bundle, monkeypatch,
+                                                         kind, batch, message):
+        """An empty batch, or one with an id outside the graph, is refused
+        with ``DomainError`` by ``train_round`` and ``predict`` before any
+        encoder runs: no transcript record, no optimizer step."""
+        session = P.SplitSession(make_views(tiny_bundle, [5, 5]), session_config(
+            optimizer="adam", encoder=encoder_config(kind=kind)))
+        session.align()
+        assert tiny_bundle.graph.num_nodes == 40
+        session.train_round(session._split_ids("train")[:8], step=0)
+        records = list(session.transcript.records)
+        values = {(p.name, k): t.values.copy()
+                  for p in session.participants for k, t in p.trainable().items()}
+        calls = []
+        for p in session.participants:
+            monkeypatch.setattr(p.encoder, "forward", lambda *a, **k: calls.append(a))
+        for call in (lambda: session.train_round(batch, step=1),
+                     lambda: session.predict(batch)):
+            with pytest.raises(DomainError, match=message):
+                call()
+        assert calls == []
+        assert session.transcript.records == records
+        assert [p.optimizer._t for p in session.participants] == [1, 1]
+        assert session.server_optimizer._t == 1
+        for p in session.participants:
+            for k, t in p.trainable().items():
+                assert np.array_equal(t.values, values[(p.name, k)]), k
 
     def test_two_runs_identical_losses_and_transcripts(self, tiny_bundle):
         def run():

@@ -2,7 +2,6 @@ import inspect
 import math
 import tracemalloc
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -78,6 +77,36 @@ def test_elu_takes_expm1_of_non_positive_inputs_only():
     with np.errstate(over="ignore"):
         want = np.where(x > 0, x, np.expm1(x))
     assert out.tobytes() == want.tobytes()
+
+
+def two_branch_elu(x):
+    """ELU and its slope as ``tensor.elu`` computed them with ``np.where``:
+    the bit-level oracle for its branchless form."""
+    pos = x > 0
+    vals = np.where(pos, x, np.expm1(np.where(pos, 0.0, x)))
+    return vals, np.where(vals > 0, 1.0, vals + 1.0)
+
+
+def test_branchless_elu_matches_two_branch_formula():
+    """Values and slopes bit for bit, with no warning, on signed zeros,
+    NaNs, infinities, subnormals, expm1's overflow and underflow ends, and
+    random arrays of many lengths, contiguous and strided."""
+    tiny = np.nextafter(0.0, 1.0)
+    special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny,
+                        2.2e-308, -2.2e-308, 800.0, -745.0, 1e-300, -1e-300])
+    rng = stable_rng("elu-branchless")
+    cases = [special] + [rng.standard_normal(n) * 4 for n in (*range(1, 80), 1000, 4097)]
+    cases += [c[::3] for c in cases[-3:]] + [rng.standard_normal((25, 32))[:, ::2]]
+    for x in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tape = T.Tape()
+            leaf = T.Tensor(x, requires_grad=True)
+            out = T.elu(tape, leaf)
+            tape.backward(out, seed_grad=np.ones_like(x))
+        want, slope = two_branch_elu(x)
+        assert out.values.tobytes() == want.tobytes(), x
+        assert leaf.grad.tobytes() == slope.tobytes(), x
 
 
 class TestSoftmax:
@@ -280,9 +309,9 @@ RETENTION_CASES = {
     "segment_sum": (lambda tape, x: T.segment_sum(tape, x, [0, 1, 0], 2), [(3, 2)]),
     "segment_softmax": (lambda tape, s: T.segment_softmax(tape, s, [0, 1, 0], 2, 0.5),
                         [(3,)]),
-    "segment_attention": (lambda tape, k, v: T.segment_attention(
-        tape, k, [1, 0, 1, 0], v, partial(np.copy, v.values), [0, 1, 0, 1], 2, 0.5),
-        [(2, 3), (4, 3)]),
+    "grams": (lambda tape, a, b: T.grams(tape, [a, b]), [(3, 3), (3, 3)]),
+    "segment_attention": (lambda tape, own, qk, x: T.segment_attention(
+        tape, own, qk, x, [1, 0, 1], 0.5), [(2, 3), (3, 6), (3, 3)]),
     "elu": (T.elu, [(3, 2)]),
     "tanh": (T.tanh, [(3, 2)]),
     "softmax": (T.softmax, [(3,)]),
@@ -415,53 +444,73 @@ class TestRebuiltOperands:
         assert len(builds) == 2
         assert np.array_equal(w.grad, kept_w.grad)
 
-    @pytest.mark.parametrize("keys_grad,values_grad", [(True, True), (True, False),
-                                                        (False, True)])
-    def test_segment_attention_matches_composition(self, keys_grad, values_grad, attention):
-        """One op in place of the indexed dot, segment softmax, α scaling
-        and segment sum that kept the value rows: the same forward and
-        gradients, bit for bit, with the value rows built once in forward
-        and once in backward."""
+    @pytest.mark.parametrize("own_grad,msgs_grad", [(True, True), (True, False),
+                                                     (False, True)])
+    def test_segment_attention_matches_composition(self, own_grad, msgs_grad, attention):
+        """One op in place of the per-head composition that projected every
+        message row: per head, the value rows x P_m and then own P_m, keys
+        own P_m read by index, segment softmax, α scaling and segment sum,
+        and the heads summed.  With its sums projected by [P_0; P_1], the
+        op gives the forward, each head's α and the gradients of the own
+        rows, the messages and each P_m to rounding, and runs
+        ``segment_softmax`` once per head."""
         rng = stable_rng("segment-attention")
-        keys0 = rng.standard_normal((4, 3))
-        vals0 = rng.standard_normal((3, 3))
-        # three edges into segments 0 and 2, then each segment's self row
-        seg = np.array([0, 0, 2, 0, 1, 2, 3])
-        anchor = seg.copy()
+        own0 = rng.standard_normal((4, 3))
+        msgs0 = rng.standard_normal((5, 3))
+        projs0 = [rng.standard_normal((3, 3)) for _ in range(2)]
+        # five messages into targets 0 and 2; targets 1 and 3 have only
+        # their self entry
+        seg = np.array([0, 0, 2, 0, 2])
+        full = np.concatenate([seg, np.arange(4)])
         seed = rng.standard_normal((4, 3))
-        builds = []
 
-        def run(fused):
-            keys = T.Tensor(keys0, requires_grad=keys_grad)
-            vals = T.Tensor(vals0, requires_grad=values_grad)
+        def run(shared):
+            own = T.Tensor(own0, requires_grad=own_grad)
+            msgs = T.Tensor(msgs0, requires_grad=msgs_grad)
+            projs = [T.Tensor(p, requires_grad=True) for p in projs0]
             tape = T.Tape()
-            k, v = T.add(tape, keys, 0.0), T.add(tape, vals, 0.0)
-
-            def build(tape, v, k):
-                builds.append(1)
-                # keys also reach the values, as HAT's self rows do
-                return T.concat_rows(tape, [T.mul(tape, v, 2.0), k])
-
-            values = build(tape, v, k)
-            if fused:
-                out = T.segment_attention(
-                    tape, k, anchor, values, lambda: build(None, v.values, k.values).values,
-                    seg, 4, 0.7)
+            o, x = T.add(tape, own, 0.0), T.add(tape, msgs, 0.0)
+            first = len(attention.segment_softmaxes)
+            if shared:
+                sums = T.segment_attention(tape, o, T.grams(tape, projs), x, seg, 0.7)
+                out = T.matmul(tape, sums, T.concat_rows(tape, projs))
             else:
-                a = T.segment_softmax(tape, rowwise_dot(tape, k, values, index=anchor),
-                                      seg, 4, 0.7)
-                out = T.segment_sum(tape, T.mul(tape, reshape_col(tape, a), values), seg, 4)
-            alpha, _, _ = attention.segment_softmaxes.pop()
+                out = None
+                for p in projs:
+                    keys = T.matmul(tape, o, p)
+                    values = T.concat_rows(tape, [T.matmul(tape, x, p), keys])
+                    a = T.segment_softmax(tape, rowwise_dot(tape, keys, values, index=full),
+                                          full, 4, 0.7)
+                    term = T.segment_sum(tape, T.mul(tape, reshape_col(tape, a), values),
+                                         full, 4)
+                    out = term if out is None else T.add(tape, out, term)
+            alphas = [a for a, _, _ in attention.segment_softmaxes[first:]]
             tape.backward(out, seed_grad=seed)
-            return alpha, out.values, keys.grad, vals.grad
+            return [out.values, *alphas, own.grad, msgs.grad, *(p.grad for p in projs)]
 
         want = run(False)
-        builds.clear()
         got = run(True)
-        assert len(builds) == 2
+        assert len(got) == len(want) == 7
         for a, b in zip(got, want):
             assert (a is None) == (b is None)
-            assert a is None or np.array_equal(a, b)
+            if a is not None:
+                np.testing.assert_allclose(a, b, rtol=1e-12)
+
+    def test_segment_attention_rebuilds_its_keys(self):
+        """The tape keeps α, the segment ids and the three operands, not the
+        keys: no (targets, H·d) array and no gathered (messages, d) one."""
+        rng = stable_rng("segment-attention-keys")
+        own = T.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        qk = T.Tensor(rng.standard_normal((3, 6)), requires_grad=True)
+        msgs = T.Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+        tape = T.Tape()
+        T.segment_attention(tape, own, qk, msgs, [0, 0, 2, 0, 2], 0.7)
+        node, = tape._nodes
+        held = [c.cell_contents for c in node.backfn.__closure__]
+        arrays = [a for a in held if isinstance(a, np.ndarray)]
+        assert not [a.shape for a in arrays if a.shape in {(4, 6), (5, 6)}]
+        floats = sorted(a.shape for a in arrays if a.dtype.kind == "f")
+        assert floats == [(3, 6), (4, 3), (5, 3)]
 
     def test_rebuilt_matmul_shape_mismatch(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\) @ \(4, 2\)"):
@@ -656,20 +705,22 @@ class TestFiniteDiff:
             finite_diff_check(forward, [])
 
     def test_segment_attention_composite(self):
-        # End-to-end gradient through gathered values and one attention op.
+        # End-to-end gradient through gathered messages, two heads' Gram keys
+        # and one attention op.
         rng = stable_rng("fd-seg")
         h = T.Tensor(rng.standard_normal((5, 3)) * 0.7, requires_grad=True, name="h")
+        projs = [T.Tensor(rng.standard_normal((3, 3)) * 0.7, requires_grad=True,
+                          name=f"p{m}") for m in range(2)]
         tgt = np.array([0, 0, 1, 2, 2, 2])
         nbr = np.array([1, 2, 0, 3, 4, 0])
 
         def forward():
             tape = T.Tape()
             hn = T.gather_rows(tape, h, nbr)
-            z = T.segment_attention(tape, h, tgt, hn, lambda: h.values[nbr], tgt, 5,
-                                    temperature=0.7)
+            z = T.segment_attention(tape, h, T.grams(tape, projs), hn, tgt, 0.7)
             return T.mean_all(tape, T.mul(tape, z, z)), tape
 
-        assert finite_diff_check(forward, [h]) < 1e-4
+        assert finite_diff_check(forward, [h, *projs]) < 1e-4
 
 
 class TestOptimizers:
@@ -721,6 +772,71 @@ class TestOptimizers:
             return p.values.copy()
 
         np.testing.assert_array_equal(run(), run())
+
+    def test_adam_matches_per_parameter_adam(self):
+        """The flat moments give every parameter the values of per-parameter
+        moments, bit for bit, while parameters go without a gradient for a
+        step or first get one late."""
+        rng = stable_rng("adam-flat")
+        shapes = {"a": (3, 2), "b": (), "c": (4,), "d": (2, 2)}
+
+        def params():
+            return {n: T.Tensor(stable_rng("adam-init", n).standard_normal(shape),
+                                requires_grad=True, name=n) for n, shape in shapes.items()}
+
+        flat, mine = params(), params()
+        opt, oracle = T.Adam(lr=0.05), PerParameterAdam(lr=0.05)
+        for step in range(8):
+            for name, shape in shapes.items():
+                grad = None if (step + len(name)) % 3 == 0 or name == "d" and step < 4 \
+                    else rng.standard_normal(shape) * (step + 1)
+                flat[name].grad = mine[name].grad = grad
+            opt.step(flat)
+            oracle.step(mine)
+            for name in shapes:
+                assert flat[name].values.tobytes() == mine[name].values.tobytes(), (step, name)
+
+    def test_adam_nan_grad_changes_nothing(self):
+        params = {n: T.Tensor(np.ones(3), requires_grad=True, name=n) for n in "abc"}
+        opt = T.Adam(lr=0.1)
+        for p in params.values():
+            p.grad = np.full(3, 0.5)
+        opt.step(params)
+        state = (opt._t, dict(opt._offsets), opt._m.copy(), opt._v.copy())
+        values = {n: p.values.copy() for n, p in params.items()}
+        params["b"].grad = np.array([0.5, np.inf, 0.5])
+        with pytest.raises(NumericError, match="non-finite gradient for b"):
+            opt.step(params)
+        assert opt._t == state[0] and opt._offsets == state[1]
+        assert np.array_equal(opt._m, state[2]) and np.array_equal(opt._v, state[3])
+        for n, p in params.items():
+            assert np.array_equal(p.values, values[n]), n
+
+
+class PerParameterAdam:
+    """Adam with a moment array per parameter name, as ``tensor.Adam`` kept
+    them before it laid them out in one vector: its oracle."""
+
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self._m, self._v, self._t = {}, {}, 0
+
+    def step(self, params):
+        T.check_finite(params)
+        self._t += 1
+        for name in sorted(params):
+            p = params[name]
+            if p.grad is None:
+                continue
+            m = self._m.setdefault(name, np.zeros_like(p.values))
+            v = self._v.setdefault(name, np.zeros_like(p.values))
+            m *= self.beta1
+            m += (1 - self.beta1) * p.grad
+            v *= self.beta2
+            v += (1 - self.beta2) * p.grad**2
+            mhat = m / (1 - self.beta1**self._t)
+            vhat = v / (1 - self.beta2**self._t)
+            p.values -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
 def test_analytic_matches_fd_on_random_op_stacks():
