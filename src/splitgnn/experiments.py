@@ -47,9 +47,12 @@ STRATEGY_MAP = {"split_m": "average", "split_c": "concat", "split_w": "weighted"
 
 
 def _standalone_index(strategy: str) -> int | None:
-    """i for ``standalone_i``; None for any other strategy name."""
+    """i for ``standalone_i``, with i in ASCII digits and no leading zero;
+    None for any other strategy name, so each participant has one name."""
     prefix, _, index = strategy.partition("_")
-    return int(index) if prefix == "standalone" and index.isdecimal() else None
+    # int() reads any Unicode digit and a leading zero; str() gives it back canonical
+    canonical = prefix == "standalone" and index.isdecimal() and index == str(int(index))
+    return int(index) if canonical else None
 
 
 def desk_scale_spec() -> SyntheticSpec:

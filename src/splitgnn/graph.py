@@ -34,6 +34,11 @@ class Relation:
         self.src = np.asarray(self.src, dtype=np.int64)
         self.dst = np.asarray(self.dst, dtype=np.int64)
         self.feat = np.asarray(self.feat, dtype=np.float64)
+        if self.src.ndim != 1 or self.dst.shape != self.src.shape:
+            raise GraphSchemaError(
+                f"relation {self.name}: source ids of shape {self.src.shape} and "
+                f"target ids of shape {self.dst.shape} are not one list of edges"
+            )
         if self.feat.ndim != 2 or self.feat.shape[0] != len(self.src):
             raise GraphSchemaError(
                 f"relation {self.name}: feature matrix shape {self.feat.shape} "

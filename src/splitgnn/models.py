@@ -12,10 +12,14 @@ batch's rows, and each encoder adds only its parameters and its layer.
 
 Node-level attention is one kernel, :func:`_attention_layer`, scored at
 the fixed scale 1/sqrt(hidden); every head projects to the full hidden
-width, and the heads are summed before ELU.  "hat" calls it once per
-channel, "gat" once over the merged edges.  Attention is linear in its
-values, so the heads share their message rows: head m keys a target's own
-row h by h P_m P_mᵀ, scores and sums the unprojected messages with
+width, and the heads are summed before the ELU, which the layer applies.
+"gat" calls it once over the merged edges.  "hat" calls it once per
+channel, stacks the channels' outputs channel by channel into one
+(channels·k) × d tensor and applies the ELU once to the stack, and its
+path attention scores and mixes the channels with products over the whole
+stack, not one channel at a time.  Attention is linear in its values, so
+the heads share their message rows: head m keys a target's own row h by
+h P_m P_mᵀ, scores and sums the unprojected messages with
 :func:`~splitgnn.tensor.segment_attention`, and projects the sum by P_m once
 per target, not every message once per head.  Attention returns its output
 only and no encoder keeps α or β, so an evaluation holds no per-edge
@@ -89,7 +93,7 @@ from functools import partial
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError
+from .errors import ContractError, ShapeError
 from .graph import (HetGraph, Metapath, ParticipantView, TargetCsr, metapath_edges,
                     metapath_feature_dim)
 from .seeding import stable_rng
@@ -222,36 +226,37 @@ def _attention_layer(tape, edge_seg, own, projs, lam: float, messages):
     over its edges, in edge order, then its self entry, for each head
     projection of ``projs``, with scores scaled by ``lam``
     (:func:`~splitgnn.tensor.segment_attention`).  Returns
-    ``elu(S @ [P_0; …; P_{H−1}])``: the sum of the heads' outputs, each
-    head's weighted sum projected once per target."""
+    ``S @ [P_0; …; P_{H−1}]``: the sum of the heads' outputs, each head's
+    weighted sum projected once per target.  The caller applies the ELU."""
     qk = T.grams(tape, projs)
     sums = [T.segment_attention(tape, _row_range(tape, own, t0, t1), qk, messages(e0, e1),
                                 edge_seg[e0:e1] - t0, lam)
             for t0, t1, e0, e1 in _target_ranges(edge_seg, own.shape[0], tape)]
-    return T.elu(tape, T.matmul(tape, _stacked(tape, sums), _stacked(tape, projs)))
+    return T.matmul(tape, _stacked(tape, sums), _stacked(tape, projs))
 
 
-def path_attention(tape, channel_embeddings, q, Wp, bp):
+def path_attention(tape, z, channels: int, q, Wp, bp):
     """Softmax mix over relation channels, scored over the rows given.
 
-    Each channel's score is the mean over the rows of ``z`` of
-    <q, tanh(Wp z + bp)>; the resulting weights sum to one and are shared by
-    every row.  ``HatEncoder`` passes a layer's target frontier, so β is a
+    ``z`` stacks the channels' embeddings of the same k rows, channel by
+    channel: (channels·k) × d.  Each channel's score is the mean over its
+    rows of <q, tanh(Wp z + bp)>; the resulting weights β sum to one and
+    are shared by every row.  Every step is one product over all channels:
+    the scores of every row at once, their per-channel means as the (C, k)
+    scores times a vector of 1/k, and the mix as β times z viewed as
+    C × (k·d).  ``HatEncoder`` passes a layer's target frontier, so β is a
     mean over the nodes that layer computes, not over the whole graph.
-    Returns the mixed rows only.
+    Returns the mixed rows only (k × d).
     """
-    if not channel_embeddings:
-        raise ContractError("path attention needs at least one channel")
-    scores = []
-    for z in channel_embeddings:
-        t = T.tanh(tape, T.linear(tape, z, Wp, bp))
-        scores.append(T.mean_all(tape, T.matmul(tape, t, q)))
-    beta = T.softmax(tape, T.stack_scalars(tape, scores))
-    out = None
-    for k, z in enumerate(channel_embeddings):
-        term = T.mul(tape, T.take(tape, beta, k), z)
-        out = term if out is None else T.add(tape, out, term)
-    return out
+    rows = z.shape[0] if z.ndim == 2 else 0
+    if channels < 1 or rows == 0 or rows % channels:
+        raise ShapeError(f"path attention needs a positive multiple of {channels} "
+                         f"channels' rows, got z of shape {z.shape}")
+    k, d = rows // channels, z.shape[1]
+    s = T.matmul(tape, T.tanh(tape, T.linear(tape, z, Wp, bp)), q)
+    beta = T.softmax(tape, T.matmul(tape, T.reshape(tape, s, (channels, k)),
+                                    np.full(k, 1.0 / k)))
+    return T.reshape(tape, T.matmul(tape, beta, T.reshape(tape, z, (channels, k * d))), (k, d))
 
 
 @dataclass
@@ -367,6 +372,8 @@ class HatEncoder(_Encoder):
     def __init__(self, view: ParticipantView, config: EncoderConfig, seed, scope: str):
         super().__init__(view, config, seed, scope)
         self.channels = _build_channels(view)
+        if not self.channels:
+            raise ContractError("path attention needs at least one channel")
         self.csrs = [TargetCsr(ch.tgt, ch.nbr, self.graph.num_nodes) for ch in self.channels]
         self.type_names = sorted(set(self.graph.node_types.tolist()))
         d = config.hidden
@@ -417,10 +424,12 @@ class HatEncoder(_Encoder):
     def _layer(self, tape, x, l: int, blk: _Block):
         h = self._type_transform(tape, x, blk.inputs, l)
         h_own = T.gather_rows(tape, h, np.searchsorted(blk.inputs, blk.targets))
-        zs = [self._channel_attention(tape, h, h_own, l, ch, blk, edges)
-              for ch, edges in zip(self.channels, blk.edges)]
-        return path_attention(tape, zs, self._param(l, "path/q"), self._param(l, "path/W"),
-                              self._param(l, "path/b"))
+        # the list goes straight into the stack, so no channel's rows outlive it
+        z = T.elu(tape, _stacked(tape, [
+            self._channel_attention(tape, h, h_own, l, ch, blk, edges)
+            for ch, edges in zip(self.channels, blk.edges)]))
+        return path_attention(tape, z, len(self.channels), self._param(l, "path/q"),
+                              self._param(l, "path/W"), self._param(l, "path/b"))
 
 
 def _merged_edges(g: HetGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -523,8 +532,9 @@ class GatEncoder(_Encoder):
         projs = [self._param(l, f"head{m}") for m in range(self.config.heads)]
         edge_seg, edge_src, _ = blk.edges[0]
         own = T.gather_rows(tape, h, np.searchsorted(blk.inputs, blk.targets))
-        return _attention_layer(tape, edge_seg, own, projs, self.config.lam,
-                                lambda e0, e1: T.gather_rows(tape, h, edge_src[e0:e1]))
+        return T.elu(tape, _attention_layer(
+            tape, edge_seg, own, projs, self.config.lam,
+            lambda e0, e1: T.gather_rows(tape, h, edge_src[e0:e1])))
 
 
 ENCODERS = {"hat": HatEncoder, "gcn": GcnEncoder, "gat": GatEncoder}

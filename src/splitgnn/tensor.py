@@ -13,8 +13,7 @@ It holds no op's output, and no input other than a leaf that gets a
 gradient, so an intermediate tensor lives only as long as its caller holds
 it.  What each op keeps:
 
-- ``add``, ``concat_rows``, ``stack_scalars``, ``take`` and ``mean_all``:
-  shapes, offsets and flags;
+- ``add``, ``concat_rows`` and ``reshape``: shapes, offsets and flags;
 - ``mul`` and ``matmul``: an operand's values only when the other operand
   needs a gradient;
 - ``rebuilt_matmul``: the callable that builds its constant left operand,
@@ -33,10 +32,10 @@ it.  What each op keeps:
 reaches it, and a second call, or recording after it, raises
 :class:`~splitgnn.errors.ContractError`.
 
-The op set is small on purpose: matrix products, broadcast arithmetic,
-segment (per-group) softmax, sums and multi-head attention for edge-list
-aggregation, the usual activations, dropout and cross-entropy.  All values are float64
-throughout.
+The op set is small on purpose: matrix products, broadcast arithmetic, row
+stacks, gathers and reshapes, segment (per-group) softmax, sums and
+multi-head attention for edge-list aggregation, the usual activations,
+dropout and cross-entropy.  All values are float64 throughout.
 """
 
 from __future__ import annotations
@@ -270,28 +269,10 @@ def concat_rows(tape, parts) -> Tensor:
     return _emit(tape, out, tuple(parts), backfn)
 
 
-def stack_scalars(tape, scalars) -> Tensor:
-    scalars = [_as_tensor(s) for s in scalars]
-    out = Tensor(np.array([s.values.reshape(()) for s in scalars]))
-    shapes = [s.values.shape for s in scalars]
-
-    def backfn(g):
-        return tuple(np.asarray(g[i]).reshape(shape) for i, shape in enumerate(shapes))
-
-    return _emit(tape, out, tuple(scalars), backfn)
-
-
-def take(tape, v, i: int) -> Tensor:
-    v = _as_tensor(v)
-    out = Tensor(v.values[i])
-    shape = v.values.shape
-
-    def backfn(g):
-        gv = np.zeros(shape)
-        gv[i] = g
-        return (gv,)
-
-    return _emit(tape, out, (v,), backfn)
+def reshape(tape, x, shape) -> Tensor:
+    x = _as_tensor(x)
+    old = x.values.shape
+    return _emit(tape, Tensor(x.values.reshape(shape)), (x,), lambda g: (g.reshape(old),))
 
 
 def gather_rows(tape, x, idx) -> Tensor:
@@ -322,13 +303,6 @@ def _segment_add(values, seg, n: int) -> np.ndarray:
     if out.size != n * d:
         raise ShapeError(f"segment ids reach past {n} segments")
     return out.reshape((n,) + tail)
-
-
-def mean_all(tape, x) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(x.values.mean())
-    shape, n = x.values.shape, x.values.size
-    return _emit(tape, out, (x,), lambda g: (np.full(shape, float(g) / n),))
 
 
 def rebuilt_matmul(tape, build, w) -> Tensor:

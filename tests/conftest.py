@@ -4,10 +4,12 @@ has one fusion and sums its heads, so an encoder config names neither), a
 small-modulus Paillier key, the metapath instance oracle, the row-wise dot
 product and the column reshape of the attention oracles, the column
 concatenation of the per-edge fusion oracle, the row scatter of the
-whole-graph HAT oracle, a recorder of the attention coefficients α and β
-that encoders compute but do not keep, the per-head attention oracle, a
-finite-difference gradient check, a metrics.csv reader and an in-process
-import of ``perfbench/run.py``."""
+whole-graph HAT oracle, the whole-tensor mean, scalar stack and entry pick
+of the per-channel path-attention oracle (the mean is also the tests' loss
+reduction), a recorder of the attention coefficients α and β that encoders
+compute but do not keep, the per-head attention oracle, the per-channel
+path-attention oracle, a finite-difference gradient check, a metrics.csv
+reader and an in-process import of ``perfbench/run.py``."""
 
 import importlib.util
 import os
@@ -155,6 +157,60 @@ def scatter_rows(tape, piece, idx, n_rows):
     return T._emit(tape, T.Tensor(vals), (piece,), lambda g: (g[idx],))
 
 
+def mean_all(tape, x):
+    """The mean of every entry of ``x``, recorded on the tape: the tests'
+    loss reduction, and the op the per-channel path-attention oracle
+    averages a channel's scores with."""
+    x = T._as_tensor(x)
+    shape, n = x.values.shape, x.values.size
+    return T._emit(tape, T.Tensor(x.values.mean()), (x,),
+                   lambda g: (np.full(shape, float(g) / n),))
+
+
+def stack_scalars(tape, scalars):
+    """The 0-d ``scalars`` as one vector, recorded on the tape: the op the
+    per-channel path-attention oracle gathers its channel scores with."""
+    scalars = [T._as_tensor(s) for s in scalars]
+    out = T.Tensor(np.array([s.values.reshape(()) for s in scalars]))
+    shapes = [s.values.shape for s in scalars]
+
+    def backfn(g):
+        return tuple(np.asarray(g[i]).reshape(shape) for i, shape in enumerate(shapes))
+
+    return T._emit(tape, out, tuple(scalars), backfn)
+
+
+def take(tape, v, i: int):
+    """Entry ``i`` of ``v``, recorded on the tape: the op the per-channel
+    path-attention oracle reads each channel's β with."""
+    v = T._as_tensor(v)
+    shape = v.values.shape
+
+    def backfn(g):
+        gv = np.zeros(shape)
+        gv[i] = g
+        return (gv,)
+
+    return T._emit(tape, T.Tensor(v.values[i]), (v,), backfn)
+
+
+def per_channel_path_attention(tape, zs, q, Wp, bp, scored=None):
+    """``models.path_attention`` over the list ``zs`` of the channels'
+    embeddings, as the composition of recorded ops it ran before it worked
+    on the stacked channels: each channel scored by the mean of
+    <q, tanh(Wp z + bp)> over its rows, the scores stacked and softmaxed
+    into β, and the channels mixed one β entry at a time.  With ``scored``,
+    channel c is scored over the rows ``scored[c]`` instead."""
+    scores = [mean_all(tape, T.matmul(tape, T.tanh(tape, T.linear(tape, z, Wp, bp)), q))
+              for z in (zs if scored is None else scored)]
+    beta = T.softmax(tape, stack_scalars(tape, scores))
+    out = None
+    for k, z in enumerate(zs):
+        term = T.mul(tape, take(tape, beta, k), z)
+        out = term if out is None else T.add(tape, out, term)
+    return out
+
+
 class AttentionRecorder:
     """α and β of the encoder forwards that run while it is installed, read
     from the ops that compute them, since an encoder keeps neither.
@@ -241,7 +297,7 @@ def per_head_attention_layer(tape, edge_seg, own, projs, lam, messages, gathered
     through ``P_m``; the keys are the own rows through ``P_m``, read by
     index (gathered into a matrix of their own with ``gathered``); each
     head's α-weighted sums are taken over the projected rows, and the
-    heads are summed before ELU."""
+    heads are summed.  Like the layer, it leaves the ELU to its caller."""
     rows = []
     for t0, t1, e0, e1 in M._target_ranges(edge_seg, own.shape[0], tape):
         k = t1 - t0
@@ -257,7 +313,7 @@ def per_head_attention_layer(tape, edge_seg, own, projs, lam, messages, gathered
             alpha = T.segment_softmax(tape, scores, seg, k, lam)
             out = T.segment_sum(tape, T.mul(tape, reshape_col(tape, alpha), values), seg, k)
             agg = out if agg is None else T.add(tape, agg, out)
-        rows.append(T.elu(tape, agg))
+        rows.append(agg)
     return M._stacked(tape, rows)
 
 

@@ -128,6 +128,11 @@ CONFIG_MISTAKES = [
      f"strategy: must be one of {STRATEGY_NAMES}, got None"),
     ("unknown-standalone", {"strategy": "standalone_x"}, [],
      f"strategy: must be one of {STRATEGY_NAMES}, got 'standalone_x'"),
+    # participant 1 has one name, so one digest and one metrics.csv spelling
+    ("standalone-leading-zero", {"strategy": "standalone_01"}, [],
+     f"strategy: must be one of {STRATEGY_NAMES}, got 'standalone_01'"),
+    ("standalone-non-ascii-digit", {"strategy": "standalone_\u0661"}, [],
+     f"strategy: must be one of {STRATEGY_NAMES}, got 'standalone_\u0661'"),
     ("absent-participant", {"strategy": "standalone_7"}, [],
      "strategy: no participant 7 to run standalone among 2"),
     ("seeds-not-list", {"seeds": 3}, [],

@@ -162,6 +162,22 @@ def edited_toy(directory, files):
             (directory / name).write_bytes(text.encode())
 
 
+class TestRelation:
+    @pytest.mark.parametrize("src, dst", [
+        ([0, 1, 2], [0, 1]),
+        ([0, 1], [0, 1, 2]),
+        ([[0, 1, 2]], [[0, 1, 2]]),
+    ], ids=["shorter-dst", "longer-dst", "two-dimensional"])
+    def test_edge_ids_not_one_list_rejected(self, src, dst):
+        # before the check, the first TargetCsr on such a relation raised IndexError
+        with pytest.raises(GraphSchemaError, match="not one list of edges"):
+            G.Relation("r", src, dst, np.zeros((3, 1)), "u", "u")
+
+    def test_equal_lengths_build(self):
+        rel = G.Relation("r", [0, 1, 2], [2, 0, 1], np.zeros((3, 1)), "u", "u")
+        assert len(rel) == 3 and rel.edge_dim == 1
+
+
 class TestLoader:
     def test_toy_fixture(self):
         bundle = G.load_dataset(TOY)

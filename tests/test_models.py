@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import (AttentionRecorder, add_at_segment_sum, concat_cols, encoder_config,
-                      finite_diff_check, loop_metapath_edges, per_head_attention_layer,
-                      scatter_rows)
+                      finite_diff_check, loop_metapath_edges, mean_all,
+                      per_channel_path_attention, per_head_attention_layer, scatter_rows)
 from splitgnn import graph as G
 from splitgnn import models as M
 from splitgnn import tensor as T
-from splitgnn.errors import ContractError
+from splitgnn.errors import ContractError, ShapeError
 from splitgnn.seeding import stable_rng
 
 
@@ -183,7 +183,7 @@ class TestTransformAndFuse:
             h = T.linear(tape, self.node, params["Wt"], params["bt"])
             out = M._fusion(tape, h, *self.fusion_weights(params))(
                 self.src, self.seg, lambda: self.edge)
-            return T.mean_all(tape, T.mul(tape, out, out)), tape
+            return mean_all(tape, T.mul(tape, out, out)), tape
 
         assert finite_diff_check(forward, [params["Wt"]]) < 1e-4
 
@@ -331,7 +331,8 @@ class TestNodeAttention:
         hv[blk.inputs] = h.values
         assert any(ch.name.startswith("path:") for ch in enc.channels)
         for c, (ch, edges) in enumerate(zip(enc.channels, blk.edges)):
-            z = enc._channel_attention(None, h, h_own, 0, ch, blk, edges).values
+            # the layer applies the ELU, once over its stacked channels
+            z = T.elu(None, enc._channel_attention(None, h, h_own, 0, ch, blk, edges)).values
 
             def p(name):
                 return enc.params[f"e/l0/rel:{ch.name}/{name}"].values
@@ -359,7 +360,7 @@ class TestPathAttention:
     def test_single_channel_identity(self, attention):
         q, Wp, bp = self._params(3)
         z = stable_rng("pa-one").standard_normal((6, 3))
-        out = M.path_attention(None, [T.Tensor(z)], q, Wp, bp)
+        out = M.path_attention(None, T.Tensor(z), 1, q, Wp, bp)
         beta, = attention.beta
         np.testing.assert_allclose(beta, [1.0])
         np.testing.assert_allclose(out.values, z)
@@ -367,7 +368,7 @@ class TestPathAttention:
     def test_identical_channels_half_half(self, attention):
         q, Wp, bp = self._params(3)
         z = stable_rng("pa-two").standard_normal((6, 3))
-        out = M.path_attention(None, [T.Tensor(z), T.Tensor(z.copy())], q, Wp, bp)
+        out = M.path_attention(None, T.Tensor(np.concatenate([z, z])), 2, q, Wp, bp)
         beta, = attention.beta
         np.testing.assert_allclose(beta, [0.5, 0.5], atol=1e-12)
         np.testing.assert_allclose(out.values, z, atol=1e-12)
@@ -376,7 +377,7 @@ class TestPathAttention:
         q, Wp, bp = self._params(4)
         rng = stable_rng("pa-three")
         zs = [rng.standard_normal((5, 4)) for _ in range(3)]
-        out = M.path_attention(None, [T.Tensor(z) for z in zs], q, Wp, bp)
+        out = M.path_attention(None, T.Tensor(np.concatenate(zs)), 3, q, Wp, bp)
         beta, = attention.beta
         assert abs(beta.sum() - 1.0) <= 1e-12
         assert np.all(beta > 0)
@@ -386,6 +387,18 @@ class TestPathAttention:
         lower = np.minimum.reduce(zs)
         assert np.all(out.values <= upper + 1e-12)
         assert np.all(out.values >= lower - 1e-12)
+
+    @pytest.mark.parametrize("shape, channels", [
+        ((5, 2), 2),   # a 1-row channel next to a 4-row one
+        ((6, 2), 0),
+        ((0, 2), 2),
+        ((6,), 2),
+    ], ids=["uneven-channels", "no-channel", "no-row", "one-dimensional"])
+    def test_rows_not_split_evenly_rejected(self, shape, channels):
+        q, Wp, bp = self._params(2)
+        z = T.Tensor(stable_rng("pa-uneven").standard_normal(shape))
+        with pytest.raises(ShapeError):
+            M.path_attention(None, z, channels, q, Wp, bp)
 
 
 class TestEncoders:
@@ -409,6 +422,11 @@ class TestEncoders:
             z = np.where(z > 0, z, np.expm1(z))
             x = z  # single channel: path attention returns it unchanged
         np.testing.assert_allclose(out.values, x, rtol=1e-10)
+
+    def test_hat_without_channels_rejected(self):
+        g = G.HetGraph(["u"] * 3, np.ones((3, 2)), {})
+        with pytest.raises(ContractError, match="at least one channel"):
+            M.HatEncoder(graph_view(g), encoder_config(), seed=0, scope="enc")
 
     def test_alpha_and_beta_normalized(self, attention):
         bundle = fixture_bundle()
@@ -570,8 +588,9 @@ def whole_graph_gcn(enc, tape, batch_ids, step=0, training=False):
 def whole_graph_attention(tape, seg, own, projs, lam, msgs):
     """Every target's attention over every edge in one call of the
     encoders' kernel, ``T.segment_attention``, then the heads' projection
-    and ELU as ``models._attention_layer`` applies them.  Also returns each
-    head's α, over the messages and then the self entries."""
+    as ``models._attention_layer`` applies it; the caller applies the ELU.
+    Also returns each head's α, over the messages and then the self
+    entries."""
     alphas = []
     segment_softmax = T.segment_softmax
 
@@ -585,7 +604,7 @@ def whole_graph_attention(tape, seg, own, projs, lam, msgs):
         sums = T.segment_attention(tape, own, T.grams(tape, projs), msgs, seg, lam)
     finally:
         T.segment_softmax = segment_softmax
-    return T.elu(tape, T.matmul(tape, sums, T.concat_rows(tape, projs))), alphas
+    return T.matmul(tape, sums, T.concat_rows(tape, projs)), alphas
 
 
 def whole_graph_gat(enc, tape, batch_ids, step=0, training=False):
@@ -605,6 +624,7 @@ def whole_graph_gat(enc, tape, batch_ids, step=0, training=False):
         projs = [enc.params[f"{enc.scope}/l{l}/head{m}"] for m in range(cfg.heads)]
         x, head_alphas = whole_graph_attention(tape, tgt, h, projs, cfg.lam,
                                                T.gather_rows(tape, h, nbr))
+        x = T.elu(tape, x)
         alphas.update({(l, m): (alpha, seg) for m, alpha in enumerate(head_alphas)})
     return T.gather_rows(tape, x, np.asarray(batch_ids, dtype=np.int64)), alphas
 
@@ -613,8 +633,10 @@ def whole_graph_hat(enc, tape, batch_ids, step=0, training=False, beta_rows=None
     """HAT with every layer over every node and the batch rows gathered at
     the end; also returns its attention coefficients by (layer, channel,
     head), with their segments in node ids.  Layer l's path attention scores
-    its channels over the rows ``beta_rows[l]``, or over every node when
-    ``beta_rows`` is None, which is HAT as it ran before its blocks."""
+    its channels over the rows ``beta_rows[l]``, through the per-channel
+    oracle, or over every node when ``beta_rows`` is None, which is HAT as
+    it ran before its blocks, through ``models.path_attention`` over the
+    stacked channels."""
     cfg, g = enc.config, enc.graph
     n = g.num_nodes
 
@@ -646,17 +668,13 @@ def whole_graph_hat(enc, tape, batch_ids, step=0, training=False, beta_rows=None
             z, head_alphas = whole_graph_attention(tape, ch.tgt, h, projs, cfg.lam, fused)
             alphas.update({(l, ch.name, m): (alpha, seg) for m, alpha in enumerate(head_alphas)})
             zs.append(z)
-        scored = zs if beta_rows is None else [T.gather_rows(tape, z, beta_rows[l]) for z in zs]
-        scores = [
-            T.mean_all(tape, T.matmul(tape, T.tanh(tape, T.linear(
-                tape, z, prm(f"l{l}/path/W"), prm(f"l{l}/path/b"))), prm(f"l{l}/path/q")))
-            for z in scored
-        ]
-        beta = T.softmax(tape, T.stack_scalars(tape, scores))
-        x = None
-        for k, z in enumerate(zs):
-            term = T.mul(tape, T.take(tape, beta, k), z)
-            x = term if x is None else T.add(tape, x, term)
+        path = prm(f"l{l}/path/q"), prm(f"l{l}/path/W"), prm(f"l{l}/path/b")
+        if beta_rows is None:
+            x = M.path_attention(tape, T.elu(tape, T.concat_rows(tape, zs)), len(zs), *path)
+        else:
+            zs = [T.elu(tape, z) for z in zs]
+            x = per_channel_path_attention(
+                tape, zs, *path, scored=[T.gather_rows(tape, z, beta_rows[l]) for z in zs])
     return T.gather_rows(tape, x, np.asarray(batch_ids, dtype=np.int64)), alphas
 
 
@@ -687,7 +705,7 @@ def param_grads(enc, forward):
         p.zero_grad()
     tape = T.Tape()
     out = forward(tape)
-    tape.backward(T.mean_all(tape, T.mul(tape, out, out)))
+    tape.backward(mean_all(tape, T.mul(tape, out, out)))
     return {name: p.grad for name, p in enc.params.items()}
 
 
@@ -1260,6 +1278,51 @@ def test_shared_message_rows_match_per_head_composition(kind, heads, mode, monke
         np.testing.assert_allclose(got_alpha[key][0], a, rtol=1e-12, err_msg=str(key))
     assert len(got_beta) == len(beta) == (enc.config.layers if kind == "hat" else 0)
     for got, want in zip(got_beta, beta):
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+    assert got_grads.keys() == grads.keys()
+    for name, grad in grads.items():
+        np.testing.assert_allclose(got_grads[name], grad, rtol=1e-12, err_msg=name)
+
+
+def split_path_attention(tape, z, channels, q, Wp, bp):
+    """``models.path_attention`` through the per-channel oracle: the stacked
+    rows split back into one tensor per channel."""
+    k = z.shape[0] // channels
+    zs = [T.gather_rows(tape, z, np.arange(c * k, (c + 1) * k)) for c in range(channels)]
+    return per_channel_path_attention(tape, zs, q, Wp, bp)
+
+
+@pytest.mark.parametrize("mode", ["tape", "inference"])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_stacked_path_attention_matches_per_channel_composition(layers, mode, monkeypatch):
+    """Path attention as three products over the stacked channels gives the
+    forward rows, β and every parameter gradient of the composition that
+    scores, stacks and mixes the channels one at a time, to rounding."""
+    view = hat_view()
+    n = view.graph.num_nodes
+    enc = M.make_encoder(view, encoder_config(kind="hat", layers=layers, dropout=0.3),
+                         seed=3, scope="e")
+    assert len(enc.channels) > 2
+    # unsorted, with duplicates and an isolated node
+    batch = np.array([17, 3, 3, n - 2, 0, 17, 9])
+
+    def run():
+        recorder = AttentionRecorder(monkeypatch)
+        if mode == "inference":
+            return enc.forward(None, batch, step=2).values, recorder.beta, {}
+        tape = T.Tape()
+        out = enc.forward(tape, batch, step=2, training=True).values
+        beta = recorder.beta
+        return out, beta, param_grads(enc, lambda tape: enc.forward(tape, batch, step=2,
+                                                                    training=True))
+
+    got_out, got_beta, got_grads = run()
+    monkeypatch.setattr(M, "path_attention", split_path_attention)
+    out, beta, grads = run()
+    np.testing.assert_allclose(got_out, out, rtol=1e-12)
+    assert len(got_beta) == len(beta) == layers
+    for got, want in zip(got_beta, beta):
+        assert got.shape == (len(enc.channels),)
         np.testing.assert_allclose(got, want, rtol=1e-12)
     assert got_grads.keys() == grads.keys()
     for name, grad in grads.items():

@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import (add_at_segment_sum, concat_cols, finite_diff_check, reshape_col,
-                      rowwise_dot, scatter_rows)
+from conftest import (add_at_segment_sum, concat_cols, finite_diff_check, mean_all,
+                      reshape_col, rowwise_dot, scatter_rows, stack_scalars, take)
 from splitgnn import tensor as T
 from splitgnn.errors import ContractError, DomainError, NumericError, ShapeError
 from splitgnn.seeding import stable_rng
@@ -206,7 +206,7 @@ class TestBackward:
         tape = T.Tape()
         x = T.Tensor([1.0, 2.0], requires_grad=True)
         c = T.Tensor([5.0, 5.0])
-        loss = T.mean_all(tape, T.mul(tape, c, scale(tape, x, 0.0)))
+        loss = mean_all(tape, T.mul(tape, c, scale(tape, x, 0.0)))
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, [0.0, 0.0])
 
@@ -238,7 +238,7 @@ class TestBackward:
             x = T.Tensor(rng.standard_normal((5, 4)), requires_grad=True)
             w = T.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
             out = T.elu(tape, T.matmul(tape, x, w))
-            loss = T.mean_all(tape, T.mul(tape, out, out))
+            loss = mean_all(tape, T.mul(tape, out, out))
             tape.backward(loss)
             return x.grad.copy(), w.grad.copy()
 
@@ -297,10 +297,11 @@ RETENTION_CASES = {
     "linear": (T.linear, [(3, 4), (4, 2), (2,)]),
     "concat_cols": (lambda tape, a, b: concat_cols(tape, [a, b]), [(3, 2), (3, 3)]),
     "concat_rows": (lambda tape, a, b: T.concat_rows(tape, [a, b]), [(2, 3), (1, 3)]),
-    "stack_scalars": (lambda tape, a, b: T.stack_scalars(tape, [a, b]), [(), ()]),
-    "take": (lambda tape, v: T.take(tape, v, 1), [(3,)]),
+    "reshape": (lambda tape, x: T.reshape(tape, x, (2, 3)), [(3, 2)]),
+    "stack_scalars": (lambda tape, a, b: stack_scalars(tape, [a, b]), [(), ()]),
+    "take": (lambda tape, v: take(tape, v, 1), [(3,)]),
     "gather_rows": (lambda tape, x: T.gather_rows(tape, x, [2, 0, 2]), [(3, 2)]),
-    "mean_all": (T.mean_all, [(3, 2)]),
+    "mean_all": (mean_all, [(3, 2)]),
     "rowwise_dot": (rowwise_dot, [(3, 4), (3, 4)]),
     "rowwise_dot_index": (lambda tape, a, b: rowwise_dot(tape, a, b, index=[2, 0, 2, 1]),
                           [(3, 4), (4, 4)]),
@@ -336,10 +337,12 @@ def test_retention_cases_cover_every_op():
            if inspect.isfunction(fn) and fn.__module__ == T.__name__
            and not name.startswith("_")
            and list(inspect.signature(fn).parameters)[:1] == ["tape"]}
-    # concat_cols and rowwise_dot are the tests' own ops, the per-edge
-    # fusion oracle's and the attention oracles'
+    # concat_cols, rowwise_dot, mean_all, stack_scalars and take are the
+    # tests' own ops: the per-edge fusion oracle's, the attention oracles'
+    # and the per-channel path-attention oracle's
     assert set(RETENTION_CASES) - {"matvec", "vecmat", "rowwise_dot", "rowwise_dot_index",
-                                   "concat_cols"} == ops
+                                   "concat_cols", "mean_all", "stack_scalars",
+                                   "take"} == ops
 
 
 @pytest.mark.parametrize("op", sorted(RETENTION_CASES))
@@ -384,7 +387,7 @@ def test_linear_frees_its_pre_bias_product():
         tracemalloc.stop()
     # the output is all that is new; the x @ w product went with its Tensor
     assert out.values.nbytes <= held < 1.25 * out.values.nbytes
-    tape.backward(T.mean_all(tape, out))
+    tape.backward(mean_all(tape, out))
     np.testing.assert_allclose(w.grad, np.repeat(x.values.mean(axis=0)[:, None] / 256,
                                                  256, axis=1), rtol=1e-12)
 
@@ -521,7 +524,7 @@ class TestTapeConsumption:
     def test_second_backward_raises(self):
         tape = T.Tape()
         x = T.Tensor([1.0, 2.0], requires_grad=True)
-        loss = T.mean_all(tape, T.mul(tape, x, x))
+        loss = mean_all(tape, T.mul(tape, x, x))
         tape.backward(loss)
         assert len(tape) == 0
         with pytest.raises(ContractError, match="already ran"):
@@ -534,7 +537,7 @@ class TestTapeConsumption:
         lower, upper = T.Tape(), T.Tape()
         x = T.Tensor([1.0, -2.0, 3.0], requires_grad=True)
         y = T.mul(lower, x, 2.0)
-        loss = T.mean_all(upper, T.mul(upper, y, y))
+        loss = mean_all(upper, T.mul(upper, y, y))
         assert upper._nodes[0].inputs == (y, y)
         upper.backward(loss)
         np.testing.assert_array_equal(y.grad, 2.0 * y.values / 3)
@@ -668,7 +671,7 @@ class TestFiniteDiff:
         def forward():
             tape = T.Tape()
             out = T.linear(tape, x, w, b)
-            return T.mean_all(tape, T.mul(tape, out, out)), tape
+            return mean_all(tape, T.mul(tape, out, out)), tape
 
         assert finite_diff_check(forward, [w, b]) < 1e-6
 
@@ -689,7 +692,7 @@ class TestFiniteDiff:
     def test_zero_parameter_function(self):
         def forward():
             tape = T.Tape()
-            return T.mean_all(tape, T.Tensor([1.0, 2.0])), tape
+            return mean_all(tape, T.Tensor([1.0, 2.0])), tape
 
         assert finite_diff_check(forward, []) == 0.0
 
@@ -699,7 +702,7 @@ class TestFiniteDiff:
         def forward():
             tape = T.Tape()
             counter["n"] += 1
-            return T.mean_all(tape, T.Tensor([float(counter["n"])])), tape
+            return mean_all(tape, T.Tensor([float(counter["n"])])), tape
 
         with pytest.raises(ContractError):
             finite_diff_check(forward, [])
@@ -718,7 +721,7 @@ class TestFiniteDiff:
             tape = T.Tape()
             hn = T.gather_rows(tape, h, nbr)
             z = T.segment_attention(tape, h, T.grams(tape, projs), hn, tgt, 0.7)
-            return T.mean_all(tape, T.mul(tape, z, z)), tape
+            return mean_all(tape, T.mul(tape, z, z)), tape
 
         assert finite_diff_check(forward, [h, *projs]) < 1e-4
 
@@ -860,7 +863,7 @@ def test_analytic_matches_fd_on_random_op_stacks():
                 h = T.mul(tape, h, h)
             else:
                 h = concat_cols(tape, [h, scale(tape, h, -1.0)])
-            return T.mean_all(tape, T.mul(tape, h, h)), tape
+            return mean_all(tape, T.mul(tape, h, h)), tape
 
         worst = max(worst, finite_diff_check(forward, [w]))
     assert worst < 1e-4
