@@ -313,20 +313,10 @@ def slot_layout(n: int, terms: int) -> SlotLayout:
     return SlotLayout(terms, bound, width, max(1, (n.bit_length() - 1) // width))
 
 
-def encrypt_matrix(public: PaillierPublicKey, values,
-                   rng: random.Random) -> list[Ciphertext]:
-    """Fixed-point encode ``values`` and encrypt them in row-major order, one
-    ciphertext per value placed as a lone term (a matrix decrypted on its
-    own), after checking every value against the layout's bound."""
-    layout = slot_layout(public.n, 1)
-    return _encrypt_placed(public, _encode_checked("matrix", values, layout.bound),
-                           layout, rng)
-
-
-def decrypt_matrix(keypair: PaillierKeyPair, cts, shape, terms: int = 1) -> np.ndarray:
-    """Each element's sum of ``terms`` values from ciphertexts that
-    ``encrypt_matrix`` placed: one decryption per run of ``slots``
-    consecutive ciphertexts, multiplied into one, then fixed-point decoded."""
+def decrypt_matrix(keypair: PaillierKeyPair, cts, shape, terms: int) -> np.ndarray:
+    """Each element's sum of ``terms`` values from ciphertexts of placed
+    sums: one decryption per run of ``slots`` consecutive ciphertexts,
+    multiplied into one, then fixed-point decoded."""
     layout = slot_layout(keypair.public.n, terms)
     out = []
     for start in range(0, len(cts), layout.slots):
@@ -360,7 +350,9 @@ def secure_sum(vectors, keypair: PaillierKeyPair, rng: random.Random,
 
     Each participant fixed-point encodes and encrypts its elements; the
     ciphertexts are combined before they ever reach the decrypting role, so
-    exactly one aggregated decryption happens per call.
+    one decryption event is logged per call.  It is aggregated only when
+    there is more than one term: a lone participant's sum is its own vector,
+    which the audit flags.
     """
     vectors = [np.asarray(v, dtype=np.float64) for v in vectors]
     shape = vectors[0].shape
@@ -377,7 +369,7 @@ def secure_sum(vectors, keypair: PaillierKeyPair, rng: random.Random,
              for name, enc in zip(party_names, encoded)]
     totals = decrypt_matrix(keypair, [sum(col[1:], col[0]) for col in zip(*terms)],
                             shape, len(vectors))
-    transcript.log_decryption(round_index, vectors[0].size, aggregated=True)
+    transcript.log_decryption(round_index, vectors[0].size, aggregated=len(vectors) > 1)
     return totals
 
 

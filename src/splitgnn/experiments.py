@@ -6,7 +6,10 @@ Strategies:
                       access is granted explicitly when i is not the label
                       holder; the metrics report marks those rows)
   - ``split_m/c/w``   the full split protocol with average / concatenation /
-                      trainable weighted combination
+                      trainable weighted combination; each is a sum of the
+                      participants' terms, which under concatenation are
+                      their embeddings times their row blocks of the
+                      server's first-layer weight
 
 Every strategy trains a :class:`SplitSession`; the two baselines are
 sessions with a single participant, kept plaintext and unmetered, so they
@@ -131,8 +134,9 @@ class ExperimentConfig(Schema):
                              heads=self.heads, dropout=self.dropout)
 
     def session_config(self, seed: int) -> SessionConfig:
-        # a baseline is a one-participant session: concat passes its
-        # embedding through unchanged, where weighted would train an ω
+        # a baseline is a one-participant session under concat: its
+        # participant holds the server's whole first-layer weight, so it
+        # trains as one model, where weighted would add an ω
         return SessionConfig(
             encoder=self.encoder_config(),
             strategy=STRATEGY_MAP.get(self.strategy, "concat"),

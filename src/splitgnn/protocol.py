@@ -1,18 +1,20 @@
 """The tripartite split-training loop.
 
 Per communication round: every participant encodes a node batch over its own
-edges, scales it by its own trainable ω under the weighted strategy, and
-sends the embeddings up (plaintext or encrypted); the server sums (weighted,
-average) or concatenates them and runs its sub-network; the
+edges, applies its own map to it and sends the result up (plaintext or
+encrypted); the server sums what it receives and runs its sub-network; the
 label holder turns the returned hidden state into predictions and loss, and
-gradients retrace the same path backwards across both cuts.  Every message
-moves through :meth:`RoundTranscript.send`, which meters it and hands the
-receiver the value it computes from.
+gradients retrace the same path backwards across both cuts.  The strategies
+differ only in the map: none under average, whose server divides the sum by
+I; a trainable ω under weighted; and under concat W_i, the participant's
+block of the server's first-layer weight, since [x_1 … x_I] @ W equals
+Σ_i x_i @ W_i.  Every message moves through :meth:`RoundTranscript.send`,
+which meters it and hands the receiver the value it computes from.
 
 The "Entire" and "Standalone" baselines are sessions with one participant,
-where the cut changes nothing: with concatenation or averaging they train
-exactly as one model on one tape would, and the single-tape oracle that
-checks this lives in ``tests/test_protocol.py``.
+where the cut changes nothing: under concat or average they train exactly
+as one model on one tape would, and the single-tape oracle that checks this
+lives in ``tests/test_protocol.py``.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ STRATEGIES = ("average", "concat", "weighted")
 
 
 def combine_sum(locals_):
-    """The element-wise sum of the participants' embeddings: weighted's
-    combination, since each participant scales by its own ω before sending,
-    and average's once divided by I."""
+    """The element-wise sum of the participants' terms, each already through
+    its participant's own map: the server's combination under every
+    strategy, divided by I under average."""
     if not locals_:
         raise ProtocolError("no participant embeddings")
     shape = locals_[0].shape
@@ -50,21 +52,11 @@ def combine_sum(locals_):
     return np.sum(locals_, axis=0)
 
 
-def combine_concat(locals_):
-    if len({l.shape[0] for l in locals_}) != 1:
-        raise ProtocolError(f"row counts differ: {[l.shape for l in locals_]}")
-    return np.concatenate(locals_, axis=1)
-
-
 def backward_route(grad, strategy, num_participants):
-    """Split the server-input gradient back to participants: a column block
-    each for concat, the whole gradient of the sum for weighted (each
-    participant's tape derives its ω gradient from it), and 1/I of it for
-    average."""
-    if strategy == "concat":
-        d = grad.shape[1] // num_participants
-        return [np.ascontiguousarray(grad[:, i * d:(i + 1) * d])
-                for i in range(num_participants)]
+    """Route the server-input gradient back to participants.  Each sent a
+    term of the sum, so each receives the whole gradient of the sum, from
+    which its own tape derives its map's gradient (ω or W_i), or 1/I of it
+    under average, whose server divided the sum by I."""
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
     share = grad / num_participants if strategy == "average" else grad
@@ -76,8 +68,10 @@ def backward_route(grad, strategy, num_participants):
 
 
 class ServerNet:
-    """Two dense+ELU+dropout layers between the participants' embeddings and
-    the label holder's output layer."""
+    """Two dense+ELU+dropout layers between the sum of the participants'
+    terms and the label holder's output layer.  With ``in_dim`` None the
+    first layer has no weight here: each participant applied its own block
+    of it before sending, so the layer adds only its bias."""
 
     SCOPE = "server"
 
@@ -85,7 +79,8 @@ class ServerNet:
         self.seed = seed
         self.dropout = dropout
         self.params: dict[str, T.Tensor] = {}
-        init_param(self.params, f"{self.SCOPE}/l0/W", (in_dim, hidden), seed)
+        if in_dim is not None:
+            init_param(self.params, f"{self.SCOPE}/l0/W", (in_dim, hidden), seed)
         init_param(self.params, f"{self.SCOPE}/l0/b", (hidden,), seed, zeros=True)
         init_param(self.params, f"{self.SCOPE}/l1/W", (hidden, hidden), seed)
         init_param(self.params, f"{self.SCOPE}/l1/b", (hidden,), seed, zeros=True)
@@ -93,9 +88,9 @@ class ServerNet:
     def forward(self, tape, x, step=0, training=False):
         h = x
         for l in (0, 1):
-            h = T.elu(tape, T.linear(tape, h,
-                                     self.params[f"{self.SCOPE}/l{l}/W"],
-                                     self.params[f"{self.SCOPE}/l{l}/b"]))
+            W = self.params.get(f"{self.SCOPE}/l{l}/W")
+            b = self.params[f"{self.SCOPE}/l{l}/b"]
+            h = T.elu(tape, T.add(tape, h, b) if W is None else T.linear(tape, h, W, b))
             h = T.dropout(tape, h, self.dropout,
                           seed=(self.seed, "dropout", self.SCOPE, l, step),
                           training=training)
@@ -184,7 +179,9 @@ class Participant:
     encoder: object
     optimizer: object
     head: LabelHead | None = None
-    omega: T.Tensor | None = None     # the weighted strategy's ω, a d-vector
+    # the participant's own map before the server sums: weighted's ω, a
+    # d-vector, or concat's W_i, a d×d block of the server's first layer
+    weight: T.Tensor | None = None
 
     @property
     def name(self) -> str:
@@ -194,15 +191,19 @@ class Participant:
         params = dict(self.encoder.params)
         if self.head is not None:
             params.update(self.head.params)
-        if self.omega is not None:
-            params[self.omega.name] = self.omega
+        if self.weight is not None:
+            params[self.weight.name] = self.weight
         return params
 
     def embed(self, tape, ids, step=0, training=False) -> T.Tensor:
-        """The embedding this participant sends: its encoder's output,
-        scaled by its own ω when it has one."""
+        """The term this participant sends: its encoder's output, scaled by
+        its ω or multiplied by its W_i when it has either."""
         emb = self.encoder.forward(tape, ids, step=step, training=training)
-        return emb if self.omega is None else T.mul(tape, self.omega, emb)
+        if self.weight is None:
+            return emb
+        if self.weight.ndim == 1:
+            return T.mul(tape, self.weight, emb)
+        return T.matmul(tape, emb, self.weight)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +211,8 @@ class Participant:
 
 
 class SplitSession:
-    """Logical actors for one training run: participants, server, decryptor.
+    """Logical actors for one training run: participants and the server,
+    which in a secure run learns only the decrypted sum of their terms.
 
     All parties live in-process; messages are counted, not transmitted.
     """
@@ -224,19 +226,28 @@ class SplitSession:
         self.config = config
         self.views = views
         self.num_classes = views[0].graph.num_classes
-        d = config.encoder.hidden
+        d, count = config.encoder.hidden, len(views)
+        # each participant's own map: weighted's ω, starting at 1/I, or
+        # concat's W_i, rows i·d … (i+1)·d of the server's seeded first-layer
+        # weight, as [x_1 … x_I] @ W + b = Σ_i x_i @ W_i + b
+        scopes = [f"enc{v.participant}" for v in views]
+        weights = [None] * count
+        if config.strategy == "weighted":
+            weights = [T.Tensor(np.full(d, 1.0 / count), requires_grad=True,
+                                name=f"{scope}/omega") for scope in scopes]
+        elif config.strategy == "concat":
+            W = init_param({}, f"{ServerNet.SCOPE}/l0/W", (d * count, d), config.seed)
+            weights = [T.Tensor(block, requires_grad=True, name=f"{scope}/W")
+                       for scope, block in zip(scopes, np.split(W.values, count))]
         self.participants: list[Participant] = []
-        for v in views:
-            enc = make_encoder(v, config.encoder, config.seed, scope=f"enc{v.participant}")
+        for v, scope, weight in zip(views, scopes, weights):
+            enc = make_encoder(v, config.encoder, config.seed, scope=scope)
             head = LabelHead(d, self.num_classes, config.seed) if v.has_labels else None
             opt = T.OPTIMIZERS[config.optimizer](config.learning_rate)
-            omega = (T.Tensor(np.full(d, 1.0 / len(views)), requires_grad=True,
-                              name=f"enc{v.participant}/omega")
-                     if config.strategy == "weighted" else None)
-            self.participants.append(Participant(v.participant, v, enc, opt, head, omega))
+            self.participants.append(Participant(v.participant, v, enc, opt, head, weight))
         self.label_holder = next(p for p in self.participants if p.view.has_labels)
-        in_dim = d * len(views) if config.strategy == "concat" else d
-        self.server = ServerNet(in_dim, d, config.seed, dropout=config.server_dropout)
+        self.server = ServerNet(None if config.strategy == "concat" else d, d, config.seed,
+                                dropout=config.server_dropout)
         self.server_params: dict[str, T.Tensor] = dict(self.server.params)
         self.server_optimizer = T.OPTIMIZERS[config.optimizer](config.learning_rate)
 
@@ -288,30 +299,14 @@ class SplitSession:
     # -- secure uplink -------------------------------------------------------
 
     def _secure_uplink(self, locals_):
-        """What the server learns from encrypted uplinks: the aggregate sum
-        alone, or for concat each participant's embedding."""
-        cfg = self.config
-        names = [p.name for p in self.participants]
-        if cfg.strategy != "concat":
-            # only the aggregate sum is ever decrypted
-            return [C.secure_sum(locals_, self.keypair, self._enc_rng, self.transcript,
-                                 self._round, names)]
-        # concat has no aggregate sum: fall back to per-participant encryption
-        # toward the decryptor; the audit labels the weaker guarantee
-        pieces = []
-        for name, vec in zip(names, locals_):
-            cts = self.transcript.send(
-                self._round, name, "decryptor", "ciphertext",
-                C.encrypt_matrix(self.keypair.public, vec, self._enc_rng))
-            pieces.append(C.decrypt_matrix(self.keypair, cts, vec.shape))
-            self.transcript.log_decryption(self._round, len(cts), aggregated=False)
-        return pieces
+        """What the server learns from encrypted uplinks: the sum of the
+        participants' terms alone."""
+        return [C.secure_sum(locals_, self.keypair, self._enc_rng, self.transcript,
+                             self._round, [p.name for p in self.participants])]
 
     def _combine(self, received):
-        """The server's combination of what it received: the concatenation,
-        or the sum, divided by I to average."""
-        if self.config.strategy == "concat":
-            return combine_concat(received)
+        """The server's combination of what it received: the sum, divided by
+        I to average."""
         total = combine_sum(received)
         return total / len(self.participants) if self.config.strategy == "average" else total
 
@@ -319,16 +314,20 @@ class SplitSession:
 
     def _node_ids(self, ids) -> np.ndarray:
         """``ids`` as an int64 vector, refused with ``DomainError`` before
-        any party computes unless it names at least one node and only nodes
-        of the graph."""
-        ids = np.asarray(ids, dtype=np.int64)
+        any party computes unless it is a vector of integers naming at least
+        one node and only nodes of the graph: a cast would truncate 1.7 to
+        node 1 and read a boolean mask as nodes 1 and 0."""
+        ids = np.asarray(ids)
         n = self.views[0].graph.num_nodes
         if ids.size == 0:
             raise DomainError("a batch needs at least one node id")
+        if ids.dtype.kind not in "iu" or ids.ndim != 1:
+            raise DomainError(f"node ids must be a vector of integers, got dtype "
+                              f"{ids.dtype} and shape {ids.shape}")
         bad = ids[(ids < 0) | (ids >= n)]
         if bad.size:
             raise DomainError(f"node id {bad[0]} is outside [0, {n})")
-        return ids
+        return ids.astype(np.int64, copy=False)
 
     def train_round(self, batch, step: int) -> float:
         if self.aligned is None:

@@ -326,13 +326,15 @@ class TestWrapCheck:
         np.testing.assert_array_equal(out, [[1.25, 0.625]])
 
     def test_lone_value_bound(self, rng):
+        # one term's bound is n / 2: 2^20 encodes to 2^44, under it
         key = small_key()
-        back = C.decrypt_matrix(key, C.encrypt_matrix(key.public, [[2.0**20, -3.5]], rng),
-                                (1, 2))
+        back = secure_sum([np.array([[2.0**20, -3.5]])], key, rng)
         np.testing.assert_array_equal(back, [[2.0**20, -3.5]])
         state = rng.getstate()
-        with pytest.raises(DomainError, match="element 1: .* modular wrap"):
-            C.encrypt_matrix(key.public, [1.0, 2.0**36], rng)
+        with pytest.raises(DomainError, match=(
+                rf"party_0 element 1: encoded magnitude {2**60} would risk modular "
+                rf"wrap \(bound {key.public.n // 2}\)")):
+            secure_sum([np.array([1.0, 2.0**36])], key, rng)
         assert rng.getstate() == state
 
 
@@ -417,15 +419,19 @@ class TestSlotPacking:
         assert out.tolist() == [4 * x for x in vecs[0]]
 
     def test_per_participant_path(self, keypair, monkeypatch):
-        # concat decrypts each participant's matrix alone: one term per field
+        # a lone participant's sum is its own matrix, one term per field,
+        # and the decryption is logged as not aggregated
         plain = recording_decrypt(monkeypatch)
         values = np.random.default_rng(9).uniform(-100, 100, size=(3, 5))
-        cts = C.encrypt_matrix(keypair.public, values, random.Random(4))
-        assert len(cts) == 15
-        back = C.decrypt_matrix(keypair, cts, (3, 5))
+        t = RoundTranscript()
+        back = secure_sum([values], keypair, random.Random(4), t)
+        assert [r.elements for r in t.records] == [15]
         assert len(plain) == 3
         want = [[C.fixed_encode(float(x)) / 2**24 for x in row] for row in values]
         assert back.tolist() == want
+        assert [(e.elements, e.aggregated) for e in t.decryptions] == [(15, False)]
+        assert [f.kind for f in C.transcript_audit(t).findings] == [
+            "per_participant_decryption"]
 
 
 class TestAudit:

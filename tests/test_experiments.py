@@ -309,6 +309,15 @@ class TestRunExperiment:
         assert [(s.train_loss, s.val_f1, s.test_f1) for s in split_rows] == \
             [(e.train_loss, e.val_f1, e.test_f1) for e in entire_rows]
 
+    def test_one_participant_secure_split_flags_each_lone_decryption(self):
+        # with one participant the decrypted "sum" is that party's embedding
+        _, cost, transcript = E.run_experiment(small_config(
+            strategy="split_m", participants=1, ratio=[1.0], epochs=1, secure=True))
+        assert cost.rounds > 0
+        assert [(f.kind, f.message.split(":")[0])
+                for f in C.transcript_audit(transcript).findings] == [
+            ("per_participant_decryption", f"round {k}") for k in range(cost.rounds)]
+
     @pytest.mark.parametrize("strategy", ["entire", "standalone_0", "standalone_1"])
     def test_secure_leaves_baselines_plaintext_and_unmetered(self, strategy):
         def run(secure):

@@ -7,13 +7,13 @@ from splitgnn import crypto as C
 from splitgnn import protocol as P
 from splitgnn import tensor as T
 from splitgnn.errors import ConfigError, DomainError, NumericError, ProtocolError
-from splitgnn.models import make_encoder
+from splitgnn.models import init_param, make_encoder
 from splitgnn.seeding import stable_rng
 
 
 class TestCombine:
-    # average is the sum over I; weighted is the sum of terms each
-    # participant has already scaled by its own ω
+    # average is the sum over I; weighted and concat are sums of terms each
+    # participant has already put through its own ω or W_i
 
     def test_average_basic(self):
         out = P.combine_sum([np.array([[1.0, 3.0]]), np.array([[3.0, 5.0]])]) / 2
@@ -42,20 +42,6 @@ class TestCombine:
         with pytest.raises(ProtocolError, match="participant 1"):
             P.combine_sum([np.zeros((2, 3)), np.zeros((2, 4))])
 
-    def test_concat_basic(self):
-        out = P.combine_concat([np.array([[1.0, 2.0]]), np.array([[3.0]])])
-        np.testing.assert_array_equal(out, [[1.0, 2.0, 3.0]])
-
-    def test_concat_single_identity(self):
-        x = np.array([[1.0, 2.0]])
-        np.testing.assert_array_equal(P.combine_concat([x]), x)
-
-    def test_concat_permutation_moves_blocks(self):
-        a, b = np.full((2, 2), 1.0), np.full((2, 2), 2.0)
-        ab = P.combine_concat([a, b])
-        ba = P.combine_concat([b, a])
-        np.testing.assert_array_equal(ab[:, :2], ba[:, 2:])
-
     def test_weighted_uniform_equals_average(self):
         rng = stable_rng("w-avg")
         mats = [rng.standard_normal((3, 4)) for _ in range(2)]
@@ -77,12 +63,6 @@ class TestBackwardRoute:
         routed = P.backward_route(g, "average", 2)
         for r in routed:
             np.testing.assert_array_equal(r, [[1.0, 2.0]])
-
-    def test_concat_blocks_reassemble(self):
-        rng = stable_rng("route-concat")
-        g = rng.standard_normal((5, 6))
-        routed = P.backward_route(g, "concat", 3)
-        np.testing.assert_array_equal(np.concatenate(routed, axis=1), g)
 
     def test_average_conservation(self):
         rng = stable_rng("route-avg")
@@ -326,12 +306,16 @@ class TestSessionBasics:
         ([], "a batch needs at least one node id"),
         ([-1, 5, 7], r"node id -1 is outside \[0, 40\)"),
         ([3, 10**6], r"node id 1000000 is outside \[0, 40\)"),
-    ], ids=["empty", "negative", "past-the-end"])
+        ([1.7, 2.2], r"got dtype float64 and shape \(2,\)"),
+        (np.array([True, False]), r"got dtype bool and shape \(2,\)"),
+        ([[1, 2], [3, 4]], r"a vector of integers, got dtype int64 and shape \(2, 2\)"),
+    ], ids=["empty", "negative", "past-the-end", "fractional", "bool-mask", "nested"])
     def test_bad_batch_refused_before_any_party_computes(self, tiny_bundle, monkeypatch,
                                                          kind, batch, message):
-        """An empty batch, or one with an id outside the graph, is refused
-        with ``DomainError`` by ``train_round`` and ``predict`` before any
-        encoder runs: no transcript record, no optimizer step."""
+        """An empty batch, one with an id outside the graph, or one that is
+        not a vector of integers is refused with ``DomainError`` by
+        ``train_round`` and ``predict`` before any encoder runs: no
+        transcript record, no optimizer step."""
         session = P.SplitSession(make_views(tiny_bundle, [5, 5]), session_config(
             optimizer="adam", encoder=encoder_config(kind=kind)))
         session.align()
@@ -425,7 +409,7 @@ class TestTranscriptShape:
 
 
 class TestSecureRounds:
-    @pytest.mark.parametrize("strategy", ["average", "weighted"])
+    @pytest.mark.parametrize("strategy", ["average", "weighted", "concat"])
     def test_secure_matches_plaintext_loss(self, strategy):
         bundle = make_bundle(seed=3)
 
@@ -454,17 +438,22 @@ class TestSecureRounds:
         assert len([f for f in report.findings
                     if f.kind == "plaintext_embedding"]) == 2
 
-    def test_secure_concat_labeled_weaker(self, tiny_bundle):
+    def test_secure_concat_decrypts_only_the_sum(self, tiny_bundle):
+        # concat's terms x_i @ W_i are summed like any other strategy's
         session = P.SplitSession(
             make_views(tiny_bundle, [5, 5]),
             session_config(strategy="concat", secure=True,
                            encoder=encoder_config(kind="gcn", layers=1)))
         session.align()
-        session.train_round(session._split_ids("train")[:8], step=0)
-        cts = [r for r in session.transcript.records if r.kind == "ciphertext"]
-        assert all(r.receiver == "decryptor" for r in cts)
-        report = C.transcript_audit(session.transcript)
-        assert {f.kind for f in report.findings} == {"per_participant_decryption"}
+        batch = session._split_ids("train")[:8]
+        for step in range(2):
+            session.train_round(batch, step=step)
+        cts = [(r.round, r.sender, r.receiver) for r in session.transcript.records
+               if r.kind == "ciphertext"]
+        assert cts == [(k, f"party_{i}", "server") for k in range(2) for i in range(2)]
+        events = [(e.round, e.elements, e.aggregated) for e in session.transcript.decryptions]
+        assert events == [(k, 8 * 4, True) for k in range(2)]
+        assert C.transcript_audit(session.transcript).ok
 
     @pytest.mark.parametrize("strategy", ["average", "weighted", "concat"])
     def test_combine_matches_fixed_point_oracle(self, tiny_bundle, strategy):
@@ -476,29 +465,26 @@ class TestSecureRounds:
         rng = stable_rng("secure-oracle", strategy)
         locals_ = [3.0 * rng.standard_normal((5, 4)) for _ in range(2)]
         if strategy == "weighted":
-            # each participant encrypts its own ω⊙l, a term of the sum
+            # each participant encrypts its own ω⊙l, a term of the sum, as
+            # under concat its own l @ W_i
             omegas = [np.array([0.5, 0.3, 1.25, 0.0]), np.array([-0.75, 0.7, 0.5, -0.1])]
             locals_ = [w * l for w, l in zip(omegas, locals_)]
         got = session._combine(session._secure_uplink(locals_))
 
         s = C.SCALE_BITS
         fx = [[[round(float(x) * 2**s) for x in row] for row in l] for l in locals_]
-        if strategy == "concat":
-            want = np.array([[m / 2**s for l in fx for m in l[i]] for i in range(5)])
-        else:
-            want = np.array([[(fx[0][i][j] + fx[1][i][j]) / 2**s for j in range(4)]
-                             for i in range(5)])
-            if strategy == "average":
-                want = want / 2
+        want = np.array([[(fx[0][i][j] + fx[1][i][j]) / 2**s for j in range(4)]
+                         for i in range(5)])
+        if strategy == "average":
+            want = want / 2
         assert np.array_equal(got, want)
 
         width = 4 + 2 * 512 // 8
-        receiver = "decryptor" if strategy == "concat" else "server"
         assert [(r.sender, r.receiver, r.kind, r.elements, r.bytes, r.encrypted)
                 for r in session.transcript.records if r.round == 0] == [
-            (f"party_{i}", receiver, "ciphertext", 20, 20 * width, True) for i in range(2)]
+            (f"party_{i}", "server", "ciphertext", 20, 20 * width, True) for i in range(2)]
         events = [(e.round, e.elements, e.aggregated) for e in session.transcript.decryptions]
-        assert events == ([(0, 20, False)] * 2 if strategy == "concat" else [(0, 20, True)])
+        assert events == [(0, 20, True)]
 
     def test_weighted_wrap_raises_before_encryption(self, tiny_bundle):
         # a weighted term is checked like any summand: under n / 2I
@@ -541,9 +527,9 @@ class TestWeightedMessages:
         batch = session._split_ids("train")[:8]
         rng = stable_rng("omega-messages")
         for p in session.participants:
-            p.omega.values[:] = rng.uniform(-1.0, 1.0, p.omega.values.shape)
-        want = {p.name: p.omega.values * p.encoder.forward(None, batch, step=0,
-                                                             training=True).values
+            p.weight.values[:] = rng.uniform(-1.0, 1.0, p.weight.values.shape)
+        want = {p.name: p.weight.values * p.encoder.forward(None, batch, step=0,
+                                                              training=True).values
                 for p in session.participants}
 
         sent, routed = [], []
@@ -571,6 +557,26 @@ class TestWeightedMessages:
         assert len(routed) == 1 and len(downs) == 2
         for payload in downs:
             assert np.array_equal(payload, routed[0])
+
+
+class TestConcatBlocks:
+    def test_participants_hold_row_blocks_of_the_seeded_weight(self, tiny_bundle):
+        # [x_1 x_2 x_3] @ W = Σ_i x_i @ W_i: participant i holds rows
+        # i·d … (i+1)·d of the W the server's first layer would have seeded,
+        # sends x_i @ W_i, and the server keeps only that layer's bias
+        session = P.SplitSession(make_views(tiny_bundle, [3, 3, 4]), session_config())
+        d = session.config.encoder.hidden
+        W = init_param({}, "server/l0/W", (3 * d, d), session.config.seed).values
+        for i, p in enumerate(session.participants):
+            assert p.weight.name == f"enc{i}/W"
+            assert np.array_equal(p.weight.values, W[i * d:(i + 1) * d])
+            assert p.trainable()[p.weight.name] is p.weight
+        assert sorted(session.server_params) == ["server/l0/b", "server/l1/W",
+                                                 "server/l1/b"]
+        batch = np.arange(6)
+        for p in session.participants:
+            emb = p.encoder.forward(None, batch).values
+            assert np.array_equal(p.embed(None, batch).values, emb @ p.weight.values)
 
 
 def centralized_train(view, cfg) -> list[dict]:
@@ -636,13 +642,14 @@ class TestSplitCentralizedEquivalence:
         rows = P.SplitSession([single_view(bundle)], cfg).train()
         assert rows == centralized_train(single_view(bundle), cfg)
 
-    def test_gradient_routing_matches_finite_differences(self):
+    @pytest.mark.parametrize("strategy", ["average", "concat", "weighted"])
+    def test_gradient_routing_matches_finite_differences(self, strategy):
         # the gradients of one routed round (SGD at learning rate 0 leaves
         # every parameter as it was) against finite differences of the same
-        # math on one tape: encoders, ω, server, head
+        # math on one tape: encoders, each participant's ω or W_i, server, head
         bundle = make_bundle(seed=8, n_u=10, n_v=6, feature_dim=3)
         enc = encoder_config(layers=1, hidden=3, heads=1)
-        cfg = session_config(encoder=enc, strategy="weighted", batch_size=4,
+        cfg = session_config(encoder=enc, strategy=strategy, batch_size=4,
                              optimizer="sgd", learning_rate=0.0)
         session = P.SplitSession(make_views(bundle, [5, 5]), cfg)
         session.align()
@@ -652,7 +659,11 @@ class TestSplitCentralizedEquivalence:
         all_params = dict(session.server_params)
         for p in session.participants:
             all_params.update(p.trainable())
-        assert sum(name.endswith("/omega") for name in all_params) == 2
+        own = [p.weight for p in session.participants if p.weight is not None]
+        assert [w.name for w in own] == {"average": [], "concat": ["enc0/W", "enc1/W"],
+                                         "weighted": ["enc0/omega", "enc1/omega"]}[strategy]
+        assert all(all_params[w.name] is w for w in own)
+        assert ("server/l0/W" in all_params) == (strategy != "concat")
         before = {name: p.values.copy() for name, p in all_params.items()}
         session.train_round(batch, step=0)
         analytic = {name: p.grad.copy() for name, p in all_params.items()}
@@ -663,6 +674,8 @@ class TestSplitCentralizedEquivalence:
             tape = T.Tape()
             terms = [p.embed(tape, batch) for p in session.participants]
             combined = T.add(tape, terms[0], terms[1])
+            if strategy == "average":
+                combined = T.mul(tape, combined, 0.5)
             hidden = session.server.forward(tape, combined, training=False)
             loss, _ = session.label_holder.head.forward_loss(tape, hidden, labels)
             return loss, tape

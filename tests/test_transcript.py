@@ -24,8 +24,8 @@ def digest_payload():
 
 
 def ciphertext_payload():
-    key = small_key()
-    return C.encrypt_matrix(key.public, [[0.5, -1.0, 2.0]], random.Random(0))
+    key, rng = small_key(), random.Random(0)
+    return [C.encrypt(key.public, C.fixed_encode(x), rng) for x in (0.5, -1.0, 2.0)]
 
 
 @pytest.mark.parametrize("kind,make,elements,width,encrypted,joined", [
