@@ -19,18 +19,21 @@ construction: correctness and auditability are the goals, not production
 hardening, and constant-time arithmetic is explicitly out of scope.
 
 Decryption is packed, in the manner of BatchCrypt (Zhang et al., USENIX ATC
-2020), on the decrypting side only.  For I summed terms, a key fixes a
-:class:`SlotLayout`: a per-term bound B = min(2^63, n // 2I), where 2^63 is
-``fixed_encode``'s range; a field width w = bitlen(2*I*B - 1); and
-s = max(1, (bitlen(n) - 1) // w) fields below n.  Element i of a matrix is
-still one ciphertext, of (m_i + B) * 2^((i mod s) * w).  The decryptor
+2020), on the decrypting side only.  Every term of a sum is a fixed-point
+value m with |m| < B = 2^44, ``fixed_encode``'s range (|x| < 2^20 before
+scaling); a term outside it raises before any encryption.  For I summed
+terms, a key fixes a :class:`SlotLayout`: a field width w = bitlen(2*I*B - 1)
+and s = (bitlen(n) - 1) // w fields below 2^(bitlen(n) - 1), and a key with
+no room for one field is refused.  For I = 2, w = 46, so one decryption
+carries 11, 22 or 44 sums at 512, 1024 or 2048 bits.  Element i of a matrix
+is still one ciphertext, of (m_i + B) * 2^((i mod s) * w).  The decryptor
 multiplies each run of s consecutive ciphertexts into one and decrypts that:
 field j then holds the sum of element j's I offset terms, which lies in
 [I, 2*I*B - I], so no field borrows from or carries into its neighbour, and
 the plaintext stays below 2^(s*w) < n.  Removing the public constant I*B
 gives each element's sum.  The decryptor still learns only per-element sums;
-the offsets and shifts are public constants fixed by n and I.  The wire
-format, one ciphertext per value, is unchanged."""
+the offsets and shifts are public constants fixed by bitlen(n) and I.  The
+wire format, one ciphertext per value, is unchanged."""
 
 from __future__ import annotations
 
@@ -123,11 +126,11 @@ class PaillierPublicKey:
     n: int
     h: int
 
-    @property
+    @cached_property
     def n_sq(self) -> int:
         return self.n * self.n
 
-    @property
+    @cached_property
     def wire_width(self) -> int:
         """Fixed byte width of one serialized ciphertext value."""
         return (self.n_sq.bit_length() + 7) // 8
@@ -151,13 +154,13 @@ class PaillierPublicKey:
         return rows
 
     def blind(self, x: int) -> int:
-        """h^x mod n^2 for 0 <= x < 2^blind_bits: one table product per
-        non-zero byte of x."""
-        acc, n_sq = 1, self.n_sq
-        for row in self._blind_table:
-            if x & 0xFF:
-                acc = acc * row[x & 0xFF] % n_sq
-            x >>= 8
+        """h^x mod n^2 for 0 <= x < 2^blind_bits: the product of one table
+        entry per non-zero byte of x, starting at the first."""
+        table, n_sq = self._blind_table, self.n_sq
+        entries = (row[d] for row, d in zip(table, x.to_bytes(len(table), "little")) if d)
+        acc = next(entries, 1)
+        for entry in entries:
+            acc = acc * entry % n_sq
         return acc
 
 
@@ -253,18 +256,20 @@ def decrypt(keypair: PaillierKeyPair, cipher: Ciphertext) -> int:
 
 # fixed-point fraction bits: a value x is encoded as round(x * 2^SCALE_BITS)
 SCALE_BITS = 24
-# an encoded value's magnitude stays below 2^FIXED_RANGE_BITS
-FIXED_RANGE_BITS = 63
+# an encoded value's magnitude stays below TERM_BOUND = 2^FIXED_RANGE_BITS,
+# the one per-term bound of every secure sum under every key
+FIXED_RANGE_BITS = 44
+TERM_BOUND = 1 << FIXED_RANGE_BITS
 
 
 def fixed_encode(x: float) -> int:
-    if not np.isfinite(x):
-        raise DomainError(f"cannot fixed-point encode non-finite value {x}")
-    if abs(x) >= 2.0 ** (FIXED_RANGE_BITS - SCALE_BITS):
-        raise DomainError(
-            f"value {x} exceeds fixed-point range +/-2^{FIXED_RANGE_BITS - SCALE_BITS}"
-        )
-    return round(x * (1 << SCALE_BITS))
+    """round(x * 2^SCALE_BITS), refused unless x is finite and that
+    magnitude is below TERM_BOUND."""
+    m = round(x * (1 << SCALE_BITS)) if math.isfinite(x) else TERM_BOUND
+    if abs(m) >= TERM_BOUND:
+        raise DomainError(f"value {x} is outside the fixed-point range: |x| * 2^{SCALE_BITS} "
+                          f"must round below 2^{FIXED_RANGE_BITS}")
+    return m
 
 
 def fixed_decode(m: int) -> float:
@@ -279,23 +284,23 @@ def fixed_decode(m: int) -> float:
 class SlotLayout:
     """Where a sum of ``terms`` fixed-point values sits in a packed plaintext.
 
-    Each term m, with |m| < ``bound``, is offset to m + bound in
-    [1, 2*bound); a sum of ``terms`` offset values fills one ``width``-bit
-    field, and element i of a matrix goes to field i mod ``slots``.
+    Each term m, with |m| < TERM_BOUND, is offset to m + TERM_BOUND in
+    [1, 2*TERM_BOUND); a sum of ``terms`` offset values fills one
+    ``width``-bit field, and element i of a matrix goes to field i mod
+    ``slots``.
     """
     terms: int
-    bound: int
     width: int
     slots: int
 
     def place(self, index: int, m: int) -> int:
         """Element ``index``'s term m, offset and shifted into its field."""
-        return (m + self.bound) << (index % self.slots * self.width)
+        return (m + TERM_BOUND) << (index % self.slots * self.width)
 
     def fields(self, packed: int, count: int) -> list[int]:
         """The first ``count`` fields of a decrypted sum of placed terms,
         each less the ``terms`` offsets it holds."""
-        mask, offset = (1 << self.width) - 1, self.terms * self.bound
+        mask, offset = (1 << self.width) - 1, self.terms * TERM_BOUND
         out = []
         for _ in range(count):
             out.append((packed & mask) - offset)
@@ -304,13 +309,16 @@ class SlotLayout:
 
 
 def slot_layout(n: int, terms: int) -> SlotLayout:
-    """The packing for sums of ``terms`` values under modulus n.  A field's
-    sum is at most 2*terms*bound - terms, under n even when one field fills
-    the plaintext; otherwise as many fields as fit below 2^(bitlen(n) - 1)
-    share one."""
-    bound = min(1 << FIXED_RANGE_BITS, n // (2 * terms))
-    width = (2 * terms * bound - 1).bit_length()
-    return SlotLayout(terms, bound, width, max(1, (n.bit_length() - 1) // width))
+    """The packing for sums of ``terms`` values under modulus n: as many
+    fields of sums below 2*terms*TERM_BOUND as fit below 2^(bitlen(n) - 1).
+    A key with no room for one field is refused, as is every n with
+    n // (2*terms) < TERM_BOUND."""
+    width = (2 * terms * TERM_BOUND - 1).bit_length()
+    slots = (n.bit_length() - 1) // width
+    if not slots:
+        raise ContractError(f"a {n.bit_length()}-bit key cannot hold a sum of {terms} "
+                            f"terms below 2^{FIXED_RANGE_BITS}")
+    return SlotLayout(terms, width, slots)
 
 
 def decrypt_matrix(keypair: PaillierKeyPair, cts, shape, terms: int) -> np.ndarray:
@@ -326,21 +334,15 @@ def decrypt_matrix(keypair: PaillierKeyPair, cts, shape, terms: int) -> np.ndarr
     return np.array(out).reshape(shape)
 
 
-def _encrypt_placed(public: PaillierPublicKey, encoded, layout: SlotLayout,
-                    rng: random.Random) -> list[Ciphertext]:
-    return [encrypt(public, layout.place(i, m), rng) for i, m in enumerate(encoded)]
-
-
-def _encode_checked(name: str, values, bound: int) -> list[int]:
+def _encode_checked(name: str, values) -> list[int]:
     """Fixed-point encode ``values`` in row-major order, raising at the first
-    element whose encoded magnitude reaches ``bound``."""
+    element outside the fixed-point range, named with its party and index."""
     encoded = []
     for idx, x in enumerate(np.ravel(np.asarray(values, dtype=np.float64))):
-        m = fixed_encode(float(x))
-        if abs(m) >= bound:
-            raise DomainError(f"{name} element {idx}: encoded magnitude {abs(m)} "
-                              f"would risk modular wrap (bound {bound})")
-        encoded.append(m)
+        try:
+            encoded.append(fixed_encode(float(x)))
+        except DomainError as err:
+            raise DomainError(f"{name} element {idx}: {err}") from None
     return encoded
 
 
@@ -358,14 +360,15 @@ def secure_sum(vectors, keypair: PaillierKeyPair, rng: random.Random,
     shape = vectors[0].shape
     if any(v.shape != shape for v in vectors):
         raise ContractError(f"all vectors must share shape {shape}")
-    # every term of every participant is checked against the layout's bound
-    # before the first encryption draws from ``rng``
+    # the key and every term of every participant are checked before the
+    # first encryption draws from ``rng``
     layout = slot_layout(keypair.public.n, len(vectors))
-    encoded = [_encode_checked(name, vec, layout.bound)
+    encoded = [_encode_checked(name, vec)
                for name, vec in zip(party_names, vectors, strict=True)]
 
     terms = [transcript.send(round_index, name, "server", "ciphertext",
-                             _encrypt_placed(keypair.public, enc, layout, rng))
+                             [encrypt(keypair.public, layout.place(i, m), rng)
+                              for i, m in enumerate(enc)])
              for name, enc in zip(party_names, encoded)]
     totals = decrypt_matrix(keypair, [sum(col[1:], col[0]) for col in zip(*terms)],
                             shape, len(vectors))

@@ -75,8 +75,9 @@ def session_config(**overrides):
 
 
 def small_key(seed=0) -> C.PaillierKeyPair:
-    """A key on two 30-bit primes, so 2^58 <= n < 2^60: fixed-point values
-    near 2^20 (encoded near 2^44) reach wrap bounds that real keys never do."""
+    """A key on two 30-bit primes, so 2^58 <= n < 2^60: quick to make, and
+    for a few terms still above the one term bound's need, n // 2I >= 2^44,
+    so its layouts hold one field of a sum per decryption."""
     rng = random.Random(seed)
     p, q = C._gen_prime(30, rng), C._gen_prime(30, rng)
     assert p != q

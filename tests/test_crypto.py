@@ -186,6 +186,18 @@ class TestFixedBaseBlinding:
                 rng.randrange(1, top) for _ in range(50)]:
             assert pub.blind(x) == pow(pub.h, x, pub.n_sq)
 
+    def test_sparse_exponents_match_pow(self, key):
+        # the product starts at the first non-zero byte's entry: exponents
+        # with zero low bytes, zero high bytes, one non-zero byte, or none
+        pub = key.public
+        nbytes = (pub.blind_bits + 7) // 8
+        top = (1 << pub.blind_bits) - 1
+        xs = [0, 0x1234, top & ~0xFFFF, top >> 8 << 8]
+        xs += [d << (8 * i) for i in range(nbytes) for d in (1, 0x80)
+               if d << (8 * i) <= top]
+        for x in xs:
+            assert pub.blind(x) == pow(pub.h, x, pub.n * pub.n)
+
     def test_base_is_nth_residue(self, key):
         assert C.decrypt(key, C.Ciphertext(key.public.h, key.public)) == 0
 
@@ -261,8 +273,13 @@ class TestFixedPoint:
             assert abs(back - x) <= 2.0**-24
 
     def test_overflow_rejected(self):
-        with pytest.raises(DomainError, match="range"):
-            C.fixed_encode(2.0**40)
+        # the range is on the encoded integer: 2^20 - 2^-24 encodes to
+        # 2^44 - 1, while 2^20 - 2^-33 rounds up to 2^44
+        assert C.fixed_encode(2.0**20 - 2.0**-24) == 2**44 - 1
+        assert C.fixed_encode(-(2.0**20 - 2.0**-24)) == 1 - 2**44
+        for x in (2.0**40, 2.0**20, -(2.0**20), 2.0**20 - 2.0**-33):
+            with pytest.raises(DomainError, match="range"):
+                C.fixed_encode(x)
 
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
@@ -305,36 +322,38 @@ class TestSecureSum:
 
 
 class TestWrapCheck:
-    def test_average_bound_names_participant(self, rng):
-        key = small_key()
-        bound = key.public.n // 4
-        vecs = [np.array([1.0, 2.0]), np.array([0.5, 2.0**36])]
+    """The fixed-point range is the one check against modular wrap: a term
+    outside it raises before any encryption, naming its party, its element
+    and the range."""
+
+    def test_average_bound_names_participant(self, keypair, rng):
         state = rng.getstate()
-        with pytest.raises(DomainError) as err:
-            secure_sum(vecs, key, rng)
-        assert str(err.value) == (f"party_1 element 1: encoded magnitude {2**60} "
-                                  f"would risk modular wrap (bound {bound})")
+        for x in (2.0**20, -(2.0**20), float("nan"), float("inf")):
+            vecs = [np.array([1.0, 2.0]), np.array([0.5, x])]
+            with pytest.raises(DomainError) as err:
+                secure_sum(vecs, keypair, rng)
+            assert str(err.value) == (f"party_1 element 1: value {x} is outside the "
+                                      "fixed-point range: |x| * 2^24 must round below 2^44")
         assert rng.getstate() == state  # raised before any encryption
 
-    def test_weighted_small_products_exact(self, rng):
+    def test_weighted_small_products_exact(self, keypair, rng):
         # weighted participants send their ω-scaled terms; the sum is exact
         # whenever every term is a multiple of 2^-24
-        key = small_key()
         vecs = [np.array([[3.0, -1.5]]), np.array([[0.25, 2.0]])]
         weights = [np.array([0.5, -0.25]), np.array([-1.0, 0.125])]
-        out = secure_sum([w * v for w, v in zip(weights, vecs)], key, rng)
+        out = secure_sum([w * v for w, v in zip(weights, vecs)], keypair, rng)
         np.testing.assert_array_equal(out, [[1.25, 0.625]])
 
-    def test_lone_value_bound(self, rng):
-        # one term's bound is n / 2: 2^20 encodes to 2^44, under it
-        key = small_key()
-        back = secure_sum([np.array([[2.0**20, -3.5]])], key, rng)
-        np.testing.assert_array_equal(back, [[2.0**20, -3.5]])
+    def test_lone_value_bound(self, keypair, rng):
+        # a lone term has the same bound as any other: 2^20 - 2^-24 encodes
+        # to 2^44 - 1, under it, and 2^20 to 2^44
+        top = 2.0**20 - 2.0**-24
+        back = secure_sum([np.array([[top, -3.5]])], keypair, rng)
+        np.testing.assert_array_equal(back, [[top, -3.5]])
         state = rng.getstate()
         with pytest.raises(DomainError, match=(
-                rf"party_0 element 1: encoded magnitude {2**60} would risk modular "
-                rf"wrap \(bound {key.public.n // 2}\)")):
-            secure_sum([np.array([1.0, 2.0**36])], key, rng)
+                r"party_0 element 1: value 1048576.0 is outside the fixed-point range")):
+            secure_sum([np.array([1.0, 2.0**20])], keypair, rng)
         assert rng.getstate() == state
 
 
@@ -352,20 +371,31 @@ def recording_decrypt(monkeypatch):
 
 
 class TestSlotPacking:
-    @pytest.mark.parametrize("bits,slots", [(512, 7), (1024, 15), (2048, 31)])
-    @pytest.mark.parametrize("terms,width", [(1, 64), (2, 65), (4, 66)])
-    def test_layout_of_real_key_sizes(self, bits, slots, terms, width):
-        # the layout depends only on the bit length once n / 2I passes 2^63
+    @pytest.mark.parametrize("terms,width,bits,slots", [
+        (1, 45, 512, 11), (1, 45, 1024, 22), (1, 45, 2048, 45),
+        (2, 46, 512, 11), (2, 46, 1024, 22), (2, 46, 2048, 44),
+        (4, 47, 512, 10), (4, 47, 1024, 21), (4, 47, 2048, 43)])
+    def test_layout_of_real_key_sizes(self, terms, width, bits, slots):
+        # the layout depends only on the bit length and the term count
         for n in ((1 << (bits - 1)) + 1, (1 << bits) - 1):
-            assert C.slot_layout(n, terms) == C.SlotLayout(terms, 2**63, width, slots)
+            assert C.slot_layout(n, terms) == C.SlotLayout(terms, width, slots)
 
     def test_layout_of_small_key(self):
+        # n / 2I is far above 2^44 even for a 60-bit n: one field a plaintext
         n = small_key().public.n
-        for terms in (1, 2, 4):
-            bound = n // (2 * terms)
-            assert bound < 2**63
-            assert C.slot_layout(n, terms) == C.SlotLayout(
-                terms, bound, (2 * terms * bound - 1).bit_length(), 1)
+        for terms, width in ((1, 45), (2, 46), (4, 47)):
+            assert n // (2 * terms) >= 2**44
+            assert C.slot_layout(n, terms) == C.SlotLayout(terms, width, 1)
+
+    @pytest.mark.parametrize("terms", [1, 2, 3, 4])
+    def test_key_below_bound_is_refused(self, terms):
+        # n // 2I below 2^44 leaves no room for one field's sum; so does
+        # any n of bit length at most the width
+        width = (2 * terms * 2**44 - 1).bit_length()
+        for n in (2 * terms * 2**44 - 1, 2**44 + 1, (1 << width) - 1):
+            with pytest.raises(ContractError, match=f"sum of {terms} terms below 2\\^44"):
+                C.slot_layout(n, terms)
+        assert C.slot_layout((1 << width) + 1, terms) == C.SlotLayout(terms, width, 1)
 
     @pytest.mark.parametrize("terms", [1, 2, 4])
     def test_extreme_fields_decode_exactly(self, keypair, terms):
@@ -374,7 +404,7 @@ class TestSlotPacking:
         # fields would show in a neighbour
         pub = keypair.public
         layout = C.slot_layout(pub.n, terms)
-        top, s = layout.bound - 1, layout.slots
+        top, s = C.TERM_BOUND - 1, layout.slots
         patterns = [[top] * s, [-top] * s, [top if j % 2 else -top for j in range(s)],
                     [-top if j % 2 else top for j in range(s)]]
         rng = random.Random(3)
@@ -393,7 +423,7 @@ class TestSlotPacking:
         out = secure_sum(vecs, keypair, random.Random(0))
 
         layout = C.slot_layout(keypair.public.n, terms)
-        s, w, offset = layout.slots, layout.width, terms * 2**63
+        s, w, offset = layout.slots, layout.width, terms * 2**44
         sums = [sum(C.fixed_encode(float(v.flat[k])) for v in vecs) for k in range(20)]
         want = [sum(2**(j * w) * (total + offset) for j, total in enumerate(sums[g:g + s]))
                 for g in range(0, 20, s)]
@@ -402,18 +432,18 @@ class TestSlotPacking:
         assert out.ravel().tolist() == [m / 2**24 for m in sums]
 
     def test_partial_last_group(self, keypair, monkeypatch):
-        # 23 = 3 * 7 + 2 elements: four decryptions, the last of two fields
+        # 24 = 2 * 11 + 2 elements: three decryptions, the last of two fields
         plain = recording_decrypt(monkeypatch)
-        vecs = [np.random.default_rng(i).uniform(-5, 5, size=23) for i in range(2)]
+        vecs = [np.random.default_rng(i).uniform(-5, 5, size=24) for i in range(2)]
         out = secure_sum(vecs, keypair, random.Random(1))
-        assert len(plain) == 4 and plain[-1] < 2**(2 * 65)
+        assert len(plain) == 3 and plain[-1] < 2**(2 * 46)
         want = [(C.fixed_encode(float(a)) + C.fixed_encode(float(b))) / 2**24
                 for a, b in zip(*vecs)]
         assert out.tolist() == want
 
     def test_largest_encodable_values_sum_exactly(self, keypair):
-        # 2^39 - 2^-14 encodes to 2^63 - 2^10, the largest fixed-point value
-        top = 2.0**39 - 2.0**-14
+        # 2^20 - 2^-24 encodes to 2^44 - 1, the largest fixed-point value
+        top = 2.0**20 - 2.0**-24
         vecs = [np.array([top, -top, top, -top, 0.0, top, -top, top, -top]) for _ in range(4)]
         out = secure_sum(vecs, keypair, random.Random(2))
         assert out.tolist() == [4 * x for x in vecs[0]]
@@ -426,7 +456,7 @@ class TestSlotPacking:
         t = RoundTranscript()
         back = secure_sum([values], keypair, random.Random(4), t)
         assert [r.elements for r in t.records] == [15]
-        assert len(plain) == 3
+        assert len(plain) == 2
         want = [[C.fixed_encode(float(x)) / 2**24 for x in row] for row in values]
         assert back.tolist() == want
         assert [(e.elements, e.aggregated) for e in t.decryptions] == [(15, False)]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (encoder_config, finite_diff_check, make_bundle, make_views,
-                      session_config, single_view, small_key)
+                      session_config, single_view)
 from splitgnn import crypto as C
 from splitgnn import protocol as P
 from splitgnn import tensor as T
@@ -486,23 +486,25 @@ class TestSecureRounds:
         events = [(e.round, e.elements, e.aggregated) for e in session.transcript.decryptions]
         assert events == [(0, 20, True)]
 
-    def test_weighted_wrap_raises_before_encryption(self, tiny_bundle):
-        # a weighted term is checked like any summand: under n / 2I
+    @pytest.mark.parametrize("strategy", ["average", "weighted", "concat"])
+    def test_out_of_range_term_raises_before_encryption(self, tiny_bundle, strategy):
+        # every strategy's terms are checked against the one fixed-point
+        # range, 2^20 before scaling, under a real 512-bit key
         session = P.SplitSession(
             make_views(tiny_bundle, [5, 5]),
-            session_config(strategy="weighted", secure=True,
+            session_config(strategy=strategy, secure=True,
                            encoder=encoder_config(kind="gcn", layers=1)))
         session.align()
-        session.keypair = small_key()
-        bound = session.keypair.public.n // 4
-        locals_ = [np.full((2, 4), 0.5), np.full((2, 4), -2.0**34)]
+        assert session.config.key_bits == 512
+        locals_ = [np.full((2, 4), 0.5), np.full((2, 4), -0.25)]
+        locals_[1][1, 2] = 2.0**20
         state = session._enc_rng.getstate()
+        records = list(session.transcript.records)
         with pytest.raises(DomainError, match=(
-                rf"party_1 element 0: encoded magnitude {2**58} would risk modular "
-                rf"wrap \(bound {bound}\)")):
+                r"party_1 element 6: value 1048576.0 is outside the fixed-point range")):
             session._combine(session._secure_uplink(locals_))
         assert session._enc_rng.getstate() == state
-        assert not [r for r in session.transcript.records if r.round == 0]
+        assert session.transcript.records == records
         assert not session.transcript.decryptions
 
     def test_ciphertext_bytes_exceed_plaintext(self, tiny_bundle):
