@@ -126,11 +126,11 @@ class PaillierPublicKey:
     n: int
     h: int
 
-    @cached_property
+    @property
     def n_sq(self) -> int:
         return self.n * self.n
 
-    @cached_property
+    @property
     def wire_width(self) -> int:
         """Fixed byte width of one serialized ciphertext value."""
         return (self.n_sq.bit_length() + 7) // 8
@@ -154,13 +154,13 @@ class PaillierPublicKey:
         return rows
 
     def blind(self, x: int) -> int:
-        """h^x mod n^2 for 0 <= x < 2^blind_bits: the product of one table
-        entry per non-zero byte of x, starting at the first."""
-        table, n_sq = self._blind_table, self.n_sq
-        entries = (row[d] for row, d in zip(table, x.to_bytes(len(table), "little")) if d)
-        acc = next(entries, 1)
-        for entry in entries:
-            acc = acc * entry % n_sq
+        """h^x mod n^2 for 0 <= x < 2^blind_bits: one table product per
+        non-zero byte of x."""
+        acc, n_sq = 1, self.n_sq
+        for row in self._blind_table:
+            if x & 0xFF:
+                acc = acc * row[x & 0xFF] % n_sq
+            x >>= 8
         return acc
 
 
@@ -265,7 +265,8 @@ TERM_BOUND = 1 << FIXED_RANGE_BITS
 def fixed_encode(x: float) -> int:
     """round(x * 2^SCALE_BITS), refused unless x is finite and that
     magnitude is below TERM_BOUND."""
-    m = round(x * (1 << SCALE_BITS)) if math.isfinite(x) else TERM_BOUND
+    y = x * (1 << SCALE_BITS)  # inf for a finite x past about 1e301
+    m = round(y) if math.isfinite(y) else TERM_BOUND
     if abs(m) >= TERM_BOUND:
         raise DomainError(f"value {x} is outside the fixed-point range: |x| * 2^{SCALE_BITS} "
                           f"must round below 2^{FIXED_RANGE_BITS}")

@@ -268,13 +268,12 @@ def _read_table(path: Path, ids: dict[str, int], n_ids: int, min_fields: int,
     return [np.array(column, dtype=np.int64) for column in columns], table
 
 
-def _stream_table(path: Path, n_ids: int, min_fields: int):
+def _stream_table(path: Path, n_ids: int):
     """A table file in one streaming pass: its id fields, flat in row order,
-    and its float64 matrix, from a single ``np.loadtxt`` call or, when the
-    first row has no floats, of no columns.
+    and its float64 matrix from a single ``np.loadtxt`` call.
 
     Reads only regular files: every row has ``n_ids`` ids and a float list
-    numpy parses, or every row has none.  Raises on anything else."""
+    numpy parses.  Raises on anything else, a row without floats included."""
     keys: list[str] = []
 
     def float_lists(lines):
@@ -292,17 +291,9 @@ def _stream_table(path: Path, n_ids: int, min_fields: int):
         first = next((line for line in fh if not line.isspace()), None)
         if first is None:
             return keys, np.zeros((0, 0))
-        head = first.rstrip("\n").split("\t")
-        if not "".join(head[n_ids:]).strip():
-            for line in chain([first], fh):
-                if line.isspace():
-                    continue
-                fields = line.rstrip("\n").split("\t")
-                if not min_fields <= len(fields) <= n_ids + 1 \
-                        or "".join(fields[n_ids:]).strip():
-                    raise ValueError("rows with and without floats")
-                keys.extend(fields[:n_ids])
-            return keys, np.zeros((len(keys) // n_ids, 0))
+        head = first.split("\t")
+        if len(head) != n_ids + 1 or not head[-1].strip():
+            raise ValueError("a row without floats")
         table = np.loadtxt(float_lists(chain([first], fh)), delimiter=",",
                            comments=None, ndmin=2)
         if len(keys) != n_ids * len(table):  # loadtxt skips an empty list
@@ -316,15 +307,15 @@ def _float_table(path: Path, ids: dict[str, int], n_ids: int, min_fields: int,
     of rows ``id <TAB> ... <TAB> float,float,...``, ``noun`` naming the
     floats in a wrong-count error."""
     try:
-        keys, table = _stream_table(path, n_ids, min_fields)
+        keys, table = _stream_table(path, n_ids)
         rows = len(keys) // n_ids
         return [np.fromiter(map(ids.__getitem__, keys[k::n_ids]), np.int64, rows)
                 for k in range(n_ids)], table
     except Exception:
-        # A missing file, a bad row, an unknown id, rows with and without
-        # floats, or a token such as 1_0 that float() reads and numpy does
-        # not: the row reader raises the first bad row's error or returns the
-        # values float() gives.
+        # A missing file, a bad row, an unknown id, rows without floats, or a
+        # token such as 1_0 that float() reads and numpy does not: the row
+        # reader raises the first bad row's error or returns the values
+        # float() gives.
         return _read_table(path, ids, n_ids, min_fields, noun)
 
 
@@ -360,13 +351,11 @@ def load_dataset(directory) -> DatasetBundle:
     The features and edge files, nearly all of a dataset's bytes, are
     parsed as a stream: one ``np.loadtxt`` call per file reads the rows'
     float lists from a generator that splits off and keeps the id fields, so
-    no whole file is held as a string and no value becomes a Python float;
-    a file whose rows carry no floats, such as a relation's without edge
-    features, gives its ids alone.  A file that pass cannot take as it
-    stands, because of an error, rows with and without floats or a token
-    numpy does not read such as ``1_0``, is read again row by row with
-    ``float()``, which raises the first bad row's error or gives the same
-    values.
+    no whole file is held as a string and no value becomes a Python float.
+    A file that pass cannot take as it stands, because of an error, rows
+    without floats or a token numpy does not read such as ``1_0``, is read
+    again row by row with ``float()``, which raises the first bad row's error
+    or gives the same values.
     """
     directory = Path(directory)
     ids: dict[str, int] = {}

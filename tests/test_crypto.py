@@ -182,21 +182,14 @@ class TestFixedBaseBlinding:
         rng = random.Random(11)
         top = (1 << pub.blind_bits) - 1
         assert pub.blind_bits == (pub.n.bit_length() + 1) // 2
-        for x in [1, top, 0xFF, 1 << (pub.blind_bits - 1)] + [
+        # sparse exponents too: zero low bytes, zero high bytes, one non-zero
+        # byte at each position, or none
+        sparse = [0, 0x1234, top & ~0xFFFF, top >> 8 << 8] + [
+            d << (8 * i) for i in range((pub.blind_bits + 7) // 8) for d in (1, 0x80)
+            if d << (8 * i) <= top]
+        for x in [1, top, 0xFF, 1 << (pub.blind_bits - 1)] + sparse + [
                 rng.randrange(1, top) for _ in range(50)]:
             assert pub.blind(x) == pow(pub.h, x, pub.n_sq)
-
-    def test_sparse_exponents_match_pow(self, key):
-        # the product starts at the first non-zero byte's entry: exponents
-        # with zero low bytes, zero high bytes, one non-zero byte, or none
-        pub = key.public
-        nbytes = (pub.blind_bits + 7) // 8
-        top = (1 << pub.blind_bits) - 1
-        xs = [0, 0x1234, top & ~0xFFFF, top >> 8 << 8]
-        xs += [d << (8 * i) for i in range(nbytes) for d in (1, 0x80)
-               if d << (8 * i) <= top]
-        for x in xs:
-            assert pub.blind(x) == pow(pub.h, x, pub.n * pub.n)
 
     def test_base_is_nth_residue(self, key):
         assert C.decrypt(key, C.Ciphertext(key.public.h, key.public)) == 0
@@ -277,7 +270,8 @@ class TestFixedPoint:
         # 2^44 - 1, while 2^20 - 2^-33 rounds up to 2^44
         assert C.fixed_encode(2.0**20 - 2.0**-24) == 2**44 - 1
         assert C.fixed_encode(-(2.0**20 - 2.0**-24)) == 1 - 2**44
-        for x in (2.0**40, 2.0**20, -(2.0**20), 2.0**20 - 2.0**-33):
+        # 1e302 is finite, but 1e302 * 2^24 overflows to inf
+        for x in (2.0**40, 2.0**20, -(2.0**20), 2.0**20 - 2.0**-33, 1e302, -1e302):
             with pytest.raises(DomainError, match="range"):
                 C.fixed_encode(x)
 
@@ -328,7 +322,7 @@ class TestWrapCheck:
 
     def test_average_bound_names_participant(self, keypair, rng):
         state = rng.getstate()
-        for x in (2.0**20, -(2.0**20), float("nan"), float("inf")):
+        for x in (2.0**20, -(2.0**20), 1e302, float("nan"), float("inf")):
             vecs = [np.array([1.0, 2.0]), np.array([0.5, x])]
             with pytest.raises(DomainError) as err:
                 secure_sum(vecs, keypair, rng)

