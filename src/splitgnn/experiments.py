@@ -2,14 +2,16 @@
 
 Strategies:
   - ``entire``        one model trained on the unpartitioned graph
-  - ``standalone_i``  participant i trains alone on its private view (label
-                      access is granted explicitly when i is not the label
-                      holder; the metrics report marks those rows)
+  - ``standalone_i``  participant i trains alone on its private view,
+                      partitioned with i as the label holder (label access
+                      is granted when i is not the configured label holder;
+                      the metrics report marks those rows)
   - ``split_m/c/w``   the full split protocol with average / concatenation /
-                      trainable weighted combination; each is a sum of the
-                      participants' terms, which under concatenation are
-                      their embeddings times their row blocks of the
-                      server's first-layer weight
+                      trainable weighted combination; the server only sums
+                      the participants' terms, each an embedding through its
+                      participant's own map: a fixed ω = 1/I under average,
+                      a trained ω under weighted, and under concatenation a
+                      row block of the server's first-layer weight
 
 Every strategy trains a :class:`SplitSession`; the two baselines are
 sessions with a single participant, kept plaintext and unmetered, so they
@@ -38,9 +40,8 @@ from pathlib import Path
 from .crypto import SCALE_BITS, VALID_KEY_BITS
 from .errors import (BOOL, TEXT, ConfigError, Rule, Schema, checked, choice, integer,
                      list_of, number, optional)
-from .graph import (DatasetBundle, ParticipantView, PartitionSpec, RelationSpec,
-                    SyntheticSpec, generate_synthetic, load_dataset,
-                    vertical_partition)
+from .graph import (DatasetBundle, PartitionSpec, RelationSpec, SyntheticSpec,
+                    generate_synthetic, load_dataset, vertical_partition)
 from .models import ENCODERS, EncoderConfig
 from .protocol import SessionConfig, SplitSession
 from .tensor import OPTIMIZERS
@@ -223,35 +224,25 @@ def _load_bundle(config: ExperimentConfig) -> DatasetBundle:
     return generate_synthetic(spec, seed=config.data_seed)
 
 
-def _grant_labels(view: ParticipantView, bundle: DatasetBundle) -> ParticipantView:
-    """Simulation concession: a standalone run by a non-label-holder gets
-    explicit read access to the labels."""
-    g = view.graph
-    granted = type(g)(g.node_types, g.features, g.relations,
-                      bundle.graph.labels.copy(), g.num_classes)
-    return ParticipantView(view.participant, granted, view.metapaths,
-                           view.feature_cols, True, view.train_ids,
-                           view.val_ids, view.test_ids)
-
-
 def _strategy_views(config: ExperimentConfig, bundle: DatasetBundle):
     """The views the strategy's session trains on, and how its label holder
     reads labels: the whole graph as participant 0 for ``entire``,
-    participant i's view alone for ``standalone_i``, every view for a split."""
+    participant i's view alone for ``standalone_i``, every view for a split.
+    Participant i's standalone view comes from a partition with i as the
+    label holder, a simulation concession ("granted") unless i holds the
+    labels anyway; edge dealing does not depend on the label holder."""
     g = bundle.graph
     if config.strategy == "entire":
         spec = PartitionSpec.from_ratio([1.0], g.feature_dim, g.relation_names())
         return vertical_partition(bundle, spec, seed=config.data_seed), "native"
-    spec = PartitionSpec.from_ratio(config.ratio, g.feature_dim, g.relation_names(),
-                                    label_holder=config.label_holder)
-    views = vertical_partition(bundle, spec, seed=config.data_seed)
     alone = _standalone_index(config.strategy)
+    holder = config.label_holder if alone is None else alone
+    spec = PartitionSpec.from_ratio(config.ratio, g.feature_dim, g.relation_names(),
+                                    label_holder=holder)
+    views = vertical_partition(bundle, spec, seed=config.data_seed)
     if alone is None:
         return views, "native"
-    view = views[alone]
-    if view.has_labels:
-        return [view], "native"
-    return [_grant_labels(view, bundle)], "granted"
+    return [views[alone]], "native" if alone == config.label_holder else "granted"
 
 
 def run_experiment(config: ExperimentConfig):

@@ -2,14 +2,15 @@
 
 Per communication round: every participant encodes a node batch over its own
 edges, applies its own map to it and sends the result up (plaintext or
-encrypted); the server sums what it receives and runs its sub-network; the
-label holder turns the returned hidden state into predictions and loss, and
-gradients retrace the same path backwards across both cuts.  The strategies
-differ only in the map: none under average, whose server divides the sum by
-I; a trainable ω under weighted; and under concat W_i, the participant's
-block of the server's first-layer weight, since [x_1 … x_I] @ W equals
-Σ_i x_i @ W_i.  Every message moves through :meth:`RoundTranscript.send`,
-which meters it and hands the receiver the value it computes from.
+encrypted); the server only sums what it receives and runs its sub-network;
+the label holder turns the returned hidden state into predictions and loss,
+and gradients retrace the same path backwards across both cuts.  The
+strategies differ only in the map: under average a fixed ω = 1/I, so the sum
+is the mean; under weighted an ω that starts at 1/I and trains; and under
+concat W_i, the participant's block of the server's first-layer weight,
+since [x_1 … x_I] @ W equals Σ_i x_i @ W_i.  Every message moves through
+:meth:`RoundTranscript.send`, which meters it and hands the receiver the
+value it computes from.
 
 The "Entire" and "Standalone" baselines are sessions with one participant,
 where the cut changes nothing: under concat or average they train exactly
@@ -32,8 +33,6 @@ from .models import EncoderConfig, init_param, make_encoder
 from .seeding import stable_rng, stable_seed
 from .transcript import RoundTranscript
 
-STRATEGIES = ("average", "concat", "weighted")
-
 
 # ---------------------------------------------------------------------------
 # combination strategies and routing
@@ -42,7 +41,7 @@ STRATEGIES = ("average", "concat", "weighted")
 def combine_sum(locals_):
     """The element-wise sum of the participants' terms, each already through
     its participant's own map: the server's combination under every
-    strategy, divided by I under average."""
+    strategy."""
     if not locals_:
         raise ProtocolError("no participant embeddings")
     shape = locals_[0].shape
@@ -52,15 +51,12 @@ def combine_sum(locals_):
     return np.sum(locals_, axis=0)
 
 
-def backward_route(grad, strategy, num_participants):
+def backward_route(grad, num_participants):
     """Route the server-input gradient back to participants.  Each sent a
     term of the sum, so each receives the whole gradient of the sum, from
-    which its own tape derives its map's gradient (ω or W_i), or 1/I of it
-    under average, whose server divided the sum by I."""
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy {strategy!r}")
-    share = grad / num_participants if strategy == "average" else grad
-    return [share.copy() for _ in range(num_participants)]
+    which its own tape derives its encoder's gradient through its map, and
+    the map's own gradient when it trains (weighted's ω, concat's W_i)."""
+    return [grad.copy() for _ in range(num_participants)]
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +156,7 @@ class SessionConfig:
     from a checked config; the view itself checks nothing."""
 
     encoder: EncoderConfig
-    strategy: str                   # one of STRATEGIES
+    strategy: str                   # "average", "concat" or "weighted"
     batch_size: int
     epochs: int
     learning_rate: float
@@ -178,10 +174,11 @@ class Participant:
     view: ParticipantView
     encoder: object
     optimizer: object
+    # the participant's own map before the server sums: a d-vector ω, fixed
+    # at 1/I under average and trained under weighted, or concat's W_i, a
+    # trained d×d block of the server's first layer
+    weight: T.Tensor
     head: LabelHead | None = None
-    # the participant's own map before the server sums: weighted's ω, a
-    # d-vector, or concat's W_i, a d×d block of the server's first layer
-    weight: T.Tensor | None = None
 
     @property
     def name(self) -> str:
@@ -191,16 +188,14 @@ class Participant:
         params = dict(self.encoder.params)
         if self.head is not None:
             params.update(self.head.params)
-        if self.weight is not None:
+        if self.weight.requires_grad:
             params[self.weight.name] = self.weight
         return params
 
     def embed(self, tape, ids, step=0, training=False) -> T.Tensor:
         """The term this participant sends: its encoder's output, scaled by
-        its ω or multiplied by its W_i when it has either."""
+        its ω or multiplied by its W_i."""
         emb = self.encoder.forward(tape, ids, step=step, training=training)
-        if self.weight is None:
-            return emb
         if self.weight.ndim == 1:
             return T.mul(tape, self.weight, emb)
         return T.matmul(tape, emb, self.weight)
@@ -227,24 +222,27 @@ class SplitSession:
         self.views = views
         self.num_classes = views[0].graph.num_classes
         d, count = config.encoder.hidden, len(views)
-        # each participant's own map: weighted's ω, starting at 1/I, or
+        # the strategy, read only in this constructor, sets each participant's
+        # own map: an ω of 1/I, fixed under average and trained under weighted, or
         # concat's W_i, rows i·d … (i+1)·d of the server's seeded first-layer
         # weight, as [x_1 … x_I] @ W + b = Σ_i x_i @ W_i + b
         scopes = [f"enc{v.participant}" for v in views]
-        weights = [None] * count
-        if config.strategy == "weighted":
-            weights = [T.Tensor(np.full(d, 1.0 / count), requires_grad=True,
+        if config.strategy in ("average", "weighted"):
+            weights = [T.Tensor(np.full(d, 1.0 / count),
+                                requires_grad=config.strategy == "weighted",
                                 name=f"{scope}/omega") for scope in scopes]
         elif config.strategy == "concat":
             W = init_param({}, f"{ServerNet.SCOPE}/l0/W", (d * count, d), config.seed)
             weights = [T.Tensor(block, requires_grad=True, name=f"{scope}/W")
                        for scope, block in zip(scopes, np.split(W.values, count))]
+        else:
+            raise ConfigError(f"unknown strategy {config.strategy!r}")
         self.participants: list[Participant] = []
         for v, scope, weight in zip(views, scopes, weights):
             enc = make_encoder(v, config.encoder, config.seed, scope=scope)
             head = LabelHead(d, self.num_classes, config.seed) if v.has_labels else None
             opt = T.OPTIMIZERS[config.optimizer](config.learning_rate)
-            self.participants.append(Participant(v.participant, v, enc, opt, head, weight))
+            self.participants.append(Participant(v.participant, v, enc, opt, weight, head))
         self.label_holder = next(p for p in self.participants if p.view.has_labels)
         self.server = ServerNet(None if config.strategy == "concat" else d, d, config.seed,
                                 dropout=config.server_dropout)
@@ -296,20 +294,6 @@ class SplitSession:
         mask = np.isin(ids, self.aligned)
         return ids[mask]
 
-    # -- secure uplink -------------------------------------------------------
-
-    def _secure_uplink(self, locals_):
-        """What the server learns from encrypted uplinks: the sum of the
-        participants' terms alone."""
-        return [C.secure_sum(locals_, self.keypair, self._enc_rng, self.transcript,
-                             self._round, [p.name for p in self.participants])]
-
-    def _combine(self, received):
-        """The server's combination of what it received: the sum, divided by
-        I to average."""
-        total = combine_sum(received)
-        return total / len(self.participants) if self.config.strategy == "average" else total
-
     # -- one communication round ----------------------------------------------
 
     def _node_ids(self, ids) -> np.ndarray:
@@ -360,10 +344,15 @@ class SplitSession:
             tapes.append(tape)
         locals_ = [emb.values for emb in embeds]
 
-        # uplink and server-side combination
-        combined = self._combine(self._secure_uplink(locals_) if cfg.secure else [
-            self.transcript.send(self._round, p.name, "server", "embedding", x)
-            for p, x in zip(self.participants, locals_)])
+        # uplink and the server's sum, which in a secure run it learns alone
+        names = [p.name for p in self.participants]
+        if cfg.secure:
+            combined = C.secure_sum(locals_, self.keypair, self._enc_rng, self.transcript,
+                                    self._round, names)
+        else:
+            combined = combine_sum([
+                self.transcript.send(self._round, name, "server", "embedding", x)
+                for name, x in zip(names, locals_)])
 
         server_tape = T.Tape()
         server_in = T.Tensor(combined, requires_grad=True, name="cut/combined")
@@ -381,7 +370,7 @@ class SplitSession:
         # server backward and routing across the lower cut
         server_tape.backward(server_out, seed_grad=self.transcript.send(
             self._round, self.label_holder.name, "server", "gradient", hidden_grad))
-        routed = backward_route(server_in.grad, cfg.strategy, len(self.participants))
+        routed = backward_route(server_in.grad, len(self.participants))
         for p, tape, emb, g in zip(self.participants, tapes, embeds, routed):
             received = self.transcript.send(self._round, "server", p.name, "gradient", g)
             tape.backward(emb, seed_grad=received)
@@ -402,7 +391,7 @@ class SplitSession:
     def predict(self, ids) -> np.ndarray:
         ids = self._node_ids(ids)
         locals_ = [p.embed(None, ids).values for p in self.participants]
-        out = self.server.forward(None, T.Tensor(self._combine(locals_)), training=False)
+        out = self.server.forward(None, T.Tensor(combine_sum(locals_)), training=False)
         return np.argmax(self.label_holder.head.logits(None, out).values, axis=1)
 
     def evaluate(self, split: str) -> float:

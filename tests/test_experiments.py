@@ -345,6 +345,31 @@ class TestRunExperiment:
         rows0, _, _ = E.run_experiment(small_config(strategy="standalone_0"))
         assert all(r.label_access == "native" for r in rows0)
 
+    @pytest.mark.parametrize("alone", [0, 1])
+    def test_standalone_view_does_not_depend_on_the_label_holder(self, alone):
+        # participant i's standalone view is partitioned with i holding the
+        # labels, so it is the same array for array whoever the configured
+        # label holder is; only the reported label access differs
+        def view(holder):
+            cfg = small_config(strategy=f"standalone_{alone}", label_holder=holder)
+            [v], access = E._strategy_views(cfg, E._load_bundle(cfg))
+            return v, access
+
+        (a, access_0), (b, access_1) = view(0), view(1)
+        assert (access_0, access_1) == (("native", "granted") if alone == 0
+                                        else ("granted", "native"))
+        assert a.participant == b.participant == alone and a.has_labels and b.has_labels
+        assert (a.metapaths, a.feature_cols) == (b.metapaths, b.feature_cols)
+        for x, y in [(a.graph.features, b.graph.features), (a.graph.labels, b.graph.labels),
+                     (a.train_ids, b.train_ids), (a.val_ids, b.val_ids),
+                     (a.test_ids, b.test_ids)]:
+            assert np.array_equal(x, y)
+        assert sorted(a.graph.relations) == sorted(b.graph.relations)
+        for name, rel in a.graph.relations.items():
+            other = b.graph.relations[name]
+            for field in ("src", "dst", "feat"):
+                assert np.array_equal(getattr(rel, field), getattr(other, field)), name
+
     def test_cost_report_measures_transcript(self):
         cfg = small_config(strategy="split_m", epochs=1)
         rows, cost, transcript = E.run_experiment(cfg)

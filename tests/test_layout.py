@@ -159,3 +159,20 @@ def test_only_the_transcript_adds_records():
                     and node.func.attr == "add" and "transcript" in ast.unparse(node.func.value):
                 adders.append(f"{path.name}:{node.lineno}")
     assert not adders, "transcript records added outside transcript.py: " + ", ".join(adders)
+
+
+def test_only_the_session_constructor_reads_the_strategy():
+    """The strategy decides each participant's map and the server's first
+    layer when a session is built; the round, the routing and inference only
+    sum and route, so nothing else in ``protocol.py`` may read it."""
+    tree = parse(PACKAGE / "protocol.py")
+    [init] = [item for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "SplitSession"
+              for item in node.body
+              if isinstance(item, ast.FunctionDef) and item.name == "__init__"]
+    inside = {id(node) for node in ast.walk(init)}
+    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and node.attr == "strategy" and isinstance(node.ctx, ast.Load)]
+    assert any(id(node) in inside for node in reads)
+    outside = [f"protocol.py:{node.lineno}" for node in reads if id(node) not in inside]
+    assert not outside, "strategy read outside SplitSession.__init__: " + ", ".join(outside)

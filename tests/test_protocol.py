@@ -7,13 +7,14 @@ from splitgnn import crypto as C
 from splitgnn import protocol as P
 from splitgnn import tensor as T
 from splitgnn.errors import ConfigError, DomainError, NumericError, ProtocolError
+from splitgnn.experiments import count_params
 from splitgnn.models import init_param, make_encoder
 from splitgnn.seeding import stable_rng
 
 
 class TestCombine:
-    # average is the sum over I; weighted and concat are sums of terms each
-    # participant has already put through its own ω or W_i
+    # every strategy is a sum of terms each participant has already put
+    # through its own map: average's fixed ω = 1/I, weighted's ω or concat's W_i
 
     def test_average_basic(self):
         out = P.combine_sum([np.array([[1.0, 3.0]]), np.array([[3.0, 5.0]])]) / 2
@@ -57,25 +58,42 @@ class TestCombine:
             P.combine_sum([w * m for w, m in zip(omegas, mats)]), mats[0])
 
 
+def average_term_grad(routed, count):
+    """The gradient an average participant's encoder output receives: its
+    tape's product with the fixed ω = 1/I applied to the routed gradient."""
+    tape = T.Tape()
+    omega = T.Tensor(np.full(routed.shape[1], 1.0 / count), name="omega")
+    local = T.Tensor(np.zeros(routed.shape), requires_grad=True)
+    tape.backward(T.mul(tape, omega, local), seed_grad=routed)
+    assert omega.grad is None
+    return local.grad
+
+
 class TestBackwardRoute:
+    # routing hands every participant the whole gradient of the sum; under
+    # average each one's fixed ω = 1/I then splits it on its own tape
+
     def test_average_splits_evenly(self):
         g = np.array([[2.0, 4.0]])
-        routed = P.backward_route(g, "average", 2)
+        routed = P.backward_route(g, 2)
         for r in routed:
-            np.testing.assert_array_equal(r, [[1.0, 2.0]])
+            np.testing.assert_array_equal(r, g)
+            np.testing.assert_array_equal(average_term_grad(r, 2), [[1.0, 2.0]])
 
     def test_average_conservation(self):
         rng = stable_rng("route-avg")
         g = rng.standard_normal((4, 3))
-        routed = P.backward_route(g, "average", 4)
-        np.testing.assert_allclose(4 * routed[0], g, rtol=1e-14)
+        routed = P.backward_route(g, 4)
+        assert len(routed) == 4
+        for r in routed:
+            np.testing.assert_array_equal(4 * average_term_grad(r, 4), g)
 
     def test_weighted_routes_and_weight_grads(self):
         # each participant gets the whole gradient of the sum, and its own
         # tape turns it into its ω gradient and its encoder's gradient
         rng = stable_rng("route-w")
         g = rng.standard_normal((4, 3))
-        routed = P.backward_route(g, "weighted", 2)
+        routed = P.backward_route(g, 2)
         for r in routed:
             np.testing.assert_array_equal(r, g)
         assert routed[0] is not routed[1]
@@ -87,10 +105,6 @@ class TestBackwardRoute:
             np.testing.assert_allclose(omega.grad, (g * local.values).sum(axis=0),
                                        rtol=1e-14)
             np.testing.assert_allclose(local.grad, omega.values * g, rtol=1e-14)
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ConfigError, match="unknown strategy"):
-            P.backward_route(np.ones((2, 2)), "median", 2)
 
 
 class TestMicroF1:
@@ -179,6 +193,30 @@ class TestServerAndHead:
 
 
 class TestSessionBasics:
+    def test_unknown_strategy_refused_at_construction(self, tiny_bundle, monkeypatch):
+        # the session is the one place that reads the strategy, and it
+        # refuses an unknown one before any party computes or is metered
+        built = []
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+
+            def call(*args, **kwargs):
+                built.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, call)
+
+        spy(P, "make_encoder")
+        spy(P, "RoundTranscript")
+        spy(C, "keygen")
+        with pytest.raises(ConfigError, match="unknown strategy 'median'"):
+            P.SplitSession(make_views(tiny_bundle, [5, 5]),
+                           session_config(strategy="median", secure=True))
+        assert built == []
+        P.SplitSession(make_views(tiny_bundle, [5, 5]),
+                       session_config(strategy="average", secure=True))
+        assert built == ["make_encoder", "make_encoder", "RoundTranscript", "keygen"]
+
     def test_unaligned_round_rejected(self, tiny_bundle):
         session = P.SplitSession(make_views(tiny_bundle, [5, 5]), session_config())
         with pytest.raises(ProtocolError, match="align"):
@@ -464,19 +502,21 @@ class TestSecureRounds:
         session.align()
         rng = stable_rng("secure-oracle", strategy)
         locals_ = [3.0 * rng.standard_normal((5, 4)) for _ in range(2)]
-        if strategy == "weighted":
+        if strategy != "concat":
             # each participant encrypts its own ω⊙l, a term of the sum, as
-            # under concat its own l @ W_i
+            # under concat its own l @ W_i; average's ω is the fixed 1/I
             omegas = [np.array([0.5, 0.3, 1.25, 0.0]), np.array([-0.75, 0.7, 0.5, -0.1])]
+            if strategy == "average":
+                omegas = [p.weight.values for p in session.participants]
+                assert all(np.array_equal(w, np.full(4, 0.5)) for w in omegas)
             locals_ = [w * l for w, l in zip(omegas, locals_)]
-        got = session._combine(session._secure_uplink(locals_))
+        got = C.secure_sum(locals_, session.keypair, session._enc_rng, session.transcript,
+                           0, [p.name for p in session.participants])
 
         s = C.SCALE_BITS
         fx = [[[round(float(x) * 2**s) for x in row] for row in l] for l in locals_]
         want = np.array([[(fx[0][i][j] + fx[1][i][j]) / 2**s for j in range(4)]
                          for i in range(5)])
-        if strategy == "average":
-            want = want / 2
         assert np.array_equal(got, want)
 
         width = 4 + 2 * 512 // 8
@@ -502,7 +542,8 @@ class TestSecureRounds:
         records = list(session.transcript.records)
         with pytest.raises(DomainError, match=(
                 r"party_1 element 6: value 1048576.0 is outside the fixed-point range")):
-            session._combine(session._secure_uplink(locals_))
+            C.secure_sum(locals_, session.keypair, session._enc_rng, session.transcript,
+                         0, [p.name for p in session.participants])
         assert session._enc_rng.getstate() == state
         assert session.transcript.records == records
         assert not session.transcript.decryptions
@@ -516,6 +557,119 @@ class TestSecureRounds:
         secure.train_round(secure._split_ids("train")[:8], step=0)
         up = secure.transcript.total_bytes("ciphertext")
         assert up > 8 * 8 * 4 * 2  # far above the plaintext equivalent
+
+
+def server_average_round(session, batch, step):
+    """One plaintext average round with the division at the server: the
+    encoders' outputs go up unscaled, the server divides their sum by I, and
+    each encoder's backward receives the server-input gradient divided by I.
+    The oracle for average as each participant's fixed ω = 1/I; it sends no
+    messages, so only losses, gradients and parameters compare."""
+    count = len(session.participants)
+    groups = [p.trainable() for p in session.participants] + [session.server_params]
+    for group in groups:
+        for tensor in group.values():
+            tensor.zero_grad()
+    tapes, embeds = [], []
+    for p in session.participants:
+        tapes.append(T.Tape())
+        embeds.append(p.encoder.forward(tapes[-1], batch, step=step, training=True))
+    server_tape = T.Tape()
+    server_in = T.Tensor(np.sum([e.values for e in embeds], axis=0) / count,
+                         requires_grad=True)
+    out = session.server.forward(server_tape, server_in, step=step, training=True)
+    labels = session.label_holder.view.graph.labels[batch]
+    loss, hidden_grad = P.label_forward_loss(T.Tape(), out.values,
+                                             session.label_holder.head, labels)
+    server_tape.backward(out, seed_grad=hidden_grad)
+    for tape, emb in zip(tapes, embeds):
+        tape.backward(emb, seed_grad=server_in.grad / count)
+    for p, group in zip(session.participants, groups):
+        p.optimizer.step(group)
+    session.server_optimizer.step(session.server_params)
+    return loss.item()
+
+
+class TestAverageOmega:
+    # average is each participant's fixed ω = 1/I, applied before the sum;
+    # with I a power of two that scaling is exact, so it trains bit for bit
+    # as the server-side division did
+
+    @pytest.mark.parametrize("count", [2, 4, 8])
+    def test_matches_server_side_division_bit_for_bit(self, count):
+        bundle = make_bundle(seed=9, n_u=30, n_v=20, feature_dim=16)
+        cfg = session_config(strategy="average", optimizer="adam", learning_rate=0.05,
+                             encoder=encoder_config(dropout=0.3), server_dropout=0.3)
+        split, oracle = (P.SplitSession(make_views(bundle, [1] * count), cfg)
+                         for _ in range(2))
+        split.align()
+        oracle.align()
+
+        def tensors(session):
+            out = dict(session.server_params)
+            for p in session.participants:
+                out.update(p.trainable())
+            return out
+
+        batches = P.batch_schedule(split._split_ids("train"), 8, 0, cfg.seed)[:3]
+        for step, batch in enumerate(batches):
+            assert split.train_round(batch, step) == server_average_round(oracle, batch, step)
+            got, want = tensors(split), tensors(oracle)
+            assert sorted(got) == sorted(want)
+            for name in want:
+                assert want[name].grad is not None, name
+                assert np.array_equal(got[name].grad, want[name].grad), (step, name)
+                assert np.array_equal(got[name].values, want[name].values), (step, name)
+
+    def test_omega_is_fixed_and_not_a_parameter(self, tiny_bundle):
+        def session(strategy):
+            s = P.SplitSession(make_views(tiny_bundle, [3, 3, 4]),
+                               session_config(strategy=strategy, optimizer="adam"))
+            s.align()
+            return s
+
+        def params(s):
+            return count_params([p.trainable() for p in s.participants] + [s.server_params])
+
+        average, weighted = session("average"), session("weighted")
+        d = average.config.encoder.hidden
+        for p in average.participants:
+            assert p.weight.name == f"enc{p.index}/omega" and not p.weight.requires_grad
+            assert np.array_equal(p.weight.values, np.full(d, 1.0 / 3))
+            assert p.weight.name not in p.trainable()
+        # weighted differs from average only in its trainable ω
+        assert params(average) == params(weighted) - 3 * d
+        batch = average._split_ids("train")[:8]
+        for step in range(3):
+            average.train_round(batch, step)
+        for p in average.participants:
+            assert p.weight.grad is None
+            assert np.array_equal(p.weight.values, np.full(d, 1.0 / 3))
+            assert p.weight.name not in p.optimizer._offsets
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_secure_sum_is_within_rounding_of_the_mean(self, count, monkeypatch):
+        # each participant fixed-point encodes x_i / I, so each element of
+        # the decrypted sum carries up to I roundings of 2^-25
+        bundle = make_bundle(seed=3, feature_dim=8)
+        session = P.SplitSession(
+            make_views(bundle, [1] * count),
+            session_config(strategy="average", secure=True,
+                           encoder=encoder_config(kind="gcn", layers=1)))
+        session.align()
+        batch = session._split_ids("train")[:8]
+        embeds = [p.encoder.forward(None, batch, step=0, training=True).values
+                  for p in session.participants]
+        sums, secure_sum = [], C.secure_sum
+
+        def spy(*args):
+            sums.append(secure_sum(*args))
+            return sums[-1]
+
+        monkeypatch.setattr(C, "secure_sum", spy)
+        session.train_round(batch, step=0)
+        [got] = sums
+        assert np.all(np.abs(got - np.sum(embeds, axis=0) / count) <= count * 2.0**-25)
 
 
 class TestWeightedMessages:
@@ -620,8 +774,9 @@ def centralized_train(view, cfg) -> list[dict]:
 
 
 class TestSplitCentralizedEquivalence:
-    # with one participant the cut changes nothing: concat and average pass
-    # the embedding through, so a session trains bit for bit as one tape does
+    # with one participant the cut changes nothing: concat's W_1 is the whole
+    # first-layer weight and average's ω is 1, so a session trains bit for
+    # bit as one tape does
 
     def test_losses_match_over_50_steps(self):
         bundle = make_bundle(seed=7, n_u=30, n_v=20)
@@ -661,10 +816,12 @@ class TestSplitCentralizedEquivalence:
         all_params = dict(session.server_params)
         for p in session.participants:
             all_params.update(p.trainable())
-        own = [p.weight for p in session.participants if p.weight is not None]
-        assert [w.name for w in own] == {"average": [], "concat": ["enc0/W", "enc1/W"],
+        # average's ω is there, fixed at 1/I, but it is not a parameter
+        own = [p.weight for p in session.participants]
+        assert [w.name for w in own] == {"average": ["enc0/omega", "enc1/omega"],
+                                         "concat": ["enc0/W", "enc1/W"],
                                          "weighted": ["enc0/omega", "enc1/omega"]}[strategy]
-        assert all(all_params[w.name] is w for w in own)
+        assert all((all_params.get(w.name) is w) == (strategy != "average") for w in own)
         assert ("server/l0/W" in all_params) == (strategy != "concat")
         before = {name: p.values.copy() for name, p in all_params.items()}
         session.train_round(batch, step=0)
@@ -676,8 +833,6 @@ class TestSplitCentralizedEquivalence:
             tape = T.Tape()
             terms = [p.embed(tape, batch) for p in session.participants]
             combined = T.add(tape, terms[0], terms[1])
-            if strategy == "average":
-                combined = T.mul(tape, combined, 0.5)
             hidden = session.server.forward(tape, combined, training=False)
             loss, _ = session.label_holder.head.forward_loss(tape, hidden, labels)
             return loss, tape
