@@ -99,8 +99,6 @@ class ExperimentConfig(Schema):
     hidden: int = checked(integer(">= 1"), 32)
     layers: int = checked(integer(">= 1"), 2)
     heads: int = checked(integer(">= 1"), 2)
-    dropout: float = checked(number(">= 0", "< 1"), 0.0)
-    server_dropout: float = checked(number(">= 0", "< 1"), 0.3)
     secure: bool = checked(BOOL, False)
     key_bits: int = checked(choice(VALID_KEY_BITS), 512)
 
@@ -132,7 +130,7 @@ class ExperimentConfig(Schema):
 
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(kind=self.model, layers=self.layers, hidden=self.hidden,
-                             heads=self.heads, dropout=self.dropout)
+                             heads=self.heads)
 
     def session_config(self, seed: int) -> SessionConfig:
         # a baseline is a one-participant session under concat: its
@@ -148,7 +146,6 @@ class ExperimentConfig(Schema):
             secure=self.secure and self.strategy in STRATEGY_MAP,
             seed=seed,
             key_bits=self.key_bits,
-            server_dropout=self.server_dropout,
             rounds_per_epoch=self.rounds_per_epoch,
         )
 

@@ -518,6 +518,11 @@ class SyntheticSpec(Schema):
             if rel.name in ends:
                 raise ConfigError(f"relations: duplicate relation name {rel.name!r}")
             ends[rel.name] = (rel.src_type, rel.dst_type)
+            # a symmetric relation gets its reversed edges, which must keep
+            # its declared source and destination types
+            if rel.symmetric and rel.src_type != rel.dst_type:
+                raise ConfigError(f"relations: symmetric relation {rel.name} joins two "
+                                  f"node types, {rel.src_type!r} and {rel.dst_type!r}")
             for t in (rel.src_type, rel.dst_type):
                 if self.node_counts.get(t, 0) <= 0:
                     raise ConfigError(f"relations: relation {rel.name} references "
@@ -675,7 +680,6 @@ class ParticipantView:
     participant: int
     graph: HetGraph
     metapaths: list[Metapath]
-    feature_cols: tuple[int, int]
     has_labels: bool
     train_ids: np.ndarray
     val_ids: np.ndarray
@@ -735,7 +739,6 @@ def vertical_partition(bundle: DatasetBundle, spec: PartitionSpec,
             participant=i,
             graph=view_graph,
             metapaths=list(bundle.metapaths),
-            feature_cols=(lo, hi),
             has_labels=is_holder,
             train_ids=bundle.train_ids.copy(),
             val_ids=bundle.val_ids.copy(),

@@ -7,8 +7,11 @@ message, multi-head dot-product attention within every relation channel
 attention that mixes the per-channel embeddings into one vector per node.
 "gcn" and "gat" are relation-agnostic baselines over the merged edge set.
 The three share one skeleton, :class:`_Encoder`: its ``forward`` finds the
-batch's receptive field, applies each layer's dropout and gathers the
-batch's rows, and each encoder adds only its parameters and its layer.
+batch's receptive field, runs the layers over it and gathers the batch's
+rows, and each encoder adds only its parameters and its layer.  Encoders
+have no dropout and draw nothing at random after their parameters' init, so
+a forward is the same function of (parameters, batch) with or without a
+tape; the server's layers hold a run's only dropout.
 
 Node-level attention is one kernel, :func:`_attention_layer`, scored at
 the fixed scale 1/sqrt(hidden); every head projects to the full hidden
@@ -113,7 +116,6 @@ class EncoderConfig:
     layers: int                  # hop count K
     hidden: int                  # embedding dim d
     heads: int
-    dropout: float
 
     @property
     def lam(self) -> float:
@@ -320,11 +322,12 @@ class _Encoder:
     """The skeleton of every encoder, bound to one participant's view.
 
     ``forward`` finds the batch's receptive-field blocks through the edge
-    indexes ``csrs``, then, layer by layer, applies dropout to the block's
-    input rows and runs the encoder's ``_layer(tape, x, l, blk)``, which
-    maps them to the block's target rows.  It returns the batch's rows in
-    batch order.  With ``self_entry`` a layer's inputs include its targets,
-    as an attention layer's self entry reads them.  An encoder keeps
+    indexes ``csrs``, then, layer by layer, runs the encoder's
+    ``_layer(tape, x, l, blk)``, which maps the block's input rows to its
+    target rows.  It returns the batch's rows in batch order.  With
+    ``self_entry`` a layer's inputs include its targets, as an attention
+    layer's self entry reads them.  An encoder has no dropout, so a
+    forward with a tape computes the rows one without computes.  It keeps
     nothing of a forward, so no α or β outlives the ops that use them.
     """
 
@@ -344,16 +347,12 @@ class _Encoder:
     def _param(self, layer: int, name: str) -> T.Tensor:
         return self.params[f"{self.scope}/l{layer}/{name}"]
 
-    def forward(self, tape, batch_ids, step: int = 0, training: bool = False):
-        cfg = self.config
-        n = self.graph.num_nodes
+    def forward(self, tape, batch_ids):
         batch = np.asarray(batch_ids, dtype=np.int64)
-        blocks = _receptive_blocks(self.csrs, batch, cfg.layers, n, self.self_entry)
+        blocks = _receptive_blocks(self.csrs, batch, self.config.layers,
+                                   self.graph.num_nodes, self.self_entry)
         x = T.Tensor(self.graph.features[blocks[0].inputs])
         for l, blk in enumerate(blocks):
-            x = T.dropout(tape, x, cfg.dropout,
-                          seed=(self.seed, "dropout", self.scope, l, step), training=training,
-                          rows=blk.inputs, n_rows=n)
             x = self._layer(tape, x, l, blk)
         return T.gather_rows(tape, x, np.searchsorted(blocks[-1].targets, batch))
 

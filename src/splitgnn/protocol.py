@@ -65,15 +65,18 @@ def backward_route(grad, num_participants):
 
 class ServerNet:
     """Two dense+ELU+dropout layers between the sum of the participants'
-    terms and the label holder's output layer.  With ``in_dim`` None the
-    first layer has no weight here: each participant applied its own block
-    of it before sending, so the layer adds only its bias."""
+    terms and the label holder's output layer.  Each layer drops at the fixed
+    rate ``DROPOUT`` in training, with a mask keyed by (seed, layer, step):
+    these are a run's only dropout, as the encoders have none.  With
+    ``in_dim`` None the first layer has no weight here: each participant
+    applied its own block of it before sending, so the layer adds only its
+    bias."""
 
     SCOPE = "server"
+    DROPOUT = 0.3
 
-    def __init__(self, in_dim, hidden, seed, dropout):
+    def __init__(self, in_dim, hidden, seed):
         self.seed = seed
-        self.dropout = dropout
         self.params: dict[str, T.Tensor] = {}
         if in_dim is not None:
             init_param(self.params, f"{self.SCOPE}/l0/W", (in_dim, hidden), seed)
@@ -87,7 +90,7 @@ class ServerNet:
             W = self.params.get(f"{self.SCOPE}/l{l}/W")
             b = self.params[f"{self.SCOPE}/l{l}/b"]
             h = T.elu(tape, T.add(tape, h, b) if W is None else T.linear(tape, h, W, b))
-            h = T.dropout(tape, h, self.dropout,
+            h = T.dropout(tape, h, self.DROPOUT,
                           seed=(self.seed, "dropout", self.SCOPE, l, step),
                           training=training)
         return h
@@ -164,7 +167,6 @@ class SessionConfig:
     secure: bool
     seed: int
     key_bits: int
-    server_dropout: float
     rounds_per_epoch: int | None    # None -> ceil(|train| / B)
 
 
@@ -192,10 +194,10 @@ class Participant:
             params[self.weight.name] = self.weight
         return params
 
-    def embed(self, tape, ids, step=0, training=False) -> T.Tensor:
+    def embed(self, tape, ids) -> T.Tensor:
         """The term this participant sends: its encoder's output, scaled by
         its ω or multiplied by its W_i."""
-        emb = self.encoder.forward(tape, ids, step=step, training=training)
+        emb = self.encoder.forward(tape, ids)
         if self.weight.ndim == 1:
             return T.mul(tape, self.weight, emb)
         return T.matmul(tape, emb, self.weight)
@@ -244,8 +246,7 @@ class SplitSession:
             opt = T.OPTIMIZERS[config.optimizer](config.learning_rate)
             self.participants.append(Participant(v.participant, v, enc, opt, weight, head))
         self.label_holder = next(p for p in self.participants if p.view.has_labels)
-        self.server = ServerNet(None if config.strategy == "concat" else d, d, config.seed,
-                                dropout=config.server_dropout)
+        self.server = ServerNet(None if config.strategy == "concat" else d, d, config.seed)
         self.server_params: dict[str, T.Tensor] = dict(self.server.params)
         self.server_optimizer = T.OPTIMIZERS[config.optimizer](config.learning_rate)
 
@@ -340,7 +341,7 @@ class SplitSession:
         tapes, embeds = [], []
         for p in self.participants:
             tape = T.Tape()
-            embeds.append(p.embed(tape, batch, step=step, training=True))
+            embeds.append(p.embed(tape, batch))
             tapes.append(tape)
         locals_ = [emb.values for emb in embeds]
 

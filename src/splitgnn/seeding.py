@@ -1,10 +1,10 @@
 """Deterministic RNG streams derived from structured keys.
 
-Every random decision in the package (parameter init, dropout masks, batch
-order, synthetic data, encryption blinding) draws from a stream named by a
-tuple such as ``(seed, "dropout", participant_id, layer, step)``.  The tuple
-is hashed with SHA-256, so streams are stable across processes and platforms
-and two different keys never share a stream in practice.
+Every random decision in the package (parameter init, the server's dropout
+masks, batch order, synthetic data, encryption blinding) draws from a stream
+named by a tuple such as ``(seed, "dropout", "server", layer, step)``.  The
+tuple is hashed with SHA-256, so streams are stable across processes and
+platforms and two different keys never share a stream in practice.
 """
 
 from __future__ import annotations

@@ -491,15 +491,10 @@ def softmax(tape, logits) -> Tensor:
     return _emit(tape, out, (logits,), backfn)
 
 
-def dropout(tape, x, rate: float, seed, training: bool,
-            rows=None, n_rows: int | None = None) -> Tensor:
-    """Inverted dropout; the mask is a pure function of ``seed``.
-
-    When ``x`` holds only the rows ``rows`` of an ``n_rows``-row tensor, the
-    mask is drawn for all ``n_rows`` rows and those rows are kept, so each
-    row gets the mask it has in the whole tensor, whichever rows are present.
-    At inference (or rate 0) this is the exact identity: the input tensor
-    itself is returned.
+def dropout(tape, x, rate: float, seed, training: bool) -> Tensor:
+    """Inverted dropout; the mask, one draw per element of ``x``, is a pure
+    function of ``seed``.  At inference (or rate 0) this is the exact
+    identity: the input tensor itself is returned.
     """
     if not 0.0 <= rate < 1.0:
         raise DomainError(f"dropout rate must be in [0, 1), got {rate}")
@@ -507,11 +502,7 @@ def dropout(tape, x, rate: float, seed, training: bool,
     if not training or rate == 0.0:
         return x
     rng = stable_rng(*seed) if isinstance(seed, (tuple, list)) else stable_rng(seed)
-    if rows is None:
-        draw = rng.random(x.shape)
-    else:
-        draw = rng.random((n_rows,) + x.shape[1:])[np.asarray(rows, dtype=np.int64)]
-    mask = (draw >= rate).astype(np.float64) / (1.0 - rate)
+    mask = (rng.random(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
     out = Tensor(x.values * mask)
     return _emit(tape, out, (x,), lambda g: (g * mask,))
 

@@ -60,7 +60,7 @@ def single_view(bundle, seed=0):
 def encoder_config(**overrides):
     """Every field of an EncoderConfig, which has no defaults: a two-layer,
     two-head HAT of width 4 unless overridden."""
-    kwargs = dict(kind="hat", layers=2, hidden=4, heads=2, dropout=0.0)
+    kwargs = dict(kind="hat", layers=2, hidden=4, heads=2)
     kwargs.update(overrides)
     return M.EncoderConfig(**kwargs)
 
@@ -69,7 +69,7 @@ def session_config(**overrides):
     """Every field of a SessionConfig, which has no defaults."""
     kwargs = dict(encoder=encoder_config(), strategy="concat", batch_size=8, epochs=2,
                   learning_rate=0.05, optimizer="sgd", secure=False, seed=0,
-                  key_bits=512, server_dropout=0.0, rounds_per_epoch=None)
+                  key_bits=512, rounds_per_epoch=None)
     kwargs.update(overrides)
     return SessionConfig(**kwargs)
 

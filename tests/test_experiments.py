@@ -55,7 +55,6 @@ def small_config(**overrides):
         hidden=8,
         layers=2,
         heads=1,
-        server_dropout=0.0,
     )
     base.update(overrides)
     return E.ExperimentConfig.from_json(base)
@@ -78,6 +77,10 @@ def renamed_relations(name):
 
 
 DUPLICATE_RELATIONS = renamed_relations("ab")
+# "ab" made symmetric: its reversed edges would run from b to a
+SYMMETRIC_AB = [{**r, "symmetric": r["name"] in ("aa", "ab")}
+                for r in small_synthetic_payload()["relations"]]
+SYMMETRIC_AB_MESSAGE = "relations: symmetric relation ab joins two node types, 'a' and 'b'"
 BAD_RELATION_NAME = "name: must be a non-empty string without ',', '/', NUL or whitespace, got "
 STRATEGY_NAMES = ("entire", "standalone_<i>", "split_m", "split_c", "split_w")
 # (test id, config overrides, extra CLI arguments, stderr after "config error: "):
@@ -102,6 +105,8 @@ CONFIG_MISTAKES = [
      "synthetic: relations: " + BAD_RELATION_NAME + "'a,b'"),
     ("synthetic-relation-name-slash", _spec_case(relations=renamed_relations("x/y")), [],
      "synthetic: relations: " + BAD_RELATION_NAME + "'x/y'"),
+    ("synthetic-symmetric-across-types", _spec_case(relations=SYMMETRIC_AB), [],
+     "synthetic: " + SYMMETRIC_AB_MESSAGE),
     ("synthetic-metapath-unknown-relation", _spec_case(metapaths=[["ab", "zz"]]), [],
      "synthetic: metapaths: metapath uses unknown relation 'zz'"),
     ("synthetic-metapath-types-do-not-meet", _spec_case(metapaths=[["ab", "ab"]]), [],
@@ -174,14 +179,9 @@ CONFIG_MISTAKES = [
     ("fusion-removed", {"fusion": "concat"}, [], "fusion: no such field"),
     ("head-mode-removed", {"head_mode": "sum"}, [], "head_mode: no such field"),
     ("temperature-removed", {"temperature": None}, [], "temperature: no such field"),
-    ("dropout-not-number", {"dropout": "0.1"}, [],
-     "dropout: must be a finite number >= 0 and < 1, got '0.1'"),
-    ("dropout-above-1", {"dropout": 1.5}, [],
-     "dropout: must be a finite number >= 0 and < 1, got 1.5"),
-    ("server-dropout-bool", {"server_dropout": False}, [],
-     "server_dropout: must be a finite number >= 0 and < 1, got False"),
-    ("server-dropout-1", {"server_dropout": 1.0}, [],
-     "server_dropout: must be a finite number >= 0 and < 1, got 1.0"),
+    # the encoders have no dropout and the server's rate is ServerNet.DROPOUT
+    ("dropout-removed", {"dropout": 0.0}, [], "dropout: no such field"),
+    ("server-dropout-removed", {"server_dropout": 0.3}, [], "server_dropout: no such field"),
     ("secure-string", {"secure": "false"}, [], "secure: must be true or false, got 'false'"),
     ("secure-int", {"secure": 1}, [], "secure: must be true or false, got 1"),
     ("key-bits-not-int", {"key_bits": "512"}, [],
@@ -213,7 +213,7 @@ class TestConfig:
     def test_schema_covers_every_field_once(self):
         fields = dataclasses.fields(E.ExperimentConfig)
         names = [f.name for f in fields]
-        assert len(set(names)) == len(names) == 21
+        assert len(set(names)) == len(names) == 19
         assert [f.name for f in fields if "rule" in f.metadata] == names
         # CONFIG_MISTAKES gives every field at least one bad value
         assert set(names) <= {message.split(":")[0] for *_, message in CONFIG_MISTAKES}
@@ -359,7 +359,7 @@ class TestRunExperiment:
         assert (access_0, access_1) == (("native", "granted") if alone == 0
                                         else ("granted", "native"))
         assert a.participant == b.participant == alone and a.has_labels and b.has_labels
-        assert (a.metapaths, a.feature_cols) == (b.metapaths, b.feature_cols)
+        assert a.metapaths == b.metapaths
         for x, y in [(a.graph.features, b.graph.features), (a.graph.labels, b.graph.labels),
                      (a.train_ids, b.train_ids), (a.val_ids, b.val_ids),
                      (a.test_ids, b.test_ids)]:
@@ -627,12 +627,14 @@ class TestCli:
          "relations: " + BAD_RELATION_NAME + "'b a'"),
         (small_synthetic_payload(metapaths=[["aa"], ["ab", "ab"]]),
          "metapaths: metapath ab+ab: ab starts at a, previous relation ends at b"),
+        (small_synthetic_payload(relations=SYMMETRIC_AB), SYMMETRIC_AB_MESSAGE),
     ], ids=["homophily-not-number", "homophily-above-1", "no-classes",
             "negative-feature-dim", "negative-edge-dim", "no-relations",
             "type-without-nodes", "empty-train-split", "empty-val-split",
             "empty-test-split", "spec-not-object", "duplicate-relation",
             "metapath-unknown-relation", "relation-name-comma", "relation-name-slash",
-            "relation-name-nul", "relation-name-space", "metapath-types-do-not-meet"])
+            "relation-name-nul", "relation-name-space", "metapath-types-do-not-meet",
+            "symmetric-across-types"])
     def test_gen_synthetic_spec_mistake_is_exit_1(self, tmp_path, capsys, monkeypatch,
                                                   payload, message):
         monkeypatch.setattr(cli, "generate_synthetic", _not_called("generate_synthetic"))

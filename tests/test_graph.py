@@ -514,7 +514,7 @@ def own_view(bundle):
     """One participant holding all of ``bundle``, metapaths included."""
     no_ids = np.array([], dtype=np.int64)
     g = bundle.graph
-    return G.ParticipantView(0, g, list(bundle.metapaths), (0, g.feature_dim), True,
+    return G.ParticipantView(0, g, list(bundle.metapaths), True,
                              no_ids, no_ids, no_ids)
 
 

@@ -176,3 +176,20 @@ def test_only_the_session_constructor_reads_the_strategy():
     assert any(id(node) in inside for node in reads)
     outside = [f"protocol.py:{node.lineno}" for node in reads if id(node) not in inside]
     assert not outside, "strategy read outside SplitSession.__init__: " + ", ".join(outside)
+
+
+def test_encoders_draw_nothing_at_random():
+    """An encoder draws random numbers only to initialise its parameters:
+    no dropout and no other draw in a forward, so a forward is the same
+    function of (parameters, batch) with or without a tape, and every random
+    draw of a round is the server's."""
+    tree = parse(PACKAGE / "models.py")
+    [init] = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "init_param"]
+    inside = {id(node) for node in ast.walk(init)}
+    draws = [f"models.py:{node.lineno}: {ast.unparse(node.func)}"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and id(node) not in inside
+             and (node.func.attr if isinstance(node.func, ast.Attribute)
+                  else getattr(node.func, "id", None)) in ("dropout", "stable_rng")]
+    assert not draws, "random draws outside init_param: " + ", ".join(draws)

@@ -144,7 +144,7 @@ class TestMicroF1:
 
 class TestServerAndHead:
     def test_zero_weights_constant_rows(self):
-        net = P.ServerNet(4, 4, seed=0, dropout=0.0)
+        net = P.ServerNet(4, 4, seed=0)
         for name, p in net.params.items():
             if name.endswith("/W"):
                 p.values[:] = 0.0
@@ -153,7 +153,7 @@ class TestServerAndHead:
         assert np.all(out.values == out.values[0])
 
     def test_dropout_off_deterministic(self):
-        net = P.ServerNet(4, 4, seed=0, dropout=0.3)
+        net = P.ServerNet(4, 4, seed=0)
         x = stable_rng("srv2").standard_normal((5, 4))
         a = net.forward(None, T.Tensor(x), step=3, training=True)
         b = net.forward(None, T.Tensor(x), step=3, training=True)
@@ -177,7 +177,7 @@ class TestServerAndHead:
         assert loss.item() == pytest.approx(np.log(3.0), rel=1e-12)
 
     def test_server_and_head_gradients(self):
-        net = P.ServerNet(3, 3, seed=1, dropout=0.0)
+        net = P.ServerNet(3, 3, seed=1)
         head = P.LabelHead(3, 2, seed=1)
         x = stable_rng("srv-fd").standard_normal((4, 3))
         labels = [0, 1, 1, 0]
@@ -573,7 +573,7 @@ def server_average_round(session, batch, step):
     tapes, embeds = [], []
     for p in session.participants:
         tapes.append(T.Tape())
-        embeds.append(p.encoder.forward(tapes[-1], batch, step=step, training=True))
+        embeds.append(p.encoder.forward(tapes[-1], batch))
     server_tape = T.Tape()
     server_in = T.Tensor(np.sum([e.values for e in embeds], axis=0) / count,
                          requires_grad=True)
@@ -599,7 +599,7 @@ class TestAverageOmega:
     def test_matches_server_side_division_bit_for_bit(self, count):
         bundle = make_bundle(seed=9, n_u=30, n_v=20, feature_dim=16)
         cfg = session_config(strategy="average", optimizer="adam", learning_rate=0.05,
-                             encoder=encoder_config(dropout=0.3), server_dropout=0.3)
+                             encoder=encoder_config())
         split, oracle = (P.SplitSession(make_views(bundle, [1] * count), cfg)
                          for _ in range(2))
         split.align()
@@ -658,7 +658,7 @@ class TestAverageOmega:
                            encoder=encoder_config(kind="gcn", layers=1)))
         session.align()
         batch = session._split_ids("train")[:8]
-        embeds = [p.encoder.forward(None, batch, step=0, training=True).values
+        embeds = [p.encoder.forward(None, batch).values
                   for p in session.participants]
         sums, secure_sum = [], C.secure_sum
 
@@ -684,8 +684,7 @@ class TestWeightedMessages:
         rng = stable_rng("omega-messages")
         for p in session.participants:
             p.weight.values[:] = rng.uniform(-1.0, 1.0, p.weight.values.shape)
-        want = {p.name: p.weight.values * p.encoder.forward(None, batch, step=0,
-                                                              training=True).values
+        want = {p.name: p.weight.values * p.encoder.forward(None, batch).values
                 for p in session.participants}
 
         sent, routed = [], []
@@ -741,13 +740,13 @@ def centralized_train(view, cfg) -> list[dict]:
     schedule and returning the rows ``SplitSession.train`` returns."""
     d = cfg.encoder.hidden
     encoder = make_encoder(view, cfg.encoder, cfg.seed, scope=f"enc{view.participant}")
-    server = P.ServerNet(d, d, cfg.seed, dropout=cfg.server_dropout)
+    server = P.ServerNet(d, d, cfg.seed)
     head = P.LabelHead(d, view.graph.num_classes, cfg.seed)
     params = {**encoder.params, **server.params, **head.params}
     optimizer = T.OPTIMIZERS[cfg.optimizer](cfg.learning_rate)
 
     def logits(tape, ids, step=0, training=False):
-        emb = encoder.forward(tape, ids, step=step, training=training)
+        emb = encoder.forward(tape, ids)
         return head.logits(tape, server.forward(tape, emb, step=step, training=training))
 
     def f1(ids):
@@ -780,10 +779,8 @@ class TestSplitCentralizedEquivalence:
 
     def test_losses_match_over_50_steps(self):
         bundle = make_bundle(seed=7, n_u=30, n_v=20)
-        enc = encoder_config(dropout=0.3)
-        cfg = session_config(encoder=enc, strategy="concat", batch_size=8,
-                             epochs=50, rounds_per_epoch=1, server_dropout=0.3,
-                             learning_rate=0.05)
+        cfg = session_config(strategy="concat", batch_size=8, epochs=50,
+                             rounds_per_epoch=1, learning_rate=0.05)
         assert P.SplitSession([single_view(bundle)], cfg).train() == \
             centralized_train(single_view(bundle), cfg)
 
@@ -792,10 +789,10 @@ class TestSplitCentralizedEquivalence:
     @pytest.mark.parametrize("kind", ["hat", "gcn", "gat"])
     def test_rows_match_oracle(self, kind, optimizer, strategy):
         bundle = make_bundle(seed=7, n_u=30, n_v=20)
-        enc = encoder_config(kind=kind, dropout=0.3)
+        enc = encoder_config(kind=kind)
         cfg = session_config(encoder=enc, strategy=strategy, optimizer=optimizer,
                              batch_size=8, epochs=3, rounds_per_epoch=2,
-                             server_dropout=0.3, learning_rate=0.05)
+                             learning_rate=0.05)
         rows = P.SplitSession([single_view(bundle)], cfg).train()
         assert rows == centralized_train(single_view(bundle), cfg)
 
@@ -833,7 +830,8 @@ class TestSplitCentralizedEquivalence:
             tape = T.Tape()
             terms = [p.embed(tape, batch) for p in session.participants]
             combined = T.add(tape, terms[0], terms[1])
-            hidden = session.server.forward(tape, combined, training=False)
+            # the round's own server dropout masks, those of step 0
+            hidden = session.server.forward(tape, combined, step=0, training=True)
             loss, _ = session.label_holder.head.forward_loss(tape, hidden, labels)
             return loss, tape
 
