@@ -40,7 +40,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-import secrets
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -200,12 +199,12 @@ def _gen_prime(bits: int, rng: random.Random) -> int:
     raise CryptoError(f"no {bits}-bit prime found within retry budget")
 
 
-def keygen(bits: int = 2048, seed=None) -> PaillierKeyPair:
-    """Paillier key pair; deterministic when ``seed`` is given (test mode).
+def keygen(bits: int, seed) -> PaillierKeyPair:
+    """Paillier key pair, a deterministic function of ``bits`` and ``seed``.
     The blinding base h is drawn after the primes, so it leaves n unchanged."""
     if bits not in VALID_KEY_BITS:
         raise ConfigError(f"key bits must be one of {VALID_KEY_BITS}, got {bits}")
-    rng = random.Random(repr(seed)) if seed is not None else random.SystemRandom()
+    rng = random.Random(repr(seed))
     half = bits // 2
     p = _gen_prime(half, rng)
     q = _gen_prime(half, rng)
@@ -449,8 +448,6 @@ def transcript_audit(transcript: RoundTranscript) -> AuditReport:
     return AuditReport(findings)
 
 
-def fresh_salt(seed=None) -> bytes:
-    """Session salt; derived from the seed in deterministic runs."""
-    if seed is None:
-        return secrets.token_bytes(16)
+def fresh_salt(seed) -> bytes:
+    """The session's 16-byte PSI salt, derived from ``seed``."""
     return hashlib.sha256(f"psi-salt:{seed!r}".encode()).digest()[:16]

@@ -104,6 +104,9 @@ class ExperimentConfig(Schema):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.dataset is not None and self.synthetic is not None:
+            raise ConfigError("dataset, synthetic: a run reads a dataset directory or "
+                              "generates a synthetic spec, not both")
         if len(self.ratio) != self.participants:
             raise ConfigError(f"ratio: has {len(self.ratio)} entries for "
                               f"{self.participants} participants")

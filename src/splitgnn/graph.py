@@ -473,6 +473,10 @@ def save_dataset(bundle: DatasetBundle, directory) -> None:
 # synthetic generation
 
 
+# a spec that names no metapaths gets the first this many two-relation
+# chains, in relation order
+AUTO_METAPATHS = 2
+
 # a relation's name is part of its edge file's name and an entry of a
 # metapaths.txt line, which is split on commas and stripped
 RELATION_NAME = Rule("a non-empty string without ',', '/', NUL or whitespace",
@@ -509,7 +513,6 @@ class SyntheticSpec(Schema):
         "a list of non-empty lists of relation names", lambda x: type(x) is list and all(
             type(m) in (list, tuple) and len(m) > 0 and all(map(TEXT.ok, m)) for m in x))),
         None)
-    max_auto_metapaths: int = checked(integer(">= 0"), 2)
 
     def __post_init__(self):
         super().__post_init__()
@@ -613,7 +616,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> DatasetBundle:
         metapaths = []
         for a in spec.relations:
             for b in spec.relations:
-                if a.dst_type == b.src_type and len(metapaths) < spec.max_auto_metapaths:
+                if a.dst_type == b.src_type and len(metapaths) < AUTO_METAPATHS:
                     metapaths.append(Metapath((a.name, b.name)))
 
     perm = rng.permutation(n)

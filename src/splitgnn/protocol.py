@@ -110,15 +110,11 @@ class LabelHead:
         return T.linear(tape, hidden, self.params[f"{self.SCOPE}/W"],
                         self.params[f"{self.SCOPE}/b"])
 
-    def forward_loss(self, tape, hidden, labels):
-        logits = self.logits(tape, hidden)
-        return T.cross_entropy(tape, logits, labels), logits
-
 
 def label_forward_loss(tape, hidden, head: LabelHead, labels):
     """Loss at the label holder plus the gradient to return to the server."""
     hidden_leaf = T.Tensor(hidden, requires_grad=True, name="cut/hidden")
-    loss, _ = head.forward_loss(tape, hidden_leaf, labels)
+    loss = T.cross_entropy(tape, head.logits(tape, hidden_leaf), labels)
     tape.backward(loss)
     return loss, hidden_leaf.grad
 
@@ -221,8 +217,6 @@ class SplitSession:
         if len(holders) != 1:
             raise ConfigError(f"exactly one label holder required, got {len(holders)}")
         self.config = config
-        self.views = views
-        self.num_classes = views[0].graph.num_classes
         d, count = config.encoder.hidden, len(views)
         # the strategy, read only in this constructor, sets each participant's
         # own map: an ω of 1/I, fixed under average and trained under weighted, or
@@ -242,7 +236,7 @@ class SplitSession:
         self.participants: list[Participant] = []
         for v, scope, weight in zip(views, scopes, weights):
             enc = make_encoder(v, config.encoder, config.seed, scope=scope)
-            head = LabelHead(d, self.num_classes, config.seed) if v.has_labels else None
+            head = LabelHead(d, v.graph.num_classes, config.seed) if v.has_labels else None
             opt = T.OPTIMIZERS[config.optimizer](config.learning_rate)
             self.participants.append(Participant(v.participant, v, enc, opt, weight, head))
         self.label_holder = next(p for p in self.participants if p.view.has_labels)
@@ -266,34 +260,29 @@ class SplitSession:
         self._enc_rng = random.Random(repr(stable_seed(config.seed, "paillier-blind")))
         if config.secure:
             self.keypair = C.keygen(config.key_bits, seed=(config.seed, "keygen"))
-        self.aligned: np.ndarray | None = None
+        self.aligned = False
         self._round = 0
 
     # -- alignment -----------------------------------------------------------
 
-    def align(self, id_subsets=None) -> np.ndarray:
-        """PSI over external ids; restricts train/val/test to the intersection."""
-        if len(self.participants) == 1 and id_subsets is None:
-            self.aligned = np.arange(self.views[0].graph.num_nodes)
-            return self.aligned
-        if id_subsets is None:
-            id_subsets = [list(self.external_ids) for _ in self.participants]
-        salt = C.fresh_salt(seed=(self.config.seed, "psi"))
-        common = C.psi_align(id_subsets, salt, self.transcript, -1,
-                             [p.name for p in self.participants])
-        if not common:
-            raise ProtocolError("PSI intersection is empty; nothing to align")
-        index = {ext: i for i, ext in enumerate(self.external_ids)}
-        self.aligned = np.array(sorted(index[x] for x in common), dtype=np.int64)
-        return self.aligned
+    def align(self) -> None:
+        """Metered PSI, as round -1, over every participant's external ids.
+        Every participant holds every node, so the intersection must be the
+        whole id set; a shorter answer means the PSI failed, and is refused.
+        A lone participant has no one to align with and runs no PSI."""
+        if len(self.participants) > 1:
+            salt = C.fresh_salt(seed=(self.config.seed, "psi"))
+            common = C.psi_align([self.external_ids] * len(self.participants), salt,
+                                 self.transcript, -1, [p.name for p in self.participants])
+            if len(common) < len(self.external_ids):
+                raise ProtocolError(f"PSI matched {len(common)} of "
+                                    f"{len(self.external_ids)} node ids")
+        self.aligned = True
 
     def _split_ids(self, name: str) -> np.ndarray:
-        if self.aligned is None:
-            raise ProtocolError("session is not aligned; call align() first")
-        view = self.views[0]
-        ids = {"train": view.train_ids, "val": view.val_ids, "test": view.test_ids}[name]
-        mask = np.isin(ids, self.aligned)
-        return ids[mask]
+        """The label holder's ``train``, ``val`` or ``test`` ids: its labels
+        define the splits."""
+        return getattr(self.label_holder.view, f"{name}_ids")
 
     # -- one communication round ----------------------------------------------
 
@@ -303,7 +292,7 @@ class SplitSession:
         one node and only nodes of the graph: a cast would truncate 1.7 to
         node 1 and read a boolean mask as nodes 1 and 0."""
         ids = np.asarray(ids)
-        n = self.views[0].graph.num_nodes
+        n = len(self.external_ids)
         if ids.size == 0:
             raise DomainError("a batch needs at least one node id")
         if ids.dtype.kind not in "iu" or ids.ndim != 1:
@@ -315,7 +304,7 @@ class SplitSession:
         return ids.astype(np.int64, copy=False)
 
     def train_round(self, batch, step: int) -> float:
-        if self.aligned is None:
+        if not self.aligned:
             raise ProtocolError("session is not aligned; call align() first")
         batch = self._node_ids(batch)
         # a round that fails leaves no records or decryption events behind
@@ -398,7 +387,7 @@ class SplitSession:
     def evaluate(self, split: str) -> float:
         ids = self._split_ids(split)
         if ids.size == 0:
-            raise DomainError(f"split {split!r} is empty after alignment")
+            raise DomainError(f"split {split!r} is empty")
         truth = self.label_holder.view.graph.labels[ids]
         return micro_f1(self.predict(ids), truth)
 
@@ -408,7 +397,7 @@ class SplitSession:
         """Train for ``config.epochs`` epochs of the seeded batch schedule,
         cut to ``config.rounds_per_epoch`` rounds when that is set.  Each
         epoch yields one row of mean loss and validation and test scores."""
-        if self.aligned is None:
+        if not self.aligned:
             self.align()
         cfg = self.config
         train_ids = self._split_ids("train")

@@ -1,10 +1,13 @@
 """Deterministic RNG streams derived from structured keys.
 
 Every random decision in the package (parameter init, the server's dropout
-masks, batch order, synthetic data, encryption blinding) draws from a stream
-named by a tuple such as ``(seed, "dropout", "server", layer, step)``.  The
-tuple is hashed with SHA-256, so streams are stable across processes and
-platforms and two different keys never share a stream in practice.
+masks, batch order, synthetic data, encryption blinding, the Paillier keys
+and the PSI salt) draws from a stream named by a tuple such as
+``(seed, "dropout", "server", layer, step)``.  The tuple is hashed (with
+SHA-256 here and for the salt, and by ``random.Random``'s own string seeding
+for the keys), so streams are stable across processes and platforms and two
+different keys never share a stream in practice.  No draw reads the
+operating system's entropy or a global random state.
 """
 
 from __future__ import annotations

@@ -109,8 +109,14 @@ CONFIG_MISTAKES = [
      "synthetic: " + SYMMETRIC_AB_MESSAGE),
     ("synthetic-metapath-unknown-relation", _spec_case(metapaths=[["ab", "zz"]]), [],
      "synthetic: metapaths: metapath uses unknown relation 'zz'"),
+    # the generator takes the first AUTO_METAPATHS chains; the count is no knob
+    ("synthetic-auto-metapaths-removed", _spec_case(max_auto_metapaths=2), [],
+     "synthetic: max_auto_metapaths: no such field"),
     ("synthetic-metapath-types-do-not-meet", _spec_case(metapaths=[["ab", "ab"]]), [],
      "synthetic: metapaths: metapath ab+ab: ab starts at a, previous relation ends at b"),
+    ("dataset-and-synthetic", {"dataset": str(TOY)}, [],
+     "dataset, synthetic: a run reads a dataset directory or generates a synthetic "
+     "spec, not both"),
     ("data-seed-not-int", {"data_seed": 1.5}, [], "data_seed: must be an integer, got 1.5"),
     ("participants-not-int", {"participants": "2"}, [],
      "participants: must be an integer >= 1, got '2'"),

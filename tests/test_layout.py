@@ -193,3 +193,33 @@ def test_encoders_draw_nothing_at_random():
              and (node.func.attr if isinstance(node.func, ast.Attribute)
                   else getattr(node.func, "id", None)) in ("dropout", "stable_rng")]
     assert not draws, "random draws outside init_param: " + ", ".join(draws)
+
+
+SEEDED_CONSTRUCTORS = ("random.Random", "np.random.default_rng")
+GLOBAL_STREAMS = ("random.", "np.random.", "numpy.random.")
+ENTROPY = ("secrets", "SystemRandom")
+
+
+def test_every_draw_is_seeded():
+    """Every random draw in ``src/splitgnn`` comes from a generator built
+    from a seed, so a run is a function of its seeds: no operating-system
+    entropy (``secrets``, ``SystemRandom``), no generator built without a
+    seed, and no draw from the global ``random`` or ``np.random`` state."""
+    unseeded = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Call):
+                func = ast.unparse(node.func)
+                if func in SEEDED_CONSTRUCTORS:
+                    if not (node.args or node.keywords):
+                        unseeded.append(f"{where}: {func}() without a seed")
+                elif func.startswith(GLOBAL_STREAMS):
+                    unseeded.append(f"{where}: {func}()")
+            elif isinstance(node, ast.ImportFrom) and node.module in ("random", "numpy.random"):
+                unseeded.append(f"{where}: from {node.module} import")
+            elif (isinstance(node, ast.Name) and node.id in ENTROPY
+                  or isinstance(node, ast.Attribute) and node.attr in ENTROPY
+                  or isinstance(node, ast.alias) and node.name in ENTROPY):
+                unseeded.append(f"{where}: {ast.unparse(node)}")
+    assert not unseeded, "random draws not derived from a seed: " + ", ".join(unseeded)

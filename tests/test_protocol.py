@@ -185,7 +185,7 @@ class TestServerAndHead:
         def forward():
             tape = T.Tape()
             hidden = net.forward(tape, T.Tensor(x), training=False)
-            loss, _ = head.forward_loss(tape, hidden, labels)
+            loss = T.cross_entropy(tape, head.logits(tape, hidden), labels)
             return loss, tape
 
         params = list(net.params.values()) + list(head.params.values())
@@ -229,17 +229,27 @@ class TestSessionBasics:
         with pytest.raises(ConfigError, match="label holder"):
             P.SplitSession(views, session_config())
 
-    def test_empty_intersection_aborts(self, tiny_bundle):
+    def test_incomplete_psi_refused(self, tiny_bundle, monkeypatch):
+        # every participant holds every node, so a PSI that matches fewer
+        # ids than the session holds has failed, and no round may follow
+        real = C.psi_align
+        monkeypatch.setattr(C, "psi_align", lambda *args: real(*args)[1:])
         session = P.SplitSession(make_views(tiny_bundle, [5, 5]), session_config())
-        with pytest.raises(ProtocolError, match="empty"):
-            session.align(id_subsets=[["n0", "n1"], ["n2", "n3"]])
+        with pytest.raises(ProtocolError, match="PSI matched 39 of 40 node ids"):
+            session.align()
+        with pytest.raises(ProtocolError, match="align"):
+            session.train_round([0, 1], step=0)
 
-    def test_alignment_restricts_training_ids(self, tiny_bundle):
-        session = P.SplitSession(make_views(tiny_bundle, [5, 5]), session_config())
-        keep = [f"n{i}" for i in range(0, 40, 2)]
-        session.align(id_subsets=[keep, keep + ["n39"]])
-        aligned_train = session._split_ids("train")
-        assert np.all(aligned_train % 2 == 0)
+    def test_evaluate_refuses_an_empty_split(self, tiny_bundle):
+        # the label holder's labels define the splits, so its split lists
+        # are the ones read, whatever another participant's view holds
+        views = make_views(tiny_bundle, [5, 5], label_holder=1)
+        views[1].val_ids = views[1].val_ids[:0]
+        session = P.SplitSession(views, session_config())
+        session.align()
+        with pytest.raises(DomainError, match="^split 'val' is empty$"):
+            session.evaluate("val")
+        assert session.evaluate("test") >= 0.0
 
     def test_batch_exceeding_train_rejected(self, tiny_bundle):
         session = P.SplitSession(make_views(tiny_bundle, [5, 5]),
@@ -832,7 +842,8 @@ class TestSplitCentralizedEquivalence:
             combined = T.add(tape, terms[0], terms[1])
             # the round's own server dropout masks, those of step 0
             hidden = session.server.forward(tape, combined, step=0, training=True)
-            loss, _ = session.label_holder.head.forward_loss(tape, hidden, labels)
+            head = session.label_holder.head
+            loss = T.cross_entropy(tape, head.logits(tape, hidden), labels)
             return loss, tape
 
         eps = 1e-5
