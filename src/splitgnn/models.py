@@ -71,20 +71,19 @@ node.  A BLAS product may round a row differently when fewer rows share the
 call, so rows of a smaller block can differ from the whole-graph ones in
 their last bits.
 
-Without a tape (``predict``, ``evaluate``), a layer's edge work runs in
-consecutive target ranges of at most ``EDGE_BUDGET`` edges each, two more
-where a range of one edge joins one, or a target that has more
-(:func:`_target_ranges`): per channel for "hat", over
-the merged edges for "gcn" and "gat".  A range keeps its targets' rows and
-drops its edge arrays before the next, so an evaluation's edge-sized memory
-is one range's, not the whole split's.  Each target's rows are computed
-from the same edges in the same order, and "hat" scores its path attention
-over the whole frontier after the ranges, so β is exact.  numpy computes a
-one-row product with a matrix-vector kernel that rounds differently, so no
-range holds exactly one edge unless its layer does, the keys of a
-one-target range are formed as in a product of many rows, and the heads'
-sums are projected after the ranges.  A recording tape gets one range, so
-training is the same loop.
+A layer's edge work, in training and inference alike, runs in consecutive
+target ranges of at most ``EDGE_BUDGET`` edges each, two more where a range
+of one edge joins one, or a target that has more (:func:`_target_ranges`):
+per channel for "hat", over the merged edges for "gcn" and "gat".  Without
+a tape a range drops its edge arrays before the next, so an evaluation's
+edge-sized memory is one range's, not the whole split's; a tape records
+each range's ops, and backward sums the ranges' gradients.  Each target's
+rows are computed from the same edges in the same order, and "hat" scores
+its path attention over the whole frontier after the ranges, so β is
+exact.  numpy computes a one-row product with a matrix-vector kernel that
+rounds differently, so no range holds exactly one edge unless its layer
+does, the keys of a one-target range are formed as in a product of many
+rows, and the heads' sums are projected after the ranges.
 """
 
 from __future__ import annotations
@@ -101,7 +100,7 @@ from .graph import (HetGraph, Metapath, ParticipantView, TargetCsr, metapath_edg
                     metapath_feature_dim)
 from .seeding import stable_rng
 
-# the most edges an inference range of a layer works on at once
+# the most edges a range of a layer works on at once
 EDGE_BUDGET = 4096
 
 
@@ -185,18 +184,17 @@ def _fusion(tape, h, We, be, W, b, ends=None):
     return fuse
 
 
-def _target_ranges(seg, k: int, tape):
+def _target_ranges(seg, k: int):
     """The consecutive ranges ``(t0, t1, e0, e1)`` in which a layer's edge
-    work runs: targets ``t0 .. t1-1`` and their edges ``e0 .. e1-1``, where
-    ``seg``, ascending, is each edge's target among ``k``.  A recording tape
-    gets one range.  Without one, a range holds at most ``EDGE_BUDGET``
-    edges, or a single target that has more, so inference keeps one range's
-    edge arrays at a time, as GraphSAGE's layer-wise inference does
-    (Hamilton et al., 2017).  A range of one edge would send its products
-    to numpy's matrix-vector kernel, which rounds differently, so it joins
-    the range before it (the first range joins the one after it), and a
-    range within the budget may grow by two edges."""
-    if tape is not None or len(seg) <= EDGE_BUDGET:
+    work runs, on a tape or not: targets ``t0 .. t1-1`` and their edges
+    ``e0 .. e1-1``, where ``seg``, ascending, is each edge's target among
+    ``k``.  A range holds at most ``EDGE_BUDGET`` edges, or one target that
+    has more, so an op works on one range's edge arrays, as GraphSAGE's
+    layer-wise inference does (Hamilton et al., 2017).  A range of one edge
+    would send its products to numpy's matrix-vector kernel, which rounds
+    differently, so it joins the range before it (the first joins the one
+    after it), and a range within the budget may grow by two edges."""
+    if len(seg) <= EDGE_BUDGET:
         return [(0, k, 0, len(seg))]
     ends = np.cumsum(np.bincount(seg, minlength=k))
     ranges, t0, e0 = [], 0, 0
@@ -223,17 +221,17 @@ def _stacked(tape, parts):
 def _attention_layer(tape, edge_seg, own, projs, lam: float, messages):
     """Multi-head attention of the targets whose own rows are ``own`` over
     their edges, whose targets are ``edge_seg``, range by range
-    (:func:`_target_ranges`).  ``messages(e0, e1)`` builds the unprojected
-    message rows of edges ``e0 .. e1-1``.  In a range each target attends
-    over its edges, in edge order, then its self entry, for each head
-    projection of ``projs``, with scores scaled by ``lam``
-    (:func:`~splitgnn.tensor.segment_attention`).  Returns
+    (:func:`_target_ranges`), on ``tape`` or not.  ``messages(e0, e1)``
+    builds the unprojected message rows of edges ``e0 .. e1-1``.  In a
+    range each target attends over its edges, in edge order, then its self
+    entry, for each head projection of ``projs``, with scores scaled by
+    ``lam`` (:func:`~splitgnn.tensor.segment_attention`).  Returns
     ``S @ [P_0; …; P_{H−1}]``: the sum of the heads' outputs, each head's
     weighted sum projected once per target.  The caller applies the ELU."""
     qk = T.grams(tape, projs)
     sums = [T.segment_attention(tape, _row_range(tape, own, t0, t1), qk, messages(e0, e1),
                                 edge_seg[e0:e1] - t0, lam)
-            for t0, t1, e0, e1 in _target_ranges(edge_seg, own.shape[0], tape)]
+            for t0, t1, e0, e1 in _target_ranges(edge_seg, own.shape[0])]
     return T.matmul(tape, _stacked(tape, sums), _stacked(tape, projs))
 
 
@@ -505,7 +503,7 @@ class GcnEncoder(_Encoder):
         seg, src, _ = blk.edges[0]
         summed = _stacked(tape, [
             T.segment_sum(tape, T.gather_rows(tape, x, src[e0:e1]), seg[e0:e1] - t0, t1 - t0)
-            for t0, t1, e0, e1 in _target_ranges(seg, len(blk.targets), tape)])
+            for t0, t1, e0, e1 in _target_ranges(seg, len(blk.targets))])
         mean = T.mul(tape, summed, T.Tensor(self.inv_deg[blk.targets]))
         return T.elu(tape, T.linear(tape, mean, self._param(l, "W"), self._param(l, "b")))
 

@@ -280,9 +280,12 @@ class SplitSession:
         self.aligned = True
 
     def _split_ids(self, name: str) -> np.ndarray:
-        """The label holder's ``train``, ``val`` or ``test`` ids: its labels
-        define the splits."""
-        return getattr(self.label_holder.view, f"{name}_ids")
+        """The label holder's ``train``, ``val`` or ``test`` ids, which its
+        labels define; an empty split is refused with ``DomainError``."""
+        ids = getattr(self.label_holder.view, f"{name}_ids")
+        if ids.size == 0:
+            raise DomainError(f"split {name!r} is empty")
+        return ids
 
     # -- one communication round ----------------------------------------------
 
@@ -386,8 +389,6 @@ class SplitSession:
 
     def evaluate(self, split: str) -> float:
         ids = self._split_ids(split)
-        if ids.size == 0:
-            raise DomainError(f"split {split!r} is empty")
         truth = self.label_holder.view.graph.labels[ids]
         return micro_f1(self.predict(ids), truth)
 
@@ -396,14 +397,15 @@ class SplitSession:
     def train(self) -> list[dict]:
         """Train for ``config.epochs`` epochs of the seeded batch schedule,
         cut to ``config.rounds_per_epoch`` rounds when that is set.  Each
-        epoch yields one row of mean loss and validation and test scores."""
-        if not self.aligned:
-            self.align()
+        epoch yields one row of mean loss and validation and test scores, so
+        an empty split is refused before alignment, not after an epoch."""
         cfg = self.config
-        train_ids = self._split_ids("train")
+        train_ids, _, _ = map(self._split_ids, ("train", "val", "test"))
         if cfg.batch_size > len(train_ids):
             raise ConfigError(f"batch size {cfg.batch_size} exceeds the train set "
                               f"({len(train_ids)})")
+        if not self.aligned:
+            self.align()
         rows = []
         step = 0
         for epoch in range(cfg.epochs):

@@ -300,7 +300,7 @@ def per_head_attention_layer(tape, edge_seg, own, projs, lam, messages, gathered
     head's α-weighted sums are taken over the projected rows, and the
     heads are summed.  Like the layer, it leaves the ELU to its caller."""
     rows = []
-    for t0, t1, e0, e1 in M._target_ranges(edge_seg, own.shape[0], tape):
+    for t0, t1, e0, e1 in M._target_ranges(edge_seg, own.shape[0]):
         k = t1 - t0
         seg = np.concatenate([edge_seg[e0:e1] - t0, np.arange(k)])
         own_rows = M._row_range(tape, own, t0, t1)

@@ -530,27 +530,49 @@ def layout_ids(*layout):
     return lambda kind: "-".join([kind, *layout])
 
 
+def encoder_fd_error(kind, layers=2):
+    """The finite-difference check's largest relative error for every
+    parameter of a small encoder under a linear label head."""
+    bundle = fixture_bundle(seed=8, n_u=8, n_v=5, feature_dim=3)
+    cfg = encoder_config(kind=kind, hidden=3, heads=2, layers=layers)
+    enc = M.make_encoder(_single_view(bundle), cfg, seed=11, scope="e")
+    batch = np.arange(6)
+    labels = bundle.graph.labels[batch]
+    params = {}
+    head_w = M.init_param(params, "head/W", (3, 2), 11)
+    head_b = M.init_param(params, "head/b", (2,), 11, zeros=True)
+
+    def forward():
+        tape = T.Tape()
+        emb = enc.forward(tape, batch)
+        logits = T.linear(tape, emb, head_w, head_b)
+        return T.cross_entropy(tape, logits, labels), tape
+
+    return finite_diff_check(forward, list(enc.params.values()) + [head_w, head_b])
+
+
 class TestEncoderGradients:
     @pytest.mark.parametrize("kind", ["hat", "gcn", "gat"], ids=layout_ids("concat"))
     def test_finite_differences(self, kind):
-        bundle = fixture_bundle(seed=8, n_u=8, n_v=5, feature_dim=3)
-        cfg = encoder_config(kind=kind, hidden=3, heads=2, layers=2)
-        enc = M.make_encoder(_single_view(bundle), cfg, seed=11, scope="e")
-        batch = np.arange(6)
-        labels = bundle.graph.labels[batch]
-        params = {}
-        head_w = M.init_param(params, "head/W", (3, 2), 11)
-        head_b = M.init_param(params, "head/b", (2,), 11, zeros=True)
-
-        def forward():
-            tape = T.Tape()
-            emb = enc.forward(tape, batch)
-            logits = T.linear(tape, emb, head_w, head_b)
-            return T.cross_entropy(tape, logits, labels), tape
-
-        all_params = list(enc.params.values()) + [head_w, head_b]
-        err = finite_diff_check(forward, all_params)
+        err = encoder_fd_error(kind)
         assert err < 1e-4, f"{kind}: max rel err {err}"
+
+    @pytest.mark.parametrize("kind", ["hat", "gcn", "gat"])
+    def test_finite_differences_in_ranges(self, kind, monkeypatch):
+        """The check with a training forward's edges in ranges of about two,
+        whose gradients backward sums; one layer keeps HAT's check short."""
+        counts = []
+        target_ranges = M._target_ranges
+
+        def recorded(seg, k):
+            counts.append(len(target_ranges(seg, k)))
+            return target_ranges(seg, k)
+
+        monkeypatch.setattr(M, "EDGE_BUDGET", 2)
+        monkeypatch.setattr(M, "_target_ranges", recorded)
+        err = encoder_fd_error(kind, layers=1)
+        assert err < 1e-4, f"{kind}: max rel err {err}"
+        assert max(counts) > 2
 
 
 # ---------------------------------------------------------------------------
@@ -1146,8 +1168,10 @@ def test_chunked_inference_equals_one_range(kind, budget, monkeypatch, attention
     one range over the whole layer, bit for bit.  A range of one edge would
     send its products to numpy's matrix-vector kernel, which rounds
     differently, so no range of a layer with more edges has one.  A
-    training forward, on a tape, gives the one range's rows too: an encoder
-    has no dropout, so a tape changes nothing it computes."""
+    training forward, on a tape, runs in inference's ranges and gives its
+    rows bit for bit: an encoder has no dropout, so a tape changes nothing
+    it computes.  Its backward sums the ranges' gradients, so every
+    parameter's gradient is the one range's to rounding."""
     view = hat_view()
     n = view.graph.num_nodes
     cfg = encoder_config(kind=kind, layers=2)
@@ -1161,23 +1185,36 @@ def test_chunked_inference_equals_one_range(kind, budget, monkeypatch, attention
                   for key, (alpha, seg) in attention.alpha.items()}
         return emb, alphas, attention.beta
 
+    def train():
+        ranges.clear()
+        rows = enc.forward(T.Tape(), batch).values
+        taped = list(ranges)
+        return rows, taped, param_grads(enc, lambda tape: enc.forward(tape, batch))
+
     ranges = []
     target_ranges = M._target_ranges
 
-    def recorded(seg, k, tape):
-        out = target_ranges(seg, k, tape)
+    def recorded(seg, k):
+        out = target_ranges(seg, k)
         ranges.append((seg, k, out))
         return out
 
     monkeypatch.setattr(M, "_target_ranges", recorded)
     want_rows, want_alphas, want_betas = infer()
-    assert np.array_equal(enc.forward(T.Tape(), batch).values, want_rows)
     assert all(len(out) == 1 for _, _, out in ranges)
-    ranges.clear()
+    taped_rows, _, want_grads = train()
+    assert np.array_equal(taped_rows, want_rows)
     monkeypatch.setattr(M, "EDGE_BUDGET", budget)
+    taped_rows, taped, grads = train()
+    ranges.clear()
     rows, alphas, betas = infer()
 
     assert np.array_equal(rows, want_rows)
+    assert np.array_equal(taped_rows, want_rows)
+    assert [(k, out) for _, k, out in taped] == [(k, out) for _, k, out in ranges]
+    assert grads.keys() == want_grads.keys() == enc.params.keys()
+    for name, grad in grads.items():
+        np.testing.assert_allclose(grad, want_grads[name], rtol=1e-12, err_msg=name)
     assert alphas.keys() == want_alphas.keys()
     for key, by_node in alphas.items():
         assert by_node.keys() == want_alphas[key].keys()
@@ -1211,11 +1248,22 @@ def test_chunked_inference_equals_one_range(kind, budget, monkeypatch, attention
 def test_one_edge_range_joins_a_neighbour(monkeypatch):
     """At budget 2, targets with 1, 2, 1, 2, 0, 3 and 1 edges would run in
     the ranges [0], [1], [2], [3, 4], [5] and [6], three of one edge.  The
-    first joins the range after it, the others the range before."""
+    first joins the range after it, the others the range before.  An
+    attention layer builds its messages in those ranges, on a tape too."""
     monkeypatch.setattr(M, "EDGE_BUDGET", 2)
     seg = np.repeat(np.arange(7), [1, 2, 1, 2, 0, 3, 1])
-    assert M._target_ranges(seg, 7, None) == [(0, 3, 0, 4), (3, 5, 4, 6), (5, 7, 6, 10)]
-    assert M._target_ranges(seg, 7, T.Tape()) == [(0, 7, 0, 10)]
+    assert M._target_ranges(seg, 7) == [(0, 3, 0, 4), (3, 5, 4, 6), (5, 7, 6, 10)]
+    rng = stable_rng("one-edge")
+    own, proj = T.Tensor(rng.standard_normal((7, 2))), T.Tensor(rng.standard_normal((2, 2)))
+    for tape in (None, T.Tape()):
+        built = []
+
+        def messages(e0, e1):
+            built.append((e0, e1))
+            return T.Tensor(rng.standard_normal((e1 - e0, 2)))
+
+        M._attention_layer(tape, seg, own, [proj], 1.0, messages)
+        assert built == [(0, 4), (4, 6), (6, 10)]
 
 
 @pytest.mark.parametrize("mode", ["tape", "chunked"])

@@ -1,6 +1,8 @@
 """The benchmark's tiny runs: each workload finishes, passes its own output
 checks, and prints the metrics BENCHMARK.json names.  Each tiny run takes
-about 2 s on a 2-CPU box, secure_avg's 512-bit Paillier included.
+about 2 s on a 2-CPU box, secure_avg's 512-bit Paillier included.  A tiny
+graph's edge lists fit in one ``models.EDGE_BUDGET`` range, so one tiny hat
+run, in process, lowers the budget to run its training in many ranges.
 """
 
 import json
@@ -9,6 +11,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import load_run_module
+from splitgnn import models as M
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -28,3 +33,24 @@ def test_tiny_run(workload, trace, section):
     assert result["attempted"] > 0
     got = {name: m["unit"] for name, m in result["metrics"].items()}
     assert got == {m["name"]: m["unit"] for m in SPEC[section]}
+
+
+def test_tiny_hat_run_in_edge_ranges(monkeypatch, tmp_path):
+    """The hat workload's output checks hold with its training and
+    evaluation layers run in 64-edge ranges: closed-form bytes, the audit,
+    val_f1 equal to accuracy and finite losses."""
+    run = load_run_module()
+    taped = []
+    attention_layer = M._attention_layer
+
+    def recorded(tape, edge_seg, own, *rest):
+        if tape is not None:
+            taped.append(len(M._target_ranges(edge_seg, own.shape[0])))
+        return attention_layer(tape, edge_seg, own, *rest)
+
+    monkeypatch.setattr(M, "EDGE_BUDGET", 64)
+    monkeypatch.setattr(M, "_attention_layer", recorded)
+    result = run.run_workload(run.WORKLOADS["hat_desk"], 1, 1.0, tmp_path, tiny=True)
+    assert run.check(result) == []
+    assert result.failed == 0
+    assert max(taped) > 1

@@ -4,6 +4,7 @@ import pytest
 from conftest import (encoder_config, finite_diff_check, make_bundle, make_views,
                       session_config, single_view)
 from splitgnn import crypto as C
+from splitgnn import graph as G
 from splitgnn import protocol as P
 from splitgnn import tensor as T
 from splitgnn.errors import ConfigError, DomainError, NumericError, ProtocolError
@@ -250,6 +251,25 @@ class TestSessionBasics:
         with pytest.raises(DomainError, match="^split 'val' is empty$"):
             session.evaluate("val")
         assert session.evaluate("test") >= 0.0
+
+    @pytest.mark.parametrize("split", ["val", "test"])
+    def test_train_refuses_an_empty_split_before_any_round(self, tiny_bundle, tmp_path,
+                                                           split):
+        # a generated dataset directory whose split rows were deleted loads,
+        # and training refuses it before round 0, not after an epoch
+        G.save_dataset(tiny_bundle, tmp_path)
+        splits = tmp_path / "splits.tsv"
+        lines = splits.read_text().splitlines(keepends=True)
+        splits.write_text("".join(line for line in lines
+                                  if line.rstrip("\n").split("\t")[1] != split))
+        bundle = G.load_dataset(tmp_path)
+        assert len(getattr(bundle, f"{split}_ids")) == 0 < len(bundle.train_ids)
+        session = P.SplitSession(make_views(bundle, [5, 5]),
+                                 session_config(encoder=encoder_config(kind="gcn")))
+        with pytest.raises(DomainError, match=f"^split '{split}' is empty$"):
+            session.train()
+        assert not [r for r in session.transcript.records if r.round >= 0]
+        assert session._round == 0
 
     def test_batch_exceeding_train_rejected(self, tiny_bundle):
         session = P.SplitSession(make_views(tiny_bundle, [5, 5]),
