@@ -268,7 +268,6 @@ def run_experiment(config: ExperimentConfig):
     for seed in config.seeds:
         start = time.perf_counter()
         session = SplitSession(views, config.session_config(seed))
-        session.align()
         history = session.train()
         elapsed = time.perf_counter() - start
         model_params = count_params(

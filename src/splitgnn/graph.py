@@ -331,8 +331,8 @@ def load_dataset(directory) -> DatasetBundle:
                          edge features all of one length (none: two fields
                          or an empty third), every src of one node type and
                          every dst of one
-    ``labels.tsv``       ``id <TAB> class``, a class index >= 0; an unlisted
-                         node is unlabeled
+    ``labels.tsv``       ``id <TAB> class``, a class index >= 0 and below
+                         the node count; an unlisted node is unlabeled
     ``metapaths.txt``    a comma-separated list of relation names a line,
                          each an edge file's, and each starting at the
                          node type the one before it ends at
@@ -409,6 +409,9 @@ def load_dataset(directory) -> DatasetBundle:
             label = -1
         if label < 0:
             raise ParseError(f"{labels_path}:{lineno}: bad class index {lab!r}")
+        if label >= len(types):
+            raise ParseError(f"{labels_path}:{lineno}: class index {label} is not below "
+                             f"the node count {len(types)}")
         labels[resolve(ext, labels_path, lineno)] = label
     num_classes = int(labels.max()) + 1 if np.any(labels >= 0) else 0
 
@@ -535,8 +538,11 @@ class SyntheticSpec(Schema):
                 Metapath(tuple(m)).check_chain(ends)
             except GraphSchemaError as exc:
                 raise ConfigError(f"metapaths: {exc}") from None
-        # the splits generate_synthetic cuts: each must hold a node
         n = sum(self.node_counts.values())
+        if self.num_classes > n:
+            raise ConfigError(f"num_classes: must be <= {n}, the node count, "
+                              f"got {self.num_classes}")
+        # the splits generate_synthetic cuts: each must hold a node
         n_train, n_val = int(self.train_frac * n), int(self.val_frac * n)
         for split, size in (("train", n_train), ("val", n_val), ("test", n - n_train - n_val)):
             if size < 1:

@@ -72,18 +72,15 @@ call, so rows of a smaller block can differ from the whole-graph ones in
 their last bits.
 
 A layer's edge work, in training and inference alike, runs in consecutive
-target ranges of at most ``EDGE_BUDGET`` edges each, two more where a range
-of one edge joins one, or a target that has more (:func:`_target_ranges`):
-per channel for "hat", over the merged edges for "gcn" and "gat".  Without
-a tape a range drops its edge arrays before the next, so an evaluation's
-edge-sized memory is one range's, not the whole split's; a tape records
-each range's ops, and backward sums the ranges' gradients.  Each target's
-rows are computed from the same edges in the same order, and "hat" scores
-its path attention over the whole frontier after the ranges, so β is
-exact.  numpy computes a one-row product with a matrix-vector kernel that
-rounds differently, so no range holds exactly one edge unless its layer
-does, the keys of a one-target range are formed as in a product of many
-rows, and the heads' sums are projected after the ranges.
+target ranges of at most ``EDGE_BUDGET`` edges each, or one target that has
+more (:func:`_target_ranges`): per channel for "hat", over the merged edges
+for "gcn" and "gat".  Without a tape a range drops its edge arrays before
+the next, so an evaluation's edge-sized memory is one range's, not the
+whole split's; a tape records each range's ops, and backward sums the
+ranges' gradients.  Each target's rows are computed from the same edges in
+the same order, and "hat" scores its path attention over the whole
+frontier after the ranges, so β is exact.  A range's products round as
+one range's do (:func:`~splitgnn.tensor._rows_product`).
 """
 
 from __future__ import annotations
@@ -190,10 +187,8 @@ def _target_ranges(seg, k: int):
     ``e0 .. e1-1``, where ``seg``, ascending, is each edge's target among
     ``k``.  A range holds at most ``EDGE_BUDGET`` edges, or one target that
     has more, so an op works on one range's edge arrays, as GraphSAGE's
-    layer-wise inference does (Hamilton et al., 2017).  A range of one edge
-    would send its products to numpy's matrix-vector kernel, which rounds
-    differently, so it joins the range before it (the first joins the one
-    after it), and a range within the budget may grow by two edges."""
+    layer-wise inference does (Hamilton et al., 2017).  A one-edge range
+    rounds as a larger one (:func:`~splitgnn.tensor._rows_product`)."""
     if len(seg) <= EDGE_BUDGET:
         return [(0, k, 0, len(seg))]
     ends = np.cumsum(np.bincount(seg, minlength=k))
@@ -201,8 +196,6 @@ def _target_ranges(seg, k: int):
     while t0 < k:
         t1 = max(int(np.searchsorted(ends, e0 + EDGE_BUDGET, side="right")), t0 + 1)
         e1 = int(ends[t1 - 1])
-        if ranges and 1 in (e1 - e0, ranges[-1][3] - ranges[-1][2]):
-            t0, _, e0, _ = ranges.pop()
         ranges.append((t0, t1, e0, e1))
         t0, e0 = t1, e1
     return ranges
@@ -211,11 +204,6 @@ def _target_ranges(seg, k: int):
 def _row_range(tape, x, t0: int, t1: int):
     """Rows ``t0 .. t1-1`` of ``x``: ``x`` itself when they are all of it."""
     return x if t1 - t0 == x.shape[0] else T.gather_rows(tape, x, np.arange(t0, t1))
-
-
-def _stacked(tape, parts):
-    """The rows of ``parts``, in order: the part itself when there is one."""
-    return parts[0] if len(parts) == 1 else T.concat_rows(tape, parts)
 
 
 def _attention_layer(tape, edge_seg, own, projs, lam: float, messages):
@@ -227,12 +215,14 @@ def _attention_layer(tape, edge_seg, own, projs, lam: float, messages):
     entry, for each head projection of ``projs``, with scores scaled by
     ``lam`` (:func:`~splitgnn.tensor.segment_attention`).  Returns
     ``S @ [P_0; …; P_{H−1}]``: the sum of the heads' outputs, each head's
-    weighted sum projected once per target.  The caller applies the ELU."""
+    weighted sum projected once per target after the ranges, whose own
+    products round as one range's do (:func:`~splitgnn.tensor._rows_product`).
+    The caller applies the ELU."""
     qk = T.grams(tape, projs)
     sums = [T.segment_attention(tape, _row_range(tape, own, t0, t1), qk, messages(e0, e1),
                                 edge_seg[e0:e1] - t0, lam)
             for t0, t1, e0, e1 in _target_ranges(edge_seg, own.shape[0])]
-    return T.matmul(tape, _stacked(tape, sums), _stacked(tape, projs))
+    return T.matmul(tape, T.concat_rows(tape, sums), T.concat_rows(tape, projs))
 
 
 def path_attention(tape, z, channels: int, q, Wp, bp):
@@ -401,7 +391,7 @@ class HatEncoder(_Encoder):
                            self._param(layer, f"type:{tname}/W"),
                            self._param(layer, f"type:{tname}/b"))
                   for tname, idx in zip(self.type_names, groups)]
-        return T.gather_rows(tape, _stacked(tape, pieces), np.argsort(np.concatenate(groups)))
+        return T.gather_rows(tape, T.concat_rows(tape, pieces), np.argsort(np.concatenate(groups)))
 
     def _channel_attention(self, tape, h, h_own, layer: int, ch: _Channel, blk: _Block,
                            edges):
@@ -422,7 +412,7 @@ class HatEncoder(_Encoder):
         h = self._type_transform(tape, x, blk.inputs, l)
         h_own = T.gather_rows(tape, h, np.searchsorted(blk.inputs, blk.targets))
         # the list goes straight into the stack, so no channel's rows outlive it
-        z = T.elu(tape, _stacked(tape, [
+        z = T.elu(tape, T.concat_rows(tape, [
             self._channel_attention(tape, h, h_own, l, ch, blk, edges)
             for ch, edges in zip(self.channels, blk.edges)]))
         return path_attention(tape, z, len(self.channels), self._param(l, "path/q"),
@@ -501,7 +491,7 @@ class GcnEncoder(_Encoder):
 
     def _layer(self, tape, x, l: int, blk: _Block):
         seg, src, _ = blk.edges[0]
-        summed = _stacked(tape, [
+        summed = T.concat_rows(tape, [
             T.segment_sum(tape, T.gather_rows(tape, x, src[e0:e1]), seg[e0:e1] - t0, t1 - t0)
             for t0, t1, e0, e1 in _target_ranges(seg, len(blk.targets))])
         mean = T.mul(tape, summed, T.Tensor(self.inv_deg[blk.targets]))

@@ -259,7 +259,10 @@ def linear(tape, x, w, b) -> Tensor:
 
 
 def concat_rows(tape, parts) -> Tensor:
+    """The rows of ``parts``, in order: a lone part itself, unrecorded."""
     parts = [_as_tensor(p) for p in parts]
+    if len(parts) == 1:
+        return parts[0]
     out = Tensor(np.concatenate([p.values for p in parts], axis=0))
     offsets = np.cumsum([p.shape[0] for p in parts])[:-1]
 
@@ -307,14 +310,15 @@ def _segment_add(values, seg, n: int) -> np.ndarray:
 
 def rebuilt_matmul(tape, build, w) -> Tensor:
     """``build() @ w`` for a constant left operand that the zero-argument
-    callable ``build`` makes.  The tape keeps ``build``, not its matrix, and
+    callable ``build`` makes, each row rounded as in a product of many rows
+    (:func:`_rows_product`).  The tape keeps ``build``, not its matrix, and
     calls it again for ``w``'s gradient: recomputation in place of storage,
     as in gradient checkpointing (Chen et al., 2016)."""
     w = _as_tensor(w)
     x = build()
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"rebuilt_matmul shapes do not conform: {x.shape} @ {w.shape}")
-    out = Tensor(x @ w.values)
+    out = Tensor(_rows_product(x, w.values))
     return _emit(tape, out, (w,), lambda g: (build().T @ g,))
 
 
@@ -356,8 +360,8 @@ def segment_softmax(tape, scores, seg, n_segments: int, temperature: float = 1.0
 def _rows_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b``, each row rounded as in a product of many rows: numpy sends
     a one-row product to its matrix-vector kernel, which rounds
-    differently, so a row's result would depend on how many rows share the
-    call."""
+    differently.  So a range of a layer's edges rounds as one range over
+    the whole layer however it is cut, even to one edge or one target."""
     if a.shape[0] != 1:
         return a @ b
     return (np.concatenate([a, a]) @ b)[:1]

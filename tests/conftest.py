@@ -315,7 +315,7 @@ def per_head_attention_layer(tape, edge_seg, own, projs, lam, messages, gathered
             out = T.segment_sum(tape, T.mul(tape, reshape_col(tape, alpha), values), seg, k)
             agg = out if agg is None else T.add(tape, agg, out)
         rows.append(agg)
-    return M._stacked(tape, rows)
+    return T.concat_rows(tape, rows)
 
 
 def loop_metapath_edges(graph, metapath):

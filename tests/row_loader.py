@@ -113,6 +113,9 @@ def load_dataset_by_rows(directory) -> DatasetBundle:
             label = -1
         if label < 0:
             raise ParseError(f"{labels_path}:{lineno}: bad class index {lab!r}")
+        if label >= len(types):
+            raise ParseError(f"{labels_path}:{lineno}: class index {label} is not below "
+                             f"the node count {len(types)}")
         labels[resolve(ext, labels_path, lineno)] = label
     num_classes = int(labels.max()) + 1 if np.any(labels >= 0) else 0
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from conftest import load_run_module, read_metrics
 from splitgnn import cli
 from splitgnn import crypto as C
 from splitgnn import experiments as E
-from splitgnn.errors import ConfigError
+from splitgnn.errors import ConfigError, DomainError
 from splitgnn.graph import RelationSpec, SyntheticSpec
 from splitgnn.transcript import RoundTranscript
 
@@ -401,6 +402,18 @@ class TestRunExperiment:
         rows, _, _ = E.run_experiment(E.ExperimentConfig.from_json(payload))
         assert rows
 
+    def test_empty_split_is_refused_before_alignment(self, tmp_path, monkeypatch):
+        # training owns alignment: a run whose val split is empty fails
+        # before the metered PSI, not after it
+        data = tmp_path / "toy"
+        shutil.copytree(TOY, data)
+        (data / "splits.tsv").write_text("a\ttrain\nc\ttest\n")
+        payload = {**small_config().to_json(), "dataset": str(data), "synthetic": None,
+                   "ratio": [1.0, 1.0], "batch_size": 1, "epochs": 1, "hidden": 4}
+        monkeypatch.setattr(C, "psi_align", _not_called("psi_align"))
+        with pytest.raises(DomainError, match="split 'val' is empty"):
+            E.run_experiment(E.ExperimentConfig.from_json(payload))
+
 
 class TestEmitReport:
     def test_single_row_two_lines(self, tmp_path):
@@ -603,6 +616,8 @@ class TestCli:
         (small_synthetic_payload(homophily=1.5),
          "homophily: must be a finite number >= 0 and <= 1, got 1.5"),
         (small_synthetic_payload(num_classes=0), "num_classes: must be an integer >= 1, got 0"),
+        (small_synthetic_payload(node_counts={"a": 3, "b": 2}, num_classes=10**15),
+         "num_classes: must be <= 5, the node count, got 1000000000000000"),
         (small_synthetic_payload(feature_dim=-1),
          "feature_dim: must be an integer >= 1, got -1"),
         (small_synthetic_payload(relations=[{"name": "aa", "src_type": "a",
@@ -634,7 +649,7 @@ class TestCli:
         (small_synthetic_payload(metapaths=[["aa"], ["ab", "ab"]]),
          "metapaths: metapath ab+ab: ab starts at a, previous relation ends at b"),
         (small_synthetic_payload(relations=SYMMETRIC_AB), SYMMETRIC_AB_MESSAGE),
-    ], ids=["homophily-not-number", "homophily-above-1", "no-classes",
+    ], ids=["homophily-not-number", "homophily-above-1", "no-classes", "classes-past-nodes",
             "negative-feature-dim", "negative-edge-dim", "no-relations",
             "type-without-nodes", "empty-train-split", "empty-val-split",
             "empty-test-split", "spec-not-object", "duplicate-relation",

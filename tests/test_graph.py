@@ -116,6 +116,11 @@ LOADER_ERRORS = {
         {"labels.tsv": "a\t0\nb\tone\n"}, "{d}/labels.tsv:2: bad class index 'one'"),
     "negative-class-index": (
         {"labels.tsv": "a\t-1\nb\t1\n"}, "{d}/labels.tsv:1: bad class index '-1'"),
+    # a class needs a node, so a class index below the node count bounds the
+    # label head
+    "class-index-past-node-count": (
+        {"labels.tsv": "a\t0\nb\t99999999999\n"},
+        "{d}/labels.tsv:2: class index 99999999999 is not below the node count 3"),
     "unknown-split": (
         {"splits.tsv": "a\ttrain\nb\tdev\n"}, "{d}/splits.tsv:2: unknown split 'dev'"),
     # a relation's name comes from its edge file's name and must be one a

@@ -1165,13 +1165,12 @@ def test_tape_keeps_no_rebuildable_edge_array(kind, monkeypatch):
 @pytest.mark.parametrize("kind", ["hat", "gat", "gcn"], ids=layout_ids("concat", "sum"))
 def test_chunked_inference_equals_one_range(kind, budget, monkeypatch, attention):
     """Inference in many small target ranges gives the rows, α and β of
-    one range over the whole layer, bit for bit.  A range of one edge would
-    send its products to numpy's matrix-vector kernel, which rounds
-    differently, so no range of a layer with more edges has one.  A
-    training forward, on a tape, runs in inference's ranges and gives its
-    rows bit for bit: an encoder has no dropout, so a tape changes nothing
-    it computes.  Its backward sums the ranges' gradients, so every
-    parameter's gradient is the one range's to rounding."""
+    one range over the whole layer, bit for bit, ranges of one edge
+    included, which budget 2 cuts for every encoder.  A training forward,
+    on a tape, runs in inference's ranges and gives its rows bit for bit:
+    an encoder has no dropout, so a tape changes nothing it computes.  Its
+    backward sums the ranges' gradients, so every parameter's gradient is
+    the one range's to rounding."""
     view = hat_view()
     n = view.graph.num_nodes
     cfg = encoder_config(kind=kind, layers=2)
@@ -1234,36 +1233,47 @@ def test_chunked_inference_equals_one_range(kind, budget, monkeypatch, attention
         per_target = np.bincount(seg, minlength=k)
         for t0, t1, e0, e1 in out:
             assert np.array_equal(seg[e0:e1], np.repeat(np.arange(t0, t1), per_target[t0:t1]))
-            # the budget, plus a joined one-edge range on either side, unless
-            # the range holds a target with more edges than the budget
-            assert e1 - e0 <= budget + 2 or per_target[t0:t1].max() > budget
-            assert e1 - e0 != 1 or len(seg) == 1
+            # the budget, unless the range is one target with more edges
+            assert e1 - e0 <= budget or t1 - t0 == 1
     # a target with more edges than the budget was in some range, and a
     # target with no edge was in some range (GCN gives it a self edge)
     assert max(counts) > budget
+    assert budget != 2 or 1 in counts
     assert kind == "gcn" or any((np.bincount(seg, minlength=k) == 0).any()
                                 for seg, k, _ in ranges)
 
 
-def test_one_edge_range_joins_a_neighbour(monkeypatch):
-    """At budget 2, targets with 1, 2, 1, 2, 0, 3 and 1 edges would run in
-    the ranges [0], [1], [2], [3, 4], [5] and [6], three of one edge.  The
-    first joins the range after it, the others the range before.  An
-    attention layer builds its messages in those ranges, on a tape too."""
-    monkeypatch.setattr(M, "EDGE_BUDGET", 2)
+def test_one_edge_range_is_a_plain_budget_split(monkeypatch):
+    """At budget 2, targets with 1, 2, 1, 2, 0, 3 and 1 edges run in the
+    ranges [0], [1], [2], [3, 4], [5] and [6]: three of one edge, and one
+    of a target with more edges than the budget.  An attention layer builds
+    its messages in those ranges and gives the rows of one range over the
+    whole layer bit for bit, on a tape or not."""
     seg = np.repeat(np.arange(7), [1, 2, 1, 2, 0, 3, 1])
-    assert M._target_ranges(seg, 7) == [(0, 3, 0, 4), (3, 5, 4, 6), (5, 7, 6, 10)]
     rng = stable_rng("one-edge")
-    own, proj = T.Tensor(rng.standard_normal((7, 2))), T.Tensor(rng.standard_normal((2, 2)))
-    for tape in (None, T.Tape()):
+    own, feats = T.Tensor(rng.standard_normal((7, 8))), rng.standard_normal((10, 5))
+    w = T.Tensor(rng.standard_normal((5, 8)), requires_grad=True)
+    projs = [T.Tensor(rng.standard_normal((8, 8)), requires_grad=True) for _ in range(2)]
+
+    def layer(tape):
         built = []
 
         def messages(e0, e1):
             built.append((e0, e1))
-            return T.Tensor(rng.standard_normal((e1 - e0, 2)))
+            return T.rebuilt_matmul(tape, lambda: feats[e0:e1], w)
 
-        M._attention_layer(tape, seg, own, [proj], 1.0, messages)
-        assert built == [(0, 4), (4, 6), (6, 10)]
+        return M._attention_layer(tape, seg, own, projs, 0.5, messages).values, built
+
+    want, built = layer(None)
+    assert built == [(0, 10)]
+    monkeypatch.setattr(M, "EDGE_BUDGET", 2)
+    ranges = [(0, 1, 0, 1), (1, 2, 1, 3), (2, 3, 3, 4), (3, 5, 4, 6), (5, 6, 6, 9),
+              (6, 7, 9, 10)]
+    assert M._target_ranges(seg, 7) == ranges
+    for tape in (None, T.Tape()):
+        rows, built = layer(tape)
+        assert built == [(e0, e1) for _, _, e0, e1 in ranges]
+        assert np.array_equal(rows, want)
 
 
 @pytest.mark.parametrize("mode", ["tape", "chunked"])

@@ -194,6 +194,13 @@ class TestDropout:
             T.dropout(None, T.Tensor([1.0]), 1.0, seed=(1,), training=True)
 
 
+def test_concat_rows_of_one_part_is_the_part():
+    x = T.Tensor([[1.0, 2.0]], requires_grad=True)
+    tape = T.Tape()
+    assert T.concat_rows(tape, [x]) is x
+    assert len(tape) == 0
+
+
 class TestBackward:
     def test_x_squared(self):
         tape = T.Tape()
@@ -446,6 +453,17 @@ class TestRebuiltOperands:
         # built once for the forward and once for w's gradient
         assert len(builds) == 2
         assert np.array_equal(w.grad, kept_w.grad)
+
+    @pytest.mark.parametrize("width", [4, 8, 72, 104])
+    def test_rebuilt_matmul_rounds_one_row_as_many(self, width):
+        """Each one-row product is that row of the many-row product, bit for
+        bit, so a range of a layer's edges may hold one edge."""
+        rng = stable_rng("one-row", width)
+        x, w = rng.standard_normal((40, width)), rng.standard_normal((width, 16))
+        many = T.rebuilt_matmul(None, lambda: x, w).values
+        for i in range(len(x)):
+            one = T.rebuilt_matmul(None, lambda: x[i:i + 1], w).values
+            assert np.array_equal(one, many[i:i + 1]), i
 
     @pytest.mark.parametrize("own_grad,msgs_grad", [(True, True), (True, False),
                                                      (False, True)])
