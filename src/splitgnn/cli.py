@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 configuration error, 2 runtime error, 3 audit
 findings present.  A config or synthetic spec is checked field by field as
 it loads, so a mistake in one exits 1 with ``config error: <field>: ...``
-before any data is generated or read.
+before any data is generated or read.  The ``--out`` directory is made next,
+so an unusable one exits 1 with ``config error: --out: ...`` before the work.
 """
 
 from __future__ import annotations
@@ -52,6 +53,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_dir(path) -> Path:
+    """The ``--out`` directory, made before any work is done for it."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from None
+    return path
+
+
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_json(json.loads(Path(args.config).read_text()))
     if args.seeds:
@@ -63,14 +74,15 @@ def _cmd_run(args) -> int:
         config = replace(config, seeds=seeds)
     if args.secure:
         config = replace(config, secure=True)
+    out = _out_dir(args.out)
     if args.grid:
         rows, costs, transcript = run_grid(config, args.grid)
     else:
         rows, cost, transcript = run_experiment(config)
         costs = [cost]
-    metrics_path, cost_path = emit_report(rows, costs, args.out)
+    metrics_path, cost_path = emit_report(rows, costs, out)
     if transcript is not None:
-        transcript.save(Path(args.out) / "transcript.csv")
+        transcript.save(out / "transcript.csv")
     print(f"wrote {metrics_path} ({len(rows)} rows) and {cost_path} ({len(costs)} rows)")
     return EXIT_OK
 
@@ -84,8 +96,9 @@ def _cmd_audit(args) -> int:
 
 def _cmd_gen(args) -> int:
     spec = SyntheticSpec.from_json(json.loads(Path(args.spec).read_text()))
+    out = _out_dir(args.out)
     bundle = generate_synthetic(spec, seed=args.seed)
-    save_dataset(bundle, args.out)
+    save_dataset(bundle, out)
     g = bundle.graph
     print(f"wrote {args.out}: {g.num_nodes} nodes, "
           f"{sum(len(r) for r in g.relations.values())} edges, "

@@ -9,7 +9,7 @@ the path endpoint contributes to the target node's representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -336,7 +336,8 @@ def load_dataset(directory) -> DatasetBundle:
     ``metapaths.txt``    a comma-separated list of relation names a line,
                          each an edge file's, and each starting at the
                          node type the one before it ends at
-    ``splits.tsv``       ``id <TAB> train|val|test``
+    ``splits.tsv``       ``id <TAB> train|val|test``, each node at most
+                         once, and only a labeled node
 
     Lines end in ``\\n``, ``\\r\\n`` or ``\\r``; blank lines are skipped but
     counted.  A feature is what Python's ``float()`` reads: an optionally
@@ -433,10 +434,16 @@ def load_dataset(directory) -> DatasetBundle:
 
     splits: dict[str, list[int]] = {"train": [], "val": [], "test": []}
     splits_path = directory / "splits.tsv"
+    unplaced = (labels >= 0).tolist()   # labeled, and in no split yet
     for lineno, (ext, part) in _read_rows(splits_path, 2):
         if part not in splits:
             raise ParseError(f"{splits_path}:{lineno}: unknown split {part!r}")
-        splits[part].append(resolve(ext, splits_path, lineno))
+        idx = resolve(ext, splits_path, lineno)
+        if not unplaced[idx]:
+            why = "is listed twice" if labels[idx] >= 0 else "has no label"
+            raise ParseError(f"{splits_path}:{lineno}: node {ext!r} {why}")
+        unplaced[idx] = False
+        splits[part].append(idx)
 
     graph = HetGraph(node_types, features, relations, labels, num_classes)
     return DatasetBundle(graph, metapaths, splits["train"], splits["val"], splits["test"])
@@ -500,9 +507,11 @@ class RelationSpec(Schema):
 class SyntheticSpec(Schema):
     """Parameters for the block-structured synthetic benchmark generator."""
 
-    node_counts: dict[str, int] = checked(Rule("an object of integers >= 0", lambda x: (
-        type(x) is dict and all(type(t) is str and type(c) is int and c >= 0
-                                for t, c in x.items()))))
+    # a type name is a field of a nodes.tsv row
+    node_counts: dict[str, int] = checked(Rule(
+        "an object of integers >= 0, keyed by names without tab, CR or LF", lambda x: (
+            type(x) is dict and all(type(t) is str and not set(t) & set("\t\r\n")
+                                    and type(c) is int and c >= 0 for t, c in x.items()))))
     relations: list[RelationSpec] = checked(
         list_of(Rule("a relation spec", lambda r: type(r) is RelationSpec)))
     feature_dim: int = checked(integer(">= 1"), 32)
@@ -542,13 +551,17 @@ class SyntheticSpec(Schema):
         if self.num_classes > n:
             raise ConfigError(f"num_classes: must be <= {n}, the node count, "
                               f"got {self.num_classes}")
-        # the splits generate_synthetic cuts: each must hold a node
-        n_train, n_val = int(self.train_frac * n), int(self.val_frac * n)
-        for split, size in (("train", n_train), ("val", n_val), ("test", n - n_train - n_val)):
+        for split, size in zip(("train", "val", "test"), self.split_sizes()):
             if size < 1:
                 raise ConfigError(f"train_frac, val_frac: {self.train_frac!r} and "
                                   f"{self.val_frac!r} of {n} nodes leave the {split} "
                                   "split empty")
+
+    def split_sizes(self) -> tuple[int, int, int]:
+        """The train, val and test node counts generate_synthetic cuts."""
+        n = sum(self.node_counts.values())
+        n_train, n_val = int(self.train_frac * n), int(self.val_frac * n)
+        return n_train, n_val, n - n_train - n_val
 
     @classmethod
     def from_json(cls, payload) -> "SyntheticSpec":
@@ -625,17 +638,10 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> DatasetBundle:
                 if a.dst_type == b.src_type and len(metapaths) < AUTO_METAPATHS:
                     metapaths.append(Metapath((a.name, b.name)))
 
-    perm = rng.permutation(n)
-    n_train = int(spec.train_frac * n)
-    n_val = int(spec.val_frac * n)
-    bundle = DatasetBundle(
-        HetGraph(types_arr, features, relations, labels, spec.num_classes),
-        metapaths,
-        np.sort(perm[:n_train]),
-        np.sort(perm[n_train:n_train + n_val]),
-        np.sort(perm[n_train + n_val:]),
-    )
-    return bundle
+    n_train, n_val, _ = spec.split_sizes()
+    splits = np.split(rng.permutation(n), [n_train, n_train + n_val])
+    return DatasetBundle(HetGraph(types_arr, features, relations, labels, spec.num_classes),
+                         metapaths, *map(np.sort, splits))
 
 
 # ---------------------------------------------------------------------------
@@ -644,46 +650,44 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> DatasetBundle:
 
 @dataclass
 class PartitionSpec:
-    """How columns, edges and the label are divided among participants, as
-    :meth:`from_ratio` builds it.
+    """A vertical partition, as :meth:`from_ratio` builds it: a ratio entry a
+    participant, the label holder, and the feature width and relations it
+    was built for.  One cut rule deals the feature columns and each
+    relation's edges: of n items, participant i takes
+    ``int(n * ratio[i] / sum(ratio))`` in order, and the last the rest."""
 
-    ``feature_cols[i]`` is participant i's half-open column range and the
-    ranges tile [0, feature_dim) in participant order.  ``edge_shares`` maps
-    each relation to per-participant proportions of its edges.
-    """
-
-    participants: int
-    feature_cols: list[tuple[int, int]]
-    edge_shares: dict[str, list[float]]
+    ratio: tuple[float, ...]
     label_holder: int
+    feature_dim: int
+    relation_names: frozenset[str]
 
     @classmethod
     def from_ratio(cls, ratio, feature_dim: int, relation_names,
                    label_holder: int = 0) -> "PartitionSpec":
-        """Ratio governs both feature-column counts and per-relation edge
-        counts; earlier participants round down, the last takes the rest."""
-        ratio = [float(r) for r in ratio]
+        """Cut ``feature_dim`` columns and each named relation's edges in
+        ``ratio``, every participant but the last rounding down."""
+        ratio = tuple(float(r) for r in ratio)
         if not ratio or any(r <= 0 for r in ratio):
-            raise ConfigError(f"ratio entries must be positive, got {ratio}")
+            raise ConfigError(f"ratio entries must be positive, got {list(ratio)}")
         if not 0 <= label_holder < len(ratio):
             raise ConfigError(f"label holder {label_holder} out of range")
-        total = sum(ratio)
-        cols, start = [], 0
-        for i, r in enumerate(ratio):
-            count = feature_dim - start if i == len(ratio) - 1 \
-                else int(feature_dim * r / total)
-            cols.append((start, start + count))
-            start += count
-        shares = {name: list(ratio) for name in relation_names}
-        return cls(len(ratio), cols, shares, label_holder)
+        return cls(ratio, label_holder, feature_dim, frozenset(relation_names))
+
+
+def _cuts(n: int, ratio) -> list[tuple[int, int]]:
+    """Each participant's half-open range of ``n`` items under the cut rule."""
+    total = sum(ratio)
+    ends = [0, *accumulate(int(n * r / total) for r in ratio[:-1]), n]
+    return list(zip(ends, ends[1:]))
 
 
 @dataclass
 class ParticipantView:
     """One participant's private slice of a dataset bundle.
 
-    Node ids and split lists are shared knowledge (alignment is handled by
-    the privacy layer); features, edges and labels are private.
+    Every participant holds every node id; a session aligns them with one
+    metered PSI over every node, and reads the split lists of the label
+    holder's view only.  Features, edges and labels are private.
     """
 
     participant: int
@@ -697,52 +701,27 @@ class ParticipantView:
 
 def vertical_partition(bundle: DatasetBundle, spec: PartitionSpec,
                        seed: int) -> list[ParticipantView]:
-    """Split a bundle into per-participant views.
-
-    Every participant sees all node ids; feature columns follow the spec's
-    ranges, shared-relation edges are dealt by a seeded shuffle in the
-    spec's proportions, and labels stay with the label holder only.
-    """
+    """Split a bundle into per-participant views, each of every node id.
+    The spec's one cut rule deals the feature columns in order and each
+    relation's edges in a seeded shuffle; labels stay with the label holder."""
     g = bundle.graph
-    if spec.feature_cols[-1][1] != g.feature_dim:
-        raise ConfigError(
-            f"partition covers {spec.feature_cols[-1][1]} columns, "
-            f"graph has {g.feature_dim}"
-        )
-    for rname in spec.edge_shares:
-        if rname not in g.relations:
-            raise ConfigError(f"partition references unknown relation {rname!r}")
-    for rname in g.relations:
-        if rname not in spec.edge_shares:
-            raise ConfigError(f"relation {rname!r} missing from partition spec")
-
-    assignments: dict[str, list[np.ndarray]] = {}
-    for rname, shares in spec.edge_shares.items():
-        rel = g.relations[rname]
+    if (spec.feature_dim, spec.relation_names) != (g.feature_dim, frozenset(g.relations)):
+        raise ConfigError(f"partition built for {spec.feature_dim} columns and relations "
+                          f"{sorted(spec.relation_names)}, graph has {g.feature_dim} and "
+                          f"{g.relation_names()}")
+    rels = [{} for _ in spec.ratio]
+    for rname, rel in g.relations.items():
         perm = stable_rng(seed, "edge-split", rname).permutation(len(rel))
-        total = sum(shares)
-        counts, used = [], 0
-        for i, s in enumerate(shares):
-            c = len(rel) - used if i == len(shares) - 1 else int(len(rel) * s / total)
-            counts.append(c)
-            used += c
-        pieces, off = [], 0
-        for c in counts:
-            pieces.append(np.sort(perm[off:off + c]))
-            off += c
-        assignments[rname] = pieces
+        for own, (lo, hi) in zip(rels, _cuts(len(rel), spec.ratio)):
+            keep = np.sort(perm[lo:hi])
+            own[rname] = Relation(rname, rel.src[keep], rel.dst[keep], rel.feat[keep],
+                                  rel.src_type, rel.dst_type)
 
     views = []
-    for i in range(spec.participants):
-        lo, hi = spec.feature_cols[i]
-        rels = {}
-        for rname, rel in g.relations.items():
-            keep = assignments[rname][i]
-            rels[rname] = Relation(rname, rel.src[keep], rel.dst[keep],
-                                   rel.feat[keep], rel.src_type, rel.dst_type)
+    for i, (lo, hi) in enumerate(_cuts(g.feature_dim, spec.ratio)):
         is_holder = i == spec.label_holder
         labels = g.labels.copy() if is_holder else None
-        view_graph = HetGraph(g.node_types, g.features[:, lo:hi], rels,
+        view_graph = HetGraph(g.node_types, g.features[:, lo:hi], rels[i],
                               labels, g.num_classes)
         views.append(ParticipantView(
             participant=i,

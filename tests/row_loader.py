@@ -137,10 +137,17 @@ def load_dataset_by_rows(directory) -> DatasetBundle:
 
     splits: dict[str, list[int]] = {"train": [], "val": [], "test": []}
     splits_path = directory / "splits.tsv"
+    placed = set()
     for lineno, (ext, part) in _read_rows(splits_path, 2):
         if part not in splits:
             raise ParseError(f"{splits_path}:{lineno}: unknown split {part!r}")
-        splits[part].append(resolve(ext, splits_path, lineno))
+        idx = resolve(ext, splits_path, lineno)
+        if idx in placed:
+            raise ParseError(f"{splits_path}:{lineno}: node {ext!r} is listed twice")
+        if labels[idx] < 0:
+            raise ParseError(f"{splits_path}:{lineno}: node {ext!r} has no label")
+        placed.add(idx)
+        splits[part].append(idx)
 
     graph = HetGraph(types, features, relations, labels, num_classes)
     return DatasetBundle(graph, metapaths, splits["train"], splits["val"], splits["test"])

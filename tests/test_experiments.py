@@ -83,6 +83,8 @@ SYMMETRIC_AB = [{**r, "symmetric": r["name"] in ("aa", "ab")}
                 for r in small_synthetic_payload()["relations"]]
 SYMMETRIC_AB_MESSAGE = "relations: symmetric relation ab joins two node types, 'a' and 'b'"
 BAD_RELATION_NAME = "name: must be a non-empty string without ',', '/', NUL or whitespace, got "
+BAD_NODE_COUNTS = ("node_counts: must be an object of integers >= 0, keyed by names without "
+                   "tab, CR or LF, got ")
 STRATEGY_NAMES = ("entire", "standalone_<i>", "split_m", "split_c", "split_w")
 # (test id, config overrides, extra CLI arguments, stderr after "config error: "):
 # a wrong type and, where a field has one, an out-of-range value for every
@@ -649,13 +651,20 @@ class TestCli:
         (small_synthetic_payload(metapaths=[["aa"], ["ab", "ab"]]),
          "metapaths: metapath ab+ab: ab starts at a, previous relation ends at b"),
         (small_synthetic_payload(relations=SYMMETRIC_AB), SYMMETRIC_AB_MESSAGE),
+        # a type name is a field of a nodes.tsv row
+        (small_synthetic_payload(node_counts={"a": 60, "b": 40, "a\tb": 20}),
+         BAD_NODE_COUNTS + "{'a': 60, 'b': 40, 'a\\tb': 20}"),
+        (small_synthetic_payload(node_counts={"a": 60, "b": 40, "a\nb": 20}),
+         BAD_NODE_COUNTS + "{'a': 60, 'b': 40, 'a\\nb': 20}"),
+        (small_synthetic_payload(node_counts={"a": 60, "b\r": 40}),
+         BAD_NODE_COUNTS + "{'a': 60, 'b\\r': 40}"),
     ], ids=["homophily-not-number", "homophily-above-1", "no-classes", "classes-past-nodes",
             "negative-feature-dim", "negative-edge-dim", "no-relations",
             "type-without-nodes", "empty-train-split", "empty-val-split",
             "empty-test-split", "spec-not-object", "duplicate-relation",
             "metapath-unknown-relation", "relation-name-comma", "relation-name-slash",
             "relation-name-nul", "relation-name-space", "metapath-types-do-not-meet",
-            "symmetric-across-types"])
+            "symmetric-across-types", "type-name-tab", "type-name-lf", "type-name-cr"])
     def test_gen_synthetic_spec_mistake_is_exit_1(self, tmp_path, capsys, monkeypatch,
                                                   payload, message):
         monkeypatch.setattr(cli, "generate_synthetic", _not_called("generate_synthetic"))
@@ -665,6 +674,23 @@ class TestCli:
                          "--out", str(tmp_path / "d")]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "d").exists()
+
+    def test_unusable_out_is_exit_1_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # an --out that cannot be a directory is refused before any training
+        # or generation, not by a traceback after it
+        monkeypatch.setattr(cli, "run_experiment", _not_called("run_experiment"))
+        monkeypatch.setattr(cli, "generate_synthetic", _not_called("generate_synthetic"))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg_path = self._write_config(tmp_path, epochs=1)
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(taken)]) == 1
+        assert capsys.readouterr().err.startswith("config error: --out: ")
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(small_synthetic_payload()))
+        assert cli.main(["gen-synthetic", "--spec", str(spec_path),
+                         "--out", str(taken / "x")]) == 1
+        assert capsys.readouterr().err.startswith("config error: --out: ")
+        assert taken.read_text() == ""
 
 
 def test_no_scipy_import():

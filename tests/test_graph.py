@@ -1,7 +1,10 @@
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from conftest import loop_metapath_edges
 from row_loader import load_dataset_by_rows
@@ -123,6 +126,12 @@ LOADER_ERRORS = {
         "{d}/labels.tsv:2: class index 99999999999 is not below the node count 3"),
     "unknown-split": (
         {"splits.tsv": "a\ttrain\nb\tdev\n"}, "{d}/splits.tsv:2: unknown split 'dev'"),
+    # DatasetBundle refuses these too, but with no path or line
+    "split-node-listed-twice": (
+        {"splits.tsv": "a\ttrain\nb\tval\nc\ttest\na\tval\n"},
+        "{d}/splits.tsv:4: node 'a' is listed twice"),
+    "split-node-unlabeled": (
+        {"labels.tsv": "a\t0\nb\t1\n"}, "{d}/splits.tsv:3: node 'c' has no label"),
     # a relation's name comes from its edge file's name and must be one a
     # metapaths.txt line can name
     "relation-name-from-file": (
@@ -416,6 +425,58 @@ class TestSynthetic:
             mp.check_against(bundle.graph)
 
 
+@st.composite
+def small_specs(draw):
+    """A small synthetic spec, or a rejected draw where SyntheticSpec refuses
+    it.  Type names may hold tabs, line ends, commas and non-ASCII letters;
+    a relation may join two types and still be symmetric; the first
+    relation has no edge features, so its edge file is read row by row."""
+    types = draw(st.lists(st.text("ab,é中\t\n\r", min_size=1, max_size=2),
+                          min_size=1, max_size=2, unique=True))
+    names = draw(st.lists(st.text("rsé中", min_size=1, max_size=2),
+                          min_size=1, max_size=3, unique=True))
+    relations = [G.RelationSpec(name, draw(st.sampled_from(types)),
+                                draw(st.sampled_from(types)),
+                                edge_dim=0 if k == 0 else draw(st.integers(0, 2)),
+                                avg_degree=draw(st.sampled_from([0.0, 1.0, 2.5])),
+                                symmetric=draw(st.booleans()))
+                 for k, name in enumerate(names)]
+    chains = st.lists(st.sampled_from(names), min_size=1, max_size=3).map(tuple)
+    try:
+        return G.SyntheticSpec(
+            {t: draw(st.integers(5, 9)) for t in types}, relations,
+            feature_dim=draw(st.integers(1, 3)), num_classes=draw(st.integers(1, 3)),
+            metapaths=draw(st.none() | st.lists(chains, max_size=2)))
+    except ConfigError:
+        reject()
+
+
+class TestSyntheticRoundTrip:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(spec=small_specs(), seed=st.integers(0, 3))
+    def test_saved_and_loaded_as_generated(self, spec, seed):
+        """Every spec SyntheticSpec accepts round-trips through save_dataset
+        and load_dataset."""
+        want = G.generate_synthetic(spec, seed)
+        with tempfile.TemporaryDirectory() as directory:
+            G.save_dataset(want, directory)
+            got = G.load_dataset(directory)
+        g, w = got.graph, want.graph
+        assert np.array_equal(g.node_types, w.node_types)
+        assert np.array_equal(g.features, w.features)
+        assert np.array_equal(g.labels, w.labels)
+        assert sorted(g.relations) == sorted(w.relations)
+        for name, rel in w.relations.items():
+            mine = g.relations[name]
+            assert np.array_equal(mine.src, rel.src) and np.array_equal(mine.dst, rel.dst)
+            # an edge file without rows cannot tell its relation's edge width
+            assert mine.feat.shape == rel.feat.shape or len(rel) == 0
+            assert mine.feat.tobytes() == rel.feat.tobytes()
+        assert got.metapaths == want.metapaths
+        for attr in ("train_ids", "val_ids", "test_ids"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+
 def brute_force_instances(graph, metapath, target):
     """Exhaustive DFS over raw edge lists: every walk rooted at ``target``
     as (node ids, edge ids).  The oracle for metapath_edges's contents."""
@@ -621,16 +682,34 @@ class TestPartition:
         assert [len(v.graph.relations["uu"]) for v in views] == [50, 50]
 
     def test_skewed_split_counts_and_columns(self):
-        bundle = small_synthetic(seed=22, relations=[
-            G.RelationSpec("uu", "u", "u", edge_dim=0, avg_degree=5.0),
-        ], node_counts={"u": 20, "v": 1}, feature_dim=6)
-        spec = G.PartitionSpec.from_ratio([1, 9], 6, ["uu"])
         # party A gets floor(6 * 0.1) = 0 columns; use a wider matrix too
-        assert spec.feature_cols == [(0, 0), (0, 6)]
-        spec15 = G.PartitionSpec.from_ratio([1, 9], 15, ["uu"])
-        assert spec15.feature_cols == [(0, 1), (1, 15)]
-        views = G.vertical_partition(bundle, spec, seed=1)
-        assert [len(v.graph.relations["uu"]) for v in views] == [10, 90]
+        for dim, widths in ((6, [0, 6]), (15, [1, 14])):
+            bundle = small_synthetic(seed=22, relations=[
+                G.RelationSpec("uu", "u", "u", edge_dim=0, avg_degree=5.0),
+            ], node_counts={"u": 20, "v": 1}, feature_dim=dim)
+            spec = G.PartitionSpec.from_ratio([1, 9], dim, ["uu"])
+            views = G.vertical_partition(bundle, spec, seed=1)
+            assert [v.graph.feature_dim for v in views] == widths
+            assert [len(v.graph.relations["uu"]) for v in views] == [10, 90]
+
+    def test_uneven_cuts_of_columns_and_edges(self):
+        # of 10 columns and 101 edges at 2:3:5, the first two round down
+        # (2, 3 columns; 20, 30 edges) and the last takes the rest
+        bundle = small_synthetic(seed=22, relations=[
+            G.RelationSpec("uu", "u", "u", edge_dim=1, avg_degree=5.05),
+            G.RelationSpec("uv", "u", "v", edge_dim=0, avg_degree=0.35),
+        ], node_counts={"u": 20, "v": 1}, feature_dim=10)
+        g = bundle.graph
+        assert (len(g.relations["uu"]), len(g.relations["uv"])) == (101, 7)
+        spec = G.PartitionSpec.from_ratio([2, 3, 5], 10, g.relation_names(),
+                                          label_holder=2)
+        views = G.vertical_partition(bundle, spec, seed=3)
+        assert [v.graph.feature_dim for v in views] == [2, 3, 5]
+        assert np.array_equal(np.concatenate([v.graph.features for v in views], axis=1),
+                              g.features)
+        assert [len(v.graph.relations["uu"]) for v in views] == [20, 30, 51]
+        assert [len(v.graph.relations["uv"]) for v in views] == [1, 2, 4]
+        assert [v.has_labels for v in views] == [False, False, True]
 
     def test_losslessness(self):
         bundle = small_synthetic(seed=23)
@@ -682,4 +761,14 @@ class TestPartition:
         bundle = small_synthetic(seed=26)
         spec = G.PartitionSpec.from_ratio([5, 5], 4, bundle.graph.relation_names())
         with pytest.raises(ConfigError):
+            G.vertical_partition(bundle, spec, seed=0)
+
+    @pytest.mark.parametrize("names", [["uu", "uv"], ["uu", "uv", "vu", "zz"],
+                                       ["uu", "uv", "zz"]],
+                             ids=["missing", "extra", "renamed"])
+    def test_relation_set_mismatch(self, names):
+        bundle = small_synthetic(seed=26)
+        assert bundle.graph.relation_names() == ["uu", "uv", "vu"]
+        spec = G.PartitionSpec.from_ratio([5, 5], bundle.graph.feature_dim, names)
+        with pytest.raises(ConfigError, match="relation"):
             G.vertical_partition(bundle, spec, seed=0)
