@@ -2,9 +2,16 @@
 
 PSI here is a salted-hash intersection: participants share a per-session
 salt that the server never sees, so the server observes only digests and the
-intersection's membership by digest.  Aggregation uses Paillier encryption
-(g = n + 1 variant) over fixed-point-encoded values, so the decrypting role
-learns element-wise sums and nothing about any single participant's vector.
+intersection's membership by digest.  :func:`psi_digest` is the one digest
+definition.  :func:`psi_align` keeps each participant's digests as one
+sorted array of their ASCII bytes and maps the answer back to ids by
+position, so it builds no digest-to-id table and no set; the transcript
+joins an array's digests in one buffer, and the records of an alignment
+whose digest lists are equal hold one payload string.
+
+Aggregation uses Paillier encryption (g = n + 1 variant) over
+fixed-point-encoded values, so the decrypting role learns element-wise sums
+and nothing about any single participant's vector.
 
 Encryption blinds with a fixed base, as in the Damgard-Jurik-Nielsen variant
 (Int. J. Inf. Secur., 2010): Enc(m) = (1 + m*n) * h^x mod n^2, where the
@@ -41,18 +48,21 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, CryptoError, DomainError
-from .transcript import RoundTranscript
+from .transcript import DIGEST_BYTES, RoundTranscript
 
 # The odd primes below 2^11 and their product: one gcd with the product
 # finds a candidate's small factor before any modular exponentiation.
 SMALL_PRIMES = tuple(p for p in range(3, 1 << 11, 2)
                      if all(p % f for f in range(3, math.isqrt(p) + 1, 2)))
 SMALL_PRIMES_PRODUCT = math.prod(SMALL_PRIMES)
+
+# a PSI digest as psi_align holds it: the ASCII bytes of its hex string
+DIGEST_DTYPE = f"S{2 * DIGEST_BYTES}"
 
 
 def _is_prime(n: int, rounds: int = 40) -> bool:
@@ -91,25 +101,33 @@ def psi_align(id_sets, salt: bytes, transcript: RoundTranscript, round_index: in
               party_names):
     """Intersection of all participants' id sets via salted digests.
 
-    The server sees one digest set per participant and answers with the
-    digests present in every set; participants map those back to raw ids
-    locally.  Returns the sorted intersection.
+    Each participant sends its digests sorted, as an array of their ASCII
+    bytes (``DIGEST_DTYPE``), and the server answers every participant with
+    the digests present in every array.  A participant maps the answer back
+    to raw ids locally, through the positions of its own sorted digests, so
+    no digest-to-id table or set is built.  Ids whose digests repeat are
+    refused before anything is sent.  Returns the sorted intersection.
     """
     id_sets = [list(s) for s in id_sets]
     if len(id_sets) < 2:
         raise ContractError("PSI needs at least two participants")
-    tables = []
+    digests, orders = [], []
     for i, ids in enumerate(id_sets):
-        if len(set(ids)) != len(ids):
+        mine = np.fromiter((psi_digest(salt, x) for x in ids), DIGEST_DTYPE, len(ids))
+        order = np.argsort(mine, kind="stable")
+        mine = mine[order]
+        if np.any(mine[1:] == mine[:-1]):
             raise DomainError(f"participant {i} submitted duplicate ids")
-        tables.append({psi_digest(salt, x): x for x in ids})
+        digests.append(mine)
+        orders.append(order)
 
-    received = [set(transcript.send(round_index, name, "server", "psi", sorted(table)))
-                for name, table in zip(party_names, tables, strict=True)]
-    reply = sorted(set.intersection(*received))
+    received = [transcript.send(round_index, name, "server", "psi", mine)
+                for name, mine in zip(party_names, digests, strict=True)]
+    reply = reduce(partial(np.intersect1d, assume_unique=True), received)
     replies = [transcript.send(round_index, "server", name, "psi", reply)
                for name in party_names]
-    return sorted(tables[0][d] for d in replies[0])
+    found = orders[0][np.searchsorted(digests[0], replies[0])]
+    return sorted(id_sets[0][k] for k in found)
 
 
 # ---------------------------------------------------------------------------

@@ -268,13 +268,25 @@ def _read_table(path: Path, ids: dict[str, int], n_ids: int, min_fields: int,
     return [np.array(column, dtype=np.int64) for column in columns], table
 
 
-def _stream_table(path: Path, n_ids: int):
-    """A table file in one streaming pass: its id fields, flat in row order,
-    and its float64 matrix from a single ``np.loadtxt`` call.
+# the id fields a streamed table holds as strings before it looks them up
+LOOKUP_CHUNK = 1 << 14
 
-    Reads only regular files: every row has ``n_ids`` ids and a float list
-    numpy parses.  Raises on anything else, a row without floats included."""
+
+def _stream_table(path: Path, ids: dict[str, int], n_ids: int):
+    """A table file in one streaming pass: the node indexes of its id
+    fields, flat in row order, and its float64 matrix from a single
+    ``np.loadtxt`` call.  The id strings are looked up every
+    ``LOOKUP_CHUNK`` ids and dropped, so no file's worth of them is held.
+
+    Reads only regular files: every row has ``n_ids`` known ids and a float
+    list numpy parses.  Raises on anything else, a row without floats
+    included."""
     keys: list[str] = []
+    index: list[np.ndarray] = []
+
+    def look_up():
+        index.append(np.fromiter(map(ids.__getitem__, keys), np.int64, len(keys)))
+        keys.clear()
 
     def float_lists(lines):
         for line in lines:
@@ -285,20 +297,24 @@ def _stream_table(path: Path, n_ids: int):
             if len(fields) != n_ids:
                 raise ValueError(f"a row of {len(fields) + 1} fields")
             keys.extend(fields)
+            if len(keys) >= LOOKUP_CHUNK:
+                look_up()
             yield text
 
     with open(path, encoding="utf-8") as fh:
         first = next((line for line in fh if not line.isspace()), None)
         if first is None:
-            return keys, np.zeros((0, 0))
+            return np.zeros(0, dtype=np.int64), np.zeros((0, 0))
         head = first.split("\t")
         if len(head) != n_ids + 1 or not head[-1].strip():
             raise ValueError("a row without floats")
         table = np.loadtxt(float_lists(chain([first], fh)), delimiter=",",
                            comments=None, ndmin=2)
-        if len(keys) != n_ids * len(table):  # loadtxt skips an empty list
+        look_up()
+        flat = np.concatenate(index)
+        if len(flat) != n_ids * len(table):  # loadtxt skips an empty list
             raise ValueError("a row without floats")
-        return keys, table
+        return flat, table
 
 
 def _float_table(path: Path, ids: dict[str, int], n_ids: int, min_fields: int,
@@ -307,10 +323,8 @@ def _float_table(path: Path, ids: dict[str, int], n_ids: int, min_fields: int,
     of rows ``id <TAB> ... <TAB> float,float,...``, ``noun`` naming the
     floats in a wrong-count error."""
     try:
-        keys, table = _stream_table(path, n_ids)
-        rows = len(keys) // n_ids
-        return [np.fromiter(map(ids.__getitem__, keys[k::n_ids]), np.int64, rows)
-                for k in range(n_ids)], table
+        index, table = _stream_table(path, ids, n_ids)
+        return [index[k::n_ids].copy() for k in range(n_ids)], table
     except Exception:
         # A missing file, a bad row, an unknown id, rows without floats, or a
         # token such as 1_0 that float() reads and numpy does not: the row
@@ -351,12 +365,16 @@ def load_dataset(directory) -> DatasetBundle:
 
     The features and edge files, nearly all of a dataset's bytes, are
     parsed as a stream: one ``np.loadtxt`` call per file reads the rows'
-    float lists from a generator that splits off and keeps the id fields, so
-    no whole file is held as a string and no value becomes a Python float.
+    float lists from a generator that splits off the id fields and looks up
+    their node indexes a chunk at a time, so no whole file is held as a
+    string or as id strings, and no value becomes a Python float.
     A file that pass cannot take as it stands, because of an error, rows
     without floats or a token numpy does not read such as ``1_0``, is read
     again row by row with ``float()``, which raises the first bad row's error
-    or gives the same values.
+    or gives the same values.  The parsed feature table is the graph's
+    feature matrix when its rows are already in node order, each node once,
+    as ``save_dataset`` writes them; only other orders are gathered into a
+    copy.
     """
     directory = Path(directory)
     ids: dict[str, int] = {}
@@ -384,7 +402,8 @@ def load_dataset(directory) -> DatasetBundle:
     if np.any(last < 0):
         raise ParseError(f"{feat_path}: no feature row for node index "
                          f"{np.argmax(last < 0)}")
-    features = table[last]
+    # a table in node order, as save_dataset writes it, needs no gathered copy
+    features = table if np.array_equal(last, np.arange(len(types))) else table[last]
 
     relations: dict[str, Relation] = {}
     for path in sorted(directory.glob("edges_*.tsv")):
@@ -487,6 +506,17 @@ def save_dataset(bundle: DatasetBundle, directory) -> None:
 # chains, in relation order
 AUTO_METAPATHS = 2
 
+
+def _check_utf8(field: str, name: str) -> None:
+    """Refuse a name that ``save_dataset`` could not write: every dataset
+    file is UTF-8, and a lone surrogate such as ``"\\ud800"`` does not
+    encode."""
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ConfigError(f"{field}: {name!r} does not encode as UTF-8") from None
+
+
 # a relation's name is part of its edge file's name and an entry of a
 # metapaths.txt line, which is split on commas and stripped
 RELATION_NAME = Rule("a non-empty string without ',', '/', NUL or whitespace",
@@ -501,6 +531,11 @@ class RelationSpec(Schema):
     edge_dim: int = checked(integer(">= 0"), 0)
     avg_degree: float = checked(number(">= 0"), 4.0)
     symmetric: bool = checked(BOOL, False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        for field in ("name", "src_type", "dst_type"):
+            _check_utf8(field, getattr(self, field))
 
 
 @dataclass
@@ -528,6 +563,8 @@ class SyntheticSpec(Schema):
 
     def __post_init__(self):
         super().__post_init__()
+        for tname in self.node_counts:
+            _check_utf8("node_counts", tname)
         ends = {}
         for rel in self.relations:
             if rel.name in ends:
@@ -542,6 +579,12 @@ class SyntheticSpec(Schema):
                 if self.node_counts.get(t, 0) <= 0:
                     raise ConfigError(f"relations: relation {rel.name} references "
                                       f"type {t!r} with no nodes")
+            # an edge file without rows cannot tell the relation's edge width
+            if self.edge_count(rel) == 0:
+                raise ConfigError(
+                    f"relations: relation {rel.name} gets no edges: round(avg_degree "
+                    f"{rel.avg_degree!r} x {self.node_counts[rel.src_type]} "
+                    f"{rel.src_type!r} nodes) is 0")
         for m in self.metapaths or ():
             try:
                 Metapath(tuple(m)).check_chain(ends)
@@ -556,6 +599,11 @@ class SyntheticSpec(Schema):
                 raise ConfigError(f"train_frac, val_frac: {self.train_frac!r} and "
                                   f"{self.val_frac!r} of {n} nodes leave the {split} "
                                   "split empty")
+
+    def edge_count(self, rel: RelationSpec) -> int:
+        """The edges generate_synthetic draws for ``rel``, before a
+        symmetric relation's reversed copies."""
+        return int(round(rel.avg_degree * self.node_counts[rel.src_type]))
 
     def split_sizes(self) -> tuple[int, int, int]:
         """The train, val and test node counts generate_synthetic cuts."""
@@ -603,7 +651,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> DatasetBundle:
     for rel in spec.relations:
         src_pool = by_type[rel.src_type]
         dst_pool = by_type[rel.dst_type]
-        n_edges = int(round(rel.avg_degree * len(src_pool)))
+        n_edges = spec.edge_count(rel)
         src = src_pool[rng.integers(0, len(src_pool), size=n_edges)]
         dst = np.empty(n_edges, dtype=np.int64)
         coin = rng.random(n_edges)

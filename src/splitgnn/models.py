@@ -71,6 +71,16 @@ node.  A BLAS product may round a row differently when fewer rows share the
 call, so rows of a smaller block can differ from the whole-graph ones in
 their last bits.
 
+GCN's first layer runs over no block.  Its mean over a node's raw neighbour
+features depends on no parameter, so :class:`GcnEncoder` keeps it in a memo
+with one row per node, as SGC precomputes its propagation (Wu et al.,
+2019), and the layer is ``elu(M0[targets] @ W0 + b0)``.  A forward computes
+only the rows it reads that are still missing, by the same segment sum over
+the same edges in the same order as a block layer, so every row, output and
+gradient is the one a first-layer block gives, and a GCN batch's blocks are
+one hop shallower.  The memo, n × f floats allocated by the first forward,
+is the only thing an encoder keeps of a forward.
+
 A layer's edge work, in training and inference alike, runs in consecutive
 target ranges of at most ``EDGE_BUDGET`` edges each, or one target that has
 more (:func:`_target_ranges`): per channel for "hat", over the merged edges
@@ -310,16 +320,21 @@ class _Encoder:
     """The skeleton of every encoder, bound to one participant's view.
 
     ``forward`` finds the batch's receptive-field blocks through the edge
-    indexes ``csrs``, then, layer by layer, runs the encoder's
-    ``_layer(tape, x, l, blk)``, which maps the block's input rows to its
-    target rows.  It returns the batch's rows in batch order.  With
-    ``self_entry`` a layer's inputs include its targets, as an attention
-    layer's self entry reads them.  An encoder has no dropout, so a
-    forward with a tape computes the rows one without computes.  It keeps
-    nothing of a forward, so no α or β outlives the ops that use them.
+    indexes ``csrs``, one per layer after the first ``memo_layers``.
+    ``_inputs(tape, rows)`` gives the first block's input rows: the raw
+    features, or, for GCN, its first layer's rows from its memo.  Then,
+    layer by layer, it runs the encoder's ``_layer(tape, x, l, blk)``, which
+    maps the block's input rows to its target rows.  It returns the batch's
+    rows in batch order.  With ``self_entry`` a layer's inputs include its
+    targets, as an attention layer's self entry reads them.  An encoder has
+    no dropout, so a forward with a tape computes the rows one without
+    computes.  It keeps nothing of a forward but GCN's parameter-free
+    first-layer memo, so no α or β outlives the ops that use them.
     """
 
     self_entry = True
+    # the first layers, which ``_inputs`` computes from a memo, with no block
+    memo_layers = 0
     csrs: list[TargetCsr]
 
     def __init__(self, view: ParticipantView, config: EncoderConfig, seed, scope: str):
@@ -335,14 +350,20 @@ class _Encoder:
     def _param(self, layer: int, name: str) -> T.Tensor:
         return self.params[f"{self.scope}/l{layer}/{name}"]
 
+    def _inputs(self, tape, rows: np.ndarray):
+        """The rows of nodes ``rows`` that the first block's layer reads:
+        their raw features."""
+        return T.Tensor(self.graph.features[rows])
+
     def forward(self, tape, batch_ids):
         batch = np.asarray(batch_ids, dtype=np.int64)
-        blocks = _receptive_blocks(self.csrs, batch, self.config.layers,
+        targets = np.unique(batch)
+        blocks = _receptive_blocks(self.csrs, targets, self.config.layers - self.memo_layers,
                                    self.graph.num_nodes, self.self_entry)
-        x = T.Tensor(self.graph.features[blocks[0].inputs])
-        for l, blk in enumerate(blocks):
+        x = self._inputs(tape, blocks[0].inputs if blocks else targets)
+        for l, blk in enumerate(blocks, start=self.memo_layers):
             x = self._layer(tape, x, l, blk)
-        return T.gather_rows(tape, x, np.searchsorted(blocks[-1].targets, batch))
+        return T.gather_rows(tape, x, np.searchsorted(targets, batch))
 
 
 class HatEncoder(_Encoder):
@@ -467,10 +488,13 @@ def _receptive_blocks(csrs: list[TargetCsr], batch: np.ndarray, layers: int,
 
 
 class GcnEncoder(_Encoder):
-    """Mean-over-neighbors aggregation, linear map, ELU; relations merged."""
+    """Mean-over-neighbors aggregation, linear map, ELU; relations merged.
+    The first layer's means, which depend on no parameter, are kept per
+    node as forwards compute them."""
 
     kind = "gcn"
     self_entry = False
+    memo_layers = 1
 
     def __init__(self, view: ParticipantView, config: EncoderConfig, seed, scope: str):
         super().__init__(view, config, seed, scope)
@@ -484,10 +508,41 @@ class GcnEncoder(_Encoder):
         deg[isolated] = 1.0
         self.csrs = [TargetCsr(tgt, nbr, g.num_nodes)]
         self.inv_deg = (1.0 / deg)[:, None]
+        # the first layer's neighbour means and which rows hold one; both
+        # are allocated by the first forward, so a session that never runs
+        # one holds neither
+        self.mean0: np.ndarray | None = None
+        self.filled: np.ndarray | None = None
         d = config.hidden
         for l in range(config.layers):
             self._new_param(l, "W", (g.feature_dim if l == 0 else d, d))
             self._new_param(l, "b", (d,), zeros=True)
+
+    def _neighbour_means(self, rows: np.ndarray) -> np.ndarray:
+        """Rows ``rows`` of the memo M0: M0[t] is ``inv_deg[t]`` times the
+        sum of the raw features of t's neighbours over its merged edges, in
+        ``TargetCsr`` order.  Only the rows still missing are computed, range
+        by range, by the same segment sum in the same edge order as a block
+        layer's, so each row is the one that layer would compute."""
+        g = self.graph
+        if self.mean0 is None:
+            self.mean0 = np.empty((g.num_nodes, g.feature_dim))
+            self.filled = np.zeros(g.num_nodes, dtype=bool)
+        missing = rows[~self.filled[rows]]
+        if len(missing):
+            seg, nbr, _ = self.csrs[0].edges_into(missing)
+            for t0, t1, e0, e1 in _target_ranges(seg, len(missing)):
+                summed = T.segment_sum(None, g.features[nbr[e0:e1]], seg[e0:e1] - t0, t1 - t0)
+                self.mean0[missing[t0:t1]] = summed.values * self.inv_deg[missing[t0:t1]]
+            self.filled[missing] = True
+        return self.mean0[rows]
+
+    def _inputs(self, tape, rows: np.ndarray):
+        """The first layer's rows for nodes ``rows``, ``elu(M0[rows] @ W0 +
+        b0)``: the mean depends on no parameter, so it comes from the memo
+        and the layer reads no edge."""
+        mean = T.Tensor(self._neighbour_means(rows))
+        return T.elu(tape, T.linear(tape, mean, self._param(0, "W"), self._param(0, "b")))
 
     def _layer(self, tape, x, l: int, blk: _Block):
         seg, src, _ = blk.edges[0]

@@ -16,6 +16,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ParseError, ProtocolError
 
 MESSAGE_KINDS = ("embedding", "ciphertext", "hidden", "gradient", "psi")
@@ -67,6 +69,20 @@ def _sidecar_part(sidecar: Path, what: str, value, kind: type):
     return value
 
 
+def _joined(digests) -> str:
+    """The ``,``-joined text of a PSI digest list, hex strings or an array
+    of their ASCII bytes, written into one byte buffer: no object is made
+    per digest.  Digests of unequal length are refused."""
+    digests = np.asarray(digests, dtype=bytes)
+    k, width = len(digests), digests.itemsize
+    buf = np.full((k, width + 1), ord(","), dtype=np.uint8)
+    buf[:, :width] = digests.view(np.uint8).reshape(k, width)
+    # a shorter digest ends in the array's NUL padding
+    if (buf[:, width - 1] == 0).any():
+        raise ProtocolError("a PSI digest list must hold digests of one length")
+    return str(buf.reshape(-1)[:-1], "ascii")
+
+
 class RoundTranscript:
     """Ordered record of every message a session exchanged."""
 
@@ -79,15 +95,19 @@ class RoundTranscript:
         """Move ``payload`` from ``sender`` to ``receiver``: meter it and
         return what the receiver gets, the payload object itself.
 
-        The record follows from the payload: a PSI digest list is 32 bytes
-        per digest, kept ``,``-joined as the audited payload; a ciphertext
-        list is a 4-byte length plus the key's wire width per value, and the
-        only encrypted kind; any other kind is a float array, 8 bytes per
-        value.
+        The record follows from the payload: a PSI digest list, of hex
+        strings or of their ASCII bytes, is 32 bytes per digest, kept
+        ``,``-joined as the audited payload; a ciphertext list is a 4-byte
+        length plus the key's wire width per value, and the only encrypted
+        kind; any other kind is a float array, 8 bytes per value.  A payload
+        text equal to the last record's is that record's string, so the PSI
+        records of an alignment whose digest lists are equal hold one.
         """
         encrypted, text = False, None
         if kind == "psi":
-            elements, width, text = len(payload), DIGEST_BYTES, ",".join(payload)
+            elements, width, text = len(payload), DIGEST_BYTES, _joined(payload)
+            last = self.records[-1].payload if self.records else None
+            text = last if text == last else text
         elif kind == "ciphertext":
             elements, encrypted = len(payload), True
             width = 4 + payload[0].public.wire_width if payload else 0

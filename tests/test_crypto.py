@@ -79,6 +79,50 @@ class TestPsi:
                 assert raw not in (rec.payload or "")
         assert C.transcript_audit(t).ok
 
+    @pytest.mark.parametrize("id_sets", [
+        [["a", "b", "c"], ["c", "b", "a"]],
+        [["a", "b", "c"], ["b", "c", "d"], ["c", "b", "x"]],
+        [["é", "中", "x", "ü-7"], ["中", "ü-7", "y"]],
+        [[3, 14, 15], [15, 3, 9]],
+        [["a"], ["b"]],
+    ])
+    def test_records_hold_the_sorted_digest_reference(self, id_sets):
+        salt = b"ref"
+        t = RoundTranscript()
+        out = psi(id_sets, salt, t)
+        common = set.intersection(*map(set, id_sets))
+        assert out == sorted(common)
+
+        def joined(ids):
+            return ",".join(sorted(C.psi_digest(salt, x) for x in ids))
+
+        want = [(f"party_{i}", "server", joined(ids), len(ids))
+                for i, ids in enumerate(id_sets)]
+        want += [("server", f"party_{i}", joined(common), len(common))
+                 for i in range(len(id_sets))]
+        got = [(r.sender, r.receiver, r.payload, r.elements) for r in t.records]
+        assert got == want
+        assert all(r.bytes == 32 * r.elements and r.kind == "psi" for r in t.records)
+
+    def test_equal_digest_lists_share_one_payload_string(self):
+        ids = [f"n{i}" for i in range(50)]
+        t = RoundTranscript()
+        assert psi([ids, ids[::-1], list(ids)], b"s", t) == sorted(ids)
+        assert len(t.records) == 6
+        assert len({id(r.payload) for r in t.records}) == 1
+        # the first upload keeps its own text; the second, whose ids are the
+        # intersection, shares one with the replies
+        t = RoundTranscript()
+        psi([ids, ids[:40]], b"s", t)
+        texts = [id(r.payload) for r in t.records]
+        assert texts[0] not in texts[1:] and len(set(texts[1:])) == 1
+
+    def test_duplicates_refused_before_anything_is_sent(self):
+        t = RoundTranscript()
+        with pytest.raises(DomainError, match="participant 1 submitted duplicate ids"):
+            psi([["a", "é"], ["é", "b", "é"]], b"s", t)
+        assert not t.records
+
     def test_salt_changes_digests(self):
         d1 = C.psi_digest(b"salt-one", "node-7")
         d2 = C.psi_digest(b"salt-two", "node-7")

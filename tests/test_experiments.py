@@ -675,6 +675,35 @@ class TestCli:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("payload,message", [
+        (small_synthetic_payload(relations=[*small_synthetic_payload()["relations"][:2], {
+            "name": "ba", "src_type": "b", "dst_type": "a", "edge_dim": 4, "avg_degree": 0}]),
+         "relations: relation ba gets no edges: round(avg_degree 0 x 40 'b' nodes) is 0"),
+        (small_synthetic_payload(relations=[*small_synthetic_payload()["relations"][:2], {
+            "name": "ba", "src_type": "b", "dst_type": "a", "avg_degree": 0.01}]),
+         "relations: relation ba gets no edges: round(avg_degree 0.01 x 40 'b' nodes) is 0"),
+        (small_synthetic_payload(node_counts={"a": 60, "b": 40, "\ud800": 5}),
+         "node_counts: '\\ud800' does not encode as UTF-8"),
+        (small_synthetic_payload(relations=renamed_relations("b\udc80")),
+         "relations: name: 'b\\udc80' does not encode as UTF-8"),
+        (small_synthetic_payload(relations=[*small_synthetic_payload()["relations"][:2], {
+            "name": "ba", "src_type": "\ud800", "dst_type": "a"}]),
+         "relations: src_type: '\\ud800' does not encode as UTF-8"),
+    ], ids=["relation-without-edges", "relation-rounding-to-no-edges", "type-name-surrogate",
+            "relation-name-surrogate", "relation-type-surrogate"])
+    def test_gen_synthetic_refuses_what_it_could_not_write(self, tmp_path, capsys,
+                                                           monkeypatch, payload, message):
+        """A relation that gets no edges would load back as one of edge width
+        0, and a name that does not encode as UTF-8 would stop save_dataset
+        mid-write; the spec refuses both before anything is generated."""
+        monkeypatch.setattr(cli, "generate_synthetic", _not_called("generate_synthetic"))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(payload))
+        assert cli.main(["gen-synthetic", "--spec", str(spec_path),
+                         "--out", str(tmp_path / "d")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "d").exists()
+
     def test_unusable_out_is_exit_1_before_any_work(self, tmp_path, capsys, monkeypatch):
         # an --out that cannot be a directory is refused before any training
         # or generation, not by a traceback after it

@@ -1,4 +1,5 @@
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,34 @@ class TestLoader:
             np.testing.assert_array_equal(loaded.feat, rel.feat)
 
 
+    @pytest.mark.parametrize("order", ["node", "reversed", "repeated"])
+    def test_feature_table_in_node_order_is_kept(self, tmp_path, monkeypatch, order):
+        """A features.tsv whose rows are in node order, each node once, as
+        save_dataset writes it, gives the parsed table itself as the
+        feature matrix; any other order gives a gathered copy of the same
+        values, the last of a node's rows winning."""
+        bundle = small_synthetic(seed=3)
+        G.save_dataset(bundle, tmp_path)
+        path = tmp_path / "features.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        if order == "reversed":
+            path.write_text("".join(lines[::-1]), encoding="utf-8")
+        elif order == "repeated":
+            path.write_text("0\t9.5" + ",9.5" * (bundle.graph.feature_dim - 1) + "\n"
+                            + "".join(lines), encoding="utf-8")
+        parsed = []
+        float_table = G._float_table
+
+        def recorded(*args):
+            parsed.append(float_table(*args))
+            return parsed[-1]
+
+        monkeypatch.setattr(G, "_float_table", recorded)
+        back = G.load_dataset(tmp_path)
+        assert_same_array(back.graph.features, bundle.graph.features)
+        assert (back.graph.features is parsed[0][1]) == (order == "node")
+
+
 def assert_same_array(a, b):
     assert (a.dtype, a.shape) == (b.dtype, b.shape)
     assert a.tobytes() == b.tobytes()
@@ -384,6 +413,27 @@ class TestLoaderParity:
         monkeypatch.setattr(G, "_read_table", row_read)
         assert_same_outcome(load_outcome(G.load_dataset, tmp_path), want)
 
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize("name", sorted(STREAMED) + ["synthetic", "late-unknown-id"])
+    def test_ids_looked_up_a_chunk_at_a_time(self, tmp_path, monkeypatch, chunk, name):
+        """The streamed parse looks ids up every ``LOOKUP_CHUNK`` ids; any
+        chunk gives the row reader's bundle, without falling back to it,
+        and an unknown id past the first chunk gives its error."""
+        if name == "synthetic":
+            G.save_dataset(small_synthetic(seed=3), tmp_path)
+        elif name == "late-unknown-id":
+            write_dataset(tmp_path, {
+                **FOUR_NODES, "features.tsv": "a\t1\nb\t2\nc\t3\nd\t4\n",
+                "edges_cites.tsv": "a\tb\t1\nb\tc\t2\nc\td\t3\nd\tzz\t4\n"})
+        else:
+            write_dataset(tmp_path, STREAMED[name])
+        want = load_outcome(load_dataset_by_rows, tmp_path)
+        assert isinstance(want, str) or name != "late-unknown-id"
+        monkeypatch.setattr(G, "LOOKUP_CHUNK", chunk)
+        if not isinstance(want, str):
+            monkeypatch.setattr(G, "_read_table", partial(pytest.fail, "read row by row"))
+        assert_same_outcome(load_outcome(G.load_dataset, tmp_path), want)
+
 
 class TestSynthetic:
     def test_full_homophily_connects_same_class_only(self):
@@ -429,8 +479,10 @@ class TestSynthetic:
 def small_specs(draw):
     """A small synthetic spec, or a rejected draw where SyntheticSpec refuses
     it.  Type names may hold tabs, line ends, commas and non-ASCII letters;
-    a relation may join two types and still be symmetric; the first
-    relation has no edge features, so its edge file is read row by row."""
+    a relation may join two types and still be symmetric, and may get a
+    single edge (avg_degree 0.1 of 6 to 9 nodes) or, with 5, none, which
+    SyntheticSpec refuses; the first relation has no edge features, so its
+    edge file is read row by row."""
     types = draw(st.lists(st.text("ab,é中\t\n\r", min_size=1, max_size=2),
                           min_size=1, max_size=2, unique=True))
     names = draw(st.lists(st.text("rsé中", min_size=1, max_size=2),
@@ -438,7 +490,7 @@ def small_specs(draw):
     relations = [G.RelationSpec(name, draw(st.sampled_from(types)),
                                 draw(st.sampled_from(types)),
                                 edge_dim=0 if k == 0 else draw(st.integers(0, 2)),
-                                avg_degree=draw(st.sampled_from([0.0, 1.0, 2.5])),
+                                avg_degree=draw(st.sampled_from([0.1, 1.0, 2.5])),
                                 symmetric=draw(st.booleans()))
                  for k, name in enumerate(names)]
     chains = st.lists(st.sampled_from(names), min_size=1, max_size=3).map(tuple)
@@ -469,8 +521,7 @@ class TestSyntheticRoundTrip:
         for name, rel in w.relations.items():
             mine = g.relations[name]
             assert np.array_equal(mine.src, rel.src) and np.array_equal(mine.dst, rel.dst)
-            # an edge file without rows cannot tell its relation's edge width
-            assert mine.feat.shape == rel.feat.shape or len(rel) == 0
+            assert mine.feat.shape == rel.feat.shape
             assert mine.feat.tobytes() == rel.feat.tobytes()
         assert got.metapaths == want.metapaths
         for attr in ("train_ids", "val_ids", "test_ids"):
@@ -631,13 +682,16 @@ class TestChannelRows:
 
     def test_empty_channels_have_no_rows(self):
         # "vu" has no edges, so no instance of "uv,vu" exists; "uv" has no
-        # edge features
+        # edge features.  SyntheticSpec refuses a relation that gets no
+        # edges, so "vu" is emptied after generation, as a participant's
+        # share of a relation may be.
         bundle = small_synthetic(seed=16, relations=[
             G.RelationSpec("uu", "u", "u", edge_dim=2, avg_degree=2.0),
             G.RelationSpec("uv", "u", "v", edge_dim=0, avg_degree=2.0),
-            G.RelationSpec("vu", "v", "u", edge_dim=1, avg_degree=0.0),
+            G.RelationSpec("vu", "v", "u", edge_dim=1, avg_degree=1.0),
         ], metapaths=[("uv", "vu"), ("uu", "uv")])
         g = bundle.graph
+        g.relations["vu"] = G.Relation("vu", [], [], np.zeros((0, 1)), "v", "u")
         none, zero_width = bundle.metapaths
         channels = {ch.name: ch for ch in M._build_channels(own_view(bundle))}
         empty = np.zeros(0, dtype=np.int64)

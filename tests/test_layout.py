@@ -223,3 +223,39 @@ def test_every_draw_is_seeded():
                   or isinstance(node, ast.alias) and node.name in ENTROPY):
                 unseeded.append(f"{where}: {ast.unparse(node)}")
     assert not unseeded, "random draws not derived from a seed: " + ", ".join(unseeded)
+
+
+# the functions of src/splitgnn that may call hashlib, each for its own
+# purpose: the PSI digest, the PSI salt, seeded streams and config digests
+HASHING_FUNCTIONS = {"crypto.psi_digest", "crypto.fresh_salt", "seeding.stable_seed",
+                     "experiments.ExperimentConfig.digest"}
+
+
+def test_psi_digest_is_the_one_digest_definition():
+    """``crypto.psi_digest`` is the only PSI digest: ``psi_align`` reads it
+    and hashes nothing itself, and every hashlib call in ``src/splitgnn`` is
+    in a function named in ``HASHING_FUNCTIONS``."""
+    def hashes(node):
+        return isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id == "hashlib"
+
+    found, outside = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree, inside = parse(path), set()
+        functions = [(node, node.name) for node in tree.body
+                     if isinstance(node, ast.FunctionDef)]
+        functions += [(item, f"{node.name}.{item.name}") for node in tree.body
+                      if isinstance(node, ast.ClassDef) for item in node.body
+                      if isinstance(item, ast.FunctionDef)]
+        for node, name in functions:
+            uses = {id(sub) for sub in ast.walk(node) if hashes(sub)}
+            if uses:
+                found.add(f"{path.stem}.{name}")
+                inside |= uses
+        outside += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if hashes(node) and id(node) not in inside]
+    assert not outside, "hashlib used outside a function: " + ", ".join(outside)
+    assert found == HASHING_FUNCTIONS
+    [align] = [node for node in parse(PACKAGE / "crypto.py").body
+               if isinstance(node, ast.FunctionDef) and node.name == "psi_align"]
+    assert "psi_digest" in {node.id for node in ast.walk(align) if isinstance(node, ast.Name)}

@@ -904,6 +904,123 @@ def test_hat_unchanged_by_segment_kernel(monkeypatch):
         assert np.array_equal(grads[name], want_grads[name]), name
 
 
+def neighbour_mean_oracle(g):
+    """Every node's mean over its merged edges' raw features, an isolated
+    node's over itself, summed by the ``np.add.at`` oracle in edge order and
+    scaled by 1/degree: the rows GCN's first-layer memo must hold."""
+    n = g.num_nodes
+    tgt, nbr = merged_edges(g)
+    deg = np.bincount(tgt, minlength=n).astype(np.float64)
+    isolated = np.flatnonzero(deg == 0)
+    tgt, nbr = np.concatenate([tgt, isolated]), np.concatenate([nbr, isolated])
+    deg[isolated] = 1.0
+    return add_at_segment_sum(g.features[nbr], tgt, n) * (1.0 / deg)[:, None]
+
+
+def block_gcn_forward(enc, tape, batch):
+    """GCN's forward with its first layer run over a receptive-field block,
+    as every layer is: the oracle for the first layer's memo."""
+    n, batch = enc.graph.num_nodes, np.asarray(batch, dtype=np.int64)
+    blocks = M._receptive_blocks(enc.csrs, batch, enc.config.layers, n, self_entry=False)
+    x = T.Tensor(enc.graph.features[blocks[0].inputs])
+    for l, blk in enumerate(blocks):
+        x = enc._layer(tape, x, l, blk)
+    return T.gather_rows(tape, x, np.searchsorted(blocks[-1].targets, batch))
+
+
+class TestGcnFirstLayerMemo:
+    """GCN's first layer reads its parameter-free neighbour mean from a
+    per-node memo that forwards fill on demand, and no block of edges."""
+
+    @pytest.mark.parametrize("budget", [2, M.EDGE_BUDGET])
+    def test_rows_are_the_add_at_mean(self, budget, monkeypatch):
+        monkeypatch.setattr(M, "EDGE_BUDGET", budget)
+        view = hat_view()
+        g = view.graph
+        enc = M.make_encoder(view, encoder_config(kind="gcn", layers=1), seed=3, scope="e")
+        assert enc.mean0 is None
+        enc.forward(None, np.arange(g.num_nodes)[::-1])
+        assert enc.filled.all()
+        assert np.array_equal(enc.mean0, neighbour_mean_oracle(g))
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_a_forward_fills_only_the_rows_it_reads(self, layers):
+        view = hat_view()
+        g = view.graph
+        enc = M.make_encoder(view, encoder_config(kind="gcn", layers=layers), seed=3,
+                             scope="e")
+        batch = np.array([17, 3, 3, g.num_nodes - 1, 0])
+        enc.forward(None, batch)
+        # the nodes the batch reaches in layers - 1 hops over merged edges
+        tgt, nbr = merged_edges(g)
+        reached = np.unique(batch)
+        for _ in range(layers - 1):
+            reached = np.union1d(nbr[np.isin(tgt, reached)],
+                                 reached[~np.isin(reached, tgt)])
+        assert np.array_equal(np.flatnonzero(enc.filled), reached)
+        assert len(reached) < g.num_nodes
+        assert np.array_equal(enc.mean0[reached], neighbour_mean_oracle(g)[reached])
+
+    def test_second_forward_sums_no_first_layer_row(self, monkeypatch):
+        view = hat_view()
+        f = view.graph.feature_dim
+        enc = M.make_encoder(view, encoder_config(kind="gcn", layers=2, hidden=3), seed=3,
+                             scope="e")
+        assert f != enc.config.hidden
+        widths = []
+        segment_add = T._segment_add
+
+        def recorded(values, seg, n):
+            widths.append(np.shape(values)[1])
+            return segment_add(values, seg, n)
+
+        monkeypatch.setattr(T, "_segment_add", recorded)
+        batch = [15, 4, 4, 11]
+        first = enc.forward(None, batch).values
+        assert f in widths
+        widths.clear()
+        again = enc.forward(T.Tape(), batch).values
+        assert widths and f not in widths
+        assert np.array_equal(again, first)
+
+    def test_gcn_blocks_are_one_hop_shallower_than_gat(self, monkeypatch):
+        view = hat_view()
+        batch = [15, 4, 4, 11]
+        seen = []
+        receptive_blocks = M._receptive_blocks
+
+        def recorded(*args, **kwargs):
+            seen.append(receptive_blocks(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(M, "_receptive_blocks", recorded)
+        for kind in ("gcn", "gat"):
+            enc = M.make_encoder(view, encoder_config(kind=kind, layers=2), seed=3, scope="e")
+            enc.forward(None, batch)
+        gcn, gat = seen
+        assert (len(gcn), len(gat)) == (1, 2)
+        assert np.array_equal(gcn[0].targets, np.unique(batch))
+        assert np.array_equal(gcn[0].targets, gat[1].targets)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_bit_identical_to_a_first_layer_block(self, layers):
+        """The memo's rows are the ones a block layer sums, so a forward and
+        every parameter's gradient are the block path's bit for bit, with
+        the memo empty, part-filled and full."""
+        view = hat_view()
+        n = view.graph.num_nodes
+        enc = M.make_encoder(view, encoder_config(kind="gcn", layers=layers), seed=3,
+                             scope="e")
+        for batch in ([15, 4, 4, 11], [6, 1, 13], np.arange(n)[::-1]):
+            want = block_gcn_forward(enc, None, batch).values
+            assert np.array_equal(enc.forward(None, batch).values, want)
+            got = param_grads(enc, lambda tape: enc.forward(tape, batch))
+            expect = param_grads(enc, lambda tape: block_gcn_forward(enc, tape, batch))
+            assert got.keys() == expect.keys() == enc.params.keys()
+            for name in got:
+                assert np.array_equal(got[name], expect[name]), name
+
+
 class TestRowsOnDemand:
     """HAT builds a block's metapath rows from hop ids; its results must be
     the ones it got when every instance's row was built up front."""

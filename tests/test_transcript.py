@@ -51,6 +51,27 @@ def test_send_returns_payload_and_records_closed_form(kind, make, elements, widt
     assert rec.payload == (",".join(payload) if joined else None)
 
 
+def test_psi_digest_array_records_its_joined_hex():
+    """A digest list sent as an array of the digests' ASCII bytes, as
+    ``psi_align`` sends it, is recorded as the list of strings is."""
+    digests = digest_payload()
+    array = np.array(digests, dtype=C.DIGEST_DTYPE)
+    t = RoundTranscript()
+    assert t.send(-1, "party_0", "server", "psi", array) is array
+    t.send(-1, "party_1", "server", "psi", digests)
+    t.send(-1, "server", "party_0", "psi", digests[1:])
+    first, second, third = t.records
+    assert (first.elements, first.bytes) == (second.elements, second.bytes) == (5, 160)
+    assert first.payload == ",".join(digests)
+    # an equal text is the last record's string; an unequal one is its own
+    assert second.payload is first.payload
+    assert third.payload == ",".join(digests[1:])
+    # the text is built in one buffer, so a list must hold one digest length
+    with pytest.raises(ProtocolError, match="digests of one length"):
+        t.send(-1, "server", "party_1", "psi", [digests[0], digests[1][:-1]])
+    assert len(t.records) == 3
+
+
 def test_unknown_kind_records_nothing():
     t = RoundTranscript()
     with pytest.raises(ProtocolError, match="unknown message kind 'logits'"):
