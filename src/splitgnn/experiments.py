@@ -274,7 +274,7 @@ def run_experiment(config: ExperimentConfig):
             [p.trainable() for p in session.participants] + [session.server_params])
         if metered:
             last_transcript = session.transcript
-            rounds_total = session._round
+            rounds_total = len({r.round for r in last_transcript.records if r.round >= 0})
         for h in history:
             rows.append(MetricsRow(
                 digest=config.digest(seed),

@@ -12,6 +12,14 @@ since [x_1 … x_I] @ W equals Σ_i x_i @ W_i.  Every message moves through
 :meth:`RoundTranscript.send`, which meters it and hands the receiver the
 value it computes from.
 
+A round is named by its caller's ``step``: every record, ciphertext and
+decryption event of ``train_round(batch, step)`` carries round ``step``,
+which also keys the server's dropout and, in a secure run, names the
+round's blinding stream.  A step must exceed the transcript's last round
+(the PSI's -1 before the first), so round numbers are unique and increasing
+with no counter.  A round that fails leaves no trace: no record, no
+parameter or optimizer change, and no draw that a later round would see.
+
 The "Entire" and "Standalone" baselines are sessions with one participant,
 where the cut changes nothing: under concat or average they train exactly
 as one model on one tape would, and the single-tape oracle that checks this
@@ -257,11 +265,9 @@ class SplitSession:
             "hidden_dim": d,
         })
         self.keypair = None
-        self._enc_rng = random.Random(repr(stable_seed(config.seed, "paillier-blind")))
         if config.secure:
             self.keypair = C.keygen(config.key_bits, seed=(config.seed, "keygen"))
         self.aligned = False
-        self._round = 0
 
     # -- alignment -----------------------------------------------------------
 
@@ -290,10 +296,14 @@ class SplitSession:
     # -- one communication round ----------------------------------------------
 
     def _node_ids(self, ids) -> np.ndarray:
-        """``ids`` as an int64 vector, refused with ``DomainError`` before
-        any party computes unless it is a vector of integers naming at least
-        one node and only nodes of the graph: a cast would truncate 1.7 to
-        node 1 and read a boolean mask as nodes 1 and 0."""
+        """``ids`` as an int64 vector of aligned nodes, checked before any
+        party computes.  Before ``align`` no id names a common node, which is
+        refused with ``ProtocolError``; otherwise ``ids`` is refused with
+        ``DomainError`` unless it is a vector of integers naming at least one
+        node and only nodes of the graph: a cast would truncate 1.7 to node
+        1 and read a boolean mask as nodes 1 and 0."""
+        if not self.aligned:
+            raise ProtocolError("session is not aligned; call align() first")
         ids = np.asarray(ids)
         n = len(self.external_ids)
         if ids.size == 0:
@@ -307,11 +317,19 @@ class SplitSession:
         return ids.astype(np.int64, copy=False)
 
     def train_round(self, batch, step: int) -> float:
-        if not self.aligned:
-            raise ProtocolError("session is not aligned; call align() first")
+        """One round on ``batch``, named ``step``, returning its loss.
+
+        ``step`` must be an integer above the transcript's last round, the
+        PSI's -1 before the first round; a repeated, lower or negative step
+        is refused with ``ProtocolError`` before any party computes.  A round
+        that fails leaves no trace: its records and decryption events are
+        dropped, no party updates, and its blinding draws came from a stream
+        of its own, so retrying the step sends what it would have sent."""
         batch = self._node_ids(batch)
-        # a round that fails leaves no records or decryption events behind
         records, decryptions = self.transcript.records, self.transcript.decryptions
+        last = records[-1].round if records else -1
+        if not (isinstance(step, int) and step > last):
+            raise ProtocolError(f"step {step!r} does not follow round {last}")
         marks = len(records), len(decryptions)
         try:
             return self._train_round(batch, step)
@@ -340,11 +358,12 @@ class SplitSession:
         # uplink and the server's sum, which in a secure run it learns alone
         names = [p.name for p in self.participants]
         if cfg.secure:
-            combined = C.secure_sum(locals_, self.keypair, self._enc_rng, self.transcript,
-                                    self._round, names)
+            blinding = random.Random(repr(stable_seed(cfg.seed, "paillier-blind", step)))
+            combined = C.secure_sum(locals_, self.keypair, blinding, self.transcript,
+                                    step, names)
         else:
             combined = combine_sum([
-                self.transcript.send(self._round, name, "server", "embedding", x)
+                self.transcript.send(step, name, "server", "embedding", x)
                 for name, x in zip(names, locals_)])
 
         server_tape = T.Tape()
@@ -355,17 +374,17 @@ class SplitSession:
         labels = self.label_holder.view.graph.labels[batch]
         if np.any(labels < 0):
             raise RoleError("label holder lacks labels for the batch")
-        hidden = self.transcript.send(self._round, "server", self.label_holder.name,
+        hidden = self.transcript.send(step, "server", self.label_holder.name,
                                       "hidden", server_out.values)
         loss, hidden_grad = label_forward_loss(T.Tape(), hidden, self.label_holder.head,
                                                labels)
 
         # server backward and routing across the lower cut
         server_tape.backward(server_out, seed_grad=self.transcript.send(
-            self._round, self.label_holder.name, "server", "gradient", hidden_grad))
+            step, self.label_holder.name, "server", "gradient", hidden_grad))
         routed = backward_route(server_in.grad, len(self.participants))
         for p, tape, emb, g in zip(self.participants, tapes, embeds, routed):
-            received = self.transcript.send(self._round, "server", p.name, "gradient", g)
+            received = self.transcript.send(step, "server", p.name, "gradient", g)
             tape.backward(emb, seed_grad=received)
 
         # everyone updates locally, and nobody does unless every gradient is
@@ -376,7 +395,6 @@ class SplitSession:
         for p, params in zip(self.participants, trainables):
             p.optimizer.step(params)
         self.server_optimizer.step(self.server_params)
-        self._round += 1
         return loss.item()
 
     # -- inference -----------------------------------------------------------

@@ -7,7 +7,10 @@ and the PSI salt) draws from a stream named by a tuple such as
 SHA-256 here and for the salt, and by ``random.Random``'s own string seeding
 for the keys), so streams are stable across processes and platforms and two
 different keys never share a stream in practice.  No draw reads the
-operating system's entropy or a global random state.
+operating system's entropy or a global random state, and no generator
+outlives the work it draws for: a secure round's encryption blinding, like
+its dropout, comes from a stream named by (seed, step) and built inside the
+round, so a round that fails shifts no later round's draws.
 """
 
 from __future__ import annotations

@@ -225,6 +225,44 @@ def test_every_draw_is_seeded():
     assert not unseeded, "random draws not derived from a seed: " + ", ".join(unseeded)
 
 
+GENERATORS = ("random.Random", "np.random.default_rng", "stable_rng")
+
+
+def test_no_generator_outlives_a_call():
+    """A generator is built where it draws and dropped with the call that
+    built it, never kept on an object or a module, so a draw is a function
+    of the key that names its stream: a kept stream would hand a round
+    whatever a failed round before it left."""
+    kept = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path)
+        module_level = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)) \
+                    or not isinstance(node.value, ast.Call) \
+                    or ast.unparse(node.value.func) not in GENERATORS:
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            kept += [f"{path.name}:{node.lineno}: {ast.unparse(target)}"
+                     for target in targets if isinstance(target, ast.Attribute)
+                     or isinstance(target, ast.Name) and id(node) in module_level]
+    assert not kept, "generators stored beyond the call that built them: " \
+        + ", ".join(kept)
+
+
+def test_no_private_attribute_of_another_object_is_read():
+    """A single-underscore attribute is read only through ``self`` or
+    ``cls``: what one object, module or class keeps to itself no other part
+    of the program reads."""
+    reads = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(parse(path))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+             and node.attr.startswith("_") and not node.attr.startswith("__")
+             and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))]
+    assert not reads, "private attributes read through another object: " + ", ".join(reads)
+
+
 # the functions of src/splitgnn that may call hashlib, each for its own
 # purpose: the PSI digest, the PSI salt, seeded streams and config digests
 HASHING_FUNCTIONS = {"crypto.psi_digest", "crypto.fresh_salt", "seeding.stable_seed",

@@ -2,7 +2,9 @@
 checks, and prints the metrics BENCHMARK.json names.  Each tiny run takes
 about 2 s on a 2-CPU box, secure_avg's 512-bit Paillier included.  A tiny
 graph's edge lists fit in one ``models.EDGE_BUDGET`` range, so one tiny hat
-run, in process, lowers the budget to run its training in many ranges.
+run, in process, lowers the budget to run its training in many ranges.  A
+round that fails is one failed operation and nothing more, so tiny runs in
+which one round raises still pass every output check.
 """
 
 import json
@@ -14,6 +16,7 @@ import pytest
 
 from conftest import load_run_module
 from splitgnn import models as M
+from splitgnn import protocol as P
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -54,3 +57,27 @@ def test_tiny_hat_run_in_edge_ranges(monkeypatch, tmp_path):
     assert run.check(result) == []
     assert result.failed == 0
     assert max(taped) > 1
+
+
+@pytest.mark.parametrize("workload", ["hat_desk", "secure_avg"])
+def test_a_failed_round_is_one_failed_operation(monkeypatch, tmp_path, workload):
+    """Step 2's round raises once, after its uplink was sent (and, when
+    secure, decrypted): the run counts one failed operation, and the later
+    rounds keep their step numbers and blinding, so the audit and every
+    other output check still hold."""
+    run = load_run_module()
+    forward = P.ServerNet.forward
+    raised = []
+
+    def failing_once(server, tape, x, step=0, training=False):
+        if training and step == 2 and not raised:
+            raised.append(step)
+            raise RuntimeError("injected fault")
+        return forward(server, tape, x, step=step, training=training)
+
+    monkeypatch.setattr(P.ServerNet, "forward", failing_once)
+    result = run.run_workload(run.WORKLOADS[workload], 1, 1.0, tmp_path, tiny=True)
+    assert raised == [2]
+    assert result.failed == 1
+    assert 2 not in result.steps and result.steps[:2] == [0, 1] and len(result.steps) > 2
+    assert run.check(result) == []

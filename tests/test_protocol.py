@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -218,10 +220,19 @@ class TestSessionBasics:
                        session_config(strategy="average", secure=True))
         assert built == ["make_encoder", "make_encoder", "RoundTranscript", "keygen"]
 
-    def test_unaligned_round_rejected(self, tiny_bundle):
+    def test_unaligned_round_rejected(self, tiny_bundle, monkeypatch):
+        # before the PSI no id names a common node, so nothing is trained
+        # or predicted, and no encoder runs
         session = P.SplitSession(make_views(tiny_bundle, [5, 5]), session_config())
-        with pytest.raises(ProtocolError, match="align"):
-            session.train_round([0, 1], step=0)
+        calls = []
+        for p in session.participants:
+            monkeypatch.setattr(p.encoder, "forward", lambda *a, **k: calls.append(a))
+        for call in (lambda: session.train_round([0, 1], step=0),
+                     lambda: session.predict([0, 1]), lambda: session.evaluate("val")):
+            with pytest.raises(ProtocolError, match="not aligned; call align"):
+                call()
+        assert calls == []
+        assert len(session.transcript) == 0
 
     def test_two_label_holders_rejected(self, tiny_bundle):
         views = make_views(tiny_bundle, [5, 5])
@@ -269,7 +280,6 @@ class TestSessionBasics:
         with pytest.raises(DomainError, match=f"^split '{split}' is empty$"):
             session.train()
         assert not [r for r in session.transcript.records if r.round >= 0]
-        assert session._round == 0
 
     def test_batch_exceeding_train_rejected(self, tiny_bundle):
         session = P.SplitSession(make_views(tiny_bundle, [5, 5]),
@@ -368,6 +378,129 @@ class TestSessionBasics:
         assert [(e.round, e.aggregated) for e in session.transcript.decryptions] == [
             (0, True)]
         assert C.transcript_audit(session.transcript).ok
+
+    @pytest.mark.parametrize("secure,fault", [(False, "nan"), (True, "nan"),
+                                              (True, "fixed-point")])
+    def test_a_failed_round_shifts_no_later_round_number(self, tiny_bundle, monkeypatch,
+                                                          secure, fault):
+        # a round is named by its step, not by how many rounds succeeded
+        # before it: the round after a failed step k is recorded as k + 1
+        session = P.SplitSession(
+            make_views(tiny_bundle, [5, 5]),
+            session_config(strategy="average", secure=secure,
+                           encoder=encoder_config(kind="gcn", layers=1)))
+        session.align()
+        batch = session._split_ids("train")[:8]
+        session.train_round(batch, step=0)
+        with monkeypatch.context() as patch:
+            if fault == "nan":
+                # every message is sent before the finite check fails
+                victim = session.participants[1].encoder.params
+                poisoned = victim[sorted(victim)[-1]]
+                backward = T.Tape.backward
+
+                def poisoning(tape, *args, **kwargs):
+                    backward(tape, *args, **kwargs)
+                    poisoned.grad = np.full_like(poisoned.values, np.nan)
+
+                patch.setattr(T.Tape, "backward", poisoning)
+                error = NumericError
+            else:
+                # ω = 2^40 puts participant 1's term outside the fixed-point range
+                patch.setattr(session.participants[1].weight, "values", np.full(4, 2.0**40))
+                error = DomainError
+            with pytest.raises(error):
+                session.train_round(batch, step=1)
+        session.train_round(batch, step=2)
+        rounds = [r.round for r in session.transcript.records if r.round >= 0]
+        assert rounds == [0] * 6 + [2] * 6
+        events = [(e.round, e.aggregated) for e in session.transcript.decryptions]
+        assert events == ([(0, True), (2, True)] if secure else [])
+
+    def test_a_retried_secure_round_sends_the_ciphertexts_of_an_unfailed_one(
+            self, tiny_bundle, monkeypatch):
+        # a round's blinding stream is named by its step, so a round that
+        # failed after its ciphertexts were sent draws nothing a retry of
+        # the step, or a later step, would draw
+        sent = []
+        send = P.RoundTranscript.send
+
+        def spy(transcript, round_index, sender, receiver, kind, payload):
+            if kind == "ciphertext":
+                sent.append((round_index, sender, [c.value for c in payload]))
+            return send(transcript, round_index, sender, receiver, kind, payload)
+
+        monkeypatch.setattr(P.RoundTranscript, "send", spy)
+
+        def session():
+            s = P.SplitSession(
+                make_views(tiny_bundle, [5, 5]),
+                session_config(strategy="concat", secure=True,
+                               encoder=encoder_config(kind="gcn", layers=1)))
+            s.align()
+            return s, s._split_ids("train")[:8]
+
+        clean, batch = session()
+        for step in range(3):
+            clean.train_round(batch, step=step)
+        want, sent[:] = list(sent), []
+
+        failing, batch = session()
+        failing.train_round(batch, step=0)
+        poisoned = failing.server_params["server/l1/W"]
+        backward = T.Tape.backward
+
+        def poisoning(tape, *args, **kwargs):
+            backward(tape, *args, **kwargs)
+            poisoned.grad = np.full_like(poisoned.values, np.nan)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(T.Tape, "backward", poisoning)
+            with pytest.raises(NumericError, match="server/l1/W"):
+                failing.train_round(batch, step=1)
+        for step in (1, 2):
+            failing.train_round(batch, step=step)
+        assert len(want) == 6
+        assert sent == want[:4] + want[2:]
+
+    @pytest.mark.parametrize("step", [1, 0, -1, -5, 2.0])
+    def test_a_step_that_does_not_follow_the_last_round_is_refused(
+            self, tiny_bundle, monkeypatch, step):
+        """A repeated, lower, negative or non-integer step is refused with
+        ``ProtocolError`` before any party computes: no record, no optimizer
+        step."""
+        session = P.SplitSession(make_views(tiny_bundle, [5, 5]),
+                                 session_config(optimizer="adam"))
+        session.align()
+        batch = session._split_ids("train")[:8]
+        with pytest.raises(ProtocolError, match=r"^step -1 does not follow round -1$"):
+            session.train_round(batch, step=-1)
+        for k in (0, 1):
+            session.train_round(batch, step=k)
+        records = list(session.transcript.records)
+        calls = []
+        for p in session.participants:
+            monkeypatch.setattr(p.encoder, "forward", lambda *a, **k: calls.append(a))
+        with pytest.raises(ProtocolError, match=rf"^step {step!r} does not follow round 1$"):
+            session.train_round(batch, step=step)
+        assert calls == []
+        assert session.transcript.records == records
+        assert [p.optimizer._t for p in session.participants] == [2, 2]
+        assert session.server_optimizer._t == 2
+
+    def test_a_second_train_is_refused_before_any_round(self, tiny_bundle):
+        # train() numbers its rounds from step 0, which a trained session's
+        # transcript has already used
+        session = P.SplitSession(make_views(tiny_bundle, [5, 5]),
+                                 session_config(optimizer="adam", epochs=1))
+        session.train()
+        records = list(session.transcript.records)
+        last = records[-1].round
+        with pytest.raises(ProtocolError, match=rf"^step 0 does not follow round {last}$"):
+            session.train()
+        assert session.transcript.records == records
+        assert [p.optimizer._t for p in session.participants] == [last + 1] * 2
+        assert session.server_optimizer._t == last + 1
 
     @pytest.mark.parametrize("kind", ["gcn", "hat"])
     @pytest.mark.parametrize("batch,message", [
@@ -540,7 +673,7 @@ class TestSecureRounds:
                 omegas = [p.weight.values for p in session.participants]
                 assert all(np.array_equal(w, np.full(4, 0.5)) for w in omegas)
             locals_ = [w * l for w, l in zip(omegas, locals_)]
-        got = C.secure_sum(locals_, session.keypair, session._enc_rng, session.transcript,
+        got = C.secure_sum(locals_, session.keypair, random.Random(0), session.transcript,
                            0, [p.name for p in session.participants])
 
         s = C.SCALE_BITS
@@ -568,13 +701,14 @@ class TestSecureRounds:
         assert session.config.key_bits == 512
         locals_ = [np.full((2, 4), 0.5), np.full((2, 4), -0.25)]
         locals_[1][1, 2] = 2.0**20
-        state = session._enc_rng.getstate()
+        blinding = random.Random(0)
+        state = blinding.getstate()
         records = list(session.transcript.records)
         with pytest.raises(DomainError, match=(
                 r"party_1 element 6: value 1048576.0 is outside the fixed-point range")):
-            C.secure_sum(locals_, session.keypair, session._enc_rng, session.transcript,
+            C.secure_sum(locals_, session.keypair, blinding, session.transcript,
                          0, [p.name for p in session.participants])
-        assert session._enc_rng.getstate() == state
+        assert blinding.getstate() == state
         assert session.transcript.records == records
         assert not session.transcript.decryptions
 
