@@ -217,16 +217,6 @@ class DatasetBundle:
             mp.check_against(self.graph)
 
 
-def _parse_floats(text: str, path, lineno: int) -> list[float]:
-    text = text.strip()
-    if not text:
-        return []
-    try:
-        return [float(tok) for tok in text.split(",")]
-    except ValueError as exc:
-        raise ParseError(f"{path}:{lineno}: bad float list: {exc}") from None
-
-
 def _read_rows(path: Path, n_fields: int, min_fields: int | None = None):
     if not path.exists():
         raise ParseError(f"{path}: missing file")
@@ -245,42 +235,37 @@ def _read_rows(path: Path, n_fields: int, min_fields: int | None = None):
             yield lineno, fields
 
 
-def _read_table(path: Path, ids: dict[str, int], n_ids: int, min_fields: int,
-                noun: str):
-    """A table file read row by row, ``float()`` per value: the index column
-    of each id field and the float64 matrix.  Raises the ``path:line``
-    ParseError of the first bad row."""
-    columns: list[list[int]] = [[] for _ in range(n_ids)]
-    values, width = [], None
-    for lineno, fields in _read_rows(path, n_ids + 1, min_fields):
-        for column, ext in zip(columns, fields[:n_ids]):
-            idx = ids.get(ext)
-            if idx is None:
-                raise ParseError(f"{path}:{lineno}: unknown node id {ext!r}")
-            column.append(idx)
-        row = _parse_floats(fields[n_ids], path, lineno) if len(fields) > n_ids else []
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(f"{path}:{lineno}: expected {width} {noun}, got {len(row)}")
-        values.append(row)
-    table = np.array(values, dtype=np.float64).reshape(len(values), width or 0)
-    return [np.array(column, dtype=np.int64) for column in columns], table
+def _floats(lines) -> np.ndarray:
+    """The float64 matrix of comma-separated float lists, one a line: the
+    one float grammar of a dataset's files, numpy's ``loadtxt`` tokens."""
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
 
 
-# the id fields a streamed table holds as strings before it looks them up
+def _reads_as_floats(text: str) -> bool:
+    if not text:  # loadtxt skips an empty line
+        return False
+    try:
+        _floats([text])
+    except ValueError:
+        return False
+    return True
+
+
+# the id fields a table file's stream holds as strings before it looks them up
 LOOKUP_CHUNK = 1 << 14
 
 
-def _stream_table(path: Path, ids: dict[str, int], n_ids: int):
-    """A table file in one streaming pass: the node indexes of its id
-    fields, flat in row order, and its float64 matrix from a single
-    ``np.loadtxt`` call.  The id strings are looked up every
-    ``LOOKUP_CHUNK`` ids and dropped, so no file's worth of them is held.
+def _float_table(path: Path, ids: dict[str, int], n_ids: int, min_fields: int,
+                 noun: str):
+    """The index column of each id field and the float64 matrix of a file
+    of rows ``id <TAB> ... <TAB> float,float,...``, ``noun`` naming the
+    floats in a wrong-count error.  A row without floats (an empty or blank
+    list, or none where ``min_fields`` is ``n_ids``) makes every row so.
 
-    Reads only regular files: every row has ``n_ids`` known ids and a float
-    list numpy parses.  Raises on anything else, a row without floats
-    included."""
+    One streaming pass: a generator hands each row's float list to one
+    ``loadtxt`` call and looks its ids up every ``LOOKUP_CHUNK``, so no
+    file's worth of id strings is held.  A file the pass refuses is read
+    again only to raise its first bad row's error."""
     keys: list[str] = []
     index: list[np.ndarray] = []
 
@@ -293,44 +278,59 @@ def _stream_table(path: Path, ids: dict[str, int], n_ids: int):
             if line.isspace():
                 continue
             fields = line.split("\t", n_ids + 1)
-            text = fields.pop()
-            if len(fields) != n_ids:
-                raise ValueError(f"a row of {len(fields) + 1} fields")
+            if len(fields) == n_ids + 1:
+                text = fields.pop()
+            elif len(fields) == n_ids == min_fields:  # no float field
+                fields[-1] = fields[-1].rstrip("\n")
+                text = ""
+            else:
+                raise ValueError(f"a row of {len(fields)} fields")
             keys.extend(fields)
             if len(keys) >= LOOKUP_CHUNK:
                 look_up()
             yield text
 
-    with open(path, encoding="utf-8") as fh:
-        first = next((line for line in fh if not line.isspace()), None)
-        if first is None:
-            return np.zeros(0, dtype=np.int64), np.zeros((0, 0))
-        head = first.split("\t")
-        if len(head) != n_ids + 1 or not head[-1].strip():
-            raise ValueError("a row without floats")
-        table = np.loadtxt(float_lists(chain([first], fh)), delimiter=",",
-                           comments=None, ndmin=2)
-        look_up()
-        flat = np.concatenate(index)
-        if len(flat) != n_ids * len(table):  # loadtxt skips an empty list
-            raise ValueError("a row without floats")
-        return flat, table
-
-
-def _float_table(path: Path, ids: dict[str, int], n_ids: int, min_fields: int,
-                 noun: str):
-    """The index column of each id field and the float64 matrix of a file
-    of rows ``id <TAB> ... <TAB> float,float,...``, ``noun`` naming the
-    floats in a wrong-count error."""
     try:
-        index, table = _stream_table(path, ids, n_ids)
-        return [index[k::n_ids].copy() for k in range(n_ids)], table
-    except Exception:
-        # A missing file, a bad row, an unknown id, rows without floats, or a
-        # token such as 1_0 that float() reads and numpy does not: the row
-        # reader raises the first bad row's error or returns the values
-        # float() gives.
-        return _read_table(path, ids, n_ids, min_fields, noun)
+        with open(path, encoding="utf-8") as fh:
+            texts = float_lists(fh)
+            first = next(texts, "")
+            if first.strip():
+                table = _floats(chain([first], texts))
+            elif any(map(str.strip, texts)):
+                raise ValueError("floats after a row without")
+            look_up()
+        flat = np.concatenate(index)
+        index.clear()  # freed before the column copies, it leaves no heap holes
+        if not first.strip():
+            table = np.empty((len(flat) // n_ids, 0))
+        if len(flat) != n_ids * len(table):  # loadtxt skips an empty line
+            raise ValueError("a row without floats after a row with")
+        return [flat[k::n_ids].copy() for k in range(n_ids)], table
+    except (OSError, ValueError, KeyError):
+        _raise_first_bad_row(path, ids, n_ids, min_fields, noun)
+        raise
+
+
+def _raise_first_bad_row(path: Path, ids: dict[str, int], n_ids: int,
+                         min_fields: int, noun: str) -> None:
+    """Raise the ``path:line`` ParseError of a table file's first bad row,
+    checking each row's ids, then its floats, then their count; returns
+    if every row is good."""
+    width = None
+    for lineno, fields in _read_rows(path, n_ids + 1, min_fields):
+        for ext in fields[:n_ids]:
+            if ext not in ids:
+                raise ParseError(f"{path}:{lineno}: unknown node id {ext!r}")
+        text = fields[n_ids].strip() if len(fields) > n_ids else ""
+        tokens = text.split(",") if text else []
+        if tokens and not _reads_as_floats(text):
+            bad = next((tok for tok in tokens if not _reads_as_floats(tok)), text)
+            raise ParseError(f"{path}:{lineno}: bad float list: could not convert "
+                             f"string to float: {bad!r}")
+        if width is None:
+            width = len(tokens)
+        elif len(tokens) != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} {noun}, got {len(tokens)}")
 
 
 def load_dataset(directory) -> DatasetBundle:
@@ -345,8 +345,8 @@ def load_dataset(directory) -> DatasetBundle:
                          edge features all of one length (none: two fields
                          or an empty third), every src of one node type and
                          every dst of one
-    ``labels.tsv``       ``id <TAB> class``, a class index >= 0 and below
-                         the node count; an unlisted node is unlabeled
+    ``labels.tsv``       ``id <TAB> class``, a class index in ASCII digits
+                         below the node count; an unlisted node is unlabeled
     ``metapaths.txt``    a comma-separated list of relation names a line,
                          each an edge file's, and each starting at the
                          node type the one before it ends at
@@ -354,9 +354,10 @@ def load_dataset(directory) -> DatasetBundle:
                          once, and only a labeled node
 
     Lines end in ``\\n``, ``\\r\\n`` or ``\\r``; blank lines are skipped but
-    counted.  A feature is what Python's ``float()`` reads: an optionally
-    signed decimal or exponent form, ``inf`` or ``nan``, with whitespace
-    around it allowed, and also ``1_0`` or non-ASCII digits.
+    counted.  A feature is what numpy's ``loadtxt`` reads, the one float
+    grammar of every table file: an optionally signed decimal or exponent
+    form, ``inf``, ``infinity`` or ``nan`` in any case, in ASCII, with
+    whitespace around it allowed.
 
     Every error is a ParseError that starts with the file's path, and, for a
     bad row, its line: ``path:line: message``.  The files are read in the
@@ -367,11 +368,10 @@ def load_dataset(directory) -> DatasetBundle:
     parsed as a stream: one ``np.loadtxt`` call per file reads the rows'
     float lists from a generator that splits off the id fields and looks up
     their node indexes a chunk at a time, so no whole file is held as a
-    string or as id strings, and no value becomes a Python float.
-    A file that pass cannot take as it stands, because of an error, rows
-    without floats or a token numpy does not read such as ``1_0``, is read
-    again row by row with ``float()``, which raises the first bad row's error
-    or gives the same values.  The parsed feature table is the graph's
+    string or as id strings, and no value becomes a Python float.  A file
+    without floats is streamed the same way, without the ``loadtxt`` call.
+    A bad file is read a second time only to find its first bad row and
+    raise that row's error.  The parsed feature table is the graph's
     feature matrix when its rows are already in node order, each node once,
     as ``save_dataset`` writes them; only other orders are gathered into a
     copy.
@@ -423,12 +423,9 @@ def load_dataset(directory) -> DatasetBundle:
     labels = np.full(len(types), -1, dtype=np.int64)
     labels_path = directory / "labels.tsv"
     for lineno, (ext, lab) in _read_rows(labels_path, 2):
-        try:
-            label = int(lab)
-        except ValueError:
-            label = -1
-        if label < 0:
+        if not (lab.isascii() and lab.isdigit()):
             raise ParseError(f"{labels_path}:{lineno}: bad class index {lab!r}")
+        label = int(lab)
         if label >= len(types):
             raise ParseError(f"{labels_path}:{lineno}: class index {label} is not below "
                              f"the node count {len(types)}")

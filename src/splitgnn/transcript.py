@@ -194,7 +194,8 @@ class RoundTranscript:
                     _sidecar_part(sidecar, "decryptions", meta.get("decryptions", []), list))]
             payloads = _sidecar_part(sidecar, "payloads", meta.get("payloads", {}), dict)
             for key, payload in payloads.items():
-                if not key.isdigit() or int(key) >= len(out.records):
+                canonical = key.isascii() and key.isdigit() and key == str(int(key))
+                if not canonical or int(key) >= len(out.records):
                     raise ParseError(f"{sidecar}: payload index {key!r} names no record "
                                      f"of {path} ({len(out.records)} records)")
                 out.records[int(key)].payload = _sidecar_part(

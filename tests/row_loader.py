@@ -1,6 +1,9 @@
 """The dataset-directory loader as it read files before the streaming parse:
 one ``float()`` per token and one Python call per row.  Kept as the oracle
-that ``graph.load_dataset`` must match, array for array and error for error."""
+that ``graph.load_dataset`` must match, array for array and error for error.
+
+It reads numbers by the loader's one grammar: ``float()`` of a token that
+numpy's ``loadtxt`` also reads, and a class index of ASCII digits."""
 
 from pathlib import Path
 
@@ -15,9 +18,18 @@ def _parse_floats(text: str, path, lineno: int) -> list[float]:
     if not text:
         return []
     try:
-        return [float(tok) for tok in text.split(",")]
+        return [_float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ParseError(f"{path}:{lineno}: bad float list: {exc}") from None
+
+
+def _float(tok: str) -> float:
+    """``float(tok)``, refusing what it reads and numpy refuses: an
+    underscore or a non-ASCII character inside the whitespace around it."""
+    core = tok.strip()
+    if "_" in core or not core.isascii():
+        raise ValueError(f"could not convert string to float: {tok!r}")
+    return float(tok)
 
 
 def _read_rows(path: Path, n_fields: int, min_fields: int | None = None):
@@ -107,12 +119,9 @@ def load_dataset_by_rows(directory) -> DatasetBundle:
     labels = np.full(len(types), -1, dtype=np.int64)
     labels_path = directory / "labels.tsv"
     for lineno, (ext, lab) in _read_rows(labels_path, 2):
-        try:
-            label = int(lab)
-        except ValueError:
-            label = -1
-        if label < 0:
+        if not (lab.isascii() and lab.isdigit()):
             raise ParseError(f"{labels_path}:{lineno}: bad class index {lab!r}")
+        label = int(lab)
         if label >= len(types):
             raise ParseError(f"{labels_path}:{lineno}: class index {label} is not below "
                              f"the node count {len(types)}")

@@ -581,6 +581,11 @@ class TestCli:
          "transcript.meta.json: payload index '2' names no record"),
         ([("0", "4", "32", "false")], {"-1": "n0"},
          "transcript.meta.json: payload index '-1' names no record"),
+        # a digit int() does not read, and a second name for record 1
+        ([("0", "4", "32", "false")], {"\u00b2": "n0"},
+         "transcript.meta.json: payload index '\u00b2' names no record"),
+        ([("0", "4", "32", "false"), ("0", "4", "32", "false")], {"01": "n0"},
+         "transcript.meta.json: payload index '01' names no record"),
     ])
     def test_audit_malformed_transcript_is_exit_1(self, tmp_path, capsys, rows,
                                                   payloads, message):

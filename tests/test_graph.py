@@ -1,5 +1,4 @@
 import tempfile
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +119,11 @@ LOADER_ERRORS = {
         {"labels.tsv": "a\t0\nb\tone\n"}, "{d}/labels.tsv:2: bad class index 'one'"),
     "negative-class-index": (
         {"labels.tsv": "a\t-1\nb\t1\n"}, "{d}/labels.tsv:1: bad class index '-1'"),
+    # int() reads these; a class index is ASCII digits and nothing else
+    "class-index-not-ascii-digits": (
+        {"labels.tsv": "a\t0\nb\t\u0661\n"}, "{d}/labels.tsv:2: bad class index '\u0661'"),
+    "class-index-with-space": (
+        {"labels.tsv": "a\t 1\nb\t1\n"}, "{d}/labels.tsv:1: bad class index ' 1'"),
     # a class needs a node, so a class index below the node count bounds the
     # label head
     "class-index-past-node-count": (
@@ -162,6 +166,13 @@ LOADER_ERRORS = {
     "crlf-lines-counted": (
         {"features.tsv": "a\t1.0,0.5\r\nb\t-0.25,2.0\r\nc\t0.0,1.5,1\r\n"},
         "{d}/features.tsv:3: expected 2 features, got 3"),
+    # past the 50,000 lines loadtxt reads from its input at a time
+    "bad-token-past-a-loadtxt-chunk": (
+        {"edges_cites.tsv": "a\tb\t0.75\n" * 60_000 + "b\tc\t1_0\n"},
+        "{d}/edges_cites.tsv:60001: " + BAD_FLOAT + " '1_0'"),
+    "late-unknown-id-without-edge-features": (
+        {"edges_cites.tsv": "a\tb\nb\tc\t\n\nc\ta\t \nb\tzz\n"},
+        "{d}/edges_cites.tsv:5: unknown node id 'zz'"),
 }
 
 
@@ -309,10 +320,8 @@ FOUR_NODES = {
     "nodes.tsv": "a\tdoc\nb\tdoc\nc\tdoc\nd\tdoc\n",
 }
 
-# Hand-written directories (file name to text) that only the streaming parse
-# reads, and those with files it leaves to the row reader: rare tokens, or
-# rows without floats.
-STREAMED = {
+# Hand-written directories (file name to text)
+HAND_WRITTEN = {
     "numbers": {
         **FOUR_NODES,
         # CRLF, blank and whitespace lines, rows out of order, b repeated
@@ -329,11 +338,9 @@ STREAMED = {
         "features.tsv": "a\t1,2\rb\t3,4\rc\t5,6\rd\t7,8\r",
         "edges_cites.tsv": "a\tb\t0.5\r\n\rb\tc\t-0.5\n",
     },
-    # rejected by both loaders, before any file is read row by row
+    # rejected by both loaders
     "empty": {"nodes.tsv": "", "features.tsv": "", "labels.tsv": "",
               "splits.tsv": "", "metapaths.txt": ""},
-}
-ROW_READ = {
     "no-edge-features": {
         **FOUR_NODES,
         "features.tsv": "a\t1\nb\t2\nc\t3\nd\t4",
@@ -346,6 +353,7 @@ ROW_READ = {
         "features.tsv": "a\t\nb\t \nc\t\nd\t\n",
         "edges_cites.tsv": "a\tb\t1,2\nb\tc\t3,4\n",
     },
+    # tokens float() reads and numpy does not: refused by both loaders
     "rare-tokens": {
         **FOUR_NODES,
         "features.tsv": "a\t1_0,١\nb\t2,3\nc\t٣.٥,4\nd\t5,6\n",
@@ -391,47 +399,32 @@ class TestLoaderParity:
         assert_same_bundle(G.load_dataset(tmp_path), load_dataset_by_rows(tmp_path))
         assert [str(w.message) for w in recwarn] == []
 
-    @pytest.mark.parametrize("name", sorted(STREAMED) + sorted(ROW_READ))
+    @pytest.mark.parametrize("name", sorted(HAND_WRITTEN))
     def test_hand_written(self, tmp_path, recwarn, name):
-        write_dataset(tmp_path, {**STREAMED, **ROW_READ}[name])
+        write_dataset(tmp_path, HAND_WRITTEN[name])
         assert_same_outcome(load_outcome(G.load_dataset, tmp_path),
                             load_outcome(load_dataset_by_rows, tmp_path))
         assert [str(w.message) for w in recwarn] == []
 
-    @pytest.mark.parametrize("name", sorted(STREAMED) + ["synthetic"])
-    def test_regular_files_are_streamed(self, tmp_path, monkeypatch, name):
-        """Ordinary files never fall back to the row-by-row read."""
-        if name == "synthetic":
-            G.save_dataset(small_synthetic(seed=3), tmp_path)
-        else:
-            write_dataset(tmp_path, STREAMED[name])
-        want = load_outcome(load_dataset_by_rows, tmp_path)
-
-        def row_read(path, *args):
-            raise AssertionError(f"{path.name} was read row by row")
-
-        monkeypatch.setattr(G, "_read_table", row_read)
-        assert_same_outcome(load_outcome(G.load_dataset, tmp_path), want)
-
     @pytest.mark.parametrize("chunk", [1, 3])
-    @pytest.mark.parametrize("name", sorted(STREAMED) + ["synthetic", "late-unknown-id"])
+    @pytest.mark.parametrize("name", sorted(HAND_WRITTEN) + [
+        "synthetic", "late-unknown-id", "late-unknown-id-without-edge-features"])
     def test_ids_looked_up_a_chunk_at_a_time(self, tmp_path, monkeypatch, chunk, name):
         """The streamed parse looks ids up every ``LOOKUP_CHUNK`` ids; any
-        chunk gives the row reader's bundle, without falling back to it,
-        and an unknown id past the first chunk gives its error."""
+        chunk gives the row reader's bundle, and an unknown id past the
+        first chunk gives its error."""
+        edges = {"late-unknown-id": "a\tb\t1\nb\tc\t2\nc\td\t3\nd\tzz\t4\n",
+                 "late-unknown-id-without-edge-features": "a\tb\nb\tc\nc\td\nd\tzz\n"}
         if name == "synthetic":
             G.save_dataset(small_synthetic(seed=3), tmp_path)
-        elif name == "late-unknown-id":
-            write_dataset(tmp_path, {
-                **FOUR_NODES, "features.tsv": "a\t1\nb\t2\nc\t3\nd\t4\n",
-                "edges_cites.tsv": "a\tb\t1\nb\tc\t2\nc\td\t3\nd\tzz\t4\n"})
+        elif name in edges:
+            write_dataset(tmp_path, {**FOUR_NODES, "features.tsv": "a\t1\nb\t2\nc\t3\nd\t4\n",
+                                     "edges_cites.tsv": edges[name]})
         else:
-            write_dataset(tmp_path, STREAMED[name])
+            write_dataset(tmp_path, HAND_WRITTEN[name])
         want = load_outcome(load_dataset_by_rows, tmp_path)
-        assert isinstance(want, str) or name != "late-unknown-id"
+        assert isinstance(want, str) or name not in edges
         monkeypatch.setattr(G, "LOOKUP_CHUNK", chunk)
-        if not isinstance(want, str):
-            monkeypatch.setattr(G, "_read_table", partial(pytest.fail, "read row by row"))
         assert_same_outcome(load_outcome(G.load_dataset, tmp_path), want)
 
 

@@ -15,6 +15,8 @@ that fails is a fault of the program to record, never a draw to filter out.
 import contextlib
 import pickle
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -308,3 +310,37 @@ def test_gcn_memo_rows_are_the_add_at_mean(case):
             assert filled.all() or case.layers > 1
             assert np.array_equal(enc.mean0[filled],
                                   neighbour_mean_oracle(view.graph)[filled])
+
+
+# ---------------------------------------------------------------------------
+# the pytest configuration
+
+
+FALSIFIED = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_falsified(x):
+    assert x < 0
+
+
+def test_after():
+    pass
+"""
+
+
+def test_a_falsified_drawn_case_fails_as_one_test(tmp_path):
+    """Under the repo's pytest configuration, a ``@given`` test that
+    Hypothesis falsifies fails as that one test and the session goes on.
+    Reporting the falsifying example imports libcst, which warns of a
+    deprecation; were that an error, pytest would stop with INTERNALERROR."""
+    (tmp_path / "test_falsified.py").write_text(FALSIFIED)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(Path(__file__).resolve().parent.parent / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "test_falsified.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr, proc.stdout
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout
