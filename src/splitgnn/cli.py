@@ -3,8 +3,11 @@
 Exit codes: 0 success, 1 configuration error, 2 runtime error, 3 audit
 findings present.  A config or synthetic spec is checked field by field as
 it loads, so a mistake in one exits 1 with ``config error: <field>: ...``
-before any data is generated or read.  The ``--out`` directory is made next,
-so an unusable one exits 1 with ``config error: --out: ...`` before the work.
+before any data is generated or read.  An input file (config, spec,
+transcript CSV or its sidecar) that cannot be opened or is not valid UTF-8
+exits 1 with ``config error: <flag>: ...``.  The ``--out`` directory is made
+next, so an unusable one exits 1 with ``config error: --out: ...`` before the
+work.  Any other ``OSError``, such as a failed report write, is a traceback.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -53,6 +57,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _input(flag: str):
+    """Reads of the input file that ``flag`` names: one that cannot be
+    opened or decoded is a config error."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
 def _out_dir(path) -> Path:
     """The ``--out`` directory, made before any work is done for it."""
     path = Path(path)
@@ -64,7 +78,9 @@ def _out_dir(path) -> Path:
 
 
 def _cmd_run(args) -> int:
-    config = ExperimentConfig.from_json(json.loads(Path(args.config).read_text()))
+    with _input("--config"):
+        text = Path(args.config).read_text(encoding="utf-8")
+    config = ExperimentConfig.from_json(json.loads(text))
     if args.seeds:
         try:
             seeds = [int(s) for s in args.seeds.split(",")]
@@ -88,14 +104,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    transcript = RoundTranscript.load(args.transcript)
+    with _input("--transcript"):
+        transcript = RoundTranscript.load(args.transcript)
     report = transcript_audit(transcript)
     print(report.render())
     return EXIT_OK if report.ok else EXIT_FINDINGS
 
 
 def _cmd_gen(args) -> int:
-    spec = SyntheticSpec.from_json(json.loads(Path(args.spec).read_text()))
+    with _input("--spec"):
+        text = Path(args.spec).read_text(encoding="utf-8")
+    spec = SyntheticSpec.from_json(json.loads(text))
     out = _out_dir(args.out)
     bundle = generate_synthetic(spec, seed=args.seed)
     save_dataset(bundle, out)
@@ -114,7 +133,7 @@ def main(argv=None) -> int:
         if args.command == "audit":
             return _cmd_audit(args)
         return _cmd_gen(args)
-    except (ConfigError, ParseError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, ParseError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SplitGnnError as exc:

@@ -8,6 +8,7 @@ the path endpoint contributes to the target node's representation.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from pathlib import Path
@@ -217,22 +218,42 @@ class DatasetBundle:
             mp.check_against(self.graph)
 
 
+def _lines(path: Path):
+    """``(line number, line)`` of a UTF-8 text file.  A file that is not
+    valid UTF-8 gives the lines before its first bad one and then raises
+    that line's ParseError, found by a second read made only after decoding
+    failed."""
+    given = 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for given, line in enumerate(fh, start=1):
+                yield given, line
+    except UnicodeDecodeError:
+        try:
+            path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = exc.object[:exc.start].decode("utf-8")
+        # the lines that end before the first bad byte, as text mode splits them
+        good = [line for line in io.StringIO(head, newline=None) if line.endswith("\n")]
+        yield from enumerate(good[given:], start=given + 1)
+        raise ParseError(f"{path}:{len(good) + 1}: not valid UTF-8") from None
+
+
 def _read_rows(path: Path, n_fields: int, min_fields: int | None = None):
     if not path.exists():
         raise ParseError(f"{path}: missing file")
     low = min_fields if min_fields is not None else n_fields
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if not low <= len(fields) <= n_fields:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
-                    f"got {len(fields)}"
-                )
-            yield lineno, fields
+    for lineno, line in _lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if not low <= len(fields) <= n_fields:
+            raise ParseError(
+                f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
+                f"got {len(fields)}"
+            )
+        yield lineno, fields
 
 
 def _floats(lines) -> np.ndarray:
@@ -360,9 +381,10 @@ def load_dataset(directory) -> DatasetBundle:
     whitespace around it allowed.
 
     Every error is a ParseError that starts with the file's path, and, for a
-    bad row, its line: ``path:line: message``.  The files are read in the
-    order above (edge files by name) and each from its first line, so the
-    error is that of the first bad row of the first bad file.
+    bad row, its line: ``path:line: message``; a line that is not valid
+    UTF-8 is a bad row.  The files are read in the order above (edge files
+    by name) and each from its first line, so the error is that of the
+    first bad row of the first bad file.
 
     The features and edge files, nearly all of a dataset's bytes, are
     parsed as a stream: one ``np.loadtxt`` call per file reads the rows'
@@ -437,16 +459,15 @@ def load_dataset(directory) -> DatasetBundle:
     if not mp_path.exists():
         raise ParseError(f"{mp_path}: missing file")
     ends = {name: (rel.src_type, rel.dst_type) for name, rel in relations.items()}
-    with open(mp_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                mp = Metapath(tuple(tok.strip() for tok in line.split(",")))
-                try:
-                    mp.check_chain(ends)
-                except GraphSchemaError as exc:
-                    raise ParseError(f"{mp_path}:{lineno}: {exc}") from None
-                metapaths.append(mp)
+    for lineno, line in _lines(mp_path):
+        line = line.strip()
+        if line:
+            mp = Metapath(tuple(tok.strip() for tok in line.split(",")))
+            try:
+                mp.check_chain(ends)
+            except GraphSchemaError as exc:
+                raise ParseError(f"{mp_path}:{lineno}: {exc}") from None
+            metapaths.append(mp)
 
     splits: dict[str, list[int]] = {"train": [], "val": [], "test": []}
     splits_path = directory / "splits.tsv"

@@ -67,9 +67,11 @@ its batch touches, not what the graph holds.  "gcn" and "gat" compute every
 output row as the whole-graph layers would.  "hat" scores its path
 attention over each layer's target frontier, as mini-batch HAN does (Wang et
 al., 2019), so its rows are the whole-graph layers' when the batch is every
-node.  A BLAS product may round a row differently when fewer rows share the
-call, so rows of a smaller block can differ from the whole-graph ones in
-their last bits.
+node.  Every product rounds a row as a product of many rows does
+(:func:`~splitgnn.tensor.matmul`), so "gcn" and "gat" rows are the same
+whatever else is in the call, and "hat" rows depend on the call only
+through β's frontier.  Backward products are numpy's own: a parameter's
+gradient sums over rows, so it may move in its last bits with the ranges.
 
 GCN's first layer runs over no block.  Its mean over a node's raw neighbour
 features depends on no parameter, so :class:`GcnEncoder` keeps it in a memo
@@ -89,8 +91,7 @@ the next, so an evaluation's edge-sized memory is one range's, not the
 whole split's; a tape records each range's ops, and backward sums the
 ranges' gradients.  Each target's rows are computed from the same edges in
 the same order, and "hat" scores its path attention over the whole
-frontier after the ranges, so β is exact.  A range's products round as
-one range's do (:func:`~splitgnn.tensor._rows_product`).
+frontier after the ranges, so β is exact.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ def _target_ranges(seg, k: int):
     ``k``.  A range holds at most ``EDGE_BUDGET`` edges, or one target that
     has more, so an op works on one range's edge arrays, as GraphSAGE's
     layer-wise inference does (Hamilton et al., 2017).  A one-edge range
-    rounds as a larger one (:func:`~splitgnn.tensor._rows_product`)."""
+    rounds as a larger one, as every product does."""
     if len(seg) <= EDGE_BUDGET:
         return [(0, k, 0, len(seg))]
     ends = np.cumsum(np.bincount(seg, minlength=k))
@@ -225,9 +226,8 @@ def _attention_layer(tape, edge_seg, own, projs, lam: float, messages):
     entry, for each head projection of ``projs``, with scores scaled by
     ``lam`` (:func:`~splitgnn.tensor.segment_attention`).  Returns
     ``S @ [P_0; …; P_{H−1}]``: the sum of the heads' outputs, each head's
-    weighted sum projected once per target after the ranges, whose own
-    products round as one range's do (:func:`~splitgnn.tensor._rows_product`).
-    The caller applies the ELU."""
+    weighted sum projected once per target after the ranges.  The caller
+    applies the ELU."""
     qk = T.grams(tape, projs)
     sums = [T.segment_attention(tape, _row_range(tape, own, t0, t1), qk, messages(e0, e1),
                                 edge_seg[e0:e1] - t0, lam)

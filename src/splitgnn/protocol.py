@@ -224,6 +224,11 @@ class SplitSession:
         holders = [v.participant for v in views if v.has_labels]
         if len(holders) != 1:
             raise ConfigError(f"exactly one label holder required, got {len(holders)}")
+        # the session's node ids are views[0]'s, so every view must hold as many
+        counts = [v.graph.num_nodes for v in views]
+        if len(set(counts)) != 1:
+            raise ConfigError(f"participant views must hold one graph's nodes, "
+                              f"got node counts {counts}")
         self.config = config
         d, count = config.encoder.hidden, len(views)
         # the strategy, read only in this constructor, sets each participant's

@@ -229,7 +229,7 @@ def matmul(tape, a, b) -> Tensor:
         raise ShapeError(f"matmul expects 2-D @ 1/2-D or 1-D @ 2-D, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    out = Tensor(a.values @ b.values)
+    out = Tensor(a.values @ b.values if a.ndim == 1 else _rows_product(a.values, b.values))
     av, bv = _kept_operands(a, b)
 
     if a.ndim == 1:
@@ -358,10 +358,13 @@ def segment_softmax(tape, scores, seg, n_segments: int, temperature: float = 1.0
 
 
 def _rows_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b``, each row rounded as in a product of many rows: numpy sends
-    a one-row product to its matrix-vector kernel, which rounds
-    differently.  So a range of a layer's edges rounds as one range over
-    the whole layer however it is cut, even to one edge or one target."""
+    """``a @ b`` for a matrix ``a``, each row rounded as in a product of many
+    rows: numpy sends a one-row product to its matrix-vector kernel, which
+    rounds differently.  Every forward product of a matrix goes through
+    here (:func:`matmul`, so :func:`linear`, and :func:`rebuilt_matmul` and
+    the attention keys), so a row does not depend on how many others share
+    the call: a range of a layer's edges rounds as one range over the whole
+    layer, and a one-node batch as an all-node one."""
     if a.shape[0] != 1:
         return a @ b
     return (np.concatenate([a, a]) @ b)[:1]

@@ -185,8 +185,8 @@ class RoundTranscript:
                         row["encrypted"] == "true")
         sidecar = path.with_suffix(".meta.json")
         if sidecar.exists():
-            meta = _sidecar_part(sidecar, "the sidecar", json.loads(sidecar.read_text()),
-                                 dict)
+            meta = _sidecar_part(sidecar, "the sidecar",
+                                 json.loads(sidecar.read_text(encoding="utf-8")), dict)
             out.context = _sidecar_part(sidecar, "context", meta.get("context", {}), dict)
             _sidecar_part(sidecar, "context raw_ids", out.context.get("raw_ids", []), list)
             out.decryptions = [

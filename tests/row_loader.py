@@ -5,6 +5,7 @@ that ``graph.load_dataset`` must match, array for array and error for error.
 It reads numbers by the loader's one grammar: ``float()`` of a token that
 numpy's ``loadtxt`` also reads, and a class index of ASCII digits."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -32,22 +33,30 @@ def _float(tok: str) -> float:
     return float(tok)
 
 
+def _lines(path: Path):
+    """Each line of ``path`` without its end (``\\n``, ``\\r\\n`` or ``\\r``),
+    decoded one line at a time: no UTF-8 sequence holds a CR or LF byte."""
+    for lineno, raw in enumerate(re.split(rb"\r\n|\r|\n", path.read_bytes()), start=1):
+        try:
+            yield lineno, raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}:{lineno}: not valid UTF-8") from None
+
+
 def _read_rows(path: Path, n_fields: int, min_fields: int | None = None):
     if not path.exists():
         raise ParseError(f"{path}: missing file")
     low = min_fields if min_fields is not None else n_fields
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if not low <= len(fields) <= n_fields:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
-                    f"got {len(fields)}"
-                )
-            yield lineno, fields
+    for lineno, line in _lines(path):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if not low <= len(fields) <= n_fields:
+            raise ParseError(
+                f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
+                f"got {len(fields)}"
+            )
+        yield lineno, fields
 
 
 def load_dataset_by_rows(directory) -> DatasetBundle:
@@ -133,16 +142,15 @@ def load_dataset_by_rows(directory) -> DatasetBundle:
     if not mp_path.exists():
         raise ParseError(f"{mp_path}: missing file")
     ends = {name: (rel.src_type, rel.dst_type) for name, rel in relations.items()}
-    with open(mp_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                mp = Metapath(tuple(tok.strip() for tok in line.split(",")))
-                try:
-                    mp.check_chain(ends)
-                except GraphSchemaError as exc:
-                    raise ParseError(f"{mp_path}:{lineno}: {exc}") from None
-                metapaths.append(mp)
+    for lineno, line in _lines(mp_path):
+        line = line.strip()
+        if line:
+            mp = Metapath(tuple(tok.strip() for tok in line.split(",")))
+            try:
+                mp.check_chain(ends)
+            except GraphSchemaError as exc:
+                raise ParseError(f"{mp_path}:{lineno}: {exc}") from None
+            metapaths.append(mp)
 
     splits: dict[str, list[int]] = {"train": [], "val": [], "test": []}
     splits_path = directory / "splits.tsv"

@@ -726,6 +726,53 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error: --out: ")
         assert taken.read_text() == ""
 
+    @pytest.mark.parametrize("command,flag,make", [
+        ("run", "--config", lambda p: p.mkdir()),
+        ("run", "--config", lambda p: p.write_bytes(b'{"epochs": 1\xff}')),
+        ("run", "--config", lambda p: None),
+        ("gen-synthetic", "--spec", lambda p: p.mkdir()),
+        ("gen-synthetic", "--spec", lambda p: p.write_bytes(b'\xff{}')),
+        ("audit", "--transcript", lambda p: p.mkdir()),
+        ("audit", "--transcript", lambda p: p.write_bytes(
+            b"round,from,to,kind,elements,bytes,encrypted\n"
+            b"0,party_\xff,server,embedding,4,32,false\n")),
+        ("audit", "--transcript", lambda p: None),
+        ("audit", "--transcript", lambda p: (
+            p.write_text("round,from,to,kind,elements,bytes,encrypted\n"),
+            p.with_suffix(".meta.json").write_bytes(b'{"payloads": {"0": "\xff"}}'))),
+        ("audit", "--transcript", lambda p: (
+            p.write_text("round,from,to,kind,elements,bytes,encrypted\n"),
+            p.with_suffix(".meta.json").mkdir())),
+    ], ids=["config-directory", "config-not-utf8", "config-missing", "spec-directory",
+            "spec-not-utf8", "transcript-directory", "transcript-not-utf8",
+            "transcript-missing", "sidecar-not-utf8", "sidecar-directory"])
+    def test_unreadable_input_is_exit_1(self, tmp_path, capsys, monkeypatch, command, flag,
+                                        make):
+        """An input file that cannot be opened or is not valid UTF-8 exits 1
+        with a config error naming its flag, before any work."""
+        monkeypatch.setattr(cli, "run_experiment", _not_called("run_experiment"))
+        monkeypatch.setattr(cli, "generate_synthetic", _not_called("generate_synthetic"))
+        path = tmp_path / "input.csv"
+        make(path)
+        argv = [command, flag, str(path)]
+        if command != "audit":
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {flag}: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("error", [PermissionError, FileNotFoundError, IsADirectoryError])
+    def test_failed_report_write_is_not_a_config_error(self, tmp_path, monkeypatch, error):
+        """Only input files map to exit 1: an OSError while writing the
+        reports comes through as itself."""
+        def fail(*args):
+            raise error("report")
+
+        monkeypatch.setattr(cli, "emit_report", fail)
+        cfg_path = self._write_config(tmp_path, epochs=1, rounds_per_epoch=1)
+        with pytest.raises(error):
+            cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+
 
 def test_no_scipy_import():
     # scipy.sparse alone adds about 22 MiB of resident memory and 0.2-0.5 s

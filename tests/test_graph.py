@@ -173,19 +173,41 @@ LOADER_ERRORS = {
     "late-unknown-id-without-edge-features": (
         {"edges_cites.tsv": "a\tb\nb\tc\t\n\nc\ta\t \nb\tzz\n"},
         "{d}/edges_cites.tsv:5: unknown node id 'zz'"),
+    # a line that is not valid UTF-8 is a bad row (bytes are written as given)
+    "nodes-not-utf8": (
+        {"nodes.tsv": b"a\tdoc\nb\tdoc\xff\nc\tdoc\n"}, "{d}/nodes.tsv:2: not valid UTF-8"),
+    "features-not-utf8": (
+        {"features.tsv": b"a\t1.0,0.5\nb\t-0.25,2.0\nc\t\xff0.0,1.5\n"},
+        "{d}/features.tsv:3: not valid UTF-8"),
+    "features-not-utf8-after-old-mac-lines": (
+        {"features.tsv": b"a\t1.0,0.5\rb\t-0.25,2.0\r\nc\t0.0,1.5\r\xff\r"},
+        "{d}/features.tsv:4: not valid UTF-8"),
+    "bad-row-before-a-line-not-utf8": (
+        {"features.tsv": b"a\t1.0,0.5\nzz\t1.0,2.0\nc\t0.0,1.5\xff\n"},
+        "{d}/features.tsv:2: unknown node id 'zz'"),
+    # past the first block that text mode decodes
+    "edges-not-utf8-past-a-decoded-block": (
+        {"edges_cites.tsv": b"a\tb\t0.75\n" * 3000 + b"b\tc\t-1.5\xc3\n"},
+        "{d}/edges_cites.tsv:3001: not valid UTF-8"),
+    "labels-not-utf8": ({"labels.tsv": b"a\t0\n\xfe\t1\n"}, "{d}/labels.tsv:2: not valid UTF-8"),
+    "metapaths-not-utf8": (
+        {"metapaths.txt": b"cites,cites\n\ncites,\xffcites\n"},
+        "{d}/metapaths.txt:3: not valid UTF-8"),
+    "splits-not-utf8": (
+        {"splits.tsv": b"a\ttrain\nb\tval\xed\xa0\x80\n"}, "{d}/splits.tsv:2: not valid UTF-8"),
 }
 
 
 def edited_toy(directory, files):
-    """The toy dataset in ``directory`` with ``files`` (name to new text,
-    None to delete the file) applied."""
+    """The toy dataset in ``directory`` with ``files`` (name to new text or
+    bytes, None to delete the file) applied."""
     for f in TOY.iterdir():
         (directory / f.name).write_text(f.read_text())
     for name, text in files.items():
         if text is None:
             (directory / name).unlink()
         else:
-            (directory / name).write_bytes(text.encode())
+            (directory / name).write_bytes(text if isinstance(text, bytes) else text.encode())
 
 
 class TestRelation:

@@ -151,16 +151,22 @@ def test_edge_ranges_change_no_row_prediction_or_loss(case, budget):
 @settings(max_examples=25, **DRAWN)
 @given(case=cases(kinds=("gcn", "gat")))
 def test_gcn_and_gat_predict_a_node_alike_in_any_call(case):
-    """A GCN or GAT node's prediction does not depend on the other ids
-    asked with it.  HAT is exempt: its path attention weighs each channel
-    by its mean score over the layer's target frontier, so a HAT prediction
-    moves with the other ids until evaluation runs one whole-graph pass."""
+    """A GCN or GAT node's embedding rows and prediction do not depend on
+    the other ids asked with it, bit for bit: every product rounds a row as
+    a product of many rows does.  HAT is exempt: its path attention weighs
+    each channel by its mean score over the layer's target frontier, so a
+    HAT row moves with the other ids until evaluation runs one whole-graph
+    pass."""
     with edge_budget(case.budget):
         session = case.session()
         session.train_round(train_batch(session), step=0)
         ids = all_ids(session)
         together = session.predict(ids)
         one_by_one = [session.predict([v])[0] for v in ids]
+        for p in session.participants:
+            rows = p.embed(None, ids).values
+            for v in ids:
+                assert np.array_equal(p.embed(None, [v]).values[0], rows[v]), (p.name, v)
     assert np.array_equal(one_by_one, together)
 
 

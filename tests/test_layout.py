@@ -1,6 +1,7 @@
 """Layout guards: every function, class and method in ``src/splitgnn`` is
-used by the program itself, no module imports a name it never reads, and
-messages between parties move only through ``RoundTranscript.send``.
+used by the program itself, no module imports a name it never reads,
+messages between parties move only through ``RoundTranscript.send``, and
+only ``tensor.py`` forms a matrix product.
 
 "Used" is judged in ``src/splitgnn`` and ``perfbench``.  A module-level
 function or class is used when it is read as a bare name in its own module,
@@ -297,3 +298,25 @@ def test_psi_digest_is_the_one_digest_definition():
     [align] = [node for node in parse(PACKAGE / "crypto.py").body
                if isinstance(node, ast.FunctionDef) and node.name == "psi_align"]
     assert "psi_digest" in {node.id for node in ast.walk(align) if isinstance(node, ast.Name)}
+
+
+# numpy's matrix products; ``tensor.py`` forms every one the program needs
+PRODUCT_CALLS = {f"{module}.{name}" for module in ("np", "numpy")
+                 for name in ("dot", "matmul", "einsum", "inner", "tensordot")}
+
+
+def test_only_tensor_forms_a_matrix_product():
+    """Every matrix product is a ``tensor`` op, so it rounds each row as a
+    product of many rows does: no other module of ``src/splitgnn`` uses the
+    ``@`` operator or calls ``np.dot``, ``np.matmul``, ``np.einsum``,
+    ``np.inner`` or ``np.tensordot``."""
+    products = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "tensor.py":
+            continue
+        for node in ast.walk(parse(path)):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                products.append(f"{path.name}:{node.lineno}: @")
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) in PRODUCT_CALLS:
+                products.append(f"{path.name}:{node.lineno}: {ast.unparse(node.func)}")
+    assert not products, "matrix products outside tensor.py: " + ", ".join(products)

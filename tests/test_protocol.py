@@ -220,6 +220,20 @@ class TestSessionBasics:
                        session_config(strategy="average", secure=True))
         assert built == ["make_encoder", "make_encoder", "RoundTranscript", "keygen"]
 
+    def test_views_of_different_graphs_refused(self, monkeypatch):
+        """The session aligns and names nodes by the first view's ids, so
+        views whose graphs differ in node count are refused before any
+        party is built or a key is made."""
+        built = []
+        monkeypatch.setattr(P, "make_encoder", lambda *a, **k: built.append("encoder"))
+        monkeypatch.setattr(C, "keygen", lambda *a, **k: built.append("keygen"))
+        small = make_views(make_bundle(n_u=24, n_v=16), [5, 5])
+        large = make_views(make_bundle(n_u=30, n_v=20), [5, 5])
+        for views, counts in (([small[0], large[1]], "40, 50"), ([large[0], small[1]], "50, 40")):
+            with pytest.raises(ConfigError, match=rf"got node counts \[{counts}\]$"):
+                P.SplitSession(views, session_config(secure=True))
+        assert built == []
+
     def test_unaligned_round_rejected(self, tiny_bundle, monkeypatch):
         # before the PSI no id names a common node, so nothing is trained
         # or predicted, and no encoder runs

@@ -457,13 +457,19 @@ class TestRebuiltOperands:
     @pytest.mark.parametrize("width", [4, 8, 72, 104])
     def test_rebuilt_matmul_rounds_one_row_as_many(self, width):
         """Each one-row product is that row of the many-row product, bit for
-        bit, so a range of a layer's edges may hold one edge."""
+        bit, through ``rebuilt_matmul``, ``matmul`` and ``linear`` alike, so
+        a range of a layer's edges may hold one edge and a one-node batch
+        gets an all-node batch's row."""
         rng = stable_rng("one-row", width)
         x, w = rng.standard_normal((40, width)), rng.standard_normal((width, 16))
-        many = T.rebuilt_matmul(None, lambda: x, w).values
-        for i in range(len(x)):
-            one = T.rebuilt_matmul(None, lambda: x[i:i + 1], w).values
-            assert np.array_equal(one, many[i:i + 1]), i
+        b = rng.standard_normal(16)
+        products = {"rebuilt_matmul": lambda a: T.rebuilt_matmul(None, lambda: a, w),
+                    "matmul": lambda a: T.matmul(None, a, w),
+                    "linear": lambda a: T.linear(None, a, w, b)}
+        for name, product in products.items():
+            many = product(x).values
+            for i in range(len(x)):
+                assert np.array_equal(product(x[i:i + 1]).values, many[i:i + 1]), (name, i)
 
     @pytest.mark.parametrize("own_grad,msgs_grad", [(True, True), (True, False),
                                                      (False, True)])
