@@ -3,24 +3,24 @@
 Exit codes: 0 success, 1 configuration error, 2 runtime error, 3 audit
 findings present.  A config or synthetic spec is checked field by field as
 it loads, so a mistake in one exits 1 with ``config error: <field>: ...``
-before any data is generated or read.  An input file (config, spec,
-transcript CSV or its sidecar) that cannot be opened or is not valid UTF-8
-exits 1 with ``config error: <flag>: ...``.  The ``--out`` directory is made
-next, so an unusable one exits 1 with ``config error: --out: ...`` before the
-work.  Any other ``OSError``, such as a failed report write, is a traceback.
+before any data is generated or read.  An input file (config, spec, dataset
+file, transcript CSV or its sidecar) that cannot be opened, is not valid
+UTF-8 or does not parse exits 1 with ``config error:
+<path>[:line[:col]]: ...``.  The ``--out`` directory is made next, so an
+unusable one exits 1 with ``config error: --out: ...`` before the work.  Any
+other ``OSError``, such as a failed report write, is a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import re
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 from .crypto import transcript_audit
-from .errors import ConfigError, ParseError, SplitGnnError
+from .errors import ConfigError, ParseError, SplitGnnError, read_json
 from .experiments import ExperimentConfig, emit_report, run_experiment, run_grid
 from .graph import SyntheticSpec, generate_synthetic, save_dataset
 from .transcript import RoundTranscript
@@ -57,16 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@contextmanager
-def _input(flag: str):
-    """Reads of the input file that ``flag`` names: one that cannot be
-    opened or decoded is a config error."""
-    try:
-        yield
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
-
-
 def _out_dir(path) -> Path:
     """The ``--out`` directory, made before any work is done for it."""
     path = Path(path)
@@ -78,16 +68,13 @@ def _out_dir(path) -> Path:
 
 
 def _cmd_run(args) -> int:
-    with _input("--config"):
-        text = Path(args.config).read_text(encoding="utf-8")
-    config = ExperimentConfig.from_json(json.loads(text))
+    config = ExperimentConfig.from_json(read_json(args.config))
     if args.seeds:
-        try:
-            seeds = [int(s) for s in args.seeds.split(",")]
-        except ValueError:
+        # an integer is ASCII digits after an optional "-", as a class index is
+        if not re.fullmatch(r"-?[0-9]+(,-?[0-9]+)*", args.seeds):
             raise ConfigError(f"--seeds must be comma-separated integers, "
-                              f"got {args.seeds!r}") from None
-        config = replace(config, seeds=seeds)
+                              f"got {args.seeds!r}")
+        config = replace(config, seeds=[int(s) for s in args.seeds.split(",")])
     if args.secure:
         config = replace(config, secure=True)
     out = _out_dir(args.out)
@@ -104,17 +91,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    with _input("--transcript"):
-        transcript = RoundTranscript.load(args.transcript)
+    transcript = RoundTranscript.load(args.transcript)
     report = transcript_audit(transcript)
     print(report.render())
     return EXIT_OK if report.ok else EXIT_FINDINGS
 
 
 def _cmd_gen(args) -> int:
-    with _input("--spec"):
-        text = Path(args.spec).read_text(encoding="utf-8")
-    spec = SyntheticSpec.from_json(json.loads(text))
+    spec = SyntheticSpec.from_json(read_json(args.spec))
     out = _out_dir(args.out)
     bundle = generate_synthetic(spec, seed=args.seed)
     save_dataset(bundle, out)
@@ -133,7 +117,7 @@ def main(argv=None) -> int:
         if args.command == "audit":
             return _cmd_audit(args)
         return _cmd_gen(args)
-    except (ConfigError, ParseError, json.JSONDecodeError) as exc:
+    except (ConfigError, ParseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SplitGnnError as exc:

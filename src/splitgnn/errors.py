@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the config checker: each
-field of a :class:`Schema` dataclass declares its rule next to it."""
+"""Exception types shared across the package, the one reader of input files
+(its every refusal a ParseError naming the file), and the config checker:
+each field of a :class:`Schema` dataclass declares its rule next to it."""
 
+import json
 import math
 import operator
 from dataclasses import MISSING, field, fields
@@ -25,7 +27,38 @@ class ContractError(SplitGnnError):
 
 
 class ParseError(SplitGnnError):
-    """A dataset file could not be parsed; message carries file and line."""
+    """An input file could not be read or parsed; the message starts with its path."""
+
+
+def open_text(path):
+    """``path`` opened as UTF-8 text, each byte that is not UTF-8 kept as a
+    lone surrogate; a file that cannot be opened is a ParseError naming it."""
+    try:
+        return open(path, encoding="utf-8", errors="surrogateescape")
+    except (FileNotFoundError, ValueError):  # a path holding NUL names no file
+        raise ParseError(f"{path}: missing file") from None
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror}") from None
+
+
+def text_lines(path):
+    """``(line number, line)`` of :func:`open_text`'s file; the first line
+    holding a byte that is not UTF-8 (kept as a surrogate, which does not
+    encode) is a ``path:line`` ParseError."""
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii() and line.encode("utf-8", "ignore").decode() != line:
+                raise ParseError(f"{path}:{lineno}: not valid UTF-8")
+            yield lineno, line
+
+
+def read_json(path):
+    """The value of a JSON file, read by :func:`text_lines`; JSON that does
+    not parse is a ``path:line:col`` ParseError."""
+    try:
+        return json.loads("".join(line for _, line in text_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
 
 
 class ConfigError(SplitGnnError):

@@ -8,7 +8,6 @@ the path endpoint contributes to the target node's representation.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from pathlib import Path
@@ -16,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (BOOL, TEXT, ConfigError, GraphSchemaError, ParseError, Rule,
-                     Schema, checked, integer, list_of, number, optional)
+                     Schema, checked, integer, list_of, number, open_text, optional,
+                     text_lines)
 from .seeding import stable_rng
 
 
@@ -218,32 +218,9 @@ class DatasetBundle:
             mp.check_against(self.graph)
 
 
-def _lines(path: Path):
-    """``(line number, line)`` of a UTF-8 text file.  A file that is not
-    valid UTF-8 gives the lines before its first bad one and then raises
-    that line's ParseError, found by a second read made only after decoding
-    failed."""
-    given = 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for given, line in enumerate(fh, start=1):
-                yield given, line
-    except UnicodeDecodeError:
-        try:
-            path.read_bytes().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            head = exc.object[:exc.start].decode("utf-8")
-        # the lines that end before the first bad byte, as text mode splits them
-        good = [line for line in io.StringIO(head, newline=None) if line.endswith("\n")]
-        yield from enumerate(good[given:], start=given + 1)
-        raise ParseError(f"{path}:{len(good) + 1}: not valid UTF-8") from None
-
-
 def _read_rows(path: Path, n_fields: int, min_fields: int | None = None):
-    if not path.exists():
-        raise ParseError(f"{path}: missing file")
     low = min_fields if min_fields is not None else n_fields
-    for lineno, line in _lines(path):
+    for lineno, line in text_lines(path):
         line = line.rstrip("\n")
         if not line.strip():
             continue
@@ -285,8 +262,9 @@ def _float_table(path: Path, ids: dict[str, int], n_ids: int, min_fields: int,
 
     One streaming pass: a generator hands each row's float list to one
     ``loadtxt`` call and looks its ids up every ``LOOKUP_CHUNK``, so no
-    file's worth of id strings is held.  A file the pass refuses is read
-    again only to raise its first bad row's error."""
+    file's worth of id strings is held, and no line's UTF-8 is checked: a
+    bad byte fails the id lookup or ``loadtxt``.  A file the pass refuses
+    is read again only to raise its first bad row's error."""
     keys: list[str] = []
     index: list[np.ndarray] = []
 
@@ -312,7 +290,7 @@ def _float_table(path: Path, ids: dict[str, int], n_ids: int, min_fields: int,
             yield text
 
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             texts = float_lists(fh)
             first = next(texts, "")
             if first.strip():
@@ -327,7 +305,7 @@ def _float_table(path: Path, ids: dict[str, int], n_ids: int, min_fields: int,
         if len(flat) != n_ids * len(table):  # loadtxt skips an empty line
             raise ValueError("a row without floats after a row with")
         return [flat[k::n_ids].copy() for k in range(n_ids)], table
-    except (OSError, ValueError, KeyError):
+    except (ValueError, KeyError):
         _raise_first_bad_row(path, ids, n_ids, min_fields, noun)
         raise
 
@@ -382,7 +360,8 @@ def load_dataset(directory) -> DatasetBundle:
 
     Every error is a ParseError that starts with the file's path, and, for a
     bad row, its line: ``path:line: message``; a line that is not valid
-    UTF-8 is a bad row.  The files are read in the order above (edge files
+    UTF-8 is a bad row, and a file that cannot be opened is refused by
+    path alone (``path: missing file``, ``path: Is a directory``).  The files are read in the order above (edge files
     by name) and each from its first line, so the error is that of the
     first bad row of the first bad file.
 
@@ -456,10 +435,8 @@ def load_dataset(directory) -> DatasetBundle:
 
     metapaths = []
     mp_path = directory / "metapaths.txt"
-    if not mp_path.exists():
-        raise ParseError(f"{mp_path}: missing file")
     ends = {name: (rel.src_type, rel.dst_type) for name, rel in relations.items()}
-    for lineno, line in _lines(mp_path):
+    for lineno, line in text_lines(mp_path):
         line = line.strip()
         if line:
             mp = Metapath(tuple(tok.strip() for tok in line.split(",")))

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ProtocolError
+from .errors import ParseError, ProtocolError, read_json, text_lines
 
 MESSAGE_KINDS = ("embedding", "ciphertext", "hidden", "gradient", "psi")
 FLOAT_BYTES = 8
@@ -165,28 +165,33 @@ class RoundTranscript:
     def load(cls, path) -> "RoundTranscript":
         path = Path(path)
         out = cls()
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
-                raise ParseError(f"{path}: unexpected transcript columns {reader.fieldnames}")
-            for row in reader:
-                where = f"{path}:{reader.line_num}"
-                try:
-                    rnd, elements, size = (int(row[k]) for k in ("round", "elements", "bytes"))
-                except (TypeError, ValueError):
-                    raise ParseError(f"{where}: round, elements and bytes must be "
-                                     f"integers") from None
-                if row["encrypted"] not in ("true", "false"):
-                    raise ParseError(f"{where}: encrypted must be true or false, "
-                                     f"got {row['encrypted']!r}")
-                if row["kind"] not in MESSAGE_KINDS:
-                    raise ParseError(f"{where}: unknown message kind {row['kind']!r}")
-                out.add(rnd, row["from"], row["to"], row["kind"], elements, size,
-                        row["encrypted"] == "true")
+        rows = csv.reader(line for _, line in text_lines(path))
+        header = next(rows, None)
+        if tuple(header or ()) != CSV_COLUMNS:
+            raise ParseError(f"{path}: unexpected transcript columns {header}")
+        for fields in filter(None, rows):
+            where = f"{path}:{rows.line_num}"
+            if len(fields) != len(CSV_COLUMNS):
+                raise ParseError(f"{where}: expected {len(CSV_COLUMNS)} comma-separated "
+                                 f"fields, got {len(fields)}")
+            rnd, sender, receiver, kind, elements, size, encrypted = fields
+            try:
+                rnd, elements, size = int(rnd), int(elements), int(size)
+            except ValueError:
+                raise ParseError(f"{where}: round, elements and bytes must be "
+                                 f"integers") from None
+            if elements < 0 or size < 0:
+                raise ParseError(f"{where}: elements and bytes must be >= 0, "
+                                 f"got {elements} and {size}")
+            if encrypted not in ("true", "false"):
+                raise ParseError(f"{where}: encrypted must be true or false, "
+                                 f"got {encrypted!r}")
+            if kind not in MESSAGE_KINDS:
+                raise ParseError(f"{where}: unknown message kind {kind!r}")
+            out.add(rnd, sender, receiver, kind, elements, size, encrypted == "true")
         sidecar = path.with_suffix(".meta.json")
         if sidecar.exists():
-            meta = _sidecar_part(sidecar, "the sidecar",
-                                 json.loads(sidecar.read_text(encoding="utf-8")), dict)
+            meta = _sidecar_part(sidecar, "the sidecar", read_json(sidecar), dict)
             out.context = _sidecar_part(sidecar, "context", meta.get("context", {}), dict)
             _sidecar_part(sidecar, "context raw_ids", out.context.get("raw_ids", []), list)
             out.decryptions = [

@@ -35,8 +35,15 @@ def _float(tok: str) -> float:
 
 def _lines(path: Path):
     """Each line of ``path`` without its end (``\\n``, ``\\r\\n`` or ``\\r``),
-    decoded one line at a time: no UTF-8 sequence holds a CR or LF byte."""
-    for lineno, raw in enumerate(re.split(rb"\r\n|\r|\n", path.read_bytes()), start=1):
+    decoded one line at a time: no UTF-8 sequence holds a CR or LF byte.  A
+    file that cannot be read is refused by its path alone."""
+    try:
+        data = path.read_bytes()
+    except (FileNotFoundError, ValueError):  # a path holding NUL names no file
+        raise ParseError(f"{path}: missing file") from None
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror}") from None
+    for lineno, raw in enumerate(re.split(rb"\r\n|\r|\n", data), start=1):
         try:
             yield lineno, raw.decode("utf-8")
         except UnicodeDecodeError:
@@ -44,8 +51,6 @@ def _lines(path: Path):
 
 
 def _read_rows(path: Path, n_fields: int, min_fields: int | None = None):
-    if not path.exists():
-        raise ParseError(f"{path}: missing file")
     low = min_fields if min_fields is not None else n_fields
     for lineno, line in _lines(path):
         if not line.strip():
@@ -139,8 +144,6 @@ def load_dataset_by_rows(directory) -> DatasetBundle:
 
     metapaths = []
     mp_path = directory / "metapaths.txt"
-    if not mp_path.exists():
-        raise ParseError(f"{mp_path}: missing file")
     ends = {name: (rel.src_type, rel.dst_type) for name, rel in relations.items()}
     for lineno, line in _lines(mp_path):
         line = line.strip()

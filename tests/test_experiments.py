@@ -154,6 +154,11 @@ CONFIG_MISTAKES = [
     ("seeds-empty", {"seeds": []}, [], "seeds: must be a non-empty list, each an integer, got []"),
     ("seeds-flag-not-int", {}, ["--seeds", "1,a"],
      "--seeds must be comma-separated integers, got '1,a'"),
+    # int() reads these as 10 and 1; a seed is ASCII digits after an optional "-"
+    ("seeds-flag-underscore", {}, ["--seeds", "1_0"],
+     "--seeds must be comma-separated integers, got '1_0'"),
+    ("seeds-flag-not-ascii-digit", {}, ["--seeds", "\u0661"],
+     "--seeds must be comma-separated integers, got '\u0661'"),
     ("batch-size-not-int", {"batch_size": "64"}, [],
      "batch_size: must be an integer >= 1, got '64'"),
     ("batch-size-zero", {"batch_size": 0}, [], "batch_size: must be an integer >= 1, got 0"),
@@ -586,6 +591,13 @@ class TestCli:
          "transcript.meta.json: payload index '\u00b2' names no record"),
         ([("0", "4", "32", "false"), ("0", "4", "32", "false")], {"01": "n0"},
          "transcript.meta.json: payload index '01' names no record"),
+        # a field past encrypted, and sizes below zero that the audit would report
+        ([("0", "4", "32", "false"), ("0", "4", "32", "false,x")], {},
+         "transcript.csv:3: expected 7 comma-separated fields, got 8"),
+        ([("0", "-4", "32", "false")], {},
+         "transcript.csv:2: elements and bytes must be >= 0, got -4 and 32"),
+        ([("0", "4", "-32", "false")], {},
+         "transcript.csv:2: elements and bytes must be >= 0, got 4 and -32"),
     ])
     def test_audit_malformed_transcript_is_exit_1(self, tmp_path, capsys, rows,
                                                   payloads, message):
@@ -726,30 +738,49 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error: --out: ")
         assert taken.read_text() == ""
 
-    @pytest.mark.parametrize("command,flag,make", [
-        ("run", "--config", lambda p: p.mkdir()),
-        ("run", "--config", lambda p: p.write_bytes(b'{"epochs": 1\xff}')),
-        ("run", "--config", lambda p: None),
-        ("gen-synthetic", "--spec", lambda p: p.mkdir()),
-        ("gen-synthetic", "--spec", lambda p: p.write_bytes(b'\xff{}')),
-        ("audit", "--transcript", lambda p: p.mkdir()),
+    @pytest.mark.parametrize("command,flag,make,message", [
+        ("run", "--config", lambda p: p.mkdir(), "{p}: Is a directory"),
+        ("run", "--config", lambda p: p.write_bytes(b'{"epochs": 1\xff}'),
+         "{p}:1: not valid UTF-8"),
+        ("run", "--config", lambda p: None, "{p}: missing file"),
+        ("gen-synthetic", "--spec", lambda p: p.mkdir(), "{p}: Is a directory"),
+        ("gen-synthetic", "--spec", lambda p: p.write_bytes(b'\xff{}'),
+         "{p}:1: not valid UTF-8"),
+        ("audit", "--transcript", lambda p: p.mkdir(), "{p}: Is a directory"),
         ("audit", "--transcript", lambda p: p.write_bytes(
             b"round,from,to,kind,elements,bytes,encrypted\n"
-            b"0,party_\xff,server,embedding,4,32,false\n")),
-        ("audit", "--transcript", lambda p: None),
+            b"0,party_\xff,server,embedding,4,32,false\n"), "{p}:2: not valid UTF-8"),
+        ("audit", "--transcript", lambda p: None, "{p}: missing file"),
         ("audit", "--transcript", lambda p: (
             p.write_text("round,from,to,kind,elements,bytes,encrypted\n"),
-            p.with_suffix(".meta.json").write_bytes(b'{"payloads": {"0": "\xff"}}'))),
+            p.with_suffix(".meta.json").write_bytes(b'{"payloads": {"0": "\xff"}}')),
+         "{s}:1: not valid UTF-8"),
         ("audit", "--transcript", lambda p: (
             p.write_text("round,from,to,kind,elements,bytes,encrypted\n"),
-            p.with_suffix(".meta.json").mkdir())),
+            p.with_suffix(".meta.json").mkdir()), "{s}: Is a directory"),
+        # JSON that does not parse, and a bad byte past a good row
+        ("run", "--config", lambda p: p.write_text('{"epochs": 1,\n "seeds" [0]}'),
+         "{p}:2:10: Expecting ':' delimiter"),
+        ("gen-synthetic", "--spec", lambda p: p.write_text("{bad"),
+         "{p}:1:2: Expecting property name enclosed in double quotes"),
+        ("audit", "--transcript", lambda p: (
+            p.write_text("round,from,to,kind,elements,bytes,encrypted\n"),
+            p.with_suffix(".meta.json").write_text('{"payloads": {}}\n}')),
+         "{s}:2:1: Extra data"),
+        ("audit", "--transcript", lambda p: p.write_bytes(
+            b"round,from,to,kind,elements,bytes,encrypted\n"
+            b"0,party_0,server,embedding,4,32,false\n"
+            b"0,party_0,server,embedding,4,32,f\xc3lse\n"), "{p}:3: not valid UTF-8"),
     ], ids=["config-directory", "config-not-utf8", "config-missing", "spec-directory",
             "spec-not-utf8", "transcript-directory", "transcript-not-utf8",
-            "transcript-missing", "sidecar-not-utf8", "sidecar-directory"])
+            "transcript-missing", "sidecar-not-utf8", "sidecar-directory",
+            "config-not-json", "spec-not-json", "sidecar-not-json",
+            "transcript-not-utf8-on-line-3"])
     def test_unreadable_input_is_exit_1(self, tmp_path, capsys, monkeypatch, command, flag,
-                                        make):
-        """An input file that cannot be opened or is not valid UTF-8 exits 1
-        with a config error naming its flag, before any work."""
+                                        make, message):
+        """An input file that cannot be opened, is not valid UTF-8 or does
+        not parse exits 1 with a config error naming the file ({p}, or {s}
+        for the transcript's sidecar) and the place in it, before any work."""
         monkeypatch.setattr(cli, "run_experiment", _not_called("run_experiment"))
         monkeypatch.setattr(cli, "generate_synthetic", _not_called("generate_synthetic"))
         path = tmp_path / "input.csv"
@@ -758,7 +789,8 @@ class TestCli:
         if command != "audit":
             argv += ["--out", str(tmp_path / "out")]
         assert cli.main(argv) == 1
-        assert capsys.readouterr().err.startswith(f"config error: {flag}: ")
+        where = message.format(p=path, s=path.with_suffix(".meta.json"))
+        assert capsys.readouterr().err == f"config error: {where}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("error", [PermissionError, FileNotFoundError, IsADirectoryError])

@@ -33,11 +33,17 @@ def small_synthetic(seed=0, **overrides):
 
 
 BAD_FLOAT = "bad float list: could not convert string to float:"
+DIRECTORY = object()  # an edit that makes the file a directory
 
 # Edits to the toy dataset (file name to new text, None to delete it) and the
 # ParseError each must raise, with ``{d}`` for the dataset directory.
 LOADER_ERRORS = {
     "missing-nodes": ({"nodes.tsv": None}, "{d}/nodes.tsv: missing file"),
+    # a file that cannot be opened is refused by its path alone
+    "labels-a-directory": ({"labels.tsv": DIRECTORY}, "{d}/labels.tsv: Is a directory"),
+    "features-a-directory": ({"features.tsv": DIRECTORY}, "{d}/features.tsv: Is a directory"),
+    "edges-a-directory": (
+        {"edges_cites.tsv": DIRECTORY}, "{d}/edges_cites.tsv: Is a directory"),
     "missing-features": ({"features.tsv": None}, "{d}/features.tsv: missing file"),
     "missing-labels": ({"labels.tsv": None}, "{d}/labels.tsv: missing file"),
     "missing-metapaths": ({"metapaths.txt": None}, "{d}/metapaths.txt: missing file"),
@@ -200,12 +206,15 @@ LOADER_ERRORS = {
 
 def edited_toy(directory, files):
     """The toy dataset in ``directory`` with ``files`` (name to new text or
-    bytes, None to delete the file) applied."""
+    bytes, None to delete the file, ``DIRECTORY`` to make it one) applied."""
     for f in TOY.iterdir():
         (directory / f.name).write_text(f.read_text())
     for name, text in files.items():
         if text is None:
             (directory / name).unlink()
+        elif text is DIRECTORY:
+            (directory / name).unlink()
+            (directory / name).mkdir()
         else:
             (directory / name).write_bytes(text if isinstance(text, bytes) else text.encode())
 
@@ -249,6 +258,13 @@ class TestLoader:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="nodes.tsv"):
             G.load_dataset(tmp_path)
+
+    def test_directory_holding_nul_is_missing(self, tmp_path):
+        """``open`` raises ValueError for such a path; it names no file."""
+        directory = tmp_path / "a\x00b"
+        message = f"{directory}/nodes.tsv: missing file"
+        assert load_outcome(G.load_dataset, directory) == message
+        assert load_outcome(load_dataset_by_rows, directory) == message
 
     def test_reload_is_structurally_identical(self):
         b1 = G.load_dataset(TOY)

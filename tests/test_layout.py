@@ -1,7 +1,8 @@
 """Layout guards: every function, class and method in ``src/splitgnn`` is
 used by the program itself, no module imports a name it never reads,
-messages between parties move only through ``RoundTranscript.send``, and
-only ``tensor.py`` forms a matrix product.
+messages between parties move only through ``RoundTranscript.send``,
+only ``tensor.py`` forms a matrix product, and only ``errors.py`` reads a
+file.
 
 "Used" is judged in ``src/splitgnn`` and ``perfbench``.  A module-level
 function or class is used when it is read as a bare name in its own module,
@@ -320,3 +321,30 @@ def test_only_tensor_forms_a_matrix_product():
             elif isinstance(node, ast.Call) and ast.unparse(node.func) in PRODUCT_CALLS:
                 products.append(f"{path.name}:{node.lineno}: {ast.unparse(node.func)}")
     assert not products, "matrix products outside tensor.py: " + ", ".join(products)
+
+
+# the calls that read a file; ``open`` reads unless its mode writes
+FILE_READ_CALLS = {"json.load", "json.loads"}
+FILE_READ_METHODS = {"read_text", "read_bytes"}
+
+
+def reads_a_file(call):
+    func = ast.unparse(call.func)
+    if func == "open":
+        mode = call.args[1] if len(call.args) > 1 else next(
+            (k.value for k in call.keywords if k.arg == "mode"), None)
+        return not (isinstance(mode, ast.Constant) and set(mode.value) & set("wax+"))
+    return func in FILE_READ_CALLS or isinstance(call.func, ast.Attribute) \
+        and call.func.attr in FILE_READ_METHODS
+
+
+def test_only_errors_reads_a_file():
+    """Every input file is read through ``errors.open_text``, ``text_lines``
+    or ``read_json``, so each refusal names the file: no other module of
+    ``src/splitgnn`` calls ``open`` without a write mode, ``.read_text``,
+    ``.read_bytes``, ``json.load`` or ``json.loads``."""
+    reads = [f"{path.name}:{node.lineno}: {ast.unparse(node.func)}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "errors.py"
+             for node in ast.walk(parse(path))
+             if isinstance(node, ast.Call) and reads_a_file(node)]
+    assert not reads, "files read outside errors.py: " + ", ".join(reads)
