@@ -1,7 +1,9 @@
 """Command-line entry points: run experiments, audit transcripts, generate data.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error, 3 audit
-findings present.  A config or synthetic spec is checked field by field as
+findings present.  A usage error, such as a missing required flag or an
+unknown command, is a configuration error: it exits 1 with ``config error:
+<prog>: ...``.  A config or synthetic spec is checked field by field as
 it loads, so a mistake in one exits 1 with ``config error: <field>: ...``
 before any data is generated or read.  An input file (config, spec, dataset
 file, transcript CSV or its sidecar) that cannot be opened, is not valid
@@ -9,18 +11,24 @@ UTF-8 or does not parse exits 1 with ``config error:
 <path>[:line[:col]]: ...``.  The ``--out`` directory is made next, so an
 unusable one exits 1 with ``config error: --out: ...`` before the work.  Any
 other ``OSError``, such as a failed report write, is a traceback.
+
+Every integer read from text is read by ``errors.canonical_int`` and must
+be written as ``str`` writes an int: an optional ``-``, then ASCII digits
+with no leading zero.  That holds for ``--seeds`` and ``--seed`` here as for
+a ``labels.tsv`` class index, a transcript's ``round``, ``elements`` and
+``bytes``, its sidecar's payload keys and the ``i`` of ``standalone_<i>``;
+``-0``, ``+1``, ``01``, ``1_0``, padding and non-ASCII digits exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .crypto import transcript_audit
-from .errors import ConfigError, ParseError, SplitGnnError, read_json
+from .errors import ConfigError, ParseError, SplitGnnError, canonical_int, read_json
 from .experiments import ExperimentConfig, emit_report, run_experiment, run_grid
 from .graph import SyntheticSpec, generate_synthetic, save_dataset
 from .transcript import RoundTranscript
@@ -31,8 +39,16 @@ EXIT_RUNTIME = 2
 EXIT_FINDINGS = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration error, exit 1, not argparse's exit 2;
+    ``add_subparsers`` makes each command's parser of this class too."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="splitgnn",
         description="Split-learning GNN simulator over vertically partitioned graphs",
     )
@@ -53,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen-synthetic", help="write a synthetic dataset directory")
     gen.add_argument("--spec", required=True, help="synthetic spec JSON")
     gen.add_argument("--out", required=True, help="dataset directory to create")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", default="0", help="integer seed of the generator")
     return parser
 
 
@@ -69,12 +85,12 @@ def _out_dir(path) -> Path:
 
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_json(read_json(args.config))
-    if args.seeds:
-        # an integer is ASCII digits after an optional "-", as a class index is
-        if not re.fullmatch(r"-?[0-9]+(,-?[0-9]+)*", args.seeds):
+    if args.seeds is not None:
+        seeds = [canonical_int(s) for s in args.seeds.split(",")]
+        if None in seeds:
             raise ConfigError(f"--seeds must be comma-separated integers, "
                               f"got {args.seeds!r}")
-        config = replace(config, seeds=[int(s) for s in args.seeds.split(",")])
+        config = replace(config, seeds=seeds)
     if args.secure:
         config = replace(config, secure=True)
     out = _out_dir(args.out)
@@ -98,9 +114,12 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    seed = canonical_int(args.seed)
+    if seed is None:
+        raise ConfigError(f"--seed must be an integer, got {args.seed!r}")
     spec = SyntheticSpec.from_json(read_json(args.spec))
     out = _out_dir(args.out)
-    bundle = generate_synthetic(spec, seed=args.seed)
+    bundle = generate_synthetic(spec, seed=seed)
     save_dataset(bundle, out)
     g = bundle.graph
     print(f"wrote {args.out}: {g.num_nodes} nodes, "
@@ -110,8 +129,8 @@ def _cmd_gen(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "audit":

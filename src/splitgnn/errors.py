@@ -1,6 +1,7 @@
 """Exception types shared across the package, the one reader of input files
-(its every refusal a ParseError naming the file), and the config checker:
-each field of a :class:`Schema` dataclass declares its rule next to it."""
+(its every refusal a ParseError naming the file), the one reader of an
+integer written as text, and the config checker: each field of a
+:class:`Schema` dataclass declares its rule next to it."""
 
 import json
 import math
@@ -59,6 +60,22 @@ def read_json(path):
         return json.loads("".join(line for _, line in text_lines(path)))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+
+
+def canonical_int(text: str) -> int | None:
+    """The int ``n`` for which ``str(n) == text``, else None: an optional
+    ``-``, then ASCII digits with no leading zero.  ``-0``, ``+1``, ``01``,
+    ``1_0``, whitespace, non-ASCII digits and the empty string are refused,
+    so no integer has two spellings, and so is a digit string past the
+    interpreter's limit, which ``str`` cannot write."""
+    # unsigned first, with no slice: a dataset's every class index comes here
+    if (text.isdigit() and text.isascii() and (text[0] != "0" or text == "0")
+            or text[:1] == "-" and text[1:].isdigit() and text[1:].isascii() and text[1] != "0"):
+        try:
+            return int(text)
+        except ValueError:   # longer than sys.get_int_max_str_digits()
+            return None
+    return None
 
 
 class ConfigError(SplitGnnError):

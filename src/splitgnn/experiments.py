@@ -38,8 +38,8 @@ from functools import partial
 from pathlib import Path
 
 from .crypto import SCALE_BITS, VALID_KEY_BITS
-from .errors import (BOOL, TEXT, ConfigError, Rule, Schema, checked, choice, integer,
-                     list_of, number, optional)
+from .errors import (BOOL, TEXT, ConfigError, Rule, Schema, canonical_int, checked, choice,
+                     integer, list_of, number, optional)
 from .graph import (DatasetBundle, PartitionSpec, RelationSpec, SyntheticSpec,
                     generate_synthetic, load_dataset, vertical_partition)
 from .models import ENCODERS, EncoderConfig
@@ -51,12 +51,11 @@ STRATEGY_MAP = {"split_m": "average", "split_c": "concat", "split_w": "weighted"
 
 
 def _standalone_index(strategy: str) -> int | None:
-    """i for ``standalone_i``, with i in ASCII digits and no leading zero;
+    """i for ``standalone_i``, with i a :func:`canonical_int` of at least 0;
     None for any other strategy name, so each participant has one name."""
     prefix, _, index = strategy.partition("_")
-    # int() reads any Unicode digit and a leading zero; str() gives it back canonical
-    canonical = prefix == "standalone" and index.isdecimal() and index == str(int(index))
-    return int(index) if canonical else None
+    i = canonical_int(index) if prefix == "standalone" else None
+    return i if i is not None and i >= 0 else None
 
 
 def desk_scale_spec() -> SyntheticSpec:

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (BOOL, TEXT, ConfigError, GraphSchemaError, ParseError, Rule,
-                     Schema, checked, integer, list_of, number, open_text, optional,
-                     text_lines)
+                     Schema, canonical_int, checked, integer, list_of, number, open_text,
+                     optional, text_lines)
 from .seeding import stable_rng
 
 
@@ -344,8 +344,11 @@ def load_dataset(directory) -> DatasetBundle:
                          edge features all of one length (none: two fields
                          or an empty third), every src of one node type and
                          every dst of one
-    ``labels.tsv``       ``id <TAB> class``, a class index in ASCII digits
-                         below the node count; an unlisted node is unlabeled
+    ``labels.tsv``       ``id <TAB> class``, a class index at least 0 and
+                         below the node count, written as ``str`` writes
+                         an int (``errors.canonical_int``): ASCII digits
+                         with no leading zero, no sign and no padding; an
+                         unlisted node is unlabeled
     ``metapaths.txt``    a comma-separated list of relation names a line,
                          each an edge file's, and each starting at the
                          node type the one before it ends at
@@ -361,9 +364,10 @@ def load_dataset(directory) -> DatasetBundle:
     Every error is a ParseError that starts with the file's path, and, for a
     bad row, its line: ``path:line: message``; a line that is not valid
     UTF-8 is a bad row, and a file that cannot be opened is refused by
-    path alone (``path: missing file``, ``path: Is a directory``).  The files are read in the order above (edge files
-    by name) and each from its first line, so the error is that of the
-    first bad row of the first bad file.
+    path alone (``path: missing file``, ``path: Is a directory``).  The
+    files are read in the order above (edge files by name) and each from
+    its first line, so the error is that of the first bad row of the first
+    bad file.
 
     The features and edge files, nearly all of a dataset's bytes, are
     parsed as a stream: one ``np.loadtxt`` call per file reads the rows'
@@ -424,9 +428,9 @@ def load_dataset(directory) -> DatasetBundle:
     labels = np.full(len(types), -1, dtype=np.int64)
     labels_path = directory / "labels.tsv"
     for lineno, (ext, lab) in _read_rows(labels_path, 2):
-        if not (lab.isascii() and lab.isdigit()):
+        label = canonical_int(lab)
+        if label is None or label < 0:
             raise ParseError(f"{labels_path}:{lineno}: bad class index {lab!r}")
-        label = int(lab)
         if label >= len(types):
             raise ParseError(f"{labels_path}:{lineno}: class index {label} is not below "
                              f"the node count {len(types)}")

@@ -500,16 +500,15 @@ def softmax(tape, logits) -> Tensor:
 
 def dropout(tape, x, rate: float, seed, training: bool) -> Tensor:
     """Inverted dropout; the mask, one draw per element of ``x``, is a pure
-    function of ``seed``.  At inference (or rate 0) this is the exact
-    identity: the input tensor itself is returned.
+    function of the key tuple ``seed``.  At inference (or rate 0) this is
+    the exact identity: the input tensor itself is returned.
     """
     if not 0.0 <= rate < 1.0:
         raise DomainError(f"dropout rate must be in [0, 1), got {rate}")
     x = _as_tensor(x)
     if not training or rate == 0.0:
         return x
-    rng = stable_rng(*seed) if isinstance(seed, (tuple, list)) else stable_rng(seed)
-    mask = (rng.random(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
+    mask = (stable_rng(*seed).random(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
     out = Tensor(x.values * mask)
     return _emit(tape, out, (x,), lambda g: (g * mask,))
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ProtocolError, read_json, text_lines
+from .errors import ParseError, ProtocolError, canonical_int, read_json, text_lines
 
 MESSAGE_KINDS = ("embedding", "ciphertext", "hidden", "gradient", "psi")
 FLOAT_BYTES = 8
@@ -163,6 +163,10 @@ class RoundTranscript:
 
     @classmethod
     def load(cls, path) -> "RoundTranscript":
+        """The transcript ``save`` wrote, refusing with a ParseError any row
+        or sidecar entry it would not have written: ``round``, ``elements``
+        and ``bytes`` are :func:`canonical_int` text, and a payload key the
+        index of a record as ``str`` writes it."""
         path = Path(path)
         out = cls()
         rows = csv.reader(line for _, line in text_lines(path))
@@ -175,11 +179,10 @@ class RoundTranscript:
                 raise ParseError(f"{where}: expected {len(CSV_COLUMNS)} comma-separated "
                                  f"fields, got {len(fields)}")
             rnd, sender, receiver, kind, elements, size, encrypted = fields
-            try:
-                rnd, elements, size = int(rnd), int(elements), int(size)
-            except ValueError:
+            rnd, elements, size = map(canonical_int, (rnd, elements, size))
+            if None in (rnd, elements, size):
                 raise ParseError(f"{where}: round, elements and bytes must be "
-                                 f"integers") from None
+                                 f"integers")
             if elements < 0 or size < 0:
                 raise ParseError(f"{where}: elements and bytes must be >= 0, "
                                  f"got {elements} and {size}")
@@ -199,10 +202,10 @@ class RoundTranscript:
                     _sidecar_part(sidecar, "decryptions", meta.get("decryptions", []), list))]
             payloads = _sidecar_part(sidecar, "payloads", meta.get("payloads", {}), dict)
             for key, payload in payloads.items():
-                canonical = key.isascii() and key.isdigit() and key == str(int(key))
-                if not canonical or int(key) >= len(out.records):
+                index = canonical_int(key)
+                if index is None or not 0 <= index < len(out.records):
                     raise ParseError(f"{sidecar}: payload index {key!r} names no record "
                                      f"of {path} ({len(out.records)} records)")
-                out.records[int(key)].payload = _sidecar_part(
+                out.records[index].payload = _sidecar_part(
                     sidecar, f"payload {key}", payload, str)
         return out

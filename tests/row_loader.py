@@ -3,7 +3,8 @@ one ``float()`` per token and one Python call per row.  Kept as the oracle
 that ``graph.load_dataset`` must match, array for array and error for error.
 
 It reads numbers by the loader's one grammar: ``float()`` of a token that
-numpy's ``loadtxt`` also reads, and a class index of ASCII digits."""
+numpy's ``loadtxt`` also reads, and a class index as ``str`` writes an
+int: ASCII digits with no leading zero."""
 
 import re
 from pathlib import Path
@@ -133,9 +134,13 @@ def load_dataset_by_rows(directory) -> DatasetBundle:
     labels = np.full(len(types), -1, dtype=np.int64)
     labels_path = directory / "labels.tsv"
     for lineno, (ext, lab) in _read_rows(labels_path, 2):
-        if not (lab.isascii() and lab.isdigit()):
+        # a class index is written as str() writes an int of at least 0
+        try:
+            label = int(lab) if re.fullmatch(r"0|[1-9][0-9]*", lab) else None
+        except ValueError:  # more digits than str() writes
+            label = None
+        if label is None:
             raise ParseError(f"{labels_path}:{lineno}: bad class index {lab!r}")
-        label = int(lab)
         if label >= len(types):
             raise ParseError(f"{labels_path}:{lineno}: class index {label} is not below "
                              f"the node count {len(types)}")

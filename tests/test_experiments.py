@@ -159,6 +159,22 @@ CONFIG_MISTAKES = [
      "--seeds must be comma-separated integers, got '1_0'"),
     ("seeds-flag-not-ascii-digit", {}, ["--seeds", "\u0661"],
      "--seeds must be comma-separated integers, got '\u0661'"),
+    # a seed is written as str() writes an int, so no seed has two spellings
+    ("seeds-flag-leading-zero", {}, ["--seeds", "0,01"],
+     "--seeds must be comma-separated integers, got '0,01'"),
+    ("seeds-flag-minus-zero", {}, ["--seeds=-0"],
+     "--seeds must be comma-separated integers, got '-0'"),
+    ("seeds-flag-plus", {}, ["--seeds", "+1"],
+     "--seeds must be comma-separated integers, got '+1'"),
+    ("seeds-flag-empty", {}, ["--seeds", ""],
+     "--seeds must be comma-separated integers, got ''"),
+    # a usage error is a configuration error too
+    ("seeds-flag-without-value", {}, ["--seeds"],
+     "splitgnn run: argument --seeds: expected one argument"),
+    ("grid-unknown", {}, ["--grid", "table9"],
+     "splitgnn run: argument --grid: invalid choice: 'table9' "
+     "(choose from 'table1', 'table2', 'table3', 'cost')"),
+    ("flag-unknown", {}, ["--bogus", "1"], "splitgnn: unrecognized arguments: --bogus 1"),
     ("batch-size-not-int", {"batch_size": "64"}, [],
      "batch_size: must be an integer >= 1, got '64'"),
     ("batch-size-zero", {"batch_size": 0}, [], "batch_size: must be an integer >= 1, got 0"),
@@ -522,6 +538,26 @@ class TestCli:
         assert err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        ([], "splitgnn: the following arguments are required: command"),
+        (["train"], "splitgnn: argument command: invalid choice: 'train' "
+                    "(choose from 'run', 'audit', 'gen-synthetic')"),
+        (["run"], "splitgnn run: the following arguments are required: --config"),
+        (["audit"], "splitgnn audit: the following arguments are required: --transcript"),
+        (["gen-synthetic", "--spec", "spec.json", "--out", "d", "--seed", "abc"],
+         "--seed must be an integer, got 'abc'"),
+        (["gen-synthetic", "--spec", "spec.json", "--out", "d", "--seed", "1_0"],
+         "--seed must be an integer, got '1_0'"),
+    ], ids=["no-command", "unknown-command", "run-without-config",
+            "audit-without-transcript", "seed-not-int", "seed-underscore"])
+    def test_usage_error_is_exit_1(self, tmp_path, capsys, monkeypatch, argv, message):
+        """A usage error exits 1 with a config error, as a bad config does,
+        not with argparse's exit 2, which the CLI keeps for runtime errors."""
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert not (tmp_path / "d").exists()
+
     def test_cut_option_is_exit_1(self, tmp_path, capsys):
         # the label holder always owns the output layer; there is no cut to choose
         path = tmp_path / "cut.json"
@@ -598,6 +634,18 @@ class TestCli:
          "transcript.csv:2: elements and bytes must be >= 0, got -4 and 32"),
         ([("0", "4", "-32", "false")], {},
          "transcript.csv:2: elements and bytes must be >= 0, got 4 and -32"),
+        # int() reads these as 10 and 32, and the audit reported "party_0
+        # sent 10 embedding elements"; a field is an integer as str() writes it
+        ([("0", "1_0", "\u0663\u0662", "false")], {},
+         "transcript.csv:2: round, elements and bytes must be integers"),
+        ([(" 0", "4", "32", "false")], {},
+         "transcript.csv:2: round, elements and bytes must be integers"),
+        ([("0", "+4", "32", "false")], {},
+         "transcript.csv:2: round, elements and bytes must be integers"),
+        ([("0", "4", "032", "false")], {},
+         "transcript.csv:2: round, elements and bytes must be integers"),
+        ([("-0", "4", "32", "false")], {},
+         "transcript.csv:2: round, elements and bytes must be integers"),
     ])
     def test_audit_malformed_transcript_is_exit_1(self, tmp_path, capsys, rows,
                                                   payloads, message):
@@ -804,6 +852,30 @@ class TestCli:
         cfg_path = self._write_config(tmp_path, epochs=1, rounds_per_epoch=1)
         with pytest.raises(error):
             cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+
+
+def test_reports_do_not_depend_on_blas_threads(tmp_path):
+    """A 750-node HAT run wrote a different ``train_loss`` under one BLAS
+    thread and under the default of one per CPU; the package caps BLAS at one
+    thread unless the caller chose, so a report is a function of its seeds."""
+    desk = E.desk_scale_spec()
+    spec = dataclasses.replace(desk, node_counts={t: n // 4 for t, n in desk.node_counts.items()})
+    config = {"synthetic": dataclasses.asdict(spec), "model": "hat", "strategy": "split_m", "seeds": [0], "epochs": 1,
+              "rounds_per_epoch": 4, "optimizer": "adam", "learning_rate": 0.01}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    src = str(Path(E.__file__).resolve().parent.parent)
+    unset = {k: v for k, v in os.environ.items()
+             if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    reports = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                         "MKL_NUM_THREADS": "1"}):
+        out = tmp_path / f"out{len(reports)}"
+        subprocess.run([sys.executable, "-m", "splitgnn.cli", "run", "--config", str(path),
+                        "--out", str(out)], check=True, timeout=300, capture_output=True,
+                       env={**unset, **threads, "PYTHONPATH": src})
+        reports.append((out / "metrics.csv").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_no_scipy_import():

@@ -130,6 +130,13 @@ LOADER_ERRORS = {
         {"labels.tsv": "a\t0\nb\t\u0661\n"}, "{d}/labels.tsv:2: bad class index '\u0661'"),
     "class-index-with-space": (
         {"labels.tsv": "a\t 1\nb\t1\n"}, "{d}/labels.tsv:1: bad class index ' 1'"),
+    # int() reads these too, but each would be a second spelling of a class
+    "class-index-leading-zero": (
+        {"labels.tsv": "a\t0\nb\t01\n"}, "{d}/labels.tsv:2: bad class index '01'"),
+    "class-index-minus-zero": (
+        {"labels.tsv": "a\t-0\nb\t1\n"}, "{d}/labels.tsv:1: bad class index '-0'"),
+    "class-index-plus": (
+        {"labels.tsv": "a\t0\nb\t+1\n"}, "{d}/labels.tsv:2: bad class index '+1'"),
     # a class needs a node, so a class index below the node count bounds the
     # label head
     "class-index-past-node-count": (

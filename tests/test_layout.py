@@ -2,7 +2,7 @@
 used by the program itself, no module imports a name it never reads,
 messages between parties move only through ``RoundTranscript.send``,
 only ``tensor.py`` forms a matrix product, and only ``errors.py`` reads a
-file.
+file or an integer written as text.
 
 "Used" is judged in ``src/splitgnn`` and ``perfbench``.  A module-level
 function or class is used when it is read as a bare name in its own module,
@@ -348,3 +348,26 @@ def test_only_errors_reads_a_file():
              for node in ast.walk(parse(path))
              if isinstance(node, ast.Call) and reads_a_file(node)]
     assert not reads, "files read outside errors.py: " + ", ".join(reads)
+
+
+# the calls that read an integer from text by a rule of their own
+DIGIT_TESTS = {"isdigit", "isdecimal", "isnumeric"}
+
+
+def test_only_errors_reads_an_integer_from_text():
+    """Every integer written as text is read by ``errors.canonical_int``, so
+    each site accepts it only as ``str`` writes it: no other module of
+    ``src/splitgnn`` calls ``isdigit``, ``isdecimal`` or ``isnumeric``, or
+    passes ``type=int`` to argparse."""
+    rules = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Attribute) and node.func.attr in DIGIT_TESTS:
+                rules.append(f"{path.name}:{node.lineno}: {node.func.attr}")
+            rules += [f"{path.name}:{node.lineno}: type=int" for k in node.keywords
+                      if k.arg == "type" and ast.unparse(k.value) == "int"]
+    assert not rules, "integer rules outside errors.py: " + ", ".join(rules)

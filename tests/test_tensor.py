@@ -323,7 +323,7 @@ RETENTION_CASES = {
     "elu": (T.elu, [(3, 2)]),
     "tanh": (T.tanh, [(3, 2)]),
     "softmax": (T.softmax, [(3,)]),
-    "dropout": (lambda tape, x: T.dropout(tape, x, 0.5, seed=1, training=True), [(4, 3)]),
+    "dropout": (lambda tape, x: T.dropout(tape, x, 0.5, seed=(1,), training=True), [(4, 3)]),
     "cross_entropy": (lambda tape, x: T.cross_entropy(tape, x, [0, 2, 1]), [(3, 3)]),
 }
 

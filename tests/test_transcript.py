@@ -157,3 +157,23 @@ def test_load_reads_a_well_formed_sidecar(tmp_path):
     t = RoundTranscript.load(path)
     assert t.context == {"raw_ids": ["n0"]} and t.records[0].payload == "n0"
     assert [f.kind for f in C.transcript_audit(t).findings] == ["raw_id_leak"]
+
+
+def test_save_load_save_is_byte_identical(tmp_path):
+    """Every integer ``save`` writes is one ``load`` reads back, so a saved
+    transcript survives a load and a second save byte for byte: PSI records
+    of round -1 with their payloads, every other kind, and decryptions."""
+    t = RoundTranscript(context={"raw_ids": ["n0", "n1"], "secure": True})
+    for party in ("party_0", "party_1"):
+        t.send(-1, party, "server", "psi", digest_payload())
+    t.send(0, "party_0", "server", "ciphertext", ciphertext_payload())
+    t.send(0, "server", "label", "hidden", float_payload())
+    t.send(10, "label", "server", "gradient", np.zeros((1000, 12)))
+    t.log_decryption(0, 3, aggregated=True)
+    t.log_decryption(10, 12, aggregated=False)
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    t.save(first)
+    RoundTranscript.load(first).save(second)
+    assert first.read_bytes() == second.read_bytes()
+    assert first.with_suffix(".meta.json").read_bytes() == \
+        second.with_suffix(".meta.json").read_bytes()
