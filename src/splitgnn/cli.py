@@ -18,6 +18,9 @@ with no leading zero.  That holds for ``--seeds`` and ``--seed`` here as for
 a ``labels.tsv`` class index, a transcript's ``round``, ``elements`` and
 ``bytes``, its sidecar's payload keys and the ``i`` of ``standalone_<i>``;
 ``-0``, ``+1``, ``01``, ``1_0``, padding and non-ASCII digits exit 1.
+argparse reads a value that starts with ``-`` as a flag, so a seed list
+that starts with a negative seed is written ``--seeds=-1,2``; ``--seeds
+-1,2`` is a usage error.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run an experiment config or a grid")
     run.add_argument("--config", required=True, help="experiment config JSON")
     run.add_argument("--out", default="results", help="output directory")
-    run.add_argument("--seeds", help="comma-separated seed overrides")
+    run.add_argument("--seeds", help="comma-separated seed overrides; write a list "
+                     "that starts with a negative seed as --seeds=-1,2")
     run.add_argument("--secure", action="store_true",
                      help="encrypt embedding uplinks")
     run.add_argument("--grid", choices=["table1", "table2", "table3", "cost"],

@@ -3,11 +3,10 @@
 PSI here is a salted-hash intersection: participants share a per-session
 salt that the server never sees, so the server observes only digests and the
 intersection's membership by digest.  :func:`psi_digest` is the one digest
-definition.  :func:`psi_align` keeps each participant's digests as one
-sorted array of their ASCII bytes and maps the answer back to ids by
-position, so it builds no digest-to-id table and no set; the transcript
-joins an array's digests in one buffer, and the records of an alignment
-whose digest lists are equal hold one payload string.
+definition.  :func:`psi_align` is one participant's half of the exchange:
+its digests as one sorted array of their ASCII bytes.  The server's half
+intersects the arrays it receives.  The functions here only compute: the
+session sends every digest list and ciphertext, and logs each decryption.
 
 Aggregation uses Paillier encryption (g = n + 1 variant) over
 fixed-point-encoded values, so the decrypting role learns element-wise sums
@@ -48,7 +47,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -97,37 +96,14 @@ def psi_digest(salt: bytes, external_id) -> str:
     return hashlib.sha256(salt + str(external_id).encode("utf-8")).hexdigest()
 
 
-def psi_align(id_sets, salt: bytes, transcript: RoundTranscript, round_index: int,
-              party_names):
-    """Intersection of all participants' id sets via salted digests.
-
-    Each participant sends its digests sorted, as an array of their ASCII
-    bytes (``DIGEST_DTYPE``), and the server answers every participant with
-    the digests present in every array.  A participant maps the answer back
-    to raw ids locally, through the positions of its own sorted digests, so
-    no digest-to-id table or set is built.  Ids whose digests repeat are
-    refused before anything is sent.  Returns the sorted intersection.
-    """
-    id_sets = [list(s) for s in id_sets]
-    if len(id_sets) < 2:
-        raise ContractError("PSI needs at least two participants")
-    digests, orders = [], []
-    for i, ids in enumerate(id_sets):
-        mine = np.fromiter((psi_digest(salt, x) for x in ids), DIGEST_DTYPE, len(ids))
-        order = np.argsort(mine, kind="stable")
-        mine = mine[order]
-        if np.any(mine[1:] == mine[:-1]):
-            raise DomainError(f"participant {i} submitted duplicate ids")
-        digests.append(mine)
-        orders.append(order)
-
-    received = [transcript.send(round_index, name, "server", "psi", mine)
-                for name, mine in zip(party_names, digests, strict=True)]
-    reply = reduce(partial(np.intersect1d, assume_unique=True), received)
-    replies = [transcript.send(round_index, "server", name, "psi", reply)
-               for name in party_names]
-    found = orders[0][np.searchsorted(digests[0], replies[0])]
-    return sorted(id_sets[0][k] for k in found)
+def psi_align(salt: bytes, ids) -> np.ndarray:
+    """One participant's half of the PSI: the salted digests of its ``ids``,
+    sorted, as an array of their ASCII bytes (``DIGEST_DTYPE``).  Ids whose
+    digests repeat are refused with ``DomainError``."""
+    mine = np.sort(np.fromiter((psi_digest(salt, x) for x in ids), DIGEST_DTYPE, len(ids)))
+    if np.any(mine[1:] == mine[:-1]):
+        raise DomainError("duplicate ids submitted to the PSI")
+    return mine
 
 
 # ---------------------------------------------------------------------------
@@ -339,59 +315,38 @@ def slot_layout(n: int, terms: int) -> SlotLayout:
     return SlotLayout(terms, width, slots)
 
 
-def decrypt_matrix(keypair: PaillierKeyPair, cts, shape, terms: int) -> np.ndarray:
-    """Each element's sum of ``terms`` values from ciphertexts of placed
-    sums: one decryption per run of ``slots`` consecutive ciphertexts,
-    multiplied into one, then fixed-point decoded."""
-    layout = slot_layout(keypair.public.n, terms)
-    out = []
-    for start in range(0, len(cts), layout.slots):
-        group = cts[start:start + layout.slots]
-        packed = decrypt(keypair, sum(group[1:], group[0]))
-        out += [fixed_decode(m) for m in layout.fields(packed, len(group))]
-    return np.array(out).reshape(shape)
-
-
-def _encode_checked(name: str, values) -> list[int]:
-    """Fixed-point encode ``values`` in row-major order, raising at the first
-    element outside the fixed-point range, named with its party and index."""
+def fixed_encode_all(values) -> list[int]:
+    """``fixed_encode`` of each of ``values`` in row-major order, raising at
+    the first element outside the fixed-point range, named by its index."""
     encoded = []
     for idx, x in enumerate(np.ravel(np.asarray(values, dtype=np.float64))):
         try:
             encoded.append(fixed_encode(float(x)))
         except DomainError as err:
-            raise DomainError(f"{name} element {idx}: {err}") from None
+            raise DomainError(f"element {idx}: {err}") from None
     return encoded
 
 
-def secure_sum(vectors, keypair: PaillierKeyPair, rng: random.Random,
-               transcript: RoundTranscript, round_index: int, party_names) -> np.ndarray:
-    """Element-wise sum of the participants' vectors, learned only in aggregate.
-
-    Each participant fixed-point encodes and encrypts its elements; the
-    ciphertexts are combined before they ever reach the decrypting role, so
-    one decryption event is logged per call.  It is aggregated only when
-    there is more than one term: a lone participant's sum is its own vector,
-    which the audit flags.
-    """
-    vectors = [np.asarray(v, dtype=np.float64) for v in vectors]
-    shape = vectors[0].shape
-    if any(v.shape != shape for v in vectors):
-        raise ContractError(f"all vectors must share shape {shape}")
-    # the key and every term of every participant are checked before the
-    # first encryption draws from ``rng``
-    layout = slot_layout(keypair.public.n, len(vectors))
-    encoded = [_encode_checked(name, vec)
-               for name, vec in zip(party_names, vectors, strict=True)]
-
-    terms = [transcript.send(round_index, name, "server", "ciphertext",
-                             [encrypt(keypair.public, layout.place(i, m), rng)
-                              for i, m in enumerate(enc)])
-             for name, enc in zip(party_names, encoded)]
-    totals = decrypt_matrix(keypair, [sum(col[1:], col[0]) for col in zip(*terms)],
-                            shape, len(vectors))
-    transcript.log_decryption(round_index, vectors[0].size, aggregated=len(vectors) > 1)
-    return totals
+def secure_sum(received, keypair: PaillierKeyPair, shape) -> np.ndarray:
+    """The decrypting side of a secure sum: each element's sum, of ``shape``,
+    over ``received``, one list per participant of one ciphertext per element
+    in row-major order, each of a term placed by ``slot_layout(n,
+    len(received))``.  Each element's ciphertexts are combined into one, and
+    each run of ``slots`` of those into one more, which is decrypted and
+    fixed-point decoded.  A list of another length than ``shape`` holds is
+    refused before any decryption."""
+    size, lengths = math.prod(shape), [len(cts) for cts in received]
+    if any(k != size for k in lengths):
+        raise ContractError(f"expected {size} ciphertexts from each participant, "
+                            f"got {lengths}")
+    layout = slot_layout(keypair.public.n, len(received))
+    cts = [sum(col[1:], col[0]) for col in zip(*received)]
+    out = []
+    for start in range(0, size, layout.slots):
+        group = cts[start:start + layout.slots]
+        packed = decrypt(keypair, sum(group[1:], group[0]))
+        out += [fixed_decode(m) for m in layout.fields(packed, len(group))]
+    return np.array(out).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -733,8 +733,8 @@ class ParticipantView:
     """One participant's private slice of a dataset bundle.
 
     Every participant holds every node id; a session aligns them with one
-    metered PSI over every node, and reads the split lists of the label
-    holder's view only.  Features, edges and labels are private.
+    metered PSI over every node.  Only the label holder's view holds labels
+    and split lists.  Features, edges and labels are private.
     """
 
     participant: int
@@ -750,7 +750,9 @@ def vertical_partition(bundle: DatasetBundle, spec: PartitionSpec,
                        seed: int) -> list[ParticipantView]:
     """Split a bundle into per-participant views, each of every node id.
     The spec's one cut rule deals the feature columns in order and each
-    relation's edges in a seeded shuffle; labels stay with the label holder."""
+    relation's edges in a seeded shuffle; the labels and the split lists,
+    which the labels define, stay with the label holder, and every other
+    view's split lists are empty."""
     g = bundle.graph
     if (spec.feature_dim, spec.relation_names) != (g.feature_dim, frozenset(g.relations)):
         raise ConfigError(f"partition built for {spec.feature_dim} columns and relations "
@@ -770,13 +772,15 @@ def vertical_partition(bundle: DatasetBundle, spec: PartitionSpec,
         labels = g.labels.copy() if is_holder else None
         view_graph = HetGraph(g.node_types, g.features[:, lo:hi], rels[i],
                               labels, g.num_classes)
+        train, val, test = (ids.copy() if is_holder else np.empty(0, dtype=np.int64)
+                            for ids in (bundle.train_ids, bundle.val_ids, bundle.test_ids))
         views.append(ParticipantView(
             participant=i,
             graph=view_graph,
             metapaths=list(bundle.metapaths),
             has_labels=is_holder,
-            train_ids=bundle.train_ids.copy(),
-            val_ids=bundle.val_ids.copy(),
-            test_ids=bundle.test_ids.copy(),
+            train_ids=train,
+            val_ids=val,
+            test_ids=test,
         ))
     return views

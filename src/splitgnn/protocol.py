@@ -8,9 +8,11 @@ and gradients retrace the same path backwards across both cuts.  The
 strategies differ only in the map: under average a fixed ω = 1/I, so the sum
 is the mean; under weighted an ω that starts at 1/I and trains; and under
 concat W_i, the participant's block of the server's first-layer weight,
-since [x_1 … x_I] @ W equals Σ_i x_i @ W_i.  Every message moves through
-:meth:`RoundTranscript.send`, which meters it and hands the receiver the
-value it computes from.
+since [x_1 … x_I] @ W equals Σ_i x_i @ W_i.  The session sends every
+message, the PSI's digest lists and a secure run's ciphertexts included,
+through :meth:`RoundTranscript.send`, which meters it and hands the receiver
+the value it computes from, and it logs each decryption; ``crypto`` only
+computes each party's half.
 
 A round is named by its caller's ``step``: every record, ciphertext and
 decryption event of ``train_round(batch, step)`` carries round ``step``,
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial, reduce
 
 import numpy as np
 
@@ -277,16 +280,22 @@ class SplitSession:
     # -- alignment -----------------------------------------------------------
 
     def align(self) -> None:
-        """Metered PSI, as round -1, over every participant's external ids.
-        Every participant holds every node, so the intersection must be the
-        whole id set; a shorter answer means the PSI failed, and is refused.
-        A lone participant has no one to align with and runs no PSI."""
+        """Metered PSI, as round -1, over every participant's external ids:
+        each sends its sorted digests up, and the server sends every
+        participant the digests in every list.  Every participant holds every
+        node, so the answer must hold every id; a shorter one means the PSI
+        failed, and is refused.  A lone participant has no one to align with
+        and runs no PSI."""
         if len(self.participants) > 1:
             salt = C.fresh_salt(seed=(self.config.seed, "psi"))
-            common = C.psi_align([self.external_ids] * len(self.participants), salt,
-                                 self.transcript, -1, [p.name for p in self.participants])
-            if len(common) < len(self.external_ids):
-                raise ProtocolError(f"PSI matched {len(common)} of "
+            received = [self.transcript.send(-1, p.name, "server", "psi",
+                                             C.psi_align(salt, self.external_ids))
+                        for p in self.participants]
+            reply = reduce(partial(np.intersect1d, assume_unique=True), received)
+            replies = [self.transcript.send(-1, "server", p.name, "psi", reply)
+                       for p in self.participants]
+            if len(replies[0]) < len(self.external_ids):
+                raise ProtocolError(f"PSI matched {len(replies[0])} of "
                                     f"{len(self.external_ids)} node ids")
         self.aligned = True
 
@@ -299,6 +308,33 @@ class SplitSession:
         return ids
 
     # -- one communication round ----------------------------------------------
+
+    def _uplink(self, step: int, terms, blinding) -> np.ndarray:
+        """Every participant's term sent up in round ``step``, and the
+        server's element-wise sum of them.  In a secure run the key's slot
+        layout and every term are checked before the first encryption draws
+        from ``blinding``, the round's stream; each term goes up as
+        ciphertexts of its placed fixed-point values, and one decryption of
+        the sum is logged, aggregated unless a lone participant sent it."""
+        names = [p.name for p in self.participants]
+        if not self.config.secure:
+            return combine_sum([self.transcript.send(step, name, "server", "embedding", x)
+                                for name, x in zip(names, terms)])
+        public = self.keypair.public
+        layout = C.slot_layout(public.n, len(terms))
+        encoded = []
+        for name, x in zip(names, terms, strict=True):
+            try:
+                encoded.append(C.fixed_encode_all(x))
+            except DomainError as err:
+                raise DomainError(f"{name} {err}") from None
+        received = [self.transcript.send(step, name, "server", "ciphertext",
+                                         [C.encrypt(public, layout.place(i, m), blinding)
+                                          for i, m in enumerate(values)])
+                    for name, values in zip(names, encoded)]
+        total = C.secure_sum(received, self.keypair, terms[0].shape)
+        self.transcript.log_decryption(step, terms[0].size, aggregated=len(terms) > 1)
+        return total
 
     def _node_ids(self, ids) -> np.ndarray:
         """``ids`` as an int64 vector of aligned nodes, checked before any
@@ -358,18 +394,11 @@ class SplitSession:
             tape = T.Tape()
             embeds.append(p.embed(tape, batch))
             tapes.append(tape)
-        locals_ = [emb.values for emb in embeds]
 
         # uplink and the server's sum, which in a secure run it learns alone
-        names = [p.name for p in self.participants]
-        if cfg.secure:
-            blinding = random.Random(repr(stable_seed(cfg.seed, "paillier-blind", step)))
-            combined = C.secure_sum(locals_, self.keypair, blinding, self.transcript,
-                                    step, names)
-        else:
-            combined = combine_sum([
-                self.transcript.send(step, name, "server", "embedding", x)
-                for name, x in zip(names, locals_)])
+        blinding = (random.Random(repr(stable_seed(cfg.seed, "paillier-blind", step)))
+                    if cfg.secure else None)
+        combined = self._uplink(step, [emb.values for emb in embeds], blinding)
 
         server_tape = T.Tape()
         server_in = T.Tensor(combined, requires_grad=True, name="cut/combined")

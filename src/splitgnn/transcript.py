@@ -6,7 +6,9 @@ records carry metadata (and, for PSI messages, the digest payload that
 actually crossed); ``context`` holds simulation-side ground truth that only
 the auditor sees, never the parties.  Every metered message moves through
 :meth:`RoundTranscript.send`, which sizes its record from the value it hands
-the receiver.
+the receiver.  The session in ``protocol.py`` sends every message, the
+PSI's digest lists and a secure run's ciphertexts included, and logs every
+decryption; no other module calls ``send`` or ``log_decryption``.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 import hashlib
 import random
 import secrets
+from functools import partial, reduce
 
 import numpy as np
 import pytest
 
-from conftest import small_key
+from conftest import encoder_config, make_views, session_config, single_view, small_key
 from splitgnn import crypto as C
+from splitgnn import protocol as P
 from splitgnn.errors import ConfigError, ContractError, DomainError
 from splitgnn.transcript import RoundTranscript
 
@@ -26,25 +28,54 @@ def names(count):
 
 
 def psi(id_sets, salt, transcript=None):
-    """PSI among participants named ``party_i``."""
+    """The PSI among participants named ``party_i``, sent as
+    ``SplitSession.align`` sends it: every participant's half, then each
+    digest list up and the server's intersection back to each.  Returns the
+    intersection, the sorted digests of the common ids."""
     transcript = RoundTranscript() if transcript is None else transcript
-    return C.psi_align(id_sets, salt, transcript, 0, names(len(id_sets)))
+    halves = [C.psi_align(salt, ids) for ids in id_sets]
+    received = [transcript.send(-1, name, "server", "psi", mine)
+                for name, mine in zip(names(len(id_sets)), halves)]
+    reply = reduce(partial(np.intersect1d, assume_unique=True), received)
+    for name in names(len(id_sets)):
+        transcript.send(-1, "server", name, "psi", reply)
+    return reply
 
 
-def secure_sum(vectors, keypair, rng, transcript=None, round_index=0, **kwargs):
-    """``secure_sum`` among participants named ``party_i``."""
-    transcript = RoundTranscript() if transcript is None else transcript
-    return C.secure_sum(vectors, keypair, rng, transcript, round_index,
-                        names(len(vectors)), **kwargs)
+def digests(salt, ids):
+    """The sorted digests of ``ids``, as the ASCII bytes ``psi_align`` holds."""
+    return sorted(C.psi_digest(salt, x).encode("ascii") for x in ids)
+
+
+def encrypted_terms(vectors, keypair, rng):
+    """Each participant's half of a secure sum, as ``SplitSession`` runs it:
+    its fixed-point terms, placed by the key's slot layout and encrypted."""
+    layout = C.slot_layout(keypair.public.n, len(vectors))
+    return [[C.encrypt(keypair.public, layout.place(i, m), rng)
+             for i, m in enumerate(C.fixed_encode_all(v))] for v in vectors]
+
+
+def secure_sum(vectors, keypair, rng):
+    """Every participant's half of a secure sum of ``vectors``, then the
+    decrypting side's."""
+    return C.secure_sum(encrypted_terms(vectors, keypair, rng), keypair,
+                        np.shape(vectors[0]))
+
+
+def secure_session(views):
+    """A secure average session over ``views`` under a 512-bit key; its
+    ``_uplink`` sends and logs a secure sum's messages."""
+    return P.SplitSession(views, session_config(
+        strategy="average", secure=True, encoder=encoder_config(kind="gcn", layers=1)))
 
 
 class TestPsi:
     def test_basic_intersection(self):
         out = psi([["a", "b", "c"], ["b", "c", "d"]], b"s1")
-        assert out == ["b", "c"]
+        assert out.tolist() == digests(b"s1", ["b", "c"])
 
     def test_disjoint_empty(self):
-        assert psi([["a"], ["b"]], b"s1") == []
+        assert psi([["a"], ["b"]], b"s1").tolist() == []
 
     def test_three_parties_matches_plain_intersection(self):
         rng = random.Random(7)
@@ -55,22 +86,25 @@ class TestPsi:
             ]
             shared = {f"id-{rng.randrange(10**9)}" for _ in range(rng.randrange(0, 30))}
             sets = [s | shared for s in sets]
-            expected = sorted(sets[0] & sets[1] & sets[2])
-            assert psi(sets, b"salty") == expected
+            expected = digests(b"salty", sets[0] & sets[1] & sets[2])
+            assert psi(sets, b"salty").tolist() == expected
 
     def test_duplicates_rejected(self):
         with pytest.raises(DomainError):
-            psi([["a", "a"], ["a"]], b"s")
+            C.psi_align(b"s", ["a", "a"])
 
-    def test_needs_two_parties(self):
-        with pytest.raises(ContractError):
-            psi([["a"]], b"s")
+    def test_needs_two_parties(self, tiny_bundle, monkeypatch):
+        # a lone participant has no one to align with: its session runs no PSI
+        monkeypatch.setattr(C, "psi_align", lambda *args: pytest.fail("PSI ran"))
+        session = P.SplitSession([single_view(tiny_bundle)], session_config())
+        session.align()
+        assert session.aligned and not session.transcript.records
 
     def test_transcript_has_digests_not_ids(self):
         ids = [["user-XQZW-17", "user-PLMN-93"], ["user-PLMN-93", "user-RRTT-55"]]
         t = RoundTranscript(context={"raw_ids": [x for s in ids for x in s]})
         out = psi(ids, b"fresh", t)
-        assert out == ["user-PLMN-93"]
+        assert out.tolist() == digests(b"fresh", ["user-PLMN-93"])
         assert len(t.records) == 4  # two up, two down
         for rec in t.records:
             assert rec.kind == "psi"
@@ -91,7 +125,7 @@ class TestPsi:
         t = RoundTranscript()
         out = psi(id_sets, salt, t)
         common = set.intersection(*map(set, id_sets))
-        assert out == sorted(common)
+        assert out.tolist() == digests(salt, common)
 
         def joined(ids):
             return ",".join(sorted(C.psi_digest(salt, x) for x in ids))
@@ -107,7 +141,7 @@ class TestPsi:
     def test_equal_digest_lists_share_one_payload_string(self):
         ids = [f"n{i}" for i in range(50)]
         t = RoundTranscript()
-        assert psi([ids, ids[::-1], list(ids)], b"s", t) == sorted(ids)
+        assert psi([ids, ids[::-1], list(ids)], b"s", t).tolist() == digests(b"s", ids)
         assert len(t.records) == 6
         assert len({id(r.payload) for r in t.records}) == 1
         # the first upload keeps its own text; the second, whose ids are the
@@ -119,7 +153,7 @@ class TestPsi:
 
     def test_duplicates_refused_before_anything_is_sent(self):
         t = RoundTranscript()
-        with pytest.raises(DomainError, match="participant 1 submitted duplicate ids"):
+        with pytest.raises(DomainError, match="^duplicate ids submitted to the PSI$"):
             psi([["a", "é"], ["é", "b", "é"]], b"s", t)
         assert not t.records
 
@@ -342,21 +376,32 @@ class TestSecureSum:
         out = secure_sum([np.array([-1.5, 2.0]), np.array([-2.5, -3.0])], keypair, rng)
         np.testing.assert_allclose(out, [-4.0, -1.0], atol=2 * 2.0**-24)
 
-    def test_shape_mismatch(self, keypair, rng):
-        with pytest.raises(ContractError):
-            secure_sum([np.zeros(3), np.zeros(4)], keypair, rng)
+    def test_shape_mismatch(self, keypair, rng, monkeypatch):
+        # a list one ciphertext short of the others, or of the shape's
+        # element count, is refused before any decryption
+        plain = recording_decrypt(monkeypatch)
+        for vecs, got in (([np.zeros(3), np.zeros(4)], [3, 4]),
+                          ([np.zeros(4), np.zeros(4), np.zeros(3)], [4, 4, 3])):
+            received = encrypted_terms(vecs, keypair, rng)
+            with pytest.raises(ContractError) as err:
+                C.secure_sum(received, keypair, (4,))
+            assert str(err.value) == f"expected 4 ciphertexts from each participant, got {got}"
+        assert plain == []
 
     def test_transcript_records_ciphertext_sizes(self, keypair, rng):
+        # the session meters each participant's list at a 4-byte length plus
+        # the key's wire width per value; the decrypting side logs nothing
         t = RoundTranscript()
-        secure_sum([np.ones(5), np.ones(5)], keypair, rng, t, 3)
+        received = [t.send(3, name, "server", "ciphertext", cts) for name, cts in
+                    zip(names(2), encrypted_terms([np.ones(5), np.ones(5)], keypair, rng))]
         assert len(t.records) == 2
         width = 4 + keypair.public.wire_width
         for rec in t.records:
             assert rec.kind == "ciphertext" and rec.encrypted
             assert rec.elements == 5
             assert rec.bytes == 5 * width
-        assert len(t.decryptions) == 1
-        assert t.decryptions[0].aggregated and t.decryptions[0].round == 3
+        assert C.secure_sum(received, keypair, (5,)).tolist() == [2.0] * 5
+        assert not t.decryptions
 
 
 class TestWrapCheck:
@@ -364,15 +409,17 @@ class TestWrapCheck:
     outside it raises before any encryption, naming its party, its element
     and the range."""
 
-    def test_average_bound_names_participant(self, keypair, rng):
+    def test_average_bound_names_participant(self, tiny_bundle, rng):
+        session = secure_session(make_views(tiny_bundle, [5, 5]))
         state = rng.getstate()
         for x in (2.0**20, -(2.0**20), 1e302, float("nan"), float("inf")):
             vecs = [np.array([1.0, 2.0]), np.array([0.5, x])]
             with pytest.raises(DomainError) as err:
-                secure_sum(vecs, keypair, rng)
+                session._uplink(0, vecs, rng)
             assert str(err.value) == (f"party_1 element 1: value {x} is outside the "
                                       "fixed-point range: |x| * 2^24 must round below 2^44")
         assert rng.getstate() == state  # raised before any encryption
+        assert not session.transcript.records and not session.transcript.decryptions
 
     def test_weighted_small_products_exact(self, keypair, rng):
         # weighted participants send their ω-scaled terms; the sum is exact
@@ -390,7 +437,7 @@ class TestWrapCheck:
         np.testing.assert_array_equal(back, [[top, -3.5]])
         state = rng.getstate()
         with pytest.raises(DomainError, match=(
-                r"party_0 element 1: value 1048576.0 is outside the fixed-point range")):
+                r"^element 1: value 1048576.0 is outside the fixed-point range")):
             secure_sum([np.array([1.0, 2.0**20])], keypair, rng)
         assert rng.getstate() == state
 
@@ -486,13 +533,14 @@ class TestSlotPacking:
         out = secure_sum(vecs, keypair, random.Random(2))
         assert out.tolist() == [4 * x for x in vecs[0]]
 
-    def test_per_participant_path(self, keypair, monkeypatch):
+    def test_per_participant_path(self, tiny_bundle, monkeypatch):
         # a lone participant's sum is its own matrix, one term per field,
-        # and the decryption is logged as not aggregated
+        # and the session logs the decryption as not aggregated
+        session = secure_session([single_view(tiny_bundle)])
         plain = recording_decrypt(monkeypatch)
         values = np.random.default_rng(9).uniform(-100, 100, size=(3, 5))
-        t = RoundTranscript()
-        back = secure_sum([values], keypair, random.Random(4), t)
+        back = session._uplink(0, [values], random.Random(4))
+        t = session.transcript
         assert [r.elements for r in t.records] == [15]
         assert len(plain) == 2
         want = [[C.fixed_encode(float(x)) / 2**24 for x in row] for row in values]

@@ -171,6 +171,9 @@ CONFIG_MISTAKES = [
     # a usage error is a configuration error too
     ("seeds-flag-without-value", {}, ["--seeds"],
      "splitgnn run: argument --seeds: expected one argument"),
+    # argparse reads "-1,2" as a flag: a list led by a negative seed needs "="
+    ("seeds-flag-negative-first-without-equals", {}, ["--seeds", "-1,2"],
+     "splitgnn run: argument --seeds: expected one argument"),
     ("grid-unknown", {}, ["--grid", "table9"],
      "splitgnn run: argument --grid: invalid choice: 'table9' "
      "(choose from 'table1', 'table2', 'table3', 'cost')"),
@@ -513,6 +516,16 @@ class TestCli:
                          "--seeds", "5,6"]) == 0
         rows = read_metrics(out / "metrics.csv")
         assert {r["seed"] for r in rows} == {"5", "6"}
+
+    def test_run_seed_override_led_by_a_negative_seed(self, tmp_path):
+        # written with "=", as the --seeds help says; without it see
+        # CONFIG_MISTAKES' seeds-flag-negative-first-without-equals
+        cfg_path = self._write_config(tmp_path, epochs=1)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out),
+                         "--seeds=-1,2"]) == 0
+        rows = read_metrics(out / "metrics.csv")
+        assert [r["seed"] for r in rows] == ["-1", "2"]
 
     def test_missing_config_is_exit_1(self, tmp_path, capsys):
         assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 1

@@ -833,6 +833,25 @@ class TestPartition:
         assert np.all(views[0].graph.labels == -1)
         assert np.array_equal(views[1].graph.labels, bundle.graph.labels)
 
+    @pytest.mark.parametrize("holder", [0, 1, 2])
+    def test_split_lists_only_at_holder(self, holder):
+        # the labels define the splits, so a view without labels holds no
+        # split id either: the lists would name the labeled nodes
+        bundle = small_synthetic(seed=24)
+        spec = G.PartitionSpec.from_ratio([3, 3, 4], bundle.graph.feature_dim,
+                                          bundle.graph.relation_names(), label_holder=holder)
+        views = G.vertical_partition(bundle, spec, seed=2)
+        for v in views:
+            for split in ("train", "val", "test"):
+                ids, want = getattr(v, f"{split}_ids"), getattr(bundle, f"{split}_ids")
+                assert ids.dtype == np.int64
+                if v.participant == holder:
+                    assert np.array_equal(ids, want) and ids is not want
+                else:
+                    assert ids.size == 0
+            if v.participant != holder:
+                assert not np.any(v.graph.labels >= 0)
+
     def test_deterministic_under_seed(self):
         bundle = small_synthetic(seed=25)
         spec = G.PartitionSpec.from_ratio([5, 5], bundle.graph.feature_dim,

@@ -163,6 +163,21 @@ def test_only_the_transcript_adds_records():
     assert not adders, "transcript records added outside transcript.py: " + ", ".join(adders)
 
 
+def test_only_the_session_sends():
+    """Who sends what to whom is the protocol, so one module decides it: the
+    session sends every message, PSI digests and ciphertexts included, and
+    logs every decryption; ``crypto`` only computes each party's half."""
+    senders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("protocol.py", "transcript.py"):
+            continue
+        senders += [f"{path.name}:{node.lineno}: {node.func.attr}"
+                    for node in ast.walk(parse(path))
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("send", "log_decryption")]
+    assert not senders, "messages sent outside protocol.py: " + ", ".join(senders)
+
+
 def test_only_the_session_constructor_reads_the_strategy():
     """The strategy decides each participant's map and the server's first
     layer when a session is built; the round, the routing and inference only

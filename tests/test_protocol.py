@@ -9,7 +9,8 @@ from splitgnn import crypto as C
 from splitgnn import graph as G
 from splitgnn import protocol as P
 from splitgnn import tensor as T
-from splitgnn.errors import ConfigError, DomainError, NumericError, ProtocolError
+from splitgnn.errors import (ConfigError, ContractError, DomainError, NumericError,
+                             ProtocolError)
 from splitgnn.experiments import count_params
 from splitgnn.models import init_param, make_encoder
 from splitgnn.seeding import stable_rng
@@ -687,8 +688,7 @@ class TestSecureRounds:
                 omegas = [p.weight.values for p in session.participants]
                 assert all(np.array_equal(w, np.full(4, 0.5)) for w in omegas)
             locals_ = [w * l for w, l in zip(omegas, locals_)]
-        got = C.secure_sum(locals_, session.keypair, random.Random(0), session.transcript,
-                           0, [p.name for p in session.participants])
+        got = session._uplink(0, locals_, random.Random(0))
 
         s = C.SCALE_BITS
         fx = [[[round(float(x) * 2**s) for x in row] for row in l] for l in locals_]
@@ -720,10 +720,34 @@ class TestSecureRounds:
         records = list(session.transcript.records)
         with pytest.raises(DomainError, match=(
                 r"party_1 element 6: value 1048576.0 is outside the fixed-point range")):
-            C.secure_sum(locals_, session.keypair, blinding, session.transcript,
-                         0, [p.name for p in session.participants])
+            session._uplink(0, locals_, blinding)
         assert blinding.getstate() == state
         assert session.transcript.records == records
+        assert not session.transcript.decryptions
+
+    def test_short_ciphertext_list_raises_before_decryption(self, tiny_bundle, monkeypatch):
+        # a participant whose message is one ciphertext short is refused
+        # before the server decrypts anything, so no decryption is logged
+        session = P.SplitSession(
+            make_views(tiny_bundle, [5, 5, 5]),
+            session_config(strategy="average", secure=True,
+                           encoder=encoder_config(kind="gcn", layers=1)))
+        session.align()
+        send = session.transcript.send
+
+        def short(round_index, sender, receiver, kind, payload):
+            if sender == "party_2":
+                payload = payload[:-1]
+            return send(round_index, sender, receiver, kind, payload)
+
+        monkeypatch.setattr(session.transcript, "send", short)
+        decrypted = []
+        monkeypatch.setattr(C, "decrypt", lambda *args: decrypted.append(args))
+        locals_ = [np.full((2, 4), 0.5)] * 3
+        with pytest.raises(ContractError, match=(
+                r"^expected 8 ciphertexts from each participant, got \[8, 8, 7\]$")):
+            session._uplink(0, locals_, random.Random(0))
+        assert decrypted == []
         assert not session.transcript.decryptions
 
     def test_ciphertext_bytes_exceed_plaintext(self, tiny_bundle):

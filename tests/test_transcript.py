@@ -53,7 +53,7 @@ def test_send_returns_payload_and_records_closed_form(kind, make, elements, widt
 
 def test_psi_digest_array_records_its_joined_hex():
     """A digest list sent as an array of the digests' ASCII bytes, as
-    ``psi_align`` sends it, is recorded as the list of strings is."""
+    ``psi_align`` returns it, is recorded as the list of strings is."""
     digests = digest_payload()
     array = np.array(digests, dtype=C.DIGEST_DTYPE)
     t = RoundTranscript()
