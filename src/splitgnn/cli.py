@@ -21,6 +21,13 @@ a ``labels.tsv`` class index, a transcript's ``round``, ``elements`` and
 argparse reads a value that starts with ``-`` as a flag, so a seed list
 that starts with a negative seed is written ``--seeds=-1,2``; ``--seeds
 -1,2`` is a usage error.
+
+``gen-synthetic`` writes a dataset directory of text files, the one format
+of record, and beside them ``dataset.npz``, an array image of what the text
+parses to, which holds the text's SHA-256.  A run over a directory reads
+the image while the text is unchanged and parses the text otherwise, with
+the same bundle or the same error either way (``graph.load_dataset``); a
+run never writes into the dataset directory.
 """
 
 from __future__ import annotations
@@ -70,7 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     audit = sub.add_parser("audit", help="audit a transcript CSV for leaks")
     audit.add_argument("--transcript", required=True)
 
-    gen = sub.add_parser("gen-synthetic", help="write a synthetic dataset directory")
+    gen = sub.add_parser("gen-synthetic", help="write a synthetic dataset directory: "
+                         "its text files and their array image, dataset.npz")
     gen.add_argument("--spec", required=True, help="synthetic spec JSON")
     gen.add_argument("--out", required=True, help="dataset directory to create")
     gen.add_argument("--seed", default="0", help="integer seed of the generator")

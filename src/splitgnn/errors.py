@@ -1,14 +1,21 @@
 """Exception types shared across the package, the one reader of input files
-(its every refusal a ParseError naming the file), the one reader of an
-integer written as text, and the config checker: each field of a
-:class:`Schema` dataclass declares its rule next to it."""
+(its every refusal a ParseError naming the file), the readers of a saved
+dataset's digest and array image (each None where it cannot read), the one
+reader of an integer written as text, and the config checker: each field of
+a :class:`Schema` dataclass declares its rule next to it."""
 
+import hashlib
 import json
 import math
 import operator
+import os
+import zipfile
 from dataclasses import MISSING, field, fields
 from functools import partial
+from pathlib import Path
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 
 class SplitGnnError(Exception):
@@ -60,6 +67,44 @@ def read_json(path):
         return json.loads("".join(line for _, line in text_lines(path)))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+
+
+# the bytes file_digest reads at a time
+DIGEST_CHUNK = 1 << 20
+
+
+def file_digest(paths) -> str | None:
+    """The SHA-256, in hex, of the files ``paths`` names, in order: each
+    file's name, its length and its bytes, read ``DIGEST_CHUNK`` at a time.
+    None when a file cannot be opened or read, or changes length while it
+    is read."""
+    digest = hashlib.sha256()
+    try:
+        for path in paths:
+            with open(path, "rb") as fh:
+                name, size = os.fsencode(Path(path).name), os.fstat(fh.fileno()).st_size
+                digest.update(len(name).to_bytes(8, "little") + name
+                              + size.to_bytes(8, "little"))
+                while chunk := fh.read(DIGEST_CHUNK):
+                    digest.update(chunk)
+                    size -= len(chunk)
+            if size:
+                return None
+    except (OSError, ValueError):  # a path holding NUL names no file
+        return None
+    return digest.hexdigest()
+
+
+def read_arrays(path) -> dict[str, np.ndarray] | None:
+    """The arrays of the ``np.savez`` file at ``path``, by name; None when
+    it is missing, truncated, corrupt, holds pickled objects or is not an
+    ``.npz`` archive."""
+    try:
+        with np.load(path, allow_pickle=False) as image:
+            return {name: image[name] for name in image.files}
+    # TypeError: a lone .npy array, which ``with`` cannot enter
+    except (OSError, ValueError, EOFError, TypeError, zipfile.BadZipFile):
+        return None
 
 
 def canonical_int(text: str) -> int | None:

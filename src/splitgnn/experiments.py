@@ -244,8 +244,10 @@ def _strategy_views(config: ExperimentConfig, bundle: DatasetBundle):
     return [views[alone]], "native" if alone == config.label_holder else "granted"
 
 
-def run_experiment(config: ExperimentConfig):
-    """Execute the configured strategy for every seed.
+def run_experiment(config: ExperimentConfig, bundle: DatasetBundle | None = None):
+    """Execute the configured strategy for every seed, on ``bundle`` when
+    the caller has loaded the config's data already, which the run only
+    reads.
 
     Returns (metrics rows, cost report, transcript).  The cost report
     reflects the last seed's transcript; message counts and sizes are
@@ -255,7 +257,8 @@ def run_experiment(config: ExperimentConfig):
     reports the one participant its session has, in its metrics rows and
     its cost report alike.
     """
-    bundle = _load_bundle(config)
+    if bundle is None:
+        bundle = _load_bundle(config)
     views, label_access = _strategy_views(config, bundle)
     metered = config.strategy in STRATEGY_MAP
     participants = len(views) if config.strategy == "entire" else config.participants
@@ -386,10 +389,14 @@ def grid_configs(base: ExperimentConfig, grid: str) -> list[ExperimentConfig]:
 
 
 def run_grid(base: ExperimentConfig, grid: str):
+    """Every cell of the grid, on one bundle: the cells vary the strategy,
+    the partition and the model, never the data, and only read it."""
+    configs = grid_configs(base, grid)   # each checked before the data is built
+    bundle = _load_bundle(base)
     all_rows, all_costs = [], []
     last_transcript = None
-    for cfg in grid_configs(base, grid):
-        rows, cost, transcript = run_experiment(cfg)
+    for cfg in configs:
+        rows, cost, transcript = run_experiment(cfg, bundle)
         all_rows.extend(rows)
         all_costs.append(cost)
         if transcript is not None:

@@ -15,6 +15,7 @@ from conftest import load_run_module, read_metrics
 from splitgnn import cli
 from splitgnn import crypto as C
 from splitgnn import experiments as E
+from splitgnn import graph as G
 from splitgnn.errors import ConfigError, DomainError
 from splitgnn.graph import RelationSpec, SyntheticSpec
 from splitgnn.transcript import RoundTranscript
@@ -491,6 +492,40 @@ class TestGrids:
     def test_unknown_grid(self):
         with pytest.raises(ConfigError):
             E.grid_configs(small_config(), "table9")
+
+    def test_table1_loads_its_bundle_once(self, tmp_path, monkeypatch):
+        """run_grid loads the data once and hands it to every cell, which
+        only reads it: with the bundle's arrays read-only, table1 over a
+        saved directory writes the reports and the transcript that loading
+        the data for each cell writes."""
+        data = tmp_path / "data"
+        G.save_dataset(E._load_bundle(small_config()), data)
+        base = small_config(synthetic=None, dataset=str(data), epochs=1)
+        per_cell = [E.run_experiment(cfg) for cfg in E.grid_configs(base, "table1")]
+        E.emit_report([row for rows, _, _ in per_cell for row in rows],
+                      [cost for _, cost, _ in per_cell], tmp_path / "per_cell")
+        per_cell[-1][2].save(tmp_path / "per_cell" / "transcript.csv")
+
+        loads = []
+
+        def load_read_only(directory):
+            loads.append(directory)
+            bundle = G.load_dataset(directory)
+            g = bundle.graph
+            for array in [g.node_types, g.features, g.labels, bundle.train_ids,
+                          bundle.val_ids, bundle.test_ids,
+                          *(a for r in g.relations.values() for a in (r.src, r.dst, r.feat))]:
+                array.flags.writeable = False
+            return bundle
+
+        monkeypatch.setattr(E, "load_dataset", load_read_only)
+        rows, costs, transcript = E.run_grid(base, "table1")
+        E.emit_report(rows, costs, tmp_path / "grid")
+        transcript.save(tmp_path / "grid" / "transcript.csv")
+        assert loads == [str(data)]
+        for name in ("metrics.csv", "cost.csv", "transcript.csv"):
+            assert (tmp_path / "grid" / name).read_bytes() == \
+                (tmp_path / "per_cell" / name).read_bytes()
 
 
 class TestCli:

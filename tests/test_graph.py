@@ -10,7 +10,7 @@ from conftest import loop_metapath_edges
 from row_loader import load_dataset_by_rows
 from splitgnn import graph as G
 from splitgnn import models as M
-from splitgnn.errors import ConfigError, GraphSchemaError, ParseError
+from splitgnn.errors import ConfigError, GraphSchemaError, ParseError, read_arrays
 from splitgnn.seeding import stable_rng
 
 TOY = Path(__file__).parent / "fixtures" / "toy_dataset"
@@ -316,6 +316,7 @@ class TestLoader:
         values, the last of a node's rows winning."""
         bundle = small_synthetic(seed=3)
         G.save_dataset(bundle, tmp_path)
+        (tmp_path / G.IMAGE).unlink()   # the text parse, not the array image
         path = tmp_path / "features.tsv"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         if order == "reversed":
@@ -441,7 +442,10 @@ class TestLoaderParity:
             G.RelationSpec("vu", "v", "u", edge_dim=1, avg_degree=2.0),
         ])
         G.save_dataset(bundle, tmp_path)
-        assert_same_bundle(G.load_dataset(tmp_path), load_dataset_by_rows(tmp_path))
+        want = load_dataset_by_rows(tmp_path)
+        assert_same_bundle(G.load_dataset(tmp_path), want)
+        (tmp_path / G.IMAGE).unlink()   # and the text parse
+        assert_same_bundle(G.load_dataset(tmp_path), want)
         assert [str(w.message) for w in recwarn] == []
 
     @pytest.mark.parametrize("name", sorted(HAND_WRITTEN))
@@ -462,6 +466,7 @@ class TestLoaderParity:
                  "late-unknown-id-without-edge-features": "a\tb\nb\tc\nc\td\nd\tzz\n"}
         if name == "synthetic":
             G.save_dataset(small_synthetic(seed=3), tmp_path)
+            (tmp_path / G.IMAGE).unlink()   # the text parse, not the array image
         elif name in edges:
             write_dataset(tmp_path, {**FOUR_NODES, "features.tsv": "a\t1\nb\t2\nc\t3\nd\t4\n",
                                      "edges_cites.tsv": edges[name]})
@@ -471,6 +476,141 @@ class TestLoaderParity:
         assert isinstance(want, str) or name not in edges
         monkeypatch.setattr(G, "LOOKUP_CHUNK", chunk)
         assert_same_outcome(load_outcome(G.load_dataset, tmp_path), want)
+
+
+def listing(directory):
+    """Each entry of ``directory``: its name, size and modification time."""
+    return sorted((p.name, p.stat().st_size, p.stat().st_mtime_ns)
+                  for p in Path(directory).iterdir())
+
+
+def text_parses(monkeypatch):
+    """The directories load_dataset parses as text from now on."""
+    parsed, load_text = [], G._load_text
+
+    def recorded(directory):
+        parsed.append(directory)
+        return load_text(directory)
+
+    monkeypatch.setattr(G, "_load_text", recorded)
+    return parsed
+
+
+def one_digit_changed(path, to=None):
+    """``path`` with the first digit 1-8 of its first row's floats raised
+    by one, or replaced by ``to``."""
+    text = path.read_bytes()
+    at = next(i for i in range(text.index(b"\t"), len(text)) if text[i] in b"12345678")
+    path.write_bytes(text[:at] + (to or bytes([text[at] + 1])) + text[at + 1:])
+
+
+def damaged_image(kind, path):
+    """Rewrite the image at ``path`` as ``kind`` says."""
+    arrays = read_arrays(path)
+    if kind == "truncated":
+        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+    elif kind == "empty":
+        path.write_bytes(b"")
+    elif kind == "lone-array":
+        with open(path, "wb") as fh:
+            np.save(fh, arrays["features"])
+    elif kind == "pickled":
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays, extra=np.array([None], dtype=object))
+    elif kind == "other-digest":
+        with open(path, "wb") as fh:
+            np.savez(fh, **{**arrays, "digest": np.str_("0" * 64)})
+    elif kind == "a-directory":
+        path.unlink()
+        path.mkdir()
+
+
+class TestImage:
+    """save_dataset writes an array image of what its text parses to, and
+    load_dataset reads it only while the text is as it was written."""
+
+    def saved(self, directory):
+        """Save a synthetic bundle in ``directory``; its text parse."""
+        G.save_dataset(small_synthetic(seed=3), directory)
+        return G._load_text(Path(directory))
+
+    def test_saved_directory_loads_from_image(self, tmp_path, monkeypatch):
+        want = self.saved(tmp_path)
+        parsed = text_parses(monkeypatch)
+        assert_same_bundle(G.load_dataset(tmp_path), want)
+        assert parsed == []
+
+    @pytest.mark.parametrize("edit", ["one-digit", "new-edge-file"])
+    def test_valid_edit_gives_the_fresh_text_parse(self, tmp_path, monkeypatch, edit):
+        old = self.saved(tmp_path)
+        if edit == "one-digit":
+            one_digit_changed(tmp_path / "features.tsv")
+        else:
+            (tmp_path / "edges_zz.tsv").write_text("")
+        parsed = text_parses(monkeypatch)
+        got = G.load_dataset(tmp_path)
+        assert parsed == [tmp_path]
+        (tmp_path / G.IMAGE).unlink()
+        assert_same_bundle(got, G.load_dataset(tmp_path))
+        if edit == "one-digit":
+            assert got.graph.features[0].tolist() != old.graph.features[0].tolist()
+        else:
+            assert list(got.graph.relations) == [*old.graph.relations, "zz"]
+
+    def test_invalid_edit_raises_the_text_error(self, tmp_path):
+        self.saved(tmp_path)
+        one_digit_changed(tmp_path / "features.tsv", to=b"x")
+        with pytest.raises(ParseError) as with_image:
+            G.load_dataset(tmp_path)
+        assert str(with_image.value).startswith(f"{tmp_path}/features.tsv:1: {BAD_FLOAT}")
+        (tmp_path / G.IMAGE).unlink()
+        assert load_outcome(G.load_dataset, tmp_path) == str(with_image.value)
+
+    @pytest.mark.parametrize("kind", ["truncated", "empty", "lone-array", "pickled",
+                                      "other-digest", "a-directory"])
+    def test_image_that_does_not_read_falls_back_to_text(self, tmp_path, monkeypatch, kind):
+        want = self.saved(tmp_path)
+        damaged_image(kind, tmp_path / G.IMAGE)
+        parsed = text_parses(monkeypatch)
+        assert_same_bundle(G.load_dataset(tmp_path), want)
+        assert parsed == [tmp_path]
+
+    def test_image_without_its_text_is_a_missing_file(self, tmp_path):
+        self.saved(tmp_path)
+        for path in tmp_path.iterdir():
+            if path.name != G.IMAGE:
+                path.unlink()
+        assert load_outcome(G.load_dataset, tmp_path) == f"{tmp_path}/nodes.tsv: missing file"
+
+    def test_relation_without_edges_round_trips(self, tmp_path, monkeypatch):
+        (tmp_path / "text").mkdir()
+        write_dataset(tmp_path / "text", HAND_WRITTEN["no-edge-features"])
+        want = G.load_dataset(tmp_path / "text")
+        more = want.graph.relations["more"]
+        assert (len(more), more.src_type, more.dst_type) == (0, None, None)
+        G.save_dataset(want, tmp_path / "saved")
+        parsed = text_parses(monkeypatch)
+        assert_same_bundle(G.load_dataset(tmp_path / "saved"), want)
+        assert parsed == []
+
+    def test_type_ending_in_nul_is_kept_by_the_text_alone(self, tmp_path):
+        """numpy's string arrays drop trailing NULs, so an image could not
+        give such a relation end type back."""
+        bundle = small_synthetic(seed=3)
+        bundle.graph.node_types = np.array([t + "\0" for t in bundle.graph.node_types],
+                                           dtype=object)
+        G.save_dataset(bundle, tmp_path)
+        assert not (tmp_path / G.IMAGE).exists()
+        assert G.load_dataset(tmp_path).graph.relations["uv"].src_type == "u\0"
+
+    @pytest.mark.parametrize("saved", [False, True], ids=["text-only", "saved"])
+    def test_load_writes_nothing(self, tmp_path, saved):
+        directory = tmp_path if saved else TOY
+        if saved:
+            self.saved(tmp_path)
+        before = listing(directory)
+        G.load_dataset(directory)
+        assert listing(directory) == before
 
 
 class TestSynthetic:
@@ -546,11 +686,13 @@ class TestSyntheticRoundTrip:
     @given(spec=small_specs(), seed=st.integers(0, 3))
     def test_saved_and_loaded_as_generated(self, spec, seed):
         """Every spec SyntheticSpec accepts round-trips through save_dataset
-        and load_dataset."""
+        and load_dataset, from the array image and from the text alike."""
         want = G.generate_synthetic(spec, seed)
         with tempfile.TemporaryDirectory() as directory:
             G.save_dataset(want, directory)
             got = G.load_dataset(directory)
+            (Path(directory) / G.IMAGE).unlink()
+            assert_same_bundle(got, G.load_dataset(directory))
         g, w = got.graph, want.graph
         assert np.array_equal(g.node_types, w.node_types)
         assert np.array_equal(g.features, w.features)

@@ -281,9 +281,10 @@ def test_no_private_attribute_of_another_object_is_read():
 
 
 # the functions of src/splitgnn that may call hashlib, each for its own
-# purpose: the PSI digest, the PSI salt, seeded streams and config digests
+# purpose: the PSI digest, the PSI salt, seeded streams, config digests and
+# the digest of a dataset's text that its array image is checked against
 HASHING_FUNCTIONS = {"crypto.psi_digest", "crypto.fresh_salt", "seeding.stable_seed",
-                     "experiments.ExperimentConfig.digest"}
+                     "experiments.ExperimentConfig.digest", "errors.file_digest"}
 
 
 def test_psi_digest_is_the_one_digest_definition():
@@ -339,7 +340,7 @@ def test_only_tensor_forms_a_matrix_product():
 
 
 # the calls that read a file; ``open`` reads unless its mode writes
-FILE_READ_CALLS = {"json.load", "json.loads"}
+FILE_READ_CALLS = {"json.load", "json.loads", "np.load", "numpy.load"}
 FILE_READ_METHODS = {"read_text", "read_bytes"}
 
 
@@ -355,9 +356,11 @@ def reads_a_file(call):
 
 def test_only_errors_reads_a_file():
     """Every input file is read through ``errors.open_text``, ``text_lines``
-    or ``read_json``, so each refusal names the file: no other module of
+    or ``read_json``, so each refusal names the file, or, a dataset's array
+    image, through ``errors.read_arrays``: no other module of
     ``src/splitgnn`` calls ``open`` without a write mode, ``.read_text``,
-    ``.read_bytes``, ``json.load`` or ``json.loads``."""
+    ``.read_bytes``, ``json.load``, ``json.loads``, ``np.load`` or
+    ``numpy.load``."""
     reads = [f"{path.name}:{node.lineno}: {ast.unparse(node.func)}"
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "errors.py"
              for node in ast.walk(parse(path))
